@@ -27,11 +27,10 @@ from .system import (AdmissibilityBound, HeatDirichletParams, InputSignal,
 from .checkers import (SampleBudget, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral,
-                       check_ulim, check_uls, cocycle_deviation, dissipation_margin,
-                       draw_input, draw_state, eval_times, integral_to_integral_margin,
-                       iss_margin, iter_pairs, norm_to_integral_margin,
-                       run_iss_equivalence_battery, trajectory_integral, uls_margin,
-                       ulim_slack, input_integral, cep_margin, brs_margin)
+                       check_ulim, check_uls, dissipation_margin, draw_input,
+                       draw_state, eval_times, input_integral, iss_margin, iter_pairs,
+                       norm_to_integral_margin, run_iss_equivalence_battery,
+                       trajectory_integral, uls_margin, ulim_slack)
 from .harness import (RunReport, Scenario, build_system, bundled_scenario_path,
                       load_scenario, main, parse_scenario, run_scenario,
                       serialize_scenario, simulate_scenario)

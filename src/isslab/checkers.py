@@ -5,6 +5,15 @@ times for a violation of one universally quantified inequality.  A violation
 is reported with a replayable witness; otherwise the verdict is
 ``no_violation_found``, which is evidence, not proof.
 
+One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS, CEP and the two
+integral forms) all say that a comparison bound minus a functional of the
+flow phi(t, x0, u), |phi| or the integral of alpha(|phi|), is nonnegative at
+every sampled (x0, u, t).  ``_scan`` is the one loop that checks them, and
+the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``,
+``norm_to_integral_margin``) run it on one pair, so a witness replays
+through the checker's own arithmetic.  The axiom and dissipation checks
+compare point values and loop over the pairs directly.
+
 Sampling design.  States are drawn from the uniform ball in the first
 min(N, 8) modes, plus isolated high modes e_k to exercise the non-coercive
 direction, plus three canonical corners (the origin, the slowest mode at full
@@ -36,7 +45,7 @@ from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
 from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
                      conclude)
 from .system import (InputSignal, SpectralSystem, build_time_grid, mild_solution,
-                     kappa_bounds, sample_trajectory, state_norm)
+                     kappa_bounds, sample_trajectory, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # quadrature-backed comparisons
@@ -58,16 +67,12 @@ class SampleBudget:
     def __post_init__(self):
         if min(self.n_states, self.n_inputs, self.n_times) < 1:
             raise ValidationError("sample counts must be at least 1")
-        if self.horizon <= 0.0 or self.radius <= 0.0:
-            raise ValidationError("horizon and radius must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.horizon, self.radius)):
+            raise ValidationError("horizon and radius must be positive and finite")
 
     @property
     def n_pairs(self) -> int:
         return self.n_states * self.n_inputs
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([abs(int(seed)) % (2 ** 63), *key])
 
 
 def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
@@ -83,7 +88,7 @@ def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
     if i == 2:
         x[-1] = r
         return x
-    rng = _rng(budget.seed, 11, i)
+    rng = seeded_rng(budget.seed, 11, i)
     if i % 5 == 3 and n > 1:
         k = int(rng.integers(n // 2, n))
         x[k] = r * rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
@@ -103,7 +108,7 @@ def draw_input(budget: SampleBudget, j: int) -> InputSignal:
         return InputSignal.zero()
     if j == 1:
         return InputSignal.constant(budget.radius, budget.horizon)
-    rng = _rng(budget.seed, 22, j)
+    rng = seeded_rng(budget.seed, 22, j)
     m = int(rng.integers(1, 9))
     cuts = np.sort(rng.uniform(0.0, budget.horizon, m - 1))
     cuts = np.unique(cuts[(cuts > 0.0) & (cuts < budget.horizon)])
@@ -129,15 +134,25 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
 
 
 def iter_pairs(sys: SpectralSystem, budget: SampleBudget):
-    """Enumerate (index, x0, u) over the budget's state-input product set."""
+    """Enumerate (index, x0, u) over the budget's state-input product set.
+
+    Each input is drawn once and the same object is yielded for every state.
+    """
+    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
     for si in range(budget.n_states):
         x0 = draw_state(sys, budget, si)
-        for sj in range(budget.n_inputs):
-            yield si * budget.n_inputs + sj, x0, draw_input(budget, sj)
+        for sj, u in enumerate(inputs):
+            yield si * budget.n_inputs + sj, x0, u
 
 
 def _tol(scale: float, rel: float = POINT_TOL) -> float:
     return rel * (1.0 + scale)
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 class _Tracker:
@@ -150,72 +165,142 @@ class _Tracker:
 
     def add(self, idx: int, t: float, margin: float, tol: float,
             x0: np.ndarray, u: InputSignal):
-        self.records.append(MarginRecord(sample_index=idx, t=t, margin=float(margin)))
+        self.records.append(MarginRecord(idx, float(t), float(margin)))
         if margin < -tol and margin < self._worst:
             self._worst = margin
             self.witness = Witness(x0=x0, input=u, t=float(t), margin=float(margin))
 
 
 # ---------------------------------------------------------------------------
+# the sampling kernel
+
+
+def _pair_tol(rel: float = POINT_TOL):
+    return lambda x0, u: _tol(state_norm(x0) + u.sup_norm, rel)
+
+
+def _scan(sys: SpectralSystem, pairs, probe, bound, tracker: _Tracker,
+          integrand: ComparisonFunction | None = None, best: bool = False,
+          tol=_pair_tol()):
+    """The sampling loop of every trajectory checker, as a generator.
+
+    ``probe(u)``, run once per input object, gives the flow grid and the
+    evaluation times, which must be grid nodes.  Per pair ``(index, x0, u)``
+    the margins are ``bound(x0, u, times) - lhs``, with lhs = |phi| or, given
+    ``integrand``, the Simpson integral of ``integrand(|phi|)`` from 0 on a
+    grid that refines the input's breakpoints.  The smallest margin (the
+    largest if ``best``) goes to ``tracker`` with witness tolerance
+    ``tol(x0, u)``; ``(times, lhs, margins, picked index)`` is yielded.
+    """
+    probed = {}   # holding u keeps its id from being reused
+    for idx, x0, u in pairs:
+        if id(u) not in probed:
+            grid, times = probe(u)
+            if integrand is not None:
+                _validate_refines(grid, u, times[-1])
+            probed[id(u)] = (u, grid, times, _grid_indices(grid, times))
+        _, grid, times, at = probed[id(u)]
+        norms = sample_trajectory(sys, x0, u, grid).norms()
+        if integrand is None:
+            lhs = norms[at]
+        else:
+            lhs = _prefix_integrals(evaluate(integrand, norms), grid, at)
+        margins = bound(x0, u, times) - lhs
+        i = int(np.argmax(margins) if best else np.argmin(margins))
+        tracker.add(idx, times[i], margins[i], tol(x0, u), x0, u)
+        yield times, lhs, margins, i
+
+
+def _sweep(prop: CheckProperty, sys: SpectralSystem, pairs, probe, bound,
+           **options) -> StabilityReport:
+    """Run :func:`_scan` to the end and conclude its report."""
+    tracker = _Tracker()
+    for _ in _scan(sys, pairs, probe, bound, tracker, **options):
+        pass
+    return conclude(prop, tracker.records, tracker.witness)
+
+
+def _pointwise_probe(budget: SampleBudget):
+    """The evaluation times plus the input's breakpoints below the horizon."""
+    times = eval_times(budget)
+
+    def probe(u):
+        bps = u.breakpoints[u.breakpoints < budget.horizon]
+        grid = np.unique(np.concatenate([times, bps]))
+        return grid, grid
+    return probe
+
+
+def _at_time(t: float):
+    grid = np.unique([0.0, float(t)])
+    return lambda u: (grid, grid[-1:])
+
+
+def _grid_indices(grid: np.ndarray, times) -> np.ndarray:
+    if not np.all(np.isin(times, grid)):
+        raise ValidationError("the grid must contain every evaluation time")
+    return np.searchsorted(grid, times)
+
+
+def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
+    """Composite-Simpson integrals of the sampled values from 0 to grid[at]."""
+    return np.array([float(simpson(vals[:i + 1], x=grid[:i + 1])) if i > 0 else 0.0
+                     for i in at])
+
+
+# ---------------------------------------------------------------------------
 # pointwise trajectory-norm checks
+
+
+def _iss_bound(cert: ISSCertificate):
+    return lambda x0, u, t: cert.bound(state_norm(x0), u.sup_norm, t)
 
 
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    lhs = state_norm(mild_solution(sys, x0, u, t))
-    return cert.bound(state_norm(x0), u.sup_norm, t) - lhs
+    return _sweep(CheckProperty.ISS, sys, [(0, x0, u)], _at_time(t),
+                  _iss_bound(cert)).worst_margin
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
-    times = eval_times(budget)
-    tracker = _Tracker()
-    for idx, x0, u in iter_pairs(sys, budget):
-        grid = np.unique(np.concatenate(
-            [times, u.breakpoints[u.breakpoints < budget.horizon]]))
-        traj = sample_trajectory(sys, x0, u, grid)
-        bound = cert.beta(state_norm(x0), grid) + evaluate(cert.gamma, u.sup_norm)
-        margins = bound - traj.norms()
-        i = int(np.argmin(margins))
-        tol = _tol(state_norm(x0) + u.sup_norm)
-        tracker.add(idx, grid[i], margins[i], tol, x0, u)
-    return conclude(CheckProperty.ISS, tracker.records, tracker.witness)
+    return _sweep(CheckProperty.ISS, sys, iter_pairs(sys, budget),
+                  _pointwise_probe(budget), _iss_bound(cert))
+
+
+def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
+    return lambda x0, u, t: (evaluate(sigma_fn, state_norm(x0))
+                             + evaluate(gamma_fn, u.sup_norm))
 
 
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
                gamma_fn: ComparisonFunction, x0, u: InputSignal, t: float) -> float:
-    lhs = state_norm(mild_solution(sys, x0, u, t))
-    return evaluate(sigma_fn, state_norm(x0)) + evaluate(gamma_fn, u.sup_norm) - lhs
+    """sigma(|x0|) + gamma(|u|_inf) - |phi(t, x0, u)|."""
+    return _sweep(CheckProperty.ULS, sys, [(0, x0, u)], _at_time(t),
+                  _uls_bound(sigma_fn, gamma_fn)).worst_margin
 
 
 def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
               gamma_fn: ComparisonFunction, r: float,
               budget: SampleBudget) -> StabilityReport:
     """Static bound sigma(|x0|) + gamma(|u|) over the ball of radius r."""
-    if r <= 0.0:
-        raise DomainError("the locality radius r must be positive")
+    _require_positive(r=r)
     local = replace(budget, radius=r)
-    times = eval_times(local)
-    tracker = _Tracker()
-    for idx, x0, u in iter_pairs(sys, local):
-        grid = np.unique(np.concatenate(
-            [times, u.breakpoints[u.breakpoints < local.horizon]]))
-        traj = sample_trajectory(sys, x0, u, grid)
-        bound = evaluate(sigma_fn, state_norm(x0)) + evaluate(gamma_fn, u.sup_norm)
-        margins = bound - traj.norms()
-        i = int(np.argmin(margins))
-        tol = _tol(state_norm(x0) + u.sup_norm)
-        tracker.add(idx, grid[i], margins[i], tol, x0, u)
-    return conclude(CheckProperty.ULS, tracker.records, tracker.witness)
+    return _sweep(CheckProperty.ULS, sys, iter_pairs(sys, local), _pointwise_probe(local),
+                  _uls_bound(sigma_fn, gamma_fn))
+
+
+def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
+    return lambda x0, u, t: eps + evaluate(gamma_fn, u.sup_norm)
 
 
 def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
                x0, u: InputSignal, grid) -> float:
     """Best slack eps + gamma(|u|) - |phi(t)| over the grid; >= 0 iff a hit."""
-    traj = sample_trajectory(sys, x0, u, np.asarray(grid, dtype=float))
-    level = eps + evaluate(gamma_fn, u.sup_norm)
-    return float(np.max(level - traj.norms()))
+    grid = np.asarray(grid, dtype=float)
+    return _sweep(CheckProperty.ULIM, sys, [(0, x0, u)], lambda _: (grid, grid),
+                  _ulim_level(gamma_fn, eps), best=True).worst_margin
 
 
 def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
@@ -227,35 +312,21 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     the per-sample search; the empirical uniform hitting time tau is the
     maximum first-hit time over the samples and is reported in the notes.
     """
-    if eps <= 0.0 or r <= 0.0:
-        raise DomainError("eps and r must be positive")
+    _require_positive(eps=eps, r=r)
     local = replace(budget, radius=r)
     grid = np.linspace(0.0, local.horizon, ULIM_GRID_POINTS)
     tracker = _Tracker()
-    tau_hat = 0.0
-    exhausted = False
-    for idx, x0, u in iter_pairs(sys, local):
-        traj = sample_trajectory(sys, x0, u, grid)
-        slack = eps + evaluate(gamma_fn, u.sup_norm) - traj.norms()
+    tau_hat, exhausted = 0.0, False
+    for times, _, slack, _ in _scan(sys, iter_pairs(sys, local), lambda _: (grid, grid),
+                                    _ulim_level(gamma_fn, eps), tracker,
+                                    best=True, tol=lambda x0, u: 0.0):
         hits = np.nonzero(slack >= 0.0)[0]
-        margin = float(np.max(slack))
-        t_at = grid[int(np.argmax(slack))]
         if hits.size:
-            tau_hat = max(tau_hat, float(grid[hits[0]]))
+            tau_hat = max(tau_hat, float(times[hits[0]]))
         else:
             exhausted = True
-        tracker.add(idx, float(t_at), margin, 0.0, x0, u)
     notes = "horizon exhausted for some sample" if exhausted else f"tau_hat={tau_hat!r}"
     return conclude(CheckProperty.ULIM, tracker.records, tracker.witness, notes=notes)
-
-
-def cep_margin(sys: SpectralSystem, eps: float, x0, u: InputSignal, h: float,
-               grid=None) -> float:
-    """eps minus the supremum of |phi| over [0, h] on the probe grid."""
-    if grid is None:
-        grid = eval_times(SampleBudget(horizon=h))
-    traj = sample_trajectory(sys, x0, u, np.asarray(grid, dtype=float))
-    return eps - float(np.max(traj.norms()))
 
 
 def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float,
@@ -267,70 +338,42 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float,
     stays within eps_j on [0, h].  The (eps_j, delta_j) table is reported in
     the notes; failure to find any workable delta is a violation.
     """
-    if h <= 0.0:
-        raise DomainError("the horizon h must be positive")
+    _require_positive(h=h, max_halvings=max_halvings)
     tracker = _Tracker()
     table = []
     for j in range(n_levels):
         eps_j = budget.radius * 2.0 ** (-j)
         chosen_delta = None
-        last_sup, last_sample = math.inf, None
         for i in range(1, max_halvings + 1):
             delta = eps_j / 2.0 ** i
             local = replace(budget, radius=delta, horizon=h)
-            times = eval_times(local)
-            sup, sup_sample = 0.0, None
-            for _, x0, u in iter_pairs(sys, local):
-                grid = np.unique(np.concatenate(
-                    [times, u.breakpoints[u.breakpoints < h]]))
-                traj = sample_trajectory(sys, x0, u, grid)
-                norms = traj.norms()
-                k = int(np.argmax(norms))
-                if norms[k] > sup:
-                    sup = float(norms[k])
-                    sup_sample = (x0, u, float(grid[k]))
-            last_sup, last_sample = sup, sup_sample
-            if sup <= eps_j:
+            level = _sweep(CheckProperty.CEP, sys, iter_pairs(sys, local),
+                           _pointwise_probe(local), lambda x0, u, t, e=eps_j: e,
+                           tol=lambda x0, u: 0.0)
+            if level.witness is None:
                 chosen_delta = delta
                 break
-        margin = eps_j - last_sup
-        if chosen_delta is None and last_sample is not None:
-            x0, u, t_at = last_sample
-            tracker.add(j, t_at, margin, 0.0, x0, u)
-        else:
-            tracker.add(j, h, margin, 0.0, np.zeros(sys.n_modes), InputSignal.zero())
+        w = level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
+                                     level.worst_margin)
+        tracker.add(j, w.t, w.margin, 0.0, w.x0, w.input)
         table.append((eps_j, chosen_delta))
     notes = "table " + "; ".join(
         f"eps={e!r}->delta={d!r}" for e, d in table)
     return conclude(CheckProperty.CEP, tracker.records, tracker.witness, notes=notes)
 
 
-def brs_margin(sys: SpectralSystem, C: float, tau: float, x0, u: InputSignal,
-               t: float, kappa_upper: float | None = None) -> float:
-    """A-priori reachability bound C (M + kappa_upper(tau)) minus |phi(t)|."""
-    if kappa_upper is None:
-        kappa_upper = kappa_bounds(sys, tau).upper
-    bound = C * (1.0 + kappa_upper)
-    return bound - state_norm(mild_solution(sys, x0, u, t))
-
-
 def check_brs(sys: SpectralSystem, C: float, tau: float,
               budget: SampleBudget) -> StabilityReport:
-    if C <= 0.0 or tau <= 0.0:
-        raise DomainError("C and tau must be positive")
+    """A-priori reachability bound C (M + kappa_upper(tau)) on [0, tau]."""
+    _require_positive(C=C, tau=tau)
     local = replace(budget, radius=C, horizon=tau)
-    kappa_upper = kappa_bounds(sys, tau).upper
-    bound = C * (1.0 + kappa_upper)
-    times = eval_times(local)
+    bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     tracker = _Tracker()
     sup = 0.0
-    for idx, x0, u in iter_pairs(sys, local):
-        grid = np.unique(np.concatenate([times, u.breakpoints[u.breakpoints < tau]]))
-        traj = sample_trajectory(sys, x0, u, grid)
-        norms = traj.norms()
-        i = int(np.argmax(norms))
-        sup = max(sup, float(norms[i]))
-        tracker.add(idx, grid[i], bound - norms[i], _tol(bound), x0, u)
+    for _, norms, _, _ in _scan(sys, iter_pairs(sys, local), _pointwise_probe(local),
+                                lambda x0, u, t: bound, tracker,
+                                tol=lambda x0, u: _tol(bound)):
+        sup = max(sup, float(np.max(norms)))
     notes = f"empirical_sup={sup!r} bound={bound!r}"
     return conclude(CheckProperty.BRS, tracker.records, tracker.witness, notes=notes)
 
@@ -339,27 +382,26 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
 # integral checks
 
 
-def _quad_grid(budget: SampleBudget, u: InputSignal) -> np.ndarray:
-    return build_time_grid(budget.horizon, u, extra=eval_times(budget))
-
-
 def _validate_refines(grid: np.ndarray, u: InputSignal, horizon: float) -> None:
     bps = u.breakpoints[(u.breakpoints > 0.0) & (u.breakpoints < horizon)]
     if bps.size and not np.all(np.isin(bps, grid)):
         raise ValidationError("quadrature grid must refine the input breakpoints")
 
 
+def _quadrature_probe(times: np.ndarray, horizon: float, grid=None):
+    """The caller's grid, or one graded after 0 and each input breakpoint."""
+    if grid is None:
+        return lambda u: (build_time_grid(horizon, u, extra=times), times)
+    grid = np.asarray(grid, dtype=float)
+    return lambda u: (grid, times)
+
+
 def trajectory_integral(traj, f: ComparisonFunction, t: float) -> float:
     """Composite-Simpson integral of f(|phi(s)|) over [0, t] on the sampled grid."""
     grid = traj.times
     _validate_refines(grid, traj.input, float(grid[-1]))
-    i = int(np.searchsorted(grid, t))
-    if i >= grid.size or grid[i] != t:
-        raise ValidationError("t must be a grid point of the trajectory")
-    if i == 0:
-        return 0.0
-    vals = evaluate(f, traj.norms()[:i + 1])
-    return float(simpson(vals, x=grid[:i + 1]))
+    at = _grid_indices(grid, [t])
+    return float(_prefix_integrals(evaluate(f, traj.norms()), grid, at)[0])
 
 
 def input_integral(u: InputSignal, sigma_fn: ComparisonFunction, t: float) -> float:
@@ -370,63 +412,36 @@ def input_integral(u: InputSignal, sigma_fn: ComparisonFunction, t: float) -> fl
     return total
 
 
+def _nti_bound(cert: NormToIntegralCertificate):
+    return lambda x0, u, t: cert.rhs(state_norm(x0), u.sup_norm, t)
+
+
 def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
                             x0, u: InputSignal, t: float, grid=None) -> float:
-    if grid is None:
-        grid = build_time_grid(max(t, 1e-6), u, extra=[t])
-    traj = sample_trajectory(sys, x0, u, np.asarray(grid, dtype=float))
-    left = trajectory_integral(traj, cert.alpha, t)
-    return cert.rhs(state_norm(x0), u.sup_norm, t) - left
-
-
-def integral_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                                x0, u: InputSignal, t: float, grid=None) -> float:
-    if grid is None:
-        grid = build_time_grid(max(t, 1e-6), u, extra=[t])
-    traj = sample_trajectory(sys, x0, u, np.asarray(grid, dtype=float))
-    left = trajectory_integral(traj, cert.alpha, t)
-    rhs = evaluate(cert.psi, state_norm(x0)) + input_integral(u, cert.sigma, t)
-    return rhs - left
-
-
-def _check_integral(sys, cert, budget, rhs_fn, prop, grid=None) -> StabilityReport:
-    times = eval_times(budget)
-    tracker = _Tracker()
-    for idx, x0, u in iter_pairs(sys, budget):
-        g = _quad_grid(budget, u) if grid is None else np.asarray(grid, dtype=float)
-        _validate_refines(g, u, budget.horizon)
-        traj = sample_trajectory(sys, x0, u, g)
-        vals = evaluate(cert.alpha, traj.norms())
-        worst = (math.inf, 0.0)
-        for t in times:
-            # integrate through the last grid node at or below t; internally
-            # built grids contain every evaluation time exactly
-            i = int(np.searchsorted(g, t, side="right")) - 1
-            left = 0.0 if i <= 0 else float(simpson(vals[:i + 1], x=g[:i + 1]))
-            margin = rhs_fn(x0, u, float(t)) - left
-            if margin < worst[0]:
-                worst = (margin, float(t))
-        tol = _tol(state_norm(x0) + u.sup_norm, QUAD_TOL)
-        tracker.add(idx, worst[1], worst[0], tol, x0, u)
-    return conclude(prop, tracker.records, tracker.witness)
+    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|), by Simpson on ``grid``
+    (default: a graded grid on [0, t]), which must contain t."""
+    probe = _quadrature_probe(np.array([float(t)]), max(t, 1e-6), grid)
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, [(0, x0, u)], probe,
+                  _nti_bound(cert), integrand=cert.alpha).worst_margin
 
 
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget, grid=None) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
-    rhs = lambda x0, u, t: cert.rhs(state_norm(x0), u.sup_norm, t)
-    return _check_integral(sys, cert, budget, rhs,
-                           CheckProperty.NORM_TO_INTEGRAL_ISS, grid=grid)
+    probe = _quadrature_probe(eval_times(budget), budget.horizon, grid)
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget), probe,
+                  _nti_bound(cert), integrand=cert.alpha, tol=_pair_tol(QUAD_TOL))
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                                budget: SampleBudget, grid=None) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
-    rhs = lambda x0, u, t: (evaluate(cert.psi, state_norm(x0))
-                            + input_integral(u, cert.sigma, t))
-    return _check_integral(sys, cert, budget, rhs,
-                           CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, grid=grid)
+    bound = lambda x0, u, times: (evaluate(cert.psi, state_norm(x0)) + np.array(
+        [input_integral(u, cert.sigma, t) for t in times]))
+    probe = _quadrature_probe(eval_times(budget), budget.horizon, grid)
+    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget),
+                  probe, bound, integrand=cert.alpha, tol=_pair_tol(QUAD_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +484,16 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     return conclude(CheckProperty.IDENTITY, tracker.records, tracker.witness)
 
 
-def cocycle_deviation(sys: SpectralSystem, x0, u: InputSignal, t: float,
-                      h: float) -> tuple[float, float]:
-    """Norm gap between phi(t+h, x0, u) and the restarted flow, with its scale."""
-    direct = mild_solution(sys, x0, u, t + h)
-    restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
-    return state_norm(direct - restart), 1.0 + state_norm(direct)
-
-
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
+    """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     tracker = _Tracker()
     for idx, x0, u in iter_pairs(sys, budget):
-        rng = _rng(budget.seed, 33, idx)
+        rng = seeded_rng(budget.seed, 33, idx)
         t = float(rng.uniform(0.0, 0.6 * budget.horizon))
         h = float(rng.uniform(0.0, 0.4 * budget.horizon))
-        dev, scale = cocycle_deviation(sys, x0, u, t, h)
-        margin = COCYCLE_TOL * scale - dev
+        direct = mild_solution(sys, x0, u, t + h)
+        restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
+        margin = COCYCLE_TOL * (1.0 + state_norm(direct)) - state_norm(direct - restart)
         tracker.add(idx, t + h, margin, 0.0, x0, u)
     return conclude(CheckProperty.COCYCLE, tracker.records, tracker.witness)
 

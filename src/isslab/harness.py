@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import re
 import sys as _sys
@@ -111,60 +112,108 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing and serialization: one key table
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"key {key!r} expects a number, got {raw!r}",
-                            line=line, key=key) from None
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expects a finite number, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"key {key!r} expects an integer, got {raw!r}",
-                            line=line, key=key) from None
+def _positive(raw: str) -> float:
+    value = _number(raw)
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {raw!r}")
+    return value
 
 
-def _parse_floats(raw: str, key: str, line: int) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    return tuple(_parse_float(s, key, line) for s in items)
+def _items(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _parse_bool(raw: str, key: str, line: int) -> bool:
-    if raw.strip().lower() in ("true", "yes", "1"):
-        return True
-    if raw.strip().lower() in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"key {key!r} expects true or false, got {raw!r}",
-                        line=line, key=key)
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(_number(s) for s in _items(raw))
 
 
-def _parse_cf(raw: str, key: str, line: int) -> ComparisonFunction:
-    try:
-        return parse_comparison(raw)
-    except ValidationError as exc:
-        raise ScenarioError(f"key {key!r}: {exc}", line=line, key=key) from None
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expects true or false, got {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
 
 
-def _parse_decay(raw: str, key: str, line: int) -> DecayEnvelope:
+def _decay(raw: str) -> DecayEnvelope:
     m = re.fullmatch(r"\s*decay\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*", raw)
     if not m:
-        raise ScenarioError(f"key {key!r} expects decay(M, omega), got {raw!r}",
-                            line=line, key=key)
-    return DecayEnvelope(_parse_float(m.group(1), key, line),
-                         _parse_float(m.group(2), key, line))
+        raise ValueError(f"expects decay(M, omega), got {raw!r}")
+    return DecayEnvelope(_number(m.group(1)), _number(m.group(2)))
+
+
+def _one_of(*options: str):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expects one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _check_names(raw: str) -> tuple[str, ...]:
+    names = _items(raw)
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}")
+    return names
+
+
+def _reprs(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+#: Every scenario key in canonical order: (key, field of Scenario, or of
+#: SampleBudget for the budget keys, value parser, formatter).
+_KEYS = (
+    ("system.preset", "preset", _one_of("heat_dirichlet", "diagonal"), str),
+    ("system.lambdas", "lambdas", _numbers, _reprs),
+    ("system.b", "b", _numbers, _reprs),
+    ("system.a", "a", _number, repr),
+    ("system.n_modes", "n_modes", int, str),
+    ("system.label", "label", str, str),
+    ("lyapunov.construction", "construction", _one_of(NEG_INVERSE, DATKO), str),
+    ("lyapunov.epsilon", "epsilon", _number, repr),
+    ("certificate.beta", "beta", _decay, DecayEnvelope.describe),
+    *((f"certificate.{name}", name, parse_comparison, ComparisonFunction.describe)
+      for name in ("gamma", "alpha", "psi", "sigma", "uls_sigma")),
+    ("certificate.derive", "derive", _one_of("none", "from_iss"), str),
+    ("checks.names", "checks", _check_names, ", ".join),
+    ("checks.ulim_eps", "ulim_eps", _positive, repr),
+    ("checks.cep_h", "cep_h", _positive, repr),
+    ("checks.brs_c", "brs_c", _positive, repr),
+    ("checks.brs_tau", "brs_tau", _positive, repr),
+    ("budget.n_states", "n_states", int, str),
+    ("budget.n_inputs", "n_inputs", int, str),
+    ("budget.n_times", "n_times", int, str),
+    ("budget.horizon", "horizon", _number, repr),
+    ("budget.radius", "radius", _number, repr),
+    ("budget.seed", "seed", int, str),
+    ("output.dir", "out_dir", str, str),
+    ("output.trajectories", "write_trajectories", _boolean,
+     lambda v: "true" if v else "false"),
+)
+_PARSERS = {key: (field, parse) for key, field, parse, _ in _KEYS}
+#: Keys read by one preset only; the text of the other preset omits them.
+_PRESET_KEYS = {"system.lambdas": "diagonal", "system.b": "diagonal",
+                "system.a": "heat_dirichlet", "system.n_modes": "heat_dirichlet"}
+#: Fields the text omits while they hold their default.
+_OPTIONAL = {"label", "beta", "gamma", "alpha", "psi", "sigma", "uls_sigma",
+             "derive", "brs_c", "brs_tau"}
+_DEFAULTS = Scenario()
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; strict about unknown keys."""
     values: dict[str, object] = {}
     budget_kw: dict[str, object] = {}
-    seen: set[str] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         body = rawline.split("#", 1)[0]
         if not body.strip():
@@ -175,67 +224,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"expected 'section.key = value', got {body.strip()!r}",
                                 line=lineno, column=col)
         key, raw = m.group(1), m.group(2).strip()
-        if key in seen:
-            raise ScenarioError(f"duplicate key {key!r}", line=lineno, key=key)
-        seen.add(key)
-
-        if key == "system.preset":
-            if raw not in ("heat_dirichlet", "diagonal"):
-                raise ScenarioError(f"unknown system.preset {raw!r}", line=lineno, key=key)
-            values["preset"] = raw
-        elif key == "system.a":
-            values["a"] = _parse_float(raw, key, lineno)
-        elif key == "system.n_modes":
-            values["n_modes"] = _parse_int(raw, key, lineno)
-        elif key == "system.lambdas":
-            values["lambdas"] = _parse_floats(raw, key, lineno)
-        elif key == "system.b":
-            values["b"] = _parse_floats(raw, key, lineno)
-        elif key == "system.label":
-            values["label"] = raw
-        elif key == "lyapunov.construction":
-            if raw not in (NEG_INVERSE, DATKO):
-                raise ScenarioError(f"unknown lyapunov.construction {raw!r}",
-                                    line=lineno, key=key)
-            values["construction"] = raw
-        elif key == "lyapunov.epsilon":
-            values["epsilon"] = _parse_float(raw, key, lineno)
-        elif key == "certificate.beta":
-            values["beta"] = _parse_decay(raw, key, lineno)
-        elif key in ("certificate.gamma", "certificate.alpha", "certificate.psi",
-                     "certificate.sigma", "certificate.uls_sigma"):
-            values[key.split(".", 1)[1]] = _parse_cf(raw, key, lineno)
-        elif key == "certificate.derive":
-            if raw not in ("none", "from_iss"):
-                raise ScenarioError(f"certificate.derive must be none or from_iss, "
-                                    f"got {raw!r}", line=lineno, key=key)
-            values["derive"] = raw
-        elif key == "checks.names":
-            names = tuple(s.strip() for s in raw.split(",") if s.strip())
-            for name in names:
-                if name not in CHECK_NAMES:
-                    raise ScenarioError(f"unknown check {name!r} in checks.names",
-                                        line=lineno, key=key)
-            values["checks"] = names
-        elif key == "checks.ulim_eps":
-            values["ulim_eps"] = _parse_float(raw, key, lineno)
-        elif key == "checks.cep_h":
-            values["cep_h"] = _parse_float(raw, key, lineno)
-        elif key == "checks.brs_c":
-            values["brs_c"] = _parse_float(raw, key, lineno)
-        elif key == "checks.brs_tau":
-            values["brs_tau"] = _parse_float(raw, key, lineno)
-        elif key in ("budget.n_states", "budget.n_inputs", "budget.n_times",
-                     "budget.seed"):
-            budget_kw[key.split(".", 1)[1]] = _parse_int(raw, key, lineno)
-        elif key in ("budget.horizon", "budget.radius"):
-            budget_kw[key.split(".", 1)[1]] = _parse_float(raw, key, lineno)
-        elif key == "output.dir":
-            values["out_dir"] = raw
-        elif key == "output.trajectories":
-            values["write_trajectories"] = _parse_bool(raw, key, lineno)
-        else:
+        if key not in _PARSERS:
             raise ScenarioError(f"unknown key {key!r}", line=lineno, key=key)
+        field_name, parse = _PARSERS[key]
+        target = budget_kw if key.startswith("budget.") else values
+        if field_name in target:
+            raise ScenarioError(f"duplicate key {key!r}", line=lineno, key=key)
+        try:
+            target[field_name] = parse(raw)
+        except ValueError as exc:
+            raise ScenarioError(f"key {key!r}: {exc}", line=lineno, key=key) from None
 
     try:
         budget = SampleBudget(**budget_kw)
@@ -265,14 +263,6 @@ def _validate_scenario(s: Scenario) -> None:
             raise ScenarioError("system.a must be positive", key="system.a")
         if s.n_modes < 1:
             raise ScenarioError("system.n_modes must be at least 1", key="system.n_modes")
-    if s.ulim_eps <= 0.0:
-        raise ScenarioError("checks.ulim_eps must be positive", key="checks.ulim_eps")
-    if s.cep_h <= 0.0:
-        raise ScenarioError("checks.cep_h must be positive", key="checks.cep_h")
-    if s.brs_c is not None and s.brs_c <= 0.0:
-        raise ScenarioError("checks.brs_c must be positive", key="checks.brs_c")
-    if s.brs_tau is not None and s.brs_tau <= 0.0:
-        raise ScenarioError("checks.brs_tau must be positive", key="checks.brs_tau")
     if s.derive == "from_iss" and s.gamma is not None and not s.gamma.unbounded:
         raise ScenarioError("certificate.derive = from_iss needs a K-infinity gamma",
                             key="certificate.derive")
@@ -280,38 +270,13 @@ def _validate_scenario(s: Scenario) -> None:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text round-tripping through :func:`parse_scenario`."""
-    lines = [f"system.preset = {s.preset}"]
-    if s.preset == "diagonal":
-        lines.append("system.lambdas = " + ", ".join(repr(v) for v in s.lambdas))
-        lines.append("system.b = " + ", ".join(repr(v) for v in s.b))
-    else:
-        lines.append(f"system.a = {s.a!r}")
-        lines.append(f"system.n_modes = {s.n_modes}")
-    if s.label:
-        lines.append(f"system.label = {s.label}")
-    lines.append(f"lyapunov.construction = {s.construction}")
-    lines.append(f"lyapunov.epsilon = {s.epsilon!r}")
-    if s.beta is not None:
-        lines.append(f"certificate.beta = {s.beta.describe()}")
-    for name in ("gamma", "alpha", "psi", "sigma", "uls_sigma"):
-        fn = getattr(s, name)
-        if fn is not None:
-            lines.append(f"certificate.{name} = {fn.describe()}")
-    if s.derive != "none":
-        lines.append(f"certificate.derive = {s.derive}")
-    lines.append("checks.names = " + ", ".join(s.checks))
-    lines.append(f"checks.ulim_eps = {s.ulim_eps!r}")
-    lines.append(f"checks.cep_h = {s.cep_h!r}")
-    if s.brs_c is not None:
-        lines.append(f"checks.brs_c = {s.brs_c!r}")
-    if s.brs_tau is not None:
-        lines.append(f"checks.brs_tau = {s.brs_tau!r}")
-    b = s.budget
-    lines.extend([f"budget.n_states = {b.n_states}", f"budget.n_inputs = {b.n_inputs}",
-                  f"budget.n_times = {b.n_times}", f"budget.horizon = {b.horizon!r}",
-                  f"budget.radius = {b.radius!r}", f"budget.seed = {b.seed}"])
-    lines.append(f"output.dir = {s.out_dir}")
-    lines.append(f"output.trajectories = {'true' if s.write_trajectories else 'false'}")
+    lines = []
+    for key, field_name, _, fmt in _KEYS:
+        value = getattr(s.budget if key.startswith("budget.") else s, field_name)
+        if _PRESET_KEYS.get(key, s.preset) != s.preset or (
+                field_name in _OPTIONAL and value == getattr(_DEFAULTS, field_name)):
+            continue
+        lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,11 +10,13 @@ re-evaluated on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .errors import ValidationError
 from .system import InputSignal
 
 
@@ -91,7 +93,14 @@ class StabilityReport:
 
 def conclude(prop: CheckProperty, records: list[MarginRecord],
              witness: Witness | None, notes: str = "") -> StabilityReport:
-    """Assemble a report from per-sample records; the minimum is order-free."""
+    """Assemble a report from per-sample records; the minimum is order-free.
+
+    A non-finite margin, which every tolerance test would pass, raises.
+    """
+    for r in records:
+        if not math.isfinite(r.margin):
+            raise ValidationError(f"{prop.value}: non-finite margin {r.margin!r} "
+                                  f"at sample {r.sample_index}")
     worst = min((r.margin for r in records), default=0.0)
     verdict = Verdict.VIOLATED if witness is not None else Verdict.NO_VIOLATION_FOUND
     return StabilityReport(property=prop, verdict=verdict, worst_margin=float(worst),

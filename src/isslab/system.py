@@ -110,6 +110,15 @@ def heat_dirichlet(params: HeatDirichletParams) -> SpectralSystem:
     return SpectralSystem(lam, b, label=f"heat_dirichlet(a={params.a!r}, N={params.n_modes})")
 
 
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of (seed, *key).  Seeds in [0, 2**63) keep their value;
+    larger and negative ones map to even and odd offsets above 2**63."""
+    s = int(seed)
+    if not 0 <= s < 2 ** 63:
+        s = 2 * s - 2 ** 63 if s > 0 else 2 ** 63 - 2 * s - 1
+    return np.random.default_rng([s, *key])
+
+
 def state_norm(x) -> float:
     """Euclidean norm of a spectral coefficient vector."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))

@@ -6,17 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isslab import (DecayEnvelope, HeatDirichletParams, ISSCertificate, InputSignal,
+from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletParams,
+                    ISSCertificate, InputSignal, MarginRecord,
                     NormToIntegralCertificate, SampleBudget, SpectralSystem,
                     ValidationError, build_neg_inverse, build_datko, build_time_grid,
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls,
-                    derive_norm_to_integral, dissipation_constants, eval_times,
-                    heat_dirichlet, linear, power, run_iss_equivalence_battery,
-                    sample_trajectory, trajectory_integral,
+                    derive_norm_to_integral, dissipation_constants, draw_input,
+                    eval_times, heat_dirichlet, linear, power,
+                    run_iss_equivalence_battery, sample_trajectory, trajectory_integral,
                     norm_to_integral_margin, iss_margin, uls_margin, ulim_slack,
                     dissipation_margin, Verdict)
+from isslab.checkers import ULIM_GRID_POINTS
+from isslab.report import conclude
 
 PI2 = math.pi ** 2
 SQRT3 = math.sqrt(3.0)
@@ -86,6 +89,27 @@ def test_budget_validation():
         SampleBudget(horizon=-1.0)
     with pytest.raises(ValidationError):
         SampleBudget(radius=0.0)
+    with pytest.raises(ValidationError):
+        SampleBudget(horizon=math.nan)
+    with pytest.raises(ValidationError):
+        SampleBudget(radius=math.inf)
+
+
+def test_negative_seeds_draw_their_own_samples():
+    for j in range(2, 6):
+        assert not np.array_equal(draw_input(SampleBudget(seed=-5), j).values,
+                                  draw_input(SampleBudget(seed=5), j).values)
+    # seeds in [0, 2**63) keep their streams
+    pinned = draw_input(SampleBudget(seed=101), 4)
+    assert pinned.breakpoints.tolist() == [0.0, 0.6280325945783134,
+                                           0.8469121867610734, 2.0]
+    assert pinned.values.tolist() == [0.4201837450249144, -0.14940055162316535,
+                                      0.5903798097151014]
+
+
+def test_non_finite_margin_is_never_a_clean_verdict():
+    with pytest.raises(ValidationError, match="ULIM.*sample 3"):
+        conclude(CheckProperty.ULIM, [MarginRecord(3, 0.0, math.nan)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +129,42 @@ def test_iss_origin_margin_tight():
     assert iss_margin(sys, heat_cert(), np.zeros(8), InputSignal.zero(), 0.0) == 0.0
 
 
-def test_iss_shrunk_gain_violated_with_replayable_witness():
-    sys = heat()
-    bad = heat_cert(gain=0.1)
-    rep = check_iss(sys, bad, BUDGET)
+def _refuted(sys, case):
+    """A violated report and the replay of a witness through the public
+    single-sample function of its check."""
+    if case == "iss":
+        bad = heat_cert(gain=0.1)
+        return (check_iss(sys, bad, BUDGET),
+                lambda w: iss_margin(sys, bad, w.x0, w.input, w.t))
+    if case == "uls":
+        sigma, gamma = linear(0.5), linear(1.0 / SQRT3)
+        return (check_uls(sys, sigma, gamma, 1.0, BUDGET),
+                lambda w: uls_margin(sys, sigma, gamma, w.x0, w.input, w.t))
+    if case == "ulim":
+        short = replace(BUDGET, horizon=0.05)
+        grid = np.linspace(0.0, short.horizon, ULIM_GRID_POINTS)
+        gamma = linear(1.0 / SQRT3)
+        return (check_ulim(sys, gamma, 0.1, 1.0, short),
+                lambda w: ulim_slack(sys, gamma, 0.1, w.x0, w.input, grid))
+    # sigma far below the steady input energy alpha(1/sqrt(3)) = 1/6 per unit time
+    bad = NormToIntegralCertificate(alpha=power(0.5, 2.0), psi=power(1.0 / PI2, 2.0),
+                                    sigma=power(0.01, 2.0))
+    return (check_norm_to_integral(sys, bad, BUDGET),
+            lambda w: norm_to_integral_margin(
+                sys, bad, w.x0, w.input, w.t,
+                grid=build_time_grid(BUDGET.horizon, w.input, extra=eval_times(BUDGET))))
+
+
+@pytest.mark.parametrize("case", ["iss", "uls", "ulim", "norm_to_integral"])
+def test_witness_replays_to_reported_margin(case):
+    rep, replay = _refuted(heat(), case)
     assert rep.violated
-    # steady-state oracle: |phi| -> 0.5746 while the gain allows only 0.1
-    assert rep.worst_margin < -0.4
+    # iss, steady-state oracle: |phi| -> 0.5746 while the gain allows only 0.1
+    assert rep.worst_margin < (-0.4 if case == "iss" else 0.0)
     w = rep.witness
-    replay = iss_margin(sys, bad, w.x0, w.input, w.t)
-    assert replay < 0.0
-    assert replay == pytest.approx(w.margin, rel=1e-12)
+    assert w.margin == rep.worst_margin
+    assert replay(w) < 0.0
+    assert replay(w) == pytest.approx(w.margin, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +203,11 @@ def test_ulim_heat_hitting_time():
     # oracle: solve exp(-pi^2 t) = 0.1 -> t = ln(10)/pi^2 = 0.23326,
     # plus one step of the fixed 513-point grid
     assert tau_hat <= math.log(10.0) / PI2 + 2.0 / 512 + 1e-12
+
+
+def test_ulim_rejects_nan_eps():
+    with pytest.raises(DomainError):
+        check_ulim(heat(8), linear(1.0), math.nan, 1.0, BUDGET)
 
 
 def test_ulim_zero_state_hits_immediately():
@@ -205,9 +259,10 @@ def test_cep_origin_stays_at_zero():
 
 
 def test_cep_rejects_bad_horizon():
-    from isslab import DomainError
     with pytest.raises(DomainError):
         check_cep(heat(4), BUDGET, h=0.0)
+    with pytest.raises(DomainError):
+        check_cep(heat(4), BUDGET, h=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +279,10 @@ def test_brs_heat_bounded():
 
 
 def test_brs_rejects_bad_parameters():
-    from isslab import DomainError
     with pytest.raises(DomainError):
         check_brs(heat(4), 0.0, 1.0, BUDGET)
+    with pytest.raises(DomainError):
+        check_brs(heat(4), 1.0, math.nan, BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +360,12 @@ def test_quadrature_grid_must_refine_breakpoints():
     with pytest.raises(ValidationError):
         check_norm_to_integral(sys, nti_cert(), replace(BUDGET, n_states=2, n_inputs=3),
                                grid=coarse)
+    # refines every breakpoint but misses the evaluation times off its nodes
+    small = replace(BUDGET, n_states=2, n_inputs=3)
+    sparse = np.unique(np.concatenate(
+        [coarse, *(draw_input(small, j).breakpoints for j in range(3))]))
+    with pytest.raises(ValidationError):
+        check_norm_to_integral(sys, nti_cert(), small, grid=sparse)
 
 
 def test_quadrature_halving_stability():

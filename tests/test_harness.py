@@ -139,8 +139,8 @@ def test_rerun_is_deterministic_modulo_timing(tmp_path):
             return [",".join(line.split(",")[:4]) for line in fh]
 
     assert masked(tmp_path / "a" / "report.csv") == masked(tmp_path / "b" / "report.csv")
-    assert open(tmp_path / "a" / "margins.csv").read() == \
-        open(tmp_path / "b" / "margins.csv").read()
+    for name in ("margins.csv", "reports.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_bad_gain_scenario_writes_replayable_witness(tmp_path):
@@ -177,6 +177,37 @@ def test_output_trajectories_flag(tmp_path):
     run_scenario(s, out_dir=str(tmp_path))
     assert (tmp_path / "traj_s00_u00.csv").exists()
     assert (tmp_path / "traj_s01_u01.csv").exists()
+
+
+NUMERIC_KEYS = {
+    "system.a": "1.0", "system.n_modes": "4", "system.lambdas": "1.0, 2.0",
+    "system.b": "1.0, -1.0", "lyapunov.epsilon": "0.5", "checks.ulim_eps": "0.1",
+    "checks.cep_h": "1.0", "checks.brs_c": "1.0", "checks.brs_tau": "1.0",
+    "budget.n_states": "2", "budget.n_inputs": "2", "budget.n_times": "5",
+    "budget.horizon": "6.0", "budget.radius": "1.0", "budget.seed": "3",
+}
+
+
+def _diagonal_text(**override):
+    pairs = {**NUMERIC_KEYS, **override}
+    return ("system.preset = diagonal\nchecks.names = iss, ulim, brs, cep\n"
+            + "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+
+
+def test_numeric_keys_scenario_runs(tmp_path):
+    path = tmp_path / "ok.scn"
+    path.write_text(_diagonal_text())
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+def test_non_finite_number_is_config_error(tmp_path, capsys, key, bad):
+    value = "1.0, " + bad if key in ("system.lambdas", "system.b") else bad
+    path = tmp_path / "bad.scn"
+    path.write_text(_diagonal_text(**{key: value}))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_brs_parameters_validated():
