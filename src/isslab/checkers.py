@@ -14,6 +14,23 @@ the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``,
 through the checker's own arithmetic.  The axiom and dissipation checks
 compare point values and loop over the pairs directly.
 
+Superposition.  The systems are linear, so from an anchor a (0 or an input
+breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
+depends on the input alone.  The kernel therefore scans input by input:
+per input it builds the probe grid once and evaluates the flow of all the
+input's states together, in blocks of at most 256 grid rows, computing the
+decays and the forced term once per block and adding each state's decayed
+anchor state.  No array larger than a block of rows by the modes is built
+per state, and only the norms (states by grid) are kept.  The flow is the
+block helper of ``sample_trajectory``, so the kernel's norms are those of
+``sample_trajectory(...).norms()`` bit for bit.
+
+Record order.  Whatever the scan order, the kernel hands each pair's pick
+to the tracker in the order of the pairs (state-major for ``iter_pairs``),
+so the records, the witness choice and the rows of ``margins.csv`` keep
+their order; only order-free maxima (ULIM's tau_hat, BRS's empirical sup)
+see the input-major order.
+
 Sampling design.  States are drawn from the uniform ball in the first
 min(N, 8) modes, plus isolated high modes e_k to exercise the non-coercive
 direction, plus three canonical corners (the origin, the slowest mode at full
@@ -35,7 +52,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
+# the rule _prefix_integrals follows; bench/tracer.py looks the name up here
+from scipy.integrate import simpson  # noqa: F401
 
 from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCertificate,
                          evaluate, linear)
@@ -44,8 +62,9 @@ from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
                        dini_estimate)
 from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
                      conclude)
-from .system import (InputSignal, SpectralSystem, build_time_grid, mild_solution,
-                     kappa_bounds, sample_trajectory, seeded_rng, state_norm)
+from .system import (InputSignal, SpectralSystem, _flow_blocks, build_time_grid,
+                     kappa_bounds, mild_solution, sample_trajectory, seeded_rng,
+                     state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # quadrature-backed comparisons
@@ -184,31 +203,44 @@ def _scan(sys: SpectralSystem, pairs, probe, bound, tracker: _Tracker,
           tol=_pair_tol()):
     """The sampling loop of every trajectory checker, as a generator.
 
-    ``probe(u)``, run once per input object, gives the flow grid and the
-    evaluation times, which must be grid nodes.  Per pair ``(index, x0, u)``
+    The pairs ``(index, x0, u)`` are grouped by input object and scanned
+    input by input.  ``probe(u)`` gives the flow grid and the evaluation
+    times, which must be grid nodes; the flow of all the input's states is
+    evaluated together, and only its norms on the grid are kept.  Per pair
     the margins are ``bound(x0, u, times) - lhs``, with lhs = |phi| or, given
     ``integrand``, the Simpson integral of ``integrand(|phi|)`` from 0 on a
-    grid that refines the input's breakpoints.  The smallest margin (the
-    largest if ``best``) goes to ``tracker`` with witness tolerance
-    ``tol(x0, u)``; ``(times, lhs, margins, picked index)`` is yielded.
+    grid that refines the input's breakpoints, and ``(times, lhs, margins,
+    picked index)`` is yielded.  The smallest margin (the largest if
+    ``best``) of each pair goes to ``tracker`` with witness tolerance
+    ``tol(x0, u)``, in the order of ``pairs``, once every input is done.
     """
-    probed = {}   # holding u keeps its id from being reused
+    groups = {}   # id(u) -> (u, members); holding u keeps its id from being reused
+    n_pairs = 0
     for idx, x0, u in pairs:
-        if id(u) not in probed:
-            grid, times = probe(u)
-            if integrand is not None:
-                _validate_refines(grid, u, times[-1])
-            probed[id(u)] = (u, grid, times, _grid_indices(grid, times))
-        _, grid, times, at = probed[id(u)]
-        norms = sample_trajectory(sys, x0, u, grid).norms()
+        groups.setdefault(id(u), (u, []))[1].append((n_pairs, idx, x0))
+        n_pairs += 1
+    picks = [None] * n_pairs
+    for u, members in groups.values():
+        grid, times = probe(u)
+        norms = np.empty((len(members), np.size(grid)))
+        for rows, s, block in _flow_blocks(sys, [x0 for _, _, x0 in members], u, grid):
+            norms[s, rows] = np.linalg.norm(block, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise ValidationError("trajectory states must be finite")
+        if integrand is not None:
+            _validate_refines(grid, u, times[-1])
+        at = _grid_indices(grid, times)
         if integrand is None:
-            lhs = norms[at]
+            lhs_rows = norms[:, at]
         else:
-            lhs = _prefix_integrals(evaluate(integrand, norms), grid, at)
-        margins = bound(x0, u, times) - lhs
-        i = int(np.argmax(margins) if best else np.argmin(margins))
-        tracker.add(idx, times[i], margins[i], tol(x0, u), x0, u)
-        yield times, lhs, margins, i
+            lhs_rows = _prefix_integrals(evaluate(integrand, norms), grid, at)
+        for (pos, idx, x0), lhs in zip(members, lhs_rows):
+            margins = bound(x0, u, times) - lhs
+            i = int(np.argmax(margins) if best else np.argmin(margins))
+            picks[pos] = (idx, times[i], margins[i], tol(x0, u), x0, u)
+            yield times, lhs, margins, i
+    for pick in picks:
+        tracker.add(*pick)
 
 
 def _sweep(prop: CheckProperty, sys: SpectralSystem, pairs, probe, bound,
@@ -243,9 +275,34 @@ def _grid_indices(grid: np.ndarray, times) -> np.ndarray:
 
 
 def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
-    """Composite-Simpson integrals of the sampled values from 0 to grid[at]."""
-    return np.array([float(simpson(vals[:i + 1], x=grid[:i + 1])) if i > 0 else 0.0
-                     for i in at])
+    """Composite-Simpson integrals of the sampled values (last axis) from 0
+    to each grid[at], by the rule of ``simpson(vals[..., :i + 1], x=grid[:i + 1])``.
+
+    One pass: the nonuniform Simpson panels over (grid[2k], grid[2k+1],
+    grid[2k+2]) are summed cumulatively, which covers every even interval
+    count; an odd count adds Cartwright's correction for the last interval,
+    and a single interval is a trapezoid, as in scipy.
+    """
+    at = np.asarray(at)
+    h = np.diff(grid)
+    k = h.size // 2
+    h0, h1 = h[0:2 * k:2], h[1:2 * k:2]
+    hs, q = h0 + h1, h0 / h1
+    panels = hs / 6.0 * (vals[..., 0:2 * k:2] * (2.0 - 1.0 / q)
+                         + vals[..., 1:2 * k:2] * (hs * (hs / (h0 * h1)))
+                         + vals[..., 2:2 * k + 1:2] * (2.0 - q))
+    cum = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)],
+                         axis=-1)
+    out = cum[..., at // 2]
+    j = np.nonzero((at % 2 == 1) & (at > 1))[0]
+    i = at[j]
+    ha, hb = h[i - 2], h[i - 1]
+    out[..., j] += ((2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha)) * vals[..., i]
+                    + (hb ** 2 + 3.0 * ha * hb) / (6 * ha) * vals[..., i - 1]
+                    - hb ** 3 / (6 * ha * (ha + hb)) * vals[..., i - 2])
+    j = np.nonzero(at == 1)[0]
+    out[..., j] = 0.5 * h[:1] * (vals[..., 1:2] + vals[..., :1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ _KEYS = (
      lambda v: "true" if v else "false"),
 )
 _PARSERS = {key: (field, parse) for key, field, parse, _ in _KEYS}
-#: Keys read by one preset only; the text of the other preset omits them.
+#: Keys read by one preset only; the other preset drops and omits them.
 _PRESET_KEYS = {"system.lambdas": "diagonal", "system.b": "diagonal",
                 "system.a": "heat_dirichlet", "system.n_modes": "heat_dirichlet"}
 #: Fields the text omits while they hold their default.
@@ -234,6 +234,12 @@ def parse_scenario(text: str) -> Scenario:
             target[field_name] = parse(raw)
         except ValueError as exc:
             raise ScenarioError(f"key {key!r}: {exc}", line=lineno, key=key) from None
+    # the other preset's keys are parsed and checked above, then dropped, so
+    # the scenario equals the one its serialized text reads back as
+    preset = values.get("preset", _DEFAULTS.preset)
+    for key, owner in _PRESET_KEYS.items():
+        if owner != preset:
+            values.pop(_PARSERS[key][0], None)
 
     try:
         budget = SampleBudget(**budget_kw)

@@ -32,6 +32,8 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 CSV_FMT = ".17g"
+_ROW_BLOCK = 256   # grid rows per block of the flow evaluation
+_CSV_ROWS = 32     # trajectory rows per formatted block of a CSV file
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -291,12 +293,22 @@ class Trajectory:
         write_trajectory_csv(self, path)
 
 
-def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
-    """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
+def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
+    """Yield ``(rows, s, phi(grid[rows], x0s[s], u))`` for every block of at
+    most ``_ROW_BLOCK`` grid rows and, within it, every state s.
 
-    States are anchored at the input breakpoints and evolved in closed form
-    to each grid time, so refining the grid never changes the values at
-    shared times and states[0] equals x0 bit for bit.
+    The grid must be one-dimensional, nonempty, start at 0 and strictly
+    increase, and every state must have shape (n_modes,).  The flow is
+    anchored at 0 and at every breakpoint below the grid end; the anchor
+    states of all states are stepped in closed form together.  From its
+    anchor a, with input value v there, a grid row is
+
+        phi(t) = exp(-lambda (t - a)) phi(a) + (b / lambda) (1 - exp(-lambda (t - a))) v,
+
+    and the decay and the forced term depend only on the input and the grid,
+    so each block computes them once for all states.  Refining the grid
+    never changes the values at shared times, and a state gives the same
+    bits alone as in a stack.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -305,9 +317,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
         raise ValidationError("grid must start at 0")
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("grid must be strictly increasing")
-
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n_modes,):
+    if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
     t_end = float(grid[-1])
     lam = sys.lambdas
@@ -326,23 +336,37 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     while len(anchor_vals) < len(anchors):
         anchor_vals.append(0.0)
 
-    anchor_states = [x0]
+    stepped = [np.array(x0s, dtype=float)]
     for i in range(len(anchors) - 1):
         dur = anchors[i + 1] - anchors[i]
         decay = np.exp(-lam * dur)
-        anchor_states.append(anchor_states[-1] * decay
-                             + gain * (1.0 - decay) * anchor_vals[i])
-
+        stepped.append(stepped[-1] * decay + gain * (1.0 - decay) * anchor_vals[i])
+    anchor_states = np.stack(stepped)   # (anchor, state, mode)
     anchors_arr = np.asarray(anchors)
-    seg_idx = np.searchsorted(anchors_arr, grid, side="right") - 1
+    vals = np.asarray(anchor_vals)
+
+    for start in range(0, grid.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        t = grid[rows]
+        seg = np.searchsorted(anchors_arr, t, side="right") - 1
+        decay = np.exp(-np.outer(t - anchors_arr[seg], lam))
+        forced = gain * vals[seg, None] * (1.0 - decay)
+        for s in range(anchor_states.shape[1]):
+            yield rows, s, anchor_states[seg, s] * decay + forced
+
+
+def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
+    """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
+
+    States are anchored at the input breakpoints and evolved in closed form
+    to each grid time, so refining the grid never changes the values at
+    shared times and states[0] equals x0 bit for bit.
+    """
+    grid = np.asarray(grid, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     states = np.empty((grid.size, sys.n_modes))
-    for seg in range(len(anchors)):
-        mask = seg_idx == seg
-        if not np.any(mask):
-            continue
-        dt = grid[mask] - anchors_arr[seg]
-        decay = np.exp(-np.outer(dt, lam))
-        states[mask] = anchor_states[seg] * decay + gain * anchor_vals[seg] * (1.0 - decay)
+    for rows, _, block in _flow_blocks(sys, [x0], u, grid):
+        states[rows] = block
     states[0] = x0  # identity property, exact by construction
     return Trajectory(times=grid, states=states, system=sys, input=u)
 
@@ -430,13 +454,18 @@ def build_time_grid(horizon: float, u: InputSignal | None = None,
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``t,norm,c1,...,cN`` rows with 17 significant digits."""
+    """Write ``t,norm,c1,...,cN`` rows with 17 significant digits.
+
+    Rows are formatted a small block at a time through one row template, so
+    no more than a block of the trajectory is ever held as Python floats.
+    """
     n = traj.system.n_modes
     header = "t,norm," + ",".join(f"c{k}" for k in range(1, n + 1))
+    template = ",".join(["%" + CSV_FMT] * (n + 2)) + "\n"
     norms = traj.norms()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(traj.times.size):
-            row = [format(traj.times[i], CSV_FMT), format(norms[i], CSV_FMT)]
-            row.extend(format(c, CSV_FMT) for c in traj.states[i])
-            fh.write(",".join(row) + "\n")
+        for start in range(0, traj.times.size, _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            block = np.column_stack([traj.times[rows], norms[rows], traj.states[rows]])
+            fh.write(template * block.shape[0] % tuple(block.ravel().tolist()))

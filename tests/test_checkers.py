@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletParams,
                     ISSCertificate, InputSignal, MarginRecord,
@@ -18,7 +19,7 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     run_iss_equivalence_battery, sample_trajectory, trajectory_integral,
                     norm_to_integral_margin, iss_margin, uls_margin, ulim_slack,
                     dissipation_margin, Verdict)
-from isslab.checkers import ULIM_GRID_POINTS
+from isslab.checkers import ULIM_GRID_POINTS, _Tracker, _prefix_integrals, _scan
 from isslab.report import conclude
 
 PI2 = math.pi ** 2
@@ -382,6 +383,88 @@ def test_quadrature_halving_stability():
     v1 = trajectory_integral(sample_trajectory(sys, x0, u, grid), alpha, 2.0)
     v2 = trajectory_integral(sample_trajectory(sys, x0, u, fine), alpha, 2.0)
     assert abs(v1 - v2) <= 1e-6 * (1.0 + abs(v1))
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 4, 5, 10, 11, 64, 65])
+def test_prefix_integrals_match_per_prefix_simpson(n_points):
+    # reference: scipy's simpson on every prefix, i = 0 (no interval) and
+    # i = 1 (one interval, a trapezoid) included
+    rng = np.random.default_rng(n_points)
+    graded = np.concatenate([[0.0], np.geomspace(1e-7, 2.0, n_points - 1)])
+    grids = [graded] + [np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0, n_points - 1)
+                                                         ** 3 + 1e-9)])
+                        for _ in range(20)]
+    at = np.arange(n_points)
+    for grid in grids:
+        vals = rng.uniform(0.1, 2.0, (2, n_points))
+        got = _prefix_integrals(vals, grid, at)
+        for row, v in zip(got, vals):
+            want = [float(simpson(v[:i + 1], x=grid[:i + 1])) if i > 0 else 0.0 for i in at]
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+            # one row alone gives the same bits as a stack of rows
+            assert np.array_equal(_prefix_integrals(v, grid, at), row)
+
+
+def test_prefix_integrals_single_node():
+    assert _prefix_integrals(np.array([3.0]), np.array([0.0]), [0]).tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# the sampling kernel
+
+
+_EIGHT_PIECES = InputSignal.piecewise([0.0, 0.15, 0.4, 0.55, 0.9, 1.2, 1.45, 1.7, 2.0],
+                                      [0.9, -0.3, 0.55, -1.0, 0.2, 0.75, -0.6, 0.35])
+_KERNEL_INPUTS = (InputSignal.zero(), InputSignal.constant(0.8, 2.0), _EIGHT_PIECES,
+                  InputSignal.piecewise([0.0, 0.3, 0.9], [1.0, -0.5]))  # zero tail
+_KERNEL_GRIDS = {
+    "uniform": np.linspace(0.0, 2.0, 41),
+    "inside_segment": np.linspace(0.0, 0.6, 13),   # ends inside a segment
+    "one_point": np.array([0.0]),
+    "several_blocks": build_time_grid(2.0, _EIGHT_PIECES),
+}
+
+
+@pytest.mark.parametrize("grid", _KERNEL_GRIDS.values(), ids=_KERNEL_GRIDS.keys())
+@pytest.mark.parametrize("sys", [heat(16), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5])],
+                         ids=["heat16", "diagonal3"])
+def test_kernel_norms_match_sample_trajectory(sys, grid):
+    n = sys.n_modes
+    states = [np.zeros(n), np.eye(n)[0], np.eye(n)[-1],
+              np.random.default_rng(n).uniform(-1.0, 1.0, n)]
+    pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
+             for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
+    tracker = _Tracker()
+    got = [lhs for _, lhs, _, _ in _scan(sys, pairs, lambda u: (grid, grid),
+                                         lambda x0, u, t: 0.0, tracker)]
+    # the kernel runs input by input, each input's states in pair order
+    want = [sample_trajectory(sys, x0, u, grid).norms()
+            for u in _KERNEL_INPUTS for x0 in states]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+    # the tracker receives the picks in pair order, whatever the scan order
+    assert [r.sample_index for r in tracker.records] == [idx for idx, _, _ in pairs]
+    for r, (_, x0, u) in zip(tracker.records, pairs):
+        norms = sample_trajectory(sys, x0, u, grid).norms()
+        assert r.margin == pytest.approx(-np.max(norms), rel=1e-12, abs=0.0)
+        assert norms[np.searchsorted(grid, r.t)] == pytest.approx(np.max(norms), rel=1e-12)
+
+
+def test_kernel_keeps_the_flow_checks():
+    sys = heat(8)
+    u = InputSignal.constant(1.0, 2.0)
+    with pytest.raises(ValidationError, match="start at 0"):
+        check_norm_to_integral(sys, nti_cert(), replace(BUDGET, n_states=2, n_inputs=3),
+                               grid=np.linspace(0.01, 2.0, 200))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        ulim_slack(sys, linear(1.0), 0.1, np.zeros(8), u, [0.0, 0.5, 0.5])
+    with pytest.raises(ValidationError, match="shape"):
+        iss_margin(sys, heat_cert(), np.zeros(3), u, 1.0)
+    nan_state = np.zeros(8)
+    nan_state[2] = math.nan
+    with pytest.raises(ValidationError, match="states must be finite"):
+        iss_margin(sys, heat_cert(), nan_state, u, 1.0)
 
 
 def test_derived_certificate_passes_norm_to_integral():

@@ -91,6 +91,29 @@ def test_round_trip_with_all_sections():
     assert serialize_scenario(parse_scenario(text)) == text
 
 
+DIAGONAL = """
+system.preset = diagonal
+system.lambdas = 1.0, 4.0, 9.0
+system.b = 1.0, -0.5, 0.25
+checks.names = iss
+"""
+
+
+@pytest.mark.parametrize("text, foreign", [
+    (DIAGONAL + "system.a = 2.0\nsystem.n_modes = 7\n", ("a", "n_modes")),
+    (MINIMAL + "system.lambdas = 1.0, 2.0\nsystem.b = 0.5, 0.5\n", ("lambdas", "b")),
+], ids=["diagonal_with_heat_keys", "heat_with_diagonal_keys"])
+def test_other_preset_keys_round_trip(text, foreign):
+    s = parse_scenario(text)
+    assert parse_scenario(serialize_scenario(s)) == s
+    # the other preset's keys fall back to their defaults; the digest is the
+    # one of the scenario without them
+    bare = parse_scenario("\n".join(line for line in text.splitlines()
+                                    if line.split("=")[0].strip()
+                                    not in {f"system.{f}" for f in foreign}))
+    assert s == bare and s.digest() == bare.digest()
+
+
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError):
         load_scenario("no_such_scenario.scn")

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
-                    ValidationError, build_time_grid, heat_dirichlet, kappa_bounds,
-                    mild_solution, sample_trajectory, semigroup_apply, state_norm)
+                    Trajectory, ValidationError, build_time_grid, heat_dirichlet,
+                    kappa_bounds, mild_solution, sample_trajectory, semigroup_apply,
+                    state_norm)
 
 PI2 = math.pi ** 2
 
@@ -186,6 +187,18 @@ def test_trajectory_refinement_leaves_shared_times_unchanged():
     t2 = sample_trajectory(sys, x0, u, fine)
     idx = np.searchsorted(fine, coarse)
     assert np.array_equal(t2.states[idx], t1.states)
+
+
+def test_trajectory_matches_mild_solution_across_row_blocks():
+    # the flow runs in blocks of grid rows; a 700-point grid spans several
+    sys = heat(16)
+    x0 = np.linspace(0.5, -0.25, 16)
+    u = InputSignal.piecewise([0.0, 0.3, 0.75, 1.1], [1.0, -0.6, 0.4])  # zero tail
+    grid = np.linspace(0.0, 2.0, 700)
+    traj = sample_trajectory(sys, x0, u, grid)
+    for i in range(0, grid.size, 23):
+        np.testing.assert_allclose(traj.states[i], mild_solution(sys, x0, u, grid[i]),
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_trajectory_grid_validation():
@@ -369,3 +382,27 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(got[:, 0], traj.times)
     assert np.array_equal(got[:, 2:], traj.states)  # 17 digits round-trips
     assert np.allclose(got[:, 1], traj.norms(), rtol=0.0, atol=0.0)
+
+
+def _per_float_csv(traj):
+    """The CSV text written one ``format(value, '.17g')`` call per value."""
+    n = traj.system.n_modes
+    lines = ["t,norm," + ",".join(f"c{k}" for k in range(1, n + 1))]
+    for t, nrm, row in zip(traj.times, traj.norms(), traj.states):
+        lines.append(",".join(format(v, ".17g") for v in (t, nrm, *row)))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_float_formatting(tmp_path):
+    # 70 rows cross the writer's row blocks; the values include negatives,
+    # -0.0, subnormals and magnitudes near 1e300
+    sys = heat(4)
+    rng = np.random.default_rng(7)
+    times = np.concatenate([[0.0, 5e-324, 2.5e-310], np.sort(rng.uniform(1e-3, 1e300, 67))])
+    states = rng.standard_normal((70, 4)) * 10.0 ** rng.integers(-300, 150, (70, 4))
+    states[0] = [-0.0, 0.0, -5e-324, 1e-310]
+    states[1] = [-1.5e150, 1.2345678901234567e149, -0.0, 2.2250738585072014e-308]
+    traj = Trajectory(times=times, states=states, system=sys, input=InputSignal.zero())
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert path.read_text(encoding="utf-8") == _per_float_csv(traj)
