@@ -17,7 +17,7 @@ from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
 from .errors import DomainError, RangeError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DiniEstimate, DissipationParameters,
                        LyapunovOperator, build_datko, build_neg_inverse,
-                       c_of_epsilon, check_resolvent_hypotheses, dini_estimate,
+                       c_of_epsilon, dini_estimate,
                        dissipation_constants, lyapunov_residual, v_value)
 from .report import CheckProperty, MarginRecord, StabilityReport, Verdict, Witness
 from .system import (AdmissibilityBound, HeatDirichletParams, InputSignal,

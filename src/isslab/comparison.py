@@ -35,7 +35,6 @@ from .errors import DomainError, RangeError, ValidationError
 
 KIND_K = "K"
 KIND_KINF = "Kinf"
-KIND_KL_SECTION = "KL-section"
 
 #: Bracket expansion cap for numerical inversion, in units of ``bracket_scale``.
 BRACKET_CAP = 2.0 ** 60
@@ -66,7 +65,7 @@ class ComparisonFunction:
     def __post_init__(self):
         if self.form not in ("linear", "power", "saturation", "compose"):
             raise ValidationError(f"unknown comparison-function form {self.form!r}")
-        if self.kind not in (KIND_K, KIND_KINF, KIND_KL_SECTION):
+        if self.kind not in (KIND_K, KIND_KINF):
             raise ValidationError(f"unknown comparison-function kind {self.kind!r}")
 
     def __call__(self, r):

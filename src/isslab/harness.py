@@ -35,6 +35,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +48,14 @@ from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral,
                          linear, parse_comparison, power)
 from .errors import ScenarioError, ValidationError
-from .lyapunov import (DATKO, NEG_INVERSE, build_datko, build_neg_inverse,
-                       dissipation_constants)
+from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
+                       build_datko, build_neg_inverse, dissipation_constants)
 from .report import StabilityReport
 from .system import (HeatDirichletParams, SpectralSystem,
                      build_time_grid, heat_dirichlet, sample_trajectory,
                      write_trajectory_csv)
 
-CHECK_NAMES = ("identity", "cocycle", "iss", "uls", "ulim", "brs", "cep",
-               "dissipation", "norm_to_integral", "integral_to_integral")
+SIMULATE_SLICE = 4  # ``simulate`` writes the first 4 states times the first 4 inputs
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=(.*)$")
 
@@ -109,6 +109,36 @@ class RunReport:
     @property
     def any_violated(self) -> bool:
         return any(e.report.violated for e in self.entries)
+
+
+class _Resolved(NamedTuple):
+    """A scenario's system with its certificates, missing pieces filled in."""
+
+    sys: SpectralSystem
+    op: LyapunovOperator
+    params: DissipationParameters
+    iss: ISSCertificate
+    nti: NormToIntegralCertificate
+    uls_sigma: ComparisonFunction
+
+
+#: Every check in canonical order: name -> run(scenario, resolved).
+_CHECKS = {
+    "identity": lambda s, r: check_identity(r.sys, s.budget),
+    "cocycle": lambda s, r: check_cocycle(r.sys, s.budget),
+    "iss": lambda s, r: check_iss(r.sys, r.iss, s.budget),
+    "uls": lambda s, r: check_uls(r.sys, r.uls_sigma, r.iss.gamma, s.budget.radius, s.budget),
+    "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, s.budget.radius,
+                                    s.budget),
+    "brs": lambda s, r: check_brs(r.sys, s.budget.radius if s.brs_c is None else s.brs_c,
+                                  s.budget.horizon if s.brs_tau is None else s.brs_tau,
+                                  s.budget),
+    "cep": lambda s, r: check_cep(r.sys, s.budget, s.cep_h),
+    "dissipation": lambda s, r: check_dissipation(r.sys, r.op, r.params, s.budget),
+    "norm_to_integral": lambda s, r: check_norm_to_integral(r.sys, r.nti, s.budget),
+    "integral_to_integral": lambda s, r: check_integral_to_integral(r.sys, r.nti, s.budget),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +327,9 @@ def build_system(s: Scenario) -> SpectralSystem:
     return heat_dirichlet(HeatDirichletParams(a=s.a, n_modes=s.n_modes))
 
 
-def _resolve(s: Scenario, sys: SpectralSystem):
-    """Fill missing certificate pieces with sound defaults for the system."""
+def _resolve(s: Scenario) -> _Resolved:
+    """Build the system and fill missing certificate pieces with sound defaults."""
+    sys = build_system(s)
     op = build_datko(sys) if s.construction == DATKO else build_neg_inverse(sys)
     params = dissipation_constants(op, sys, s.epsilon)
     beta = s.beta or DecayEnvelope(1.0, float(sys.lambdas[0]))
@@ -310,37 +341,20 @@ def _resolve(s: Scenario, sys: SpectralSystem):
     else:
         alpha = s.alpha or power(1.0 - s.epsilon, 2.0)
         psi = s.psi or power(op.operator_norm, 2.0)
-        sigma = s.sigma or power(params.c_eps, 2.0)
+        sigma = s.sigma or power(max(params.c_eps, 1e-6), 2.0)
         nti_cert = NormToIntegralCertificate(alpha=alpha, psi=psi, sigma=sigma)
     uls_sigma = s.uls_sigma or linear(beta.M)
-    return op, params, iss_cert, nti_cert, uls_sigma
+    return _Resolved(sys, op, params, iss_cert, nti_cert, uls_sigma)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
     """Execute the requested checks in declared order and write the outputs."""
-    sys_ = build_system(s)
-    op, params, iss_cert, nti_cert, uls_sigma = _resolve(s, sys_)
-    budget = s.budget
-    dispatch = {
-        "identity": lambda: check_identity(sys_, budget),
-        "cocycle": lambda: check_cocycle(sys_, budget),
-        "iss": lambda: check_iss(sys_, iss_cert, budget),
-        "uls": lambda: check_uls(sys_, uls_sigma, iss_cert.gamma, budget.radius, budget),
-        "ulim": lambda: check_ulim(sys_, iss_cert.gamma, s.ulim_eps, budget.radius, budget),
-        "brs": lambda: check_brs(sys_,
-                                 budget.radius if s.brs_c is None else s.brs_c,
-                                 budget.horizon if s.brs_tau is None else s.brs_tau,
-                                 budget),
-        "cep": lambda: check_cep(sys_, budget, s.cep_h),
-        "dissipation": lambda: check_dissipation(sys_, op, params, budget),
-        "norm_to_integral": lambda: check_norm_to_integral(sys_, nti_cert, budget),
-        "integral_to_integral": lambda: check_integral_to_integral(sys_, nti_cert, budget),
-    }
+    resolved = _resolve(s)
     entries = []
     for name in s.checks:
         t0 = time.perf_counter()
         try:
-            rep = dispatch[name]()
+            rep = _CHECKS[name](s, resolved)
         except Exception as exc:
             raise RuntimeError(f"check {name!r} aborted: {exc}") from exc
         seconds = time.perf_counter() - t0
@@ -349,7 +363,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
                                 witness_file=wfile))
     run = RunReport(scenario_digest=s.digest(), version=f"isslab {__version__}",
                     entries=tuple(entries))
-    emit_csv(run, out_dir or s.out_dir, sys_, s)
+    emit_csv(run, out_dir or s.out_dir, resolved.sys, s)
     if s.write_trajectories:
         simulate_scenario(s, out_dir or s.out_dir)
     return run
@@ -383,16 +397,16 @@ def emit_csv(run: RunReport, out_dir: str, sys_: SpectralSystem, s: Scenario) ->
         write_trajectory_csv(traj, os.path.join(out_dir, e.witness_file))
 
 
-def simulate_scenario(s: Scenario, out_dir: str | None = None,
-                      max_states: int = 4, max_inputs: int = 4) -> list[str]:
-    """Write trajectory CSVs for a deterministic slice of the sample set."""
+def simulate_scenario(s: Scenario, out_dir: str | None = None) -> list[str]:
+    """Write trajectory CSVs for the first ``SIMULATE_SLICE`` states times the
+    first ``SIMULATE_SLICE`` inputs of the sample set."""
     sys_ = build_system(s)
     out = out_dir or s.out_dir
     os.makedirs(out, exist_ok=True)
     written = []
-    for si in range(min(s.budget.n_states, max_states)):
+    for si in range(min(s.budget.n_states, SIMULATE_SLICE)):
         x0 = draw_state(sys_, s.budget, si)
-        for sj in range(min(s.budget.n_inputs, max_inputs)):
+        for sj in range(min(s.budget.n_inputs, SIMULATE_SLICE)):
             u = draw_input(s.budget, sj)
             # plotting-grade grid; the dense default is for quadrature
             grid = build_time_grid(s.budget.horizon, u, n_uniform=257, per_decade=12)
@@ -426,6 +440,8 @@ def _apply_overrides(s: Scenario, seed: int | None, modes: int | None) -> Scenar
     if seed is not None:
         s = replace(s, budget=replace(s.budget, seed=seed))
     if modes is not None:
+        if modes < 1:
+            raise ScenarioError(f"--modes must be at least 1, got {modes}")
         if s.preset == "diagonal":
             if modes > len(s.lambdas):
                 raise ScenarioError(f"--modes {modes} exceeds the {len(s.lambdas)} "

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .report import CheckProperty, MarginRecord, StabilityReport, Witness, conclude
-from .system import InputSignal, SpectralSystem, kappa_bounds, mild_solution, seeded_rng
+from .system import InputSignal, SpectralSystem, kappa_bounds, mild_solution
 
 NEG_INVERSE = "neg_inverse_A"
 DATKO = "datko"
@@ -39,6 +38,10 @@ DATKO = "datko"
 #: that exp(-2 lambda h) stays in its linear regime even for the highest mode
 #: of the 64-mode heat preset (lambda ~ 4e4).
 DEFAULT_DINI_H = (1e-6, 1e-7, 1e-8)
+
+#: kappa(0) is taken as zero when the admissibility upper bound at the probe
+#: time falls below this threshold.
+KAPPA_ZERO_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -169,62 +172,29 @@ def c_of_epsilon(epsilon: float, norm_AstarP: float, norm_PA: float,
 
 
 def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem, epsilon: float,
-                          kappa_probe_t: float = 1e-3, kappa_zero_tol: float = 1e-2,
-                          quad_points: int = 2048) -> DissipationParameters:
+                          kappa_probe_t: float = 1e-3) -> DissipationParameters:
     """Assemble the dissipation constants for a diagonal self-adjoint system.
 
     |A*P| = |PA| = max_k lambda_k p_k (exactly 1 for neg_inverse_A, 1/2 for
     datko), M = 1 for the contraction semigroup, and |A^{-1}B| is the norm of
     the steady-gain vector b_k / lambda_k.  kappa(0) is set to zero only when
     the admissibility upper bound at ``kappa_probe_t`` is below
-    ``kappa_zero_tol``; otherwise that probe value is kept, which can only
+    ``KAPPA_ZERO_TOL``; otherwise that probe value is kept, which can only
     enlarge c(eps).
 
     This gate tests the truncation, not the PDE: every truncation has
     kappa_N(t) <= |B_N| t, so it fires for any system once the probe time is
-    below ``kappa_zero_tol / |B_N|``, whatever the PDE's own kappa(0).
+    below ``KAPPA_ZERO_TOL / |B_N|``, whatever the PDE's own kappa(0).
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
     norm_pa = float(np.max(sys.lambdas * op.p_coeffs))
     norm_ainvb = float(np.linalg.norm(sys.input_gain_coeffs))
     M = 1.0
-    upper = kappa_bounds(sys, kappa_probe_t, quad_points).upper
-    kappa0 = 0.0 if upper < kappa_zero_tol else upper
+    upper = kappa_bounds(sys, kappa_probe_t).upper
+    kappa0 = 0.0 if upper < KAPPA_ZERO_TOL else upper
     c = c_of_epsilon(epsilon, norm_pa, norm_pa, norm_ainvb, M, kappa0)
     return DissipationParameters(epsilon=epsilon, c_eps=c, norm_AstarP=norm_pa,
                                  norm_PA=norm_pa, norm_AinvB=norm_ainvb,
                                  M=M, kappa0=kappa0)
 
-
-def check_resolvent_hypotheses(sys: SpectralSystem, n_samples: int = 200,
-                               seed: int = 7) -> StabilityReport:
-    """Verify the hypotheses under which P = -A^{-1} yields a valid V.
-
-    For a self-adjoint diagonal generator the adjoint-domain inclusion holds
-    structurally, A* A^{-1} reduces to the identity so the quadratic lower
-    bound Re<A*A^{-1}x, x> + delta |x|^2 >= 0 holds with delta = 0, and
-    strict dissipativity Re<Ax, x> < 0 for x != 0 follows from lambda_k > 0.
-    The last two are additionally probed on random states; the report notes
-    the smallest sampled delta and the worst dissipativity margin.
-    """
-    rng = seeded_rng(seed, 62)
-    lam = sys.lambdas
-    identity_coeffs = lam * (1.0 / lam)  # A* A^{-1} mode by mode
-    records = []
-    witness = None
-    delta_needed = 0.0
-    for i in range(n_samples):
-        x = rng.standard_normal(sys.n_modes)
-        nrm2 = float(np.dot(x, x))
-        if nrm2 == 0.0:
-            continue
-        quad = float(np.dot(identity_coeffs * x, x))
-        delta_needed = max(delta_needed, -quad / nrm2)
-        margin = float(np.dot(lam * x, x)) / nrm2  # -Re<Ax,x>/|x|^2, must be > 0
-        records.append(MarginRecord(sample_index=i, t=0.0, margin=margin))
-        if margin <= 0.0 and witness is None:
-            witness = Witness(x0=x, input=InputSignal.zero(), t=0.0, margin=margin)
-    notes = ("adjoint-domain inclusion satisfied by construction (self-adjoint diagonal); "
-             f"minimal sampled delta = {delta_needed:.3e}")
-    return conclude(CheckProperty.RESOLVENT_HYPOTHESES, records, witness, notes=notes)

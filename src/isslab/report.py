@@ -36,8 +36,6 @@ class CheckProperty(str, Enum):
     DISSIPATION = "Dissipation"
     COCYCLE = "Cocycle"
     IDENTITY = "Identity"
-    # structural hypotheses of the resolvent-based Lyapunov construction
-    RESOLVENT_HYPOTHESES = "ResolventHypotheses"
 
 
 @dataclass(frozen=True)

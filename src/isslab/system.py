@@ -12,6 +12,12 @@ is evaluated in closed form.  Piecewise-constant inputs therefore propagate
 with no time-stepping error at all; the only discretization in the package is
 the choice of sample times.
 
+One stepper carries states to the anchors, 0 and every input breakpoint
+below the time asked for, and every flow value (``mild_solution``, each row of
+``sample_trajectory`` and of the checkers' kernel) is the formula above from
+the last anchor below its time.  A value never depends on a sampling grid, so
+the axiom checks and the Dini quotients test the arithmetic of every margin.
+
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
 
@@ -34,6 +40,7 @@ from .errors import DomainError, ValidationError
 CSV_FMT = ".17g"
 _ROW_BLOCK = 256   # grid rows per block of the flow evaluation
 _CSV_ROWS = 32     # trajectory rows per formatted block of a CSV file
+_GRID_T_MIN = 1e-7  # first graded grid step after 0 and each breakpoint
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -255,18 +262,48 @@ def semigroup_apply(sys: SpectralSystem, t: float, x) -> np.ndarray:
     return x * np.exp(-sys.lambdas * t)
 
 
+def _anchored(sys: SpectralSystem, x0s, u: InputSignal, t: float):
+    """Step ``x0s``, one state or a stack of states, to the anchors of the
+    flow at t: 0 and every input breakpoint below t.
+
+    Returns the anchors, the input value from each anchor on (0 on the zero
+    tail) and the states at each anchor.  The input is constant between
+    anchors, so each step is exact.
+    """
+    lam, gain = sys.lambdas, sys.input_gain_coeffs
+    anchors, vals = [0.0], []
+    states = [np.array(x0s, dtype=float)]
+    for i in range(u.values.size):
+        vals.append(float(u.values[i]))
+        end = float(u.breakpoints[i + 1])
+        if end >= t:
+            break
+        decay = np.exp(-lam * (end - anchors[-1]))
+        states.append(states[-1] * decay + gain * (1.0 - decay) * vals[-1])
+        anchors.append(end)
+    if len(vals) < len(anchors):
+        vals.append(0.0)
+    return anchors, vals, states
+
+
+def _decay_forced(sys: SpectralSystem, dt, v):
+    """The decay exp(-lambda dt) and the forced term (b / lambda) v (1 - decay)
+    of the flow dt after an anchor with input value v; ``dt`` and ``v``
+    broadcast against the modes."""
+    decay = np.exp(-dt * sys.lambdas)
+    return decay, sys.input_gain_coeffs * v * (1.0 - decay)
+
+
 def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarray:
-    """State phi(t, x0, u), stepped exactly across each constant input segment."""
+    """State phi(t, x0, u): the row at t of every sampled flow, bit for bit."""
     if t < 0.0:
         raise DomainError("mild solutions are defined for t >= 0")
-    state = np.array(x0, dtype=float, copy=True)
+    state = np.asarray(x0, dtype=float)
     if state.shape != (sys.n_modes,):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    gain = sys.input_gain_coeffs
-    for dur, val in u.segments_until(t):
-        decay = np.exp(-sys.lambdas * dur)
-        state = state * decay + gain * (1.0 - decay) * val
-    return state
+    anchors, vals, states = _anchored(sys, state, u, t)
+    decay, forced = _decay_forced(sys, t - anchors[-1], vals[-1])
+    return states[-1] * decay + forced
 
 
 @dataclass(frozen=True)
@@ -298,17 +335,11 @@ def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
     most ``_ROW_BLOCK`` grid rows and, within it, every state s.
 
     The grid must be one-dimensional, nonempty, start at 0 and strictly
-    increase, and every state must have shape (n_modes,).  The flow is
-    anchored at 0 and at every breakpoint below the grid end; the anchor
-    states of all states are stepped in closed form together.  From its
-    anchor a, with input value v there, a grid row is
-
-        phi(t) = exp(-lambda (t - a)) phi(a) + (b / lambda) (1 - exp(-lambda (t - a))) v,
-
-    and the decay and the forced term depend only on the input and the grid,
-    so each block computes them once for all states.  Refining the grid
-    never changes the values at shared times, and a state gives the same
-    bits alone as in a stack.
+    increase, and every state must have shape (n_modes,).  The anchor states
+    of all states are stepped together, and each row runs from the last
+    anchor below its time, as in ``mild_solution``.  The decay and the forced
+    term depend only on the input and the grid, so each block computes them
+    once for all states; a state gives the same bits alone as in a stack.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -319,38 +350,14 @@ def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
         raise ValidationError("grid must be strictly increasing")
     if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    t_end = float(grid[-1])
-    lam = sys.lambdas
-    gain = sys.input_gain_coeffs
-
-    # anchor states at 0 and at every breakpoint below the grid end; a missing
-    # final value means the zero tail starts at the last anchor
-    anchors = [0.0]
-    anchor_vals: list[float] = []
-    for i in range(u.values.size):
-        anchor_vals.append(float(u.values[i]))
-        end = float(u.breakpoints[i + 1])
-        if end >= t_end:
-            break
-        anchors.append(end)
-    while len(anchor_vals) < len(anchors):
-        anchor_vals.append(0.0)
-
-    stepped = [np.array(x0s, dtype=float)]
-    for i in range(len(anchors) - 1):
-        dur = anchors[i + 1] - anchors[i]
-        decay = np.exp(-lam * dur)
-        stepped.append(stepped[-1] * decay + gain * (1.0 - decay) * anchor_vals[i])
+    anchors, vals, stepped = _anchored(sys, x0s, u, float(grid[-1]))
     anchor_states = np.stack(stepped)   # (anchor, state, mode)
-    anchors_arr = np.asarray(anchors)
-    vals = np.asarray(anchor_vals)
-
+    anchors_arr, vals = np.asarray(anchors), np.asarray(vals)
     for start in range(0, grid.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         t = grid[rows]
-        seg = np.searchsorted(anchors_arr, t, side="right") - 1
-        decay = np.exp(-np.outer(t - anchors_arr[seg], lam))
-        forced = gain * vals[seg, None] * (1.0 - decay)
+        seg = np.maximum(np.searchsorted(anchors_arr, t) - 1, 0)
+        decay, forced = _decay_forced(sys, (t - anchors_arr[seg])[:, None], vals[seg, None])
         for s in range(anchor_states.shape[1]):
             yield rows, s, anchor_states[seg, s] * decay + forced
 
@@ -358,16 +365,12 @@ def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
 def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
-    States are anchored at the input breakpoints and evolved in closed form
-    to each grid time, so refining the grid never changes the values at
-    shared times and states[0] equals x0 bit for bit.
+    ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     states = np.empty((grid.size, sys.n_modes))
     for rows, _, block in _flow_blocks(sys, [x0], u, grid):
         states[rows] = block
-    states[0] = x0  # identity property, exact by construction
     return Trajectory(times=grid, states=states, system=sys, input=u)
 
 
@@ -425,7 +428,7 @@ def kappa_bounds(sys: SpectralSystem, t: float, quad_points: int = 2048) -> Admi
 
 def build_time_grid(horizon: float, u: InputSignal | None = None,
                     n_uniform: int = 1025, per_decade: int = 32,
-                    t_min: float = 1e-7, extra=None) -> np.ndarray:
+                    extra=None) -> np.ndarray:
     """Evaluation grid on [0, horizon]: uniform backbone plus geometric
     refinement after 0 and after every input breakpoint, so that fast mode
     transients and input jumps are resolved.  Always contains 0, the horizon
@@ -440,10 +443,10 @@ def build_time_grid(horizon: float, u: InputSignal | None = None,
         pieces.append(np.asarray(anchors))
     for a in anchors:
         span = horizon - a
-        if span <= t_min:
+        if span <= _GRID_T_MIN:
             continue
-        n = max(4, int(math.ceil(math.log10(span / t_min) * per_decade)))
-        pieces.append(a + np.geomspace(t_min, span, n))
+        n = max(4, int(math.ceil(math.log10(span / _GRID_T_MIN) * per_decade)))
+        pieces.append(a + np.geomspace(_GRID_T_MIN, span, n))
     if extra is not None:
         pieces.append(np.asarray(extra, dtype=float))
     grid = np.unique(np.concatenate(pieces))

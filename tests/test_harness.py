@@ -5,11 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_system,
                     load_scenario, main, parse_scenario, run_scenario,
                     serialize_scenario, simulate_scenario, ISSCertificate,
                     DecayEnvelope, linear)
+from isslab.harness import CHECK_NAMES
 
 MINIMAL = """
 # minimal heat scenario
@@ -211,9 +213,9 @@ NUMERIC_KEYS = {
 }
 
 
-def _diagonal_text(**override):
+def _diagonal_text(checks="iss, ulim, brs, cep", **override):
     pairs = {**NUMERIC_KEYS, **override}
-    return ("system.preset = diagonal\nchecks.names = iss, ulim, brs, cep\n"
+    return (f"system.preset = diagonal\nchecks.names = {checks}\n"
             + "".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
 
@@ -231,6 +233,44 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, key, bad):
     path.write_text(_diagonal_text(**{key: value}))
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+#: Ranges of valid values for the float keys of the diagonal scenario.
+FLOAT_RANGES = {
+    "system.a": (0.1, 10.0), "lyapunov.epsilon": (0.05, 0.95),
+    "checks.ulim_eps": (1e-3, 10.0), "checks.cep_h": (0.01, 5.0),
+    "checks.brs_c": (0.01, 10.0), "checks.brs_tau": (0.01, 5.0),
+    "budget.horizon": (0.01, 5.0), "budget.radius": (0.01, 10.0),
+}
+
+
+@st.composite
+def numeric_overrides(draw):
+    """Valid values for every float key and a random 1-3 mode spectrum, or
+    those with one numeric key replaced by nan or +-inf (returned as bad)."""
+    values = {k: repr(draw(st.floats(lo, hi))) for k, (lo, hi) in FLOAT_RANGES.items()}
+    n = draw(st.integers(1, 3))
+    lam = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n, unique=True))
+    b = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    values["system.lambdas"] = ", ".join(repr(v) for v in sorted(lam))
+    values["system.b"] = ", ".join(repr(v) for v in b)
+    bad = draw(st.one_of(st.none(), st.tuples(st.sampled_from(sorted(NUMERIC_KEYS)),
+                                               st.sampled_from(["nan", "inf", "-inf"]))))
+    if bad is not None:
+        key, word = bad
+        values[key] = "1.0, " + word if key in ("system.lambdas", "system.b") else word
+    return values, bad is not None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=numeric_overrides())
+def test_finite_numbers_run_and_non_finite_exit_2(tmp_path_factory, case):
+    values, bad = case
+    tmp = tmp_path_factory.mktemp("property")
+    path = tmp / "s.scn"
+    path.write_text(_diagonal_text(", ".join(CHECK_NAMES), **values))
+    code = main(["check", str(path), "--out", str(tmp / "out")])
+    assert code == 2 if bad else code in (0, 1)
 
 
 def test_brs_parameters_validated():
@@ -308,6 +348,15 @@ def test_cli_modes_override(tmp_path):
     with open(tmp_path / "traj_s00_u00.csv") as fh:
         header = fh.readline().strip().split(",")
     assert len(header) == 2 + 8
+
+
+@pytest.mark.parametrize("verb", ["check", "simulate"])
+@pytest.mark.parametrize("scenario, modes", [("heat_iss.scn", "0"),
+                                             ("diagonal_custom.scn", "0"),
+                                             ("diagonal_custom.scn", "-2")])
+def test_cli_modes_below_one_is_config_error(tmp_path, capsys, verb, scenario, modes):
+    assert main([verb, scenario, "--modes", modes, "--out", str(tmp_path)]) == 2
+    assert "--modes" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
-                    build_datko, build_neg_inverse, c_of_epsilon,
-                    check_resolvent_hypotheses, dini_estimate, dissipation_constants,
-                    heat_dirichlet, kappa_bounds, lyapunov_residual, v_value)
+                    build_datko, build_neg_inverse, c_of_epsilon, dini_estimate,
+                    dissipation_constants, heat_dirichlet, kappa_bounds,
+                    lyapunov_residual, v_value)
 
 PI2 = math.pi ** 2
 
@@ -251,22 +251,3 @@ def test_epsilon_domain():
         with pytest.raises(DomainError):
             dissipation_constants(op, sys, bad)
 
-
-# ---------------------------------------------------------------------------
-# hypotheses of the resolvent construction
-
-
-def test_resolvent_hypotheses_on_heat():
-    rep = check_resolvent_hypotheses(heat(64))
-    assert not rep.violated
-    assert rep.worst_margin > 0.0
-    assert "delta" in rep.notes
-    # the sampled delta is zero to machine precision
-    delta = float(rep.notes.rsplit("=", 1)[1])
-    assert delta <= 1e-12
-
-
-def test_resolvent_strict_dissipativity_value():
-    rep = check_resolvent_hypotheses(heat(8), n_samples=50)
-    # margins are -Re<Ax,x>/|x|^2 >= lambda_1
-    assert rep.worst_margin >= PI2 - 1e-9

@@ -190,15 +190,24 @@ def test_trajectory_refinement_leaves_shared_times_unchanged():
 
 
 def test_trajectory_matches_mild_solution_across_row_blocks():
-    # the flow runs in blocks of grid rows; a 700-point grid spans several
-    sys = heat(16)
-    x0 = np.linspace(0.5, -0.25, 16)
+    # every row is mild_solution at its time, bit for bit: on uniform grids of
+    # several row blocks, on graded grids (which hold every breakpoint), on
+    # grids that end on a breakpoint, and on the zero tail after the input
+    diag = SpectralSystem(np.array([0.5, 3.0, 40.0]), np.array([1.0, -2.0, 0.7]))
     u = InputSignal.piecewise([0.0, 0.3, 0.75, 1.1], [1.0, -0.6, 0.4])  # zero tail
-    grid = np.linspace(0.0, 2.0, 700)
-    traj = sample_trajectory(sys, x0, u, grid)
-    for i in range(0, grid.size, 23):
-        np.testing.assert_allclose(traj.states[i], mild_solution(sys, x0, u, grid[i]),
-                                   rtol=1e-12, atol=1e-15)
+    steps = InputSignal.piecewise(np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 8))
+    cases = [(heat(16), np.linspace(0.5, -0.25, 16), u, np.linspace(0.0, 2.0, 700)),
+             (heat(16), np.linspace(0.5, -0.25, 16), u, build_time_grid(2.0, u)),
+             (heat(64), np.full(64, 0.1), steps, build_time_grid(2.0, steps)),
+             (heat(64), np.zeros(64), steps, np.array([0.0, 0.25, 1.0])),
+             (diag, np.array([0.3, -1.0, 2.0]), u, build_time_grid(1.1, u)),
+             (diag, np.array([0.3, -1.0, 2.0]), u, np.array([0.0, 0.3])),
+             (diag, np.zeros(3), InputSignal.zero(), np.linspace(0.0, 1.0, 300))]
+    for sys, x0, u_, grid in cases:
+        traj = sample_trajectory(sys, x0, u_, grid)
+        rows = np.array([mild_solution(sys, x0, u_, t) for t in grid])
+        differ = np.nonzero(np.any(traj.states != rows, axis=1))[0]
+        assert differ.size == 0, f"{sys.label}: rows {differ[:5]} of {grid.size} differ"
 
 
 def test_trajectory_grid_validation():
