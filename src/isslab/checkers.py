@@ -18,14 +18,28 @@ causality, cocycle and the Dini quotients test the flow behind every margin.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
-depends on the input alone.  The kernel therefore scans input by input:
-per input it builds the probe grid once and evaluates the flow of all the
-input's states together, in blocks of at most 256 grid rows, computing the
-decays and the forced term once per block and adding each state's decayed
-anchor state.  No array larger than a block of rows by the modes is built
-per state, and only the norms (states by grid) are kept.  The flow is the
-block helper of ``sample_trajectory``, so the kernel's norms are those of
-``sample_trajectory(...).norms()`` bit for bit.
+depends on the input alone.  The kernel therefore scans input by input and
+asks for the compared functional of all the input's states at once; the
+bound is evaluated once per input too, on the column of state norms.  For
+|phi| it builds the probe grid once and evaluates the flow in blocks of at
+most 256 grid rows, computing the decays and the forced term once per block
+and adding each state's decayed anchor state.  No array larger than a block
+of rows by the modes is built per state, and only the norms (states by
+grid) are kept.  The flow is the block helper of ``sample_trajectory``, so
+the kernel's norms are those of ``sample_trajectory(...).norms()`` bit for
+bit.
+
+Integrals.  For alpha = c r**2, the form of every bundled certificate and
+of the default, int_0^t alpha(|phi|) has a closed form per input segment
+(``system._square_integrals``): the anchor states of ``mild_solution``, the
+full segments summed cumulatively, plus the piece from the last anchor
+below t, for all states, times and modes in one pass, with no grid.  Any
+other alpha, or a grid given by the caller, takes composite Simpson on a
+grid graded after 0 and after each input breakpoint (or the caller's,
+which must hold the breakpoints), restarted at every breakpoint so that no
+panel straddles a kink of the flow.  The integral of sigma(|u|) in the
+integral-to-integral bound is exact: a cumulative sum over the input's
+pieces, once per input for all times.
 
 Record order.  Whatever the scan order, the kernel hands each pair's pick
 to the tracker in the order of the pairs (state-major for ``iter_pairs``),
@@ -43,9 +57,12 @@ so enlarging a budget extends the sample set without reshuffling it: reported
 minima can only decrease, and a ``violated`` verdict can never flip back.
 
 Tolerances scale with the magnitude of the compared quantities,
-tol = tol_rel * (1 + scale).  Pointwise norm comparisons use
-tol_rel = 1e-9; quadrature-backed comparisons use 1e-6 to absorb the
-composite-Simpson truncation error of the graded trajectory grids.
+tol = tol_rel * (1 + scale), mostly with scale = |x0| + |u|_inf.  Pointwise
+norm comparisons use tol_rel = 1e-9.  Closed-form integrals use 1e-12:
+against a fine per-segment Simpson reference their error is at most 3e-14
+times (1 + |x0| + |u|_inf) on the bundled scenarios and the benchmark's.
+Simpson integrals use 1e-6, above their error of at most 3.2e-8 times the
+same scale on those samples (alpha = c r**2, c r and c r**0.1).
 """
 
 from __future__ import annotations
@@ -64,11 +81,13 @@ from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
                        dini_estimate)
 from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
                      conclude)
-from .system import (InputSignal, SpectralSystem, _flow_blocks, build_time_grid,
-                     kappa_bounds, mild_solution, seeded_rng, state_norm)
+from .system import (InputSignal, SpectralSystem, _flow_blocks, _square_integrals,
+                     build_time_grid, kappa_bounds, mild_solution, seeded_rng,
+                     state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
-QUAD_TOL = 1e-6       # quadrature-backed comparisons
+QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
+EXACT_TOL = 1e-12     # closed-form integral comparisons
 COCYCLE_TOL = 1e-10   # relative cocycle deviation
 ULIM_GRID_POINTS = 513  # fixed hitting-time grid, independent of the budget
 CEP_LEVELS = 4       # rows eps_j of the continuity table
@@ -139,20 +158,17 @@ def draw_input(budget: SampleBudget, j: int) -> InputSignal:
     return InputSignal(breakpoints, values)
 
 
-def _vdc(k: int) -> float:
-    """Base-2 van der Corput point; prefixes are stable under enlargement."""
-    v, denom = 0.0, 1.0
-    while k:
-        denom *= 2.0
-        v += (k & 1) / denom
-        k >>= 1
-    return v
-
-
 def eval_times(budget: SampleBudget) -> np.ndarray:
-    """Low-discrepancy evaluation times including 0 and the horizon."""
-    ts = [budget.horizon * _vdc(k) for k in range(1, budget.n_times + 1)]
-    return np.unique(np.concatenate([[0.0, budget.horizon], ts]))
+    """Low-discrepancy evaluation times including 0 and the horizon: the
+    horizon times the base-2 van der Corput points of 1..n_times, whose
+    prefixes are stable under enlargement."""
+    k = np.arange(1, budget.n_times + 1)
+    vdc, weight = np.zeros(k.size), 0.5
+    while k.any():
+        vdc += (k & 1) * weight
+        k >>= 1
+        weight *= 0.5
+    return np.unique(np.concatenate([[0.0, budget.horizon], budget.horizon * vdc]))
 
 
 def iter_pairs(sys: SpectralSystem, budget: SampleBudget):
@@ -201,21 +217,19 @@ def _pair_tol(rel: float = POINT_TOL):
     return lambda x0, u: _tol(state_norm(x0) + u.sup_norm, rel)
 
 
-def _scan(sys: SpectralSystem, pairs, probe, bound, tracker: _Tracker,
-          integrand: ComparisonFunction | None = None, best: bool = False,
-          tol=_pair_tol()):
+def _scan(sys: SpectralSystem, pairs, lhs, bound, tracker: _Tracker,
+          best: bool = False, tol=_pair_tol()):
     """The sampling loop of every trajectory checker, as a generator.
 
     The pairs ``(index, x0, u)`` are grouped by input object and scanned
-    input by input.  ``probe(u)`` gives the flow grid and the evaluation
-    times, which must be grid nodes; the flow of all the input's states is
-    evaluated together, and only its norms on the grid are kept.  Per pair
-    the margins are ``bound(x0, u, times) - lhs``, with lhs = |phi| or, given
-    ``integrand``, the Simpson integral of ``integrand(|phi|)`` from 0 on a
-    grid that refines the input's breakpoints, and ``(times, lhs, margins,
-    picked index)`` is yielded.  The smallest margin (the largest if
-    ``best``) of each pair goes to ``tracker`` with witness tolerance
-    ``tol(x0, u)``, in the order of ``pairs``, once every input is done.
+    input by input.  ``lhs(sys, x0s, u)`` gives the evaluation times and the
+    compared functional of the flow (|phi| or an integral of alpha(|phi|))
+    for all the input's states at once, one row per state, and
+    ``bound(r, u, times)`` the bound for the column r of their norms |x0|.
+    Per pair the margins are bound - lhs, and ``(times, lhs, margins, picked
+    index)`` is yielded.  The smallest margin (the largest if ``best``) of
+    each pair goes to ``tracker`` with witness tolerance ``tol(x0, u)``, in
+    the order of ``pairs``, once every input is done.
     """
     groups = {}   # id(u) -> (u, members); holding u keeps its id from being reused
     n_pairs = 0
@@ -224,35 +238,44 @@ def _scan(sys: SpectralSystem, pairs, probe, bound, tracker: _Tracker,
         n_pairs += 1
     picks = [None] * n_pairs
     for u, members in groups.values():
-        grid, times = probe(u)
-        norms = np.empty((len(members), np.size(grid)))
-        for rows, s, block in _flow_blocks(sys, [x0 for _, _, x0 in members], u, grid):
-            norms[s, rows] = np.linalg.norm(block, axis=1)
-        if not np.all(np.isfinite(norms)):
-            raise ValidationError("trajectory states must be finite")
-        if integrand is not None:
-            _validate_refines(grid, u, times[-1])
-        at = _grid_indices(grid, times)
-        if integrand is None:
-            lhs_rows = norms[:, at]
-        else:
-            lhs_rows = _prefix_integrals(evaluate(integrand, norms), grid, at)
-        for (pos, idx, x0), lhs in zip(members, lhs_rows):
-            margins = bound(x0, u, times) - lhs
-            i = int(np.argmax(margins) if best else np.argmin(margins))
+        x0s = [x0 for _, _, x0 in members]
+        times, lhs_rows = lhs(sys, x0s, u)
+        r = np.array([[state_norm(x0)] for x0 in x0s])
+        margin_rows = bound(r, u, times) - lhs_rows
+        chosen = np.argmax(margin_rows, axis=1) if best else np.argmin(margin_rows, axis=1)
+        for (pos, idx, x0), lhs_row, margins, i in zip(members, lhs_rows, margin_rows,
+                                                      chosen.tolist()):
             picks[pos] = (idx, times[i], margins[i], tol(x0, u), x0, u)
-            yield times, lhs, margins, i
+            yield times, lhs_row, margins, i
     for pick in picks:
         tracker.add(*pick)
 
 
-def _sweep(prop: CheckProperty, sys: SpectralSystem, pairs, probe, bound,
+def _sweep(prop: CheckProperty, sys: SpectralSystem, pairs, lhs, bound,
            **options) -> StabilityReport:
     """Run :func:`_scan` to the end and conclude its report."""
     tracker = _Tracker()
-    for _ in _scan(sys, pairs, probe, bound, tracker, **options):
+    for _ in _scan(sys, pairs, lhs, bound, tracker, **options):
         pass
     return conclude(prop, tracker.records, tracker.witness)
+
+
+def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid) -> np.ndarray:
+    """|phi(grid, x0, u)| for each state of ``x0s`` (rows)."""
+    norms = np.empty((len(x0s), np.size(grid)))
+    for rows, s, block in _flow_blocks(sys, x0s, u, grid):
+        norms[s, rows] = np.linalg.norm(block, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise ValidationError("trajectory states must be finite")
+    return norms
+
+
+def _norms(probe):
+    """lhs |phi| at the evaluation times of ``probe(u) = (grid, times)``."""
+    def lhs(sys, x0s, u):
+        grid, times = probe(u)
+        return times, _flow_norms(sys, x0s, u, grid)[:, _grid_indices(grid, times)]
+    return lhs
 
 
 def _pointwise_probe(budget: SampleBudget):
@@ -284,25 +307,27 @@ def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
     One pass: the nonuniform Simpson panels over (grid[2k], grid[2k+1],
     grid[2k+2]) are summed cumulatively, which covers every even interval
     count; an odd count adds Cartwright's correction for the last interval,
-    and a single interval is a trapezoid, as in scipy.
+    and a single interval is a trapezoid, as in scipy.  The weights are
+    formed from ratios of the spacings, never from their products, which
+    underflow on tiny grids.
     """
     at = np.asarray(at)
     h = np.diff(grid)
     k = h.size // 2
     h0, h1 = h[0:2 * k:2], h[1:2 * k:2]
-    hs, q = h0 + h1, h0 / h1
-    panels = hs / 6.0 * (vals[..., 0:2 * k:2] * (2.0 - 1.0 / q)
-                         + vals[..., 1:2 * k:2] * (hs * (hs / (h0 * h1)))
-                         + vals[..., 2:2 * k + 1:2] * (2.0 - q))
+    hs = h0 + h1
+    panels = hs / 6.0 * (vals[..., 0:2 * k:2] * (2.0 - h1 / h0)
+                         + vals[..., 1:2 * k:2] * ((hs / h0) * (hs / h1))
+                         + vals[..., 2:2 * k + 1:2] * (2.0 - h0 / h1))
     cum = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)],
                          axis=-1)
     out = cum[..., at // 2]
     j = np.nonzero((at % 2 == 1) & (at > 1))[0]
     i = at[j]
     ha, hb = h[i - 2], h[i - 1]
-    out[..., j] += ((2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha)) * vals[..., i]
-                    + (hb ** 2 + 3.0 * ha * hb) / (6 * ha) * vals[..., i - 1]
-                    - hb ** 3 / (6 * ha * (ha + hb)) * vals[..., i - 2])
+    out[..., j] += hb / 6.0 * ((2.0 * hb + 3.0 * ha) / (ha + hb) * vals[..., i]
+                               + (hb + 3.0 * ha) / ha * vals[..., i - 1]
+                               - (hb / ha) * (hb / (ha + hb)) * vals[..., i - 2])
     j = np.nonzero(at == 1)[0]
     out[..., j] = 0.5 * h[:1] * (vals[..., 1:2] + vals[..., :1])
     return out
@@ -313,31 +338,30 @@ def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
 
 
 def _iss_bound(cert: ISSCertificate):
-    return lambda x0, u, t: cert.bound(state_norm(x0), u.sup_norm, t)
+    return lambda r, u, t: cert.bound(r, u.sup_norm, t)
 
 
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ISS, sys, [(0, x0, u)], _at_time(t),
+    return _sweep(CheckProperty.ISS, sys, [(0, x0, u)], _norms(_at_time(t)),
                   _iss_bound(cert)).worst_margin
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
     return _sweep(CheckProperty.ISS, sys, iter_pairs(sys, budget),
-                  _pointwise_probe(budget), _iss_bound(cert))
+                  _norms(_pointwise_probe(budget)), _iss_bound(cert))
 
 
 def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
-    return lambda x0, u, t: (evaluate(sigma_fn, state_norm(x0))
-                             + evaluate(gamma_fn, u.sup_norm))
+    return lambda r, u, t: evaluate(sigma_fn, r) + evaluate(gamma_fn, u.sup_norm)
 
 
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
                gamma_fn: ComparisonFunction, x0, u: InputSignal, t: float) -> float:
     """sigma(|x0|) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ULS, sys, [(0, x0, u)], _at_time(t),
+    return _sweep(CheckProperty.ULS, sys, [(0, x0, u)], _norms(_at_time(t)),
                   _uls_bound(sigma_fn, gamma_fn)).worst_margin
 
 
@@ -347,19 +371,19 @@ def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
     """Static bound sigma(|x0|) + gamma(|u|) over the ball of radius r."""
     _require_positive(r=r)
     local = replace(budget, radius=r)
-    return _sweep(CheckProperty.ULS, sys, iter_pairs(sys, local), _pointwise_probe(local),
-                  _uls_bound(sigma_fn, gamma_fn))
+    return _sweep(CheckProperty.ULS, sys, iter_pairs(sys, local),
+                  _norms(_pointwise_probe(local)), _uls_bound(sigma_fn, gamma_fn))
 
 
 def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
-    return lambda x0, u, t: eps + evaluate(gamma_fn, u.sup_norm)
+    return lambda r, u, t: eps + evaluate(gamma_fn, u.sup_norm)
 
 
 def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
                x0, u: InputSignal, grid) -> float:
     """Best slack eps + gamma(|u|) - |phi(t)| over the grid; >= 0 iff a hit."""
     grid = np.asarray(grid, dtype=float)
-    return _sweep(CheckProperty.ULIM, sys, [(0, x0, u)], lambda _: (grid, grid),
+    return _sweep(CheckProperty.ULIM, sys, [(0, x0, u)], _norms(lambda _: (grid, grid)),
                   _ulim_level(gamma_fn, eps), best=True).worst_margin
 
 
@@ -377,7 +401,8 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     grid = np.linspace(0.0, local.horizon, ULIM_GRID_POINTS)
     tracker = _Tracker()
     tau_hat, exhausted = 0.0, False
-    for times, _, slack, _ in _scan(sys, iter_pairs(sys, local), lambda _: (grid, grid),
+    for times, _, slack, _ in _scan(sys, iter_pairs(sys, local),
+                                    _norms(lambda _: (grid, grid)),
                                     _ulim_level(gamma_fn, eps), tracker,
                                     best=True, tol=lambda x0, u: 0.0):
         hits = np.nonzero(slack >= 0.0)[0]
@@ -407,7 +432,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
             delta = eps_j / 2.0 ** i
             local = replace(budget, radius=delta, horizon=h)
             level = _sweep(CheckProperty.CEP, sys, iter_pairs(sys, local),
-                           _pointwise_probe(local), lambda x0, u, t, e=eps_j: e,
+                           _norms(_pointwise_probe(local)), lambda r, u, t, e=eps_j: e,
                            tol=lambda x0, u: 0.0)
             if level.witness is None:
                 chosen_delta = delta
@@ -429,8 +454,8 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     tracker = _Tracker()
     sup = 0.0
-    for _, norms, _, _ in _scan(sys, iter_pairs(sys, local), _pointwise_probe(local),
-                                lambda x0, u, t: bound, tracker,
+    for _, norms, _, _ in _scan(sys, iter_pairs(sys, local), _norms(_pointwise_probe(local)),
+                                lambda r, u, t: bound, tracker,
                                 tol=lambda x0, u: _tol(bound)):
         sup = max(sup, float(np.max(norms)))
     notes = f"empirical_sup={sup!r} bound={bound!r}"
@@ -441,66 +466,113 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
 # integral checks
 
 
-def _validate_refines(grid: np.ndarray, u: InputSignal, horizon: float) -> None:
-    bps = u.breakpoints[(u.breakpoints > 0.0) & (u.breakpoints < horizon)]
-    if bps.size and not np.all(np.isin(bps, grid)):
+def _segment_starts(grid: np.ndarray, u: InputSignal, end: float) -> np.ndarray:
+    """Grid indices of the input's breakpoints in (0, end), which the grid
+    must hold."""
+    bps = u.breakpoints[(u.breakpoints > 0.0) & (u.breakpoints < end)]
+    if not np.all(np.isin(bps, grid)):
         raise ValidationError("quadrature grid must refine the input breakpoints")
+    return np.searchsorted(grid, bps)
 
 
-def _quadrature_probe(times: np.ndarray, horizon: float, grid=None):
-    """The caller's grid, or one graded after 0 and each input breakpoint."""
-    if grid is None:
-        return lambda u: (build_time_grid(horizon, u, extra=times), times)
-    grid = np.asarray(grid, dtype=float)
-    return lambda u: (grid, times)
+def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.ndarray:
+    """Composite-Simpson integrals of the sampled values (last axis) from 0
+    to each grid[at], with the rule of :func:`_prefix_integrals` restarted
+    at every grid index in ``starts``, so that no panel straddles an input
+    breakpoint, where the flow has a kink."""
+    at = np.asarray(at)
+    top = int(at.max())
+    edges = np.unique(np.concatenate([[0], starts[starts < top], [top]]))
+    out = np.zeros(vals.shape[:-1] + at.shape)
+    base = np.zeros(vals.shape[:-1] + (1,))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        j = np.nonzero((at > lo) & (at <= hi))[0]
+        local = _prefix_integrals(vals[..., lo:hi + 1], grid[lo:hi + 1],
+                                  np.append(at[j] - lo, hi - lo))
+        out[..., j] = base + local[..., :-1]
+        base = base + local[..., -1:]
+    return out
+
+
+def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float, grid=None):
+    """The lhs int_0^t alpha(|phi|) at each evaluation time and its witness
+    tolerance.  For alpha = c r**2 and no caller grid the integral is taken
+    in closed form, else by Simpson per input segment on the caller's grid
+    or on one graded after 0 and each input breakpoint."""
+    if grid is None and alpha.form == "power" and alpha.params[1] == 2.0:
+        c = alpha.params[0]
+        return (lambda sys, x0s, u: (times, c * _square_integrals(sys, x0s, u, times)),
+                _pair_tol(EXACT_TOL))
+    fixed = None if grid is None else np.asarray(grid, dtype=float)
+
+    def lhs(sys, x0s, u):
+        g = build_time_grid(horizon, u, extra=times) if fixed is None else fixed
+        vals = evaluate(alpha, _flow_norms(sys, x0s, u, g))
+        return times, _simpson_integrals(vals, g, _grid_indices(g, times),
+                                         _segment_starts(g, u, float(times[-1])))
+    return lhs, _pair_tol(QUAD_TOL)
 
 
 def trajectory_integral(traj, f: ComparisonFunction, t: float) -> float:
-    """Composite-Simpson integral of f(|phi(s)|) over [0, t] on the sampled grid."""
+    """Composite-Simpson integral of f(|phi(s)|) over [0, t] on the sampled
+    grid, per input segment."""
     grid = traj.times
-    _validate_refines(grid, traj.input, float(grid[-1]))
+    starts = _segment_starts(grid, traj.input, float(grid[-1]))
     at = _grid_indices(grid, [t])
-    return float(_prefix_integrals(evaluate(f, traj.norms()), grid, at)[0])
+    return float(_simpson_integrals(evaluate(f, traj.norms()), grid, at, starts)[0])
+
+
+def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.ndarray:
+    """int_0^t sigma(|u(s)|) ds at each of ``times``: the integrals up to the
+    breakpoints, summed cumulatively, plus the piece after the last one
+    below t (the zero tail after the last breakpoint adds nothing)."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise DomainError("inputs are defined on t >= 0")
+    bp = u.breakpoints
+    levels = np.append(evaluate(sigma_fn, np.abs(u.values)), 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(bp) * levels[:-1])])
+    i = np.searchsorted(bp, times, side="right") - 1
+    return cum[i] + levels[i] * (times - bp[i])
 
 
 def input_integral(u: InputSignal, sigma_fn: ComparisonFunction, t: float) -> float:
     """Exact integral of sigma(|u(s)|) over [0, t] for piecewise-constant u."""
-    total = 0.0
-    for dur, val in u.segments_until(t):
-        total += dur * evaluate(sigma_fn, abs(val))
-    return total
+    return float(_input_integrals(u, sigma_fn, [t])[0])
 
 
 def _nti_bound(cert: NormToIntegralCertificate):
-    return lambda x0, u, t: cert.rhs(state_norm(x0), u.sup_norm, t)
+    return lambda r, u, t: cert.rhs(r, u.sup_norm, t)
 
 
 def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
                             x0, u: InputSignal, t: float, grid=None) -> float:
-    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|), by Simpson on ``grid``
-    (default: a graded grid on [0, t]), which must contain t."""
-    probe = _quadrature_probe(np.array([float(t)]), max(t, 1e-6), grid)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, [(0, x0, u)], probe,
-                  _nti_bound(cert), integrand=cert.alpha).worst_margin
+    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|), with the integral
+    taken as :func:`check_norm_to_integral` takes it: in closed form for
+    alpha = c r**2 and no ``grid``, else by Simpson on ``grid`` (default: a
+    graded grid on [0, t]), which must contain t."""
+    lhs, _ = _integrals(cert.alpha, np.array([float(t)]), max(t, 1e-6), grid)
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, [(0, x0, u)], lhs,
+                  _nti_bound(cert)).worst_margin
 
 
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget, grid=None) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
-    probe = _quadrature_probe(eval_times(budget), budget.horizon, grid)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget), probe,
-                  _nti_bound(cert), integrand=cert.alpha, tol=_pair_tol(QUAD_TOL))
+    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget), lhs,
+                  _nti_bound(cert), tol=tol)
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                                budget: SampleBudget, grid=None) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
-    bound = lambda x0, u, times: (evaluate(cert.psi, state_norm(x0)) + np.array(
-        [input_integral(u, cert.sigma, t) for t in times]))
-    probe = _quadrature_probe(eval_times(budget), budget.horizon, grid)
+    def bound(r, u, times):
+        return evaluate(cert.psi, r) + _input_integrals(u, cert.sigma, times)
+    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
     return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget),
-                  probe, bound, integrand=cert.alpha, tol=_pair_tol(QUAD_TOL))
+                  lhs, bound, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (SampleBudget, check_brs, check_cep, check_cocycle,
+from .checkers import (ULIM_GRID_POINTS, SampleBudget, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral,
                        check_ulim, check_uls, draw_input, draw_state)
@@ -56,6 +56,12 @@ from .system import (HeatDirichletParams, SpectralSystem,
                      write_trajectory_csv)
 
 SIMULATE_SLICE = 4  # ``simulate`` writes the first 4 states times the first 4 inputs
+#: Cap on a scenario's work, in flow entries (one state, one mode, one time):
+#: about 1.3 s per pointwise sweep at 5 ns per entry (check_iss, 2-vCPU x86).
+MAX_WORK = 2 ** 28
+#: Per-pair and per-time overhead of a sweep (norm, bound, margin), in flow
+#: entries: about 100 ns, as long as 20 modes, in the same measurement.
+_PAIR_TIME_COST = 20
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=(.*)$")
 
@@ -302,6 +308,25 @@ def _validate_scenario(s: Scenario) -> None:
     if s.derive == "from_iss" and s.gamma is not None and not s.gamma.unbounded:
         raise ScenarioError("certificate.derive = from_iss needs a K-infinity gamma",
                             key="certificate.derive")
+    for name in ("psi", "sigma"):
+        fn = getattr(s, name)
+        if fn is not None and not fn.unbounded:
+            raise ScenarioError(f"certificate.{name} must be of class K-infinity, got "
+                                f"{fn.describe()}", key=f"certificate.{name}")
+    work = _work(s)
+    if work > MAX_WORK:
+        raise ScenarioError(f"the budget asks for {work} flow entries per sweep, above the "
+                            f"cap {MAX_WORK}; lower budget.n_states, budget.n_inputs, "
+                            "budget.n_times or the number of modes")
+
+
+def _work(s: Scenario) -> int:
+    """Flow entries of one sweep over the budget: every pair on every
+    evaluation time and on the ULIM grid, each at the cost of its modes plus
+    the per-pair overhead."""
+    n_modes = len(s.lambdas) if s.preset == "diagonal" else s.n_modes
+    b = s.budget
+    return b.n_pairs * (n_modes + _PAIR_TIME_COST) * (b.n_times + ULIM_GRID_POINTS)
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -449,6 +474,7 @@ def _apply_overrides(s: Scenario, seed: int | None, modes: int | None) -> Scenar
             s = replace(s, lambdas=s.lambdas[:modes], b=s.b[:modes])
         else:
             s = replace(s, n_modes=modes)
+        _validate_scenario(s)
     return s
 
 

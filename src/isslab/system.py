@@ -201,21 +201,6 @@ class InputSignal:
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return float(self.values[idx])
 
-    def segments_until(self, t: float):
-        """Yield (duration, value) pieces covering [0, t], zero tail included."""
-        if t < 0.0:
-            raise DomainError("inputs are defined on t >= 0")
-        prev = 0.0
-        for i in range(self.values.size):
-            end = min(float(self.breakpoints[i + 1]), t)
-            if end > prev:
-                yield end - prev, float(self.values[i])
-                prev = end
-            if prev >= t:
-                return
-        if prev < t:
-            yield t - prev, 0.0
-
     # -- the two input-space axioms
 
     def shifted(self, tau: float) -> "InputSignal":
@@ -372,6 +357,46 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     for rows, _, block in _flow_blocks(sys, [x0], u, grid):
         states[rows] = block
     return Trajectory(times=grid, states=states, system=sys, input=u)
+
+
+def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.ndarray:
+    """int_0^t |phi(s, x0, u)|^2 ds in closed form, for each state of the
+    stack ``x0s`` (rows) and each time t >= 0 (columns).
+
+    From an anchor a with input value v, phi_k(a + s) = d_k exp(-lambda_k s)
+    + g_k v with g = b / lambda and d = phi(a) - g v, so over [a, a + h]
+
+        int |phi|^2 = sum_k d_k^2 (1 - exp(-2 lambda_k h)) / (2 lambda_k)
+                      + 2 d_k g_k v (1 - exp(-lambda_k h)) / lambda_k + g_k^2 v^2 h.
+
+    The anchor states are those of ``mild_solution``; the full segments are
+    summed cumulatively and each time adds the piece from the last anchor
+    below it.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != sys.n_modes:
+        raise ValidationError(f"state must have shape ({sys.n_modes},)")
+    if times.ndim != 1 or times.size < 1 or np.any(times < 0.0):
+        raise DomainError("integrals are taken over [0, t] with t >= 0")
+    lam, gain = sys.lambdas, sys.input_gain_coeffs
+    anchors, vals, stepped = _anchored(sys, x0s, u, float(np.max(times)))
+    anchors, vals, stepped = np.asarray(anchors), np.asarray(vals), np.stack(stepped)
+
+    def pieces(seg, h):   # int over [anchors[seg], anchors[seg] + h]: (len(seg), state)
+        v, h = vals[seg, None, None], h[:, None, None]
+        d = stepped[seg] - gain * v
+        return np.sum(d * d * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
+                      + 2.0 * d * gain * v * (-np.expm1(-lam * h)) / lam
+                      + (gain * v) ** 2 * h, axis=-1)
+
+    full = np.cumsum(pieces(np.arange(anchors.size - 1), np.diff(anchors)), axis=0)
+    cum = np.concatenate([np.zeros((1, x0s.shape[0])), full])
+    seg = np.maximum(np.searchsorted(anchors, times) - 1, 0)
+    out = (cum[seg] + pieces(seg, times - anchors[seg])).T
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("trajectory states must be finite")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls,
                     derive_norm_to_integral, dissipation_constants, draw_input,
-                    eval_times, heat_dirichlet, linear, power,
+                    eval_times, heat_dirichlet, input_integral, linear, power,
                     run_iss_equivalence_battery, sample_trajectory, trajectory_integral,
                     norm_to_integral_margin, iss_margin, uls_margin, ulim_slack,
                     dissipation_margin, Verdict)
-from isslab.checkers import ULIM_GRID_POINTS, _Tracker, _prefix_integrals, _scan
+from isslab.checkers import (ULIM_GRID_POINTS, _Tracker, _input_integrals, _norms,
+                             _prefix_integrals, _scan)
+from isslab.system import _square_integrals
 from isslab.report import conclude
 
 PI2 = math.pi ** 2
@@ -81,6 +83,23 @@ def test_eval_times_prefix_property():
     small = eval_times(BUDGET)
     large = eval_times(replace(BUDGET, n_times=2 * BUDGET.n_times))
     assert np.all(np.isin(small, large))
+
+
+def _van_der_corput(k):
+    v, denom = 0.0, 1.0
+    while k:
+        denom *= 2.0
+        v += (k & 1) / denom
+        k >>= 1
+    return v
+
+
+@pytest.mark.parametrize("n_times, horizon", [(1, 2.0), (33, 2.0), (100, 0.37), (4097, 1e-300)])
+def test_eval_times_match_the_scalar_van_der_corput_loop(n_times, horizon):
+    want = np.unique([0.0, horizon] + [horizon * _van_der_corput(k)
+                                       for k in range(1, n_times + 1)])
+    got = eval_times(replace(BUDGET, n_times=n_times, horizon=horizon))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_budget_validation():
@@ -151,9 +170,7 @@ def _refuted(sys, case):
     bad = NormToIntegralCertificate(alpha=power(0.5, 2.0), psi=power(1.0 / PI2, 2.0),
                                     sigma=power(0.01, 2.0))
     return (check_norm_to_integral(sys, bad, BUDGET),
-            lambda w: norm_to_integral_margin(
-                sys, bad, w.x0, w.input, w.t,
-                grid=build_time_grid(BUDGET.horizon, w.input, extra=eval_times(BUDGET))))
+            lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t))
 
 
 @pytest.mark.parametrize("case", ["iss", "uls", "ulim", "norm_to_integral"])
@@ -336,7 +353,6 @@ def test_integral_to_integral_constant_input_coincides():
 
 
 def test_integral_to_integral_zero_tail_shrinks_rhs():
-    from isslab import input_integral
     sigma = power(2.0 / 3.0, 2.0)
     u = InputSignal.piecewise([0.0, 1.0], [1.0])  # 1 on [0,1], 0 afterwards
     assert input_integral(u, sigma, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -435,8 +451,8 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
     tracker = _Tracker()
-    got = [lhs for _, lhs, _, _ in _scan(sys, pairs, lambda u: (grid, grid),
-                                         lambda x0, u, t: 0.0, tracker)]
+    got = [lhs for _, lhs, _, _ in _scan(sys, pairs, _norms(lambda u: (grid, grid)),
+                                         lambda r, u, t: 0.0, tracker)]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
             for u in _KERNEL_INPUTS for x0 in states]
@@ -465,6 +481,130 @@ def test_kernel_keeps_the_flow_checks():
     nan_state[2] = math.nan
     with pytest.raises(ValidationError, match="states must be finite"):
         iss_margin(sys, heat_cert(), nan_state, u, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form integrals
+
+
+_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(12)
+
+
+def _gauss_square_integral(sys, x0s, a, b, u):
+    """int_a^b |phi|^2 for each state, by 12-point Gauss-Legendre on 200 cells
+    graded geometrically after a; [a, b] must hold no input breakpoint."""
+    steps = np.geomspace(1e-12 * (b - a), b - a, 200)
+    edges = np.unique(a + np.concatenate([[0.0], steps]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = (0.5 * (hi - lo) * (_LEG_X + 1.0) + lo).ravel()
+    weights = (0.5 * (hi - lo) * _LEG_W).ravel()
+    grid = np.concatenate([[0.0], nodes])
+    return np.array([weights @ sample_trajectory(sys, x0, u, grid).norms()[1:] ** 2
+                     for x0 in x0s])
+
+
+@pytest.mark.parametrize("sys", [heat(64), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5])],
+                         ids=["heat64", "diagonal3"])
+def test_closed_form_integral_matches_gauss_reference(sys):
+    n = sys.n_modes
+    x0s = np.array([np.zeros(n), np.eye(n)[-1],
+                    np.random.default_rng(n).uniform(-1.0, 1.0, n)])
+    # t = 0, on breakpoints (0.4, 0.9, 2.0), between them, and after the
+    # last one (zero tail of the last input, past the end of the others)
+    times = np.array([0.0, 1e-6, 0.3, 0.4, 0.9, 1.3, 2.0, 2.6])
+    for u in _KERNEL_INPUTS:
+        got = _square_integrals(sys, x0s, u, times)
+        cuts = [0.0, *u.breakpoints[u.breakpoints > 0.0]]
+        for k, t in enumerate(times):
+            ends = [c for c in cuts if c < t] + [t]
+            want = sum(_gauss_square_integral(sys, x0s, a, b, u)
+                       for a, b in zip(ends[:-1], ends[1:])) if t > 0.0 else np.zeros(3)
+            np.testing.assert_allclose(got[:, k], want, rtol=1e-10, atol=1e-15)
+    assert np.all(_square_integrals(sys, x0s, InputSignal.zero(), [0.0]) == 0.0)
+
+
+def test_closed_form_agrees_with_one_state_and_one_time():
+    # a witness replays one state at one time: same bits as in the stack
+    sys = heat(16)
+    x0s = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 16))
+    times = eval_times(BUDGET)
+    full = _square_integrals(sys, x0s, _EIGHT_PIECES, times)
+    for s in (0, 3):
+        for k in (0, 5, times.size - 1):
+            one = _square_integrals(sys, x0s[s:s + 1], _EIGHT_PIECES, times[k:k + 1])
+            assert one[0, 0] == full[s, k]
+
+
+def _per_segment_input_integral(u, sigma_fn, t):
+    total, prev = 0.0, 0.0
+    for i, val in enumerate(u.values):
+        end = min(float(u.breakpoints[i + 1]), t)
+        if end > prev:
+            total += (end - prev) * sigma_fn(abs(float(val)))
+            prev = end
+    return total
+
+
+def test_input_integrals_equal_the_per_segment_sum():
+    sigma = power(2.0 / 3.0, 2.0)
+    times = np.array([0.0, 0.1, 0.15, 0.4, 0.77, 0.9, 1.7, 2.0, 3.5])
+    for u in _KERNEL_INPUTS:
+        got = _input_integrals(u, sigma, times)
+        want = [_per_segment_input_integral(u, sigma, t) for t in times]
+        assert got.tolist() == want
+        assert input_integral(u, sigma, 1.3) == _per_segment_input_integral(u, sigma, 1.3)
+    with pytest.raises(DomainError):
+        input_integral(_EIGHT_PIECES, sigma, -1.0)
+
+
+def test_exact_path_resolves_violations_below_the_simpson_tolerance():
+    # x0 = e_1, u = 0, alpha = r^2: int_0^2 |phi|^2 = (1 - exp(-4 pi^2)) / (2 pi^2);
+    # psi(1) falls 1e-10 short of it, far inside QUAD_TOL (1e-6) but not
+    # inside EXACT_TOL (1e-12)
+    budget = replace(BUDGET, n_states=2, n_inputs=1)   # the origin and e_1, u = 0
+    energy = -math.expm1(-4.0 * PI2) / (2.0 * PI2)
+    cert = NormToIntegralCertificate(alpha=power(1.0, 2.0), psi=power(energy - 1e-10, 2.0),
+                                     sigma=power(1.0, 2.0))
+    exact = check_norm_to_integral(heat(8), cert, budget)
+    assert exact.violated
+    assert exact.witness.t == 2.0
+    assert exact.worst_margin == pytest.approx(-1e-10, abs=1e-15)
+    grid = build_time_grid(2.0, extra=eval_times(budget))
+    assert not check_norm_to_integral(heat(8), cert, budget, grid=grid).violated
+
+
+def test_simpson_fallback_restarts_at_kinked_breakpoints():
+    # one mode, x' = -x + u, u = 1 then -1 from t = 0.25: the breakpoint is
+    # the middle node of the panel (0.24, 0.25, 0.26) of the caller's grid,
+    # where phi' jumps by 2.  Simpson across the kink errs by 1.5e-5; panels
+    # that restart at the breakpoint err by at most 3e-7.
+    sys = SpectralSystem([1.0], [1.0])
+    u = InputSignal.piecewise([0.0, 0.25, 2.0], [1.0, -1.0])
+    grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, 101), [0.25]]))
+    traj = sample_trajectory(sys, np.zeros(1), u, grid)
+    cert = NormToIntegralCertificate(alpha=power(1.0, 2.0), psi=power(1.0, 2.0),
+                                     sigma=power(1.0, 2.0))
+    p = 1.0 - math.exp(-0.25)   # phi(0.25); then phi(s) = (p + 1) exp(-(s - 0.25)) - 1
+    for t in grid[[14, 15, 58, -1]]:   # 0.26, 0.28, 1.14 and 2.0
+        h = t - 0.25
+        exact = (0.25 - 2.0 * p + 0.5 * (1.0 - math.exp(-0.5))
+                 + (p + 1.0) ** 2 * 0.5 * (1.0 - math.exp(-2.0 * h))
+                 - 2.0 * (p + 1.0) * (1.0 - math.exp(-h)) + h)
+        assert abs(trajectory_integral(traj, cert.alpha, t) - exact) < 1e-6
+        # margins psi(0) + t sigma(1) - int: Simpson on the grid, or exact
+        simpson_margin = norm_to_integral_margin(sys, cert, np.zeros(1), u, t, grid=grid)
+        assert abs(simpson_margin - (t - exact)) < 1e-6
+        exact_margin = norm_to_integral_margin(sys, cert, np.zeros(1), u, t)
+        assert abs(exact_margin - (t - exact)) < 1e-14
+
+
+def test_simpson_weights_stay_finite_on_tiny_grids():
+    # spacings of 1.25e-301 underflow in products such as h0 * h1
+    grid = np.linspace(0.0, 1e-300, 9)
+    vals = np.ones((2, grid.size))
+    got = _prefix_integrals(vals, grid, np.arange(grid.size))
+    np.testing.assert_allclose(got / 1e-300, np.tile(grid / 1e-300, (2, 1)), rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_derived_certificate_passes_norm_to_integral():

@@ -1,8 +1,11 @@
 """Tests for the scenario grammar, the runner, CSV outputs and the CLI."""
 
 import csv
+import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_syst
                     load_scenario, main, parse_scenario, run_scenario,
                     serialize_scenario, simulate_scenario, ISSCertificate,
                     DecayEnvelope, linear)
-from isslab.harness import CHECK_NAMES
+from isslab.harness import CHECK_NAMES, MAX_WORK, _work, bundled_scenario_path
 
 MINIMAL = """
 # minimal heat scenario
@@ -365,3 +368,63 @@ def test_cli_entry_point_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "violated" in proc.stdout
+
+
+@pytest.mark.parametrize("key", ["certificate.psi", "certificate.sigma"])
+def test_bounded_certificate_is_config_error(tmp_path, capsys, key):
+    path = tmp_path / "bounded.scn"
+    path.write_text(MINIMAL + f"{key} = saturation(1.0, 1.0)\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert err.value.key == key
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("derive", ["none", "from_iss"])
+def test_tiny_horizon_integral_checks_run(tmp_path, derive):
+    # alpha = 0.5 r**2 (closed form) and, derived, 0.5 r (Simpson fallback):
+    # grid spacings near 1e-303 once made the Simpson weights nan (exit 3)
+    text = load_scenario("diagonal_custom.scn")
+    text = replace(text, derive=derive, checks=("norm_to_integral", "integral_to_integral"),
+                   budget=replace(text.budget, horizon=1e-300))
+    path = tmp_path / "tiny.scn"
+    path.write_text(serialize_scenario(text))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+
+
+def _bench_scenario_texts():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return [text for w in workloads.WORKLOADS.values() for seed in (0, 1, 11, 29)
+            for text in w.scenario_texts(seed, "full")]
+
+
+def test_budget_work_cap_admits_every_bundled_and_benchmark_scenario():
+    scenarios = [load_scenario(name) for name in BUNDLED]
+    scenarios += [parse_scenario(text) for text in _bench_scenario_texts()]
+    # the largest, refute_heat256: 120 pairs x (256 + 20) x (33 + 513)
+    assert max(_work(s) for s in scenarios) == 120 * 276 * 546 <= MAX_WORK
+
+
+def test_budget_work_cap_is_config_error(tmp_path, capsys):
+    # 2 modes, 1 pair: (2 + 20) x (n_times + 513) flow entries, so the cap
+    # admits n_times up to MAX_WORK // 22 - 513 and no more
+    base = _diagonal_text(**{"budget.n_states": "1", "budget.n_inputs": "1"})
+    limit = MAX_WORK // 22 - 513
+    at_cap = parse_scenario(base.replace("budget.n_times = 5", f"budget.n_times = {limit}"))
+    assert _work(at_cap) <= MAX_WORK < _work(replace(
+        at_cap, budget=replace(at_cap.budget, n_times=limit + 1)))
+    with pytest.raises(ScenarioError, match="cap"):
+        parse_scenario(base.replace("budget.n_times = 5", f"budget.n_times = {limit + 1}"))
+    # the reported case: n_times = 1e8 on the bundled 2-mode-wide diagonal scenario
+    path = tmp_path / "huge.scn"
+    path.write_text(bundled_scenario_path("diagonal_custom.scn").read_text().replace(
+        "budget.n_times = 33", "budget.n_times = 100000000"))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "cap" in capsys.readouterr().err
+    # --modes can raise the work of a heat scenario past the cap
+    assert main(["check", "heat_iss.scn", "--modes", "100000",
+                 "--out", str(tmp_path / "modes")]) == 2
