@@ -28,7 +28,7 @@ from .checkers import (SampleBudget, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral,
                        check_ulim, check_uls, dissipation_margin, draw_input,
-                       draw_state, eval_times, input_integral, iss_margin, iter_pairs,
+                       draw_state, eval_times, input_integral, iss_margin,
                        norm_to_integral_margin, run_iss_equivalence_battery,
                        trajectory_integral, uls_margin, ulim_slack)
 from .harness import (RunReport, Scenario, build_system, bundled_scenario_path,

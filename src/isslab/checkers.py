@@ -5,16 +5,31 @@ times for a violation of one universally quantified inequality.  A violation
 is reported with a replayable witness; otherwise the verdict is
 ``no_violation_found``, which is evidence, not proof.
 
-One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS, CEP and the two
+One draw, one sweep.  A check draws its sample set from its budget: the
+states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
+``run_scenario`` and the ISS equivalence battery open around their checks,
+every check on the same system and budget shares one draw, and the
+pointwise checks (ISS, ULS, BRS, CEP and ULIM) share one flow sweep per
+input: the norms of all the input's states on the pointwise probe (the
+evaluation times plus the input's breakpoints), or, when ULIM runs on that
+budget too, on the union of the probe and the ULIM grid, from which each
+check takes its own columns.  Only the norms are kept.  Every flow value is
+grid-free, so a shared column is the column of a sweep on the check's own
+grid bit for bit, and a check called alone gives the same report.  Nothing
+outlives the block: a repeated run draws and sweeps again.
+
+One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS and the two
 integral forms) all say that a comparison bound minus a functional of the
 flow phi(t, x0, u), |phi| or the integral of alpha(|phi|), is nonnegative at
 every sampled (x0, u, t).  ``_scan`` is the one loop that checks them, and
 the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``,
 ``norm_to_integral_margin``) run it on one pair, so a witness replays
-through the checker's own arithmetic.  The axiom and dissipation checks
-compare point values of ``mild_solution`` and loop over the pairs directly;
-``mild_solution`` is the kernel's row at that time bit for bit, so identity,
-causality, cocycle and the Dini quotients test the flow behind every margin.
+through the checker's own arithmetic.  CEP reads its whole table off one
+sweep (see ``check_cep``).  The axiom checks step each input's stack of
+states through the stepper once (``system._flow_at``, the values of
+``mild_solution`` bit for bit); only the cocycle's restart, on an input
+shifted differently per pair, runs pair by pair.  So identity, causality,
+cocycle and the Dini quotients test the flow behind every margin.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
@@ -42,10 +57,10 @@ integral-to-integral bound is exact: a cumulative sum over the input's
 pieces, once per input for all times.
 
 Record order.  Whatever the scan order, the kernel hands each pair's pick
-to the tracker in the order of the pairs (state-major for ``iter_pairs``),
-so the records, the witness choice and the rows of ``margins.csv`` keep
-their order; only order-free maxima (ULIM's tau_hat, BRS's empirical sup)
-see the input-major order.
+to the tracker in the order of the pairs (state-major: pair i * n_inputs + j
+is state i with input j), so the records, the witness choice and the rows
+of ``margins.csv`` keep their order; only order-free maxima (ULIM's tau_hat,
+BRS's empirical sup, CEP's sup) see the input-major order.
 
 Sampling design.  States are drawn from the uniform ball in the first
 min(N, 8) modes, plus isolated high modes e_k to exercise the non-coercive
@@ -55,6 +70,9 @@ up to 8 random segments, preceded by the zero input and the constant
 full-amplitude input.  Every sample is generated from its own seeded stream,
 so enlarging a budget extends the sample set without reshuffling it: reported
 minima can only decrease, and a ``violated`` verdict can never flip back.
+The radius enters every draw as a factor, and the breakpoints do not depend
+on it, so the draws at radius 2**-k r are 2**-k times those at radius r, bit
+for bit while they stay clear of the subnormal range.
 
 Tolerances scale with the magnitude of the compared quantities,
 tol = tol_rel * (1 + scale), mostly with scale = |x0| + |u|_inf.  Pointwise
@@ -68,6 +86,8 @@ same scale on those samples (alpha = c r**2, c r and c r**0.1).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,9 +101,9 @@ from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
                        dini_estimate)
 from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
                      conclude)
-from .system import (InputSignal, SpectralSystem, _flow_blocks, _square_integrals,
-                     build_time_grid, kappa_bounds, mild_solution, seeded_rng,
-                     state_norm)
+from .system import (InputSignal, SpectralSystem, _flow_at, _flow_blocks,
+                     _square_integrals, build_time_grid, kappa_bounds, mild_solution,
+                     seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -92,6 +112,10 @@ COCYCLE_TOL = 1e-10   # relative cocycle deviation
 ULIM_GRID_POINTS = 513  # fixed hitting-time grid, independent of the budget
 CEP_LEVELS = 4       # rows eps_j of the continuity table
 CEP_HALVINGS = 8     # candidate deltas eps_j / 2**i per row
+#: CEP reads its table off one sweep when the radius r and the bound
+#: r (1 + |B/A|) on |phi| lie in this range: every level's norms and their
+#: squares then stay far from the subnormal and the overflow range.
+_CEP_SCALED_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
 @dataclass(frozen=True)
@@ -171,16 +195,89 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, budget.horizon], budget.horizon * vdc]))
 
 
-def iter_pairs(sys: SpectralSystem, budget: SampleBudget):
-    """Enumerate (index, x0, u) over the budget's state-input product set.
+class _Samples:
+    """A sample set: the states, their norms |x0| (a column) and the inputs.
 
-    Each input is drawn once and the same object is yielded for every state.
+    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(kind)``
+    gives, per input, a grid and the flow norms of every state on it (rows),
+    swept once per input, for the budget's pointwise probe (``"probe"``: the
+    evaluation times plus the input's breakpoints below the horizon) or its
+    ULIM grid (``"ulim"``: uniform, the same for every input); with
+    ``union`` set, the first request sweeps each input once on the union of
+    both grids and keeps both column sets.
     """
-    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
-    for si in range(budget.n_states):
-        x0 = draw_state(sys, budget, si)
-        for sj, u in enumerate(inputs):
-            yield si * budget.n_inputs + sj, x0, u
+
+    def __init__(self, sys: SpectralSystem, states, inputs, budget=None, union=False):
+        self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
+        self.r = np.array([[state_norm(x0)] for x0 in states])
+        self._union = union
+        self._swept: dict[str, list] = {}
+
+    @classmethod
+    def draw(cls, sys: SpectralSystem, budget: SampleBudget, union=False) -> "_Samples":
+        return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
+                   [draw_input(budget, j) for j in range(budget.n_inputs)], budget, union)
+
+    def pairs(self):
+        """(pair index, state index, input index) in pair order."""
+        n = len(self.inputs)
+        for i in range(len(self.states)):
+            for j in range(n):
+                yield i * n + j, i, j
+
+    def sweep(self, kind: str) -> list:
+        if kind not in self._swept:
+            kinds = ("probe", "ulim") if self._union else (kind,)
+            times, horizon = eval_times(self.budget), self.budget.horizon
+            ulim = np.linspace(0.0, horizon, ULIM_GRID_POINTS)
+            for k in kinds:
+                self._swept[k] = []
+            for u in self.inputs:
+                grid_of = {"probe": np.union1d(times, u.breakpoints[u.breakpoints < horizon]),
+                           "ulim": ulim}
+                grids = [grid_of[k] for k in kinds]
+                grid = np.unique(np.concatenate(grids))
+                norms = _flow_norms(self.sys, self.states, u, grid)
+                for k, g in zip(kinds, grids):
+                    self._swept[k].append((g, norms[:, np.searchsorted(grid, g)]))
+        return self._swept[kind]
+
+
+# The checks keep their public signatures, which take a budget, so a run's
+# sharing is scoped by a context variable, as np.errstate scopes its
+# settings; each block owns its memo and drops it on exit.
+_RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
+
+
+def _ulim_budget(r: float, budget: SampleBudget) -> SampleBudget:
+    """The sample budget ``check_ulim(..., r, budget)`` draws from."""
+    return replace(budget, radius=r)
+
+
+@contextmanager
+def _shared_samples(ulim=()):
+    """Within the block, checks on the same system and budget share one draw
+    and one pointwise sweep.  ``ulim`` holds the ``(r, budget)`` arguments of
+    every ``check_ulim`` call the block will make; on their sample sets the
+    sweep also covers the ULIM grid.  Nothing outlives the block."""
+    token = _RUN.set((frozenset(_ulim_budget(r, b) for r, b in ulim), {}))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
+    """The budget's sample set: the shared one inside :func:`_shared_samples`,
+    else a fresh draw."""
+    run = _RUN.get()
+    if run is None:
+        return _Samples.draw(sys, budget)
+    ulim_budgets, memo = run
+    key = (sys, budget)
+    if key not in memo:
+        memo[key] = _Samples.draw(sys, budget, union=budget in ulim_budgets)
+    return memo[key]
 
 
 def _tol(scale: float, rel: float = POINT_TOL) -> float:
@@ -214,57 +311,56 @@ class _Tracker:
 
 
 def _pair_tol(rel: float = POINT_TOL):
-    return lambda x0, u: _tol(state_norm(x0) + u.sup_norm, rel)
+    return lambda r, u: _tol(r + u.sup_norm, rel)
 
 
-def _scan(sys: SpectralSystem, pairs, lhs, bound, tracker: _Tracker,
-          best: bool = False, tol=_pair_tol()):
+def _scan(samples: _Samples, lhs, bound, tracker: _Tracker, best: bool = False,
+          tol=_pair_tol()):
     """The sampling loop of every trajectory checker, as a generator.
 
-    The pairs ``(index, x0, u)`` are grouped by input object and scanned
-    input by input.  ``lhs(sys, x0s, u)`` gives the evaluation times and the
-    compared functional of the flow (|phi| or an integral of alpha(|phi|))
-    for all the input's states at once, one row per state, and
-    ``bound(r, u, times)`` the bound for the column r of their norms |x0|.
-    Per pair the margins are bound - lhs, and ``(times, lhs, margins, picked
-    index)`` is yielded.  The smallest margin (the largest if ``best``) of
-    each pair goes to ``tracker`` with witness tolerance ``tol(x0, u)``, in
-    the order of ``pairs``, once every input is done.
+    The sample set is scanned input by input.  ``lhs(samples, j)`` gives
+    the evaluation times and the compared functional of the flow (|phi| or
+    an integral of alpha(|phi|)) for all states with input j at once, one row
+    per state, and ``bound(r, u, times)`` the bound for the column r of their
+    norms |x0|.  Per pair the margins are bound - lhs, and ``(times, lhs,
+    margins, picked index)`` is yielded.  The smallest margin (the largest if
+    ``best``) of each pair goes to ``tracker`` with witness tolerance
+    ``tol(|x0|, u)``, in pair order, once every input is done.
     """
-    groups = {}   # id(u) -> (u, members); holding u keeps its id from being reused
-    n_pairs = 0
-    for idx, x0, u in pairs:
-        groups.setdefault(id(u), (u, []))[1].append((n_pairs, idx, x0))
-        n_pairs += 1
-    picks = [None] * n_pairs
-    for u, members in groups.values():
-        x0s = [x0 for _, _, x0 in members]
-        times, lhs_rows = lhs(sys, x0s, u)
-        r = np.array([[state_norm(x0)] for x0 in x0s])
-        margin_rows = bound(r, u, times) - lhs_rows
+    n_inputs = len(samples.inputs)
+    picks = [None] * (len(samples.states) * n_inputs)
+    for j, u in enumerate(samples.inputs):
+        times, lhs_rows = lhs(samples, j)
+        margin_rows = bound(samples.r, u, times) - lhs_rows
         chosen = np.argmax(margin_rows, axis=1) if best else np.argmin(margin_rows, axis=1)
-        for (pos, idx, x0), lhs_row, margins, i in zip(members, lhs_rows, margin_rows,
-                                                      chosen.tolist()):
-            picks[pos] = (idx, times[i], margins[i], tol(x0, u), x0, u)
-            yield times, lhs_row, margins, i
+        for i, (lhs_row, margins, k) in enumerate(zip(lhs_rows, margin_rows,
+                                                      chosen.tolist())):
+            picks[i * n_inputs + j] = (i * n_inputs + j, times[k], margins[k],
+                                       tol(samples.r[i, 0], u), samples.states[i], u)
+            yield times, lhs_row, margins, k
     for pick in picks:
         tracker.add(*pick)
 
 
-def _sweep(prop: CheckProperty, sys: SpectralSystem, pairs, lhs, bound,
+def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound,
            **options) -> StabilityReport:
     """Run :func:`_scan` to the end and conclude its report."""
     tracker = _Tracker()
-    for _ in _scan(sys, pairs, lhs, bound, tracker, **options):
+    for _ in _scan(samples, lhs, bound, tracker, **options):
         pass
     return conclude(prop, tracker.records, tracker.witness)
+
+
+def _one(sys: SpectralSystem, x0, u: InputSignal) -> _Samples:
+    return _Samples(sys, [x0], [u])
 
 
 def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid) -> np.ndarray:
     """|phi(grid, x0, u)| for each state of ``x0s`` (rows)."""
     norms = np.empty((len(x0s), np.size(grid)))
     for rows, s, block in _flow_blocks(sys, x0s, u, grid):
-        norms[s, rows] = np.linalg.norm(block, axis=1)
+        # np.linalg.norm(block, axis=1), with the squares taken in place
+        norms[s, rows] = np.sqrt(np.add.reduce(np.multiply(block, block, out=block), axis=1))
     if not np.all(np.isfinite(norms)):
         raise ValidationError("trajectory states must be finite")
     return norms
@@ -272,21 +368,17 @@ def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid) -> np.ndarray:
 
 def _norms(probe):
     """lhs |phi| at the evaluation times of ``probe(u) = (grid, times)``."""
-    def lhs(sys, x0s, u):
+    def lhs(samples, j):
+        u = samples.inputs[j]
         grid, times = probe(u)
-        return times, _flow_norms(sys, x0s, u, grid)[:, _grid_indices(grid, times)]
+        norms = _flow_norms(samples.sys, samples.states, u, grid)
+        return times, norms[:, _grid_indices(grid, times)]
     return lhs
 
 
-def _pointwise_probe(budget: SampleBudget):
-    """The evaluation times plus the input's breakpoints below the horizon."""
-    times = eval_times(budget)
-
-    def probe(u):
-        bps = u.breakpoints[u.breakpoints < budget.horizon]
-        grid = np.unique(np.concatenate([times, bps]))
-        return grid, grid
-    return probe
+def _swept(kind: str):
+    """lhs |phi| on the sample set's shared sweep of ``kind``."""
+    return lambda samples, j: samples.sweep(kind)[j]
 
 
 def _at_time(t: float):
@@ -344,14 +436,14 @@ def _iss_bound(cert: ISSCertificate):
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ISS, sys, [(0, x0, u)], _norms(_at_time(t)),
+    return _sweep(CheckProperty.ISS, _one(sys, x0, u), _norms(_at_time(t)),
                   _iss_bound(cert)).worst_margin
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
-    return _sweep(CheckProperty.ISS, sys, iter_pairs(sys, budget),
-                  _norms(_pointwise_probe(budget)), _iss_bound(cert))
+    return _sweep(CheckProperty.ISS, _samples(sys, budget), _swept("probe"),
+                  _iss_bound(cert))
 
 
 def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
@@ -361,7 +453,7 @@ def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
                gamma_fn: ComparisonFunction, x0, u: InputSignal, t: float) -> float:
     """sigma(|x0|) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ULS, sys, [(0, x0, u)], _norms(_at_time(t)),
+    return _sweep(CheckProperty.ULS, _one(sys, x0, u), _norms(_at_time(t)),
                   _uls_bound(sigma_fn, gamma_fn)).worst_margin
 
 
@@ -370,9 +462,8 @@ def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
               budget: SampleBudget) -> StabilityReport:
     """Static bound sigma(|x0|) + gamma(|u|) over the ball of radius r."""
     _require_positive(r=r)
-    local = replace(budget, radius=r)
-    return _sweep(CheckProperty.ULS, sys, iter_pairs(sys, local),
-                  _norms(_pointwise_probe(local)), _uls_bound(sigma_fn, gamma_fn))
+    return _sweep(CheckProperty.ULS, _samples(sys, replace(budget, radius=r)),
+                  _swept("probe"), _uls_bound(sigma_fn, gamma_fn))
 
 
 def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
@@ -383,7 +474,7 @@ def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
                x0, u: InputSignal, grid) -> float:
     """Best slack eps + gamma(|u|) - |phi(t)| over the grid; >= 0 iff a hit."""
     grid = np.asarray(grid, dtype=float)
-    return _sweep(CheckProperty.ULIM, sys, [(0, x0, u)], _norms(lambda _: (grid, grid)),
+    return _sweep(CheckProperty.ULIM, _one(sys, x0, u), _norms(lambda _: (grid, grid)),
                   _ulim_level(gamma_fn, eps), best=True).worst_margin
 
 
@@ -397,14 +488,11 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     maximum first-hit time over the samples and is reported in the notes.
     """
     _require_positive(eps=eps, r=r)
-    local = replace(budget, radius=r)
-    grid = np.linspace(0.0, local.horizon, ULIM_GRID_POINTS)
     tracker = _Tracker()
     tau_hat, exhausted = 0.0, False
-    for times, _, slack, _ in _scan(sys, iter_pairs(sys, local),
-                                    _norms(lambda _: (grid, grid)),
-                                    _ulim_level(gamma_fn, eps), tracker,
-                                    best=True, tol=lambda x0, u: 0.0):
+    for times, _, slack, _ in _scan(_samples(sys, _ulim_budget(r, budget)),
+                                    _swept("ulim"), _ulim_level(gamma_fn, eps), tracker,
+                                    best=True, tol=lambda r, u: 0.0):
         hits = np.nonzero(slack >= 0.0)[0]
         if hits.size:
             tau_hat = max(tau_hat, float(times[hits[0]]))
@@ -421,25 +509,48 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     delta in {eps_j / 2**i} such that every sample with |x0|, |u|_inf <= delta
     stays within eps_j on [0, h].  The (eps_j, delta_j) table is reported in
     the notes; failure to find any workable delta is a violation.
+
+    One sweep gives the whole table.  The draws at radius delta = 2**-m
+    radius are 2**-m times the draws at the budget's radius, the flow is
+    linear, and scaling by a power of two is exact in floating point, so
+    every flow value, and every norm, at delta is 2**-m times its value at
+    the radius.  With S the largest |phi| of the sweep at the radius on
+    [0, h], level j and halving i have worst margin eps_j - S * 2**-(j + i),
+    the margin of their own sweep bit for bit.  The caveat is the subnormal
+    range, where scaling rounds: a component that falls there is far below
+    the largest norm and vanishes in its rounding, unless the radius itself
+    is tiny (at radius 1e-155 on heat(8) the squares of the smallest levels
+    round differently).  Radii outside ``_CEP_SCALED_RANGE``, and radii at
+    which |phi| could overflow while half of it does not, sweep every level
+    as stated above.  A level that no delta satisfies sweeps its last
+    halving for the exact witness.
     """
     _require_positive(h=h)
+    local = replace(budget, horizon=h)
+    gain = float(np.linalg.norm(sys.input_gain_coeffs))
+    scaled = (_CEP_SCALED_RANGE[0] <= budget.radius
+              and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
+    sup = (max(float(np.max(norms)) for _, norms in _samples(sys, local).sweep("probe"))
+           if scaled else None)
     tracker = _Tracker()
     table = []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
-        chosen_delta = None
+        chosen_delta, witness = None, None
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
-            local = replace(budget, radius=delta, horizon=h)
-            level = _sweep(CheckProperty.CEP, sys, iter_pairs(sys, local),
-                           _norms(_pointwise_probe(local)), lambda r, u, t, e=eps_j: e,
-                           tol=lambda x0, u: 0.0)
-            if level.witness is None:
+            margin = eps_j - sup * 2.0 ** -(j + i) if scaled else -math.inf
+            if margin < 0.0 and (i == CEP_HALVINGS or not scaled):
+                level = _sweep(CheckProperty.CEP, _samples(sys, replace(local, radius=delta)),
+                               _swept("probe"), lambda r, u, t: eps_j, tol=lambda r, u: 0.0)
+                margin, witness = level.worst_margin, level.witness
+            if margin >= 0.0:
                 chosen_delta = delta
                 break
-        w = level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
-                                     level.worst_margin)
-        tracker.add(j, w.t, w.margin, 0.0, w.x0, w.input)
+        if witness is None:
+            tracker.add(j, h, margin, 0.0, np.zeros(sys.n_modes), InputSignal.zero())
+        else:
+            tracker.add(j, witness.t, witness.margin, 0.0, witness.x0, witness.input)
         table.append((eps_j, chosen_delta))
     notes = "table " + "; ".join(
         f"eps={e!r}->delta={d!r}" for e, d in table)
@@ -450,13 +561,12 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
               budget: SampleBudget) -> StabilityReport:
     """A-priori reachability bound C (M + kappa_upper(tau)) on [0, tau]."""
     _require_positive(C=C, tau=tau)
-    local = replace(budget, radius=C, horizon=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     tracker = _Tracker()
     sup = 0.0
-    for _, norms, _, _ in _scan(sys, iter_pairs(sys, local), _norms(_pointwise_probe(local)),
-                                lambda r, u, t: bound, tracker,
-                                tol=lambda x0, u: _tol(bound)):
+    for _, norms, _, _ in _scan(_samples(sys, replace(budget, radius=C, horizon=tau)),
+                                _swept("probe"), lambda r, u, t: bound, tracker,
+                                tol=lambda r, u: _tol(bound)):
         sup = max(sup, float(np.max(norms)))
     notes = f"empirical_sup={sup!r} bound={bound!r}"
     return conclude(CheckProperty.BRS, tracker.records, tracker.witness, notes=notes)
@@ -501,13 +611,14 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float, gri
     or on one graded after 0 and each input breakpoint."""
     if grid is None and alpha.form == "power" and alpha.params[1] == 2.0:
         c = alpha.params[0]
-        return (lambda sys, x0s, u: (times, c * _square_integrals(sys, x0s, u, times)),
-                _pair_tol(EXACT_TOL))
+        return (lambda samples, j: (times, c * _square_integrals(
+            samples.sys, samples.states, samples.inputs[j], times)), _pair_tol(EXACT_TOL))
     fixed = None if grid is None else np.asarray(grid, dtype=float)
 
-    def lhs(sys, x0s, u):
+    def lhs(samples, j):
+        u = samples.inputs[j]
         g = build_time_grid(horizon, u, extra=times) if fixed is None else fixed
-        vals = evaluate(alpha, _flow_norms(sys, x0s, u, g))
+        vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, u, g))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
     return lhs, _pair_tol(QUAD_TOL)
@@ -552,7 +663,7 @@ def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate
     alpha = c r**2 and no ``grid``, else by Simpson on ``grid`` (default: a
     graded grid on [0, t]), which must contain t."""
     lhs, _ = _integrals(cert.alpha, np.array([float(t)]), max(t, 1e-6), grid)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, [(0, x0, u)], lhs,
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _one(sys, x0, u), lhs,
                   _nti_bound(cert)).worst_margin
 
 
@@ -560,7 +671,7 @@ def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget, grid=None) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
     lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget), lhs,
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
                   _nti_bound(cert), tol=tol)
 
 
@@ -571,8 +682,8 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
     def bound(r, u, times):
         return evaluate(cert.psi, r) + _input_integrals(u, cert.sigma, times)
     lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
-    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, sys, iter_pairs(sys, budget),
-                  lhs, bound, tol=tol)
+    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
+                  bound, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +701,12 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
                       params: DissipationParameters, budget: SampleBudget,
                       h_seq=DEFAULT_DINI_H) -> StabilityReport:
     """Vdot surrogate against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample."""
+    samples = _samples(sys, budget)
     tracker = _Tracker()
-    for idx, x0, u in iter_pairs(sys, budget):
+    for idx, i, j in samples.pairs():
+        x0, u = samples.states[i], samples.inputs[j]
         margin = dissipation_margin(sys, op, params, x0, u, h_seq)
-        tol = 1e-4 * (1.0 + state_norm(x0) ** 2 + u.sup_norm ** 2)
+        tol = 1e-4 * (1.0 + float(samples.r[i, 0]) ** 2 + u.sup_norm ** 2)
         tracker.add(idx, 0.0, margin, tol, x0, u)
     return conclude(CheckProperty.DISSIPATION, tracker.records, tracker.witness)
 
@@ -601,30 +714,46 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
 def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """Identity (phi(0) == x0 bit for bit) and causality (agreeing inputs
     give identical states); any deviation at all is a violation."""
-    tracker = _Tracker()
+    samples = _samples(sys, budget)
+    x0s = np.array(samples.states)
     t_mid = 0.5 * budget.horizon
-    for idx, x0, u in iter_pairs(sys, budget):
-        dev = float(np.max(np.abs(mild_solution(sys, x0, u, 0.0) - x0)))
-        tail = InputSignal.constant(0.37 * (1.0 + budget.radius), 1.0)
+    at_0, at_mid = np.zeros(len(x0s)), np.full(len(x0s), t_mid)
+    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), 1.0)
+    dev, dev_c = [], []   # per input, per state
+    for u in samples.inputs:
         u_twin = u.concatenated(tail, t_mid)
-        dev_c = float(np.max(np.abs(
-            mild_solution(sys, x0, u, t_mid) - mild_solution(sys, x0, u_twin, t_mid))))
-        margin = -max(dev, dev_c)
-        tracker.add(idx, 0.0 if dev >= dev_c else t_mid, margin, 0.0, x0, u)
+        dev.append(np.max(np.abs(_flow_at(sys, x0s, u, at_0) - x0s), axis=1).tolist())
+        dev_c.append(np.max(np.abs(_flow_at(sys, x0s, u, at_mid)
+                                   - _flow_at(sys, x0s, u_twin, at_mid)), axis=1).tolist())
+    tracker = _Tracker()
+    for idx, i, j in samples.pairs():
+        d, d_c = dev[j][i], dev_c[j][i]
+        tracker.add(idx, 0.0 if d >= d_c else t_mid, -max(d, d_c), 0.0,
+                    samples.states[i], samples.inputs[j])
     return conclude(CheckProperty.IDENTITY, tracker.records, tracker.witness)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
-    tracker = _Tracker()
-    for idx, x0, u in iter_pairs(sys, budget):
+    samples = _samples(sys, budget)
+    x0s = np.array(samples.states)
+    shape = (len(samples.states), len(samples.inputs))
+    t, h, margins = np.empty(shape), np.empty(shape), np.empty(shape)
+    for idx, i, j in samples.pairs():
         rng = seeded_rng(budget.seed, 33, idx)
-        t = float(rng.uniform(0.0, 0.6 * budget.horizon))
-        h = float(rng.uniform(0.0, 0.4 * budget.horizon))
-        direct = mild_solution(sys, x0, u, t + h)
-        restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
-        margin = COCYCLE_TOL * (1.0 + state_norm(direct)) - state_norm(direct - restart)
-        tracker.add(idx, t + h, margin, 0.0, x0, u)
+        t[i, j] = rng.uniform(0.0, 0.6 * budget.horizon)
+        h[i, j] = rng.uniform(0.0, 0.4 * budget.horizon)
+    for j, u in enumerate(samples.inputs):
+        direct = _flow_at(sys, x0s, u, t[:, j] + h[:, j])
+        mid = _flow_at(sys, x0s, u, t[:, j])
+        for i in range(shape[0]):
+            restart = mild_solution(sys, mid[i], u.shifted(float(t[i, j])), float(h[i, j]))
+            margins[i, j] = (COCYCLE_TOL * (1.0 + state_norm(direct[i]))
+                             - state_norm(direct[i] - restart))
+    tracker = _Tracker()
+    for idx, i, j in samples.pairs():
+        tracker.add(idx, t[i, j] + h[i, j], margins[i, j], 0.0,
+                    samples.states[i], samples.inputs[j])
     return conclude(CheckProperty.COCYCLE, tracker.records, tracker.witness)
 
 
@@ -647,35 +776,36 @@ def run_iss_equivalence_battery(sys: SpectralSystem, cert: ISSCertificate,
     """
     r = budget.radius if r is None else r
     uls_sigma = linear(cert.beta.M) if uls_sigma is None else uls_sigma
-    reports = [
-        check_ulim(sys, cert.gamma, ulim_eps, r, budget),
-        check_uls(sys, uls_sigma, cert.gamma, r, budget),
-        check_brs(sys, budget.radius, budget.horizon, budget),
-        check_iss(sys, cert, budget),
-    ]
-    comp_violated = any(rep.violated for rep in reports[:3])
-    iss_violated = reports[3].violated
-    if comp_violated != iss_violated:
-        big = replace(budget, n_states=budget.n_states * 3,
-                      n_inputs=budget.n_inputs * 2)
-        if comp_violated and not iss_violated:
-            retry = check_iss(sys, cert, big)
-            if retry.violated:
-                reports[3] = replace(retry, notes="violated under the enlarged "
-                                     "consistency budget")
+    big = replace(budget, n_states=budget.n_states * 3, n_inputs=budget.n_inputs * 2)
+    with _shared_samples(ulim=[(r, budget)]):
+        reports = [
+            check_ulim(sys, cert.gamma, ulim_eps, r, budget),
+            check_uls(sys, uls_sigma, cert.gamma, r, budget),
+            check_brs(sys, budget.radius, budget.horizon, budget),
+            check_iss(sys, cert, budget),
+        ]
+        comp_violated = any(rep.violated for rep in reports[:3])
+        iss_violated = reports[3].violated
+        if comp_violated != iss_violated:
+            if comp_violated and not iss_violated:
+                retry = check_iss(sys, cert, big)
+                if retry.violated:
+                    reports[3] = replace(retry, notes="violated under the enlarged "
+                                         "consistency budget")
+                else:
+                    reports[3] = replace(reports[3], notes="inconsistent with component "
+                                         "probes even after budget enlargement; review")
             else:
-                reports[3] = replace(reports[3], notes="inconsistent with component "
-                                     "probes even after budget enlargement; review")
-        else:
-            retry = [check_ulim(sys, cert.gamma, ulim_eps, r, big),
-                     check_uls(sys, uls_sigma, cert.gamma, r, big),
-                     check_brs(sys, budget.radius, budget.horizon, big)]
-            if any(rep.violated for rep in retry):
-                for i, rep in enumerate(retry):
-                    if rep.violated:
-                        reports[i] = replace(rep, notes="violated under the enlarged "
-                                             "consistency budget")
-            else:
-                reports[3] = replace(reports[3], notes="ISS violation not matched by "
-                                     "any component probe after enlargement; review")
-    return reports
+                with _shared_samples(ulim=[(r, big)]):
+                    retry = [check_ulim(sys, cert.gamma, ulim_eps, r, big),
+                             check_uls(sys, uls_sigma, cert.gamma, r, big),
+                             check_brs(sys, budget.radius, budget.horizon, big)]
+                if any(rep.violated for rep in retry):
+                    for i, rep in enumerate(retry):
+                        if rep.violated:
+                            reports[i] = replace(rep, notes="violated under the enlarged "
+                                                 "consistency budget")
+                else:
+                    reports[3] = replace(reports[3], notes="ISS violation not matched by "
+                                         "any component probe after enlargement; review")
+        return reports

@@ -40,9 +40,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (ULIM_GRID_POINTS, SampleBudget, check_brs, check_cep, check_cocycle,
-                       check_dissipation, check_identity, check_iss,
-                       check_integral_to_integral, check_norm_to_integral,
+from .checkers import (ULIM_GRID_POINTS, SampleBudget, _shared_samples, check_brs,
+                       check_cep, check_cocycle, check_dissipation, check_identity,
+                       check_iss, check_integral_to_integral, check_norm_to_integral,
                        check_ulim, check_uls, draw_input, draw_state)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral,
@@ -128,14 +128,18 @@ class _Resolved(NamedTuple):
     uls_sigma: ComparisonFunction
 
 
+def _ulim_args(s: Scenario) -> tuple:
+    """The ``(r, budget)`` arguments of the scenario's ULIM check."""
+    return s.budget.radius, s.budget
+
+
 #: Every check in canonical order: name -> run(scenario, resolved).
 _CHECKS = {
     "identity": lambda s, r: check_identity(r.sys, s.budget),
     "cocycle": lambda s, r: check_cocycle(r.sys, s.budget),
     "iss": lambda s, r: check_iss(r.sys, r.iss, s.budget),
     "uls": lambda s, r: check_uls(r.sys, r.uls_sigma, r.iss.gamma, s.budget.radius, s.budget),
-    "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, s.budget.radius,
-                                    s.budget),
+    "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, *_ulim_args(s)),
     "brs": lambda s, r: check_brs(r.sys, s.budget.radius if s.brs_c is None else s.brs_c,
                                   s.budget.horizon if s.brs_tau is None else s.brs_tau,
                                   s.budget),
@@ -373,19 +377,27 @@ def _resolve(s: Scenario) -> _Resolved:
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
-    """Execute the requested checks in declared order and write the outputs."""
+    """Execute the requested checks in declared order and write the outputs.
+
+    The checks on one budget share its draw and flow sweep, which the first
+    check to ask for them makes.  So a check's ``seconds`` include the work
+    it does for the checks after it (on the bundled pointwise scenarios
+    identity draws the sample set and ISS sweeps the flow for ULS, ULIM and
+    BRS), and a flow that fails in that shared sweep aborts the first check.
+    """
     resolved = _resolve(s)
     entries = []
-    for name in s.checks:
-        t0 = time.perf_counter()
-        try:
-            rep = _CHECKS[name](s, resolved)
-        except Exception as exc:
-            raise RuntimeError(f"check {name!r} aborted: {exc}") from exc
-        seconds = time.perf_counter() - t0
-        wfile = f"witness_{name}.csv" if rep.violated else None
-        entries.append(CheckRun(name=name, report=rep, seconds=seconds,
-                                witness_file=wfile))
+    with _shared_samples(ulim=[_ulim_args(s)] if "ulim" in s.checks else []):
+        for name in s.checks:
+            t0 = time.perf_counter()
+            try:
+                rep = _CHECKS[name](s, resolved)
+            except Exception as exc:
+                raise RuntimeError(f"check {name!r} aborted: {exc}") from exc
+            seconds = time.perf_counter() - t0
+            wfile = f"witness_{name}.csv" if rep.violated else None
+            entries.append(CheckRun(name=name, report=rep, seconds=seconds,
+                                    witness_file=wfile))
     run = RunReport(scenario_digest=s.digest(), version=f"isslab {__version__}",
                     entries=tuple(entries))
     emit_csv(run, out_dir or s.out_dir, resolved.sys, s)

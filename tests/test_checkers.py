@@ -14,15 +14,17 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls,
-                    derive_norm_to_integral, dissipation_constants, draw_input,
+                    derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
                     eval_times, heat_dirichlet, input_integral, linear, power,
                     run_iss_equivalence_battery, sample_trajectory, trajectory_integral,
                     norm_to_integral_margin, iss_margin, uls_margin, ulim_slack,
                     dissipation_margin, Verdict)
-from isslab.checkers import (ULIM_GRID_POINTS, _Tracker, _input_integrals, _norms,
-                             _prefix_integrals, _scan)
+from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, ULIM_GRID_POINTS,
+                             _Samples, _Tracker, _input_integrals, _norms,
+                             _prefix_integrals, _scan, _sweep, _swept)
 from isslab.system import _square_integrals
-from isslab.report import conclude
+from isslab.report import Witness, conclude
+from isslab.system import mild_solution, seeded_rng, state_norm
 
 PI2 = math.pi ** 2
 SQRT3 = math.sqrt(3.0)
@@ -276,6 +278,71 @@ def test_cep_origin_stays_at_zero():
     assert np.all(traj.norms() == 0.0)
 
 
+def assert_same_report(got, want):
+    """Equal verdict, notes, margins, records and witness, compared with ==."""
+    assert (got.property, got.verdict, got.notes, got.worst_margin, got.samples_checked) == (
+        want.property, want.verdict, want.notes, want.worst_margin, want.samples_checked)
+    assert got.margins == want.margins
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        g, w = got.witness, want.witness
+        assert (g.t, g.margin) == (w.t, w.margin)
+        assert np.array_equal(g.x0, w.x0)
+        assert np.array_equal(g.input.breakpoints, w.input.breakpoints)
+        assert np.array_equal(g.input.values, w.input.values)
+
+
+def _cep_reference(sys, budget, h):
+    """The continuity table as stated: each level swept at every halving
+    until one stays within eps_j, the last halving's witness otherwise."""
+    tracker, table = _Tracker(), []
+    for j in range(CEP_LEVELS):
+        eps_j = budget.radius * 2.0 ** (-j)
+        chosen = None
+        for i in range(1, CEP_HALVINGS + 1):
+            delta = eps_j / 2.0 ** i
+            samples = _Samples.draw(sys, replace(budget, radius=delta, horizon=h))
+            level = _sweep(CheckProperty.CEP, samples, _swept("probe"),
+                           lambda r, u, t, e=eps_j: e, tol=lambda r, u: 0.0)
+            if level.witness is None:
+                chosen = delta
+                break
+        w = level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
+                                     level.worst_margin)
+        tracker.add(j, w.t, w.margin, 0.0, w.x0, w.input)
+        table.append(f"eps={eps_j!r}->delta={chosen!r}")
+    return conclude(CheckProperty.CEP, tracker.records, tracker.witness,
+                    notes="table " + "; ".join(table))
+
+
+_CEP_CASES = {
+    "heat16": (heat(16), SampleBudget(n_states=9, n_inputs=6, n_times=9, seed=5), 1.0),
+    "heat64": (heat(64), BUDGET, 0.5),
+    # gain 600: |phi| reaches about 600 delta, beyond every halving (2**8)
+    "diagonal_violated": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+                          SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0),
+    # gain 10: delta = eps / 16 at every level
+    "diagonal_gain10": (SpectralSystem([1.0, 4.0], [10.0, 3.0]),
+                        SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=8), 5.0),
+    # radii swept level by level: read off one sweep, the table would differ
+    # here (squares near the subnormal range) ...
+    "heat8_radius_1e-155": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
+                                                  radius=1e-155, seed=2), 1.0),
+    # ... or overflow at the radius, while every level (radius / 2 and below) runs
+    "diagonal_radius_3e151": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+                              SampleBudget(n_states=6, n_inputs=4, n_times=9,
+                                           radius=3e151, seed=2), 20.0),
+}
+
+
+@pytest.mark.parametrize("case", _CEP_CASES.values(), ids=_CEP_CASES.keys())
+def test_cep_table_equals_the_per_level_sweeps(case):
+    sys, budget, h = case
+    got = check_cep(sys, budget, h)
+    assert_same_report(got, _cep_reference(sys, budget, h))
+    assert got.violated == (case[0].n_modes == 3)
+
+
 def test_cep_rejects_bad_horizon():
     with pytest.raises(DomainError):
         check_cep(heat(4), BUDGET, h=0.0)
@@ -451,7 +518,8 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
     tracker = _Tracker()
-    got = [lhs for _, lhs, _, _ in _scan(sys, pairs, _norms(lambda u: (grid, grid)),
+    samples = _Samples(sys, states, list(_KERNEL_INPUTS))
+    got = [lhs for _, lhs, _, _ in _scan(samples, _norms(lambda u: (grid, grid)),
                                          lambda r, u, t: 0.0, tracker)]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
@@ -663,6 +731,40 @@ def test_cocycle_within_tolerance():
     assert rep.worst_margin > 0.0  # deviations sit far below 1e-10 relative
 
 
+def _axioms_per_pair(sys, budget):
+    """Identity and cocycle records computed pair by pair with mild_solution."""
+    identity, cocycle = [], []
+    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
+    t_mid = 0.5 * budget.horizon
+    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), 1.0)
+    for i in range(budget.n_states):
+        x0 = draw_state(sys, budget, i)
+        for j, u in enumerate(inputs):
+            idx = i * budget.n_inputs + j
+            dev = float(np.max(np.abs(mild_solution(sys, x0, u, 0.0) - x0)))
+            dev_c = float(np.max(np.abs(mild_solution(sys, x0, u, t_mid) - mild_solution(
+                sys, x0, u.concatenated(tail, t_mid), t_mid))))
+            identity.append(MarginRecord(idx, 0.0 if dev >= dev_c else t_mid,
+                                         -max(dev, dev_c)))
+            rng = seeded_rng(budget.seed, 33, idx)
+            t = float(rng.uniform(0.0, 0.6 * budget.horizon))
+            h = float(rng.uniform(0.0, 0.4 * budget.horizon))
+            direct = mild_solution(sys, x0, u, t + h)
+            restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
+            cocycle.append(MarginRecord(idx, t + h, COCYCLE_TOL * (1.0 + state_norm(direct))
+                                        - state_norm(direct - restart)))
+    return tuple(identity), tuple(cocycle)
+
+
+@pytest.mark.parametrize("sys", [heat(16), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5])],
+                         ids=["heat16", "diagonal3"])
+def test_batched_axiom_checks_equal_the_per_pair_flow(sys):
+    budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
+    identity, cocycle = _axioms_per_pair(sys, budget)
+    assert check_identity(sys, budget).margins == identity
+    assert check_cocycle(sys, budget).margins == cocycle
+
+
 # ---------------------------------------------------------------------------
 # the equivalence battery
 
@@ -680,3 +782,36 @@ def test_battery_bad_gain_consistent_violations():
     iss_rep = reports[3]
     assert iss_rep.violated
     assert any(rep.violated for rep in reports[:3])
+
+
+def _count_sweeps(monkeypatch, budget):
+    """Record (input, whether the grid holds budget's ULIM grid) per sweep."""
+    import isslab.checkers as checkers_mod
+    ulim_grid = np.linspace(0.0, budget.horizon, ULIM_GRID_POINTS)
+    flow_norms, swept = checkers_mod._flow_norms, []
+
+    def counted(sys, x0s, u, grid):
+        swept.append((u, bool(np.all(np.isin(ulim_grid, grid)))))
+        return flow_norms(sys, x0s, u, grid)
+    monkeypatch.setattr(checkers_mod, "_flow_norms", counted)
+    return swept
+
+
+def test_battery_sweeps_each_input_once(monkeypatch):
+    swept = _count_sweeps(monkeypatch, BUDGET)
+    run_iss_equivalence_battery(heat(16), heat_cert(), BUDGET)
+    # ULIM, ULS, BRS and ISS read one sweep per input on the union grid
+    assert len(swept) == len({id(u) for u, _ in swept}) == BUDGET.n_inputs
+    assert all(union for _, union in swept)
+
+
+def test_battery_iss_retry_sweeps_the_probe_alone(monkeypatch):
+    swept = _count_sweeps(monkeypatch, BUDGET)
+    # no trajectory gets within 1e-12 + gamma(|u|) before the horizon, so ULIM
+    # fails while ISS holds, and only ISS runs again on the enlarged budget
+    reports = run_iss_equivalence_battery(heat(16), heat_cert(), BUDGET, ulim_eps=1e-12)
+    assert reports[0].violated and not reports[3].violated
+    assert "review" in reports[3].notes
+    assert len(swept) == len({id(u) for u, _ in swept}) == 3 * BUDGET.n_inputs
+    assert [union for _, union in swept] == [True] * BUDGET.n_inputs + [False] * (
+        2 * BUDGET.n_inputs)

@@ -4,9 +4,11 @@ import csv
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,10 @@ from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_syst
                     load_scenario, main, parse_scenario, run_scenario,
                     serialize_scenario, simulate_scenario, ISSCertificate,
                     DecayEnvelope, linear)
-from isslab.harness import CHECK_NAMES, MAX_WORK, _work, bundled_scenario_path
+from isslab import checkers
+from isslab.harness import (_CHECKS, CHECK_NAMES, MAX_WORK, _resolve, _work,
+                            bundled_scenario_path)
+from test_checkers import assert_same_report
 
 MINIMAL = """
 # minimal heat scenario
@@ -393,12 +398,16 @@ def test_tiny_horizon_integral_checks_run(tmp_path, derive):
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
 
 
-def _bench_scenario_texts():
+def _bench_workloads() -> dict:
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
     workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(workloads)
-    return [text for w in workloads.WORKLOADS.values() for seed in (0, 1, 11, 29)
+    return workloads.WORKLOADS
+
+
+def _bench_scenario_texts():
+    return [text for w in _bench_workloads().values() for seed in (0, 1, 11, 29)
             for text in w.scenario_texts(seed, "full")]
 
 
@@ -428,3 +437,57 @@ def test_budget_work_cap_is_config_error(tmp_path, capsys):
     # --modes can raise the work of a heat scenario past the cap
     assert main(["check", "heat_iss.scn", "--modes", "100000",
                  "--out", str(tmp_path / "modes")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one draw and one sweep per run
+
+
+def _tiny_workload(name: str):
+    return parse_scenario(_bench_workloads()[name].scenario_texts(0, "tiny")[0])
+
+
+@pytest.mark.parametrize("case", [*BUNDLED, "pointwise_heat64", "integral_heat64",
+                                  "refute_heat256"])
+def test_shared_samples_give_the_standalone_reports(tmp_path, case):
+    s = load_scenario(case) if case in BUNDLED else _tiny_workload(case)
+    run = run_scenario(s, str(tmp_path))
+    resolved = _resolve(s)
+    assert [e.name for e in run.entries] == list(s.checks)
+    for e in run.entries:
+        # outside run_scenario the check draws and sweeps its own samples
+        assert_same_report(e.report, _CHECKS[e.name](s, resolved))
+
+
+def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
+    drawn = Counter()
+
+    def counted(draw, kind):
+        def wrapper(*args):
+            drawn[kind, args[-2], args[-1]] += 1   # (kind, budget, index)
+            return draw(*args)
+        return wrapper
+    swept = []   # (input, whether the grid holds the ULIM grid of s.budget)
+
+    def counted_sweep(sys, x0s, u, grid):
+        swept.append((u, bool(np.all(np.isin(ulim_grid, grid)))))
+        return flow_norms(sys, x0s, u, grid)
+    flow_norms = checkers._flow_norms
+    monkeypatch.setattr(checkers, "draw_state", counted(checkers.draw_state, "state"))
+    monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
+    monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
+    s = _tiny_workload("pointwise_heat64")
+    ulim_grid = np.linspace(0.0, s.budget.horizon, checkers.ULIM_GRID_POINTS)
+    run_scenario(s, str(tmp_path))
+    # identity, cocycle, iss, uls, ulim and brs share s.budget; cep sweeps at cep_h
+    b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
+    assert drawn == {**{("state", x, i): 1 for x in (b, cep) for i in range(b.n_states)},
+                     **{("input", x, j): 1 for x in (b, cep) for j in range(b.n_inputs)}}
+    # one sweep per input of each sample set: iss, uls, ulim and brs read one
+    # sweep on the union of the probe and the ULIM grid, cep one of its own
+    assert len(swept) == len({id(u) for u, _ in swept}) == 2 * b.n_inputs
+    assert sum(union for _, union in swept) == b.n_inputs
+    # nothing is kept between runs: the next run draws every sample again
+    run_scenario(s, str(tmp_path))
+    assert set(drawn.values()) == {2}
+    assert checkers._RUN.get() is None

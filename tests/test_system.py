@@ -12,6 +12,7 @@ from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSyste
                     Trajectory, ValidationError, build_time_grid, heat_dirichlet,
                     kappa_bounds, mild_solution, sample_trajectory, semigroup_apply,
                     state_norm)
+from isslab.system import _CSV_ROWS, _flow_at
 
 PI2 = math.pi ** 2
 
@@ -208,6 +209,23 @@ def test_trajectory_matches_mild_solution_across_row_blocks():
         rows = np.array([mild_solution(sys, x0, u_, t) for t in grid])
         differ = np.nonzero(np.any(traj.states != rows, axis=1))[0]
         assert differ.size == 0, f"{sys.label}: rows {differ[:5]} of {grid.size} differ"
+
+
+def test_stacked_flow_matches_mild_solution_per_state():
+    # each state of a stack at its own time (0, on a breakpoint, inside a
+    # segment, on the zero tail, all equal) is mild_solution bit for bit
+    u = InputSignal.piecewise([0.0, 0.3, 0.75, 1.1], [1.0, -0.6, 0.4])  # zero tail
+    rng = np.random.default_rng(3)
+    for sys in (heat(16), SpectralSystem(np.array([0.5, 3.0, 40.0]),
+                                         np.array([1.0, -2.0, 0.7]))):
+        n = sys.n_modes
+        x0s = np.vstack([np.zeros(n), np.eye(n)[-1], rng.standard_normal((4, n))])
+        for times in ([0.0, 0.3, 0.5, 0.75, 1.1, 1.7], np.full(6, 0.75), np.zeros(6),
+                      rng.uniform(0.0, 2.0, 6)):
+            for u_ in (u, InputSignal.zero()):
+                got = _flow_at(sys, x0s, u_, times)
+                want = np.array([mild_solution(sys, x0, u_, t) for x0, t in zip(x0s, times)])
+                assert np.array_equal(got, want)
 
 
 def test_trajectory_grid_validation():
@@ -415,3 +433,21 @@ def test_trajectory_csv_matches_per_float_formatting(tmp_path):
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     assert path.read_text(encoding="utf-8") == _per_float_csv(traj)
+    # the writer formats each distinct bit pattern of a block once: a first
+    # block whose values are all equal (+0.0), then a column repeating one
+    # value, 0.0 and -0.0 in one column, and repeats across the columns, over
+    # rows that end inside the fourth block
+    n = 3 * _CSV_ROWS + 5
+    times = np.zeros(n)
+    times[_CSV_ROWS:] = np.sort(rng.uniform(0.0, 2.0, n - _CSV_ROWS))
+    states = np.zeros((n, 3))
+    states[_CSV_ROWS:, 0] = 2.5
+    states[_CSV_ROWS:, 1] = np.where(np.arange(n - _CSV_ROWS) % 2 == 0, 0.0, -0.0)
+    states[_CSV_ROWS:, 2] = rng.choice([-0.1, 0.1, 2.5, 1e-300], n - _CSV_ROWS)
+    traj = Trajectory(times=times, states=states, system=heat(3), input=InputSignal.zero())
+    path = tmp_path / "repeats.csv"
+    traj.to_csv(path)
+    text = path.read_text(encoding="utf-8")
+    assert text == _per_float_csv(traj)
+    assert ",-0," in text and ",0," in text
+    assert text.splitlines()[1] == "0,0,0,0,0"
