@@ -647,11 +647,6 @@ def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.
     return cum[i] + levels[i] * (times - bp[i])
 
 
-def input_integral(u: InputSignal, sigma_fn: ComparisonFunction, t: float) -> float:
-    """Exact integral of sigma(|u(s)|) over [0, t] for piecewise-constant u."""
-    return float(_input_integrals(u, sigma_fn, [t])[0])
-
-
 def _nti_bound(cert: NormToIntegralCertificate):
     return lambda r, u, t: cert.rhs(r, u.sup_norm, t)
 

@@ -10,12 +10,12 @@ this module implements a closed algebra of parametric forms
     saturation(c, s)   r -> c * r / (s + r)     (bounded, class K only)
     compose(f, g)      r -> f(g(r))
 
-so that monotonicity is testable, inverses are exact where the form admits a
-closed form, and every function serializes to a short text token.
+so that monotonicity is testable and every function serializes to a short
+text token.  The module evaluates these forms; it does not invert them.
 
 The KL envelopes handled here are exponential, beta(r, t) = M * exp(-w t) * r,
 which is the class produced by exponentially stable semigroups.  For these the
-factorization beta(r, t) <= xi1^{-1}(exp(-t) xi2(r)) is computed exactly:
+factorization beta(r, t) <= xi1^{-1}(exp(-t) xi2(r)) holds in closed form:
 
     xi1(s) = (s / M)**(1/w),   xi2(r) = r**(1/w)
 
@@ -31,13 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ValidationError
+from .errors import DomainError, ValidationError
 
 KIND_K = "K"
 KIND_KINF = "Kinf"
-
-#: Bracket expansion cap for numerical inversion, in units of ``bracket_scale``.
-BRACKET_CAP = 2.0 ** 60
 
 
 def _positive(name: str, value: float) -> float:
@@ -139,60 +136,6 @@ def _eval(f: ComparisonFunction, r: np.ndarray) -> np.ndarray:
     for part in reversed(f.parts):
         acc = _eval(part, acc)
     return acc
-
-
-def invert(f: ComparisonFunction, y: float, tol: float = 1e-12,
-           bracket_scale: float = 1.0) -> float:
-    """Solve f(r) = y for a strictly increasing comparison function.
-
-    Closed forms are used for the linear and power forms.  Every other form
-    is inverted by bracketing (the upper bracket doubles from
-    ``bracket_scale`` until f covers y, capped at 2**60 * bracket_scale)
-    followed by bisection until ``|f(r) - y| <= tol``.
-
-    Raises :class:`RangeError` when y is not reachable within the bracket
-    cap, which in particular rejects values at or beyond the plateau of a
-    saturation form.
-    """
-    y = float(y)
-    if y < 0.0:
-        raise DomainError("comparison functions only take nonnegative values")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if y == 0.0:
-        return 0.0
-    if f.form == "linear":
-        return y / f.params[0]
-    if f.form == "power":
-        c, p = f.params
-        return (y / c) ** (1.0 / p)
-
-    if not f.unbounded:
-        # bounded strictly increasing functions never attain their supremum
-        plateau = evaluate(f, BRACKET_CAP * bracket_scale)
-        if y >= plateau:
-            raise RangeError(f"y={y!r} is at or beyond the plateau {plateau!r}")
-    hi = float(bracket_scale)
-    while evaluate(f, hi) < y:
-        hi *= 2.0
-        if hi > BRACKET_CAP * bracket_scale:
-            raise RangeError(
-                f"y={y!r} not reachable below the bracket cap; "
-                "the function may be bounded (saturation plateau)")
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        fm = evaluate(f, mid)
-        if abs(fm - y) <= tol:
-            return mid
-        if fm < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-300:
-            break
-    raise RangeError(f"bisection did not reach |f(r)-y| <= {tol!r}; "
-                     "tolerance below the floating-point resolution of f")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class RangeError(ValueError):
-    """A requested value is unreachable within the configured search range."""
-
-
 class ValidationError(ValueError):
     """A constructed object violates one of its structural invariants."""
 

@@ -40,10 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (ULIM_GRID_POINTS, SampleBudget, _shared_samples, check_brs,
-                       check_cep, check_cocycle, check_dissipation, check_identity,
-                       check_iss, check_integral_to_integral, check_norm_to_integral,
-                       check_ulim, check_uls, draw_input, draw_state)
+from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
+                       _shared_samples, check_brs, check_cep, check_cocycle,
+                       check_dissipation, check_identity, check_iss,
+                       check_integral_to_integral, check_norm_to_integral, check_ulim,
+                       check_uls, draw_input, draw_state)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral,
                          linear, parse_comparison, power)
@@ -322,6 +323,12 @@ def _validate_scenario(s: Scenario) -> None:
         raise ScenarioError(f"the budget asks for {work} flow entries per sweep, above the "
                             f"cap {MAX_WORK}; lower budget.n_states, budget.n_inputs, "
                             "budget.n_times or the number of modes")
+    # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
+    gain = 1.0 + float(np.linalg.norm(build_system(s).input_gain_coeffs))
+    for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
+        if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
+            raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
+                                f"{r * gain:.3g} exceeds 2**400", key=key)
 
 
 def _work(s: Scenario) -> int:

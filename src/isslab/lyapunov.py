@@ -107,9 +107,6 @@ class DiniEstimate:
     h_seq: tuple[float, ...]
     analytic: float
 
-    def __float__(self):
-        return self.value
-
 
 def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
                   h_seq=DEFAULT_DINI_H) -> DiniEstimate:

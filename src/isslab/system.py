@@ -327,9 +327,6 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
-    def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
-
 
 def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
     """Yield ``(rows, s, phi(grid[rows], x0s[s], u))`` for every block of at

@@ -15,13 +15,13 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls,
                     derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
-                    eval_times, heat_dirichlet, input_integral, linear, power,
-                    run_iss_equivalence_battery, sample_trajectory, trajectory_integral,
-                    norm_to_integral_margin, iss_margin, uls_margin, ulim_slack,
-                    dissipation_margin, Verdict)
+                    heat_dirichlet, linear, power, sample_trajectory, iss_margin,
+                    uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, ULIM_GRID_POINTS,
                              _Samples, _Tracker, _input_integrals, _norms,
-                             _prefix_integrals, _scan, _sweep, _swept)
+                             _prefix_integrals, _scan, _sweep, _swept,
+                             dissipation_margin, eval_times, norm_to_integral_margin,
+                             run_iss_equivalence_battery, trajectory_integral)
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -422,9 +422,10 @@ def test_integral_to_integral_constant_input_coincides():
 def test_integral_to_integral_zero_tail_shrinks_rhs():
     sigma = power(2.0 / 3.0, 2.0)
     u = InputSignal.piecewise([0.0, 1.0], [1.0])  # 1 on [0,1], 0 afterwards
-    assert input_integral(u, sigma, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    tail = _input_integrals(u, sigma, [2.0])[0]
+    assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
     # versus the sup-norm form t * sigma(1) = 4/3 at t = 2
-    assert input_integral(u, sigma, 2.0) < 2.0 * (2.0 / 3.0)
+    assert tail < 2.0 * (2.0 / 3.0)
 
 
 def test_integral_to_integral_heat_reported():
@@ -620,9 +621,10 @@ def test_input_integrals_equal_the_per_segment_sum():
         got = _input_integrals(u, sigma, times)
         want = [_per_segment_input_integral(u, sigma, t) for t in times]
         assert got.tolist() == want
-        assert input_integral(u, sigma, 1.3) == _per_segment_input_integral(u, sigma, 1.3)
+        assert (_input_integrals(u, sigma, [1.3])[0]
+                == _per_segment_input_integral(u, sigma, 1.3))
     with pytest.raises(DomainError):
-        input_integral(_EIGHT_PIECES, sigma, -1.0)
+        _input_integrals(_EIGHT_PIECES, sigma, [-1.0])
 
 
 def test_exact_path_resolves_violations_below_the_simpson_tolerance():

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (DecayEnvelope, DomainError, ISSCertificate, RangeError,
-                    ValidationError, compose, derive_norm_to_integral, evaluate,
-                    invert, linear, parse_comparison, power, saturation,
-                    sontag_factor_exponential)
-from isslab.comparison import KIND_K, KIND_KINF
+from isslab import (DecayEnvelope, DomainError, ISSCertificate, ValidationError,
+                    compose, derive_norm_to_integral, evaluate, linear,
+                    parse_comparison, power, saturation)
+from isslab.comparison import KIND_K, KIND_KINF, sontag_factor_exponential
 
 
 def all_forms():
@@ -98,70 +97,13 @@ def test_power_monotone_hypothesis(c, p, r1, dr):
 
 
 # ---------------------------------------------------------------------------
-# inversion
-
-
-def test_invert_linear_exact():
-    assert invert(linear(2.0), 6.0) == 3.0
-
-
-def test_invert_power_exact():
-    assert invert(power(1.0, 2.0), 4.0) == 2.0
-
-
-def test_invert_zero():
-    assert invert(saturation(2.0, 1.0), 0.0) == 0.0
-
-
-def test_invert_saturation_against_grid_scan():
-    # oracle: dense scan of r over [0, 40] with 1e6 points
-    f = saturation(2.0, 1.0)
-    y = 1.9  # near the plateau at 2
-    grid = np.linspace(0.0, 40.0, 1_000_001)
-    r_oracle = grid[np.argmin(np.abs(evaluate(f, grid) - y))]
-    tol = 1e-9
-    r = invert(f, y, tol=tol)
-    assert abs(evaluate(f, r) - y) <= tol
-    # scan spacing 4e-5 plus the x-uncertainty tol/f'(r) with f'(19) = 5e-3
-    assert abs(r - r_oracle) <= 4e-5 + tol / 5e-3
-
-
-def test_invert_beyond_plateau_raises():
-    with pytest.raises(RangeError):
-        invert(saturation(2.0, 1.0), 2.0)
-
-
-def test_invert_composed_numeric():
-    f = compose(power(1.0, 2.0), linear(3.0))  # (3r)^2
-    r = invert(f, 36.0, tol=1e-12)
-    assert r == pytest.approx(2.0, abs=1e-10)
-
-
-@pytest.mark.parametrize("f", all_forms())
-def test_invert_evaluate_roundtrip(f):
-    tol = 1e-12
-    for r in np.geomspace(1e-4, 50.0, 25):
-        y = evaluate(f, float(r))
-        try:
-            back = invert(f, y, tol=tol)
-        except RangeError:
-            pytest.fail("roundtrip inversion left the bracket")
-        # |invert(f, f(r)) - r| <= 10 tol, with tol measured through the slope
-        slope = (evaluate(f, float(r) * (1 + 1e-6)) - y) / (float(r) * 1e-6)
-        assert abs(back - r) <= 10 * tol / max(slope, 1e-300) + 1e-9 * r
-
-
-@settings(max_examples=100, deadline=None)
-@given(c=st.floats(0.1, 5.0), s=st.floats(0.1, 5.0), r=st.floats(1e-3, 50.0))
-def test_invert_saturation_roundtrip_hypothesis(c, s, r):
-    f = saturation(c, s)
-    y = evaluate(f, r)
-    back = invert(f, y, tol=1e-13)
-    assert abs(evaluate(f, back) - y) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
 # exponential KL factorization
+
+
+def invert_power(f, y):
+    """Closed-form inverse of f = power(c, p), the form of xi1."""
+    c, p = f.params
+    return (y / c) ** (1.0 / p)
 
 
 def test_sontag_identity_case():
@@ -172,14 +114,14 @@ def test_sontag_identity_case():
     # xi1^{-1}(exp(-t) r) reproduces exp(-t) r
     t, r = 0.7, 2.0
     y = math.exp(-t) * evaluate(xi2, r)
-    assert invert(xi1, y) == pytest.approx(math.exp(-t) * r, rel=1e-14)
+    assert invert_power(xi1, y) == pytest.approx(math.exp(-t) * r, rel=1e-14)
 
 
 def reconstruct(env, r, t):
     """Oracle: evaluate xi1^{-1}(exp(-t) xi2(r)) directly."""
     xi1, xi2 = sontag_factor_exponential(env)
     y = math.exp(-t) * evaluate(xi2, r)
-    return invert(xi1, y)
+    return invert_power(xi1, y)
 
 
 def test_sontag_m2_w2_at_origin_time():

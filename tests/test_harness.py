@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_system,
-                    load_scenario, main, parse_scenario, run_scenario,
-                    serialize_scenario, simulate_scenario, ISSCertificate,
+                    main, parse_scenario, run_scenario, ISSCertificate,
                     DecayEnvelope, linear)
 from isslab import checkers
 from isslab.harness import (_CHECKS, CHECK_NAMES, MAX_WORK, _resolve, _work,
-                            bundled_scenario_path)
+                            bundled_scenario_path, load_scenario, serialize_scenario,
+                            simulate_scenario)
 from test_checkers import assert_same_report
 
 MINIMAL = """
@@ -439,6 +439,47 @@ def test_budget_work_cap_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "modes")]) == 2
 
 
+def _heat_iss_with(key, value):
+    text = bundled_scenario_path("heat_iss.scn").read_text()
+    return text.replace("budget.radius = 1.0\n", "") + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize("key", ["budget.radius", "checks.brs_c"])
+def test_huge_radius_is_config_error(tmp_path, capsys, key):
+    # at 1e200 the squares of the flow norms overflow; unchecked, the run
+    # exits 3 with a nan margin (radius) or non-finite states (brs_c)
+    path = tmp_path / "huge.scn"
+    path.write_text(_heat_iss_with(key, "1e200"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert err.value.key == key
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, code, violated", [("budget.radius", 1, ["ULIM"]),
+                                                 ("checks.brs_c", 0, [])])
+def test_large_finite_radius_still_runs(tmp_path, key, code, violated):
+    # below the bound: the run goes ahead, and at this radius the finite
+    # horizon refutes ULIM
+    path = tmp_path / "large.scn"
+    path.write_text(_heat_iss_with(key, "1e100"))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == code
+    lines = (tmp_path / "out" / "reports.txt").read_text().splitlines()
+    assert len(lines) == 9
+    assert [line.split(",")[0] for line in lines if ",violated," in line] == violated
+
+
+def test_radius_bound_is_checked_after_modes(tmp_path):
+    # |A^-1 B| of the heat preset grows with the modes: 0.450 at one mode,
+    # 0.575 at 64, so r = 2**400 / 1.5 passes at one mode only
+    path = tmp_path / "one_mode.scn"
+    path.write_text(MINIMAL.replace("system.n_modes = 64", "system.n_modes = 1")
+                    + f"budget.radius = {2.0 ** 400 / 1.5!r}\n")
+    load_scenario(str(path))
+    assert main(["check", str(path), "--modes", "64", "--out", str(tmp_path / "out")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # one draw and one sweep per run
 
@@ -491,3 +532,16 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
     run_scenario(s, str(tmp_path))
     assert set(drawn.values()) == {2}
     assert checkers._RUN.get() is None
+
+
+# ---------------------------------------------------------------------------
+# the README
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch imports its names from the package root, so they stay exported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), {})
+    assert any(line.startswith("ISS,no_violation_found,")
+               for line in capsys.readouterr().out.splitlines())

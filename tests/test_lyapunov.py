@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
-                    build_datko, build_neg_inverse, c_of_epsilon, dini_estimate,
-                    dissipation_constants, heat_dirichlet, kappa_bounds,
-                    lyapunov_residual, v_value)
+                    build_datko, build_neg_inverse, dini_estimate,
+                    dissipation_constants, heat_dirichlet, kappa_bounds)
+from isslab.lyapunov import c_of_epsilon, lyapunov_residual, v_value
 
 PI2 = math.pi ** 2
 

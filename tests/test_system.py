@@ -10,9 +10,9 @@ from scipy.integrate import quad
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     Trajectory, ValidationError, build_time_grid, heat_dirichlet,
-                    kappa_bounds, mild_solution, sample_trajectory, semigroup_apply,
-                    state_norm)
-from isslab.system import _CSV_ROWS, _flow_at
+                    kappa_bounds, mild_solution, sample_trajectory, state_norm,
+                    write_trajectory_csv)
+from isslab.system import _CSV_ROWS, _flow_at, semigroup_apply
 
 PI2 = math.pi ** 2
 
@@ -400,7 +400,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = sample_trajectory(sys, np.array([0.1, 0.2, 0.3]), u,
                              np.array([0.0, 0.5, 1.0]))
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    write_trajectory_csv(traj, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "norm", "c1", "c2", "c3"]
@@ -431,7 +431,7 @@ def test_trajectory_csv_matches_per_float_formatting(tmp_path):
     states[1] = [-1.5e150, 1.2345678901234567e149, -0.0, 2.2250738585072014e-308]
     traj = Trajectory(times=times, states=states, system=sys, input=InputSignal.zero())
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    write_trajectory_csv(traj, path)
     assert path.read_text(encoding="utf-8") == _per_float_csv(traj)
     # the writer formats each distinct bit pattern of a block once: a first
     # block whose values are all equal (+0.0), then a column repeating one
@@ -446,7 +446,7 @@ def test_trajectory_csv_matches_per_float_formatting(tmp_path):
     states[_CSV_ROWS:, 2] = rng.choice([-0.1, 0.1, 2.5, 1e-300], n - _CSV_ROWS)
     traj = Trajectory(times=times, states=states, system=heat(3), input=InputSignal.zero())
     path = tmp_path / "repeats.csv"
-    traj.to_csv(path)
+    write_trajectory_csv(traj, path)
     text = path.read_text(encoding="utf-8")
     assert text == _per_float_csv(traj)
     assert ",-0," in text and ",0," in text
