@@ -49,10 +49,9 @@ of the default, int_0^t alpha(|phi|) has a closed form per input segment
 (``system._square_integrals``): the anchor states of ``mild_solution``, the
 full segments summed cumulatively, plus the piece from the last anchor
 below t, for all states, times and modes in one pass, with no grid.  Any
-other alpha, or a grid given by the caller, takes composite Simpson on a
-grid graded after 0 and after each input breakpoint (or the caller's,
-which must hold the breakpoints), restarted at every breakpoint so that no
-panel straddles a kink of the flow.  The integral of sigma(|u|) in the
+other alpha takes composite Simpson on a grid graded after 0 and after
+each input breakpoint, restarted at every breakpoint so that no panel
+straddles a kink of the flow.  The integral of sigma(|u|) in the
 integral-to-integral bound is exact: a cumulative sum over the input's
 pieces, once per input for all times.
 
@@ -604,20 +603,19 @@ def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.nda
     return out
 
 
-def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float, grid=None):
+def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
     """The lhs int_0^t alpha(|phi|) at each evaluation time and its witness
-    tolerance.  For alpha = c r**2 and no caller grid the integral is taken
-    in closed form, else by Simpson per input segment on the caller's grid
-    or on one graded after 0 and each input breakpoint."""
-    if grid is None and alpha.form == "power" and alpha.params[1] == 2.0:
+    tolerance.  For alpha = c r**2 the integral is taken in closed form, else
+    by Simpson per input segment on a grid graded after 0 and each input
+    breakpoint."""
+    if alpha.form == "power" and alpha.params[1] == 2.0:
         c = alpha.params[0]
         return (lambda samples, j: (times, c * _square_integrals(
             samples.sys, samples.states, samples.inputs[j], times)), _pair_tol(EXACT_TOL))
-    fixed = None if grid is None else np.asarray(grid, dtype=float)
 
     def lhs(samples, j):
         u = samples.inputs[j]
-        g = build_time_grid(horizon, u, extra=times) if fixed is None else fixed
+        g = build_time_grid(horizon, u, extra=times)
         vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, u, g))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
@@ -652,31 +650,30 @@ def _nti_bound(cert: NormToIntegralCertificate):
 
 
 def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                            x0, u: InputSignal, t: float, grid=None) -> float:
+                            x0, u: InputSignal, t: float) -> float:
     """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|), with the integral
     taken as :func:`check_norm_to_integral` takes it: in closed form for
-    alpha = c r**2 and no ``grid``, else by Simpson on ``grid`` (default: a
-    graded grid on [0, t]), which must contain t."""
-    lhs, _ = _integrals(cert.alpha, np.array([float(t)]), max(t, 1e-6), grid)
+    alpha = c r**2, else by Simpson on a graded grid on [0, t]."""
+    lhs, _ = _integrals(cert.alpha, np.array([float(t)]), max(t, 1e-6))
     return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _one(sys, x0, u), lhs,
                   _nti_bound(cert)).worst_margin
 
 
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                           budget: SampleBudget, grid=None) -> StabilityReport:
+                           budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
-    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
+    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon)
     return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
                   _nti_bound(cert), tol=tol)
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                               budget: SampleBudget, grid=None) -> StabilityReport:
+                               budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
     def bound(r, u, times):
         return evaluate(cert.psi, r) + _input_integrals(u, cert.sigma, times)
-    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon, grid)
+    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon)
     return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
                   bound, tol=tol)
 

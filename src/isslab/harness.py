@@ -48,7 +48,7 @@ from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral,
                          linear, parse_comparison, power)
-from .errors import ScenarioError, ValidationError
+from .errors import DomainError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
                        build_datko, build_neg_inverse, dissipation_constants)
 from .report import StabilityReport
@@ -207,6 +207,13 @@ def _check_names(raw: str) -> tuple[str, ...]:
     return names
 
 
+def _k_infinity(raw: str) -> ComparisonFunction:
+    fn = parse_comparison(raw)
+    if not fn.unbounded:
+        raise ValueError(f"must be of class K-infinity, got {fn.describe()}")
+    return fn
+
+
 def _reprs(values) -> str:
     return ", ".join(repr(v) for v in values)
 
@@ -223,8 +230,10 @@ _KEYS = (
     ("lyapunov.construction", "construction", _one_of(NEG_INVERSE, DATKO), str),
     ("lyapunov.epsilon", "epsilon", _number, repr),
     ("certificate.beta", "beta", _decay, DecayEnvelope.describe),
-    *((f"certificate.{name}", name, parse_comparison, ComparisonFunction.describe)
-      for name in ("gamma", "alpha", "psi", "sigma", "uls_sigma")),
+    *((f"certificate.{name}", name, parse, ComparisonFunction.describe)
+      for name, parse in (("gamma", parse_comparison), ("alpha", parse_comparison),
+                          ("psi", _k_infinity), ("sigma", _k_infinity),
+                          ("uls_sigma", parse_comparison))),
     ("certificate.derive", "derive", _one_of("none", "from_iss"), str),
     ("checks.names", "checks", _check_names, ", ".join),
     ("checks.ulim_eps", "ulim_eps", _positive, repr),
@@ -292,39 +301,22 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _validate_scenario(s: Scenario) -> None:
-    if not 0.0 < s.epsilon < 1.0:
-        raise ScenarioError("epsilon must lie in (0,1)", key="lyapunov.epsilon")
-    if s.preset == "diagonal":
-        if s.lambdas is None or s.b is None:
-            raise ScenarioError("diagonal systems need system.lambdas and system.b",
-                                key="system.lambdas")
-        if len(s.lambdas) != len(s.b):
-            raise ScenarioError("system.lambdas and system.b must have equal length",
-                                key="system.b")
-        lam = np.asarray(s.lambdas)
-        if lam.size < 1 or lam[0] <= 0.0 or np.any(np.diff(lam) <= 0.0):
-            raise ScenarioError("system.lambdas must be strictly increasing and "
-                                "positive", key="system.lambdas")
-    else:
-        if s.a <= 0.0:
-            raise ScenarioError("system.a must be positive", key="system.a")
-        if s.n_modes < 1:
-            raise ScenarioError("system.n_modes must be at least 1", key="system.n_modes")
-    if s.derive == "from_iss" and s.gamma is not None and not s.gamma.unbounded:
-        raise ScenarioError("certificate.derive = from_iss needs a K-infinity gamma",
-                            key="certificate.derive")
-    for name in ("psi", "sigma"):
-        fn = getattr(s, name)
-        if fn is not None and not fn.unbounded:
-            raise ScenarioError(f"certificate.{name} must be of class K-infinity, got "
-                                f"{fn.describe()}", key=f"certificate.{name}")
+    """Refuse a scenario that cannot run: the rules on values belong to the
+    constructors that ``_resolve`` calls; the harness adds its own caps."""
+    if s.preset == "diagonal" and (s.lambdas is None or s.b is None):
+        raise ScenarioError("diagonal systems need system.lambdas and system.b",
+                            key="system.lambdas")
     work = _work(s)
     if work > MAX_WORK:
         raise ScenarioError(f"the budget asks for {work} flow entries per sweep, above the "
                             f"cap {MAX_WORK}; lower budget.n_states, budget.n_inputs, "
                             "budget.n_times or the number of modes")
+    try:
+        sys = _resolve(s).sys
+    except (ValidationError, DomainError) as exc:
+        raise ScenarioError(str(exc)) from None
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
-    gain = 1.0 + float(np.linalg.norm(build_system(s).input_gain_coeffs))
+    gain = 1.0 + float(np.linalg.norm(sys.input_gain_coeffs))
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
         if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
@@ -533,7 +525,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {exc}", file=_sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -71,12 +71,14 @@ class LyapunovOperator:
 
 def build_neg_inverse(sys: SpectralSystem) -> LyapunovOperator:
     """P with p_k = 1/lambda_k, realizing V(x) = -<A^{-1}x, x>."""
-    return LyapunovOperator(1.0 / sys.lambdas, NEG_INVERSE, sys)
+    with np.errstate(over="ignore"):   # an infinite p_1 fails LyapunovOperator's check
+        return LyapunovOperator(1.0 / sys.lambdas, NEG_INVERSE, sys)
 
 
 def build_datko(sys: SpectralSystem) -> LyapunovOperator:
     """P with p_k = 1/(2 lambda_k); solves <Px,Ax> + <Ax,Px> = -|x|^2."""
-    return LyapunovOperator(0.5 / sys.lambdas, DATKO, sys)
+    with np.errstate(over="ignore"):   # an infinite p_1 fails LyapunovOperator's check
+        return LyapunovOperator(0.5 / sys.lambdas, DATKO, sys)
 
 
 def v_value(op: LyapunovOperator, x) -> float:

@@ -457,8 +457,11 @@ def kappa_bounds(sys: SpectralSystem, t: float, quad_points: int = 2048) -> Admi
     lower = state_norm(mild_solution(sys, np.zeros(sys.n_modes),
                                      InputSignal.constant(1.0, t), t))
     s = np.concatenate([[0.0], t * np.geomspace(1e-12, 1.0, quad_points)])
-    weights = np.exp(-2.0 * np.outer(s, sys.lambdas))
-    g = np.sqrt(weights @ (sys.b_coeffs ** 2))
+    b2 = sys.b_coeffs ** 2
+    # a block of rows at a time: the whole (quad_points + 1) x N matrix of
+    # weights and its exponent took about 33 KB per mode
+    g = np.concatenate([np.sqrt(np.exp(-2.0 * np.outer(s[i:i + _ROW_BLOCK], sys.lambdas)) @ b2)
+                        for i in range(0, s.size, _ROW_BLOCK)])
     upper = float(np.trapezoid(g, s))
     return AdmissibilityBound(t=float(t), lower=lower, upper=max(upper, lower))
 

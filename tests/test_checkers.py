@@ -13,7 +13,7 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     ValidationError, build_neg_inverse, build_datko, build_time_grid,
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
-                    check_norm_to_integral, check_ulim, check_uls,
+                    check_norm_to_integral, check_ulim, check_uls, compose,
                     derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, linear, power, sample_trajectory, iss_margin,
                     uls_margin, ulim_slack, Verdict)
@@ -442,15 +442,6 @@ def test_quadrature_grid_must_refine_breakpoints():
     traj = sample_trajectory(sys, np.zeros(8), u, coarse)
     with pytest.raises(ValidationError):
         trajectory_integral(traj, power(1.0, 2.0), 2.0)
-    with pytest.raises(ValidationError):
-        check_norm_to_integral(sys, nti_cert(), replace(BUDGET, n_states=2, n_inputs=3),
-                               grid=coarse)
-    # refines every breakpoint but misses the evaluation times off its nodes
-    small = replace(BUDGET, n_states=2, n_inputs=3)
-    sparse = np.unique(np.concatenate(
-        [coarse, *(draw_input(small, j).breakpoints for j in range(3))]))
-    with pytest.raises(ValidationError):
-        check_norm_to_integral(sys, nti_cert(), small, grid=sparse)
 
 
 def test_quadrature_halving_stability():
@@ -540,8 +531,7 @@ def test_kernel_keeps_the_flow_checks():
     sys = heat(8)
     u = InputSignal.constant(1.0, 2.0)
     with pytest.raises(ValidationError, match="start at 0"):
-        check_norm_to_integral(sys, nti_cert(), replace(BUDGET, n_states=2, n_inputs=3),
-                               grid=np.linspace(0.01, 2.0, 200))
+        ulim_slack(sys, linear(1.0), 0.1, np.zeros(8), u, np.linspace(0.01, 2.0, 200))
     with pytest.raises(ValidationError, match="strictly increasing"):
         ulim_slack(sys, linear(1.0), 0.1, np.zeros(8), u, [0.0, 0.5, 0.5])
     with pytest.raises(ValidationError, match="shape"):
@@ -639,8 +629,9 @@ def test_exact_path_resolves_violations_below_the_simpson_tolerance():
     assert exact.violated
     assert exact.witness.t == 2.0
     assert exact.worst_margin == pytest.approx(-1e-10, abs=1e-15)
-    grid = build_time_grid(2.0, extra=eval_times(budget))
-    assert not check_norm_to_integral(heat(8), cert, budget, grid=grid).violated
+    # the same alpha in another form takes Simpson
+    simpson_cert = replace(cert, alpha=compose(linear(1.0), power(1.0, 2.0)))
+    assert not check_norm_to_integral(heat(8), simpson_cert, budget).violated
 
 
 def test_simpson_fallback_restarts_at_kinked_breakpoints():
@@ -654,6 +645,7 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
     traj = sample_trajectory(sys, np.zeros(1), u, grid)
     cert = NormToIntegralCertificate(alpha=power(1.0, 2.0), psi=power(1.0, 2.0),
                                      sigma=power(1.0, 2.0))
+    simpson_cert = replace(cert, alpha=compose(linear(1.0), power(1.0, 2.0)))
     p = 1.0 - math.exp(-0.25)   # phi(0.25); then phi(s) = (p + 1) exp(-(s - 0.25)) - 1
     for t in grid[[14, 15, 58, -1]]:   # 0.26, 0.28, 1.14 and 2.0
         h = t - 0.25
@@ -661,8 +653,9 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
                  + (p + 1.0) ** 2 * 0.5 * (1.0 - math.exp(-2.0 * h))
                  - 2.0 * (p + 1.0) * (1.0 - math.exp(-h)) + h)
         assert abs(trajectory_integral(traj, cert.alpha, t) - exact) < 1e-6
-        # margins psi(0) + t sigma(1) - int: Simpson on the grid, or exact
-        simpson_margin = norm_to_integral_margin(sys, cert, np.zeros(1), u, t, grid=grid)
+        # margins psi(0) + t sigma(1) - int: Simpson on the graded grid (the
+        # same alpha in another form), or exact
+        simpson_margin = norm_to_integral_margin(sys, simpson_cert, np.zeros(1), u, t)
         assert abs(simpson_margin - (t - exact)) < 1e-6
         exact_margin = norm_to_integral_margin(sys, cert, np.zeros(1), u, t)
         assert abs(exact_margin - (t - exact)) < 1e-14

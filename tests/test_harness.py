@@ -368,8 +368,8 @@ def test_cli_modes_below_one_is_config_error(tmp_path, capsys, verb, scenario, m
 
 
 def test_cli_entry_point_runs(tmp_path):
-    proc = subprocess.run([sys.executable, "-m", "isslab.harness", "check",
-                           "heat_bad_gain.scn", "--out", str(tmp_path / "cli")],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "isslab",
+                           "check", "heat_bad_gain.scn", "--out", str(tmp_path / "cli")],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "violated" in proc.stdout
@@ -384,6 +384,28 @@ def test_bounded_certificate_is_config_error(tmp_path, capsys, key):
     assert err.value.key == key
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    # c(eps) overflows to inf, so the default sigma = power(c(eps), 2) is refused
+    MINIMAL + "lyapunov.epsilon = 1e-320\n",
+    # p_1 = 1 / lambda_1 overflows to inf
+    "system.preset = diagonal\nsystem.lambdas = 5e-324\nsystem.b = 0.0\n"
+    "checks.names = iss\n",
+    # rules the harness used to restate
+    MINIMAL.replace("system.a = 1.0", "system.a = -1.0"),
+    MINIMAL.replace("system.n_modes = 64", "system.n_modes = 0"),
+    DIAGONAL.replace("system.b = 1.0, -0.5, 0.25", "system.b = 1.0, -0.5"),
+    MINIMAL + "certificate.gamma = saturation(1.0, 1.0)\ncertificate.derive = from_iss\n",
+], ids=["epsilon_1e-320", "lambda_5e-324", "negative_a", "no_modes", "unequal_lengths",
+        "bounded_gamma_from_iss"])
+def test_constructor_rules_are_config_errors(tmp_path, capsys, text):
+    with pytest.raises(ScenarioError):
+        parse_scenario(text)
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("derive", ["none", "from_iss"])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,21 @@ def test_kappa_heat_monotone_to_zero():
     assert uppers[0] > uppers[1] > uppers[2] > 0.0
     for b in bounds:
         assert b.lower <= b.upper
+
+
+def test_kappa_upper_bound_is_built_a_block_of_rows_at_a_time():
+    # the whole 2049 x N matrix of weights peaked at 262 MB for N = 8000
+    sys = heat(8000)
+    tracemalloc.start()
+    try:
+        ab = kappa_bounds(sys, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    s = np.concatenate([[0.0], 1e-3 * np.geomspace(1e-12, 1.0, 2048)])
+    g = [math.sqrt(np.dot(np.exp(-2.0 * si * sys.lambdas), sys.b_coeffs ** 2)) for si in s]
+    assert ab.upper == pytest.approx(np.trapezoid(g, s), rel=1e-13)
 
 
 def test_kappa_rejects_bad_time():
