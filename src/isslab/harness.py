@@ -315,6 +315,8 @@ def _validate_scenario(s: Scenario) -> None:
         sys = _resolve(s).sys
     except (ValidationError, DomainError) as exc:
         raise ScenarioError(str(exc)) from None
+    except RuntimeWarning as exc:   # raised under -W error::RuntimeWarning
+        raise ScenarioError(f"building the scenario failed: {exc}") from None
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
     gain = 1.0 + float(np.linalg.norm(sys.input_gain_coeffs))
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):

@@ -150,8 +150,11 @@ class DissipationParameters:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0,1)")
-        if self.kappa0 < 0.0:
-            raise ValidationError("kappa0 must be nonnegative")
+        if not 0.0 <= self.kappa0 < math.inf:
+            raise ValidationError("kappa0, the admissibility bound at the probe time, must be "
+                                  f"finite and nonnegative, not {self.kappa0!r}")
+        if not all(map(math.isfinite, (self.norm_AstarP, self.norm_PA, self.norm_AinvB, self.M))):
+            raise ValidationError("|A*P|, |PA|, |A^-1 B| and M must be finite")
         expected = c_of_epsilon(self.epsilon, self.norm_AstarP, self.norm_PA,
                                 self.norm_AinvB, self.M, self.kappa0)
         if not math.isclose(self.c_eps, expected, rel_tol=1e-12, abs_tol=1e-300):

@@ -433,9 +433,13 @@ class AdmissibilityBound:
     upper: float
 
     def __post_init__(self):
-        if self.t < 0.0 or self.lower < 0.0:
+        # written so that a NaN fails each test
+        if not (self.t >= 0.0 and self.lower >= 0.0):
             raise ValidationError("t and lower must be nonnegative")
-        if self.lower > self.upper * (1.0 + 1e-12) + 1e-300:
+        if not math.isfinite(self.upper):
+            raise ValidationError(f"the admissibility bound at t = {self.t!r} has the "
+                                  f"non-finite upper end {self.upper!r}")
+        if not self.lower <= self.upper * (1.0 + 1e-12) + 1e-300:
             raise ValidationError("lower bound exceeds upper bound")
 
 

@@ -2,8 +2,10 @@
 
 import csv
 import importlib.util
+import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -373,6 +375,66 @@ def test_cli_entry_point_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "violated" in proc.stdout
+
+
+_NO_SCIPY = """
+import sys
+from isslab.harness import load_scenario, run_scenario, simulate_scenario
+out = sys.argv[1]
+for name in sys.argv[2:]:
+    run_scenario(load_scenario(name), f"{out}/{name}")
+simulate_scenario(load_scenario("heat_iss.scn"), f"{out}/simulate")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runs_leave_scipy_unimported(tmp_path):
+    # numpy is isslab's only runtime dependency; scipy serves the tests only
+    src = str(Path(checkers.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_SCIPY,
+                           str(tmp_path), *BUNDLED], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_checkers_simpson_is_scipys_on_lookup():
+    from scipy.integrate import simpson
+    assert checkers.simpson is simpson
+    with pytest.raises(AttributeError):
+        checkers.no_such_name
+
+
+HEAT_A_1E300 = MINIMAL.replace("system.a = 1.0", "system.a = 1e300")
+DIAGONAL_TINY_LAMBDA = ("system.preset = diagonal\nsystem.lambdas = 1e-308\n"
+                        "system.b = 1.0\nchecks.names = iss\n")
+
+
+def test_nan_admissibility_bound_is_config_error(tmp_path, capsys):
+    # b_k**2 overflows, the upper end of kappa_bounds is NaN, and the NaN was
+    # let through to a misleading "c_eps does not match" error
+    path = tmp_path / "a1e300.scn"
+    path.write_text(HEAT_A_1E300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "admissibility bound" in err and "c_eps" not in err
+
+
+@pytest.mark.parametrize("text, warning", [(HEAT_A_1E300, "overflow encountered in square"),
+                                           (DIAGONAL_TINY_LAMBDA, "overflow encountered in dot")],
+                         ids=["heat_a_1e300", "diagonal_lambda_1e-308"])
+def test_overflow_while_building_is_config_error(tmp_path, capsys, text, warning):
+    path = tmp_path / "overflow.scn"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ScenarioError, match=warning):
+            parse_scenario(text)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["certificate.psi", "certificate.sigma"])

@@ -1,12 +1,13 @@
 """Tests for the Lyapunov constructions, Dini estimates and dissipation constants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
-                    build_datko, build_neg_inverse, dini_estimate,
+                    ValidationError, build_datko, build_neg_inverse, dini_estimate,
                     dissipation_constants, heat_dirichlet, kappa_bounds)
 from isslab.lyapunov import c_of_epsilon, lyapunov_residual, v_value
 
@@ -242,6 +243,16 @@ def test_dissipation_constants_conservative_when_gate_fails():
     params = dissipation_constants(op, sys, 0.5)
     assert params.kappa0 > 0.1
     assert params.c_eps > 2.0 / 3.0
+
+
+@pytest.mark.parametrize("field, value", [("kappa0", math.nan), ("kappa0", math.inf),
+                                          ("kappa0", -1.0), ("norm_AinvB", math.inf)])
+def test_dissipation_parameters_refuse_non_finite_constants(field, value):
+    sys = heat(4)
+    params = dissipation_constants(build_neg_inverse(sys), sys, 0.5)
+    with pytest.raises(ValidationError, match="admissibility bound" if field == "kappa0"
+                       else "A\\^-1 B"):
+        replace(params, **{field: value})
 
 
 def test_epsilon_domain():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
-                    Trajectory, ValidationError, build_time_grid, heat_dirichlet,
-                    kappa_bounds, mild_solution, sample_trajectory, state_norm,
-                    write_trajectory_csv)
+from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputSignal,
+                    SpectralSystem, Trajectory, ValidationError, build_time_grid,
+                    heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
+                    state_norm, write_trajectory_csv)
 from isslab.system import _CSV_ROWS, _flow_at, semigroup_apply
 
 PI2 = math.pi ** 2
@@ -396,6 +396,14 @@ def test_kappa_upper_bound_is_built_a_block_of_rows_at_a_time():
 def test_kappa_rejects_bad_time():
     with pytest.raises(DomainError):
         kappa_bounds(heat(2), 0.0)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, math.nan), (0.0, math.inf),
+                                          (math.nan, 1.0)])
+def test_admissibility_bound_refuses_nan_and_inf(lower, upper):
+    # lower > upper is False for a NaN, so a comparison alone let one through
+    with pytest.raises(ValidationError):
+        AdmissibilityBound(t=1.0, lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------
