@@ -16,12 +16,17 @@ are rejected.  Example::
     checks.names = identity, cocycle, iss
     budget.seed = 101
 
-Two verbs are exposed: ``isslab simulate <scenario>`` writes trajectory CSVs
-for a deterministic slice of the sample set, and ``isslab check <scenario>``
+Three verbs are exposed.  ``isslab simulate <scenario>`` writes trajectory
+CSVs for a deterministic slice of the sample set.  ``isslab check <scenario>``
 runs the requested checker battery and writes ``report.csv`` (one row per
-check), ``margins.csv`` (one row per sample) and a witness trajectory CSV for
-every violated check.  Exit codes: 0 success, 1 violation found,
-2 configuration error, 3 runtime error.
+check), ``margins.csv`` (one row per sample), ``reports.txt`` and a witness
+record ``witness_<check>.csv`` for every violated check; with
+``output.trajectories = true`` it also writes the trajectory CSVs of
+``simulate`` and the dense trajectory of every witness.  ``isslab replay
+<scenario> <witness.csv>`` re-evaluates a witness record through its check's
+single-sample margin function.  Exit codes: 0 success, 1 violation found
+(for ``replay``: the violation reproduces), 2 configuration error, 3 runtime
+error (for ``replay``: the violation does not reproduce).
 """
 
 from __future__ import annotations
@@ -44,15 +49,16 @@ from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
                        _shared_samples, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
-                       check_uls, draw_input, draw_state)
+                       check_uls, dissipation_margin, draw_input, draw_state, iss_margin,
+                       norm_to_integral_margin, ulim_slack, uls_margin)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
-                         NormToIntegralCertificate, derive_norm_to_integral,
+                         NormToIntegralCertificate, derive_norm_to_integral, evaluate,
                          linear, parse_comparison, power)
 from .errors import DomainError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
                        build_datko, build_neg_inverse, dissipation_constants)
-from .report import StabilityReport
-from .system import (HeatDirichletParams, SpectralSystem,
+from .report import StabilityReport, Witness
+from .system import (CSV_FMT, HeatDirichletParams, InputSignal, SpectralSystem,
                      build_time_grid, heat_dirichlet, sample_trajectory,
                      write_trajectory_csv)
 
@@ -63,6 +69,8 @@ MAX_WORK = 2 ** 28
 #: Per-pair and per-time overhead of a sweep (norm, bound, margin), in flow
 #: entries: about 100 ns, as long as 20 modes, in the same measurement.
 _PAIR_TIME_COST = 20
+#: A replayed witness margin reproduces its record within this relative error.
+REPLAY_RTOL = 1e-12
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=(.*)$")
 
@@ -150,6 +158,18 @@ _CHECKS = {
     "integral_to_integral": lambda s, r: check_integral_to_integral(r.sys, r.nti, s.budget),
 }
 CHECK_NAMES = tuple(_CHECKS)
+
+#: The checks with a single-sample margin function, which replays a witness:
+#: name -> margin(scenario, resolved, witness).
+_MARGINS = {
+    "iss": lambda s, r, w: iss_margin(r.sys, r.iss, w.x0, w.input, w.t),
+    "uls": lambda s, r, w: uls_margin(r.sys, r.uls_sigma, r.iss.gamma, w.x0, w.input, w.t),
+    "ulim": lambda s, r, w: ulim_slack(r.sys, r.iss.gamma, s.ulim_eps, w.x0, w.input,
+                                       np.linspace(0.0, s.budget.horizon, ULIM_GRID_POINTS)),
+    "norm_to_integral": lambda s, r, w: norm_to_integral_margin(r.sys, r.nti, w.x0,
+                                                                w.input, w.t),
+    "dissipation": lambda s, r, w: dissipation_margin(r.sys, r.op, r.params, w.x0, w.input),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +332,34 @@ def _validate_scenario(s: Scenario) -> None:
                             f"cap {MAX_WORK}; lower budget.n_states, budget.n_inputs, "
                             "budget.n_times or the number of modes")
     try:
-        sys = _resolve(s).sys
+        res = _resolve(s)
     except (ValidationError, DomainError) as exc:
         raise ScenarioError(str(exc)) from None
     except RuntimeWarning as exc:   # raised under -W error::RuntimeWarning
         raise ScenarioError(f"building the scenario failed: {exc}") from None
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
-    gain = 1.0 + float(np.linalg.norm(sys.input_gain_coeffs))
+    gain = 1.0 + float(np.linalg.norm(res.sys.input_gain_coeffs))
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
-        if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
+        if r is None:
+            continue
+        if r * gain > _CEP_SCALED_RANGE[1]:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
                                 f"{r * gain:.3g} exceeds 2**400", key=key)
+        # each certificate function, and each bound a check compares with,
+        # where it is largest on the ball: an overflow there is an infinite margin
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta, gamma = res.iss.beta(r, 0.0), evaluate(res.iss.gamma, r)
+            uls_sigma, psi = evaluate(res.uls_sigma, r), evaluate(res.nti.psi, r)
+            sigma = s.budget.horizon * evaluate(res.nti.sigma, r)
+        for cert_key, value in (("certificate.beta", beta), ("certificate.gamma", gamma),
+                                ("certificate.uls_sigma", uls_sigma),
+                                ("certificate.psi", psi), ("certificate.sigma", sigma),
+                                ("certificate.beta + certificate.gamma", beta + gamma),
+                                ("certificate.uls_sigma + certificate.gamma", uls_sigma + gamma),
+                                ("certificate.psi + certificate.sigma", psi + sigma)):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{cert_key} overflows on the ball {key} = {r!r}: it is "
+                                    "not finite where it is largest there", key=cert_key)
 
 
 def _work(s: Scenario) -> int:
@@ -408,7 +445,9 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
 
 
 def emit_csv(run: RunReport, out_dir: str, sys_: SpectralSystem, s: Scenario) -> None:
-    """Write report.csv, margins.csv, the report lines and witness CSVs."""
+    """Write report.csv, margins.csv, the report lines and a witness record
+    per violated check; with ``output.trajectories = true``, also each
+    witness's dense trajectory as ``witness_<check>_trajectory.csv``."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write("check,verdict,worst_margin,samples,seconds\n")
@@ -429,10 +468,75 @@ def emit_csv(run: RunReport, out_dir: str, sys_: SpectralSystem, s: Scenario) ->
         if e.witness_file is None:
             continue
         w = e.report.witness
-        horizon = max(s.budget.horizon, w.t, 1e-6)
-        grid = build_time_grid(horizon, w.input, extra=[w.t] if w.t > 0 else None)
-        traj = sample_trajectory(sys_, w.x0, w.input, grid)
-        write_trajectory_csv(traj, os.path.join(out_dir, e.witness_file))
+        write_witness(os.path.join(out_dir, e.witness_file), e.name, run.scenario_digest, w)
+        if s.write_trajectories:
+            horizon = max(s.budget.horizon, w.t, 1e-6)
+            grid = build_time_grid(horizon, w.input, extra=[w.t] if w.t > 0 else None)
+            traj = sample_trajectory(sys_, w.x0, w.input, grid)
+            write_trajectory_csv(traj, os.path.join(out_dir,
+                                                    f"witness_{e.name}_trajectory.csv"))
+
+
+# ---------------------------------------------------------------------------
+# witness records
+
+#: The lines of a witness record, in order: each is the field name followed
+#: by its comma-separated values, every number written with 17 significant
+#: digits, which reads back to the same double.
+_RECORD_FIELDS = ("check", "scenario_digest", "t", "margin", "x0", "breakpoints", "values")
+
+
+def write_witness(path, check: str, digest: str, w: Witness) -> None:
+    """Write the record from which ``replay`` re-evaluates the witness."""
+    def numbers(values) -> str:
+        return "".join("," + format(v, CSV_FMT) for v in np.asarray(values).tolist())
+    lines = [f"check,{check}", f"scenario_digest,{digest}",
+             f"t{numbers([w.t])}", f"margin{numbers([w.margin])}", f"x0{numbers(w.x0)}",
+             f"breakpoints{numbers(w.input.breakpoints)}", f"values{numbers(w.input.values)}"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_witness(path) -> tuple[str, str, Witness]:
+    """The check name, the scenario digest and the witness of a record
+    written by :func:`write_witness`; a malformed record raises
+    :class:`ScenarioError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        raise ScenarioError(f"witness record not found: {path}") from None
+    rows = [line.partition(",")[::2] for line in lines]
+    if tuple(name for name, _ in rows) != _RECORD_FIELDS:
+        raise ScenarioError(f"malformed witness record {path}: expected the lines "
+                            f"{', '.join(_RECORD_FIELDS)}")
+    fields = dict(rows)
+    try:
+        if fields["check"] not in CHECK_NAMES:
+            raise ValueError(f"unknown check {fields['check']!r}")
+        (t,), (margin,) = _numbers(fields["t"]), _numbers(fields["margin"])
+        u = InputSignal.piecewise(_numbers(fields["breakpoints"]), _numbers(fields["values"]))
+        witness = Witness(x0=np.array(_numbers(fields["x0"])), input=u, t=t, margin=margin)
+    except ValueError as exc:   # ValidationError is a ValueError
+        raise ScenarioError(f"malformed witness record {path}: {exc}") from None
+    return fields["check"], fields["scenario_digest"], witness
+
+
+def replay_witness(s: Scenario, path) -> tuple[str, float, float]:
+    """Re-evaluate a witness record on its scenario through the check's
+    single-sample margin function: ``(check, replayed, recorded margin)``."""
+    check, digest, w = read_witness(path)
+    if digest != s.digest():
+        raise ScenarioError(f"the witness record {path} is of scenario {digest}, "
+                            f"not of this scenario ({s.digest()})")
+    if check not in _MARGINS:
+        raise ScenarioError(f"check {check!r} has no single-sample margin function, so "
+                            "its witness cannot be replayed")
+    res = _resolve(s)
+    if w.x0.shape != (res.sys.n_modes,):
+        raise ScenarioError(f"malformed witness record {path}: x0 has {w.x0.size} "
+                            f"values, the system {res.sys.n_modes} modes")
+    return check, _MARGINS[check](s, res, w), w.margin
 
 
 def simulate_scenario(s: Scenario, out_dir: str | None = None) -> list[str]:
@@ -498,10 +602,14 @@ def main(argv=None) -> int:
                     "their stability estimates.")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, helptext in (("simulate", "write trajectory CSVs only"),
-                          ("check", "run the configured checker battery")):
+                          ("check", "run the configured checker battery"),
+                          ("replay", "re-evaluate a witness record of 'check'")):
         sp = sub.add_parser(cmd, help=helptext)
         sp.add_argument("scenario", help="scenario file path or bundled scenario name")
-        sp.add_argument("--out", help="output directory (overrides output.dir)")
+        if cmd == "replay":
+            sp.add_argument("witness", help="a witness_<check>.csv written by 'check'")
+        else:
+            sp.add_argument("--out", help="output directory (overrides output.dir)")
         sp.add_argument("--seed", type=int, help="override budget.seed")
         sp.add_argument("--modes", type=int, help="override the truncation order")
     args = parser.parse_args(argv)
@@ -512,6 +620,14 @@ def main(argv=None) -> int:
             print(f"wrote {len(written)} trajectories to "
                   f"{args.out or scenario.out_dir}")
             return 0
+        if args.command == "replay":
+            check, replayed, recorded = replay_witness(scenario, args.witness)
+            reproduced = replayed < 0.0 and abs(replayed - recorded) <= REPLAY_RTOL * abs(
+                recorded)
+            print(f"{check}: replayed margin {replayed:.17g}, recorded margin "
+                  f"{recorded:.17g}: the violation "
+                  + ("reproduces" if reproduced else "does not reproduce"))
+            return 1 if reproduced else 3
         run = run_scenario(scenario, args.out)
         for e in run.entries:
             print(f"{e.name}: {e.report.verdict.value} "

@@ -239,14 +239,6 @@ class InputSignal:
 # flows
 
 
-def semigroup_apply(sys: SpectralSystem, t: float, x) -> np.ndarray:
-    """Unforced flow T(t)x: coordinatewise exp(-lambda_k t) x_k."""
-    if t < 0.0:
-        raise DomainError("the semigroup is defined for t >= 0")
-    x = np.asarray(x, dtype=float)
-    return x * np.exp(-sys.lambdas * t)
-
-
 def _anchored(sys: SpectralSystem, x0s, u: InputSignal, t: float):
     """Step ``x0s``, one state or a stack of states, to the anchors of the
     flow at t: 0 and every input breakpoint below t.

@@ -18,9 +18,11 @@ from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_syst
                     main, parse_scenario, run_scenario, ISSCertificate,
                     DecayEnvelope, linear)
 from isslab import checkers
-from isslab.harness import (_CHECKS, CHECK_NAMES, MAX_WORK, _resolve, _work,
-                            bundled_scenario_path, load_scenario, serialize_scenario,
-                            simulate_scenario)
+from isslab.harness import (_CHECKS, _MARGINS, CHECK_NAMES, MAX_WORK, _resolve, _work,
+                            bundled_scenario_path, load_scenario, read_witness,
+                            serialize_scenario, simulate_scenario, write_witness)
+from isslab.report import Witness
+from isslab.system import InputSignal
 from test_checkers import assert_same_report
 
 MINIMAL = """
@@ -616,6 +618,225 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
     run_scenario(s, str(tmp_path))
     assert set(drawn.values()) == {2}
     assert checkers._RUN.get() is None
+
+
+# ---------------------------------------------------------------------------
+# witness records and replay
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_same_witness(a: Witness, b: Witness):
+    assert _bits(a.x0) == _bits(b.x0)
+    assert _bits(a.input.breakpoints) == _bits(b.input.breakpoints)
+    assert _bits(a.input.values) == _bits(b.input.values)
+    assert _bits([a.t, a.margin]) == _bits([b.t, b.margin])
+
+
+def test_witness_record_round_trips_exactly(tmp_path):
+    x0 = np.array([-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 2.2250738585072014e-308])
+    u = InputSignal.piecewise([0.0, 1.0 / 3.0, 0.7], [-0.0, -1e-310])
+    w = Witness(x0=x0, input=u, t=1.0 / 7.0, margin=-0.47462305300701213)
+    path = tmp_path / "witness_iss.csv"
+    write_witness(path, "iss", "0123456789abcdef", w)
+    check, digest, back = read_witness(path)
+    assert (check, digest) == ("iss", "0123456789abcdef")
+    _assert_same_witness(back, w)
+    assert path.read_text().splitlines()[4].startswith("x0,-0,4.9406564584124654e-324,")
+
+
+def test_witness_record_of_the_zero_input_has_an_empty_values_line(tmp_path):
+    w = Witness(x0=np.zeros(3), input=InputSignal.zero(), t=0.0, margin=-1.0)
+    path = tmp_path / "witness_uls.csv"
+    write_witness(path, "uls", "d", w)
+    assert path.read_text().splitlines() == [
+        "check,uls", "scenario_digest,d", "t,0", "margin,-1", "x0,0,0,0",
+        "breakpoints,0", "values"]
+    _assert_same_witness(read_witness(path)[2], w)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x0=st.lists(finite, min_size=1, max_size=6), values=st.lists(finite, max_size=4),
+       t=st.floats(min_value=0.0, max_value=1e6), margin=finite)
+def test_witness_record_round_trips_every_double(tmp_path_factory, x0, values, t, margin):
+    u = InputSignal.piecewise(np.arange(len(values) + 1) / 3.0, values)
+    w = Witness(x0=np.array(x0), input=u, t=t, margin=margin)
+    path = tmp_path_factory.mktemp("record") / "witness.csv"
+    write_witness(path, "iss", "d", w)
+    _assert_same_witness(read_witness(path)[2], w)
+
+
+REFUTE_256 = """\
+system.preset = heat_dirichlet
+system.n_modes = 256
+certificate.beta = decay(1.0, 9.869604401089358)
+certificate.gamma = linear(0.1)
+certificate.uls_sigma = linear(0.1)
+checks.ulim_eps = 0.001
+checks.names = iss, uls, ulim
+budget.n_states = 4
+budget.n_inputs = 4
+budget.seed = 3
+"""
+
+
+@pytest.mark.parametrize("scenario, checks", [("heat_bad_gain.scn", ["iss"]),
+                                              ("refute_256", ["iss", "uls", "ulim"])])
+def test_replay_reproduces_every_witness(tmp_path, capsys, scenario, checks):
+    if scenario == "refute_256":
+        scenario = str(tmp_path / "refute_256.scn")
+        Path(scenario).write_text(REFUTE_256)
+    out = tmp_path / "out"
+    assert main(["check", scenario, "--out", str(out)]) == 1
+    run = {e.name: e for e in run_scenario(load_scenario(scenario), str(tmp_path / "again"))
+           .entries}
+    assert sorted(p.name for p in out.glob("witness_*")) == sorted(
+        f"witness_{c}.csv" for c in checks)
+    capsys.readouterr()
+    for check in checks:
+        assert main(["replay", scenario, str(out / f"witness_{check}.csv")]) == 1
+        recorded = format(run[check].report.witness.margin, ".17g")
+        assert capsys.readouterr().out == (
+            f"{check}: replayed margin {recorded}, recorded margin {recorded}: "
+            "the violation reproduces\n")
+
+
+@pytest.mark.parametrize("check", sorted(_MARGINS))
+def test_replay_of_a_clean_sample_exits_3(tmp_path, capsys, check):
+    # the zero state under the zero input meets every estimate, so a record
+    # that claims a violation there does not reproduce
+    s = load_scenario("heat_iss.scn")
+    w = Witness(x0=np.zeros(64), input=InputSignal.zero(), t=1.0, margin=-1.0)
+    write_witness(tmp_path / "w.csv", check, s.digest(), w)
+    assert main(["replay", "heat_iss.scn", str(tmp_path / "w.csv")]) == 3
+    assert "does not reproduce" in capsys.readouterr().out
+
+
+def test_replay_refuses_another_scenarios_record(tmp_path, capsys):
+    assert main(["check", "heat_bad_gain.scn", "--out", str(tmp_path)]) == 1
+    assert main(["replay", "heat_iss.scn", str(tmp_path / "witness_iss.csv")]) == 2
+    assert "not of this scenario" in capsys.readouterr().err
+    # the digest covers the overrides of check, which replay takes too
+    assert main(["check", "heat_bad_gain.scn", "--seed", "7", "--out",
+                 str(tmp_path / "s7")]) == 1
+    assert main(["replay", "heat_bad_gain.scn", str(tmp_path / "s7/witness_iss.csv")]) == 2
+    assert main(["replay", "heat_bad_gain.scn", "--seed", "7",
+                 str(tmp_path / "s7/witness_iss.csv")]) == 1
+
+
+@pytest.mark.parametrize("check", sorted(set(CHECK_NAMES) - set(_MARGINS)))
+def test_replay_of_a_check_without_a_margin_function_exits_2(tmp_path, capsys, check):
+    s = load_scenario("heat_iss.scn")
+    w = Witness(x0=np.zeros(64), input=InputSignal.zero(), t=1.0, margin=-1.0)
+    write_witness(tmp_path / "w.csv", check, s.digest(), w)
+    assert main(["replay", "heat_iss.scn", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"check {check!r} has no single-sample margin function" in err
+
+
+GOOD_RECORD = ["check,iss", "scenario_digest,{digest}", "t,1", "margin,-1",
+               "x0," + ",".join(["0"] * 64), "breakpoints,0,2", "values,1"]
+
+
+@pytest.mark.parametrize("line, text", [
+    (None, ""), (6, None), (0, "check,nonsense"), (2, "t,one"), (2, "t,1,2"),
+    (3, "margin,nan"), (4, "x0,inf" + ",0" * 63), (4, "x0,0,0"), (5, "breakpoints,1,2"),
+    (6, "values,1,2"), (5, "breakpoints,0,-1"), (1, "digest,{digest}"), (6, "values,1\nextra")],
+    ids=["empty", "missing_line", "unknown_check", "non_number", "two_times", "nan_margin",
+         "infinite_x0", "short_x0", "late_breakpoint", "extra_value", "decreasing",
+         "misnamed_line", "extra_line"])
+def test_replay_of_a_malformed_record_exits_2(tmp_path, capsys, line, text):
+    lines = list(GOOD_RECORD)
+    if line is None:
+        lines = []
+    elif text is None:
+        del lines[line]
+    else:
+        lines[line] = text
+    digest = load_scenario("heat_bad_gain.scn").digest()
+    path = tmp_path / "witness_iss.csv"
+    path.write_text("\n".join(lines).format(digest=digest) + "\n")
+    assert main(["replay", "heat_bad_gain.scn", str(path)]) == 2
+    assert "malformed witness record" in capsys.readouterr().err
+
+
+def test_replay_of_the_good_record_reproduces(tmp_path):
+    # the record the malformed ones are made from: x0 = 0, u = 1 on [0, 2)
+    path = tmp_path / "witness_iss.csv"
+    digest = load_scenario("heat_bad_gain.scn").digest()
+    path.write_text("\n".join(GOOD_RECORD).format(digest=digest) + "\n")
+    check, digest, w = read_witness(path)
+    margin = iss_margin(build_system(load_scenario("heat_bad_gain.scn")),
+                        ISSCertificate(DecayEnvelope(1.0, 9.869604401089358), linear(0.1)),
+                        w.x0, w.input, w.t)
+    path.write_text(path.read_text().replace("margin,-1", f"margin,{margin!r}"))
+    assert main(["replay", "heat_bad_gain.scn", str(path)]) == 1
+
+
+def test_replay_of_a_missing_record_exits_2(tmp_path, capsys):
+    assert main(["replay", "heat_iss.scn", str(tmp_path / "none.csv")]) == 2
+    assert "witness record not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trajectories", [False, True])
+def test_dense_witness_trajectory_only_on_request(tmp_path, trajectories):
+    text = bundled_scenario_path("heat_bad_gain.scn").read_text().replace(
+        "output.trajectories = false", f"output.trajectories = {str(trajectories).lower()}")
+    run = run_scenario(parse_scenario(text), str(tmp_path))
+    assert run.entries[0].witness_file == "witness_iss.csv"
+    assert (tmp_path / "witness_iss.csv").read_text().startswith("check,iss\n")
+    dense = tmp_path / "witness_iss_trajectory.csv"
+    assert dense.exists() == trajectories
+    if trajectories:
+        rows = list(csv.reader(dense.open()))
+        assert rows[0][:3] == ["t", "norm", "c1"] and len(rows[0]) == 66
+        w = run.entries[0].report.witness
+        assert [float(v) for v in rows[1][2:]] == w.x0.tolist()
+        assert w.t in {float(row[0]) for row in rows[1:]}
+
+
+# ---------------------------------------------------------------------------
+# certificates on the budget ball
+
+OVERFLOWING = [
+    ("certificate.beta", "certificate.beta = decay(1e308, 1.0)\nbudget.radius = 10\n"),
+    ("certificate.gamma", "certificate.gamma = power(1.0, 400.0)\nbudget.radius = 10\n"),
+    ("certificate.uls_sigma", "certificate.uls_sigma = linear(1e308)\nbudget.radius = 10\n"),
+    ("certificate.psi", "certificate.psi = power(1e300, 2.0)\nbudget.radius = 1e5\n"),
+    ("certificate.sigma", "certificate.sigma = power(1e305, 1.0)\nbudget.horizon = 1e4\n"),
+    ("certificate.beta", "certificate.beta = decay(1e300, 1.0)\nchecks.brs_c = 1e10\n"),
+    # each function finite, their sum, the bound a check compares with, not
+    ("certificate.beta + certificate.gamma",
+     "certificate.beta = decay(1e308, 1.0)\ncertificate.gamma = linear(1e308)\n"),
+    ("certificate.uls_sigma + certificate.gamma",
+     "certificate.uls_sigma = linear(1e308)\ncertificate.gamma = linear(1e308)\n"),
+    ("certificate.psi + certificate.sigma",
+     "certificate.psi = linear(1e308)\ncertificate.sigma = linear(1e308)\n"
+     "budget.horizon = 1.0\n"),
+]
+
+
+@pytest.mark.parametrize("checks", ["iss, uls", "iss"])
+@pytest.mark.parametrize("warn", ["error", "always"])
+@pytest.mark.parametrize("key, text", OVERFLOWING,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(OVERFLOWING)])
+def test_certificate_overflowing_on_the_ball_is_config_error(tmp_path, capsys, key, text,
+                                                             checks, warn):
+    # before, decay(1e308, 1) at radius 10 exited 3 with iss, uls ("ULS:
+    # non-finite margin inf") and 0 after an overflow warning with iss alone
+    path = tmp_path / "overflow.scn"
+    path.write_text(f"checks.names = {checks}\n{text}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warn, RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert f"configuration error: {key} overflows on the ball" in err
 
 
 # ---------------------------------------------------------------------------
