@@ -22,10 +22,11 @@ One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS and the two
 integral forms) all say that a comparison bound minus a functional of the
 flow phi(t, x0, u), |phi| or the integral of alpha(|phi|), is nonnegative at
 every sampled (x0, u, t).  ``_scan`` is the one loop that checks them, and
-the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``,
-``norm_to_integral_margin``) run it on one pair, so a witness replays
-through the checker's own arithmetic.  CEP reads its whole table off one
-sweep (see ``check_cep``).  The axiom checks step each input's stack of
+the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
+on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget) run
+it on one pair, so a witness replays through the checker's own arithmetic
+on the checker's own grid.  CEP reads its whole table off one sweep (see
+``check_cep``).  The axiom checks step each input's stack of
 states through the stepper once (``system._flow_at``, the values of
 ``mild_solution`` bit for bit); only the cocycle's restart, on an input
 shifted differently per pair, runs pair by pair.  So identity, causality,
@@ -179,6 +180,12 @@ def draw_input(budget: SampleBudget, j: int) -> InputSignal:
     return InputSignal(breakpoints, values)
 
 
+def ulim_grid(budget: SampleBudget) -> np.ndarray:
+    """The hitting-time grid on which :func:`check_ulim` searches each
+    trajectory of ``budget``."""
+    return np.linspace(0.0, budget.horizon, ULIM_GRID_POINTS)
+
+
 def eval_times(budget: SampleBudget) -> np.ndarray:
     """Low-discrepancy evaluation times including 0 and the horizon: the
     horizon times the base-2 van der Corput points of 1..n_times, whose
@@ -226,7 +233,7 @@ class _Samples:
         if kind not in self._swept:
             kinds = ("probe", "ulim") if self._union else (kind,)
             times, horizon = eval_times(self.budget), self.budget.horizon
-            ulim = np.linspace(0.0, horizon, ULIM_GRID_POINTS)
+            ulim = ulim_grid(self.budget)
             for k in kinds:
                 self._swept[k] = []
             for u in self.inputs:
@@ -658,12 +665,27 @@ def _nti_bound(cert: NormToIntegralCertificate):
 
 
 def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                            x0, u: InputSignal, t: float) -> float:
-    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|), with the integral
-    taken as :func:`check_norm_to_integral` takes it: in closed form for
-    alpha = c r**2, else by Simpson on a graded grid on [0, t]."""
-    lhs, _ = _integrals(cert.alpha, np.array([float(t)]), max(t, 1e-6))
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _one(sys, x0, u), lhs,
+                            x0, u: InputSignal, t: float,
+                            budget: SampleBudget | None = None) -> float:
+    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|).
+
+    The integral is taken in closed form for alpha = c r**2, else by Simpson
+    on a graded grid: given ``budget``, the grid on which
+    :func:`check_norm_to_integral` integrates over that budget, so that its
+    witness replays to its margin (t must be one of the budget's evaluation
+    times); without, a grid on [0, t].
+    """
+    if budget is None:
+        times, horizon = np.array([float(t)]), max(t, 1e-6)
+    else:
+        times, horizon = eval_times(budget), budget.horizon
+    lhs, _ = _integrals(cert.alpha, times, horizon)
+    at = _grid_indices(times, [float(t)])
+
+    def lhs_at_t(samples, j):
+        times_, integrals = lhs(samples, j)
+        return times_[at], integrals[:, at]
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _one(sys, x0, u), lhs_at_t,
                   _nti_bound(cert)).worst_margin
 
 

@@ -50,7 +50,7 @@ from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
                        check_uls, dissipation_margin, draw_input, draw_state, iss_margin,
-                       norm_to_integral_margin, ulim_slack, uls_margin)
+                       norm_to_integral_margin, ulim_grid, ulim_slack, uls_margin)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral, evaluate,
                          linear, parse_comparison, power)
@@ -159,15 +159,15 @@ _CHECKS = {
 }
 CHECK_NAMES = tuple(_CHECKS)
 
-#: The checks with a single-sample margin function, which replays a witness:
-#: name -> margin(scenario, resolved, witness).
+#: The checks with a single-sample margin function, which replays a witness
+#: on the check's own grid: name -> margin(scenario, resolved, witness).
 _MARGINS = {
     "iss": lambda s, r, w: iss_margin(r.sys, r.iss, w.x0, w.input, w.t),
     "uls": lambda s, r, w: uls_margin(r.sys, r.uls_sigma, r.iss.gamma, w.x0, w.input, w.t),
     "ulim": lambda s, r, w: ulim_slack(r.sys, r.iss.gamma, s.ulim_eps, w.x0, w.input,
-                                       np.linspace(0.0, s.budget.horizon, ULIM_GRID_POINTS)),
+                                       ulim_grid(s.budget)),
     "norm_to_integral": lambda s, r, w: norm_to_integral_margin(r.sys, r.nti, w.x0,
-                                                                w.input, w.t),
+                                                                w.input, w.t, s.budget),
     "dissipation": lambda s, r, w: dissipation_margin(r.sys, r.op, r.params, w.x0, w.input),
 }
 
@@ -340,26 +340,23 @@ def _validate_scenario(s: Scenario) -> None:
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
     gain = 1.0 + float(np.linalg.norm(res.sys.input_gain_coeffs))
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
-        if r is None:
-            continue
-        if r * gain > _CEP_SCALED_RANGE[1]:
+        if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
                                 f"{r * gain:.3g} exceeds 2**400", key=key)
-        # each certificate function, and each bound a check compares with,
-        # where it is largest on the ball: an overflow there is an infinite margin
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta, gamma = res.iss.beta(r, 0.0), evaluate(res.iss.gamma, r)
-            uls_sigma, psi = evaluate(res.uls_sigma, r), evaluate(res.nti.psi, r)
-            sigma = s.budget.horizon * evaluate(res.nti.sigma, r)
-        for cert_key, value in (("certificate.beta", beta), ("certificate.gamma", gamma),
-                                ("certificate.uls_sigma", uls_sigma),
-                                ("certificate.psi", psi), ("certificate.sigma", sigma),
-                                ("certificate.beta + certificate.gamma", beta + gamma),
-                                ("certificate.uls_sigma + certificate.gamma", uls_sigma + gamma),
-                                ("certificate.psi + certificate.sigma", psi + sigma)):
-            if not math.isfinite(value):
-                raise ScenarioError(f"{cert_key} overflows on the ball {key} = {r!r}: it is "
-                                    "not finite where it is largest there", key=cert_key)
+    # each bound a certificate check compares with, where it is largest on the
+    # budget ball, from which those checks draw: an overflow is an infinite margin
+    r = s.budget.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        largest = {"beta": res.iss.beta(r, 0.0), "gamma": evaluate(res.iss.gamma, r),
+                   "uls_sigma": evaluate(res.uls_sigma, r), "psi": evaluate(res.nti.psi, r),
+                   "sigma": s.budget.horizon * evaluate(res.nti.sigma, r)}
+    for terms in (("beta", "gamma"), ("uls_sigma", "gamma"), ("psi", "sigma")):
+        if not math.isfinite(sum(largest[t] for t in terms)):
+            # name the term that overflows, or both when only their sum does
+            bad = [t for t in terms if not math.isfinite(largest[t])] or terms
+            key = " + ".join(f"certificate.{t}" for t in bad)
+            raise ScenarioError(f"{key} overflows on the ball budget.radius = {r!r}: it "
+                                "is not finite where it is largest there", key=key)
 
 
 def _work(s: Scenario) -> int:
@@ -506,6 +503,10 @@ def read_witness(path) -> tuple[str, str, Witness]:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         raise ScenarioError(f"witness record not found: {path}") from None
+    except OSError as exc:
+        raise ScenarioError(f"cannot read the witness record {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"malformed witness record {path}: {exc}") from None
     rows = [line.partition(",")[::2] for line in lines]
     if tuple(name for name, _ in rows) != _RECORD_FIELDS:
         raise ScenarioError(f"malformed witness record {path}: expected the lines "
@@ -536,7 +537,10 @@ def replay_witness(s: Scenario, path) -> tuple[str, float, float]:
     if w.x0.shape != (res.sys.n_modes,):
         raise ScenarioError(f"malformed witness record {path}: x0 has {w.x0.size} "
                             f"values, the system {res.sys.n_modes} modes")
-    return check, _MARGINS[check](s, res, w), w.margin
+    try:
+        return check, _MARGINS[check](s, res, w), w.margin
+    except ValidationError as exc:   # the scenario is valid, so the record is not
+        raise ScenarioError(f"malformed witness record {path}: {exc}") from None
 
 
 def simulate_scenario(s: Scenario, out_dir: str | None = None) -> list[str]:

@@ -17,11 +17,11 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, linear, power, sample_trajectory, iss_margin,
                     uls_margin, ulim_slack, Verdict)
-from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, ULIM_GRID_POINTS,
+from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
                              _Samples, _Tracker, _input_integrals, _norms,
                              _prefix_integrals, _scan, _sweep, _swept,
                              dissipation_margin, eval_times, norm_to_integral_margin,
-                             run_iss_equivalence_battery, trajectory_integral)
+                             run_iss_equivalence_battery, trajectory_integral, ulim_grid)
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -164,18 +164,28 @@ def _refuted(sys, case):
                 lambda w: uls_margin(sys, sigma, gamma, w.x0, w.input, w.t))
     if case == "ulim":
         short = replace(BUDGET, horizon=0.05)
-        grid = np.linspace(0.0, short.horizon, ULIM_GRID_POINTS)
+        grid = ulim_grid(short)
         gamma = linear(1.0 / SQRT3)
         return (check_ulim(sys, gamma, 0.1, 1.0, short),
                 lambda w: ulim_slack(sys, gamma, 0.1, w.x0, w.input, grid))
-    # sigma far below the steady input energy alpha(1/sqrt(3)) = 1/6 per unit time
-    bad = NormToIntegralCertificate(alpha=power(0.5, 2.0), psi=power(1.0 / PI2, 2.0),
-                                    sigma=power(0.01, 2.0))
-    return (check_norm_to_integral(sys, bad, BUDGET),
-            lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t))
+    if case == "norm_to_integral":
+        # sigma far below the steady input energy alpha(1/sqrt(3)) = 1/6 per unit time
+        bad = NormToIntegralCertificate(alpha=power(0.5, 2.0), psi=power(1.0 / PI2, 2.0),
+                                        sigma=power(0.01, 2.0))
+        return (check_norm_to_integral(sys, bad, BUDGET),
+                lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t))
+    # alpha = r**1.5 takes Simpson, on a grid that depends on the whole budget:
+    # the witness lies at t = 2.54375 < horizon, where a grid on [0, t] alone
+    # errs by 1e-8
+    long = replace(BUDGET, horizon=3.7)
+    bad = NormToIntegralCertificate(alpha=power(1.0, 1.5), psi=linear(0.01),
+                                    sigma=linear(0.6))
+    return (check_norm_to_integral(sys, bad, long),
+            lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t, long))
 
 
-@pytest.mark.parametrize("case", ["iss", "uls", "ulim", "norm_to_integral"])
+@pytest.mark.parametrize("case", ["iss", "uls", "ulim", "norm_to_integral",
+                                  "norm_to_integral_simpson"])
 def test_witness_replays_to_reported_margin(case):
     rep, replay = _refuted(heat(), case)
     assert rep.violated
@@ -183,6 +193,8 @@ def test_witness_replays_to_reported_margin(case):
     assert rep.worst_margin < (-0.4 if case == "iss" else 0.0)
     w = rep.witness
     assert w.margin == rep.worst_margin
+    if case == "norm_to_integral_simpson":
+        assert w.t < 3.7   # before the horizon, where the grid matters
     assert replay(w) < 0.0
     assert replay(w) == pytest.approx(w.margin, rel=1e-12)
 
@@ -782,11 +794,11 @@ def test_battery_bad_gain_consistent_violations():
 def _count_sweeps(monkeypatch, budget):
     """Record (input, whether the grid holds budget's ULIM grid) per sweep."""
     import isslab.checkers as checkers_mod
-    ulim_grid = np.linspace(0.0, budget.horizon, ULIM_GRID_POINTS)
+    ulim = ulim_grid(budget)
     flow_norms, swept = checkers_mod._flow_norms, []
 
     def counted(sys, x0s, u, grid):
-        swept.append((u, bool(np.all(np.isin(ulim_grid, grid)))))
+        swept.append((u, bool(np.all(np.isin(ulim, grid)))))
         return flow_norms(sys, x0s, u, grid)
     monkeypatch.setattr(checkers_mod, "_flow_norms", counted)
     return swept

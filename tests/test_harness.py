@@ -604,7 +604,7 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     s = _tiny_workload("pointwise_heat64")
-    ulim_grid = np.linspace(0.0, s.budget.horizon, checkers.ULIM_GRID_POINTS)
+    ulim_grid = checkers.ulim_grid(s.budget)
     run_scenario(s, str(tmp_path))
     # identity, cocycle, iss, uls, ulim and brs share s.budget; cep sweeps at cep_h
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
@@ -684,13 +684,31 @@ budget.n_inputs = 4
 budget.seed = 3
 """
 
+# alpha = r**1.5 takes Simpson on a grid that depends on the whole budget; the
+# witness lies at t = 2.54375 < horizon, where a grid on [0, t] errs by 1e-8
+SIMPSON_NTI = """\
+system.preset = heat_dirichlet
+system.n_modes = 16
+certificate.alpha = power(1.0, 1.5)
+certificate.psi = linear(0.01)
+certificate.sigma = linear(0.6)
+checks.names = norm_to_integral
+budget.n_states = 4
+budget.n_inputs = 4
+budget.n_times = 20
+budget.horizon = 3.7
+budget.seed = 3
+"""
+INLINE = {"refute_256": REFUTE_256, "simpson_nti": SIMPSON_NTI}
+
 
 @pytest.mark.parametrize("scenario, checks", [("heat_bad_gain.scn", ["iss"]),
-                                              ("refute_256", ["iss", "uls", "ulim"])])
+                                              ("refute_256", ["iss", "uls", "ulim"]),
+                                              ("simpson_nti", ["norm_to_integral"])])
 def test_replay_reproduces_every_witness(tmp_path, capsys, scenario, checks):
-    if scenario == "refute_256":
-        scenario = str(tmp_path / "refute_256.scn")
-        Path(scenario).write_text(REFUTE_256)
+    if scenario in INLINE:
+        Path(tmp_path / f"{scenario}.scn").write_text(INLINE[scenario])
+        scenario = str(tmp_path / f"{scenario}.scn")
     out = tmp_path / "out"
     assert main(["check", scenario, "--out", str(out)]) == 1
     run = {e.name: e for e in run_scenario(load_scenario(scenario), str(tmp_path / "again"))
@@ -783,6 +801,24 @@ def test_replay_of_a_missing_record_exits_2(tmp_path, capsys):
     assert "witness record not found" in capsys.readouterr().err
 
 
+def test_replay_of_an_unreadable_record_exits_2(tmp_path, capsys):
+    (tmp_path / "binary.csv").write_bytes(b"\xff")
+    assert main(["replay", "heat_iss.scn", str(tmp_path / "binary.csv")]) == 2
+    assert "malformed witness record" in capsys.readouterr().err
+    assert main(["replay", "heat_iss.scn", str(tmp_path)]) == 2   # a directory
+    assert "cannot read the witness record" in capsys.readouterr().err
+
+
+def test_replay_of_a_time_off_the_checks_grid_exits_2(tmp_path, capsys):
+    # norm_to_integral evaluates at the budget's evaluation times only
+    path = tmp_path / "simpson_nti.scn"
+    path.write_text(SIMPSON_NTI)
+    w = Witness(x0=np.zeros(16), input=InputSignal.zero(), t=1.0, margin=-1.0)
+    write_witness(tmp_path / "w.csv", "norm_to_integral", load_scenario(str(path)).digest(), w)
+    assert main(["replay", str(path), str(tmp_path / "w.csv")]) == 2
+    assert "malformed witness record" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trajectories", [False, True])
 def test_dense_witness_trajectory_only_on_request(tmp_path, trajectories):
     text = bundled_scenario_path("heat_bad_gain.scn").read_text().replace(
@@ -809,7 +845,6 @@ OVERFLOWING = [
     ("certificate.uls_sigma", "certificate.uls_sigma = linear(1e308)\nbudget.radius = 10\n"),
     ("certificate.psi", "certificate.psi = power(1e300, 2.0)\nbudget.radius = 1e5\n"),
     ("certificate.sigma", "certificate.sigma = power(1e305, 1.0)\nbudget.horizon = 1e4\n"),
-    ("certificate.beta", "certificate.beta = decay(1e300, 1.0)\nchecks.brs_c = 1e10\n"),
     # each function finite, their sum, the bound a check compares with, not
     ("certificate.beta + certificate.gamma",
      "certificate.beta = decay(1e308, 1.0)\ncertificate.gamma = linear(1e308)\n"),
@@ -837,6 +872,17 @@ def test_certificate_overflowing_on_the_ball_is_config_error(tmp_path, capsys, k
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert f"configuration error: {key} overflows on the ball" in err
+
+
+def test_certificates_are_not_read_on_the_brs_ball(tmp_path):
+    # check_brs reads no certificate, so its ball bounds none of them:
+    # beta(1e10, 0) = 1e310 overflows, while on the budget ball all is finite
+    path = tmp_path / "brs.scn"
+    path.write_text("checks.names = iss\ncertificate.beta = decay(1e300, 1.0)\n"
+                    "checks.brs_c = 1e10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------
