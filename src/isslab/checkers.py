@@ -37,13 +37,14 @@ breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
 depends on the input alone.  The kernel therefore scans input by input and
 asks for the compared functional of all the input's states at once; the
 bound is evaluated once per input too, on the column of state norms.  For
-|phi| it builds the probe grid once and evaluates the flow in blocks of at
-most 256 grid rows, computing the decays and the forced term once per block
-and adding each state's decayed anchor state.  No array larger than a block
-of rows by the modes is built per state, and only the norms (states by
-grid) are kept.  The flow is the block helper of ``sample_trajectory``, so
-the kernel's norms are those of ``sample_trajectory(...).norms()`` bit for
-bit.
+|phi| it sweeps the input's grid once through the flow kernel
+``system._flow_norms``, which also fills ``sample_trajectory``, so the
+kernel's norms are those of ``sample_trajectory(...).norms()`` bit for bit.
+A mode with lambda_k (t - a) > 746 has decayed to exactly 0.0 and holds its
+forced value, the same for every state; so each grid row has a live width,
+the modes still decaying, and only those columns cost work per state (in
+the benchmark's N = 256 sweeps the median row has 13 live modes, and 8% of
+all entries are live).  Only the norms (states by grid) are kept.
 
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
@@ -99,7 +100,7 @@ from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
                        dini_estimate)
 from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
                      conclude)
-from .system import (InputSignal, SpectralSystem, _flow_at, _flow_blocks,
+from .system import (InputSignal, SpectralSystem, _flow_at, _flow_norms,
                      _square_integrals, build_time_grid, kappa_bounds, mild_solution,
                      seeded_rng, state_norm)
 
@@ -357,17 +358,6 @@ def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound,
 
 def _one(sys: SpectralSystem, x0, u: InputSignal) -> _Samples:
     return _Samples(sys, [x0], [u])
-
-
-def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid) -> np.ndarray:
-    """|phi(grid, x0, u)| for each state of ``x0s`` (rows)."""
-    norms = np.empty((len(x0s), np.size(grid)))
-    for rows, s, block in _flow_blocks(sys, x0s, u, grid):
-        # np.linalg.norm(block, axis=1), with the squares taken in place
-        norms[s, rows] = np.sqrt(np.add.reduce(np.multiply(block, block, out=block), axis=1))
-    if not np.all(np.isfinite(norms)):
-        raise ValidationError("trajectory states must be finite")
-    return norms
 
 
 def _norms(probe):
@@ -635,15 +625,6 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
     return lhs, _pair_tol(QUAD_TOL)
-
-
-def trajectory_integral(traj, f: ComparisonFunction, t: float) -> float:
-    """Composite-Simpson integral of f(|phi(s)|) over [0, t] on the sampled
-    grid, per input segment."""
-    grid = traj.times
-    starts = _segment_starts(grid, traj.input, float(grid[-1]))
-    at = _grid_indices(grid, [t])
-    return float(_simpson_integrals(evaluate(f, traj.norms()), grid, at, starts)[0])
 
 
 def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.ndarray:

@@ -87,13 +87,6 @@ def v_value(op: LyapunovOperator, x) -> float:
     return float(np.dot(op.p_coeffs * x, x))
 
 
-def lyapunov_residual(op: LyapunovOperator, x) -> float:
-    """2<Px, Ax> + |x|^2, identically zero for the datko construction."""
-    x = np.asarray(x, dtype=float)
-    lam = op.system.lambdas
-    return float(2.0 * np.dot(op.p_coeffs * x, -lam * x) + np.dot(x, x))
-
-
 @dataclass(frozen=True)
 class DiniEstimate:
     """Finite-sample surrogate of the upper Dini derivative of V along the flow.

@@ -18,6 +18,11 @@ below the time asked for, and every flow value (``mild_solution``, each row of
 the last anchor below its time.  A value never depends on a sampling grid, so
 the axiom checks and the Dini quotients test the arithmetic of every margin.
 
+The flow smooths: h after an anchor every mode with lambda_k h > 746 has
+exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
+whatever the state, so the flow kernel (``_flow_norms``, behind
+``sample_trajectory`` and the checkers) works per state on the live modes only.
+
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
 
@@ -39,6 +44,10 @@ from .errors import DomainError, ValidationError
 
 CSV_FMT = ".17g"
 _ROW_BLOCK = 256   # grid rows per block of the flow evaluation
+_MIN_GROUP = 64    # rows a group of the flow kernel takes before it may end
+# exp(-x) is exactly 0.0 for x >= 746: exp(-745.14) is already below half the
+# smallest subnormal 2**-1074, so it rounds to zero
+_EXP_FLUSH = 746.0
 _CSV_ROWS = 32     # trajectory rows per formatted block of a CSV file
 _GRID_T_MIN = 1e-7  # first graded grid step after 0 and each breakpoint
 
@@ -263,15 +272,15 @@ def _anchored(sys: SpectralSystem, x0s, u: InputSignal, t: float):
     return anchors, vals, states
 
 
-def _decay_forced(sys: SpectralSystem, dt, v):
+def _decay_forced(sys: SpectralSystem, dt, v, w=None):
     """The decay exp(-lambda dt) and the forced term (b / lambda) v (1 - decay)
-    of the flow dt after an anchor with input value v; ``dt`` and ``v``
-    broadcast against the modes."""
+    of the flow dt after an anchor with input value v, in the first ``w``
+    modes (all by default); ``dt`` and ``v`` broadcast against the modes."""
     # arg is held until the return: freed before the forced term was built,
     # it raised the peak RSS of refute_heat256 by about 2 MB (allocator reuse)
-    arg = -dt * sys.lambdas
+    arg = -dt * sys.lambdas[:w]
     decay = np.exp(arg)
-    return decay, sys.input_gain_coeffs * v * (1.0 - decay)
+    return decay, sys.input_gain_coeffs[:w] * v * (1.0 - decay)
 
 
 def _flow_at(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.ndarray:
@@ -320,16 +329,38 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
-    """Yield ``(rows, s, phi(grid[rows], x0s[s], u))`` for every block of at
-    most ``_ROW_BLOCK`` grid rows and, within it, every state s.
+def _row_groups(width: np.ndarray) -> list[int]:
+    """Edges of groups of at most ``_ROW_BLOCK`` rows sorted by live width,
+    cut where the width's power-of-two class grows once a group has
+    ``_MIN_GROUP`` rows: a short grid stays one group."""
+    edges = [0]
+    cls = np.frexp(width)[1]
+    for b in [*(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), width.size]:
+        while b - edges[-1] > _ROW_BLOCK:
+            edges.append(edges[-1] + _ROW_BLOCK)
+        if b - edges[-1] >= _MIN_GROUP or b == width.size:
+            edges.append(b)
+    return edges
+
+
+def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid, states=None) -> np.ndarray:
+    """|phi(grid[i], x0s[s], u)| for each state s (rows) and grid row i
+    (columns); given ``states`` of shape (len(x0s), grid.size, n_modes), the
+    flows themselves are written there too.
 
     The grid must be one-dimensional, nonempty, start at 0 and strictly
     increase, and every state must have shape (n_modes,).  The anchor states
     of all states are stepped together, and each row runs from the last
-    anchor below its time, as in ``mild_solution``.  The decay and the forced
-    term depend only on the input and the grid, so each block computes them
-    once for all states; a state gives the same bits alone as in a stack.
+    anchor below its time, as in ``mild_solution``.  A row dt after its
+    anchor has the live width W = #{k : lambda_k dt <= _EXP_FLUSH}; every
+    mode past W has decayed to exactly 0.0 and holds its forced value g_k v,
+    the same for every state.  Rows are sorted by W and cut into groups
+    (``_row_groups``); each group computes the decay and the forced term on
+    its first W columns and the tail squares (g_k v)**2 once for all states,
+    and each state's pass gathers, decays and squares only those W columns.
+    Each norm is still ``np.add.reduce`` over the whole row of squares, so it
+    is ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
+    state gives the same bits alone as in a stack.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -341,18 +372,41 @@ def _flow_blocks(sys: SpectralSystem, x0s, u: InputSignal, grid):
     if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
     anchors, vals, stepped = _anchored(sys, x0s, u, float(grid[-1]))
-    anchor_states = np.stack(stepped)   # (anchor, state, mode)
+    anchor_states = np.stack(stepped, axis=1)   # (state, anchor, mode)
+    # checked here: a dead mode never reads its anchor state, so its overflow
+    # would not reach the norms
+    if not np.all(np.isfinite(anchor_states)):
+        raise ValidationError("trajectory states must be finite")
     anchors_arr, vals = np.asarray(anchors), np.asarray(vals)
-    for start in range(0, grid.size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        t = grid[rows]
-        seg = np.maximum(np.searchsorted(anchors_arr, t) - 1, 0)
-        decay, forced = _decay_forced(sys, (t - anchors_arr[seg])[:, None], vals[seg, None])
-        for s in range(anchor_states.shape[1]):
-            block = anchor_states[seg, s]   # a gathered copy, updated in place
-            block *= decay
-            block += forced
-            yield rows, s, block
+    seg = np.maximum(np.searchsorted(anchors_arr, grid) - 1, 0)
+    dt = grid - anchors_arr[seg]
+    with np.errstate(divide="ignore", over="ignore"):   # dt = 0 or tiny: every mode
+        width = np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
+    order = np.argsort(width, kind="stable")
+    gain = sys.input_gain_coeffs
+    sums = np.empty((len(x0s), grid.size))   # sums of squares, rows in sorted order
+    edges = _row_groups(width[order])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = order[lo:hi]
+        w, sg, v = int(width[rows[-1]]), seg[rows], vals[seg[rows], None]
+        decay, forced = _decay_forced(sys, dt[rows, None], v, w)
+        tail = gain[w:] * v   # the forced term g v (1 - 0.0), bit for bit
+        squares = np.empty((rows.size, sys.n_modes))
+        np.multiply(tail, tail, out=squares[:, w:])
+        for s in range(len(x0s)):
+            live = anchor_states[s, :, :w].take(sg, axis=0)   # a copy, updated in place
+            live *= decay
+            live += forced
+            if states is not None:
+                states[s, rows, :w] = live
+                states[s, rows, w:] = anchor_states[s, sg, w:] * 0.0 + tail
+            np.multiply(live, live, out=squares[:, :w])
+            np.add.reduce(squares, axis=1, out=sums[s, lo:hi])
+    if not np.all(np.isfinite(sums)):
+        raise ValidationError("trajectory states must be finite")
+    norms = np.empty_like(sums)
+    norms[:, order] = np.sqrt(sums)
+    return norms
 
 
 def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
@@ -361,10 +415,9 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
-    states = np.empty((grid.size, sys.n_modes))
-    for rows, _, block in _flow_blocks(sys, [x0], u, grid):
-        states[rows] = block
-    return Trajectory(times=grid, states=states, system=sys, input=u)
+    states = np.empty((1, grid.size, sys.n_modes))
+    _flow_norms(sys, [x0], u, grid, states)
+    return Trajectory(times=grid, states=states[0], system=sys, input=u)
 
 
 def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.ndarray:

@@ -18,10 +18,11 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     heat_dirichlet, linear, power, sample_trajectory, iss_margin,
                     uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
-                             _Samples, _Tracker, _input_integrals, _norms,
-                             _prefix_integrals, _scan, _sweep, _swept,
-                             dissipation_margin, eval_times, norm_to_integral_margin,
-                             run_iss_equivalence_battery, trajectory_integral, ulim_grid)
+                             _Samples, _Tracker, _grid_indices, _input_integrals, _norms,
+                             _prefix_integrals, _scan, _segment_starts, _simpson_integrals,
+                             _sweep, _swept, dissipation_margin, eval_times,
+                             norm_to_integral_margin, run_iss_equivalence_battery, ulim_grid)
+from isslab.comparison import evaluate
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -46,6 +47,15 @@ def nti_cert():
 
 BUDGET = SampleBudget(n_states=12, n_inputs=8, n_times=17, horizon=2.0,
                       radius=1.0, seed=42)
+
+
+def simpson_integral(traj, f, t):
+    """The checkers' per-segment composite Simpson of f(|phi|) over [0, t]
+    on the trajectory's own grid."""
+    grid = traj.times
+    starts = _segment_starts(grid, traj.input, float(grid[-1]))
+    vals = evaluate(f, traj.norms())
+    return float(_simpson_integrals(vals, grid, _grid_indices(grid, [t]), starts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +415,7 @@ def test_norm_to_integral_single_mode_closed_form():
     grid = build_time_grid(2.0, u, extra=[0.5, 1.0, 2.0])
     traj = sample_trajectory(sys, x0, u, grid)
     for t in (0.5, 1.0, 2.0):
-        left = trajectory_integral(traj, cert.alpha, t)
+        left = simpson_integral(traj, cert.alpha, t)
         exact = (1.0 - math.exp(-2.0 * PI2 * t)) / (2.0 * PI2)
         assert left == pytest.approx(exact, rel=2e-7)
     # the infinite-horizon value stays below psi(1) = 1/pi^2
@@ -453,7 +463,7 @@ def test_quadrature_grid_must_refine_breakpoints():
     coarse = np.linspace(0.0, 2.0, 11)  # misses the breakpoint at 0.37
     traj = sample_trajectory(sys, np.zeros(8), u, coarse)
     with pytest.raises(ValidationError):
-        trajectory_integral(traj, power(1.0, 2.0), 2.0)
+        simpson_integral(traj, power(1.0, 2.0), 2.0)
 
 
 def test_quadrature_halving_stability():
@@ -467,8 +477,8 @@ def test_quadrature_halving_stability():
     mid = 0.5 * (grid[:-1] + grid[1:])
     fine = np.unique(np.concatenate([grid, mid]))
     alpha = power(0.5, 2.0)
-    v1 = trajectory_integral(sample_trajectory(sys, x0, u, grid), alpha, 2.0)
-    v2 = trajectory_integral(sample_trajectory(sys, x0, u, fine), alpha, 2.0)
+    v1 = simpson_integral(sample_trajectory(sys, x0, u, grid), alpha, 2.0)
+    v2 = simpson_integral(sample_trajectory(sys, x0, u, fine), alpha, 2.0)
     assert abs(v1 - v2) <= 1e-6 * (1.0 + abs(v1))
 
 
@@ -552,6 +562,22 @@ def test_kernel_keeps_the_flow_checks():
     nan_state[2] = math.nan
     with pytest.raises(ValidationError, match="states must be finite"):
         iss_margin(sys, heat_cert(), nan_state, u, 1.0)
+
+
+def test_an_overflowing_anchor_in_a_dead_mode_never_reads_clean():
+    # an input of 1e308 on [t1, t2), strictly between two rows of the ULIM
+    # grid, overflows mode 2's anchor state at t2; after t2 the input is 0
+    # and lambda_2 = 1e6 makes mode 2 dead on every later row, so only the
+    # anchor holds the inf
+    sys = SpectralSystem(np.array([1.0, 1e6]), np.array([0.0, 4e6]))
+    grid = ulim_grid(BUDGET)
+    t1 = grid[100] + 0.001
+    u = InputSignal.piecewise([0.0, t1, t1 + 0.001], [0.0, 1e308])
+    assert 1e6 * (grid[101] - (t1 + 0.001)) > 746.0
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
+        ulim_slack(sys, linear(1.0), 0.1, np.zeros(2), u, grid)
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
+        sample_trajectory(sys, np.zeros(2), u, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +690,7 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         exact = (0.25 - 2.0 * p + 0.5 * (1.0 - math.exp(-0.5))
                  + (p + 1.0) ** 2 * 0.5 * (1.0 - math.exp(-2.0 * h))
                  - 2.0 * (p + 1.0) * (1.0 - math.exp(-h)) + h)
-        assert abs(trajectory_integral(traj, cert.alpha, t) - exact) < 1e-6
+        assert abs(simpson_integral(traj, cert.alpha, t) - exact) < 1e-6
         # margins psi(0) + t sigma(1) - int: Simpson on the graded grid (the
         # same alpha in another form), or exact
         simpson_margin = norm_to_integral_margin(sys, simpson_cert, np.zeros(1), u, t)

@@ -9,7 +9,7 @@ import pytest
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
                     dissipation_constants, heat_dirichlet, kappa_bounds)
-from isslab.lyapunov import c_of_epsilon, lyapunov_residual, v_value
+from isslab.lyapunov import c_of_epsilon, v_value
 
 PI2 = math.pi ** 2
 
@@ -56,14 +56,16 @@ def test_datko_single_mode():
     sys = SpectralSystem(np.array([3.0]), np.array([1.0]))
     op = build_datko(sys)
     assert op.p_coeffs[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert lyapunov_residual(op, np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
+    # the residual 2<Px, Ax> + |x|^2 at x = e_1: zero for the datko construction
+    assert 2.0 * op.p_coeffs[0] * -3.0 + 1.0 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_datko_residual_random_states():
     sys = heat(64)
     op = build_datko(sys)
     for x in random_states(64, 200, seed=3):
-        assert abs(lyapunov_residual(op, x)) <= 1e-12 * float(np.dot(x, x))
+        residual = 2.0 * np.dot(op.p_coeffs * x, -sys.lambdas * x) + np.dot(x, x)
+        assert abs(residual) <= 1e-12 * float(np.dot(x, x))
 
 
 def test_datko_is_half_of_neg_inverse():

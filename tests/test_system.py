@@ -13,7 +13,8 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
-from isslab.system import _CSV_ROWS, _flow_at
+from isslab.system import (_CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK, _flow_at,
+                           _flow_norms, _row_groups)
 
 PI2 = math.pi ** 2
 
@@ -238,6 +239,102 @@ def test_trajectory_grid_validation():
         sample_trajectory(sys, np.zeros(2), InputSignal.zero(), np.array([0.1, 0.2]))
     with pytest.raises(ValidationError):
         sample_trajectory(sys, np.zeros(2), InputSignal.zero(), np.array([0.0, 0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the flow kernel: live widths
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_COEF = st.one_of(st.just(0.0), st.floats(1e-3, 1e3)).flatmap(
+    lambda m: st.sampled_from([m, -m]))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A diagonal system with lambda spread to 1e6 and mixed-sign b, a
+    piecewise input with a zero tail, a grid and two states.  Every nonzero
+    coefficient is at least 1e-3 in size, so a forced value dwarfs any
+    subnormal decayed one."""
+    logs = draw(st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=40, unique=True))
+    lam = np.unique(10.0 ** np.array(logs))
+    b = np.array(draw(st.lists(_COEF, min_size=lam.size, max_size=lam.size)))
+    bps = np.unique(draw(st.lists(st.floats(1e-3, 1.9), max_size=6)))
+    vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)).flatmap(
+        lambda m: st.sampled_from([m, -m])), min_size=bps.size, max_size=bps.size))
+    u = InputSignal.piecewise(np.concatenate([[0.0], bps]), vals)
+    rows = draw(st.sampled_from([2, 5, 40, 129, 513]))   # one group to several
+    if draw(st.booleans()):   # rows dt = 0, 1e-300 (or one ulp) and 1e-7 after each anchor
+        anchors = np.concatenate([[0.0], bps])
+        grid = np.unique(np.concatenate([np.linspace(0.0, 2.0, rows), anchors, [1e-300],
+                                         np.nextafter(anchors, 3.0), anchors + 1e-7]))
+    else:                     # a uniform ULIM grid, which skips the anchors
+        grid = np.linspace(0.0, 2.0, rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    x0s = rng.choice([-1.0, 1.0], (2, lam.size)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, lam.size))
+    x0s[:, rng.random(lam.size) < 0.2] = 0.0
+    return SpectralSystem(lam, b), u, grid, x0s
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_kernel_cases(), m=st.integers(1, 60))
+def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
+    sys, u, grid, x0s = case
+    rows = [np.array([mild_solution(sys, x0, u, t) for t in grid]) for x0 in x0s]
+    # every state of sample_trajectory, signed zeros included, and every norm
+    traj = sample_trajectory(sys, x0s[0], u, grid)
+    assert np.array_equal(_bits(traj.states), _bits(rows[0]))
+    norms = _flow_norms(sys, x0s, u, grid)
+    for s in range(2):
+        assert np.array_equal(_bits(norms[s]), _bits(np.linalg.norm(rows[s], axis=1)))
+    # states and input scaled by 2**-m scale every norm exactly, on the rows
+    # whose scaled squares all stay normal
+    scale = 2.0 ** -m
+    scaled = _flow_norms(sys, x0s * scale, InputSignal.piecewise(u.breakpoints,
+                                                                 u.values * scale), grid)
+    for s in range(2):
+        clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
+        assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
+
+
+def test_exp_flushes_to_zero_past_the_live_width_cutoff():
+    # the kernel skips every mode with lambda dt > _EXP_FLUSH as exactly 0.0:
+    # exp(-745.14) is already below half the smallest subnormal
+    assert np.exp(-745.0) > 0.0 and np.exp(-745.14) == 0.0
+    args = -np.concatenate([np.linspace(_EXP_FLUSH, 800.0, 4097),
+                            np.geomspace(800.0, 1e300, 4097), [np.inf]])
+    flushed = np.exp(args)
+    assert np.all(flushed == 0.0) and not np.any(np.signbit(flushed))
+    # and each element's bits do not depend on the length of the array or
+    # on its offset in it, so a row's live prefix decays as the whole row
+    x = -np.geomspace(1e-3, 760.0, 1001)
+    whole = _bits(np.exp(x))
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1000):
+        assert np.array_equal(_bits(np.exp(x[:n])), whole[:n])
+        assert np.array_equal(_bits(np.exp(x[n:])), whole[n:])
+
+
+def test_row_groups_cover_the_sorted_rows():
+    widths = np.sort(np.random.default_rng(5).integers(0, 257, 1000))
+    edges = _row_groups(widths)
+    assert edges[0] == 0 and edges[-1] == widths.size
+    sizes = np.diff(edges)
+    assert np.all(sizes > 0) and np.all(sizes <= _ROW_BLOCK)
+    assert np.all(sizes[:-1] >= _MIN_GROUP)
+    assert _row_groups(np.arange(40)) == [0, 40]   # a short grid is one group
+
+
+def test_live_widths_need_no_warning_at_tiny_steps():
+    # dt = 0, 1e-300 and a subnormal step all give the full width, without
+    # a RuntimeWarning (the suite runs with -W error::RuntimeWarning)
+    sys = heat(8)
+    x0 = np.linspace(1.0, -1.0, 8)
+    grid = np.array([0.0, 5e-324, 1e-310, 1e-300])
+    norms = _flow_norms(sys, [x0], InputSignal.zero(), grid)
+    assert np.array_equal(norms[0], np.full(4, np.linalg.norm(x0[None], axis=1)[0]))
 
 
 def test_cocycle_against_resimulation():
