@@ -531,7 +531,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     """
     _require_positive(h=h)
     local = replace(budget, horizon=h)
-    gain = float(np.linalg.norm(sys.input_gain_coeffs))
+    gain = sys.input_gain_norm
     scaled = (_CEP_SCALED_RANGE[0] <= budget.radius
               and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
     sup = (max(float(np.max(norms)) for _, norms in _samples(sys, local).sweep("probe"))
@@ -563,7 +563,8 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
 
 def check_brs(sys: SpectralSystem, C: float, tau: float,
               budget: SampleBudget) -> StabilityReport:
-    """A-priori reachability bound C (M + kappa_upper(tau)) on [0, tau]."""
+    """A-priori reachability bound C (1 + kappa(tau)) on [0, tau]; its input
+    half is exact, since kappa(tau) is the smallest admissibility constant."""
     _require_positive(C=C, tau=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     tracker = _Tracker()

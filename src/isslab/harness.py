@@ -338,7 +338,7 @@ def _validate_scenario(s: Scenario) -> None:
     except RuntimeWarning as exc:   # raised under -W error::RuntimeWarning
         raise ScenarioError(f"building the scenario failed: {exc}") from None
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
-    gain = 1.0 + float(np.linalg.norm(res.sys.input_gain_coeffs))
+    gain = 1.0 + res.sys.input_gain_norm
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
         if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
@@ -397,7 +397,7 @@ def _resolve(s: Scenario) -> _Resolved:
     op = build_datko(sys) if s.construction == DATKO else build_neg_inverse(sys)
     params = dissipation_constants(op, sys, s.epsilon)
     beta = s.beta or DecayEnvelope(1.0, float(sys.lambdas[0]))
-    gain = float(np.linalg.norm(sys.input_gain_coeffs))
+    gain = sys.input_gain_norm
     gamma = s.gamma or linear(max(gain, 1e-6))
     iss_cert = ISSCertificate(beta=beta, gamma=gamma)
     if s.derive == "from_iss":

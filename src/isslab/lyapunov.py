@@ -16,9 +16,9 @@ dissipation inequality
 
 still certifies ISS.  On the diagonal class all operator norms are exact
 maxima over modes and M = 1 (contraction semigroup).  kappa(0) is the zero
-limit of the admissibility constant; it is taken as zero only when the
-computed upper bound at a small probe time falls below a configured
-threshold, otherwise the probe value itself enters c(eps) conservatively.
+limit of the admissibility constant; it is taken as zero only when kappa at
+a small probe time falls below a configured threshold, otherwise the probe
+value itself enters c(eps) conservatively.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ DATKO = "datko"
 #: of the 64-mode heat preset (lambda ~ 4e4).
 DEFAULT_DINI_H = (1e-6, 1e-7, 1e-8)
 
-#: kappa(0) is taken as zero when the admissibility upper bound at the probe
-#: time falls below this threshold.
+#: kappa(0) is taken as zero when kappa at the probe time falls below this
+#: threshold.
 KAPPA_ZERO_TOL = 1e-2
 
 
@@ -173,9 +173,8 @@ def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem, epsilon: fl
     |A*P| = |PA| = max_k lambda_k p_k (exactly 1 for neg_inverse_A, 1/2 for
     datko), M = 1 for the contraction semigroup, and |A^{-1}B| is the norm of
     the steady-gain vector b_k / lambda_k.  kappa(0) is set to zero only when
-    the admissibility upper bound at ``kappa_probe_t`` is below
-    ``KAPPA_ZERO_TOL``; otherwise that probe value is kept, which can only
-    enlarge c(eps).
+    kappa at the probe time ``kappa_probe_t`` is below ``KAPPA_ZERO_TOL``;
+    otherwise that probe value is kept, which can only enlarge c(eps).
 
     This gate tests the truncation, not the PDE: every truncation has
     kappa_N(t) <= |B_N| t, so it fires for any system once the probe time is
@@ -184,10 +183,10 @@ def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem, epsilon: fl
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
     norm_pa = float(np.max(sys.lambdas * op.p_coeffs))
-    norm_ainvb = float(np.linalg.norm(sys.input_gain_coeffs))
+    norm_ainvb = sys.input_gain_norm
     M = 1.0
-    upper = kappa_bounds(sys, kappa_probe_t).upper
-    kappa0 = 0.0 if upper < KAPPA_ZERO_TOL else upper
+    probe = kappa_bounds(sys, kappa_probe_t).upper
+    kappa0 = 0.0 if probe < KAPPA_ZERO_TOL else probe
     c = c_of_epsilon(epsilon, norm_pa, norm_pa, norm_ainvb, M, kappa0)
     return DissipationParameters(epsilon=epsilon, c_eps=c, norm_AstarP=norm_pa,
                                  norm_PA=norm_pa, norm_AinvB=norm_ainvb,

@@ -409,15 +409,18 @@ def test_checkers_simpson_is_scipys_on_lookup():
 
 
 HEAT_A_1E300 = MINIMAL.replace("system.a = 1.0", "system.a = 1e300")
+HEAT_A_1E305 = MINIMAL.replace("system.a = 1.0", "system.a = 1e305")
+DIAGONAL_HUGE_GAIN = ("system.preset = diagonal\nsystem.lambdas = 1e4\n"
+                      "system.b = 1e308\nchecks.names = iss\n")
 DIAGONAL_TINY_LAMBDA = ("system.preset = diagonal\nsystem.lambdas = 1e-308\n"
                         "system.b = 1.0\nchecks.names = iss\n")
 
 
 def test_nan_admissibility_bound_is_config_error(tmp_path, capsys):
-    # b_k**2 overflows, the upper end of kappa_bounds is NaN, and the NaN was
-    # let through to a misleading "c_eps does not match" error
-    path = tmp_path / "a1e300.scn"
-    path.write_text(HEAT_A_1E300)
+    # |A^-1 B| = 1e304 squares to inf, so kappa(1e-3) is not finite; the
+    # error must name the bound, not the "c_eps does not match" it causes
+    path = tmp_path / "huge_gain.scn"
+    path.write_text(DIAGONAL_HUGE_GAIN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -425,9 +428,9 @@ def test_nan_admissibility_bound_is_config_error(tmp_path, capsys):
     assert "admissibility bound" in err and "c_eps" not in err
 
 
-@pytest.mark.parametrize("text, warning", [(HEAT_A_1E300, "overflow encountered in square"),
+@pytest.mark.parametrize("text, warning", [(HEAT_A_1E305, "overflow encountered in multiply"),
                                            (DIAGONAL_TINY_LAMBDA, "overflow encountered in dot")],
-                         ids=["heat_a_1e300", "diagonal_lambda_1e-308"])
+                         ids=["heat_a_1e305", "diagonal_lambda_1e-308"])
 def test_overflow_while_building_is_config_error(tmp_path, capsys, text, warning):
     path = tmp_path / "overflow.scn"
     path.write_text(text)
@@ -437,6 +440,16 @@ def test_overflow_while_building_is_config_error(tmp_path, capsys, text, warning
             parse_scenario(text)
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_heat_a_1e300_builds_and_runs(tmp_path):
+    # lambda_64 = 4e304, |A^-1 B| and kappa are finite (kappa squares no
+    # b_k), so the run is clean and raises no warning
+    path = tmp_path / "a1e300.scn"
+    path.write_text(HEAT_A_1E300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("key", ["certificate.psi", "certificate.sigma"])

@@ -222,8 +222,8 @@ def test_c_epsilon_formula_converges_to_two_thirds():
 
 
 def test_dissipation_constants_with_passing_kappa_gate():
-    # at probe t = 1e-6 the admissibility upper bound of the 64-mode heat
-    # preset is 1.3e-3 < 1e-2, so the gate fires and kappa0 is set to zero.
+    # at probe t = 1e-6 kappa of the 64-mode heat preset is 1.3e-3 < 1e-2,
+    # so the gate fires and kappa0 is set to zero.
     # The crossing is specific to N = 64: below t ~ 1/lambda_N the truncated
     # kappa is linear in t, while the heat equation's own kappa(1e-6) is
     # above 0.02 (see the t**(1/4) laws in test_acceptance.py)
@@ -238,7 +238,7 @@ def test_dissipation_constants_with_passing_kappa_gate():
 
 
 def test_dissipation_constants_conservative_when_gate_fails():
-    # at the default probe t = 1e-3 the upper bound is ~0.159, so the gate
+    # at the default probe t = 1e-3 kappa is ~0.133, so the gate
     # does not fire and the probe value enters c(eps) conservatively
     sys = heat(64)
     op = build_neg_inverse(sys)
