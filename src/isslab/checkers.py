@@ -7,30 +7,34 @@ is reported with a replayable witness; otherwise the verdict is
 
 One draw, one sweep.  A check draws its sample set from its budget: the
 states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
-``run_scenario`` and the ISS equivalence battery open around their checks,
-every check on the same system and budget shares one draw, and the
-pointwise checks (ISS, ULS, BRS, CEP and ULIM) share one flow sweep per
-input: the norms of all the input's states on the pointwise probe (the
-evaluation times plus the input's breakpoints), or, when ULIM runs on that
-budget too, on the union of the probe and the ULIM grid, from which each
-check takes its own columns.  Only the norms are kept.  Every flow value is
-grid-free, so a shared column is the column of a sweep on the check's own
-grid bit for bit, and a check called alone gives the same report.  Nothing
-outlives the block: a repeated run draws and sweeps again.
+``run_scenario`` opens around a scenario's checks, every check on the same
+system and budget shares one draw, and the pointwise checks (ISS, ULS, BRS,
+CEP and ULIM) share one flow sweep per input: the norms of all the input's
+states on the pointwise probe (the evaluation times plus the input's
+breakpoints), or, when ULIM runs on that budget too, on the union of the
+probe and the ULIM grid, from which each check takes its own columns.  Only
+the norms are kept.  Every flow value is grid-free, so a shared column is
+the column of a sweep on the check's own grid bit for bit, and a check
+called alone gives the same report.  Nothing outlives the block: a repeated
+run draws and sweeps again.
 
 One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS and the two
 integral forms) all say that a comparison bound minus a functional of the
 flow phi(t, x0, u), |phi| or the integral of alpha(|phi|), is nonnegative at
-every sampled (x0, u, t).  ``_scan`` is the one loop that checks them, and
+every sampled (x0, u, t).  ``_sweep`` is the one loop that checks them, and
 the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
 on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget) run
 it on one pair, so a witness replays through the checker's own arithmetic
-on the checker's own grid.  CEP reads its whole table off one sweep (see
-``check_cep``).  The axiom checks step each input's stack of
-states through the stepper once (``system._flow_at``, the values of
+on the checker's own grid.  ULIM's hitting time and BRS's empirical sup are
+read off the sample set's memoized sweep after it, and CEP reads its whole
+table off one sweep (see ``check_cep``).  The axiom checks step each input's
+stack of states through the stepper once (``system._flow_at``, the values of
 ``mild_solution`` bit for bit); only the cocycle's restart, on an input
 shifted differently per pair, runs pair by pair.  So identity, causality,
-cocycle and the Dini quotients test the flow behind every margin.
+cocycle and the Dini quotients test the flow behind every margin.  Every
+check ends in ``report.conclude``, the one place that picks a witness: it
+takes one pick per sample, and the witness is the first pick whose margin
+is the smallest of those below their tolerance.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
@@ -58,7 +62,7 @@ integral-to-integral bound is exact: a cumulative sum over the input's
 pieces, once per input for all times.
 
 Record order.  Whatever the scan order, the kernel hands each pair's pick
-to the tracker in the order of the pairs (state-major: pair i * n_inputs + j
+to ``conclude`` in the order of the pairs (state-major: pair i * n_inputs + j
 is state i with input j), so the records, the witness choice and the rows
 of ``margins.csv`` keep their order; only order-free maxima (ULIM's tau_hat,
 BRS's empirical sup, CEP's sup) see the input-major order.
@@ -94,12 +98,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCertificate,
-                         evaluate, linear)
+                         evaluate)
 from .errors import DomainError, ValidationError
 from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
                        dini_estimate)
-from .report import (CheckProperty, MarginRecord, StabilityReport, Witness,
-                     conclude)
+from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _flow_at, _flow_norms,
                      _square_integrals, build_time_grid, kappa_bounds, mild_solution,
                      seeded_rng, state_norm)
@@ -262,9 +265,10 @@ def _ulim_budget(r: float, budget: SampleBudget) -> SampleBudget:
 @contextmanager
 def _shared_samples(ulim=()):
     """Within the block, checks on the same system and budget share one draw
-    and one pointwise sweep.  ``ulim`` holds the ``(r, budget)`` arguments of
-    every ``check_ulim`` call the block will make; on their sample sets the
-    sweep also covers the ULIM grid.  Nothing outlives the block."""
+    and one pointwise sweep; ``run_scenario`` opens one around a scenario's
+    checks.  ``ulim`` holds the ``(r, budget)`` arguments of every
+    ``check_ulim`` call the block will make; on their sample sets the sweep
+    also covers the ULIM grid.  Nothing outlives the block."""
     token = _RUN.set((frozenset(_ulim_budget(r, b) for r, b in ulim), {}))
     try:
         yield
@@ -295,22 +299,6 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-class _Tracker:
-    """Accumulate per-sample margins and the worst replayable witness."""
-
-    def __init__(self):
-        self.records: list[MarginRecord] = []
-        self.witness: Witness | None = None
-        self._worst = math.inf
-
-    def add(self, idx: int, t: float, margin: float, tol: float,
-            x0: np.ndarray, u: InputSignal):
-        self.records.append(MarginRecord(idx, float(t), float(margin)))
-        if margin < -tol and margin < self._worst:
-            self._worst = margin
-            self.witness = Witness(x0=x0, input=u, t=float(t), margin=float(margin))
-
-
 # ---------------------------------------------------------------------------
 # the sampling kernel
 
@@ -319,18 +307,17 @@ def _pair_tol(rel: float = POINT_TOL):
     return lambda r, u: _tol(r + u.sup_norm, rel)
 
 
-def _scan(samples: _Samples, lhs, bound, tracker: _Tracker, best: bool = False,
-          tol=_pair_tol()):
-    """The sampling loop of every trajectory checker, as a generator.
+def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound, best: bool = False,
+           tol=_pair_tol()) -> StabilityReport:
+    """The sampling loop of every trajectory checker.
 
     The sample set is scanned input by input.  ``lhs(samples, j)`` gives
     the evaluation times and the compared functional of the flow (|phi| or
     an integral of alpha(|phi|)) for all states with input j at once, one row
     per state, and ``bound(r, u, times)`` the bound for the column r of their
-    norms |x0|.  Per pair the margins are bound - lhs, and ``(times, lhs,
-    margins, picked index)`` is yielded.  The smallest margin (the largest if
-    ``best``) of each pair goes to ``tracker`` with witness tolerance
-    ``tol(|x0|, u)``, in pair order, once every input is done.
+    norms |x0|.  Per pair the margins are bound - lhs; the smallest (the
+    largest if ``best``) is the pair's pick, with witness tolerance
+    ``tol(|x0|, u)``, and the picks are concluded in pair order.
     """
     n_inputs = len(samples.inputs)
     picks = [None] * (len(samples.states) * n_inputs)
@@ -338,22 +325,10 @@ def _scan(samples: _Samples, lhs, bound, tracker: _Tracker, best: bool = False,
         times, lhs_rows = lhs(samples, j)
         margin_rows = bound(samples.r, u, times) - lhs_rows
         chosen = np.argmax(margin_rows, axis=1) if best else np.argmin(margin_rows, axis=1)
-        for i, (lhs_row, margins, k) in enumerate(zip(lhs_rows, margin_rows,
-                                                      chosen.tolist())):
+        for i, (margins, k) in enumerate(zip(margin_rows, chosen.tolist())):
             picks[i * n_inputs + j] = (i * n_inputs + j, times[k], margins[k],
                                        tol(samples.r[i, 0], u), samples.states[i], u)
-            yield times, lhs_row, margins, k
-    for pick in picks:
-        tracker.add(*pick)
-
-
-def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound,
-           **options) -> StabilityReport:
-    """Run :func:`_scan` to the end and conclude its report."""
-    tracker = _Tracker()
-    for _ in _scan(samples, lhs, bound, tracker, **options):
-        pass
-    return conclude(prop, tracker.records, tracker.witness)
+    return conclude(prop, picks)
 
 
 def _one(sys: SpectralSystem, x0, u: InputSignal) -> _Samples:
@@ -492,18 +467,16 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     maximum first-hit time over the samples and is reported in the notes.
     """
     _require_positive(eps=eps, r=r)
-    tracker = _Tracker()
-    tau_hat, exhausted = 0.0, False
-    for times, _, slack, _ in _scan(_samples(sys, _ulim_budget(r, budget)),
-                                    _swept("ulim"), _ulim_level(gamma_fn, eps), tracker,
-                                    best=True, tol=lambda r, u: 0.0):
-        hits = np.nonzero(slack >= 0.0)[0]
-        if hits.size:
-            tau_hat = max(tau_hat, float(times[hits[0]]))
-        else:
-            exhausted = True
-    notes = "horizon exhausted for some sample" if exhausted else f"tau_hat={tau_hat!r}"
-    return conclude(CheckProperty.ULIM, tracker.records, tracker.witness, notes=notes)
+    samples, level = _samples(sys, _ulim_budget(r, budget)), _ulim_level(gamma_fn, eps)
+    report = _sweep(CheckProperty.ULIM, samples, _swept("ulim"), level, best=True,
+                    tol=lambda r, u: 0.0)
+    tau_hat = 0.0
+    for u, (times, norms) in zip(samples.inputs, samples.sweep("ulim")):
+        hits = level(samples.r, u, times) - norms >= 0.0
+        if not hits.any(axis=1).all():
+            return replace(report, notes="horizon exhausted for some sample")
+        tau_hat = max(tau_hat, float(np.max(times[np.argmax(hits, axis=1)])))
+    return replace(report, notes=f"tau_hat={tau_hat!r}")
 
 
 def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityReport:
@@ -536,8 +509,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
               and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
     sup = (max(float(np.max(norms)) for _, norms in _samples(sys, local).sweep("probe"))
            if scaled else None)
-    tracker = _Tracker()
-    table = []
+    picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
         chosen_delta, witness = None, None
@@ -552,13 +524,13 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
                 chosen_delta = delta
                 break
         if witness is None:
-            tracker.add(j, h, margin, 0.0, np.zeros(sys.n_modes), InputSignal.zero())
+            picks.append((j, h, margin, 0.0, np.zeros(sys.n_modes), InputSignal.zero()))
         else:
-            tracker.add(j, witness.t, witness.margin, 0.0, witness.x0, witness.input)
+            picks.append((j, witness.t, witness.margin, 0.0, witness.x0, witness.input))
         table.append((eps_j, chosen_delta))
     notes = "table " + "; ".join(
         f"eps={e!r}->delta={d!r}" for e, d in table)
-    return conclude(CheckProperty.CEP, tracker.records, tracker.witness, notes=notes)
+    return conclude(CheckProperty.CEP, picks, notes=notes)
 
 
 def check_brs(sys: SpectralSystem, C: float, tau: float,
@@ -567,14 +539,11 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     half is exact, since kappa(tau) is the smallest admissibility constant."""
     _require_positive(C=C, tau=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
-    tracker = _Tracker()
-    sup = 0.0
-    for _, norms, _, _ in _scan(_samples(sys, replace(budget, radius=C, horizon=tau)),
-                                _swept("probe"), lambda r, u, t: bound, tracker,
-                                tol=lambda r, u: _tol(bound)):
-        sup = max(sup, float(np.max(norms)))
-    notes = f"empirical_sup={sup!r} bound={bound!r}"
-    return conclude(CheckProperty.BRS, tracker.records, tracker.witness, notes=notes)
+    samples = _samples(sys, replace(budget, radius=C, horizon=tau))
+    report = _sweep(CheckProperty.BRS, samples, _swept("probe"), lambda r, u, t: bound,
+                    tol=lambda r, u: _tol(bound))
+    sup = max(float(np.max(norms)) for _, norms in samples.sweep("probe"))
+    return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +675,13 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
                       h_seq=DEFAULT_DINI_H) -> StabilityReport:
     """Vdot surrogate against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample."""
     samples = _samples(sys, budget)
-    tracker = _Tracker()
+    picks = []
     for idx, i, j in samples.pairs():
         x0, u = samples.states[i], samples.inputs[j]
         margin = dissipation_margin(sys, op, params, x0, u, h_seq)
         tol = 1e-4 * (1.0 + float(samples.r[i, 0]) ** 2 + u.sup_norm ** 2)
-        tracker.add(idx, 0.0, margin, tol, x0, u)
-    return conclude(CheckProperty.DISSIPATION, tracker.records, tracker.witness)
+        picks.append((idx, 0.0, margin, tol, x0, u))
+    return conclude(CheckProperty.DISSIPATION, picks)
 
 
 def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
@@ -729,12 +698,10 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
         dev.append(np.max(np.abs(_flow_at(sys, x0s, u, at_0) - x0s), axis=1).tolist())
         dev_c.append(np.max(np.abs(_flow_at(sys, x0s, u, at_mid)
                                    - _flow_at(sys, x0s, u_twin, at_mid)), axis=1).tolist())
-    tracker = _Tracker()
-    for idx, i, j in samples.pairs():
-        d, d_c = dev[j][i], dev_c[j][i]
-        tracker.add(idx, 0.0 if d >= d_c else t_mid, -max(d, d_c), 0.0,
-                    samples.states[i], samples.inputs[j])
-    return conclude(CheckProperty.IDENTITY, tracker.records, tracker.witness)
+    picks = [(idx, 0.0 if dev[j][i] >= dev_c[j][i] else t_mid,
+              -max(dev[j][i], dev_c[j][i]), 0.0, samples.states[i], samples.inputs[j])
+             for idx, i, j in samples.pairs()]
+    return conclude(CheckProperty.IDENTITY, picks)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
@@ -754,62 +721,7 @@ def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
             restart = mild_solution(sys, mid[i], u.shifted(float(t[i, j])), float(h[i, j]))
             margins[i, j] = (COCYCLE_TOL * (1.0 + state_norm(direct[i]))
                              - state_norm(direct[i] - restart))
-    tracker = _Tracker()
-    for idx, i, j in samples.pairs():
-        tracker.add(idx, t[i, j] + h[i, j], margins[i, j], 0.0,
-                    samples.states[i], samples.inputs[j])
-    return conclude(CheckProperty.COCYCLE, tracker.records, tracker.witness)
+    return conclude(CheckProperty.COCYCLE,
+                    [(idx, t[i, j] + h[i, j], margins[i, j], 0.0, samples.states[i],
+                      samples.inputs[j]) for idx, i, j in samples.pairs()])
 
-
-# ---------------------------------------------------------------------------
-# the ISS equivalence battery
-
-
-def run_iss_equivalence_battery(sys: SpectralSystem, cert: ISSCertificate,
-                                budget: SampleBudget,
-                                uls_sigma: ComparisonFunction | None = None,
-                                ulim_eps: float = 0.1,
-                                r: float | None = None) -> list[StabilityReport]:
-    """Probe ULIM, ULS and BRS alongside ISS and cross-check the verdicts.
-
-    ISS holds exactly when the three component properties do, so a violation
-    on one side should be matched by a violation on the other within an
-    enlarged budget.  Since these probes are falsifiers, agreement is
-    one-directional evidence only; an unresolved mismatch is flagged in the
-    notes of the affected reports for human review.
-    """
-    r = budget.radius if r is None else r
-    uls_sigma = linear(cert.beta.M) if uls_sigma is None else uls_sigma
-    big = replace(budget, n_states=budget.n_states * 3, n_inputs=budget.n_inputs * 2)
-    with _shared_samples(ulim=[(r, budget)]):
-        reports = [
-            check_ulim(sys, cert.gamma, ulim_eps, r, budget),
-            check_uls(sys, uls_sigma, cert.gamma, r, budget),
-            check_brs(sys, budget.radius, budget.horizon, budget),
-            check_iss(sys, cert, budget),
-        ]
-        comp_violated = any(rep.violated for rep in reports[:3])
-        iss_violated = reports[3].violated
-        if comp_violated != iss_violated:
-            if comp_violated and not iss_violated:
-                retry = check_iss(sys, cert, big)
-                if retry.violated:
-                    reports[3] = replace(retry, notes="violated under the enlarged "
-                                         "consistency budget")
-                else:
-                    reports[3] = replace(reports[3], notes="inconsistent with component "
-                                         "probes even after budget enlargement; review")
-            else:
-                with _shared_samples(ulim=[(r, big)]):
-                    retry = [check_ulim(sys, cert.gamma, ulim_eps, r, big),
-                             check_uls(sys, uls_sigma, cert.gamma, r, big),
-                             check_brs(sys, budget.radius, budget.horizon, big)]
-                if any(rep.violated for rep in retry):
-                    for i, rep in enumerate(retry):
-                        if rep.violated:
-                            reports[i] = replace(rep, notes="violated under the enlarged "
-                                                 "consistency budget")
-                else:
-                    reports[3] = replace(reports[3], notes="ISS violation not matched by "
-                                         "any component probe after enlargement; review")
-        return reports

@@ -89,16 +89,22 @@ class StabilityReport:
         return ",".join(fields)
 
 
-def conclude(prop: CheckProperty, records: list[MarginRecord],
-             witness: Witness | None, notes: str = "") -> StabilityReport:
-    """Assemble a report from per-sample records; the minimum is order-free.
+def conclude(prop: CheckProperty, picks, notes: str = "") -> StabilityReport:
+    """Assemble a report from one pick ``(sample_index, t, margin, tol, x0, u)``
+    per sample, in sample order.
 
-    A non-finite margin, which every tolerance test would pass, raises.
+    The margins become the records and the worst margin.  The witness is the
+    first pick whose margin is the smallest of those below their ``-tol``.  A
+    non-finite margin, which every tolerance test would pass, raises.
     """
-    for r in records:
-        if not math.isfinite(r.margin):
-            raise ValidationError(f"{prop.value}: non-finite margin {r.margin!r} "
-                                  f"at sample {r.sample_index}")
+    records, witness = [], None
+    for idx, t, margin, tol, x0, u in picks:
+        if not math.isfinite(margin):
+            raise ValidationError(f"{prop.value}: non-finite margin {margin!r} "
+                                  f"at sample {idx}")
+        records.append(MarginRecord(idx, float(t), float(margin)))
+        if margin < -tol and (witness is None or margin < witness.margin):
+            witness = Witness(x0=x0, input=u, t=float(t), margin=float(margin))
     worst = min((r.margin for r in records), default=0.0)
     verdict = Verdict.VIOLATED if witness is not None else Verdict.NO_VIOLATION_FOUND
     return StabilityReport(property=prop, verdict=verdict, worst_margin=float(worst),

@@ -26,9 +26,8 @@ from isslab import (DecayEnvelope, HeatDirichletParams, ISSCertificate, InputSig
                     check_norm_to_integral, dini_estimate, draw_input, draw_state,
                     heat_dirichlet, iss_margin, kappa_bounds, linear,
                     mild_solution, power, run_scenario, state_norm, evaluate)
-from isslab.checkers import run_iss_equivalence_battery
 from isslab.comparison import sontag_factor_exponential
-from isslab.harness import load_scenario
+from isslab.harness import load_scenario, parse_scenario
 from isslab.lyapunov import v_value
 
 PI2 = math.pi ** 2
@@ -293,12 +292,21 @@ def test_criterion_11_negative_control_bad_gain(tmp_path):
     assert (tmp_path / entry.witness_file).exists()
 
 
+def _equivalence_battery(gain: float, out_dir) -> dict:
+    """ISS and its components ULS, ULIM and BRS (ISS <=> ULIM and ULS and
+    BRS) in one run on heat(64): the verdict of each, by check name."""
+    s = parse_scenario(f"certificate.beta = decay(1.0, {PI2!r})\n"
+                       f"certificate.gamma = linear({gain!r})\n"
+                       "checks.names = iss, uls, ulim, brs\n")
+    return {e.name: e.report.violated for e in run_scenario(s, out_dir=str(out_dir)).entries}
+
+
 def test_criterion_12_battery_and_bundled_runtime(tmp_path):
     t0 = time.perf_counter()
-    sys = heat(64)
-    cert = ISSCertificate(DecayEnvelope(1.0, PI2), linear(1.0 / SQRT3))
-    reports = run_iss_equivalence_battery(sys, cert, SampleBudget())
-    battery_ok = all(not rep.violated for rep in reports)
+    true_gain = _equivalence_battery(1.0 / SQRT3, tmp_path / "battery")
+    bad_gain = _equivalence_battery(0.1, tmp_path / "battery_bad_gain")
+    battery_ok = (not any(true_gain.values()) and bad_gain["iss"]
+                  and any(bad_gain[name] for name in ("uls", "ulim", "brs")))
     codes = {}
     for name in ("heat_iss.scn", "heat_bad_gain.scn", "diagonal_custom.scn",
                  "datko_vs_neginverse.scn"):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletParams,
@@ -15,13 +16,13 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls, compose,
                     derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
-                    heat_dirichlet, linear, power, sample_trajectory, iss_margin,
-                    uls_margin, ulim_slack, Verdict)
+                    heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
+                    iss_margin, uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
-                             _Samples, _Tracker, _grid_indices, _input_integrals, _norms,
-                             _prefix_integrals, _scan, _segment_starts, _simpson_integrals,
-                             _sweep, _swept, dissipation_margin, eval_times,
-                             norm_to_integral_margin, run_iss_equivalence_battery, ulim_grid)
+                             _Samples, _grid_indices, _input_integrals, _norms,
+                             _prefix_integrals, _segment_starts, _shared_samples,
+                             _simpson_integrals, _sweep, _swept, dissipation_margin, eval_times,
+                             norm_to_integral_margin, ulim_grid)
 from isslab.comparison import evaluate
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
@@ -140,8 +141,49 @@ def test_negative_seeds_draw_their_own_samples():
 
 
 def test_non_finite_margin_is_never_a_clean_verdict():
-    with pytest.raises(ValidationError, match="ULIM.*sample 3"):
-        conclude(CheckProperty.ULIM, [MarginRecord(3, 0.0, math.nan)], None)
+    x0, u = np.zeros(2), InputSignal.zero()
+    for margin in (math.nan, -math.inf):
+        picks = [(2, 0.0, -1.0, 0.0, x0, u), (3, 0.0, margin, 0.0, x0, u)]
+        with pytest.raises(ValidationError, match="ULIM.*sample 3"):
+            conclude(CheckProperty.ULIM, picks)
+
+
+def _reference_conclusion(picks):
+    """The witness rule as a loop over the picks: every margin is recorded,
+    and a pick below its -tol replaces the witness only when strictly
+    smaller, so the first of equal worst violators is kept."""
+    records, witness, worst = [], None, math.inf
+    for idx, t, margin, tol, x0, u in picks:
+        records.append(MarginRecord(idx, float(t), float(margin)))
+        if margin < -tol and margin < worst:
+            worst = margin
+            witness = Witness(x0=x0, input=u, t=float(t), margin=float(margin))
+    return records, witness
+
+
+# margins drawn from a few values, so that ties between pairs, margins
+# within tol of 0 and -0.0 come up often
+_MARGINS = st.sampled_from([0.0, -0.0, 1e-12, -1e-12, -5e-10, -1e-9, -2e-9, 0.5,
+                            -0.5, -1.0, -3.0])
+_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 2.0), _MARGINS, _TOLS), max_size=12))
+def test_conclude_follows_the_reference_witness_rule(rows):
+    picks = [(idx, t, margin, tol, np.full(2, float(idx)), InputSignal.zero())
+             for idx, (t, margin, tol) in enumerate(rows)]
+    records, witness = _reference_conclusion(picks)
+    rep = conclude(CheckProperty.ISS, picks)
+    assert rep.margins == tuple(records)
+    assert [math.copysign(1.0, r.margin) for r in rep.margins] == [
+        math.copysign(1.0, m) for _, m, _ in rows]
+    assert rep.worst_margin == min((m for _, m, _ in rows), default=0.0)
+    assert rep.violated == (witness is not None)
+    if witness is not None:
+        # the same pick: its index is written into x0
+        assert (rep.witness.t, rep.witness.margin) == (witness.t, witness.margin)
+        assert np.array_equal(rep.witness.x0, witness.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +289,45 @@ def test_ulim_heat_hitting_time():
     assert tau_hat <= math.log(10.0) / PI2 + 2.0 / 512 + 1e-12
 
 
+def _pairs_of(sys, budget):
+    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
+    return [(draw_state(sys, budget, i), u) for i in range(budget.n_states) for u in inputs]
+
+
+def _ulim_notes(sys, gamma_fn, eps, budget):
+    """ULIM's notes pair by pair: the latest first hit on the ULIM grid."""
+    grid, firsts = ulim_grid(budget), []
+    for x0, u in _pairs_of(sys, budget):
+        norms = sample_trajectory(sys, x0, u, grid).norms()
+        hits = np.nonzero(eps + evaluate(gamma_fn, u.sup_norm) - norms >= 0.0)[0]
+        if hits.size == 0:
+            return "horizon exhausted for some sample"
+        firsts.append(float(grid[hits[0]]))
+    return f"tau_hat={max(firsts)!r}"
+
+
+def _brs_notes(sys, C, tau, budget):
+    """BRS's notes pair by pair: the largest norm on each pair's probe."""
+    b = replace(budget, radius=C, horizon=tau)
+    sup = max(float(np.max(sample_trajectory(sys, x0, u, np.union1d(
+        eval_times(b), u.breakpoints[u.breakpoints < tau])).norms()))
+              for x0, u in _pairs_of(sys, b))
+    return f"empirical_sup={sup!r} bound={C * (1.0 + kappa_bounds(sys, tau).upper)!r}"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "union_sweep"])
+@pytest.mark.parametrize("horizon, eps", [(2.0, 0.1), (0.05, 0.1), (2.0, 0.3)])
+def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
+    sys, gamma_fn = heat(16), linear(1.0 / SQRT3)
+    budget = replace(BUDGET, horizon=horizon)
+    with _shared_samples(ulim=[(1.0, budget)] if shared else []):
+        ulim = check_ulim(sys, gamma_fn, eps, 1.0, budget)
+        brs = check_brs(sys, 1.0, horizon, budget)
+    assert ulim.notes == _ulim_notes(sys, gamma_fn, eps, budget)
+    assert ("exhausted" in ulim.notes) == (horizon == 0.05)
+    assert brs.notes == _brs_notes(sys, 1.0, horizon, budget)
+
+
 def test_ulim_rejects_nan_eps():
     with pytest.raises(DomainError):
         check_ulim(heat(8), linear(1.0), math.nan, 1.0, BUDGET)
@@ -276,7 +357,10 @@ def test_zero_input_system_passes_with_tiny_gain():
     sys = SpectralSystem(np.array([1.0, 2.0, 4.0]), np.zeros(3))
     cert = ISSCertificate(DecayEnvelope(1.0, 1.0), linear(1e-6))
     budget = replace(BUDGET, horizon=8.0)
-    for rep in run_iss_equivalence_battery(sys, cert, budget):
+    for rep in (check_iss(sys, cert, budget),
+                check_uls(sys, linear(cert.beta.M), cert.gamma, budget.radius, budget),
+                check_ulim(sys, cert.gamma, 0.1, budget.radius, budget),
+                check_brs(sys, budget.radius, budget.horizon, budget)):
         assert not rep.violated
 
 
@@ -317,7 +401,7 @@ def assert_same_report(got, want):
 def _cep_reference(sys, budget, h):
     """The continuity table as stated: each level swept at every halving
     until one stays within eps_j, the last halving's witness otherwise."""
-    tracker, table = _Tracker(), []
+    picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
         chosen = None
@@ -331,10 +415,9 @@ def _cep_reference(sys, budget, h):
                 break
         w = level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
                                      level.worst_margin)
-        tracker.add(j, w.t, w.margin, 0.0, w.x0, w.input)
+        picks.append((j, w.t, w.margin, 0.0, w.x0, w.input))
         table.append(f"eps={eps_j!r}->delta={chosen!r}")
-    return conclude(CheckProperty.CEP, tracker.records, tracker.witness,
-                    notes="table " + "; ".join(table))
+    return conclude(CheckProperty.CEP, picks, notes="table " + "; ".join(table))
 
 
 _CEP_CASES = {
@@ -531,19 +614,19 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
               np.random.default_rng(n).uniform(-1.0, 1.0, n)]
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
-    tracker = _Tracker()
     samples = _Samples(sys, states, list(_KERNEL_INPUTS))
-    got = [lhs for _, lhs, _, _ in _scan(samples, _norms(lambda u: (grid, grid)),
-                                         lambda r, u, t: 0.0, tracker)]
+    lhs = _norms(lambda u: (grid, grid))
+    got = [row for j in range(len(_KERNEL_INPUTS)) for row in lhs(samples, j)[1]]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
             for u in _KERNEL_INPUTS for x0 in states]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
-    # the tracker receives the picks in pair order, whatever the scan order
-    assert [r.sample_index for r in tracker.records] == [idx for idx, _, _ in pairs]
-    for r, (_, x0, u) in zip(tracker.records, pairs):
+    # conclude receives the picks in pair order, whatever the scan order
+    records = _sweep(CheckProperty.ISS, samples, lhs, lambda r, u, t: 0.0).margins
+    assert [r.sample_index for r in records] == [idx for idx, _, _ in pairs]
+    for r, (_, x0, u) in zip(records, pairs):
         norms = sample_trajectory(sys, x0, u, grid).norms()
         assert r.margin == pytest.approx(-np.max(norms), rel=1e-12, abs=0.0)
         assert norms[np.searchsorted(grid, r.t)] == pytest.approx(np.max(norms), rel=1e-12)
@@ -796,55 +879,3 @@ def test_batched_axiom_checks_equal_the_per_pair_flow(sys):
     identity, cocycle = _axioms_per_pair(sys, budget)
     assert check_identity(sys, budget).margins == identity
     assert check_cocycle(sys, budget).margins == cocycle
-
-
-# ---------------------------------------------------------------------------
-# the equivalence battery
-
-
-def test_battery_heat_all_pass():
-    reports = run_iss_equivalence_battery(heat(), heat_cert(), BUDGET)
-    assert len(reports) == 4
-    for rep in reports:
-        assert not rep.violated
-        assert "review" not in rep.notes
-
-
-def test_battery_bad_gain_consistent_violations():
-    reports = run_iss_equivalence_battery(heat(), heat_cert(gain=0.1), BUDGET)
-    iss_rep = reports[3]
-    assert iss_rep.violated
-    assert any(rep.violated for rep in reports[:3])
-
-
-def _count_sweeps(monkeypatch, budget):
-    """Record (input, whether the grid holds budget's ULIM grid) per sweep."""
-    import isslab.checkers as checkers_mod
-    ulim = ulim_grid(budget)
-    flow_norms, swept = checkers_mod._flow_norms, []
-
-    def counted(sys, x0s, u, grid):
-        swept.append((u, bool(np.all(np.isin(ulim, grid)))))
-        return flow_norms(sys, x0s, u, grid)
-    monkeypatch.setattr(checkers_mod, "_flow_norms", counted)
-    return swept
-
-
-def test_battery_sweeps_each_input_once(monkeypatch):
-    swept = _count_sweeps(monkeypatch, BUDGET)
-    run_iss_equivalence_battery(heat(16), heat_cert(), BUDGET)
-    # ULIM, ULS, BRS and ISS read one sweep per input on the union grid
-    assert len(swept) == len({id(u) for u, _ in swept}) == BUDGET.n_inputs
-    assert all(union for _, union in swept)
-
-
-def test_battery_iss_retry_sweeps_the_probe_alone(monkeypatch):
-    swept = _count_sweeps(monkeypatch, BUDGET)
-    # no trajectory gets within 1e-12 + gamma(|u|) before the horizon, so ULIM
-    # fails while ISS holds, and only ISS runs again on the enlarged budget
-    reports = run_iss_equivalence_battery(heat(16), heat_cert(), BUDGET, ulim_eps=1e-12)
-    assert reports[0].violated and not reports[3].violated
-    assert "review" in reports[3].notes
-    assert len(swept) == len({id(u) for u, _ in swept}) == 3 * BUDGET.n_inputs
-    assert [union for _, union in swept] == [True] * BUDGET.n_inputs + [False] * (
-        2 * BUDGET.n_inputs)
