@@ -18,23 +18,25 @@ the column of a sweep on the check's own grid bit for bit, and a check
 called alone gives the same report.  Nothing outlives the block: a repeated
 run draws and sweeps again.
 
-One kernel.  The trajectory estimates (ISS, ULS, ULIM, BRS and the two
-integral forms) all say that a comparison bound minus a functional of the
-flow phi(t, x0, u), |phi| or the integral of alpha(|phi|), is nonnegative at
-every sampled (x0, u, t).  ``_sweep`` is the one loop that checks them, and
-the single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
-on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget) run
-it on one pair, so a witness replays through the checker's own arithmetic
-on the checker's own grid.  ULIM's hitting time and BRS's empirical sup are
-read off the sample set's memoized sweep after it, and CEP reads its whole
-table off one sweep (see ``check_cep``).  The axiom checks step each input's
-stack of states through the stepper once (``system._flow_at``, the values of
-``mild_solution`` bit for bit); only the cocycle's restart, on an input
-shifted differently per pair, runs pair by pair.  So identity, causality,
-cocycle and the Dini quotients test the flow behind every margin.  Every
-check ends in ``report.conclude``, the one place that picks a witness: it
-takes one pick per sample, and the witness is the first pick whose margin
-is the smallest of those below their tolerance.
+One kernel.  Every check with one pick per (state, input) runs ``_sweep``.
+The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
+that a comparison bound minus |phi(t, x0, u)| or the integral of
+alpha(|phi|) is nonnegative at every sampled (x0, u, t), and the
+dissipation inequality that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds
+the Dini estimate of Vdot.  The axiom checks hand it their margins: minus
+the deviations of phi(0) from x0 (identity) and between the flows at t_mid
+of two inputs that agree before it (causality), each input's states
+stepped at once (``system._flow_at``, ``mild_solution`` bit for bit), and
+the cocycle's slack at a (t, h) drawn per pair, restarted pair by pair.
+The single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
+on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget,
+``dissipation_margin``) run it on one pair, so a witness replays through
+the checker's own arithmetic on its own grid.  ULIM's hitting time and
+BRS's empirical sup are read off the memoized sweep after it, and CEP reads
+its table off one sweep (see ``check_cep``).  ``report.conclude``, the one
+place that picks a witness, is reached only from ``_sweep`` and CEP's
+table: the witness is the first pick whose margin is the smallest of those
+below their tolerance.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
@@ -61,7 +63,7 @@ straddles a kink of the flow.  The integral of sigma(|u|) in the
 integral-to-integral bound is exact: a cumulative sum over the input's
 pieces, once per input for all times.
 
-Record order.  Whatever the scan order, the kernel hands each pair's pick
+Record order.  The kernel scans input by input, but hands each pair's pick
 to ``conclude`` in the order of the pairs (state-major: pair i * n_inputs + j
 is state i with input j), so the records, the witness choice and the rows
 of ``margins.csv`` keep their order; only order-free maxima (ULIM's tau_hat,
@@ -100,8 +102,7 @@ import numpy as np
 from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCertificate,
                          evaluate)
 from .errors import DomainError, ValidationError
-from .lyapunov import (DEFAULT_DINI_H, DissipationParameters, LyapunovOperator,
-                       dini_estimate)
+from .lyapunov import DissipationParameters, LyapunovOperator, dini_estimate
 from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _flow_at, _flow_norms,
                      _square_integrals, build_time_grid, kappa_bounds, mild_solution,
@@ -226,13 +227,6 @@ class _Samples:
         return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
                    [draw_input(budget, j) for j in range(budget.n_inputs)], budget, union)
 
-    def pairs(self):
-        """(pair index, state index, input index) in pair order."""
-        n = len(self.inputs)
-        for i in range(len(self.states)):
-            for j in range(n):
-                yield i * n + j, i, j
-
     def sweep(self, kind: str) -> list:
         if kind not in self._swept:
             kinds = ("probe", "ulim") if self._union else (kind,)
@@ -257,19 +251,14 @@ class _Samples:
 _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 
 
-def _ulim_budget(r: float, budget: SampleBudget) -> SampleBudget:
-    """The sample budget ``check_ulim(..., r, budget)`` draws from."""
-    return replace(budget, radius=r)
-
-
 @contextmanager
 def _shared_samples(ulim=()):
     """Within the block, checks on the same system and budget share one draw
     and one pointwise sweep; ``run_scenario`` opens one around a scenario's
-    checks.  ``ulim`` holds the ``(r, budget)`` arguments of every
-    ``check_ulim`` call the block will make; on their sample sets the sweep
-    also covers the ULIM grid.  Nothing outlives the block."""
-    token = _RUN.set((frozenset(_ulim_budget(r, b) for r, b in ulim), {}))
+    checks.  ``ulim`` holds the budgets of every ``check_ulim`` call the
+    block will make; on their sample sets the sweep also covers the ULIM
+    grid.  Nothing outlives the block."""
+    token = _RUN.set((frozenset(ulim), {}))
     try:
         yield
     finally:
@@ -307,27 +296,28 @@ def _pair_tol(rel: float = POINT_TOL):
     return lambda r, u: _tol(r + u.sup_norm, rel)
 
 
-def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound, best: bool = False,
+def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound=None, best: bool = False,
            tol=_pair_tol()) -> StabilityReport:
-    """The sampling loop of every trajectory checker.
+    """The sampling loop of every check with one pick per (state, input).
 
     The sample set is scanned input by input.  ``lhs(samples, j)`` gives
-    the evaluation times and the compared functional of the flow (|phi| or
-    an integral of alpha(|phi|)) for all states with input j at once, one row
-    per state, and ``bound(r, u, times)`` the bound for the column r of their
-    norms |x0|.  Per pair the margins are bound - lhs; the smallest (the
-    largest if ``best``) is the pair's pick, with witness tolerance
-    ``tol(|x0|, u)``, and the picks are concluded in pair order.
+    the evaluation times (one row, or one row per state) and the compared
+    quantity for all states with input j at once, one row per state, and
+    ``bound(r, u, times)`` the bound for the column r of their norms |x0|.
+    Per pair the margins are bound - lhs, or lhs itself without a bound; the
+    smallest (the largest if ``best``) is the pair's pick, with witness
+    tolerance ``tol(|x0|, u)``, and the picks are concluded in pair order.
     """
     n_inputs = len(samples.inputs)
-    picks = [None] * (len(samples.states) * n_inputs)
+    rows, norms = np.arange(len(samples.states)), samples.r[:, 0].tolist()
+    picks = [None] * (rows.size * n_inputs)
     for j, u in enumerate(samples.inputs):
         times, lhs_rows = lhs(samples, j)
-        margin_rows = bound(samples.r, u, times) - lhs_rows
+        margin_rows = lhs_rows if bound is None else bound(samples.r, u, times) - lhs_rows
         chosen = np.argmax(margin_rows, axis=1) if best else np.argmin(margin_rows, axis=1)
-        for i, (margins, k) in enumerate(zip(margin_rows, chosen.tolist())):
-            picks[i * n_inputs + j] = (i * n_inputs + j, times[k], margins[k],
-                                       tol(samples.r[i, 0], u), samples.states[i], u)
+        ts = (times[chosen] if times.ndim == 1 else times[rows, chosen]).tolist()
+        for i, (t, m, r) in enumerate(zip(ts, margin_rows[rows, chosen].tolist(), norms)):
+            picks[i * n_inputs + j] = (i * n_inputs + j, t, m, tol(r, u), samples.states[i], u)
     return conclude(prop, picks)
 
 
@@ -437,12 +427,10 @@ def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
 
 
 def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
-              gamma_fn: ComparisonFunction, r: float,
-              budget: SampleBudget) -> StabilityReport:
-    """Static bound sigma(|x0|) + gamma(|u|) over the ball of radius r."""
-    _require_positive(r=r)
-    return _sweep(CheckProperty.ULS, _samples(sys, replace(budget, radius=r)),
-                  _swept("probe"), _uls_bound(sigma_fn, gamma_fn))
+              gamma_fn: ComparisonFunction, budget: SampleBudget) -> StabilityReport:
+    """Static bound sigma(|x0|) + gamma(|u|) over the budget's ball."""
+    return _sweep(CheckProperty.ULS, _samples(sys, budget), _swept("probe"),
+                  _uls_bound(sigma_fn, gamma_fn))
 
 
 def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
@@ -458,7 +446,7 @@ def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
 
 
 def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
-               r: float, budget: SampleBudget) -> StabilityReport:
+               budget: SampleBudget) -> StabilityReport:
     """Search each trajectory for a dip below eps + gamma(|u|_inf).
 
     The hitting-time search runs on a fixed uniform grid (independent of
@@ -466,8 +454,8 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     the per-sample search; the empirical uniform hitting time tau is the
     maximum first-hit time over the samples and is reported in the notes.
     """
-    _require_positive(eps=eps, r=r)
-    samples, level = _samples(sys, _ulim_budget(r, budget)), _ulim_level(gamma_fn, eps)
+    _require_positive(eps=eps)
+    samples, level = _samples(sys, budget), _ulim_level(gamma_fn, eps)
     report = _sweep(CheckProperty.ULIM, samples, _swept("ulim"), level, best=True,
                     tol=lambda r, u: 0.0)
     tau_hat = 0.0
@@ -663,25 +651,30 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
 # dissipation and axioms
 
 
+def _dissipation(op: LyapunovOperator, params: DissipationParameters):
+    """lhs, the Dini estimate of Vdot at t = 0 per state, and the bound
+    (eps - 1) |x0|**2 + c(eps) |u|_inf**2, whose squares are of Python
+    floats: numpy's square is not pow in the last bit."""
+    def lhs(samples, j):
+        u = samples.inputs[j]
+        return np.zeros(1), np.array([[dini_estimate(op, samples.sys, x0, u).value]
+                                      for x0 in samples.states])
+    return lhs, lambda r, u, t: np.array([[params.rhs(ri ** 2, u.sup_norm)]
+                                          for ri in r[:, 0].tolist()])
+
+
 def dissipation_margin(sys: SpectralSystem, op: LyapunovOperator,
-                       params: DissipationParameters, x0, u: InputSignal,
-                       h_seq=DEFAULT_DINI_H) -> float:
-    est = dini_estimate(op, sys, x0, u, h_seq)
-    return params.rhs(state_norm(x0) ** 2, u.sup_norm) - est.value
+                       params: DissipationParameters, x0, u: InputSignal) -> float:
+    """(eps - 1) |x0|**2 + c(eps) |u|_inf**2 - Vdot_u(x0), Vdot by its Dini estimate."""
+    return _sweep(CheckProperty.DISSIPATION, _one(sys, x0, u),
+                  *_dissipation(op, params)).worst_margin
 
 
 def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
-                      params: DissipationParameters, budget: SampleBudget,
-                      h_seq=DEFAULT_DINI_H) -> StabilityReport:
+                      params: DissipationParameters, budget: SampleBudget) -> StabilityReport:
     """Vdot surrogate against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample."""
-    samples = _samples(sys, budget)
-    picks = []
-    for idx, i, j in samples.pairs():
-        x0, u = samples.states[i], samples.inputs[j]
-        margin = dissipation_margin(sys, op, params, x0, u, h_seq)
-        tol = 1e-4 * (1.0 + float(samples.r[i, 0]) ** 2 + u.sup_norm ** 2)
-        picks.append((idx, 0.0, margin, tol, x0, u))
-    return conclude(CheckProperty.DISSIPATION, picks)
+    return _sweep(CheckProperty.DISSIPATION, _samples(sys, budget), *_dissipation(op, params),
+                  tol=lambda r, u: 1e-4 * (1.0 + r ** 2 + u.sup_norm ** 2))
 
 
 def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
@@ -690,38 +683,33 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     samples = _samples(sys, budget)
     x0s = np.array(samples.states)
     t_mid = 0.5 * budget.horizon
-    at_0, at_mid = np.zeros(len(x0s)), np.full(len(x0s), t_mid)
-    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), 1.0)
-    dev, dev_c = [], []   # per input, per state
-    for u in samples.inputs:
-        u_twin = u.concatenated(tail, t_mid)
-        dev.append(np.max(np.abs(_flow_at(sys, x0s, u, at_0) - x0s), axis=1).tolist())
-        dev_c.append(np.max(np.abs(_flow_at(sys, x0s, u, at_mid)
-                                   - _flow_at(sys, x0s, u_twin, at_mid)), axis=1).tolist())
-    picks = [(idx, 0.0 if dev[j][i] >= dev_c[j][i] else t_mid,
-              -max(dev[j][i], dev_c[j][i]), 0.0, samples.states[i], samples.inputs[j])
-             for idx, i, j in samples.pairs()]
-    return conclude(CheckProperty.IDENTITY, picks)
+    times, at_0, at_mid = np.array([0.0, t_mid]), np.zeros(len(x0s)), np.full(len(x0s), t_mid)
+    # the twin's tail lasts a horizon: from t_mid = 2**53 on, t_mid + 1.0 == t_mid
+    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), budget.horizon)
+
+    def margins(_, j):
+        u = samples.inputs[j]
+        dev = np.max(np.abs(_flow_at(sys, x0s, u, at_0) - x0s), axis=1)
+        twin = u.concatenated(tail, t_mid)
+        dev_c = np.max(np.abs(_flow_at(sys, x0s, u, at_mid)
+                              - _flow_at(sys, x0s, twin, at_mid)), axis=1)
+        return times, -np.array([dev, dev_c]).T
+    return _sweep(CheckProperty.IDENTITY, samples, margins, tol=lambda r, u: 0.0)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     samples = _samples(sys, budget)
-    x0s = np.array(samples.states)
-    shape = (len(samples.states), len(samples.inputs))
-    t, h, margins = np.empty(shape), np.empty(shape), np.empty(shape)
-    for idx, i, j in samples.pairs():
-        rng = seeded_rng(budget.seed, 33, idx)
-        t[i, j] = rng.uniform(0.0, 0.6 * budget.horizon)
-        h[i, j] = rng.uniform(0.0, 0.4 * budget.horizon)
-    for j, u in enumerate(samples.inputs):
-        direct = _flow_at(sys, x0s, u, t[:, j] + h[:, j])
-        mid = _flow_at(sys, x0s, u, t[:, j])
-        for i in range(shape[0]):
-            restart = mild_solution(sys, mid[i], u.shifted(float(t[i, j])), float(h[i, j]))
-            margins[i, j] = (COCYCLE_TOL * (1.0 + state_norm(direct[i]))
-                             - state_norm(direct[i] - restart))
-    return conclude(CheckProperty.COCYCLE,
-                    [(idx, t[i, j] + h[i, j], margins[i, j], 0.0, samples.states[i],
-                      samples.inputs[j]) for idx, i, j in samples.pairs()])
+    x0s, n = np.array(samples.states), len(samples.inputs)
 
+    def margins(_, j):
+        u = samples.inputs[j]
+        rngs = [seeded_rng(budget.seed, 33, i * n + j) for i in range(len(x0s))]
+        t = np.array([rng.uniform(0.0, 0.6 * budget.horizon) for rng in rngs])
+        h = np.array([rng.uniform(0.0, 0.4 * budget.horizon) for rng in rngs])
+        direct, mid = _flow_at(sys, x0s, u, t + h), _flow_at(sys, x0s, u, t)
+        return (t + h)[:, None], np.array([
+            COCYCLE_TOL * (1.0 + state_norm(d))
+            - state_norm(d - mild_solution(sys, m, u.shifted(ti), hi))
+            for d, m, ti, hi in zip(direct, mid, t.tolist(), h.tolist())])[:, None]
+    return _sweep(CheckProperty.COCYCLE, samples, margins, tol=lambda r, u: 0.0)

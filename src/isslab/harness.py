@@ -137,18 +137,13 @@ class _Resolved(NamedTuple):
     uls_sigma: ComparisonFunction
 
 
-def _ulim_args(s: Scenario) -> tuple:
-    """The ``(r, budget)`` arguments of the scenario's ULIM check."""
-    return s.budget.radius, s.budget
-
-
 #: Every check in canonical order: name -> run(scenario, resolved).
 _CHECKS = {
     "identity": lambda s, r: check_identity(r.sys, s.budget),
     "cocycle": lambda s, r: check_cocycle(r.sys, s.budget),
     "iss": lambda s, r: check_iss(r.sys, r.iss, s.budget),
-    "uls": lambda s, r: check_uls(r.sys, r.uls_sigma, r.iss.gamma, s.budget.radius, s.budget),
-    "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, *_ulim_args(s)),
+    "uls": lambda s, r: check_uls(r.sys, r.uls_sigma, r.iss.gamma, s.budget),
+    "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, s.budget),
     "brs": lambda s, r: check_brs(r.sys, s.budget.radius if s.brs_c is None else s.brs_c,
                                   s.budget.horizon if s.brs_tau is None else s.brs_tau,
                                   s.budget),
@@ -337,20 +332,27 @@ def _validate_scenario(s: Scenario) -> None:
         raise ScenarioError(str(exc)) from None
     except RuntimeWarning as exc:   # raised under -W error::RuntimeWarning
         raise ScenarioError(f"building the scenario failed: {exc}") from None
+    # below 2**-1022 the halved horizon and CEP's deltas r 2**-(j + i) can round to 0
+    for key, v in (("budget.horizon", s.budget.horizon), ("budget.radius", s.budget.radius)):
+        if v < _sys.float_info.min:
+            raise ScenarioError(f"{key} = {v!r} is too small: it is below 2**-1022, "
+                                "the smallest normal double", key=key)
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
     gain = 1.0 + res.sys.input_gain_norm
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
         if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
                                 f"{r * gain:.3g} exceeds 2**400", key=key)
-    # each bound a certificate check compares with, where it is largest on the
-    # budget ball, from which those checks draw: an overflow is an infinite margin
+    # each bound a certificate check compares with, and horizon * alpha(|phi|), where
+    # largest on the budget ball, from which those checks draw: an overflow is an
+    # infinite margin
     r = s.budget.radius
     with np.errstate(over="ignore", invalid="ignore"):
         largest = {"beta": res.iss.beta(r, 0.0), "gamma": evaluate(res.iss.gamma, r),
                    "uls_sigma": evaluate(res.uls_sigma, r), "psi": evaluate(res.nti.psi, r),
-                   "sigma": s.budget.horizon * evaluate(res.nti.sigma, r)}
-    for terms in (("beta", "gamma"), ("uls_sigma", "gamma"), ("psi", "sigma")):
+                   "sigma": s.budget.horizon * evaluate(res.nti.sigma, r),
+                   "alpha": s.budget.horizon * evaluate(res.nti.alpha, r * gain)}
+    for terms in (("beta", "gamma"), ("uls_sigma", "gamma"), ("psi", "sigma"), ("alpha",)):
         if not math.isfinite(sum(largest[t] for t in terms)):
             # name the term that overflows, or both when only their sum does
             bad = [t for t in terms if not math.isfinite(largest[t])] or terms
@@ -422,7 +424,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
     """
     resolved = _resolve(s)
     entries = []
-    with _shared_samples(ulim=[_ulim_args(s)] if "ulim" in s.checks else []):
+    with _shared_samples(ulim=[s.budget] if "ulim" in s.checks else []):
         for name in s.checks:
             t0 = time.perf_counter()
             try:

@@ -15,7 +15,8 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls, compose,
-                    derive_norm_to_integral, dissipation_constants, draw_input, draw_state,
+                    derive_norm_to_integral, dini_estimate,
+                    dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     iss_margin, uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
@@ -24,6 +25,7 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
                              _simpson_integrals, _sweep, _swept, dissipation_margin, eval_times,
                              norm_to_integral_margin, ulim_grid)
 from isslab.comparison import evaluate
+from isslab.lyapunov import c_of_epsilon
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -212,13 +214,13 @@ def _refuted(sys, case):
                 lambda w: iss_margin(sys, bad, w.x0, w.input, w.t))
     if case == "uls":
         sigma, gamma = linear(0.5), linear(1.0 / SQRT3)
-        return (check_uls(sys, sigma, gamma, 1.0, BUDGET),
+        return (check_uls(sys, sigma, gamma, BUDGET),
                 lambda w: uls_margin(sys, sigma, gamma, w.x0, w.input, w.t))
     if case == "ulim":
         short = replace(BUDGET, horizon=0.05)
         grid = ulim_grid(short)
         gamma = linear(1.0 / SQRT3)
-        return (check_ulim(sys, gamma, 0.1, 1.0, short),
+        return (check_ulim(sys, gamma, 0.1, short),
                 lambda w: ulim_slack(sys, gamma, 0.1, w.x0, w.input, grid))
     if case == "norm_to_integral":
         # sigma far below the steady input energy alpha(1/sqrt(3)) = 1/6 per unit time
@@ -256,7 +258,7 @@ def test_witness_replays_to_reported_margin(case):
 
 
 def test_uls_heat_passes():
-    rep = check_uls(heat(), linear(1.0), linear(1.0 / SQRT3), 1.0, BUDGET)
+    rep = check_uls(heat(), linear(1.0), linear(1.0 / SQRT3), BUDGET)
     assert not rep.violated
 
 
@@ -269,7 +271,7 @@ def test_uls_zero_origin_margin():
 def test_uls_half_sigma_violated_at_time_zero():
     # identity forces |phi(0)| = |x0| > |x0|/2
     sys = heat()
-    rep = check_uls(sys, linear(0.5), linear(1.0 / SQRT3), 1.0, BUDGET)
+    rep = check_uls(sys, linear(0.5), linear(1.0 / SQRT3), BUDGET)
     assert rep.violated
     w = rep.witness
     assert w.t == 0.0
@@ -281,7 +283,7 @@ def test_uls_half_sigma_violated_at_time_zero():
 
 
 def test_ulim_heat_hitting_time():
-    rep = check_ulim(heat(), linear(1.0 / SQRT3), 0.1, 1.0, BUDGET)
+    rep = check_ulim(heat(), linear(1.0 / SQRT3), 0.1, BUDGET)
     assert not rep.violated
     tau_hat = float(rep.notes.split("=", 1)[1])
     # oracle: solve exp(-pi^2 t) = 0.1 -> t = ln(10)/pi^2 = 0.23326,
@@ -320,8 +322,8 @@ def _brs_notes(sys, C, tau, budget):
 def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
     sys, gamma_fn = heat(16), linear(1.0 / SQRT3)
     budget = replace(BUDGET, horizon=horizon)
-    with _shared_samples(ulim=[(1.0, budget)] if shared else []):
-        ulim = check_ulim(sys, gamma_fn, eps, 1.0, budget)
+    with _shared_samples(ulim=[budget] if shared else []):
+        ulim = check_ulim(sys, gamma_fn, eps, budget)
         brs = check_brs(sys, 1.0, horizon, budget)
     assert ulim.notes == _ulim_notes(sys, gamma_fn, eps, budget)
     assert ("exhausted" in ulim.notes) == (horizon == 0.05)
@@ -330,7 +332,7 @@ def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
 
 def test_ulim_rejects_nan_eps():
     with pytest.raises(DomainError):
-        check_ulim(heat(8), linear(1.0), math.nan, 1.0, BUDGET)
+        check_ulim(heat(8), linear(1.0), math.nan, BUDGET)
 
 
 def test_ulim_zero_state_hits_immediately():
@@ -343,8 +345,7 @@ def test_ulim_zero_state_hits_immediately():
 def test_ulim_short_horizon_violated():
     # horizon 0.05: exp(-pi^2 * 0.05) = 0.61 > eps for the full-radius state
     sys = heat()
-    rep = check_ulim(sys, linear(1.0 / SQRT3), 0.1, 1.0,
-                     replace(BUDGET, horizon=0.05))
+    rep = check_ulim(sys, linear(1.0 / SQRT3), 0.1, replace(BUDGET, horizon=0.05))
     assert rep.violated
     assert "exhausted" in rep.notes
     w = rep.witness
@@ -358,8 +359,8 @@ def test_zero_input_system_passes_with_tiny_gain():
     cert = ISSCertificate(DecayEnvelope(1.0, 1.0), linear(1e-6))
     budget = replace(BUDGET, horizon=8.0)
     for rep in (check_iss(sys, cert, budget),
-                check_uls(sys, linear(cert.beta.M), cert.gamma, budget.radius, budget),
-                check_ulim(sys, cert.gamma, 0.1, budget.radius, budget),
+                check_uls(sys, linear(cert.beta.M), cert.gamma, budget),
+                check_ulim(sys, cert.gamma, 0.1, budget),
                 check_brs(sys, budget.radius, budget.horizon, budget)):
         assert not rep.violated
 
@@ -852,7 +853,7 @@ def _axioms_per_pair(sys, budget):
     identity, cocycle = [], []
     inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
     t_mid = 0.5 * budget.horizon
-    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), 1.0)
+    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), budget.horizon)
     for i in range(budget.n_states):
         x0 = draw_state(sys, budget, i)
         for j, u in enumerate(inputs):
@@ -872,10 +873,51 @@ def _axioms_per_pair(sys, budget):
     return tuple(identity), tuple(cocycle)
 
 
-@pytest.mark.parametrize("sys", [heat(16), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5])],
-                         ids=["heat16", "diagonal3"])
+def _bits(records):
+    """The records with their times and margins as bit patterns, so that
+    0.0 and -0.0 differ."""
+    return [(r.sample_index, float(r.t).hex(), float(r.margin).hex()) for r in records]
+
+
+AXIOM_SYSTEMS = pytest.mark.parametrize(
+    "sys", [heat(16), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5])],
+    ids=["heat16", "diagonal3"])
+
+
+@AXIOM_SYSTEMS
 def test_batched_axiom_checks_equal_the_per_pair_flow(sys):
     budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
     identity, cocycle = _axioms_per_pair(sys, budget)
-    assert check_identity(sys, budget).margins == identity
-    assert check_cocycle(sys, budget).margins == cocycle
+    assert _bits(check_identity(sys, budget).margins) == _bits(identity)
+    assert _bits(check_cocycle(sys, budget).margins) == _bits(cocycle)
+
+
+@AXIOM_SYSTEMS
+def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
+    # the constants and a refuted inequality: with eps = 1e-3 and the c(eps)
+    # of a zero |A^-1 B|, Vdot = -|x0|**2 + u(0) sum_k b_k x0_k / lambda_k
+    # exceeds the bound (eps - 1) |x0|**2 wherever the input pushes the state
+    budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
+    op = build_datko(sys)
+    good = dissipation_constants(op, sys, 0.5)
+    bad = replace(good, epsilon=1e-3, norm_AinvB=0.0, kappa0=0.0,
+                  c_eps=c_of_epsilon(1e-3, good.norm_AstarP, good.norm_PA, 0.0, 1.0, 0.0))
+    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
+    for params, violated in ((good, False), (bad, True)):
+        reference, witness = [], None
+        for i in range(budget.n_states):
+            x0 = draw_state(sys, budget, i)
+            for j, u in enumerate(inputs):
+                x0_sq = state_norm(x0) ** 2
+                margin = params.rhs(x0_sq, u.sup_norm) - dini_estimate(op, sys, x0, u).value
+                reference.append(MarginRecord(i * budget.n_inputs + j, 0.0, margin))
+                tol = 1e-4 * (1.0 + x0_sq + u.sup_norm ** 2)
+                if margin < -tol and (witness is None or margin < witness[1]):
+                    witness = (x0, margin)
+        rep = check_dissipation(sys, op, params, budget)
+        assert _bits(rep.margins) == _bits(reference)
+        assert rep.violated == violated == (witness is not None)
+        if violated:
+            w = rep.witness
+            assert w.x0.tolist() == witness[0].tolist() and w.margin == witness[1]
+            assert dissipation_margin(sys, op, params, w.x0, w.input) == w.margin

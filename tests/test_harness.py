@@ -579,6 +579,43 @@ def test_radius_bound_is_checked_after_modes(tmp_path):
     assert main(["check", str(path), "--modes", "64", "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
+def test_subnormal_budget_is_config_error(tmp_path, capsys, key):
+    # a horizon of 5e-324 halves to identity's t_mid = 0, and at a radius of
+    # 5e-324 CEP's deltas r 2**-(j + i) round to 0: both once exited 3
+    path = tmp_path / "subnormal.scn"
+    path.write_text(f"checks.names = identity, cep\n{key} = 5e-324\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert err.value.key == key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {key} = 5e-324 is too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
+def test_every_check_runs_at_the_budget_floor(tmp_path, key):
+    path = tmp_path / "floor.scn"
+    path.write_text(f"checks.names = {', '.join(CHECK_NAMES)}\nbudget.n_states = 6\n"
+                    f"budget.n_inputs = 4\n{key} = {2.0 ** -1022!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # at the tiny horizon the trajectories cannot decay, which refutes ULIM
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == (
+            1 if key == "budget.horizon" else 0)
+
+
+def test_identity_runs_at_a_horizon_beyond_2_to_the_54(tmp_path):
+    # t_mid + 1.0 == t_mid at t_mid = 5e16, so a causality tail of length 1.0
+    # vanished ("breakpoints must be strictly increasing", exit 3)
+    path = tmp_path / "long.scn"
+    path.write_text("checks.names = identity\nbudget.horizon = 1e17\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # one draw and one sweep per run
 
@@ -866,6 +903,10 @@ OVERFLOWING = [
     ("certificate.psi + certificate.sigma",
      "certificate.psi = linear(1e308)\ncertificate.sigma = linear(1e308)\n"
      "budget.horizon = 1.0\n"),
+    # horizon * alpha(r (1 + |A^-1 B|)) bounds the integral the integral checks
+    # compare; with checks.names = norm_to_integral this exited 3 ("non-finite
+    # margin -inf")
+    ("certificate.alpha", "certificate.alpha = power(1e300, 2.0)\nbudget.radius = 1e100\n"),
 ]
 
 
