@@ -23,11 +23,11 @@ The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
 that a comparison bound minus |phi(t, x0, u)| or the integral of
 alpha(|phi|) is nonnegative at every sampled (x0, u, t), and the
 dissipation inequality that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds
-the Dini estimate of Vdot.  The axiom checks hand it their margins: minus
-the deviations of phi(0) from x0 (identity) and between the flows at t_mid
-of two inputs that agree before it (causality), each input's states
-stepped at once (``system._flow_at``, ``mild_solution`` bit for bit), and
-the cocycle's slack at a (t, h) drawn per pair, restarted pair by pair.
+the Dini estimate of Vdot.  The axiom checks hand it margins computed once
+for all pairs, each by three calls of one stepper (``system._flow_rows``,
+``mild_solution`` bit for bit): minus the deviations of phi(0) from x0
+(identity) and between the flows at t_mid of two inputs that agree before
+it (causality), and the cocycle's slack at a (t, h) drawn per pair.
 The single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
 on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget,
 ``dissipation_margin``) run it on one pair, so a witness replays through
@@ -96,6 +96,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -104,9 +105,9 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, dini_estimate
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _flow_at, _flow_norms,
-                     _square_integrals, build_time_grid, kappa_bounds, mild_solution,
-                     seeded_rng, state_norm)
+from .system import (InputSignal, SpectralSystem, _flow_norms, _flow_rows, _input_table,
+                     _square_integrals, build_time_grid, kappa_bounds, seeded_rng,
+                     state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -226,6 +227,13 @@ class _Samples:
     def draw(cls, sys: SpectralSystem, budget: SampleBudget, union=False) -> "_Samples":
         return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
                    [draw_input(budget, j) for j in range(budget.n_inputs)], budget, union)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Each pair's state and input index in pair order, and the inputs' table."""
+        n = len(self.inputs)
+        x0s, which = np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
+        return x0s, which, _input_table(self.inputs)
 
     def sweep(self, kind: str) -> list:
         if kind not in self._swept:
@@ -681,35 +689,32 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     """Identity (phi(0) == x0 bit for bit) and causality (agreeing inputs
     give identical states); any deviation at all is a violation."""
     samples = _samples(sys, budget)
-    x0s = np.array(samples.states)
+    x0s, which, table = samples.pairs
     t_mid = 0.5 * budget.horizon
-    times, at_0, at_mid = np.array([0.0, t_mid]), np.zeros(len(x0s)), np.full(len(x0s), t_mid)
     # the twin's tail lasts a horizon: from t_mid = 2**53 on, t_mid + 1.0 == t_mid
     tail = InputSignal.constant(0.37 * (1.0 + budget.radius), budget.horizon)
-
-    def margins(_, j):
-        u = samples.inputs[j]
-        dev = np.max(np.abs(_flow_at(sys, x0s, u, at_0) - x0s), axis=1)
-        twin = u.concatenated(tail, t_mid)
-        dev_c = np.max(np.abs(_flow_at(sys, x0s, u, at_mid)
-                              - _flow_at(sys, x0s, twin, at_mid)), axis=1)
-        return times, -np.array([dev, dev_c]).T
-    return _sweep(CheckProperty.IDENTITY, samples, margins, tol=lambda r, u: 0.0)
+    twins = _input_table([u.concatenated(tail, t_mid) for u in samples.inputs])
+    dev = np.abs(_flow_rows(sys, table, which, x0s, 0.0) - x0s).max(axis=1)
+    dev_c = np.abs(_flow_rows(sys, table, which, x0s, t_mid)
+                   - _flow_rows(sys, twins, which, x0s, t_mid)).max(axis=1)
+    margins = -np.stack([dev, dev_c], axis=1).reshape(len(samples.states), -1, 2)
+    times = np.array([0.0, t_mid])
+    return _sweep(CheckProperty.IDENTITY, samples, lambda _, j: (times, margins[:, j]),
+                  tol=lambda r, u: 0.0)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     samples = _samples(sys, budget)
-    x0s, n = np.array(samples.states), len(samples.inputs)
-
-    def margins(_, j):
-        u = samples.inputs[j]
-        rngs = [seeded_rng(budget.seed, 33, i * n + j) for i in range(len(x0s))]
-        t = np.array([rng.uniform(0.0, 0.6 * budget.horizon) for rng in rngs])
-        h = np.array([rng.uniform(0.0, 0.4 * budget.horizon) for rng in rngs])
-        direct, mid = _flow_at(sys, x0s, u, t + h), _flow_at(sys, x0s, u, t)
-        return (t + h)[:, None], np.array([
-            COCYCLE_TOL * (1.0 + state_norm(d))
-            - state_norm(d - mild_solution(sys, m, u.shifted(ti), hi))
-            for d, m, ti, hi in zip(direct, mid, t.tolist(), h.tolist())])[:, None]
-    return _sweep(CheckProperty.COCYCLE, samples, margins, tol=lambda r, u: 0.0)
+    x0s, which, table = samples.pairs
+    # each pair's own stream draws its t, then its h
+    t, h = np.array([[rng.uniform(0.0, f * budget.horizon) for f in (0.6, 0.4)] for rng in
+                     (seeded_rng(budget.seed, 33, p) for p in range(which.size))]).T
+    direct = _flow_rows(sys, table, which, x0s, t + h)
+    gap = direct - _flow_rows(sys, table, which, _flow_rows(sys, table, which, x0s, t), h, t)
+    def norm(a):   # state_norm's bits: np.vecdot sums as np.linalg.norm's dot does
+        return np.sqrt(np.vecdot(a, a))
+    margins = COCYCLE_TOL * (1.0 + norm(direct)) - norm(gap)
+    times, margins = (np.reshape(a, (len(samples.states), -1, 1)) for a in (t + h, margins))
+    return _sweep(CheckProperty.COCYCLE, samples, lambda _, j: (times[:, j], margins[:, j]),
+                  tol=lambda r, u: 0.0)

@@ -346,18 +346,20 @@ def _validate_scenario(s: Scenario) -> None:
     # each bound a certificate check compares with, and horizon * alpha(|phi|), where
     # largest on the budget ball, from which those checks draw: an overflow is an
     # infinite margin
-    r = s.budget.radius
+    r, h = s.budget.radius, s.budget.horizon
     with np.errstate(over="ignore", invalid="ignore"):
+        alone = {"sigma": evaluate(res.nti.sigma, r), "alpha": evaluate(res.nti.alpha, r * gain)}
         largest = {"beta": res.iss.beta(r, 0.0), "gamma": evaluate(res.iss.gamma, r),
                    "uls_sigma": evaluate(res.uls_sigma, r), "psi": evaluate(res.nti.psi, r),
-                   "sigma": s.budget.horizon * evaluate(res.nti.sigma, r),
-                   "alpha": s.budget.horizon * evaluate(res.nti.alpha, r * gain)}
+                   "sigma": h * alone["sigma"], "alpha": h * alone["alpha"]}
     for terms in (("beta", "gamma"), ("uls_sigma", "gamma"), ("psi", "sigma"), ("alpha",)):
         if not math.isfinite(sum(largest[t] for t in terms)):
-            # name the term that overflows, or both when only their sum does
+            # name the term that overflows (the horizon if the term alone does not), or both
             bad = [t for t in terms if not math.isfinite(largest[t])] or terms
-            key = " + ".join(f"certificate.{t}" for t in bad)
-            raise ScenarioError(f"{key} overflows on the ball budget.radius = {r!r}: it "
+            key = what = " + ".join(f"certificate.{t}" for t in bad)
+            if len(bad) == 1 and math.isfinite(alone.get(bad[0], math.inf)):
+                key, what = "budget.horizon", f"budget.horizon = {h!r} times {what}"
+            raise ScenarioError(f"{what} overflows on the ball budget.radius = {r!r}: it "
                                 "is not finite where it is largest there", key=key)
 
 

@@ -15,7 +15,8 @@ the choice of sample times.
 One stepper carries states to the anchors, 0 and every input breakpoint
 below the time asked for, and every flow value (``mild_solution``, each row of
 ``sample_trajectory`` and of the checkers' kernel) is the formula above from
-the last anchor below its time.  A value never depends on a sampling grid, so
+the last anchor below its time (``_flow_rows`` steps rows with their own
+input, time and start so).  A value never depends on a sampling grid, so
 the axiom checks and the Dini quotients test the arithmetic of every margin.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
@@ -85,6 +86,8 @@ class SpectralSystem:
             raise ValidationError("lambdas must be strictly increasing with lambda_1 > 0")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "b_coeffs", b)
+        # dt clipped to _settle keeps every exp(-lambda_k dt) (0.0 past it) and cannot overflow
+        object.__setattr__(self, "_settle", _EXP_FLUSH / float(lam[0]))
 
     @property
     def n_modes(self) -> int:
@@ -269,7 +272,7 @@ def _anchored(sys: SpectralSystem, x0s, u: InputSignal, t: float):
         end = float(u.breakpoints[i + 1])
         if end >= t:
             break
-        decay = np.exp(-lam * (end - anchors[-1]))
+        decay = np.exp(-lam * min(end - anchors[-1], sys._settle))
         states.append(states[-1] * decay + gain * (1.0 - decay) * vals[-1])
         anchors.append(end)
     if len(vals) < len(anchors):
@@ -288,17 +291,31 @@ def _decay_forced(sys: SpectralSystem, dt, v, w=None):
     return decay, sys.input_gain_coeffs[:w] * v * (1.0 - decay)
 
 
-def _flow_at(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.ndarray:
-    """phi(times[s], x0s[s], u) for each state of the stack ``x0s`` (rows),
-    each time t >= 0 its own: the anchors are stepped once for all states and
-    each row runs from the last anchor below its time, as in ``mild_solution``,
-    whose value it is bit for bit."""
-    times = np.asarray(times, dtype=float)
-    anchors, vals, stepped = _anchored(sys, x0s, u, float(np.max(times)))
-    anchors, vals = np.asarray(anchors), np.asarray(vals)
-    seg = np.maximum(np.searchsorted(anchors, times) - 1, 0)
-    decay, forced = _decay_forced(sys, (times - anchors[seg])[:, None], vals[seg, None])
-    return np.stack(stepped)[seg, np.arange(times.size)] * decay + forced
+def _input_table(inputs) -> tuple[np.ndarray, np.ndarray]:
+    """One row per input: its breakpoints padded with +inf, its values with 0.0."""
+    m = max(u.values.size for u in inputs)
+    bps, vals = np.full((len(inputs), m + 2), np.inf), np.zeros((len(inputs), m + 1))
+    for j, u in enumerate(inputs):
+        bps[j, :u.breakpoints.size], vals[j, :u.values.size] = u.breakpoints, u.values
+    return bps, vals
+
+
+def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.ndarray:
+    """Row r is ``mild_solution(sys, x0s[r], u.shifted(starts[r]), times[r])``
+    bit for bit, u the input ``which[r]`` of ``table`` (``_input_table``).
+    A row's anchors are its breakpoints after its start less its start, as
+    ``shifted`` forms them; each pass steps the rows with one below their time."""
+    bps, vals, idx = table[0][which], table[1][which], np.arange(len(which))
+    times, starts = np.broadcast_to(times, idx.shape), np.broadcast_to(starts, idx.shape)
+    x, anchor = np.array(x0s, dtype=float), np.zeros(idx.size)
+    seg, lam, gain = np.sum(bps <= starts[:, None], axis=1) - 1, sys.lambdas, sys.input_gain_coeffs
+    while (live := np.flatnonzero((end := bps[idx, seg + 1] - starts) < times)).size:
+        decay = np.exp(-lam * np.minimum(end[live] - anchor[live], sys._settle)[:, None])
+        x[live] = x[live] * decay + gain * (1.0 - decay) * vals[live, seg[live], None]
+        anchor[live], seg[live] = end[live], seg[live] + 1
+    dt = np.minimum(times - anchor, sys._settle)[:, None]
+    decay, forced = _decay_forced(sys, dt, vals[idx, seg, None])
+    return x * decay + forced
 
 
 def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarray:
@@ -309,7 +326,7 @@ def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarr
     if state.shape != (sys.n_modes,):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
     anchors, vals, states = _anchored(sys, state, u, t)
-    decay, forced = _decay_forced(sys, t - anchors[-1], vals[-1])
+    decay, forced = _decay_forced(sys, min(t - anchors[-1], sys._settle), vals[-1])
     return states[-1] * decay + forced
 
 
@@ -387,6 +404,7 @@ def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid, states=None) -> 
     dt = grid - anchors_arr[seg]
     with np.errstate(divide="ignore", over="ignore"):   # dt = 0 or tiny: every mode
         width = np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
+    dt = np.minimum(dt, sys._settle)   # a group computes some rows past their width
     order = np.argsort(width, kind="stable")
     gain = sys.input_gain_coeffs
     sums = np.empty((len(x0s), grid.size))   # sums of squares, rows in sorted order

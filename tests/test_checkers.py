@@ -892,6 +892,18 @@ def test_batched_axiom_checks_equal_the_per_pair_flow(sys):
     assert _bits(check_cocycle(sys, budget).margins) == _bits(cocycle)
 
 
+@pytest.mark.parametrize("horizon", [1e-3, 2.0, 1e6])
+@pytest.mark.parametrize("n", [1, 8, 256])
+def test_axiom_checks_equal_the_per_pair_formula_across_scales(n, horizon):
+    # every pair's t and margin, bit for bit, against mild_solution pair by
+    # pair and, for the cocycle, the restart from phi(t) under u.shifted(t):
+    # at horizon 1e-3 every mode is live, at 1e6 nearly all have decayed
+    sys, budget = heat(n), SampleBudget(n_states=6, n_inputs=9, horizon=horizon, seed=29)
+    identity, cocycle = _axioms_per_pair(sys, budget)
+    assert _bits(check_identity(sys, budget).margins) == _bits(identity)
+    assert _bits(check_cocycle(sys, budget).margins) == _bits(cocycle)
+
+
 @AXIOM_SYSTEMS
 def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
     # the constants and a refuted inequality: with eps = 1e-3 and the c(eps)

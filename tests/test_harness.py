@@ -616,6 +616,22 @@ def test_identity_runs_at_a_horizon_beyond_2_to_the_54(tmp_path):
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("checks", ["identity, cocycle", "iss"])
+def test_decay_past_the_overflow_runs_under_warnings_as_errors(tmp_path, checks):
+    # lambda_N * horizon overflows; every decay there is exactly 0.0, and the
+    # flows clip dt before the product, which exited 3 under the flag
+    # ("overflow encountered in multiply")
+    path = tmp_path / "huge.scn"
+    path.write_text(f"checks.names = {checks}\nbudget.horizon = 1e304\n")
+    margins = {}
+    for warn in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn, RuntimeWarning)
+            assert main(["check", str(path), "--out", str(tmp_path / warn)]) == 0
+        margins[warn] = (tmp_path / warn / "margins.csv").read_bytes()
+    assert margins["error"] == margins["ignore"]
+
+
 # ---------------------------------------------------------------------------
 # one draw and one sweep per run
 
@@ -894,7 +910,7 @@ OVERFLOWING = [
     ("certificate.gamma", "certificate.gamma = power(1.0, 400.0)\nbudget.radius = 10\n"),
     ("certificate.uls_sigma", "certificate.uls_sigma = linear(1e308)\nbudget.radius = 10\n"),
     ("certificate.psi", "certificate.psi = power(1e300, 2.0)\nbudget.radius = 1e5\n"),
-    ("certificate.sigma", "certificate.sigma = power(1e305, 1.0)\nbudget.horizon = 1e4\n"),
+    ("certificate.sigma", "certificate.sigma = power(1e305, 1.0)\nbudget.radius = 1e4\n"),
     # each function finite, their sum, the bound a check compares with, not
     ("certificate.beta + certificate.gamma",
      "certificate.beta = decay(1e308, 1.0)\ncertificate.gamma = linear(1e308)\n"),
@@ -926,6 +942,30 @@ def test_certificate_overflowing_on_the_ball_is_config_error(tmp_path, capsys, k
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert f"configuration error: {key} overflows on the ball" in err
+
+
+@pytest.mark.parametrize("warn", ["error", "always"])
+@pytest.mark.parametrize("text, term", [
+    ("budget.horizon = 1.7e308\n", "alpha"),   # the default certificates
+    ("certificate.sigma = power(1e305, 1.0)\nbudget.horizon = 1e4\n", "sigma"),
+    ("certificate.alpha = power(1e300, 2.0)\nbudget.horizon = 1e10\n", "alpha")],
+    ids=["default-alpha", "sigma", "alpha"])
+def test_horizon_overflowing_a_finite_certificate_is_named(tmp_path, capsys, text, term,
+                                                            warn):
+    # the certificate is finite on the ball and only horizon * it overflows:
+    # the error named certificate.<term>, a key these scenarios may not set
+    path = tmp_path / "long.scn"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warn, RuntimeWarning)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.value.key == "budget.horizon"
+    horizon = float(text.split("budget.horizon = ")[1])
+    assert (f"configuration error: budget.horizon = {horizon!r} times certificate.{term} "
+            "overflows on the ball") in capsys.readouterr().err
 
 
 def test_certificates_are_not_read_on_the_brs_ball(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
-from isslab.system import (_CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK, _flow_at,
-                           _flow_norms, _row_groups)
+from isslab.system import (_CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK, _flow_norms,
+                           _flow_rows, _input_table, _row_groups)
 
 PI2 = math.pi ** 2
 
@@ -227,7 +228,7 @@ def test_stacked_flow_matches_mild_solution_per_state():
         for times in ([0.0, 0.3, 0.5, 0.75, 1.1, 1.7], np.full(6, 0.75), np.zeros(6),
                       rng.uniform(0.0, 2.0, 6)):
             for u_ in (u, InputSignal.zero()):
-                got = _flow_at(sys, x0s, u_, times)
+                got = _flow_rows(sys, _input_table([u_]), np.zeros(6, int), x0s, times)
                 want = np.array([mild_solution(sys, x0, u_, t) for x0, t in zip(x0s, times)])
                 assert np.array_equal(got, want)
 
@@ -297,6 +298,54 @@ def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     for s in range(2):
         clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
         assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_kernel_cases(), data=st.data())
+def test_stepper_rows_are_shifted_mild_solutions_bit_for_bit(case, data):
+    # every row of the stepper, at its own start and time, is mild_solution
+    # with the input shifted by its start, signed zeros included: starts at 0,
+    # on a breakpoint, inside a segment and past the input's duration, times
+    # at 0, on a breakpoint and on the grid, and the zero input beside u
+    sys, u, grid, x0s = case
+    inputs = [u, InputSignal.zero()]
+    bps = u.breakpoints.tolist()
+    starts = data.draw(st.lists(st.sampled_from(
+        [0.0, *bps, u.duration + 0.5, 1e-300]) | st.floats(0.0, 2.5), min_size=1, max_size=64))
+    n = len(starts)
+    times = data.draw(st.lists(st.sampled_from([0.0, *bps, *grid.tolist()]) | st.floats(0.0, 2.5),
+                               min_size=n, max_size=n))
+    which = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    states = np.concatenate([x0s, -x0s])[np.arange(n) % 4]   # -x0s holds -0.0
+    rows = _flow_rows(sys, _input_table(inputs), which, states, np.array(times), np.array(starts))
+    want = np.array([mild_solution(sys, x0, inputs[j].shifted(s), t)
+                     for x0, j, s, t in zip(states, which, starts, times)])
+    assert np.array_equal(_bits(rows), _bits(want))
+
+
+@pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
+def test_decay_past_the_flush_is_exact_and_raises_no_warning(lam_dt):
+    # every flow clips its dt at lambda_1 dt = _EXP_FLUSH, past which each
+    # exp(-lambda_k dt) is 0.0, so that lambda_N dt cannot overflow: the rows
+    # equal the unclipped closed form bit for bit, on a long segment between
+    # two anchors and on the zero tail after them
+    sys, x0 = heat(64), np.linspace(-1.0, 1.0, 64)
+    dt = lam_dt / sys.lambdas[0]
+    u = InputSignal.piecewise([0.0, 0.5, 0.5 + dt], [0.3, -0.7])
+    bp, gain, lam = u.breakpoints, sys.input_gain_coeffs, sys.lambdas
+    t = bp[2] + dt
+    with np.errstate(over="ignore"):
+        step = np.exp(-lam * (bp[2] - bp[1]))
+        anchor = mild_solution(sys, x0, u, bp[1]) * step + gain * (1.0 - step) * -0.7
+        tail = np.exp(-(t - bp[2]) * lam)
+        want = anchor * tail + gain * 0.0 * (1.0 - tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [mild_solution(sys, x0, u, t),
+               sample_trajectory(sys, x0, u, np.array([0.0, bp[1], bp[2], t])).states[-1],
+               _flow_rows(sys, _input_table([u]), np.zeros(1, int), [x0], t)[0]]
+    for row in got:
+        assert np.array_equal(_bits(row), _bits(want))
 
 
 def test_exp_flushes_to_zero_past_the_live_width_cutoff():
