@@ -15,19 +15,20 @@ breakpoints), or, when ULIM runs on that budget too, on the union of the
 probe and the ULIM grid, from which each check takes its own columns.  Only
 the norms are kept.  Every flow value is grid-free, so a shared column is
 the column of a sweep on the check's own grid bit for bit, and a check
-called alone gives the same report.  Nothing outlives the block: a repeated
-run draws and sweeps again.
+called alone gives the same report (so do the integral and Dini tables
+below).  Nothing outlives the block: a repeated run draws and sweeps again.
 
 One kernel.  Every check with one pick per (state, input) runs ``_sweep``.
 The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
 that a comparison bound minus |phi(t, x0, u)| or the integral of
 alpha(|phi|) is nonnegative at every sampled (x0, u, t), and the
 dissipation inequality that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds
-the Dini estimate of Vdot.  The axiom checks hand it margins computed once
-for all pairs, each by three calls of one stepper (``system._flow_rows``,
-``mild_solution`` bit for bit): minus the deviations of phi(0) from x0
-(identity) and between the flows at t_mid of two inputs that agree before
-it (causality), and the cocycle's slack at a (t, h) drawn per pair.
+the Dini estimate of Vdot.  The dissipation and axiom checks hand it tables
+computed once for all pairs by three calls each of one stepper
+(``system._flow_rows``, ``mild_solution`` bit for bit): the Dini estimates
+(a call per step h), minus the deviations of phi(0) from x0 (identity) and
+between the flows at t_mid of two inputs that agree before it (causality),
+and the cocycle's slack at a (t, h) drawn per pair.
 The single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
 on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget,
 ``dissipation_margin``) run it on one pair, so a witness replays through
@@ -59,9 +60,10 @@ full segments summed cumulatively, plus the piece from the last anchor
 below t, for all states, times and modes in one pass, with no grid.  Any
 other alpha takes composite Simpson on a grid graded after 0 and after
 each input breakpoint, restarted at every breakpoint so that no panel
-straddles a kink of the flow.  The integral of sigma(|u|) in the
-integral-to-integral bound is exact: a cumulative sum over the input's
-pieces, once per input for all times.
+straddles a kink of the flow.  Either way each input's table is made once
+per sample set, and both integral checks read it.  The integral of
+sigma(|u|) in the integral-to-integral bound is exact: a cumulative sum
+over the input's pieces, once per input for all times.
 
 Record order.  The kernel scans input by input, but hands each pair's pick
 to ``conclude`` in the order of the pairs (state-major: pair i * n_inputs + j
@@ -103,7 +105,7 @@ import numpy as np
 from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCertificate,
                          evaluate)
 from .errors import DomainError, ValidationError
-from .lyapunov import DissipationParameters, LyapunovOperator, dini_estimate
+from .lyapunov import DissipationParameters, LyapunovOperator, _dini_quotients
 from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _flow_norms, _flow_rows, _input_table,
                      _square_integrals, build_time_grid, kappa_bounds, seeded_rng,
@@ -214,7 +216,9 @@ class _Samples:
     evaluation times plus the input's breakpoints below the horizon) or its
     ULIM grid (``"ulim"``: uniform, the same for every input); with
     ``union`` set, the first request sweeps each input once on the union of
-    both grids and keeps both column sets.
+    both grids and keeps both column sets.  ``memo`` keeps each input's
+    int_0^t alpha(|phi|) table and the Dini estimates of all pairs, and
+    ``pairs`` is the pair table that the stepper reads.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget=None, union=False):
@@ -222,6 +226,7 @@ class _Samples:
         self.r = np.array([[state_norm(x0)] for x0 in states])
         self._union = union
         self._swept: dict[str, list] = {}
+        self._memo: dict[tuple, object] = {}
 
     @classmethod
     def draw(cls, sys: SpectralSystem, budget: SampleBudget, union=False) -> "_Samples":
@@ -251,6 +256,12 @@ class _Samples:
                 for k, g in zip(kinds, grids):
                     self._swept[k].append((g, norms[:, np.searchsorted(grid, g)]))
         return self._swept[kind]
+
+    def memo(self, key: tuple, make):
+        """``make()``, made once per ``key`` on this sample set."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
 
 # The checks keep their public signatures, which take a budget, so a run's
@@ -578,11 +589,14 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
     """The lhs int_0^t alpha(|phi|) at each evaluation time and its witness
     tolerance.  For alpha = c r**2 the integral is taken in closed form, else
     by Simpson per input segment on a grid graded after 0 and each input
-    breakpoint."""
+    breakpoint.  Each input's table is made once per sample set."""
+    def shared(lhs):
+        key = (alpha, times.tobytes(), horizon)
+        return lambda samples, j: samples.memo((*key, j), lambda: lhs(samples, j))
     if alpha.form == "power" and alpha.params[1] == 2.0:
         c = alpha.params[0]
-        return (lambda samples, j: (times, c * _square_integrals(
-            samples.sys, samples.states, samples.inputs[j], times)), _pair_tol(EXACT_TOL))
+        return (shared(lambda samples, j: (times, c * _square_integrals(
+            samples.sys, samples.states, samples.inputs[j], times))), _pair_tol(EXACT_TOL))
 
     def lhs(samples, j):
         u = samples.inputs[j]
@@ -590,7 +604,7 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
         vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, u, g))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
-    return lhs, _pair_tol(QUAD_TOL)
+    return shared(lhs), _pair_tol(QUAD_TOL)
 
 
 def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.ndarray:
@@ -662,13 +676,18 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
 def _dissipation(op: LyapunovOperator, params: DissipationParameters):
     """lhs, the Dini estimate of Vdot at t = 0 per state, and the bound
     (eps - 1) |x0|**2 + c(eps) |u|_inf**2, whose squares are of Python
-    floats: numpy's square is not pow in the last bit."""
-    def lhs(samples, j):
-        u = samples.inputs[j]
-        return np.zeros(1), np.array([[dini_estimate(op, samples.sys, x0, u).value]
-                                      for x0 in samples.states])
-    return lhs, lambda r, u, t: np.array([[params.rhs(ri ** 2, u.sup_norm)]
-                                          for ri in r[:, 0].tolist()])
+    floats: numpy's square is not pow in the last bit.  The estimates of all
+    pairs are made at once, one stepper call per step h, by the arithmetic
+    of ``dini_estimate``."""
+    def values(samples):
+        x0s, which, table = samples.pairs
+        _, value = _dini_quotients(op, x0s,
+                                   lambda h: _flow_rows(samples.sys, table, which, x0s, h))
+        return value.reshape(len(samples.states), -1, 1)
+    key = ("dini", op.p_coeffs.tobytes())
+    return (lambda samples, j: (np.zeros(1), samples.memo(key, lambda: values(samples))[:, j]),
+            lambda r, u, t: np.array([[params.rhs(ri ** 2, u.sup_norm)]
+                                      for ri in r[:, 0].tolist()]))
 
 
 def dissipation_margin(sys: SpectralSystem, op: LyapunovOperator,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -103,12 +104,24 @@ class DiniEstimate:
     analytic: float
 
 
+def _dini_quotients(op: LyapunovOperator, x0s, flow, h_seq=DEFAULT_DINI_H):
+    """The quotients (V(flow(h)) - V(x0)) / h of one state or rows of states
+    (last axis: h) and their values, the first largest quotient in h order
+    or NaN if any is not finite.  np.vecdot sums as v_value's np.dot does."""
+    def v(x):
+        return np.vecdot(op.p_coeffs * x, x)
+    q = (np.stack([v(flow(h)) for h in h_seq], axis=-1) - v(x0s)[..., None]) / np.array(h_seq)
+    value = reduce(lambda best, qk: np.where(qk > best, qk, best), np.moveaxis(q, -1, 0))
+    return q, np.where(np.all(np.isfinite(q), axis=-1), value, np.nan)
+
+
 def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
                   h_seq=DEFAULT_DINI_H) -> DiniEstimate:
     """Difference quotients of V along phi(., x, u) plus the analytic derivative.
 
     ``h_seq`` must be positive and strictly decreasing toward 0.  The returned
-    ``value`` is the maximum quotient; use the smallest step (last quotient)
+    ``value`` is the maximum quotient, NaN if one is not finite, by the
+    arithmetic of ``check_dissipation``; use the smallest step (last quotient)
     when cross-validating against ``analytic``, since the quotient error grows
     like lambda_k * h on the fast modes.
     """
@@ -117,14 +130,10 @@ def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
             h_seq[i + 1] >= h_seq[i] for i in range(len(h_seq) - 1)):
         raise DomainError("h_seq must be positive and strictly decreasing")
     x = np.asarray(x, dtype=float)
-    v0 = v_value(op, x)
-    quotients = []
-    for h in h_seq:
-        vh = v_value(op, mild_solution(sys, x, u, h))
-        quotients.append((vh - v0) / h)
+    quotients, value = _dini_quotients(op, x, lambda h: mild_solution(sys, x, u, h), h_seq)
     lam = sys.lambdas
     analytic = float(2.0 * np.dot(op.p_coeffs * x, -lam * x + sys.b_coeffs * u.value_at(0.0)))
-    return DiniEstimate(value=max(quotients), quotients=tuple(quotients),
+    return DiniEstimate(value=float(value), quotients=tuple(quotients.tolist()),
                         h_seq=h_seq, analytic=analytic)
 
 

@@ -469,9 +469,9 @@ def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.nda
 
     def pieces(seg, h):   # int over [anchors[seg], anchors[seg] + h]: (len(seg), state)
         v, h = vals[seg, None, None], h[:, None, None]
-        d = stepped[seg] - gain * v
-        return np.sum(d * d * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
-                      + 2.0 * d * gain * v * (-np.expm1(-lam * h)) / lam
+        d, settled = stepped[seg] - gain * v, np.minimum(h, sys._settle)   # expm1 is -1.0 past it
+        return np.sum(d * d * (-np.expm1(-2.0 * lam * settled)) / (2.0 * lam)
+                      + 2.0 * d * gain * v * (-np.expm1(-lam * settled)) / lam
                       + (gain * v) ** 2 * h, axis=-1)
 
     full = np.cumsum(pieces(np.arange(anchors.size - 1), np.diff(anchors)), axis=0)
@@ -519,7 +519,8 @@ def kappa_bounds(sys: SpectralSystem, t: float) -> AdmissibilityBound:
     """
     if t <= 0.0:
         raise DomainError("kappa bounds require t > 0")
-    kappa = float(np.linalg.norm(sys.input_gain_coeffs * (1.0 - np.exp(-sys.lambdas * t))))
+    decay = np.exp(-sys.lambdas * min(t, sys._settle))
+    kappa = float(np.linalg.norm(sys.input_gain_coeffs * (1.0 - decay)))
     return AdmissibilityBound(t=float(t), lower=kappa, upper=kappa)
 
 

@@ -24,8 +24,9 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
                              _prefix_integrals, _segment_starts, _shared_samples,
                              _simpson_integrals, _sweep, _swept, dissipation_margin, eval_times,
                              norm_to_integral_margin, ulim_grid)
+from isslab import checkers
 from isslab.comparison import evaluate
-from isslab.lyapunov import c_of_epsilon
+from isslab.lyapunov import DEFAULT_DINI_H, c_of_epsilon, v_value
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -716,6 +717,32 @@ def test_closed_form_agrees_with_one_state_and_one_time():
             assert one[0, 0] == full[s, k]
 
 
+@pytest.mark.parametrize("alpha", [power(0.5, 2.0), power(0.5, 1.0)],
+                         ids=["closed_form", "simpson"])
+def test_integral_checks_share_one_table_per_sample_set(monkeypatch, alpha):
+    # norm_to_integral builds the int alpha(|phi|) table that
+    # integral_to_integral reads: one kernel call per input in all, and both
+    # reports equal the checks run alone; the tiny psi and sigma refute both
+    sys, budget = heat(16), SampleBudget(n_states=5, n_inputs=6, n_times=9, seed=41)
+    cert = NormToIntegralCertificate(alpha=alpha, psi=power(1e-3, 2.0), sigma=power(1e-3, 2.0))
+    checks = (check_norm_to_integral, check_integral_to_integral)
+    alone = [check(sys, cert, budget) for check in checks]
+    calls = []
+    for name in ("_square_integrals", "_flow_norms"):
+        def counted(*args, _name=name, _real=getattr(checkers, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(checkers, name, counted)
+    with _shared_samples():
+        shared = [check(sys, cert, budget) for check in checks]
+    kernel = "_square_integrals" if alpha.params[1] == 2.0 else "_flow_norms"
+    assert calls == [kernel] * budget.n_inputs
+    for got, want in zip(shared, alone):
+        assert got.violated
+        assert_same_report(got, want)
+        assert _bits(got.margins) == _bits(want.margins)
+
+
 def _per_segment_input_integral(u, sigma_fn, t):
     total, prev = 0.0, 0.0
     for i, val in enumerate(u.values):
@@ -904,11 +931,15 @@ def test_axiom_checks_equal_the_per_pair_formula_across_scales(n, horizon):
     assert _bits(check_cocycle(sys, budget).margins) == _bits(cocycle)
 
 
-@AXIOM_SYSTEMS
+@pytest.mark.parametrize(
+    "sys", [heat(16), SpectralSystem([0.5, 2.0, 7.0], [1.0, -0.4, 2.5]), heat(1), heat(256)],
+    ids=["heat16", "diagonal3", "heat1", "heat256"])
 def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
     # the constants and a refuted inequality: with eps = 1e-3 and the c(eps)
     # of a zero |A^-1 B|, Vdot = -|x0|**2 + u(0) sum_k b_k x0_k / lambda_k
-    # exceeds the bound (eps - 1) |x0|**2 wherever the input pushes the state
+    # exceeds the bound (eps - 1) |x0|**2 wherever the input pushes the state;
+    # every pair's value is the largest quotient of v_value along
+    # mild_solution, first in h order, bit for bit
     budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
     op = build_datko(sys)
     good = dissipation_constants(op, sys, 0.5)
@@ -921,7 +952,11 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
             x0 = draw_state(sys, budget, i)
             for j, u in enumerate(inputs):
                 x0_sq = state_norm(x0) ** 2
-                margin = params.rhs(x0_sq, u.sup_norm) - dini_estimate(op, sys, x0, u).value
+                v0 = v_value(op, x0)
+                value = max((v_value(op, mild_solution(sys, x0, u, h)) - v0) / h
+                            for h in DEFAULT_DINI_H)
+                assert dini_estimate(op, sys, x0, u).value.hex() == value.hex()
+                margin = params.rhs(x0_sq, u.sup_norm) - value
                 reference.append(MarginRecord(i * budget.n_inputs + j, 0.0, margin))
                 tol = 1e-4 * (1.0 + x0_sq + u.sup_norm ** 2)
                 if margin < -tol and (witness is None or margin < witness[1]):
@@ -933,3 +968,40 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
             w = rep.witness
             assert w.x0.tolist() == witness[0].tolist() and w.margin == witness[1]
             assert dissipation_margin(sys, op, params, w.x0, w.input) == w.margin
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("k", range(len(DEFAULT_DINI_H)))
+def test_a_non_finite_dini_quotient_raises(monkeypatch, k, bad):
+    # one pair's flow at the k-th step h is not finite, so is its quotient,
+    # and the pair's value is NaN: the check raises instead of reporting
+    # clean, where Python's max skipped a NaN after the first quotient
+    sys, budget = heat(8), SampleBudget(n_states=4, n_inputs=3, seed=5)
+    op = build_datko(sys)
+    params = dissipation_constants(op, sys, 0.5)
+    assert not check_dissipation(sys, op, params, budget).violated
+    flow_rows = checkers._flow_rows
+
+    def spoiled(*args):
+        rows = flow_rows(*args)
+        if args[4] == DEFAULT_DINI_H[k]:
+            rows[5, 3] = bad
+        return rows
+    monkeypatch.setattr(checkers, "_flow_rows", spoiled)
+    with pytest.raises(ValidationError, match="non-finite margin"):
+        check_dissipation(sys, op, params, budget)
+
+
+def test_dissipation_steps_all_pairs_once_per_step(monkeypatch):
+    # one stepper call per step h covers every pair; no per-pair flow
+    sys, budget = heat(8), SampleBudget(n_states=4, n_inputs=3, seed=5)
+    op = build_datko(sys)
+    calls, flow_rows = [], checkers._flow_rows
+
+    def counted(*args):
+        calls.append((len(args[2]), args[4]))
+        return flow_rows(*args)
+    monkeypatch.setattr(checkers, "_flow_rows", counted)
+    monkeypatch.setattr("isslab.lyapunov.mild_solution", None)
+    check_dissipation(sys, op, dissipation_constants(op, sys, 0.5), budget)
+    assert calls == [(budget.n_pairs, h) for h in DEFAULT_DINI_H]

@@ -616,11 +616,13 @@ def test_identity_runs_at_a_horizon_beyond_2_to_the_54(tmp_path):
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("checks", ["identity, cocycle", "iss"])
+@pytest.mark.parametrize("checks", ["identity, cocycle", "iss", "brs",
+                                    "norm_to_integral, integral_to_integral"])
 def test_decay_past_the_overflow_runs_under_warnings_as_errors(tmp_path, checks):
     # lambda_N * horizon overflows; every decay there is exactly 0.0, and the
-    # flows clip dt before the product, which exited 3 under the flag
-    # ("overflow encountered in multiply")
+    # flows, kappa_bounds and the closed-form integrals clip their times
+    # before the product, which exited 3 under the flag ("overflow
+    # encountered in multiply")
     path = tmp_path / "huge.scn"
     path.write_text(f"checks.names = {checks}\nbudget.horizon = 1e304\n")
     margins = {}

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
@@ -107,6 +108,19 @@ def test_v_upper_bound_tight_only_on_first_mode():
     op = build_neg_inverse(heat(8))
     assert v_value(op, _unit(8, 0)) == pytest.approx(op.operator_norm, rel=1e-15)
     assert v_value(op, _unit(8, 1)) < op.operator_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1000), rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+def test_batched_v_sums_as_v_value(n, rows, seed, scale):
+    # the dissipation check takes V of all its pairs by np.vecdot, which must
+    # sum each row as v_value's np.dot does, bit for bit and at any length
+    op = build_datko(heat(n))
+    x = random_states(n, rows, seed) * scale
+    x[:, ::7] = -0.0
+    batched = np.vecdot(op.p_coeffs * x, x)
+    assert [v.hex() for v in batched.tolist()] == [v_value(op, row).hex() for row in x]
 
 
 # ---------------------------------------------------------------------------

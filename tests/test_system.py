@@ -14,7 +14,7 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
 from isslab.system import (_CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK, _flow_norms,
-                           _flow_rows, _input_table, _row_groups)
+                           _flow_rows, _input_table, _row_groups, _square_integrals)
 
 PI2 = math.pi ** 2
 
@@ -346,6 +346,25 @@ def test_decay_past_the_flush_is_exact_and_raises_no_warning(lam_dt):
                _flow_rows(sys, _input_table([u]), np.zeros(1, int), [x0], t)[0]]
     for row in got:
         assert np.array_equal(_bits(row), _bits(want))
+
+
+@pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
+def test_integrals_and_kappa_past_the_flush_are_exact_and_raise_no_warning(lam_dt):
+    # kappa_bounds clips t, and the closed-form square integrals clip the h
+    # of their decaying terms (not of the linear term), at _EXP_FLUSH /
+    # lambda_1: past it exp is 0.0 and expm1 is -1.0, so both equal the
+    # unclipped formulas, which overflow in the multiply, bit for bit
+    sys, unclipped = heat(64), heat(64)
+    object.__setattr__(unclipped, "_settle", math.inf)
+    dt = lam_dt / sys.lambdas[0]
+    u = InputSignal.piecewise([0.0, 0.5, 0.5 + dt], [0.3, -0.7])
+    x0s, times = np.stack([np.linspace(-1.0, 1.0, 64), np.zeros(64)]), [0.25, 0.5 + dt, 1.0 + dt]
+    with np.errstate(over="ignore"):
+        want = [kappa_bounds(unclipped, dt).upper, _square_integrals(unclipped, x0s, u, times)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [kappa_bounds(sys, dt).upper, _square_integrals(sys, x0s, u, times)]
+    assert got[0] == want[0] and np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
 def test_exp_flushes_to_zero_past_the_live_width_cutoff():
