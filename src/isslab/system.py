@@ -17,7 +17,7 @@ below the time asked for, and every flow value (``mild_solution``, each row of
 ``sample_trajectory`` and of the checkers' kernel) is the formula above from
 the last anchor below its time (``_flow_rows`` steps rows with their own
 input, time and start so).  A value never depends on a sampling grid, so
-the axiom checks and the Dini quotients test the arithmetic of every margin.
+the axiom checks test the arithmetic of every margin.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     iss_margin, uls_margin, ulim_slack, Verdict)
-from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL,
+from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
                              _Samples, _grid_indices, _input_integrals, _norms,
                              _prefix_integrals, _segment_starts, _shared_samples,
                              _simpson_integrals, _sweep, _swept, dissipation_margin, eval_times,
                              norm_to_integral_margin, ulim_grid)
 from isslab import checkers
 from isslab.comparison import evaluate
-from isslab.lyapunov import DEFAULT_DINI_H, c_of_epsilon, v_value
+from isslab.harness import _resolve, load_scenario
+from isslab.lyapunov import c_of_epsilon
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -938,8 +940,8 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
     # the constants and a refuted inequality: with eps = 1e-3 and the c(eps)
     # of a zero |A^-1 B|, Vdot = -|x0|**2 + u(0) sum_k b_k x0_k / lambda_k
     # exceeds the bound (eps - 1) |x0|**2 wherever the input pushes the state;
-    # every pair's value is the largest quotient of v_value along
-    # mild_solution, first in h order, bit for bit
+    # every pair's margin is the bound minus dini_estimate's analytic
+    # derivative, bit for bit
     budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
     op = build_datko(sys)
     good = dissipation_constants(op, sys, 0.5)
@@ -952,13 +954,9 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
             x0 = draw_state(sys, budget, i)
             for j, u in enumerate(inputs):
                 x0_sq = state_norm(x0) ** 2
-                v0 = v_value(op, x0)
-                value = max((v_value(op, mild_solution(sys, x0, u, h)) - v0) / h
-                            for h in DEFAULT_DINI_H)
-                assert dini_estimate(op, sys, x0, u).value.hex() == value.hex()
-                margin = params.rhs(x0_sq, u.sup_norm) - value
+                margin = params.rhs(x0_sq, u.sup_norm) - dini_estimate(op, sys, x0, u).analytic
                 reference.append(MarginRecord(i * budget.n_inputs + j, 0.0, margin))
-                tol = 1e-4 * (1.0 + x0_sq + u.sup_norm ** 2)
+                tol = POINT_TOL * (1.0 + x0_sq + u.sup_norm ** 2)
                 if margin < -tol and (witness is None or margin < witness[1]):
                     witness = (x0, margin)
         rep = check_dissipation(sys, op, params, budget)
@@ -971,37 +969,115 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("k", range(len(DEFAULT_DINI_H)))
-def test_a_non_finite_dini_quotient_raises(monkeypatch, k, bad):
-    # one pair's flow at the k-th step h is not finite, so is its quotient,
-    # and the pair's value is NaN: the check raises instead of reporting
-    # clean, where Python's max skipped a NaN after the first quotient
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_a_non_finite_vdot_raises(monkeypatch, k, bad):
+    # pair k's Vdot is not finite: the check raises instead of reporting
+    # clean, wherever the pair sits among the states and inputs
     sys, budget = heat(8), SampleBudget(n_states=4, n_inputs=3, seed=5)
     op = build_datko(sys)
     params = dissipation_constants(op, sys, 0.5)
     assert not check_dissipation(sys, op, params, budget).violated
-    flow_rows = checkers._flow_rows
+    vdot, calls = checkers._vdot, []
+    i, j = divmod(k, budget.n_inputs)
 
-    def spoiled(*args):
-        rows = flow_rows(*args)
-        if args[4] == DEFAULT_DINI_H[k]:
-            rows[5, 3] = bad
+    def spoiled(*args):   # called once per input, in input order
+        rows = vdot(*args)
+        if len(calls) == j:
+            rows[i] = bad
+        calls.append(None)
         return rows
-    monkeypatch.setattr(checkers, "_flow_rows", spoiled)
+    monkeypatch.setattr(checkers, "_vdot", spoiled)
     with pytest.raises(ValidationError, match="non-finite margin"):
         check_dissipation(sys, op, params, budget)
 
 
-def test_dissipation_steps_all_pairs_once_per_step(monkeypatch):
-    # one stepper call per step h covers every pair; no per-pair flow
+def _exact_dissipation_margins(op, sys, params, states, inputs):
+    """(eps - 1) |x0|**2 + c(eps) |u|_inf**2 - Vdot_u(x0) of every pair, in
+    exact rational arithmetic from the same floats, with |x0|**2 exact too:
+    Vdot = 2 (u(0) sum_k p_k b_k x_k - sum_k p_k lambda_k x_k**2)."""
+    coeffs = [tuple(map(Fraction, c)) for c in
+              zip(op.p_coeffs.tolist(), sys.lambdas.tolist(), sys.b_coeffs.tolist())]
+    eps, c = Fraction(params.epsilon), Fraction(params.c_eps)
+    out = []
+    for x0 in states:
+        x = [Fraction(v) for v in x0.tolist()]
+        sq = sum(xk * xk for xk in x)
+        decay = sum(p * lam * xk * xk for (p, lam, _), xk in zip(coeffs, x))
+        push = sum(p * b * xk for (p, _, b), xk in zip(coeffs, x))
+        for u in inputs:
+            vdot = 2 * (Fraction(u.value_at(0.0)) * push - decay)
+            out.append((eps - 1) * sq + c * Fraction(u.sup_norm) ** 2 - vdot)
+    return out
+
+
+DISSIPATION_SCENARIOS = [
+    ("heat_iss.scn", {}), ("heat_bad_gain.scn", {}), ("diagonal_custom.scn", {}),
+    ("datko_vs_neginverse.scn", {}), ("heat_iss.scn", {"a": 100.0}),
+    ("heat_iss.scn", {"a": 1e10}), ("heat_iss.scn", {"a": 1e-10}),
+    ("heat_iss.scn", {"n_modes": 256}), ("datko_vs_neginverse.scn", {"n_modes": 256})]
+
+
+@pytest.mark.parametrize("name, override", DISSIPATION_SCENARIOS,
+                         ids=[f"{n[:-4]}{''.join(f'-{k}={v}' for k, v in o.items())}"
+                              for n, o in DISSIPATION_SCENARIOS])
+def test_dissipation_margin_error_is_far_below_its_tolerance(name, override):
+    # the float margin of every pair against the same margin in exact
+    # arithmetic from the same float inputs: at most 2.6e-16 (1 + |x0|**2 +
+    # |u|_inf**2) on these samples, so the witness tolerance POINT_TOL times
+    # that scale flags nothing that rounding made
+    s = replace(load_scenario(name), **override)
+    r, budget = _resolve(s), s.budget
+    states = [draw_state(r.sys, budget, i) for i in range(budget.n_states)]
+    inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
+    rep = check_dissipation(r.sys, r.op, r.params, budget)
+    exact = _exact_dissipation_margins(r.op, r.sys, r.params, states, inputs)
+    assert [m.sample_index for m in rep.margins] == list(range(budget.n_pairs))
+    for m, e in zip(rep.margins, exact):
+        i, j = divmod(m.sample_index, budget.n_inputs)
+        scale = 1.0 + float(np.dot(states[i], states[i])) + inputs[j].sup_norm ** 2
+        assert abs(Fraction(m.margin) - e) <= Fraction(1e-15) * Fraction(scale)
+    assert not rep.violated
+
+
+def _diagonal_systems():
+    """Random diagonal systems: increasing lambda_k over six decades, b_k of
+    either sign over four."""
+    def build(n, seed):
+        rng = np.random.default_rng(seed)
+        lam = np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, n))
+        b = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        return SpectralSystem(lam, b)
+    return st.builds(build, st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys=_diagonal_systems(), datko=st.booleans(),
+       eps=st.floats(1e-6, 1.0 - 1e-6), seed=st.integers(0, 2 ** 16))
+def test_the_dissipation_inequality_holds_with_the_papers_constant(sys, datko, eps, seed):
+    # with q_k = 2 p_k lambda_k + eps - 1 > 0 the sup over x of
+    # Vdot_u(x) - (eps - 1) |x|**2 is u(0)**2 sum_k (p_k b_k)**2 / q_k, attained
+    # at x* = u(0) p b / q: |A^-1 B|**2 / (4 eps) for datko, which c(eps)
+    # equals when kappa0 = 0, and |A^-1 B|**2 / (1 + eps) for neg_inverse_A,
+    # below its c(eps) = |A^-1 B|**2 / eps; so neither the samples nor x*,
+    # the worst state for a unit input, may violate
+    op = build_datko(sys) if datko else build_neg_inverse(sys)
+    params = dissipation_constants(op, sys, eps)
+    budget = SampleBudget(n_states=8, n_inputs=6, n_times=1, seed=seed)
+    assert not check_dissipation(sys, op, params, budget).violated
+    u = InputSignal.constant(1.0, 1.0)
+    p = op.p_coeffs
+    x_star = p * sys.b_coeffs / (2.0 * p * sys.lambdas + eps - 1.0)
+    margin = dissipation_margin(sys, op, params, x_star, u)
+    assert margin >= -POINT_TOL * (1.0 + state_norm(x_star) ** 2 + 1.0)
+
+
+def test_dissipation_calls_no_stepper(monkeypatch):
+    # Vdot is a closed form: no flow is stepped for the margins
     sys, budget = heat(8), SampleBudget(n_states=4, n_inputs=3, seed=5)
     op = build_datko(sys)
-    calls, flow_rows = [], checkers._flow_rows
-
-    def counted(*args):
-        calls.append((len(args[2]), args[4]))
-        return flow_rows(*args)
-    monkeypatch.setattr(checkers, "_flow_rows", counted)
+    params = dissipation_constants(op, sys, 0.5)
+    expected = check_dissipation(sys, op, params, budget)
+    for name in ("_flow_rows", "_flow_norms", "_square_integrals"):
+        monkeypatch.setattr(checkers, name, None)
     monkeypatch.setattr("isslab.lyapunov.mild_solution", None)
-    check_dissipation(sys, op, dissipation_constants(op, sys, 0.5), budget)
-    assert calls == [(budget.n_pairs, h) for h in DEFAULT_DINI_H]
+    assert_same_report(check_dissipation(sys, op, params, budget), expected)

@@ -452,6 +452,22 @@ def test_heat_a_1e300_builds_and_runs(tmp_path):
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("construction", ["neg_inverse_A", "datko"])
+@pytest.mark.parametrize("a", ["100.0", "1e10", "1e-10", "1e300"])
+def test_dissipation_is_clean_at_every_diffusivity(tmp_path, a, construction):
+    # Vdot is exact, so the certificate holds whatever the scale; largest
+    # difference quotients at h = 1e-6..1e-8 reported violations here, from
+    # their O(lambda_N h) error (a >= 100) or from cancellation in V (1e-10)
+    path = tmp_path / "a.scn"
+    path.write_text(MINIMAL.replace("system.a = 1.0", f"system.a = {a}").replace(
+        "checks.names = iss",
+        f"checks.names = dissipation\nlyapunov.construction = {construction}"))
+    for warn in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn, RuntimeWarning)
+            assert main(["check", str(path), "--out", str(tmp_path / warn)]) == 0
+
+
 @pytest.mark.parametrize("key", ["certificate.psi", "certificate.sigma"])
 def test_bounded_certificate_is_config_error(tmp_path, capsys, key):
     path = tmp_path / "bounded.scn"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
                     dissipation_constants, heat_dirichlet, kappa_bounds)
-from isslab.lyapunov import c_of_epsilon, v_value
+from isslab.lyapunov import _vdot, c_of_epsilon, v_value
 
 PI2 = math.pi ** 2
 
@@ -114,13 +114,23 @@ def test_v_upper_bound_tight_only_on_first_mode():
 @given(n=st.integers(1, 1000), rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
 def test_batched_v_sums_as_v_value(n, rows, seed, scale):
-    # the dissipation check takes V of all its pairs by np.vecdot, which must
-    # sum each row as v_value's np.dot does, bit for bit and at any length
-    op = build_datko(heat(n))
+    # np.vecdot sums each row as v_value's np.dot does, bit for bit and at
+    # any length; so the dissipation check, which takes Vdot of all the
+    # states of an input at once, and dini_estimate, which takes one state's,
+    # agree bit for bit
+    sys = heat(n)
+    op = build_datko(sys)
     x = random_states(n, rows, seed) * scale
     x[:, ::7] = -0.0
     batched = np.vecdot(op.p_coeffs * x, x)
     assert [v.hex() for v in batched.tolist()] == [v_value(op, row).hex() for row in x]
+    u = InputSignal.constant(0.3, 1.0)
+    rates = -sys.lambdas * x + sys.b_coeffs * 0.3
+    batched = _vdot(op, sys, x, u).tolist()
+    assert [v.hex() for v in batched] == [float(_vdot(op, sys, row, u)).hex() for row in x]
+    # np.dot's sum of -0.0 terms is -0.0, np.vecdot's 0.0; the values are equal
+    assert batched == [2.0 * float(np.dot(op.p_coeffs * row, rate))
+                       for row, rate in zip(x, rates)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +190,20 @@ def test_dini_finite_difference_tracks_analytic():
         assert abs(est.quotients[-1] - est.analytic) <= 1e-3 * (1.0 + abs(est.analytic))
 
 
+@pytest.mark.parametrize("build", [build_neg_inverse, build_datko])
+def test_dini_quotients_approach_analytic_at_first_order(build):
+    # while lambda_N h << 1 (lambda_16 h <= 0.025 here) the quotient error
+    # is first order in h: it falls tenfold per decade of h
+    sys = heat(16)
+    op = build(sys)
+    u = InputSignal.constant(0.7, 1.0)
+    for x in random_states(16, 3, seed=9) / np.arange(1.0, 17.0):
+        est = dini_estimate(op, sys, x, u, h_seq=(1e-5, 1e-6, 1e-7, 1e-8))
+        err = [q - est.analytic for q in est.quotients]
+        assert all(e > 0.0 for e in err)
+        assert all(9.5 <= a / b <= 10.5 for a, b in zip(err, err[1:]))
+
+
 def test_zero_input_dissipation_invariant():
     # finite-difference estimate <= -(1-eps)|x|^2 + tol at eps = 1/2
     sys = heat(64)
@@ -197,7 +221,8 @@ def test_zero_input_dissipation_invariant():
 
 
 def test_dissipation_inequality_finite_difference():
-    # Vdot surrogate against (eps-1)|x0|^2 + c(eps)|u|^2 on 100 random pairs
+    # the largest difference quotient against (eps-1)|x0|^2 + c(eps)|u|^2 on
+    # 100 random pairs, whose states keep lambda_k h small
     sys = heat(64)
     op = build_neg_inverse(sys)
     params = dissipation_constants(op, sys, 0.5)
