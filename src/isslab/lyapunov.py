@@ -121,7 +121,8 @@ def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
     since the quotient error grows like lambda_k * h on the fast modes.
     """
     h_seq = tuple(float(h) for h in h_seq)
-    if not h_seq or h_seq[-1] <= 0.0 or any(a <= b for a, b in zip(h_seq, h_seq[1:])):
+    if not h_seq or any(h <= 0.0 for h in h_seq) or any(
+            h_seq[i + 1] >= h_seq[i] for i in range(len(h_seq) - 1)):
         raise DomainError("h_seq must be positive and strictly decreasing")
     v0 = v_value(op, x)
     quotients = tuple((v_value(op, mild_solution(sys, x, u, h)) - v0) / h for h in h_seq)

@@ -28,7 +28,7 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
 from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
-from isslab.lyapunov import c_of_epsilon
+from isslab.lyapunov import DEFAULT_DINI_H, c_of_epsilon, v_value
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -954,7 +954,11 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
             x0 = draw_state(sys, budget, i)
             for j, u in enumerate(inputs):
                 x0_sq = state_norm(x0) ** 2
-                margin = params.rhs(x0_sq, u.sup_norm) - dini_estimate(op, sys, x0, u).analytic
+                est = dini_estimate(op, sys, x0, u)
+                assert est.value.hex() == max(
+                    (v_value(op, mild_solution(sys, x0, u, h)) - v_value(op, x0)) / h
+                    for h in DEFAULT_DINI_H).hex()
+                margin = params.rhs(x0_sq, u.sup_norm) - est.analytic
                 reference.append(MarginRecord(i * budget.n_inputs + j, 0.0, margin))
                 tol = POINT_TOL * (1.0 + x0_sq + u.sup_norm ** 2)
                 if margin < -tol and (witness is None or margin < witness[1]):

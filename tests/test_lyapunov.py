@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
                     dissipation_constants, heat_dirichlet, kappa_bounds)
+from isslab import lyapunov
 from isslab.lyapunov import _vdot, c_of_epsilon, v_value
 
 PI2 = math.pi ** 2
@@ -160,6 +161,25 @@ def test_dini_h_seq_validation():
         dini_estimate(op, sys, np.zeros(2), InputSignal.zero(), h_seq=(1e-3, 1e-3))
     with pytest.raises(DomainError):
         dini_estimate(op, sys, np.zeros(2), InputSignal.zero(), h_seq=(-1e-3,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dini_value_is_nan_if_one_quotient_is_not_finite(monkeypatch, k, bad):
+    # the flow at step k is not finite: value is NaN wherever that step sits,
+    # and the other quotients stay as they were
+    sys = heat(8)
+    op = build_datko(sys)
+    x, u = random_states(8, 1, seed=4)[0], InputSignal.constant(0.7, 1.0)
+    clean = dini_estimate(op, sys, x, u)
+    flow, h_bad = lyapunov.mild_solution, clean.h_seq[k]
+    monkeypatch.setattr(lyapunov, "mild_solution",
+                        lambda s, x0, v, h: np.full(8, bad) if h == h_bad else flow(s, x0, v, h))
+    est = dini_estimate(op, sys, x, u)
+    assert math.isnan(est.value) and not math.isfinite(est.quotients[k])
+    assert [q for i, q in enumerate(est.quotients) if i != k] == \
+        [q for i, q in enumerate(clean.quotients) if i != k]
+    assert est.analytic == clean.analytic
 
 
 def test_dini_quotient_converges_at_origin_with_input():
