@@ -29,15 +29,16 @@ each of one stepper (``system._flow_rows``, ``mild_solution`` bit for bit):
 minus the deviations of phi(0) from x0 (identity) and between the flows at
 t_mid of two inputs that agree before it (causality), and the cocycle's
 slack at a (t, h) drawn per pair.
-The single-sample functions (``iss_margin``, ``uls_margin``, ``ulim_slack``
-on ``ulim_grid(budget)``, ``norm_to_integral_margin`` given the budget,
-``dissipation_margin``) run it on one pair, so a witness replays through
-the checker's own arithmetic on its own grid.  ULIM's hitting time and
-BRS's empirical sup are read off the memoized sweep after it, and CEP reads
-its table off one sweep (see ``check_cep``).  ``report.conclude``, the one
-place that picks a witness, is reached only from ``_sweep`` and CEP's
-table: the witness is the first pick whose margin is the smallest of those
-below their tolerance.
+Inside ``_shared_samples(pair=(x0, u))`` every sample set holds that one
+pair, and a check run there gives the pair's record of its full run bit for
+bit: ``isslab replay`` re-runs a witness's check so.  The single-sample
+functions ``iss_margin``, ``uls_margin`` and ``ulim_slack`` run the kernel
+on one pair at a time or grid of the caller's choosing.  ULIM's hitting
+time and BRS's empirical sup are read off the memoized sweep after it, and
+CEP reads its table off one sweep (see ``check_cep``).  ``report.conclude``,
+the one place that picks a witness, is reached only from ``_sweep`` and
+CEP's table: the witness is the first pick whose margin is the smallest of
+those below their tolerance.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
@@ -275,13 +276,15 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 
 
 @contextmanager
-def _shared_samples(ulim=()):
+def _shared_samples(ulim=(), pair=None):
     """Within the block, checks on the same system and budget share one draw
     and one pointwise sweep; ``run_scenario`` opens one around a scenario's
     checks.  ``ulim`` holds the budgets of every ``check_ulim`` call the
     block will make; on their sample sets the sweep also covers the ULIM
-    grid.  Nothing outlives the block."""
-    token = _RUN.set((frozenset(ulim), {}))
+    grid.  With ``pair = (x0, u)`` every sample set holds that one pair
+    instead of the budget's draw (``replay`` runs a check so).  Nothing
+    outlives the block."""
+    token = _RUN.set((frozenset(ulim), {}, pair))
     try:
         yield
     finally:
@@ -294,10 +297,11 @@ def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
     run = _RUN.get()
     if run is None:
         return _Samples.draw(sys, budget)
-    ulim_budgets, memo = run
+    ulim_budgets, memo, pair = run
     key = (sys, budget)
     if key not in memo:
-        memo[key] = _Samples.draw(sys, budget, union=budget in ulim_budgets)
+        memo[key] = (_Samples.draw(sys, budget, union=budget in ulim_budgets) if pair is None
+                     else _Samples(sys, [pair[0]], [pair[1]], budget))
     return memo[key]
 
 
@@ -625,41 +629,12 @@ def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.
     return cum[i] + levels[i] * (times - bp[i])
 
 
-def _nti_bound(cert: NormToIntegralCertificate):
-    return lambda r, u, t: cert.rhs(r, u.sup_norm, t)
-
-
-def norm_to_integral_margin(sys: SpectralSystem, cert: NormToIntegralCertificate,
-                            x0, u: InputSignal, t: float,
-                            budget: SampleBudget | None = None) -> float:
-    """psi(|x0|) + t sigma(|u|_inf) - int_0^t alpha(|phi|).
-
-    The integral is taken in closed form for alpha = c r**2, else by Simpson
-    on a graded grid: given ``budget``, the grid on which
-    :func:`check_norm_to_integral` integrates over that budget, so that its
-    witness replays to its margin (t must be one of the budget's evaluation
-    times); without, a grid on [0, t].
-    """
-    if budget is None:
-        times, horizon = np.array([float(t)]), max(t, 1e-6)
-    else:
-        times, horizon = eval_times(budget), budget.horizon
-    lhs, _ = _integrals(cert.alpha, times, horizon)
-    at = _grid_indices(times, [float(t)])
-
-    def lhs_at_t(samples, j):
-        times_, integrals = lhs(samples, j)
-        return times_[at], integrals[:, at]
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _one(sys, x0, u), lhs_at_t,
-                  _nti_bound(cert)).worst_margin
-
-
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
     lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon)
     return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
-                  _nti_bound(cert), tol=tol)
+                  lambda r, u, t: cert.rhs(r, u.sup_norm, t), tol=tol)
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
@@ -677,28 +652,19 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
 # dissipation and axioms
 
 
-def _dissipation(op: LyapunovOperator, params: DissipationParameters):
-    """lhs, Vdot_u(x0) in closed form for all states with input j at t = 0
-    (``dini_estimate``'s ``analytic``), and the bound (eps - 1) |x0|**2 +
-    c(eps) |u|_inf**2, whose squares are of Python floats: numpy's square is
-    not pow in the last bit."""
-    def lhs(samples, j):
-        return np.zeros(1), _vdot(op, samples.sys, samples.states, samples.inputs[j])[:, None]
-    return lhs, lambda r, u, t: np.array([[params.rhs(ri ** 2, u.sup_norm)]
-                                          for ri in r[:, 0].tolist()])
-
-
-def dissipation_margin(sys: SpectralSystem, op: LyapunovOperator,
-                       params: DissipationParameters, x0, u: InputSignal) -> float:
-    """(eps - 1) |x0|**2 + c(eps) |u|_inf**2 - Vdot_u(x0), Vdot in closed form."""
-    return _sweep(CheckProperty.DISSIPATION, _one(sys, x0, u),
-                  *_dissipation(op, params)).worst_margin
-
-
 def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
                       params: DissipationParameters, budget: SampleBudget) -> StabilityReport:
-    """The exact Vdot_u(x0) against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample."""
-    return _sweep(CheckProperty.DISSIPATION, _samples(sys, budget), *_dissipation(op, params),
+    """The exact Vdot_u(x0) against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample.
+
+    Vdot is taken in closed form for all states with an input at t = 0
+    (``dini_estimate``'s ``analytic``); the bound squares Python floats, since
+    numpy's square is not pow in the last bit."""
+    def lhs(samples, j):
+        return np.zeros(1), _vdot(op, samples.sys, samples.states, samples.inputs[j])[:, None]
+
+    def bound(r, u, t):
+        return np.array([[params.rhs(ri ** 2, u.sup_norm)] for ri in r[:, 0].tolist()])
+    return _sweep(CheckProperty.DISSIPATION, _samples(sys, budget), lhs, bound,
                   tol=lambda r, u: _tol(r ** 2 + u.sup_norm ** 2))
 
 

@@ -23,8 +23,8 @@ check), ``margins.csv`` (one row per sample), ``reports.txt`` and a witness
 record ``witness_<check>.csv`` for every violated check; with
 ``output.trajectories = true`` it also writes the trajectory CSVs of
 ``simulate`` and the dense trajectory of every witness.  ``isslab replay
-<scenario> <witness.csv>`` re-evaluates a witness record through its check's
-single-sample margin function.  Exit codes: 0 success, 1 violation found
+<scenario> <witness.csv>`` re-runs a witness record's check on a sample set
+that holds only the record's pair.  Exit codes: 0 success, 1 violation found
 (for ``replay``: the violation reproduces), 2 configuration error, 3 runtime
 error (for ``replay``: the violation does not reproduce).
 """
@@ -49,15 +49,14 @@ from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
                        _shared_samples, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
-                       check_uls, dissipation_margin, draw_input, draw_state, iss_margin,
-                       norm_to_integral_margin, ulim_grid, ulim_slack, uls_margin)
+                       check_uls, draw_input, draw_state)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, derive_norm_to_integral, evaluate,
                          linear, parse_comparison, power)
 from .errors import DomainError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
                        build_datko, build_neg_inverse, dissipation_constants)
-from .report import StabilityReport, Witness
+from .report import MarginRecord, StabilityReport, Witness
 from .system import (CSV_FMT, HeatDirichletParams, InputSignal, SpectralSystem,
                      build_time_grid, heat_dirichlet, sample_trajectory,
                      write_trajectory_csv)
@@ -153,18 +152,10 @@ _CHECKS = {
     "integral_to_integral": lambda s, r: check_integral_to_integral(r.sys, r.nti, s.budget),
 }
 CHECK_NAMES = tuple(_CHECKS)
-
-#: The checks with a single-sample margin function, which replays a witness
-#: on the check's own grid: name -> margin(scenario, resolved, witness).
-_MARGINS = {
-    "iss": lambda s, r, w: iss_margin(r.sys, r.iss, w.x0, w.input, w.t),
-    "uls": lambda s, r, w: uls_margin(r.sys, r.uls_sigma, r.iss.gamma, w.x0, w.input, w.t),
-    "ulim": lambda s, r, w: ulim_slack(r.sys, r.iss.gamma, s.ulim_eps, w.x0, w.input,
-                                       ulim_grid(s.budget)),
-    "norm_to_integral": lambda s, r, w: norm_to_integral_margin(r.sys, r.nti, w.x0,
-                                                                w.input, w.t, s.budget),
-    "dissipation": lambda s, r, w: dissipation_margin(r.sys, r.op, r.params, w.x0, w.input),
-}
+#: The checks whose margin rests on more than a record holds, so that their
+#: witnesses are not replayed: cocycle draws (t, h) per pair index, and CEP
+#: computes one margin per level.
+_UNREPLAYABLE = ("cocycle", "cep")
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +519,27 @@ def read_witness(path) -> tuple[str, str, Witness]:
     return fields["check"], fields["scenario_digest"], witness
 
 
-def replay_witness(s: Scenario, path) -> tuple[str, float, float]:
-    """Re-evaluate a witness record on its scenario through the check's
-    single-sample margin function: ``(check, replayed, recorded margin)``."""
+def replay_witness(s: Scenario, path) -> tuple[str, MarginRecord, Witness]:
+    """Re-run a witness record's check on its scenario, on a sample set that
+    holds only the record's pair: ``(check, the pair's margin record, the
+    recorded witness)``."""
     check, digest, w = read_witness(path)
     if digest != s.digest():
         raise ScenarioError(f"the witness record {path} is of scenario {digest}, "
                             f"not of this scenario ({s.digest()})")
-    if check not in _MARGINS:
-        raise ScenarioError(f"check {check!r} has no single-sample margin function, so "
-                            "its witness cannot be replayed")
+    if check in _UNREPLAYABLE:
+        raise ScenarioError(f"check {check!r} is not replayed: its margin rests on "
+                            "more than the record's pair")
     res = _resolve(s)
     if w.x0.shape != (res.sys.n_modes,):
         raise ScenarioError(f"malformed witness record {path}: x0 has {w.x0.size} "
                             f"values, the system {res.sys.n_modes} modes")
     try:
-        return check, _MARGINS[check](s, res, w), w.margin
+        with _shared_samples(pair=(w.x0, w.input)):
+            (record,) = _CHECKS[check](s, res).margins
     except ValidationError as exc:   # the scenario is valid, so the record is not
         raise ScenarioError(f"malformed witness record {path}: {exc}") from None
+    return check, record, w
 
 
 def simulate_scenario(s: Scenario, out_dir: str | None = None) -> list[str]:
@@ -630,11 +624,11 @@ def main(argv=None) -> int:
                   f"{args.out or scenario.out_dir}")
             return 0
         if args.command == "replay":
-            check, replayed, recorded = replay_witness(scenario, args.witness)
-            reproduced = replayed < 0.0 and abs(replayed - recorded) <= REPLAY_RTOL * abs(
-                recorded)
-            print(f"{check}: replayed margin {replayed:.17g}, recorded margin "
-                  f"{recorded:.17g}: the violation "
+            check, replayed, w = replay_witness(scenario, args.witness)
+            reproduced = (replayed.t == w.t and replayed.margin < 0.0
+                          and abs(replayed.margin - w.margin) <= REPLAY_RTOL * abs(w.margin))
+            print(f"{check}: replayed margin {replayed.margin:.17g} at t = {replayed.t:.17g}, "
+                  f"recorded margin {w.margin:.17g} at t = {w.t:.17g}: the violation "
                   + ("reproduces" if reproduced else "does not reproduce"))
             return 1 if reproduced else 3
         run = run_scenario(scenario, args.out)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,7 +205,7 @@ class InputSignal:
     def duration(self) -> float:
         return float(self.breakpoints[-1])
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
         if self.values.size == 0:
             return 0.0

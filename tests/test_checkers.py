@@ -21,10 +21,9 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     iss_margin, uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
-                             _Samples, _grid_indices, _input_integrals, _norms,
-                             _prefix_integrals, _segment_starts, _shared_samples,
-                             _simpson_integrals, _sweep, _swept, dissipation_margin, eval_times,
-                             norm_to_integral_margin, ulim_grid)
+                             _Samples, _grid_indices, _input_integrals, _integrals, _norms,
+                             _one, _prefix_integrals, _segment_starts, _shared_samples,
+                             _simpson_integrals, _sweep, _swept, eval_times, ulim_grid)
 from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
@@ -208,9 +207,19 @@ def test_iss_origin_margin_tight():
     assert iss_margin(sys, heat_cert(), np.zeros(8), InputSignal.zero(), 0.0) == 0.0
 
 
+def _on_pair(w, run):
+    """The margin of ``run()``, a check, on a sample set that holds only the
+    witness's pair, where it picks the witness's time."""
+    with _shared_samples(pair=(w.x0, w.input)):
+        (record,) = run().margins
+    assert record.t == w.t
+    return record.margin
+
+
 def _refuted(sys, case):
     """A violated report and the replay of a witness through the public
-    single-sample function of its check."""
+    single-sample function of its check, or through the check itself on the
+    witness's pair."""
     if case == "iss":
         bad = heat_cert(gain=0.1)
         return (check_iss(sys, bad, BUDGET),
@@ -230,7 +239,7 @@ def _refuted(sys, case):
         bad = NormToIntegralCertificate(alpha=power(0.5, 2.0), psi=power(1.0 / PI2, 2.0),
                                         sigma=power(0.01, 2.0))
         return (check_norm_to_integral(sys, bad, BUDGET),
-                lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t))
+                lambda w: _on_pair(w, lambda: check_norm_to_integral(sys, bad, BUDGET)))
     # alpha = r**1.5 takes Simpson, on a grid that depends on the whole budget:
     # the witness lies at t = 2.54375 < horizon, where a grid on [0, t] alone
     # errs by 1e-8
@@ -238,7 +247,7 @@ def _refuted(sys, case):
     bad = NormToIntegralCertificate(alpha=power(1.0, 1.5), psi=linear(0.01),
                                     sigma=linear(0.6))
     return (check_norm_to_integral(sys, bad, long),
-            lambda w: norm_to_integral_margin(sys, bad, w.x0, w.input, w.t, long))
+            lambda w: _on_pair(w, lambda: check_norm_to_integral(sys, bad, long)))
 
 
 @pytest.mark.parametrize("case", ["iss", "uls", "ulim", "norm_to_integral",
@@ -510,9 +519,10 @@ def test_norm_to_integral_single_mode_closed_form():
 
 
 def test_norm_to_integral_zero_sample_trivial():
-    sys = heat(8)
-    m = norm_to_integral_margin(sys, nti_cert(), np.zeros(8), InputSignal.zero(), 2.0)
-    assert m == 0.0
+    sys, cert = heat(8), nti_cert()
+    lhs, _ = _integrals(cert.alpha, np.array([2.0]), 2.0)
+    _, integral = lhs(_one(sys, np.zeros(8), InputSignal.zero()), 0)
+    assert cert.rhs(0.0, 0.0, 2.0) - integral[0, 0] == 0.0
 
 
 def test_integral_to_integral_constant_input_coincides():
@@ -804,12 +814,13 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
                  + (p + 1.0) ** 2 * 0.5 * (1.0 - math.exp(-2.0 * h))
                  - 2.0 * (p + 1.0) * (1.0 - math.exp(-h)) + h)
         assert abs(simpson_integral(traj, cert.alpha, t) - exact) < 1e-6
-        # margins psi(0) + t sigma(1) - int: Simpson on the graded grid (the
-        # same alpha in another form), or exact
-        simpson_margin = norm_to_integral_margin(sys, simpson_cert, np.zeros(1), u, t)
-        assert abs(simpson_margin - (t - exact)) < 1e-6
-        exact_margin = norm_to_integral_margin(sys, cert, np.zeros(1), u, t)
-        assert abs(exact_margin - (t - exact)) < 1e-14
+        # margins psi(0) + t sigma(1) - int on [0, t]: Simpson on the graded
+        # grid (the same alpha in another form), or exact
+        def margin(c):
+            lhs, _ = _integrals(c.alpha, np.array([t]), t)
+            return c.rhs(0.0, 1.0, t) - lhs(_one(sys, np.zeros(1), u), 0)[1][0, 0]
+        assert abs(margin(simpson_cert) - (t - exact)) < 1e-6
+        assert abs(margin(cert) - (t - exact)) < 1e-14
 
 
 def test_simpson_weights_stay_finite_on_tiny_grids():
@@ -848,8 +859,8 @@ def test_dissipation_zero_state_unit_input():
     sys = heat()
     op = build_neg_inverse(sys)
     params = dissipation_constants(op, sys, 0.5, kappa_probe_t=1e-6)
-    m = dissipation_margin(sys, op, params, np.zeros(64),
-                           InputSignal.constant(1.0, 2.0))
+    with _shared_samples(pair=(np.zeros(64), InputSignal.constant(1.0, 2.0))):
+        m = check_dissipation(sys, op, params, BUDGET).worst_margin
     assert m == pytest.approx(params.c_eps, abs=2e-4)
 
 
@@ -969,7 +980,7 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
         if violated:
             w = rep.witness
             assert w.x0.tolist() == witness[0].tolist() and w.margin == witness[1]
-            assert dissipation_margin(sys, op, params, w.x0, w.input) == w.margin
+            assert _on_pair(w, lambda: check_dissipation(sys, op, params, budget)) == w.margin
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1071,7 +1082,8 @@ def test_the_dissipation_inequality_holds_with_the_papers_constant(sys, datko, e
     u = InputSignal.constant(1.0, 1.0)
     p = op.p_coeffs
     x_star = p * sys.b_coeffs / (2.0 * p * sys.lambdas + eps - 1.0)
-    margin = dissipation_margin(sys, op, params, x_star, u)
+    with _shared_samples(pair=(x_star, u)):
+        margin = check_dissipation(sys, op, params, budget).worst_margin
     assert margin >= -POINT_TOL * (1.0 + state_norm(x_star) ** 2 + 1.0)
 
 

@@ -18,7 +18,7 @@ from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_syst
                     main, parse_scenario, run_scenario, ISSCertificate,
                     DecayEnvelope, linear)
 from isslab import checkers
-from isslab.harness import (_CHECKS, _MARGINS, CHECK_NAMES, MAX_WORK, _resolve, _work,
+from isslab.harness import (_CHECKS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve, _work,
                             bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
 from isslab.report import Witness
@@ -783,16 +783,62 @@ budget.n_times = 20
 budget.horizon = 3.7
 budget.seed = 3
 """
-INLINE = {"refute_256": REFUTE_256, "simpson_nti": SIMPSON_NTI}
+# sigma far below the steady input energy: both integral estimates fail
+INTEGRAL = """\
+certificate.sigma = power(0.01, 2.0)
+checks.names = norm_to_integral, integral_to_integral
+"""
+INLINE = {"refute_256": REFUTE_256, "simpson_nti": SIMPSON_NTI, "integral": INTEGRAL,
+          # ULIM runs on the budget too, so the sweep covers the union grid
+          "simpson_nti_ulim": SIMPSON_NTI.replace("checks.names = norm_to_integral",
+                                                  "checks.names = ulim, norm_to_integral")}
+REPLAYABLE = [name for name in CHECK_NAMES if name not in _UNREPLAYABLE]
+
+
+def _scenario_path(tmp_path, scenario: str) -> str:
+    if scenario not in INLINE:
+        return scenario
+    path = tmp_path / f"{scenario}.scn"
+    path.write_text(INLINE[scenario])
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario", [*BUNDLED, "simpson_nti", "simpson_nti_ulim"])
+def test_a_check_on_one_pair_gives_that_pairs_record(tmp_path, monkeypatch, scenario):
+    # every replayable check, run on a sample set of one of its pairs alone,
+    # gives the record of that pair in the check's full run bit for bit
+    s = load_scenario(_scenario_path(tmp_path, scenario))
+    res = _resolve(s)
+    drawn, samples = [], checkers._samples
+    monkeypatch.setattr(checkers, "_samples",
+                        lambda sys_, b: drawn.append(samples(sys_, b)) or drawn[-1])
+    with checkers._shared_samples(ulim=[s.budget] if "ulim" in s.checks else []):
+        runs = {name: (_CHECKS[name](s, res), drawn[-1]) for name in REPLAYABLE}
+    for name, (rep, sample_set) in runs.items():
+        n_inputs = len(sample_set.inputs)
+        picked = [0, 1, 2, rep.samples_checked - 1]
+        if rep.violated:
+            w = rep.witness
+            picked.append(next(
+                p for p, rec in enumerate(rep.margins) if (rec.t, rec.margin) == (w.t, w.margin)
+                and sample_set.inputs[p % n_inputs] is w.input
+                and _bits(sample_set.states[p // n_inputs]) == _bits(w.x0)))
+        for p in picked:
+            pair = (sample_set.states[p // n_inputs], sample_set.inputs[p % n_inputs])
+            with checkers._shared_samples(pair=pair):
+                (one,) = _CHECKS[name](s, res).margins
+            full = rep.margins[p]
+            assert (one.t.hex(), one.margin.hex()) == (full.t.hex(), full.margin.hex()), (
+                name, p)
 
 
 @pytest.mark.parametrize("scenario, checks", [("heat_bad_gain.scn", ["iss"]),
                                               ("refute_256", ["iss", "uls", "ulim"]),
-                                              ("simpson_nti", ["norm_to_integral"])])
+                                              ("simpson_nti", ["norm_to_integral"]),
+                                              ("integral", ["norm_to_integral",
+                                                            "integral_to_integral"])])
 def test_replay_reproduces_every_witness(tmp_path, capsys, scenario, checks):
-    if scenario in INLINE:
-        Path(tmp_path / f"{scenario}.scn").write_text(INLINE[scenario])
-        scenario = str(tmp_path / f"{scenario}.scn")
+    scenario = _scenario_path(tmp_path, scenario)
     out = tmp_path / "out"
     assert main(["check", scenario, "--out", str(out)]) == 1
     run = {e.name: e for e in run_scenario(load_scenario(scenario), str(tmp_path / "again"))
@@ -802,13 +848,13 @@ def test_replay_reproduces_every_witness(tmp_path, capsys, scenario, checks):
     capsys.readouterr()
     for check in checks:
         assert main(["replay", scenario, str(out / f"witness_{check}.csv")]) == 1
-        recorded = format(run[check].report.witness.margin, ".17g")
+        w = run[check].report.witness
+        at = f"{format(w.margin, '.17g')} at t = {format(w.t, '.17g')}"
         assert capsys.readouterr().out == (
-            f"{check}: replayed margin {recorded}, recorded margin {recorded}: "
-            "the violation reproduces\n")
+            f"{check}: replayed margin {at}, recorded margin {at}: the violation reproduces\n")
 
 
-@pytest.mark.parametrize("check", sorted(_MARGINS))
+@pytest.mark.parametrize("check", REPLAYABLE)
 def test_replay_of_a_clean_sample_exits_3(tmp_path, capsys, check):
     # the zero state under the zero input meets every estimate, so a record
     # that claims a violation there does not reproduce
@@ -831,17 +877,19 @@ def test_replay_refuses_another_scenarios_record(tmp_path, capsys):
                  str(tmp_path / "s7/witness_iss.csv")]) == 1
 
 
-@pytest.mark.parametrize("check", sorted(set(CHECK_NAMES) - set(_MARGINS)))
-def test_replay_of_a_check_without_a_margin_function_exits_2(tmp_path, capsys, check):
+@pytest.mark.parametrize("check", ["cocycle", "cep"])
+def test_replay_of_a_check_not_replayed_exits_2(tmp_path, capsys, check):
+    # cocycle draws (t, h) per pair index and CEP has one margin per level:
+    # neither is in a record
+    assert sorted(_UNREPLAYABLE) == ["cep", "cocycle"]
     s = load_scenario("heat_iss.scn")
     w = Witness(x0=np.zeros(64), input=InputSignal.zero(), t=1.0, margin=-1.0)
     write_witness(tmp_path / "w.csv", check, s.digest(), w)
     assert main(["replay", "heat_iss.scn", str(tmp_path / "w.csv")]) == 2
-    err = capsys.readouterr().err
-    assert f"check {check!r} has no single-sample margin function" in err
+    assert f"check {check!r} is not replayed" in capsys.readouterr().err
 
 
-GOOD_RECORD = ["check,iss", "scenario_digest,{digest}", "t,1", "margin,-1",
+GOOD_RECORD = ["check,iss", "scenario_digest,{digest}", "t,2", "margin,-1",
                "x0," + ",".join(["0"] * 64), "breakpoints,0,2", "values,1"]
 
 
@@ -868,7 +916,8 @@ def test_replay_of_a_malformed_record_exits_2(tmp_path, capsys, line, text):
 
 
 def test_replay_of_the_good_record_reproduces(tmp_path):
-    # the record the malformed ones are made from: x0 = 0, u = 1 on [0, 2)
+    # the record the malformed ones are made from: x0 = 0, u = 1 on [0, 2),
+    # at t = 2, the time the check picks for that pair
     path = tmp_path / "witness_iss.csv"
     digest = load_scenario("heat_bad_gain.scn").digest()
     path.write_text("\n".join(GOOD_RECORD).format(digest=digest) + "\n")
@@ -893,14 +942,20 @@ def test_replay_of_an_unreadable_record_exits_2(tmp_path, capsys):
     assert "cannot read the witness record" in capsys.readouterr().err
 
 
-def test_replay_of_a_time_off_the_checks_grid_exits_2(tmp_path, capsys):
-    # norm_to_integral evaluates at the budget's evaluation times only
-    path = tmp_path / "simpson_nti.scn"
-    path.write_text(SIMPSON_NTI)
-    w = Witness(x0=np.zeros(16), input=InputSignal.zero(), t=1.0, margin=-1.0)
-    write_witness(tmp_path / "w.csv", "norm_to_integral", load_scenario(str(path)).digest(), w)
-    assert main(["replay", str(path), str(tmp_path / "w.csv")]) == 2
-    assert "malformed witness record" in capsys.readouterr().err
+def test_replay_of_a_time_off_the_checks_grid_exits_3(tmp_path, capsys):
+    # norm_to_integral evaluates at the budget's evaluation times only: moved
+    # to t = 1.0, off them, the witness keeps its pair and margin, but the
+    # check's run on the pair picks its own time, so the record is not accepted
+    path = _scenario_path(tmp_path, "simpson_nti")
+    s = load_scenario(path)
+    assert 1.0 not in checkers.eval_times(s.budget)
+    w = run_scenario(s, str(tmp_path / "out")).entries[0].report.witness
+    write_witness(tmp_path / "w.csv", "norm_to_integral", s.digest(), replace(w, t=1.0))
+    assert main(["replay", path, str(tmp_path / "w.csv")]) == 3
+    assert capsys.readouterr().out == (
+        f"norm_to_integral: replayed margin {format(w.margin, '.17g')} at t = "
+        f"{format(w.t, '.17g')}, recorded margin {format(w.margin, '.17g')} at t = 1: "
+        "the violation does not reproduce\n")
 
 
 @pytest.mark.parametrize("trajectories", [False, True])
