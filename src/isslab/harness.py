@@ -534,6 +534,11 @@ def replay_witness(s: Scenario, path) -> tuple[str, MarginRecord, Witness]:
     if w.x0.shape != (res.sys.n_modes,):
         raise ScenarioError(f"malformed witness record {path}: x0 has {w.x0.size} "
                             f"values, the system {res.sys.n_modes} modes")
+    # the cap _validate_scenario puts on budget.radius; hypot does not overflow
+    reach = max(math.hypot(*w.x0.tolist()), w.input.sup_norm) * (1.0 + res.sys.input_gain_norm)
+    if reach > _CEP_SCALED_RANGE[1]:
+        raise ScenarioError(f"malformed witness record {path}: max(|x0|, |u|_inf) * "
+                            f"(1 + |A^-1 B|) = {reach:.3g} exceeds 2**400")
     try:
         with _shared_samples(pair=(w.x0, w.input)):
             (record,) = _CHECKS[check](s, res).margins

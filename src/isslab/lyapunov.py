@@ -14,15 +14,17 @@ dissipation inequality
     Vdot_u(x0) <= (eps - 1) |x0|^2 + c(eps) |u|_inf^2,
     c(eps) = (1/4 eps) (|A*P| + |PA|)^2 |A^{-1}B|^2 M^2 + M |A*P| |A^{-1}B| kappa(0)
 
-still certifies ISS.  For a piecewise-constant, right-continuous input the
-upper Dini derivative of V along the flow at t = 0 has the closed form
-Vdot_u(x0) = 2 sum_k p_k x0_k (-lambda_k x0_k + b_k u(0)), which the
-dissipation check compares; the difference quotients of ``dini_estimate``
-only test the flow arithmetic against it.  On the diagonal class all
-operator norms are exact maxima over modes and M = 1 (contraction
-semigroup).  kappa(0) is the zero limit of the admissibility constant; it is
-taken as zero only when kappa at a small probe time falls below a configured
-threshold, otherwise the probe value itself enters c(eps) conservatively.
+still certifies ISS.  kappa(0) is the zero limit of the admissibility
+constant, and it is 0 on every truncation: kappa_N(t) = |A^{-1}B (1 - e^{-Lambda t})|
+<= |B_N| t.  (For the Dirichlet heat equation itself it is 0 by the
+t**(1/4) law of Jacob, Schwenninger & Zwart, JDE 2019.)  So the second term
+vanishes and c(eps) is the first alone.  For a piecewise-constant,
+right-continuous input the upper Dini derivative of V along the flow at
+t = 0 has the closed form Vdot_u(x0) = 2 sum_k p_k x0_k (-lambda_k x0_k + b_k u(0)),
+which the dissipation check compares; the difference quotients of
+``dini_estimate`` only test the flow arithmetic against it.  On the diagonal
+class all operator norms are exact maxima over modes and M = 1 (contraction
+semigroup).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .system import InputSignal, SpectralSystem, kappa_bounds, mild_solution
+from .system import InputSignal, SpectralSystem, mild_solution
 
 NEG_INVERSE = "neg_inverse_A"
 DATKO = "datko"
@@ -42,10 +44,6 @@ DATKO = "datko"
 #: first order in lambda_N h, so they track the derivative only while
 #: lambda_N h << 1 (lambda_64 ~ 4e4 on the heat preset at a = 1).
 DEFAULT_DINI_H = (1e-6, 1e-7, 1e-8)
-
-#: kappa(0) is taken as zero when kappa at the probe time falls below this
-#: threshold.
-KAPPA_ZERO_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,8 @@ def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
 
 @dataclass(frozen=True)
 class DissipationParameters:
-    """Constants entering the dissipation inequality for a given epsilon."""
+    """Constants entering the dissipation inequality for a given epsilon; the
+    paper's kappa(0) term is absent because kappa(0) = 0 on every truncation."""
 
     epsilon: float
     c_eps: float
@@ -141,18 +140,14 @@ class DissipationParameters:
     norm_PA: float
     norm_AinvB: float
     M: float
-    kappa0: float
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0,1)")
-        if not 0.0 <= self.kappa0 < math.inf:
-            raise ValidationError("kappa0, the admissibility bound at the probe time, must be "
-                                  f"finite and nonnegative, not {self.kappa0!r}")
         if not all(map(math.isfinite, (self.norm_AstarP, self.norm_PA, self.norm_AinvB, self.M))):
             raise ValidationError("|A*P|, |PA|, |A^-1 B| and M must be finite")
         expected = c_of_epsilon(self.epsilon, self.norm_AstarP, self.norm_PA,
-                                self.norm_AinvB, self.M, self.kappa0)
+                                self.norm_AinvB, self.M)
         if not math.isclose(self.c_eps, expected, rel_tol=1e-12, abs_tol=1e-300):
             raise ValidationError("c_eps does not match its defining expression")
 
@@ -161,37 +156,30 @@ class DissipationParameters:
 
 
 def c_of_epsilon(epsilon: float, norm_AstarP: float, norm_PA: float,
-                 norm_AinvB: float, M: float, kappa0: float) -> float:
-    """The input-gain constant of the dissipation inequality."""
+                 norm_AinvB: float, M: float) -> float:
+    """The input-gain constant of the dissipation inequality with kappa(0) = 0."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
-    quad = (norm_AstarP + norm_PA) ** 2 * norm_AinvB ** 2 * M ** 2 / (4.0 * epsilon)
-    return quad + M * norm_AstarP * norm_AinvB * kappa0
+    return (norm_AstarP + norm_PA) ** 2 * norm_AinvB ** 2 * M ** 2 / (4.0 * epsilon)
 
 
-def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem, epsilon: float,
-                          kappa_probe_t: float = 1e-3) -> DissipationParameters:
+def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem,
+                          epsilon: float) -> DissipationParameters:
     """Assemble the dissipation constants for a diagonal self-adjoint system.
 
     |A*P| = |PA| = max_k lambda_k p_k (exactly 1 for neg_inverse_A, 1/2 for
     datko), M = 1 for the contraction semigroup, and |A^{-1}B| is the norm of
-    the steady-gain vector b_k / lambda_k.  kappa(0) is set to zero only when
-    kappa at the probe time ``kappa_probe_t`` is below ``KAPPA_ZERO_TOL``;
-    otherwise that probe value is kept, which can only enlarge c(eps).
-
-    This gate tests the truncation, not the PDE: every truncation has
-    kappa_N(t) <= |B_N| t, so it fires for any system once the probe time is
-    below ``KAPPA_ZERO_TOL / |B_N|``, whatever the PDE's own kappa(0).
+    the steady-gain vector b_k / lambda_k.  The paper's term
+    M |A*P| |A^{-1}B| kappa(0) vanishes: the truncation's kappa_N(t) <= |B_N| t
+    tends to 0 with t.  So c(eps) = |PA|^2 |A^{-1}B|^2 / eps; for datko that
+    is |A^{-1}B|^2 / (4 eps), the sharp sup_x [Vdot_u(x) - (eps - 1)|x|^2] / u(0)^2.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
     norm_pa = float(np.max(sys.lambdas * op.p_coeffs))
     norm_ainvb = sys.input_gain_norm
     M = 1.0
-    probe = kappa_bounds(sys, kappa_probe_t).upper
-    kappa0 = 0.0 if probe < KAPPA_ZERO_TOL else probe
-    c = c_of_epsilon(epsilon, norm_pa, norm_pa, norm_ainvb, M, kappa0)
+    c = c_of_epsilon(epsilon, norm_pa, norm_pa, norm_ainvb, M)
     return DissipationParameters(epsilon=epsilon, c_eps=c, norm_AstarP=norm_pa,
-                                 norm_PA=norm_pa, norm_AinvB=norm_ainvb,
-                                 M=M, kappa0=kappa0)
+                                 norm_PA=norm_pa, norm_AinvB=norm_ainvb, M=M)
 

@@ -849,7 +849,7 @@ def test_derived_certificate_passes_norm_to_integral():
 def test_dissipation_heat_passes():
     sys = heat()
     op = build_neg_inverse(sys)
-    params = dissipation_constants(op, sys, 0.5, kappa_probe_t=1e-6)
+    params = dissipation_constants(op, sys, 0.5)
     rep = check_dissipation(sys, op, params, BUDGET)
     assert not rep.violated
 
@@ -858,7 +858,7 @@ def test_dissipation_zero_state_unit_input():
     # at x0 = 0 the analytic derivative is 0 and the rhs is c(eps) > 0
     sys = heat()
     op = build_neg_inverse(sys)
-    params = dissipation_constants(op, sys, 0.5, kappa_probe_t=1e-6)
+    params = dissipation_constants(op, sys, 0.5)
     with _shared_samples(pair=(np.zeros(64), InputSignal.constant(1.0, 2.0))):
         m = check_dissipation(sys, op, params, BUDGET).worst_margin
     assert m == pytest.approx(params.c_eps, abs=2e-4)
@@ -956,8 +956,8 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
     budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
     op = build_datko(sys)
     good = dissipation_constants(op, sys, 0.5)
-    bad = replace(good, epsilon=1e-3, norm_AinvB=0.0, kappa0=0.0,
-                  c_eps=c_of_epsilon(1e-3, good.norm_AstarP, good.norm_PA, 0.0, 1.0, 0.0))
+    bad = replace(good, epsilon=1e-3, norm_AinvB=0.0,
+                  c_eps=c_of_epsilon(1e-3, good.norm_AstarP, good.norm_PA, 0.0, 1.0))
     inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
     for params, violated in ((good, False), (bad, True)):
         reference, witness = [], None
@@ -1085,6 +1085,29 @@ def test_the_dissipation_inequality_holds_with_the_papers_constant(sys, datko, e
     with _shared_samples(pair=(x_star, u)):
         margin = check_dissipation(sys, op, params, budget).worst_margin
     assert margin >= -POINT_TOL * (1.0 + state_norm(x_star) ** 2 + 1.0)
+
+
+@pytest.mark.parametrize("build", [build_datko, build_neg_inverse])
+def test_dissipation_refutes_a_constant_below_the_sharp_one_at_x_star(build):
+    # at x* = p b / q with u = 1 the margin is c(eps) minus the sharp constant
+    # sum_k (p_k b_k)**2 / q_k: with c 3% below it the check refutes, with x*
+    # as its witness, and with dissipation_constants' own c it holds
+    sys, eps = heat(), 0.5
+    op = build(sys)
+    p = op.p_coeffs
+    q = 2.0 * p * sys.lambdas + eps - 1.0
+    sharp = float(np.sum((p * sys.b_coeffs) ** 2 / q))
+    x_star = p * sys.b_coeffs / q
+    params = dissipation_constants(op, sys, eps)
+    gain = params.norm_AinvB * math.sqrt(0.97 * sharp / params.c_eps)
+    weak = replace(params, norm_AinvB=gain, c_eps=c_of_epsilon(
+        eps, params.norm_AstarP, params.norm_PA, gain, params.M))
+    with _shared_samples(pair=(x_star, InputSignal.constant(1.0, BUDGET.horizon))):
+        refuted = check_dissipation(sys, op, weak, BUDGET)
+        held = check_dissipation(sys, op, params, BUDGET)
+    assert refuted.violated and np.array_equal(refuted.witness.x0, x_star)
+    assert refuted.worst_margin == pytest.approx(-0.03 * sharp, rel=1e-9)
+    assert not held.violated
 
 
 def test_dissipation_calls_no_stepper(monkeypatch):

@@ -417,15 +417,16 @@ DIAGONAL_TINY_LAMBDA = ("system.preset = diagonal\nsystem.lambdas = 1e-308\n"
 
 
 def test_nan_admissibility_bound_is_config_error(tmp_path, capsys):
-    # |A^-1 B| = 1e304 squares to inf, so kappa(1e-3) is not finite; the
-    # error must name the bound, not the "c_eps does not match" it causes
+    # |A^-1 B| = 1e304 squares to inf in its norm, so sup_t kappa(t) = |A^-1 B|
+    # is not finite; the error must name it, not the "c_eps does not match" it
+    # causes
     path = tmp_path / "huge_gain.scn"
     path.write_text(DIAGONAL_HUGE_GAIN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "admissibility bound" in err and "c_eps" not in err
+    assert "|A^-1 B|" in err and "c_eps" not in err
 
 
 @pytest.mark.parametrize("text, warning", [(HEAT_A_1E305, "overflow encountered in multiply"),
@@ -887,6 +888,26 @@ def test_replay_of_a_check_not_replayed_exits_2(tmp_path, capsys, check):
     write_witness(tmp_path / "w.csv", check, s.digest(), w)
     assert main(["replay", "heat_iss.scn", str(tmp_path / "w.csv")]) == 2
     assert f"check {check!r} is not replayed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["input", "x0"])
+@pytest.mark.parametrize("check", REPLAYABLE)
+def test_replay_of_an_overflowing_record_exits_2(tmp_path, capsys, check, where):
+    # a record beyond the cap on budget.radius, max(|x0|, |u|_inf) (1 + |A^-1 B|)
+    # <= 2**400, is refused before its check squares a norm out of range
+    s = load_scenario("heat_iss.scn")
+    x0, u = np.zeros(64), InputSignal.constant(1.0, 2.0)
+    if where == "input":
+        u = InputSignal.constant(1e300, 2.0)
+    else:
+        x0[5] = 1e300
+    write_witness(tmp_path / "w.csv", check, s.digest(),
+                  Witness(x0=x0, input=u, t=2.0, margin=-1.0))
+    for warn in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn, RuntimeWarning)
+            assert main(["replay", "heat_iss.scn", str(tmp_path / "w.csv")]) == 2
+        assert "exceeds 2**400" in capsys.readouterr().err
 
 
 GOOD_RECORD = ["check,iss", "scenario_digest,{digest}", "t,2", "margin,-1",

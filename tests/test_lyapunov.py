@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
-                    dissipation_constants, heat_dirichlet, kappa_bounds)
+                    dissipation_constants, heat_dirichlet)
 from isslab import lyapunov
 from isslab.lyapunov import _vdot, c_of_epsilon, v_value
 
@@ -271,48 +271,46 @@ def test_operator_norms_exact():
 
 def test_c_epsilon_formula_converges_to_two_thirds():
     # oracle: sum (b_k/lambda_k)^2 = sum 2/(k pi)^2 -> 1/3, and with
-    # kappa0 = 0 the constant is (1/4 eps) * 4 * (1/3) = 1/(3 eps)
-    assert c_of_epsilon(0.5, 1.0, 1.0, 1.0 / math.sqrt(3.0), 1.0, 0.0) == \
+    # kappa(0) = 0 the constant is (1/4 eps) * 4 * (1/3) = 1/(3 eps); the
+    # constant dissipation_constants assembles for the heat preset tends to it
+    assert c_of_epsilon(0.5, 1.0, 1.0, 1.0 / math.sqrt(3.0), 1.0) == \
         pytest.approx(2.0 / 3.0, rel=1e-15)
     sys = heat(4096)
-    gain = float(np.linalg.norm(sys.input_gain_coeffs))
-    c = c_of_epsilon(0.5, 1.0, 1.0, gain, 1.0, 0.0)
-    assert c == pytest.approx(2.0 / 3.0, abs=1e-4)
+    params = dissipation_constants(build_neg_inverse(sys), sys, 0.5)
+    assert params.c_eps == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
-def test_dissipation_constants_with_passing_kappa_gate():
-    # at probe t = 1e-6 kappa of the 64-mode heat preset is 1.3e-3 < 1e-2,
-    # so the gate fires and kappa0 is set to zero.
-    # The crossing is specific to N = 64: below t ~ 1/lambda_N the truncated
-    # kappa is linear in t, while the heat equation's own kappa(1e-6) is
-    # above 0.02 (see the t**(1/4) laws in test_acceptance.py)
-    sys = heat(64)
-    op = build_neg_inverse(sys)
-    assert kappa_bounds(sys, 1e-6).upper < 1e-2
-    params = dissipation_constants(op, sys, 0.5, kappa_probe_t=1e-6)
-    assert params.kappa0 == 0.0
+@pytest.mark.parametrize("sys", [heat(64), SpectralSystem([0.5, 2.0, 7.0], [1.0, -40.0, 2.5])],
+                         ids=["heat64", "diagonal3"])
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.75])
+def test_c_eps_has_no_kappa_term(sys, eps):
+    # kappa_N(t) <= |B_N| t, so kappa(0) = 0 on every truncation and c(eps) is
+    # |PA|**2 |A^-1 B|**2 / eps, also where kappa(1e-3) is far from 0 (0.133
+    # on heat(64), 0.040 on the diagonal system)
     gain2 = float(np.sum(sys.input_gain_coeffs ** 2))
-    assert params.c_eps == pytest.approx(2.0 * gain2, rel=1e-12)
-    assert params.c_eps == pytest.approx(2.0 / 3.0, abs=7e-3)  # truncation gap
+    for build, norm_pa in ((build_neg_inverse, 1.0), (build_datko, 0.5)):
+        params = dissipation_constants(build(sys), sys, eps)
+        assert params.c_eps == pytest.approx(norm_pa ** 2 * gain2 / eps, rel=1e-14)
 
 
-def test_dissipation_constants_conservative_when_gate_fails():
-    # at the default probe t = 1e-3 kappa is ~0.133, so the gate
-    # does not fire and the probe value enters c(eps) conservatively
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.75])
+def test_datko_c_eps_is_the_sharp_constant(eps):
+    # with q_k = 2 p_k lambda_k + eps - 1 the sup over x of
+    # Vdot_u(x) - (eps - 1) |x|**2 is u(0)**2 sum_k (p_k b_k)**2 / q_k; for
+    # datko q_k = eps, and the paper's c(eps) with kappa(0) = 0 attains it
     sys = heat(64)
-    op = build_neg_inverse(sys)
-    params = dissipation_constants(op, sys, 0.5)
-    assert params.kappa0 > 0.1
-    assert params.c_eps > 2.0 / 3.0
+    op = build_datko(sys)
+    p, b = op.p_coeffs, sys.b_coeffs
+    sharp = float(np.sum((p * b) ** 2 / (2.0 * p * sys.lambdas + eps - 1.0)))
+    assert dissipation_constants(op, sys, eps).c_eps == pytest.approx(sharp, rel=1e-15)
 
 
-@pytest.mark.parametrize("field, value", [("kappa0", math.nan), ("kappa0", math.inf),
-                                          ("kappa0", -1.0), ("norm_AinvB", math.inf)])
+@pytest.mark.parametrize("field, value", [("norm_AinvB", math.inf), ("norm_PA", math.nan),
+                                          ("M", math.inf)])
 def test_dissipation_parameters_refuse_non_finite_constants(field, value):
     sys = heat(4)
     params = dissipation_constants(build_neg_inverse(sys), sys, 0.5)
-    with pytest.raises(ValidationError, match="admissibility bound" if field == "kappa0"
-                       else "A\\^-1 B"):
+    with pytest.raises(ValidationError, match="A\\^-1 B"):
         replace(params, **{field: value})
 
 
