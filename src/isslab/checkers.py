@@ -9,14 +9,14 @@ One draw, one sweep.  A check draws its sample set from its budget: the
 states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
 ``run_scenario`` opens around a scenario's checks, every check on the same
 system and budget shares one draw, and the pointwise checks (ISS, ULS, BRS,
-CEP and ULIM) share one flow sweep per input: the norms of all the input's
-states on the pointwise probe (the evaluation times plus the input's
-breakpoints), or, when ULIM runs on that budget too, on the union of the
-probe and the ULIM grid, from which each check takes its own columns.  Only
-the norms are kept.  Every flow value is grid-free, so a shared column is
-the column of a sweep on the check's own grid bit for bit, and a check
-called alone gives the same report (so does the integral table below).
-Nothing outlives the block: a repeated run draws and sweeps again.
+CEP and ULIM) share one flow sweep per sample set: one kernel call gives
+the norms of all states on every input's pointwise probe (the evaluation
+times plus the input's breakpoints), or, when ULIM runs on that budget too,
+on the union of the probe and the ULIM grid; each check takes its own
+columns of that one array when it reads them.  Every flow value is
+grid-free, so a shared column is that of a sweep on the check's own grid
+bit for bit, and a check called alone gives the same report (so does the
+integral table below).  Nothing outlives the block.
 
 One kernel.  Every check with one pick per (state, input) runs ``_sweep``.
 The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
@@ -44,19 +44,13 @@ Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
 depends on the input alone.  The kernel therefore scans input by input and
 asks for the compared functional of all the input's states at once; the
-bound is evaluated once per input too, on the column of state norms.  For
-|phi| it sweeps the input's grid once through the flow kernel
-``system._flow_norms``, which also fills ``sample_trajectory``, so the
-kernel's norms are those of ``sample_trajectory(...).norms()`` bit for bit.
-A mode with lambda_k (t - a) > 746 has decayed to exactly 0.0 and holds its
-forced value, the same for every state; so each grid row has a live width,
-the modes still decaying, and only those columns cost work per state (in
-the benchmark's N = 256 sweeps the median row has 13 live modes, and 8% of
-all entries are live).  Only the norms (states by grid) are kept.
+bound is evaluated once per input too, on the column of state norms.  |phi|
+comes from the flow kernel ``system._flow_norms``, which also fills
+``sample_trajectory``, bit for bit, and works per state on live modes only.
 
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
-(``system._square_integrals``): the anchor states of ``mild_solution``, the
+(``system._square_integrals``): the anchor states of the one stepper, the
 full segments summed cumulatively, plus the piece from the last anchor
 below t, for all states, times and modes in one pass, with no grid.  Any
 other alpha takes composite Simpson on a grid graded after 0 and after
@@ -103,7 +97,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -215,15 +208,13 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
 class _Samples:
     """A sample set: the states, their norms |x0| (a column) and the inputs.
 
-    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(kind)``
-    gives, per input, a grid and the flow norms of every state on it (rows),
-    swept once per input, for the budget's pointwise probe (``"probe"``: the
-    evaluation times plus the input's breakpoints below the horizon) or its
-    ULIM grid (``"ulim"``: uniform, the same for every input); with
-    ``union`` set, the first request sweeps each input once on the union of
-    both grids and keeps both column sets.  ``memo`` keeps each input's
-    int_0^t alpha(|phi|) table, and ``pairs`` is the pair table that the
-    stepper reads.
+    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(kind, j)``
+    gives input j's grid and the flow norms of every state on it (rows), for
+    the budget's pointwise probe (``"probe"``: the evaluation times plus the
+    input's breakpoints below the horizon) or its ULIM grid (``"ulim"``);
+    the first request sweeps every input in one kernel call, on the union of
+    both grids with ``union`` set.  ``memo`` keeps each input's
+    int_0^t alpha(|phi|) table, and ``pairs`` is the stepper's pair table.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget=None, union=False):
@@ -238,29 +229,35 @@ class _Samples:
         return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
                    [draw_input(budget, j) for j in range(budget.n_inputs)], budget, union)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple:
-        """Each pair's state and input index in pair order, and the inputs' table."""
+        """Each pair's state and input index in pair order, and the inputs' table;
+        made on each use, so that it is not held through the flow sweep."""
         n = len(self.inputs)
         x0s, which = np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
         return x0s, which, _input_table(self.inputs)
 
-    def sweep(self, kind: str) -> list:
+    def sweep(self, kind: str, j: int) -> tuple:
+        """Input j's grid of ``kind`` and the flow norms of every state on it."""
         if kind not in self._swept:
             kinds = ("probe", "ulim") if self._union else (kind,)
             times, horizon = eval_times(self.budget), self.budget.horizon
-            ulim = ulim_grid(self.budget)
-            for k in kinds:
-                self._swept[k] = []
-            for u in self.inputs:
-                grid_of = {"probe": np.union1d(times, u.breakpoints[u.breakpoints < horizon]),
-                           "ulim": ulim}
-                grids = [grid_of[k] for k in kinds]
-                grid = np.unique(np.concatenate(grids))
-                norms = _flow_norms(self.sys, self.states, u, grid)
-                for k, g in zip(kinds, grids):
-                    self._swept[k].append((g, norms[:, np.searchsorted(grid, g)]))
-        return self._swept[kind]
+            grids = {"probe": [np.union1d(times, u.breakpoints[u.breakpoints < horizon])
+                               for u in self.inputs],
+                     "ulim": [ulim_grid(self.budget)] * len(self.inputs)}
+            swept = [np.unique(np.concatenate(gs)) for gs in zip(*(grids[k] for k in kinds))]
+            norms = _flow_norms(self.sys, self.states, self.inputs, swept)
+            off = np.cumsum([0] + [g.size for g in swept]).tolist()
+            for k in kinds:   # the columns in norms of each input's grid of kind k
+                self._swept[k] = norms, [(g, lo + np.searchsorted(grid, g))
+                                         for g, grid, lo in zip(grids[k], swept, off)]
+        norms, cols = self._swept[kind]
+        grid, at = cols[j]
+        return grid, norms[:, at]
+
+    def sup(self, kind: str) -> float:
+        """The largest flow norm on the grids of ``kind``."""
+        return max(float(np.max(self.sweep(kind, j)[1])) for j in range(len(self.inputs)))
 
     def memo(self, key: tuple, make):
         """``make()``, made once per ``key`` on this sample set."""
@@ -357,14 +354,14 @@ def _norms(probe):
     def lhs(samples, j):
         u = samples.inputs[j]
         grid, times = probe(u)
-        norms = _flow_norms(samples.sys, samples.states, u, grid)
+        norms = _flow_norms(samples.sys, samples.states, [u], [grid])
         return times, norms[:, _grid_indices(grid, times)]
     return lhs
 
 
 def _swept(kind: str):
     """lhs |phi| on the sample set's shared sweep of ``kind``."""
-    return lambda samples, j: samples.sweep(kind)[j]
+    return lambda samples, j: samples.sweep(kind, j)
 
 
 def _at_time(t: float):
@@ -486,7 +483,8 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     report = _sweep(CheckProperty.ULIM, samples, _swept("ulim"), level, best=True,
                     tol=lambda r, u: 0.0)
     tau_hat = 0.0
-    for u, (times, norms) in zip(samples.inputs, samples.sweep("ulim")):
+    for j, u in enumerate(samples.inputs):
+        times, norms = samples.sweep("ulim", j)
         hits = level(samples.r, u, times) - norms >= 0.0
         if not hits.any(axis=1).all():
             return replace(report, notes="horizon exhausted for some sample")
@@ -522,8 +520,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     gain = sys.input_gain_norm
     scaled = (_CEP_SCALED_RANGE[0] <= budget.radius
               and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
-    sup = (max(float(np.max(norms)) for _, norms in _samples(sys, local).sweep("probe"))
-           if scaled else None)
+    sup = _samples(sys, local).sup("probe") if scaled else None
     picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
@@ -557,7 +554,7 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
     report = _sweep(CheckProperty.BRS, samples, _swept("probe"), lambda r, u, t: bound,
                     tol=lambda r, u: _tol(bound))
-    sup = max(float(np.max(norms)) for _, norms in samples.sweep("probe"))
+    sup = samples.sup("probe")
     return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 
@@ -609,7 +606,7 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
     def lhs(samples, j):
         u = samples.inputs[j]
         g = build_time_grid(horizon, u, extra=times)
-        vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, u, g))
+        vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, [u], [g]))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
     return shared(lhs), _pair_tol(QUAD_TOL)

@@ -150,6 +150,8 @@ class DissipationParameters:
                                 self.norm_AinvB, self.M)
         if not math.isclose(self.c_eps, expected, rel_tol=1e-12, abs_tol=1e-300):
             raise ValidationError("c_eps does not match its defining expression")
+        if self.c_eps == math.inf:
+            raise ValidationError(f"c(eps) overflows at |A^-1 B| = {self.norm_AinvB!r}")
 
     def rhs(self, state_norm_sq: float, input_sup: float) -> float:
         return (self.epsilon - 1.0) * state_norm_sq + self.c_eps * input_sup ** 2
@@ -160,7 +162,10 @@ def c_of_epsilon(epsilon: float, norm_AstarP: float, norm_PA: float,
     """The input-gain constant of the dissipation inequality with kappa(0) = 0."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
-    return (norm_AstarP + norm_PA) ** 2 * norm_AinvB ** 2 * M ** 2 / (4.0 * epsilon)
+    try:
+        return (norm_AstarP + norm_PA) ** 2 * norm_AinvB ** 2 * M ** 2 / (4.0 * epsilon)
+    except OverflowError:   # a square past the float range
+        return math.inf
 
 
 def dissipation_constants(op: LyapunovOperator, sys: SpectralSystem,

@@ -12,17 +12,20 @@ is evaluated in closed form.  Piecewise-constant inputs therefore propagate
 with no time-stepping error at all; the only discretization in the package is
 the choice of sample times.
 
-One stepper carries states to the anchors, 0 and every input breakpoint
-below the time asked for, and every flow value (``mild_solution``, each row of
+One stepper (``_anchor_states``) carries a stack of states to the anchors of
+a list of inputs, 0 and each input's breakpoints below its last time, and
+every flow value (``mild_solution``, ``_square_integrals``, the rows of
 ``sample_trajectory`` and of the checkers' kernel) is the formula above from
 the last anchor below its time (``_flow_rows`` steps rows with their own
-input, time and start so).  A value never depends on a sampling grid, so
-the axiom checks test the arithmetic of every margin.
+input, time and start so).  A value never depends on a sampling grid or on
+the other inputs of a stack, so the axiom checks test every margin's
+arithmetic.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
-whatever the state, so the flow kernel (``_flow_norms``, behind
-``sample_trajectory`` and the checkers) works per state on the live modes only.
+whatever the state.  The flow kernel (``_flow_norms``) sweeps every input of
+a sample set in one call, the rows of all inputs sorted by this live width,
+and works per state on the live modes only.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -47,6 +50,7 @@ from .errors import DomainError, ValidationError
 CSV_FMT = ".17g"
 _ROW_BLOCK = 256   # grid rows per block of the flow evaluation
 _MIN_GROUP = 64    # rows a group of the flow kernel takes before it may end
+_BLOCK_CELLS = 2 ** 13  # rows times live width of a block: bounds its arrays
 # exp(-x) is exactly 0.0 for x >= 746: exp(-745.14) is already below half the
 # smallest subnormal 2**-1074, so it rounds to zero
 _EXP_FLUSH = 746.0
@@ -101,8 +105,14 @@ class SpectralSystem:
 
     @property
     def input_gain_norm(self) -> float:
-        """|A^{-1}B| = sup_t kappa(t), the steady gain of a unit input."""
-        return float(np.linalg.norm(self.input_gain_coeffs))
+        """|A^{-1}B| = sup_t kappa(t), the steady gain of a unit input; scaled by
+        the largest |g_k| when the plain norm's squares overflow."""
+        gain = self.input_gain_coeffs
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(gain))
+        if norm == math.inf and (top := float(np.max(np.abs(gain)))) < math.inf:
+            norm = top * float(np.linalg.norm(gain / top))
+        return norm
 
     def __eq__(self, other):
         if not isinstance(other, SpectralSystem):
@@ -257,30 +267,6 @@ class InputSignal:
 # flows
 
 
-def _anchored(sys: SpectralSystem, x0s, u: InputSignal, t: float):
-    """Step ``x0s``, one state or a stack of states, to the anchors of the
-    flow at t: 0 and every input breakpoint below t.
-
-    Returns the anchors, the input value from each anchor on (0 on the zero
-    tail) and the states at each anchor.  The input is constant between
-    anchors, so each step is exact.
-    """
-    lam, gain = sys.lambdas, sys.input_gain_coeffs
-    anchors, vals = [0.0], []
-    states = [np.array(x0s, dtype=float)]
-    for i in range(u.values.size):
-        vals.append(float(u.values[i]))
-        end = float(u.breakpoints[i + 1])
-        if end >= t:
-            break
-        decay = np.exp(-lam * min(end - anchors[-1], sys._settle))
-        states.append(states[-1] * decay + gain * (1.0 - decay) * vals[-1])
-        anchors.append(end)
-    if len(vals) < len(anchors):
-        vals.append(0.0)
-    return anchors, vals, states
-
-
 def _decay_forced(sys: SpectralSystem, dt, v, w=None):
     """The decay exp(-lambda dt) and the forced term (b / lambda) v (1 - decay)
     of the flow dt after an anchor with input value v, in the first ``w``
@@ -299,6 +285,36 @@ def _input_table(inputs) -> tuple[np.ndarray, np.ndarray]:
     for j, u in enumerate(inputs):
         bps[j, :u.breakpoints.size], vals[j, :u.values.size] = u.breakpoints, u.values
     return bps, vals
+
+
+def _anchor_states(sys: SpectralSystem, x0s, inputs, ends):
+    """The states ``x0s`` (a stack) at the anchors of each input j, 0 and its
+    breakpoints below ``ends[j]``: shape (anchor, state, mode), with ``by``
+    and ``starts``.  The input is constant between anchors, so each step is
+    exact.  Anchor 0, the states themselves, is held once; the inputs go in
+    the order ``by``, the most anchors first, so that pass a steps a leading
+    run of them, and anchor a + 1 of input ``by[p]`` is ``1 + starts[a] + p``.
+    One input's anchors are in order.
+    """
+    bps = [u.breakpoints.tolist() for u in inputs]
+    counts = [max(1, sum(b < end for b in bp)) for bp, end in zip(bps, map(float, ends))]
+    by = sorted(range(len(inputs)), key=lambda j: -counts[j])
+    live = [sum(c > a for c in counts) for a in range(1, counts[by[0]])]
+    steps = [(j, a) for a, n in enumerate(live, 1) for j in by[:n]]
+    dt = np.minimum([bps[j][a] - bps[j][a - 1] for j, a in steps], sys._settle)
+    decay = np.exp(-sys.lambdas * dt[:, None, None])
+    forced = sys.input_gain_coeffs * (1.0 - decay) * np.array(
+        [inputs[j].values[a - 1] for j, a in steps])[:, None, None]
+    x = np.empty((1 + len(steps), len(x0s), sys.n_modes))
+    x[0] = x0s
+    starts = [0]
+    for a, n in enumerate(live):
+        lo = starts[a]
+        step = np.multiply(x[1 + starts[a - 1]:1 + starts[a - 1] + n] if a else x[:1],
+                           decay[lo:lo + n], out=x[1 + lo:1 + lo + n])
+        step += forced[lo:lo + n]
+        starts.append(lo + n)
+    return x, by, starts
 
 
 def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.ndarray:
@@ -326,9 +342,11 @@ def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarr
     state = np.asarray(x0, dtype=float)
     if state.shape != (sys.n_modes,):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    anchors, vals, states = _anchored(sys, state, u, t)
-    decay, forced = _decay_forced(sys, min(t - anchors[-1], sys._settle), vals[-1])
-    return states[-1] * decay + forced
+    states = _anchor_states(sys, state[None], [u], [t])[0]
+    a = len(states) - 1   # the last anchor below t; the input is 0.0 past its end
+    v = u.values[a] if a < u.values.size else 0.0
+    decay, forced = _decay_forced(sys, min(t - u.breakpoints[a], sys._settle), v)
+    return states[a, 0] * decay + forced
 
 
 @dataclass(frozen=True)
@@ -353,83 +371,94 @@ class Trajectory:
 
 
 def _row_groups(width: np.ndarray) -> list[int]:
-    """Edges of groups of at most ``_ROW_BLOCK`` rows sorted by live width,
-    cut where the width's power-of-two class grows once a group has
-    ``_MIN_GROUP`` rows: a short grid stays one group."""
+    """Edges of groups of rows sorted by live width, cut where the width's
+    power-of-two class grows once a group has ``_MIN_GROUP`` rows (a short
+    grid stays one group), and into blocks of at most ``_ROW_BLOCK`` rows
+    and, down to ``_MIN_GROUP`` rows, ``_BLOCK_CELLS`` rows times width."""
     edges = [0]
     cls = np.frexp(width)[1]
     for b in [*(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), width.size]:
-        while b - edges[-1] > _ROW_BLOCK:
-            edges.append(edges[-1] + _ROW_BLOCK)
+        cap = min(_ROW_BLOCK, max(_MIN_GROUP, _BLOCK_CELLS >> int(cls[b - 1])))
+        while b - edges[-1] > cap:
+            edges.append(edges[-1] + cap)
         if b - edges[-1] >= _MIN_GROUP or b == width.size:
             edges.append(b)
     return edges
 
 
-def _flow_norms(sys: SpectralSystem, x0s, u: InputSignal, grid, states=None) -> np.ndarray:
-    """|phi(grid[i], x0s[s], u)| for each state s (rows) and grid row i
-    (columns); given ``states`` of shape (len(x0s), grid.size, n_modes), the
-    flows themselves are written there too.
+def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndarray:
+    """|phi(t, x0s[s], inputs[j])| for each state s (rows) and each time t
+    of each input's grid ``grids[j]`` (columns, one grid after another);
+    given ``states`` of shape (len(x0s), columns, n_modes), the flows
+    themselves are written there too.
 
-    The grid must be one-dimensional, nonempty, start at 0 and strictly
-    increase, and every state must have shape (n_modes,).  The anchor states
-    of all states are stepped together, and each row runs from the last
-    anchor below its time, as in ``mild_solution``.  A row dt after its
-    anchor has the live width W = #{k : lambda_k dt <= _EXP_FLUSH}; every
-    mode past W has decayed to exactly 0.0 and holds its forced value g_k v,
-    the same for every state.  Rows are sorted by W and cut into groups
+    Each grid must be one-dimensional, nonempty, start at 0 and strictly
+    increase, and every state must have shape (n_modes,).  Each row runs
+    from the last anchor below its time (``_anchor_states``), as in
+    ``mild_solution``.  A row dt after its anchor has the live width
+    W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has decayed to
+    exactly 0.0 and holds its forced value g_k v, the same for every state.
+    The rows of all inputs are sorted by W together and cut into groups
     (``_row_groups``); each group computes the decay and the forced term on
     its first W columns and the tail squares (g_k v)**2 once for all states,
-    and each state's pass gathers, decays and squares only those W columns.
-    Each norm is still ``np.add.reduce`` over the whole row of squares, so it
-    is ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
-    state gives the same bits alone as in a stack.
+    and each state's pass gathers, decays and squares only those columns.
+    Each norm is still ``np.add.reduce`` over the whole row of squares, so
+    it is ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and
+    a state or an input gives the same bits alone as in a stack.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValidationError("grid must be a nonempty one-dimensional array")
-    if grid[0] != 0.0:
-        raise ValidationError("grid must start at 0")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValidationError("grid must be strictly increasing")
+    grids = [np.asarray(grid, dtype=float) for grid in grids]
+    for grid in grids:
+        if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
+            raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
+        if np.any(np.diff(grid) <= 0.0):
+            raise ValidationError("grid must be strictly increasing")
     if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    anchors, vals, stepped = _anchored(sys, x0s, u, float(grid[-1]))
-    anchor_states = np.stack(stepped, axis=1)   # (state, anchor, mode)
+    bps, vals = _input_table(inputs)
+    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs,
+                                               [grid[-1] for grid in grids])
     # checked here: a dead mode never reads its anchor state, so its overflow
     # would not reach the norms
     if not np.all(np.isfinite(anchor_states)):
         raise ValidationError("trajectory states must be finite")
-    anchors_arr, vals = np.asarray(anchors), np.asarray(vals)
-    seg = np.maximum(np.searchsorted(anchors_arr, grid) - 1, 0)
-    dt = grid - anchors_arr[seg]
+    most = len(starts)   # each input's anchors: 0, then 1 + starts[a - 1] + its place in by
+    slot = np.zeros((len(by), most), dtype=int)
+    slot[by, 1:] = 1 + np.add.outer(np.arange(len(by)), starts[:-1])
+    # each row's (input, anchor): input j's breakpoints below t (none past its end is)
+    seg = np.concatenate([j * most + np.maximum(np.searchsorted(bps[j], grid) - 1, 0)
+                          for j, grid in enumerate(grids)]).astype(np.min_scalar_type(slot.size))
+    slot, bps, vals = slot.ravel(), bps[:, :most].ravel(), vals[:, :most].ravel()
+    dt = np.concatenate(grids)
+    dt -= bps[seg]
     with np.errstate(divide="ignore", over="ignore"):   # dt = 0 or tiny: every mode
         width = np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
-    dt = np.minimum(dt, sys._settle)   # a group computes some rows past their width
-    order = np.argsort(width, kind="stable")
-    gain = sys.input_gain_coeffs
-    sums = np.empty((len(x0s), grid.size))   # sums of squares, rows in sorted order
-    edges = _row_groups(width[order])
+    # the rows in order of width; a group computes some rows past their width
+    order = np.argsort(width, kind="stable").astype(np.min_scalar_type(dt.size))
+    width, seg, dt = width[order].astype(np.min_scalar_type(sys.n_modes)), seg[order], dt[order]
+    np.minimum(dt, sys._settle, out=dt)
+    gain, norms = sys.input_gain_coeffs, np.empty((len(x0s), dt.size))
+    edges = _row_groups(width)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = order[lo:hi]
-        w, sg, v = int(width[rows[-1]]), seg[rows], vals[seg[rows], None]
-        decay, forced = _decay_forced(sys, dt[rows, None], v, w)
+        rows, sg, w = order[lo:hi], seg[lo:hi], int(width[hi - 1])
+        v, at = vals[sg, None], slot[sg]
+        decay, forced = _decay_forced(sys, dt[lo:hi, None], v, w)
         tail = gain[w:] * v   # the forced term g v (1 - 0.0), bit for bit
-        squares = np.empty((rows.size, sys.n_modes))
+        squares = np.empty((hi - lo, sys.n_modes))
         np.multiply(tail, tail, out=squares[:, w:])
+        sums = np.empty((len(x0s), hi - lo))
         for s in range(len(x0s)):
-            live = anchor_states[s, :, :w].take(sg, axis=0)   # a copy, updated in place
+            live = anchor_states[at, s, :w]   # a copy, updated in place
             live *= decay
             live += forced
             if states is not None:
                 states[s, rows, :w] = live
-                states[s, rows, w:] = anchor_states[s, sg, w:] * 0.0 + tail
+                states[s, rows, w:] = anchor_states[at, s, w:] * 0.0 + tail
             np.multiply(live, live, out=squares[:, :w])
-            np.add.reduce(squares, axis=1, out=sums[s, lo:hi])
-    if not np.all(np.isfinite(sums)):
+            np.add.reduce(squares, axis=1, out=sums[s])
+        norms[:, rows] = np.sqrt(sums, out=sums)
+        del decay, forced, tail, squares, live   # before the next group's are made
+    if not np.all(np.isfinite(norms)):
         raise ValidationError("trajectory states must be finite")
-    norms = np.empty_like(sums)
-    norms[:, order] = np.sqrt(sums)
     return norms
 
 
@@ -440,7 +469,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     """
     grid = np.asarray(grid, dtype=float)
     states = np.empty((1, grid.size, sys.n_modes))
-    _flow_norms(sys, [x0], u, grid, states)
+    _flow_norms(sys, [x0], [u], [grid], states)
     return Trajectory(times=grid, states=states[0], system=sys, input=u)
 
 
@@ -465,8 +494,8 @@ def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.nda
     if times.ndim != 1 or times.size < 1 or np.any(times < 0.0):
         raise DomainError("integrals are taken over [0, t] with t >= 0")
     lam, gain = sys.lambdas, sys.input_gain_coeffs
-    anchors, vals, stepped = _anchored(sys, x0s, u, float(np.max(times)))
-    anchors, vals, stepped = np.asarray(anchors), np.asarray(vals), np.stack(stepped)
+    stepped = _anchor_states(sys, x0s, [u], [np.max(times)])[0]
+    anchors, vals = u.breakpoints[:len(stepped)], np.append(u.values, 0.0)[:len(stepped)]
 
     def pieces(seg, h):   # int over [anchors[seg], anchors[seg] + h]: (len(seg), state)
         v, h = vals[seg, None, None], h[:, None, None]

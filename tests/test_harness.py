@@ -22,7 +22,7 @@ from isslab.harness import (_CHECKS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _reso
                             bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
 from isslab.report import Witness
-from isslab.system import InputSignal
+from isslab.system import InputSignal, SpectralSystem
 from test_checkers import assert_same_report
 
 MINIMAL = """
@@ -416,21 +416,24 @@ DIAGONAL_TINY_LAMBDA = ("system.preset = diagonal\nsystem.lambdas = 1e-308\n"
                         "system.b = 1.0\nchecks.names = iss\n")
 
 
-def test_nan_admissibility_bound_is_config_error(tmp_path, capsys):
-    # |A^-1 B| = 1e304 squares to inf in its norm, so sup_t kappa(t) = |A^-1 B|
-    # is not finite; the error must name it, not the "c_eps does not match" it
-    # causes
-    path = tmp_path / "huge_gain.scn"
-    path.write_text(DIAGONAL_HUGE_GAIN)
+def test_huge_gain_is_finite_and_its_overflow_is_named(tmp_path, capsys):
+    # |A^-1 B| = 1e304 squares past the float range but is finite: the norm
+    # is scaled and raises no warning, and c(eps), which squares it, is what
+    # overflows; the error must say so and not call |A^-1 B| non-finite
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        assert SpectralSystem(np.array([1e4]), np.array([1e308])).input_gain_norm == 1e308 / 1e4
+        two = SpectralSystem(np.array([1e4, 2e4]), np.array([1e308, -1e308])).input_gain_norm
+        assert two == pytest.approx(np.hypot(1e304, 5e303), rel=1e-15)
+        path = tmp_path / "huge_gain.scn"
+        path.write_text(DIAGONAL_HUGE_GAIN)
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "|A^-1 B|" in err and "c_eps" not in err
+    assert "c(eps) overflows" in err and "finite" not in err and "c_eps" not in err
 
 
 @pytest.mark.parametrize("text, warning", [(HEAT_A_1E305, "overflow encountered in multiply"),
-                                           (DIAGONAL_TINY_LAMBDA, "overflow encountered in dot")],
+                                           (DIAGONAL_TINY_LAMBDA, r"c\(eps\) overflows")],
                          ids=["heat_a_1e305", "diagonal_lambda_1e-308"])
 def test_overflow_while_building_is_config_error(tmp_path, capsys, text, warning):
     path = tmp_path / "overflow.scn"
@@ -679,11 +682,11 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
             drawn[kind, args[-2], args[-1]] += 1   # (kind, budget, index)
             return draw(*args)
         return wrapper
-    swept = []   # (input, whether the grid holds the ULIM grid of s.budget)
+    swept = []   # per kernel call: its inputs, and whether every grid holds the ULIM grid
 
-    def counted_sweep(sys, x0s, u, grid):
-        swept.append((u, bool(np.all(np.isin(ulim_grid, grid)))))
-        return flow_norms(sys, x0s, u, grid)
+    def counted_sweep(sys, x0s, inputs, grids):
+        swept.append((inputs, all(np.all(np.isin(ulim_grid, g)) for g in grids)))
+        return flow_norms(sys, x0s, inputs, grids)
     flow_norms = checkers._flow_norms
     monkeypatch.setattr(checkers, "draw_state", counted(checkers.draw_state, "state"))
     monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
@@ -695,10 +698,12 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
     assert drawn == {**{("state", x, i): 1 for x in (b, cep) for i in range(b.n_states)},
                      **{("input", x, j): 1 for x in (b, cep) for j in range(b.n_inputs)}}
-    # one sweep per input of each sample set: iss, uls, ulim and brs read one
-    # sweep on the union of the probe and the ULIM grid, cep one of its own
-    assert len(swept) == len({id(u) for u, _ in swept}) == 2 * b.n_inputs
-    assert sum(union for _, union in swept) == b.n_inputs
+    # one kernel call per sample set, over all of its inputs: iss, uls, ulim
+    # and brs read one sweep on the union of the probe and the ULIM grid, cep
+    # one of its own
+    assert [(len(inputs), union) for inputs, union in swept] == [(b.n_inputs, True),
+                                                                 (b.n_inputs, False)]
+    assert len({id(u) for inputs, _ in swept for u in inputs}) == 2 * b.n_inputs
     # nothing is kept between runs: the next run draws every sample again
     run_scenario(s, str(tmp_path))
     assert set(drawn.values()) == {2}

@@ -13,8 +13,9 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
-from isslab.system import (_CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK, _flow_norms,
-                           _flow_rows, _input_table, _row_groups, _square_integrals)
+from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK,
+                           _flow_norms, _flow_rows, _input_table, _row_groups,
+                           _square_integrals)
 
 PI2 = math.pi ** 2
 
@@ -287,14 +288,14 @@ def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     # every state of sample_trajectory, signed zeros included, and every norm
     traj = sample_trajectory(sys, x0s[0], u, grid)
     assert np.array_equal(_bits(traj.states), _bits(rows[0]))
-    norms = _flow_norms(sys, x0s, u, grid)
+    norms = _flow_norms(sys, x0s, [u], [grid])
     for s in range(2):
         assert np.array_equal(_bits(norms[s]), _bits(np.linalg.norm(rows[s], axis=1)))
     # states and input scaled by 2**-m scale every norm exactly, on the rows
     # whose scaled squares all stay normal
     scale = 2.0 ** -m
-    scaled = _flow_norms(sys, x0s * scale, InputSignal.piecewise(u.breakpoints,
-                                                                 u.values * scale), grid)
+    scaled = _flow_norms(sys, x0s * scale, [InputSignal.piecewise(u.breakpoints,
+                                                                  u.values * scale)], [grid])
     for s in range(2):
         clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
         assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
@@ -391,7 +392,64 @@ def test_row_groups_cover_the_sorted_rows():
     sizes = np.diff(edges)
     assert np.all(sizes > 0) and np.all(sizes <= _ROW_BLOCK)
     assert np.all(sizes[:-1] >= _MIN_GROUP)
+    # a wide group is cut short: rows times width stay within _BLOCK_CELLS
+    w = widths[np.subtract(edges[1:], 1)]
+    assert np.all(sizes * w <= np.maximum(_BLOCK_CELLS, _MIN_GROUP * w))
+    assert max(sizes * w) > _BLOCK_CELLS / 2
     assert _row_groups(np.arange(40)) == [0, 40]   # a short grid is one group
+
+
+@st.composite
+def _input_stacks(draw):
+    """A system and two states of ``_kernel_cases`` with 1-6 inputs, each on
+    its own grid: the zero input, constant ones and piecewise ones with
+    different piece counts and breakpoints past their grid's end; grids of
+    the one row 0.0, with rows on and one ulp after each breakpoint, or
+    uniform ULIM grids."""
+    sys, _, _, x0s = draw(_kernel_cases())
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 2.0)).flatmap(
+        lambda m: st.sampled_from([m, -m]))
+    inputs, grids = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["zero", "constant", "piecewise"]))
+        end = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        if kind == "zero":
+            u = InputSignal.zero()
+        elif kind == "constant":
+            u = InputSignal.constant(draw(value), draw(st.sampled_from([0.3, 1.0, 3.0])))
+        else:
+            bps = np.unique(draw(st.lists(st.floats(1e-3, 2.9), min_size=1, max_size=8)))
+            u = InputSignal.piecewise(np.concatenate([[0.0], bps]), draw(
+                st.lists(value, min_size=bps.size, max_size=bps.size)))
+        rows = draw(st.sampled_from([1, 2, 33, 129]))
+        if rows == 1:
+            grid = np.array([0.0])
+        elif draw(st.booleans()):
+            bp = u.breakpoints[u.breakpoints < end]
+            grid = np.unique(np.concatenate([np.linspace(0.0, end, rows), bp,
+                                             np.nextafter(bp, np.inf)]))
+        else:
+            grid = np.linspace(0.0, end, rows)
+        inputs.append(u)
+        grids.append(grid)
+    return sys, inputs, grids, x0s
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_input_stacks())
+def test_flow_kernel_stacks_of_inputs_match_each_input_and_state_alone(case):
+    # one call over every input: each norm is that of the mild_solution row,
+    # each input's columns are its own call's, and each state's row is its own
+    sys, inputs, grids, x0s = case
+    norms = _flow_norms(sys, x0s, inputs, grids)
+    cols = np.cumsum([0] + [g.size for g in grids])
+    for u, grid, lo, hi in zip(inputs, grids, cols[:-1], cols[1:]):
+        for s, x0 in enumerate(x0s):
+            rows = np.array([mild_solution(sys, x0, u, t) for t in grid])
+            assert np.array_equal(_bits(norms[s, lo:hi]), _bits(np.linalg.norm(rows, axis=1)))
+        assert np.array_equal(_bits(norms[:, lo:hi]), _bits(_flow_norms(sys, x0s, [u], [grid])))
+    for s, x0 in enumerate(x0s):
+        assert np.array_equal(_bits(norms[s]), _bits(_flow_norms(sys, [x0], inputs, grids)[0]))
 
 
 def test_live_widths_need_no_warning_at_tiny_steps():
@@ -400,7 +458,7 @@ def test_live_widths_need_no_warning_at_tiny_steps():
     sys = heat(8)
     x0 = np.linspace(1.0, -1.0, 8)
     grid = np.array([0.0, 5e-324, 1e-310, 1e-300])
-    norms = _flow_norms(sys, [x0], InputSignal.zero(), grid)
+    norms = _flow_norms(sys, [x0], [InputSignal.zero()], [grid])
     assert np.array_equal(norms[0], np.full(4, np.linalg.norm(x0[None], axis=1)[0]))
 
 
