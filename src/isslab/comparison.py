@@ -26,15 +26,13 @@ certificate (alpha, psi, sigma) = (xi1(./2), xi2, xi1 o gamma).
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-
-KIND_K = "K"
-KIND_KINF = "Kinf"
 
 
 def _positive(name: str, value: float) -> float:
@@ -57,20 +55,14 @@ class ComparisonFunction:
     form: str
     params: tuple[float, ...] = ()
     parts: tuple["ComparisonFunction", ...] = ()
-    kind: str = KIND_K
+    unbounded: bool = False   # class K-infinity, not only K
 
     def __post_init__(self):
         if self.form not in ("linear", "power", "saturation", "compose"):
             raise ValidationError(f"unknown comparison-function form {self.form!r}")
-        if self.kind not in (KIND_K, KIND_KINF):
-            raise ValidationError(f"unknown comparison-function kind {self.kind!r}")
 
     def __call__(self, r):
         return evaluate(self, r)
-
-    @property
-    def unbounded(self) -> bool:
-        return self.kind == KIND_KINF
 
     def describe(self) -> str:
         """Serialize to the ``form(arg, ...)`` token used by scenario files."""
@@ -84,17 +76,17 @@ class ComparisonFunction:
 
 def linear(c: float) -> ComparisonFunction:
     """r -> c*r, class K-infinity."""
-    return ComparisonFunction("linear", (_positive("c", c),), (), KIND_KINF)
+    return ComparisonFunction("linear", (_positive("c", c),), (), True)
 
 
 def power(c: float, p: float) -> ComparisonFunction:
     """r -> c*r**p with p > 0, class K-infinity."""
-    return ComparisonFunction("power", (_positive("c", c), _positive("p", p)), (), KIND_KINF)
+    return ComparisonFunction("power", (_positive("c", c), _positive("p", p)), (), True)
 
 
 def saturation(c: float, s: float) -> ComparisonFunction:
     """r -> c*r/(s+r): strictly increasing onto [0, c), class K but not K-infinity."""
-    return ComparisonFunction("saturation", (_positive("c", c), _positive("s", s)), (), KIND_K)
+    return ComparisonFunction("saturation", (_positive("c", c), _positive("s", s)))
 
 
 def compose(*fs: ComparisonFunction) -> ComparisonFunction:
@@ -104,8 +96,7 @@ def compose(*fs: ComparisonFunction) -> ComparisonFunction:
     """
     if len(fs) < 2:
         raise ValidationError("compose needs at least two components")
-    kind = KIND_KINF if all(f.kind == KIND_KINF for f in fs) else KIND_K
-    return ComparisonFunction("compose", (), tuple(fs), kind)
+    return ComparisonFunction("compose", (), tuple(fs), all(f.unbounded for f in fs))
 
 
 def evaluate(f: ComparisonFunction, r):
@@ -192,9 +183,9 @@ class NormToIntegralCertificate:
     sigma: ComparisonFunction
 
     def __post_init__(self):
-        if self.psi.kind != KIND_KINF:
+        if not self.psi.unbounded:
             raise ValidationError("psi must be of class K-infinity")
-        if self.sigma.kind != KIND_KINF:
+        if not self.sigma.unbounded:
             raise ValidationError("sigma must be of class K-infinity")
 
     def rhs(self, r_state, r_input, t):
@@ -227,7 +218,7 @@ def derive_norm_to_integral(cert: ISSCertificate) -> NormToIntegralCertificate:
     most 1.  Returns the certificate (alpha, psi, sigma) =
     (xi_bar, xi2, xi1 o gamma).  gamma must be K-infinity so that sigma is.
     """
-    if cert.gamma.kind != KIND_KINF:
+    if not cert.gamma.unbounded:
         raise ValidationError(
             "deriving a norm-to-integral certificate needs a K-infinity gain")
     xi1, xi2 = sontag_factor_exponential(cert.beta)
@@ -243,51 +234,47 @@ def parse_comparison(text: str) -> ComparisonFunction:
     Inverse of :meth:`ComparisonFunction.describe`.  Raises
     :class:`ValidationError` on malformed tokens.
     """
-    expr, rest = _parse_expr(text.strip(), 0)
-    if rest != len(text.strip()):
-        raise ValidationError(f"trailing characters in comparison function {text!r}")
-    return expr
+    return _read_token(text, _FORMS)
 
 
-def _parse_expr(s: str, i: int) -> tuple[ComparisonFunction, int]:
-    j = i
-    while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-        j += 1
-    name = s[i:j]
-    if j >= len(s) or s[j] != "(":
-        raise ValidationError(f"expected '(' after {name!r} in comparison function")
-    j += 1
-    if name == "compose":
-        parts = []
-        while True:
-            part, j = _parse_expr(s, _skip_ws(s, j))
-            parts.append(part)
-            j = _skip_ws(s, j)
-            if j < len(s) and s[j] == ",":
-                j += 1
-                continue
-            break
-        if j >= len(s) or s[j] != ")":
-            raise ValidationError("unterminated compose(...) in comparison function")
-        return compose(*parts), j + 1
-    k = s.find(")", j)
-    if k < 0:
-        raise ValidationError(f"unterminated {name}(...) in comparison function")
-    raw = [a.strip() for a in s[j:k].split(",") if a.strip()]
+#: The forms a comparison-function token may call: each name's factory and
+#: its number of arguments, or None for compose, whose arguments are tokens.
+_FORMS = {"linear": (linear, 1), "power": (power, 2), "saturation": (saturation, 2),
+          "compose": (compose, None)}
+
+
+def _read_token(text: str, forms: dict):
+    """Read a ``name(arg, ...)`` token with Python's expression parser.
+
+    The token must be a call, without keywords, of a name in ``forms`` (see
+    ``_FORMS``); each numeric argument is read by ``float`` from its source
+    text.  Anything else raises :class:`ValidationError`, and so does an
+    expression the parser refuses, such as one with more than 200 nested
+    parentheses.
+    """
+    text = text.strip()
     try:
-        args = [float(a) for a in raw]
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:   # ValueError: a null byte on Python 3.10
+        raise ValidationError(f"malformed token: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):   # how the parser refuses a too deep expression
+        raise ValidationError("malformed token: nested too deeply") from None
+    return _build(tree.body, text, forms)
+
+
+def _build(node: ast.expr, text: str, forms: dict):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in forms and not node.keywords):
+        raise ValidationError(f"expected a call of {', '.join(forms)} without keywords, "
+                              f"got {ast.get_source_segment(text, node)!r}")
+    name = node.func.id
+    factory, arity = forms[name]
+    if arity is None:
+        return factory(*(_build(arg, text, forms) for arg in node.args))
+    if len(node.args) != arity:
+        raise ValidationError(f"{name}(...) takes {arity} argument(s), got {len(node.args)}")
+    try:
+        args = [float(ast.get_source_segment(text, arg)) for arg in node.args]
     except ValueError as exc:
         raise ValidationError(f"non-numeric argument in {name}(...): {exc}") from None
-    factories = {"linear": (linear, 1), "power": (power, 2), "saturation": (saturation, 2)}
-    if name not in factories:
-        raise ValidationError(f"unknown comparison-function form {name!r}")
-    fn, arity = factories[name]
-    if len(args) != arity:
-        raise ValidationError(f"{name}(...) takes {arity} argument(s), got {len(args)}")
-    return fn(*args), k + 1
-
-
-def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i].isspace():
-        i += 1
-    return i
+    return factory(*args)

@@ -51,8 +51,8 @@ from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
                        check_uls, draw_input, draw_state)
 from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
-                         NormToIntegralCertificate, derive_norm_to_integral, evaluate,
-                         linear, parse_comparison, power)
+                         NormToIntegralCertificate, _read_token, derive_norm_to_integral,
+                         evaluate, linear, parse_comparison, power)
 from .errors import DomainError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
                        build_datko, build_neg_inverse, dissipation_constants)
@@ -191,10 +191,7 @@ def _boolean(raw: str) -> bool:
 
 
 def _decay(raw: str) -> DecayEnvelope:
-    m = re.fullmatch(r"\s*decay\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*", raw)
-    if not m:
-        raise ValueError(f"expects decay(M, omega), got {raw!r}")
-    return DecayEnvelope(_number(m.group(1)), _number(m.group(2)))
+    return _read_token(raw, {"decay": (DecayEnvelope, 2)})
 
 
 def _one_of(*options: str):

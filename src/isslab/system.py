@@ -49,7 +49,6 @@ from .errors import DomainError, ValidationError
 
 CSV_FMT = ".17g"
 _ROW_BLOCK = 256   # grid rows per block of the flow evaluation
-_MIN_GROUP = 64    # rows a group of the flow kernel takes before it may end
 _BLOCK_CELLS = 2 ** 13  # rows times live width of a block: bounds its arrays
 # exp(-x) is exactly 0.0 for x >= 746: exp(-745.14) is already below half the
 # smallest subnormal 2**-1074, so it rounds to zero
@@ -371,18 +370,13 @@ class Trajectory:
 
 
 def _row_groups(width: np.ndarray) -> list[int]:
-    """Edges of groups of rows sorted by live width, cut where the width's
-    power-of-two class grows once a group has ``_MIN_GROUP`` rows (a short
-    grid stays one group), and into blocks of at most ``_ROW_BLOCK`` rows
-    and, down to ``_MIN_GROUP`` rows, ``_BLOCK_CELLS`` rows times width."""
-    edges = [0]
-    cls = np.frexp(width)[1]
-    for b in [*(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), width.size]:
-        cap = min(_ROW_BLOCK, max(_MIN_GROUP, _BLOCK_CELLS >> int(cls[b - 1])))
-        while b - edges[-1] > cap:
-            edges.append(edges[-1] + cap)
-        if b - edges[-1] >= _MIN_GROUP or b == width.size:
-            edges.append(b)
+    """Edges of blocks of rows sorted by live width: ``_ROW_BLOCK`` rows, or
+    fewer, down to one, where rows times the width of the block's last row
+    would pass ``_BLOCK_CELLS``."""
+    edges, rows = [0], np.arange(1, _ROW_BLOCK + 1)
+    while edges[-1] < width.size:
+        w = width[edges[-1]:edges[-1] + _ROW_BLOCK]   # nondecreasing, so the cells are too
+        edges.append(edges[-1] + max(1, np.count_nonzero(rows[:w.size] * w <= _BLOCK_CELLS)))
     return edges
 
 

@@ -27,7 +27,7 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
 from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
-from isslab.lyapunov import DEFAULT_DINI_H, c_of_epsilon, v_value
+from isslab.lyapunov import DEFAULT_DINI_H, v_value
 from isslab.system import _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
@@ -956,8 +956,7 @@ def test_dissipation_check_equals_the_per_pair_dini_estimates(sys):
     budget = SampleBudget(n_states=8, n_inputs=7, n_times=9, seed=13)
     op = build_datko(sys)
     good = dissipation_constants(op, sys, 0.5)
-    bad = replace(good, epsilon=1e-3, norm_AinvB=0.0,
-                  c_eps=c_of_epsilon(1e-3, good.norm_AstarP, good.norm_PA, 0.0, 1.0))
+    bad = replace(good, epsilon=1e-3, norm_AinvB=0.0)
     inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
     for params, violated in ((good, False), (bad, True)):
         reference, witness = [], None
@@ -1100,8 +1099,7 @@ def test_dissipation_refutes_a_constant_below_the_sharp_one_at_x_star(build):
     x_star = p * sys.b_coeffs / q
     params = dissipation_constants(op, sys, eps)
     gain = params.norm_AinvB * math.sqrt(0.97 * sharp / params.c_eps)
-    weak = replace(params, norm_AinvB=gain, c_eps=c_of_epsilon(
-        eps, params.norm_AstarP, params.norm_PA, gain, params.M))
+    weak = replace(params, norm_AinvB=gain)
     with _shared_samples(pair=(x_star, InputSignal.constant(1.0, BUDGET.horizon))):
         refuted = check_dissipation(sys, op, weak, BUDGET)
         held = check_dissipation(sys, op, params, BUDGET)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from isslab import (DecayEnvelope, DomainError, ISSCertificate, ValidationError,
                     compose, derive_norm_to_integral, evaluate, linear,
                     parse_comparison, power, saturation)
-from isslab.comparison import KIND_K, KIND_KINF, sontag_factor_exponential
+from isslab.comparison import sontag_factor_exponential
 
 
 def all_forms():
@@ -64,11 +64,11 @@ def test_nonpositive_parameters_rejected():
 
 
 def test_kind_bookkeeping():
-    assert linear(1.0).kind == KIND_KINF
-    assert power(2.0, 0.5).kind == KIND_KINF
-    assert saturation(1.0, 1.0).kind == KIND_K
-    assert compose(linear(1.0), power(1.0, 2.0)).kind == KIND_KINF
-    assert compose(linear(1.0), saturation(1.0, 1.0)).kind == KIND_K
+    assert linear(1.0).unbounded
+    assert power(2.0, 0.5).unbounded
+    assert not saturation(1.0, 1.0).unbounded
+    assert compose(linear(1.0), power(1.0, 2.0)).unbounded
+    assert not compose(linear(1.0), saturation(1.0, 1.0)).unbounded
 
 
 @pytest.mark.parametrize("f", [linear(0.7), power(2.0, 1.3), power(5.0, 0.25)])
@@ -201,6 +201,21 @@ def test_certificate_kind_constraints():
 
 @pytest.mark.parametrize("f", all_forms())
 def test_describe_parse_roundtrip(f):
+    assert parse_comparison(f.describe()) == f
+
+
+_params = st.floats(min_value=5e-324, max_value=1.7976931348623157e308,
+                   allow_nan=False, allow_infinity=False)
+_leaves = st.one_of(st.builds(linear, _params), st.builds(power, _params, _params),
+                    st.builds(saturation, _params, _params))
+_forms = st.recursive(_leaves, lambda parts: st.lists(parts, min_size=2, max_size=3).map(
+    lambda fs: compose(*fs)), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms)
+def test_every_described_token_reads_back_equal(f):
+    # every positive finite double, subnormals included, and any nesting
     assert parse_comparison(f.describe()) == f
 
 

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (SampleBudget, ScenarioError, Verdict, iss_margin, build_system,
-                    main, parse_scenario, run_scenario, ISSCertificate,
-                    DecayEnvelope, linear)
+from isslab import (SampleBudget, ScenarioError, ValidationError, Verdict, iss_margin,
+                    build_system, main, parse_comparison, parse_scenario, run_scenario,
+                    ISSCertificate, DecayEnvelope, linear)
 from isslab import checkers
-from isslab.harness import (_CHECKS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve, _work,
-                            bundled_scenario_path, load_scenario, read_witness,
+from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve,
+                            _work, bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
 from isslab.report import Witness
 from isslab.system import InputSignal, SpectralSystem
@@ -362,6 +362,23 @@ def test_cli_modes_override(tmp_path):
     assert len(header) == 2 + 8
 
 
+def test_cli_modes_keeps_the_leading_modes_of_an_explicit_spectrum(tmp_path, capsys):
+    assert main(["check", "diagonal_custom.scn", "--modes", "2",
+                 "--out", str(tmp_path / "cut")]) == 0
+    text = bundled_scenario_path("diagonal_custom.scn").read_text(encoding="utf-8")
+    text = text.replace("system.lambdas = 1.0, 3.0, 9.0, 27.0", "system.lambdas = 1.0, 3.0")
+    text = text.replace("system.b = 1.0, -1.0, 0.5, 2.0", "system.b = 1.0, -1.0")
+    path = tmp_path / "two_modes.scn"
+    path.write_text(text)
+    assert main(["check", str(path), "--out", str(tmp_path / "written")]) == 0
+    for name in ("margins.csv", "reports.txt"):
+        assert (tmp_path / "cut" / name).read_text() == (tmp_path / "written" / name).read_text()
+    capsys.readouterr()
+    assert main(["check", "diagonal_custom.scn", "--modes", "5",
+                 "--out", str(tmp_path / "five")]) == 2
+    assert "exceeds the 4 modes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["check", "simulate"])
 @pytest.mark.parametrize("scenario, modes", [("heat_iss.scn", "0"),
                                              ("diagonal_custom.scn", "0"),
@@ -481,6 +498,57 @@ def test_bounded_certificate_is_config_error(tmp_path, capsys, key):
     assert err.value.key == key
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+#: Malformed function tokens and the key each is given to.
+MALFORMED_TOKENS = {
+    "unclosed": ("certificate.gamma", "linear(1.0"),
+    "null_byte": ("certificate.gamma", "linear(1.0\x00)"),
+    "bare_name": ("certificate.gamma", "linear"),
+    "attribute_call": ("certificate.gamma", "os.system(1)"),
+    "keyword": ("certificate.gamma", "linear(c=1.0)"),
+    "unknown_form": ("certificate.gamma", "wavelet(1.0)"),
+    "arity": ("certificate.gamma", "power(1, 2, 3)"),
+    "numbers_in_compose": ("certificate.gamma", "compose(1.0, 2.0)"),
+    "token_as_number": ("certificate.gamma", "linear(power(1, 2))"),
+    "name_as_number": ("certificate.gamma", "linear(x)"),
+    "true": ("certificate.gamma", "True"),
+    "complex": ("certificate.gamma", "1j"),
+    "hex": ("certificate.gamma", "0x10"),
+    "hex_argument": ("certificate.gamma", "linear(0x10)"),
+    "leading_blank_argument": ("certificate.gamma", "linear(,1.0)"),
+    "double_comma": ("certificate.gamma", "linear(1.0,,)"),
+    # the parser refuses more than 200 nested parentheses, and an expression
+    # too deep for it without them
+    "compose_1200_deep": ("certificate.gamma",
+                          "compose(" * 1200 + "linear(1.0)" + ", linear(1.0))" * 1200),
+    "compose_201_parentheses": ("certificate.gamma",
+                                "compose(" * 200 + "linear(1.0)" + ", linear(1.0))" * 200),
+    "unary_100000_deep": ("certificate.gamma", "linear(" + "-" * 100000 + "1.0)"),
+    "sum_of_100000": ("certificate.gamma", "linear(" + "+".join(["1"] * 100000) + ")"),
+    "decay_arity": ("certificate.beta", "decay(1.0)"),
+    "decay_keywords": ("certificate.beta", "decay(M=1.0, omega=1.0)"),
+    "decay_name_as_number": ("certificate.beta", "decay(1.0, x)"),
+    "decay_unclosed": ("certificate.beta", "decay(1.0, 1.0"),
+    "decay_infinite": ("certificate.beta", "decay(inf, 1.0)"),
+    "decay_hex": ("certificate.beta", "decay(0x1, 1.0)"),
+    "gain_as_decay": ("certificate.beta", "linear(1.0)"),
+}
+
+
+@pytest.mark.parametrize("key, token", MALFORMED_TOKENS.values(), ids=MALFORMED_TOKENS.keys())
+def test_malformed_token_is_config_error(tmp_path, capsys, key, token):
+    with pytest.raises(ValidationError):
+        _PARSERS[key][1](token)
+    path = tmp_path / "bad.scn"
+    path.write_text(MINIMAL + f"{key} = {token}\n", encoding="utf-8")
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_200_nested_parentheses_read():
+    token = "compose(" * 199 + "linear(1.0)" + ", linear(1.0))" * 199
+    assert parse_comparison(token).describe() == token
 
 
 @pytest.mark.parametrize("text", [

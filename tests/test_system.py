@@ -13,7 +13,7 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
-from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _MIN_GROUP, _ROW_BLOCK,
+from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK,
                            _flow_norms, _flow_rows, _input_table, _row_groups,
                            _square_integrals)
 
@@ -391,12 +391,12 @@ def test_row_groups_cover_the_sorted_rows():
     assert edges[0] == 0 and edges[-1] == widths.size
     sizes = np.diff(edges)
     assert np.all(sizes > 0) and np.all(sizes <= _ROW_BLOCK)
-    assert np.all(sizes[:-1] >= _MIN_GROUP)
     # a wide group is cut short: rows times width stay within _BLOCK_CELLS
     w = widths[np.subtract(edges[1:], 1)]
-    assert np.all(sizes * w <= np.maximum(_BLOCK_CELLS, _MIN_GROUP * w))
+    assert np.all(sizes * w <= np.maximum(_BLOCK_CELLS, w))
     assert max(sizes * w) > _BLOCK_CELLS / 2
     assert _row_groups(np.arange(40)) == [0, 40]   # a short grid is one group
+    assert _row_groups(np.full(3, _BLOCK_CELLS + 1)) == [0, 1, 2, 3]   # never below one row
 
 
 @st.composite
