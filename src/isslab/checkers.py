@@ -11,9 +11,13 @@ states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
 system and budget shares one draw, and the pointwise checks (ISS, ULS, BRS,
 CEP and ULIM) share one flow sweep per sample set: one kernel call gives
 the norms of all states on every input's pointwise probe (the evaluation
-times plus the input's breakpoints), or, when ULIM runs on that budget too,
-on the union of the probe and the ULIM grid; each check takes its own
-columns of that one array when it reads them.  Every flow value is
+times plus the input's breakpoints), joined, when ULIM runs on that budget
+too, with ULIM's nodes, every ``ULIM_STRIDE``-th point of its fixed grid;
+each check takes its own columns of that one array when it reads them.
+ULIM sweeps the grid points between its nodes only where a pair's pick or
+first hit can be, in one more kernel call over all inputs: a lower
+enclosure of |phi| between two nodes (``system._enclosure``) rules the
+others out, and they read +inf (``_Samples.ulim``).  Every flow value is
 grid-free, so a shared column is that of a sweep on the check's own grid
 bit for bit, and a check called alone gives the same report (so does the
 integral table below).  Nothing outlives the block.
@@ -34,8 +38,8 @@ pair, and a check run there gives the pair's record of its full run bit for
 bit: ``isslab replay`` re-runs a witness's check so.  The single-sample
 functions ``iss_margin``, ``uls_margin`` and ``ulim_slack`` run the kernel
 on one pair at a time or grid of the caller's choosing.  ULIM's hitting
-time and BRS's empirical sup are read off the memoized sweep after it, and
-CEP reads its table off one sweep (see ``check_cep``).  ``report.conclude``,
+time is read off its norms after it, BRS's empirical sup off the memoized
+sweep, and CEP reads its table off one sweep (see ``check_cep``).  ``report.conclude``,
 the one place that picks a witness, is reached only from ``_sweep`` and
 CEP's table: the witness is the first pick whose margin is the smallest of
 those below their tolerance.
@@ -89,6 +93,25 @@ dissipation margin uses 1e-9 with scale = |x0|**2 + |u|_inf**2: against the
 same margin in exact rational arithmetic from the same floats its error is
 at most 2.6e-16 times (1 + scale) on the bundled scenarios, on the heat
 preset at a = 100, 1e10 and 1e-10 and at N = 256.
+
+ULIM rules a run of grid points out only when the slack of the lower bound
+sqrt(L) (1 - ENCLOSURE_REL - N u) - ENCLOSURE_ABS (|x0| + 2 |A^-1 B| |u|_inf)
+- sqrt(N) ENCLOSURE_FLOOR, u = 2**-53 and N modes, stays below the pick;
+the constants are 1e-12, 1e-12 and 2**-530.  The bound is derived from the
+kernel's arithmetic.  A kernel row computes mode k within about 1510 u of
+|x_k(a)| exp(-lambda_k s) + |g_k v|: its decay's argument lambda_k s <= 746
+carries 1492 u, np.exp 4 ulp (numpy's own tests hold it to 1), and the
+products and the sum 4 u.  Those terms have a norm of at most 1.001 times
+|x0| + 2 |A^-1 B| |u|_inf: an anchor state exceeds its exact bound
+|x0_k| + |g_k| |u|_inf by a factor of at most 1 + 3.4e-13 per anchor, so by
+1.001 below 2.9e9 anchors.  The error enters twice, at a run's ends and at
+each point: 3.4e-13 of that scale.  The sums of N squares and the square
+roots lose at most (N + 11) u, and squares that underflow at most
+sqrt(N) 2**-537.5 of a norm, twice.  Measured: over 1.78 million
+(state, run) bounds of 3,000 random heat sample sets (N from 1 to 256, a
+from 1e-3 to 1e4, with states that pass the origin) sqrt(L) exceeded the
+smallest norm on its run by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the
+scale.
 """
 
 from __future__ import annotations
@@ -105,15 +128,20 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _flow_norms, _flow_rows, _input_table,
-                     _square_integrals, build_time_grid, kappa_bounds, seeded_rng,
-                     state_norm)
+from .system import (InputSignal, SpectralSystem, _check_grid, _enclosure, _flow_norms,
+                     _flow_rows, _input_table, _square_integrals, build_time_grid,
+                     kappa_bounds, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
 EXACT_TOL = 1e-12     # closed-form integral comparisons
 COCYCLE_TOL = 1e-10   # relative cocycle deviation
 ULIM_GRID_POINTS = 513  # fixed hitting-time grid, independent of the budget
+ULIM_STRIDE = 16        # every 16th point of it is a node of the shared sweep
+#: the rounding margin of ULIM's enclosure (module docstring, Tolerances)
+ENCLOSURE_REL = 1e-12
+ENCLOSURE_ABS = 1e-12
+ENCLOSURE_FLOOR = 2.0 ** -530
 CEP_LEVELS = 4       # rows eps_j of the continuity table
 CEP_HALVINGS = 8     # candidate deltas eps_j / 2**i per row
 #: CEP reads its table off one sweep when the radius r and the bound
@@ -208,20 +236,22 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
 class _Samples:
     """A sample set: the states, their norms |x0| (a column) and the inputs.
 
-    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(kind, j)``
-    gives input j's grid and the flow norms of every state on it (rows), for
-    the budget's pointwise probe (``"probe"``: the evaluation times plus the
-    input's breakpoints below the horizon) or its ULIM grid (``"ulim"``);
-    the first request sweeps every input in one kernel call, on the union of
-    both grids with ``union`` set.  ``memo`` keeps each input's
-    int_0^t alpha(|phi|) table, and ``pairs`` is the stepper's pair table.
+    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(j)``
+    gives input j's pointwise probe (the evaluation times plus its
+    breakpoints below the horizon) and the flow norms of every state on it,
+    and ``ulim(levels)`` the norms on the ULIM grid that ``check_ulim``
+    reads.  Both read one kernel call over every input, made on the first
+    request: on the probes alone, or joined with ULIM's nodes, every
+    ``ULIM_STRIDE``-th point of the ULIM grid, when ``union`` is set or ULIM
+    asks first.  ``memo`` keeps each input's int_0^t alpha(|phi|) table,
+    and ``pairs`` is the stepper's pair table.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget=None, union=False):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
         self.r = np.array([[state_norm(x0)] for x0 in states])
         self._union = union
-        self._swept: dict[str, list] = {}
+        self._swept = None
         self._memo: dict[tuple, object] = {}
 
     @classmethod
@@ -237,27 +267,103 @@ class _Samples:
         x0s, which = np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
         return x0s, which, _input_table(self.inputs)
 
-    def sweep(self, kind: str, j: int) -> tuple:
-        """Input j's grid of ``kind`` and the flow norms of every state on it."""
-        if kind not in self._swept:
-            kinds = ("probe", "ulim") if self._union else (kind,)
+    def _flows(self, nodes: bool = False) -> tuple:
+        """The one kernel call: its norms, each input's grid and the offsets
+        of their columns, and each input's probe with its columns."""
+        if self._swept is None or (nodes and not self._union):
+            self._union |= nodes
             times, horizon = eval_times(self.budget), self.budget.horizon
-            grids = {"probe": [np.union1d(times, u.breakpoints[u.breakpoints < horizon])
-                               for u in self.inputs],
-                     "ulim": [ulim_grid(self.budget)] * len(self.inputs)}
-            swept = [np.unique(np.concatenate(gs)) for gs in zip(*(grids[k] for k in kinds))]
-            norms = _flow_norms(self.sys, self.states, self.inputs, swept)
-            off = np.cumsum([0] + [g.size for g in swept]).tolist()
-            for k in kinds:   # the columns in norms of each input's grid of kind k
-                self._swept[k] = norms, [(g, lo + np.searchsorted(grid, g))
-                                         for g, grid, lo in zip(grids[k], swept, off)]
-        norms, cols = self._swept[kind]
-        grid, at = cols[j]
+            probes = [np.union1d(times, u.breakpoints[u.breakpoints < horizon])
+                      for u in self.inputs]
+            grids = ([np.union1d(g, ulim_grid(self.budget)[::ULIM_STRIDE]) for g in probes]
+                     if self._union else probes)
+            norms = _flow_norms(self.sys, self.states, self.inputs, grids)
+            off = np.cumsum([0] + [g.size for g in grids])
+            self._swept = norms, grids, off, [(g, lo + np.searchsorted(grid, g))
+                                              for g, grid, lo in zip(probes, grids, off.tolist())]
+        return self._swept
+
+    def sweep(self, j: int) -> tuple:
+        """Input j's probe and the flow norms of every state on it."""
+        norms, _, _, probes = self._flows()
+        grid, at = probes[j]
         return grid, norms[:, at]
 
-    def sup(self, kind: str) -> float:
-        """The largest flow norm on the grids of ``kind``."""
-        return max(float(np.max(self.sweep(kind, j)[1])) for j in range(len(self.inputs)))
+    def sup(self) -> float:
+        """The largest flow norm on the probes."""
+        return max(float(np.max(self.sweep(j)[1])) for j in range(len(self.inputs)))
+
+    def ulim(self, levels) -> np.ndarray:
+        """The flow norms of each state (axis 0) and input (axis 1) on the
+        ULIM grid (axis 2) for ``check_ulim`` at level ``levels[j]`` with
+        input j: those of the full sweep bit for bit wherever a pair's pick
+        (its first best slack level - |phi|) or first hit (slack >= 0) can
+        be, and +inf at every other point, which reads as slack -inf.
+
+        The nodes are swept with the probes.  The other points lie in runs
+        between two adjacent nodes, where no breakpoint falls, so each
+        mode is monotone over a run, and ``system._enclosure`` bounds |phi|
+        on it from below by sqrt(L), less the rounding margin.  A run is
+        swept, in one more kernel call over all inputs, only when for some
+        state the slack of that bound reaches the state's best node slack
+        (or equals it before the node that holds it), or, before the
+        state's first node hit, reaches 0.  Refinement can only raise the
+        best slack, so one round is enough: no point of a pruned run can
+        hold a pick, a tie that comes first, or a first hit.
+        """
+        grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
+        norms, nodes, off, _ = self._flows(nodes=True)
+        n_states, n_inputs, n = len(self.states), len(self.inputs), grid.size
+        # each node's input and place on the ULIM grid, and whether it is a ULIM
+        # point; every input's nodes start at 0 and end at the horizon, as the grid
+        times, owner = np.concatenate(nodes), np.repeat(np.arange(n_inputs), np.diff(off))
+        at = np.searchsorted(grid, times)
+        on = grid[at] == times
+        # the runs of other points between two adjacent nodes: grid[first:last + 1]
+        first, last = at[:-1] + on[:-1], at[1:] - 1
+        runs = np.flatnonzero((first <= last) & (owner[:-1] == owner[1:]))
+        first, last, which = first[runs], last[runs], owner[runs]
+        cuts = np.searchsorted(which, np.arange(1, n_inputs))
+        lower = np.sqrt(_enclosure(self.sys, self.states, self.inputs,
+                                   np.split(grid[first], cuts), np.split(grid[last], cuts)))
+        # each pair's best node slack, the first node that holds it, and its first
+        # node hit, over the nodes that are ULIM points
+        slack, t_on, by = levels[owner[on]] - norms[:, on], times[on], owner[on]
+        starts = np.searchsorted(by, np.arange(n_inputs))
+        best = np.maximum.reduceat(slack, starts, axis=1)
+        first_best = np.minimum.reduceat(np.where(slack == best[:, by], t_on, np.inf), starts,
+                                         axis=1)
+        first_hit = np.minimum.reduceat(np.where(slack >= 0.0, t_on, np.inf), starts, axis=1)
+        # per state (rows) and run (columns), the largest slack the enclosure
+        # allows, less the rounding margin of the module docstring
+        n_modes = self.sys.n_modes
+        scale = self.r + 2.0 * self.sys.input_gain_norm * np.array(
+            [u.sup_norm for u in self.inputs])
+        bound = levels[which] - (lower * (1.0 - ENCLOSURE_REL - n_modes * 2.0 ** -53)
+                                 - ENCLOSURE_ABS * scale[:, which]
+                                 - math.sqrt(n_modes) * ENCLOSURE_FLOOR)
+        best, first_best, first_hit = best[:, which], first_best[:, which], first_hit[:, which]
+        start = grid[first]
+        # past 2**510 at a node, |phi| may overflow inside, where the full sweep raises
+        top = np.maximum.reduceat(norms, off[:-1], axis=1)[:, which]
+        pruned = (((bound < best) | ((bound <= best) & (start > first_best)))
+                  & ((bound < 0.0) | (start > first_hit)) & (top <= 2.0 ** 510))
+        refine = ~pruned.all(axis=0)
+        del lower, slack, bound, best, first_best, first_hit, top, pruned   # before the sweep
+        # the points of the runs to sweep, as indices of (input, point)
+        first, size, which = first[refine], (last - first + 1)[refine], which[refine]
+        points = (np.repeat(which * n + first - np.cumsum(size) + size, size)
+                  + np.arange(size.sum()))
+        if points.size:   # swept before out is made, which would raise the peak
+            keep = np.unique(which)
+            refined = _flow_norms(self.sys, self.states, [self.inputs[j] for j in keep],
+                                  np.split(grid[points % n], np.searchsorted(points // n,
+                                                                             keep[1:])))
+        out = np.full((n_states, n_inputs * n), np.inf)
+        out[:, owner[on] * n + at[on]] = norms[:, on]
+        if points.size:
+            out[:, points] = refined
+        return out.reshape(n_states, n_inputs, n)
 
     def memo(self, key: tuple, make):
         """``make()``, made once per ``key`` on this sample set."""
@@ -354,14 +460,9 @@ def _norms(probe):
     def lhs(samples, j):
         u = samples.inputs[j]
         grid, times = probe(u)
-        norms = _flow_norms(samples.sys, samples.states, [u], [grid])
+        norms = _flow_norms(samples.sys, samples.states, [u], [_check_grid(grid)])
         return times, norms[:, _grid_indices(grid, times)]
     return lhs
-
-
-def _swept(kind: str):
-    """lhs |phi| on the sample set's shared sweep of ``kind``."""
-    return lambda samples, j: samples.sweep(kind, j)
 
 
 def _at_time(t: float):
@@ -435,7 +536,7 @@ def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
-    return _sweep(CheckProperty.ISS, _samples(sys, budget), _swept("probe"),
+    return _sweep(CheckProperty.ISS, _samples(sys, budget), _Samples.sweep,
                   _iss_bound(cert))
 
 
@@ -453,7 +554,7 @@ def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
 def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
               gamma_fn: ComparisonFunction, budget: SampleBudget) -> StabilityReport:
     """Static bound sigma(|x0|) + gamma(|u|) over the budget's ball."""
-    return _sweep(CheckProperty.ULS, _samples(sys, budget), _swept("probe"),
+    return _sweep(CheckProperty.ULS, _samples(sys, budget), _Samples.sweep,
                   _uls_bound(sigma_fn, gamma_fn))
 
 
@@ -477,18 +578,23 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     n_times) so that enlarging a budget can only add samples, never change
     the per-sample search; the empirical uniform hitting time tau is the
     maximum first-hit time over the samples and is reported in the notes.
+    The norms on the grid come from ``_Samples.ulim``: every point that can
+    hold a pair's pick or first hit is swept, the others read +inf, so the
+    records, the witness and tau are those of the full sweep bit for bit.
     """
     _require_positive(eps=eps)
     samples, level = _samples(sys, budget), _ulim_level(gamma_fn, eps)
-    report = _sweep(CheckProperty.ULIM, samples, _swept("ulim"), level, best=True,
-                    tol=lambda r, u: 0.0)
+    grid = ulim_grid(budget)
+    levels = [level(samples.r, u, grid) for u in samples.inputs]
+    norms = samples.ulim(levels)
+    report = _sweep(CheckProperty.ULIM, samples, lambda _, j: (grid, norms[:, j]), level,
+                    best=True, tol=lambda r, u: 0.0)
     tau_hat = 0.0
-    for j, u in enumerate(samples.inputs):
-        times, norms = samples.sweep("ulim", j)
-        hits = level(samples.r, u, times) - norms >= 0.0
+    for j, at_level in enumerate(levels):
+        hits = at_level - norms[:, j] >= 0.0
         if not hits.any(axis=1).all():
             return replace(report, notes="horizon exhausted for some sample")
-        tau_hat = max(tau_hat, float(np.max(times[np.argmax(hits, axis=1)])))
+        tau_hat = max(tau_hat, float(np.max(grid[np.argmax(hits, axis=1)])))
     return replace(report, notes=f"tau_hat={tau_hat!r}")
 
 
@@ -520,7 +626,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     gain = sys.input_gain_norm
     scaled = (_CEP_SCALED_RANGE[0] <= budget.radius
               and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
-    sup = _samples(sys, local).sup("probe") if scaled else None
+    sup = _samples(sys, local).sup() if scaled else None
     picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
@@ -530,7 +636,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
             margin = eps_j - sup * 2.0 ** -(j + i) if scaled else -math.inf
             if margin < 0.0 and (i == CEP_HALVINGS or not scaled):
                 level = _sweep(CheckProperty.CEP, _samples(sys, replace(local, radius=delta)),
-                               _swept("probe"), lambda r, u, t: eps_j, tol=lambda r, u: 0.0)
+                               _Samples.sweep, lambda r, u, t: eps_j, tol=lambda r, u: 0.0)
                 margin, witness = level.worst_margin, level.witness
             if margin >= 0.0:
                 chosen_delta = delta
@@ -552,9 +658,9 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     _require_positive(C=C, tau=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
-    report = _sweep(CheckProperty.BRS, samples, _swept("probe"), lambda r, u, t: bound,
+    report = _sweep(CheckProperty.BRS, samples, _Samples.sweep, lambda r, u, t: bound,
                     tol=lambda r, u: _tol(bound))
-    sup = samples.sup("probe")
+    sup = samples.sup()
     return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 
@@ -617,7 +723,7 @@ def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.
     breakpoints, summed cumulatively, plus the piece after the last one
     below t (the zero tail after the last breakpoint adds nothing)."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
+    if (times < 0.0).any():
         raise DomainError("inputs are defined on t >= 0")
     bp = u.breakpoints
     levels = np.append(evaluate(sigma_fn, np.abs(u.values)), 0.0)

@@ -106,7 +106,7 @@ def evaluate(f: ComparisonFunction, r):
     :class:`DomainError`.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError("comparison functions are defined on r >= 0")
     out = _eval(f, arr)
     if np.isscalar(r) or arr.ndim == 0:

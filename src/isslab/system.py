@@ -183,9 +183,9 @@ class InputSignal:
         vals = _freeze(np.atleast_1d(self.values) if np.size(self.values) else np.empty(0))
         if bp.size < 1 or bp[0] != 0.0:
             raise ValidationError("breakpoints must start at 0")
-        if np.any(np.diff(bp) <= 0.0):
+        if (np.diff(bp) <= 0.0).any():
             raise ValidationError("breakpoints must be strictly increasing")
-        if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(vals)):
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
             raise ValidationError("breakpoints and values must be finite")
         if vals.size != bp.size - 1:
             raise ValidationError("values must have one entry per segment")
@@ -380,16 +380,47 @@ def _row_groups(width: np.ndarray) -> list[int]:
     return edges
 
 
+def _live_width(sys: SpectralSystem, dt: np.ndarray) -> np.ndarray:
+    """The live width #{k : lambda_k dt <= _EXP_FLUSH} of rows dt after their
+    anchor: every mode at dt = 0, and at a dt so small that the quotient
+    overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
+
+
+def _row_anchors(sys: SpectralSystem, x0s, inputs, grids) -> tuple:
+    """The anchor states of the stack ``x0s`` for ``inputs``
+    (``_anchor_states``), and for each time of each input's grid (rows, one
+    grid after another) the index of its anchor state there, its input value
+    and its anchor's time: the last breakpoint below the time, or 0."""
+    bps, vals = _input_table(inputs)
+    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs,
+                                               [grid[-1] if grid.size else 0.0 for grid in grids])
+    # checked here: a dead mode never reads its anchor state, so its overflow
+    # would not reach the norms
+    if not np.isfinite(anchor_states).all():
+        raise ValidationError("trajectory states must be finite")
+    most = len(starts)   # each input's anchors: 0, then 1 + starts[a - 1] + its place in by
+    slot = np.zeros((len(by), most), dtype=int)
+    slot[by, 1:] = 1 + np.add.outer(np.arange(len(by)), starts[:-1])
+    # input j's breakpoints below t (none past its end is)
+    seg = np.concatenate([j * most + np.maximum(np.searchsorted(bps[j], grid) - 1, 0)
+                          for j, grid in enumerate(grids)])
+    return (anchor_states, slot.ravel()[seg], vals[:, :most].ravel()[seg],
+            bps[:, :most].ravel()[seg])
+
+
 def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndarray:
     """|phi(t, x0s[s], inputs[j])| for each state s (rows) and each time t
     of each input's grid ``grids[j]`` (columns, one grid after another);
     given ``states`` of shape (len(x0s), columns, n_modes), the flows
     themselves are written there too.
 
-    Each grid must be one-dimensional, nonempty, start at 0 and strictly
-    increase, and every state must have shape (n_modes,).  Each row runs
-    from the last anchor below its time (``_anchor_states``), as in
-    ``mild_solution``.  A row dt after its anchor has the live width
+    Each grid must be one-dimensional, strictly increasing and nonnegative
+    (``_check_grid`` refuses any other grid of a caller's choosing), and
+    every state must have shape (n_modes,).  Each row runs from the last
+    anchor below its time (``_anchor_states``), as in ``mild_solution``.  A
+    row dt after its anchor has the live width
     W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has decayed to
     exactly 0.0 and holds its forced value g_k v, the same for every state.
     The rows of all inputs are sorted by W together and cut into groups
@@ -398,62 +429,106 @@ def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndar
     and each state's pass gathers, decays and squares only those columns.
     Each norm is still ``np.add.reduce`` over the whole row of squares, so
     it is ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and
-    a state or an input gives the same bits alone as in a stack.
+    a state, an input or a time gives the same bits alone as in a stack.
     """
     grids = [np.asarray(grid, dtype=float) for grid in grids]
-    for grid in grids:
-        if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
-            raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("grid must be strictly increasing")
     if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    bps, vals = _input_table(inputs)
-    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs,
-                                               [grid[-1] for grid in grids])
-    # checked here: a dead mode never reads its anchor state, so its overflow
-    # would not reach the norms
-    if not np.all(np.isfinite(anchor_states)):
-        raise ValidationError("trajectory states must be finite")
-    most = len(starts)   # each input's anchors: 0, then 1 + starts[a - 1] + its place in by
-    slot = np.zeros((len(by), most), dtype=int)
-    slot[by, 1:] = 1 + np.add.outer(np.arange(len(by)), starts[:-1])
-    # each row's (input, anchor): input j's breakpoints below t (none past its end is)
-    seg = np.concatenate([j * most + np.maximum(np.searchsorted(bps[j], grid) - 1, 0)
-                          for j, grid in enumerate(grids)]).astype(np.min_scalar_type(slot.size))
-    slot, bps, vals = slot.ravel(), bps[:, :most].ravel(), vals[:, :most].ravel()
-    dt = np.concatenate(grids)
-    dt -= bps[seg]
-    with np.errstate(divide="ignore", over="ignore"):   # dt = 0 or tiny: every mode
-        width = np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
+    anchor_states, at, v, anchor = _row_anchors(sys, x0s, inputs, grids)
+    dt = np.concatenate(grids) - anchor
+    width = _live_width(sys, dt)
     # the rows in order of width; a group computes some rows past their width
     order = np.argsort(width, kind="stable").astype(np.min_scalar_type(dt.size))
-    width, seg, dt = width[order].astype(np.min_scalar_type(sys.n_modes)), seg[order], dt[order]
+    width = width[order].astype(np.min_scalar_type(sys.n_modes))
+    at, v, dt = at[order], v[order], dt[order]
     np.minimum(dt, sys._settle, out=dt)
     gain, norms = sys.input_gain_coeffs, np.empty((len(x0s), dt.size))
     edges = _row_groups(width)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rows, sg, w = order[lo:hi], seg[lo:hi], int(width[hi - 1])
-        v, at = vals[sg, None], slot[sg]
-        decay, forced = _decay_forced(sys, dt[lo:hi, None], v, w)
-        tail = gain[w:] * v   # the forced term g v (1 - 0.0), bit for bit
+        rows, ag, w, vv = order[lo:hi], at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
+        decay, forced = _decay_forced(sys, dt[lo:hi, None], vv, w)
+        tail = gain[w:] * vv   # the forced term g v (1 - 0.0), bit for bit
         squares = np.empty((hi - lo, sys.n_modes))
         np.multiply(tail, tail, out=squares[:, w:])
         sums = np.empty((len(x0s), hi - lo))
         for s in range(len(x0s)):
-            live = anchor_states[at, s, :w]   # a copy, updated in place
+            live = anchor_states[ag, s, :w]   # a copy, updated in place
             live *= decay
             live += forced
             if states is not None:
                 states[s, rows, :w] = live
-                states[s, rows, w:] = anchor_states[at, s, w:] * 0.0 + tail
+                states[s, rows, w:] = anchor_states[ag, s, w:] * 0.0 + tail
             np.multiply(live, live, out=squares[:, :w])
             np.add.reduce(squares, axis=1, out=sums[s])
         norms[:, rows] = np.sqrt(sums, out=sums)
         del decay, forced, tail, squares, live   # before the next group's are made
-    if not np.all(np.isfinite(norms)):
+    if not np.isfinite(norms).all():
         raise ValidationError("trajectory states must be finite")
     return norms
+
+
+def _enclosure(sys: SpectralSystem, x0s, inputs, los, his) -> np.ndarray:
+    """A lower bound of |phi|**2 on each run [lo, hi] of each input j,
+    lo = los[j][i] <= hi = his[j][i] with no breakpoint of the input in
+    [lo, hi), for each state of the stack ``x0s`` (rows; columns, one input's
+    runs after another):
+
+        L = sum_k [p_k(lo) p_k(hi) > 0] min(p_k(lo)**2, p_k(hi)**2),
+
+    p(t) the formula of a kernel row at t from the run's anchor a, the last
+    breakpoint below hi.  Every mode, d_k exp(-lambda_k (t - a)) + g_k v, is
+    monotone in t on the run, so |phi(t)|**2 >= L there, up to the rounding
+    that ``checkers`` bounds.  As in the kernel, the runs are sorted by their
+    live width at lo and cut into groups; the modes dead at lo hold g_k v on
+    the whole run, and their part is v**2 sum_{k >= W} g_k**2.
+    """
+    anchor_states, at, v, anchor = _row_anchors(sys, x0s, inputs, his)
+    dt_lo = np.concatenate(los) - anchor
+    dt_hi = np.concatenate(his) - anchor
+    width = _live_width(sys, dt_lo)
+    order = np.argsort(width, kind="stable")
+    width, at, v = width[order], at[order], v[order]
+    dt_lo, dt_hi = (np.minimum(dt[order], sys._settle) for dt in (dt_lo, dt_hi))
+    gain = sys.input_gain_coeffs
+    dead = np.sqrt(np.append(np.cumsum(gain[::-1] ** 2)[::-1], 0.0))   # |g_{W..N}|
+    out = np.empty((len(x0s), order.size))
+    edges = _row_groups(width)
+    # a square overflows only past 2**510 at a node, where checkers sweeps the
+    # run anyway; a NaN reads as no bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ag, w, vv = at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
+            decay_lo, forced_lo = _decay_forced(sys, dt_lo[lo:hi, None], vv, w)
+            decay_hi, forced_hi = _decay_forced(sys, dt_hi[lo:hi, None], vv, w)
+            sums = np.empty((len(x0s), hi - lo))
+            for s in range(len(x0s)):
+                p, q = anchor_states[ag, s, :w], anchor_states[ag, s, :w]
+                p *= decay_lo
+                p += forced_lo
+                q *= decay_hi
+                q += forced_hi
+                # min(|p|, |q|) where p and q have one sign, else 0
+                low = np.minimum(p, q)
+                np.maximum(p, q, out=q)
+                np.negative(q, out=q)
+                np.maximum(low, q, out=low)
+                np.maximum(low, 0.0, out=low)
+                low *= low
+                np.add.reduce(low, axis=1, out=sums[s])
+            sums += np.square(np.abs(v[lo:hi]) * dead[w])
+            out[:, order[lo:hi]] = sums
+    return out
+
+
+def _check_grid(grid) -> np.ndarray:
+    """A caller's sampling grid: one-dimensional, nonempty, starting at 0
+    and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
+        raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
+    if (np.diff(grid) <= 0.0).any():
+        raise ValidationError("grid must be strictly increasing")
+    return grid
 
 
 def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
@@ -461,7 +536,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
 
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     states = np.empty((1, grid.size, sys.n_modes))
     _flow_norms(sys, [x0], [u], [grid], states)
     return Trajectory(times=grid, states=states[0], system=sys, input=u)
@@ -485,7 +560,7 @@ def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.nda
     times = np.asarray(times, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != sys.n_modes:
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    if times.ndim != 1 or times.size < 1 or np.any(times < 0.0):
+    if times.ndim != 1 or times.size < 1 or (times < 0.0).any():
         raise DomainError("integrals are taken over [0, t] with t >= 0")
     lam, gain = sys.lambdas, sys.input_gain_coeffs
     stepped = _anchor_states(sys, x0s, [u], [np.max(times)])[0]
@@ -502,7 +577,7 @@ def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.nda
     cum = np.concatenate([np.zeros((1, x0s.shape[0])), full])
     seg = np.maximum(np.searchsorted(anchors, times) - 1, 0)
     out = (cum[seg] + pieces(seg, times - anchors[seg])).T
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValidationError("trajectory states must be finite")
     return out
 

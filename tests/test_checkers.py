@@ -23,7 +23,7 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
                              _Samples, _grid_indices, _input_integrals, _integrals, _norms,
                              _one, _prefix_integrals, _segment_starts, _shared_samples,
-                             _simpson_integrals, _sweep, _swept, eval_times, ulim_grid)
+                             _simpson_integrals, _sweep, eval_times, ulim_grid)
 from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
@@ -342,6 +342,108 @@ def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
     assert brs.notes == _brs_notes(sys, 1.0, horizon, budget)
 
 
+def _ulim_reference(sys, gamma_fn, eps, samples):
+    """check_ulim as stated: every pair's norms on all 513 points of the
+    ULIM grid, from one full kernel sweep."""
+    grid = ulim_grid(samples.budget)
+    norms = checkers._flow_norms(sys, samples.states, samples.inputs,
+                                 [grid] * len(samples.inputs))
+    rows = norms.reshape(len(samples.states), len(samples.inputs), grid.size)
+
+    def level(r, u, t):
+        return eps + evaluate(gamma_fn, u.sup_norm)
+    report = _sweep(CheckProperty.ULIM, samples, lambda _, j: (grid, rows[:, j]), level,
+                    best=True, tol=lambda r, u: 0.0)
+    firsts = []
+    for j, u in enumerate(samples.inputs):
+        hits = level(None, u, grid) - rows[:, j] >= 0.0
+        if not hits.any(axis=1).all():
+            return replace(report, notes="horizon exhausted for some sample")
+        firsts.append(float(np.max(grid[np.argmax(hits, axis=1)])))
+    return replace(report, notes=f"tau_hat={max(firsts)!r}")
+
+
+def _assert_same_bits(got, want):
+    """Equal notes and verdict, and every record and the witness bit for bit."""
+    assert (got.notes, got.verdict, got.samples_checked) == (
+        want.notes, want.verdict, want.samples_checked)
+    key = [(r.sample_index, r.t, r.margin) for r in (*got.margins, *want.margins)]
+    bits = np.array([[i, *np.array([t, m]).view(np.int64)] for i, t, m in key])
+    assert np.array_equal(bits[:len(got.margins)], bits[len(got.margins):])
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        for a, b in [(got.witness.x0, want.witness.x0),
+                     (got.witness.input.breakpoints, want.witness.input.breakpoints),
+                     (got.witness.input.values, want.witness.input.values),
+                     ([got.witness.t, got.witness.margin], [want.witness.t, want.witness.margin])]:
+            assert np.array_equal(np.asarray(a, float).view(np.int64),
+                                  np.asarray(b, float).view(np.int64))
+
+
+@st.composite
+def _ulim_cases(draw):
+    """A heat system, a budget, gamma and eps, and one chosen pair: an input
+    with breakpoints on and off the ULIM grid, and a state whose first modes
+    pass the origin together at t_star under the input's first value."""
+    sys = heat(draw(st.sampled_from([1, 8, 64, 256])), draw(st.sampled_from([1e-3, 1.0, 1e4])))
+    horizon = draw(st.sampled_from([0.01, 0.5, 2.0, 7.0]))
+    radius = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    budget = SampleBudget(n_states=draw(st.integers(1, 5)), n_inputs=draw(st.integers(1, 4)),
+                          n_times=draw(st.sampled_from([1, 9, 33])), horizon=horizon,
+                          radius=radius, seed=draw(st.integers(0, 2 ** 32)))
+    grid = ulim_grid(budget)
+    on = grid[sorted(draw(st.sets(st.integers(1, 511), max_size=4)))]
+    off = horizon * np.array(draw(st.lists(st.floats(0.001, 0.999), max_size=3)))
+    end = horizon * draw(st.sampled_from([0.5, 1.0, 1.5]))
+    bps = np.unique(np.concatenate([[0.0], on, off, [end]]))
+    values = radius * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=bps.size - 1,
+                                             max_size=bps.size - 1)))
+    u = InputSignal.piecewise(bps, values)
+    t_star = horizon * draw(st.floats(0.0, 1.0))
+    grow = np.minimum(sys.lambdas * t_star, 30.0)   # the modes past 30 start at 0
+    x0 = np.where(grow < 30.0, sys.input_gain_coeffs * values[0] * -np.expm1(grow), 0.0)
+    gamma_fn = linear(draw(st.sampled_from([1e-3, 0.1, 1.0])))
+    level = draw(st.one_of(st.sampled_from(["below", "above", "mid"]), st.integers(0, 512)))
+    return sys, budget, (x0, u), gamma_fn, level
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_ulim_cases())
+def test_ulim_matches_the_full_sweep_bit_for_bit(case):
+    sys, budget, pair, gamma_fn, level = case
+    samples = _Samples.draw(sys, budget)
+    one = _Samples(sys, [pair[0]], [pair[1]], budget)
+    norms = checkers._flow_norms(sys, samples.states, samples.inputs,
+                                 [ulim_grid(budget)] * len(samples.inputs))
+    # the norm at a grid point of the last state with input 0, the zero input,
+    # where gamma adds 0.0 (slack 0.0 there, a tie with every equal norm);
+    # below every norm but 0; so far above every norm that level - |phi|
+    # rounds to the level wherever |phi| has decayed (ties again)
+    if isinstance(level, int):
+        eps = float(norms[-1, level])
+    else:
+        eps = {"below": 1e-300, "above": 1e6, "mid": float(np.median(norms))}[level]
+    eps = eps or 0.5   # eps must be positive; the origin's norm is 0.0
+    want, want_one = (_ulim_reference(sys, gamma_fn, eps, s) for s in (samples, one))
+    _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want)
+    with _shared_samples(ulim=[budget]):
+        check_iss(sys, heat_cert(), budget)
+        _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want)
+    with _shared_samples(pair=pair):
+        _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want_one)
+
+
+def test_ulim_raises_where_the_full_sweep_overflows_between_nodes():
+    # mode 1 decays slowly from the radius, mode 2 rises within 1e-4 to the
+    # constant input's value: on that pair |phi| is about 1.2 r at the first
+    # grid points, where its squares overflow, and about r at every node,
+    # and the enclosure alone would rule those points out
+    sys = SpectralSystem(np.array([100.0, 1e5]), np.array([0.0, 1e5]))
+    budget = SampleBudget(n_states=2, n_inputs=2, n_times=1, radius=1.2e154)
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
+        check_ulim(sys, linear(1e-300), 0.1, budget)
+
+
 def test_ulim_rejects_nan_eps():
     with pytest.raises(DomainError):
         check_ulim(heat(8), linear(1.0), math.nan, BUDGET)
@@ -421,7 +523,7 @@ def _cep_reference(sys, budget, h):
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
             samples = _Samples.draw(sys, replace(budget, radius=delta, horizon=h))
-            level = _sweep(CheckProperty.CEP, samples, _swept("probe"),
+            level = _sweep(CheckProperty.CEP, samples, _Samples.sweep,
                            lambda r, u, t, e=eps_j: e, tol=lambda r, u: 0.0)
             if level.witness is None:
                 chosen = delta

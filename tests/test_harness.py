@@ -750,10 +750,10 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
             drawn[kind, args[-2], args[-1]] += 1   # (kind, budget, index)
             return draw(*args)
         return wrapper
-    swept = []   # per kernel call: its inputs, and whether every grid holds the ULIM grid
+    swept = []   # per kernel call: its inputs and their grids
 
     def counted_sweep(sys, x0s, inputs, grids):
-        swept.append((inputs, all(np.all(np.isin(ulim_grid, g)) for g in grids)))
+        swept.append((inputs, grids))
         return flow_norms(sys, x0s, inputs, grids)
     flow_norms = checkers._flow_norms
     monkeypatch.setattr(checkers, "draw_state", counted(checkers.draw_state, "state"))
@@ -766,12 +766,19 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
     assert drawn == {**{("state", x, i): 1 for x in (b, cep) for i in range(b.n_states)},
                      **{("input", x, j): 1 for x in (b, cep) for j in range(b.n_inputs)}}
-    # one kernel call per sample set, over all of its inputs: iss, uls, ulim
-    # and brs read one sweep on the union of the probe and the ULIM grid, cep
-    # one of its own
-    assert [(len(inputs), union) for inputs, union in swept] == [(b.n_inputs, True),
-                                                                 (b.n_inputs, False)]
-    assert len({id(u) for inputs, _ in swept for u in inputs}) == 2 * b.n_inputs
+    # on s.budget one node call over all inputs, each grid holding ULIM's nodes,
+    # which iss, uls, ulim and brs read, and at most one refinement call, on
+    # ULIM points between the nodes of some of those inputs; cep one call of its own
+    (inputs, nodes), *refined, (cep_inputs, _) = swept
+    assert len(inputs) == len(cep_inputs) == b.n_inputs and len(refined) <= 1
+    every = ulim_grid[::checkers.ULIM_STRIDE]
+    assert all(np.isin(every, g).all() for g in nodes)
+    ids = [id(u) for u in inputs]
+    for some, grids in refined:
+        assert len(some) == len(grids)
+        for u, g in zip(some, grids):
+            assert np.isin(g, ulim_grid).all() and not np.isin(g, nodes[ids.index(id(u))]).any()
+    assert len({id(u) for u in (*inputs, *cep_inputs)}) == 2 * b.n_inputs
     # nothing is kept between runs: the next run draws every sample again
     run_scenario(s, str(tmp_path))
     assert set(drawn.values()) == {2}
