@@ -11,16 +11,16 @@ states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
 system and budget shares one draw, and the pointwise checks (ISS, ULS, BRS,
 CEP and ULIM) share one flow sweep per sample set: one kernel call gives
 the norms of all states on every input's pointwise probe (the evaluation
-times plus the input's breakpoints), joined, when ULIM runs on that budget
-too, with ULIM's nodes, every ``ULIM_STRIDE``-th point of its fixed grid;
-each check takes its own columns of that one array when it reads them.
-ULIM sweeps the grid points between its nodes only where a pair's pick or
-first hit can be, in one more kernel call over all inputs: a lower
-enclosure of |phi| between two nodes (``system._enclosure``) rules the
-others out, and they read +inf (``_Samples.ulim``).  Every flow value is
-grid-free, so a shared column is that of a sweep on the check's own grid
-bit for bit, and a check called alone gives the same report (so does the
-integral table below).  Nothing outlives the block.
+times plus the input's breakpoints), and each check takes its own columns
+of that one array.  The probe's points are ULIM's nodes: ULIM sweeps the
+points of its fixed grid between two nodes, in one more kernel call over
+all inputs, only where a lower enclosure of |phi| (``system._enclosure``)
+leaves room for a pair's pick or first hit, and the others read +inf
+(``_Samples.ulim``).  Every kernel pass reads the set's anchor states,
+stepped once (``_Samples.table``).  Every flow value is grid-free, so a
+shared column is that of a sweep on the check's own grid bit for bit, and
+a check called alone gives the same report (so does the integral table
+below).  Nothing outlives the block.
 
 One kernel.  Every check with one pick per (state, input) runs ``_sweep``.
 The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
@@ -120,6 +120,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,16 +129,15 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _check_grid, _enclosure, _flow_norms,
-                     _flow_rows, _input_table, _square_integrals, build_time_grid,
-                     kappa_bounds, seeded_rng, state_norm)
+from .system import (InputSignal, SpectralSystem, _anchor_table, _check_grid, _enclosure,
+                     _flow_norms, _flow_rows, _input_table, _square_integrals,
+                     build_time_grid, kappa_bounds, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
 EXACT_TOL = 1e-12     # closed-form integral comparisons
 COCYCLE_TOL = 1e-10   # relative cocycle deviation
 ULIM_GRID_POINTS = 513  # fixed hitting-time grid, independent of the budget
-ULIM_STRIDE = 16        # every 16th point of it is a node of the shared sweep
 #: the rounding margin of ULIM's enclosure (module docstring, Tolerances)
 ENCLOSURE_REL = 1e-12
 ENCLOSURE_ABS = 1e-12
@@ -236,28 +236,25 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
 class _Samples:
     """A sample set: the states, their norms |x0| (a column) and the inputs.
 
-    Pair ``i * len(inputs) + j`` is state i with input j.  ``sweep(j)``
+    Pair ``i * len(inputs) + j`` is state i with input j.  ``table`` holds
+    the anchor states of every input up to the horizon, stepped once for
+    every kernel pass on the set (``system._anchor_table``).  ``sweep(j)``
     gives input j's pointwise probe (the evaluation times plus its
     breakpoints below the horizon) and the flow norms of every state on it,
-    and ``ulim(levels)`` the norms on the ULIM grid that ``check_ulim``
-    reads.  Both read one kernel call over every input, made on the first
-    request: on the probes alone, or joined with ULIM's nodes, every
-    ``ULIM_STRIDE``-th point of the ULIM grid, when ``union`` is set or ULIM
-    asks first.  ``memo`` keeps each input's int_0^t alpha(|phi|) table,
-    and ``pairs`` is the stepper's pair table.
+    from one kernel call over every input, whose points ``ulim(levels)``
+    takes as nodes.  ``memo`` keeps each input's int_0^t alpha(|phi|)
+    table, and ``pairs`` is the stepper's pair table.
     """
 
-    def __init__(self, sys: SpectralSystem, states, inputs, budget=None, union=False):
+    def __init__(self, sys: SpectralSystem, states, inputs, budget=None):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
         self.r = np.array([[state_norm(x0)] for x0 in states])
-        self._union = union
-        self._swept = None
         self._memo: dict[tuple, object] = {}
 
     @classmethod
-    def draw(cls, sys: SpectralSystem, budget: SampleBudget, union=False) -> "_Samples":
+    def draw(cls, sys: SpectralSystem, budget: SampleBudget) -> "_Samples":
         return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
-                   [draw_input(budget, j) for j in range(budget.n_inputs)], budget, union)
+                   [draw_input(budget, j) for j in range(budget.n_inputs)], budget)
 
     @property
     def pairs(self) -> tuple:
@@ -267,31 +264,28 @@ class _Samples:
         x0s, which = np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
         return x0s, which, _input_table(self.inputs)
 
-    def _flows(self, nodes: bool = False) -> tuple:
-        """The one kernel call: its norms, each input's grid and the offsets
-        of their columns, and each input's probe with its columns."""
-        if self._swept is None or (nodes and not self._union):
-            self._union |= nodes
-            times, horizon = eval_times(self.budget), self.budget.horizon
-            probes = [np.union1d(times, u.breakpoints[u.breakpoints < horizon])
-                      for u in self.inputs]
-            grids = ([np.union1d(g, ulim_grid(self.budget)[::ULIM_STRIDE]) for g in probes]
-                     if self._union else probes)
-            norms = _flow_norms(self.sys, self.states, self.inputs, grids)
-            off = np.cumsum([0] + [g.size for g in grids])
-            self._swept = norms, grids, off, [(g, lo + np.searchsorted(grid, g))
-                                              for g, grid, lo in zip(probes, grids, off.tolist())]
-        return self._swept
+    @cached_property
+    def table(self) -> tuple:
+        return _anchor_table(self.sys, self.states, self.inputs,
+                             [self.budget.horizon] * len(self.inputs))
+
+    @cached_property
+    def _flows(self) -> tuple:
+        """The one kernel call: each input's probe, the norms on all of them
+        and the offsets of each input's columns."""
+        times, horizon = eval_times(self.budget), self.budget.horizon
+        probes = [np.union1d(times, u.breakpoints[u.breakpoints < horizon]) for u in self.inputs]
+        return probes, _flow_norms(self.sys, self.table, probes), np.cumsum(
+            [0] + [g.size for g in probes])
 
     def sweep(self, j: int) -> tuple:
         """Input j's probe and the flow norms of every state on it."""
-        norms, _, _, probes = self._flows()
-        grid, at = probes[j]
-        return grid, norms[:, at]
+        probes, norms, off = self._flows
+        return probes[j], norms[:, off[j]:off[j + 1]]
 
     def sup(self) -> float:
         """The largest flow norm on the probes."""
-        return max(float(np.max(self.sweep(j)[1])) for j in range(len(self.inputs)))
+        return float(np.max(self._flows[1]))
 
     def ulim(self, levels) -> np.ndarray:
         """The flow norms of each state (axis 0) and input (axis 1) on the
@@ -300,19 +294,19 @@ class _Samples:
         (its first best slack level - |phi|) or first hit (slack >= 0) can
         be, and +inf at every other point, which reads as slack -inf.
 
-        The nodes are swept with the probes.  The other points lie in runs
-        between two adjacent nodes, where no breakpoint falls, so each
-        mode is monotone over a run, and ``system._enclosure`` bounds |phi|
-        on it from below by sqrt(L), less the rounding margin.  A run is
-        swept, in one more kernel call over all inputs, only when for some
-        state the slack of that bound reaches the state's best node slack
-        (or equals it before the node that holds it), or, before the
+        The nodes are the probe's points (``sweep``).  The other points lie
+        in runs between two adjacent nodes, where no breakpoint falls, so
+        each mode is monotone over a run, and ``system._enclosure`` bounds
+        |phi| on it from below by sqrt(L), less the rounding margin.  A run
+        is swept, in one more kernel call over all inputs, only when for
+        some state the slack of that bound reaches the state's best node
+        slack (or equals it before the node that holds it), or, before the
         state's first node hit, reaches 0.  Refinement can only raise the
         best slack, so one round is enough: no point of a pruned run can
         hold a pick, a tie that comes first, or a first hit.
         """
         grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
-        norms, nodes, off, _ = self._flows(nodes=True)
+        nodes, norms, off = self._flows
         n_states, n_inputs, n = len(self.states), len(self.inputs), grid.size
         # each node's input and place on the ULIM grid, and whether it is a ULIM
         # point; every input's nodes start at 0 and end at the horizon, as the grid
@@ -324,8 +318,8 @@ class _Samples:
         runs = np.flatnonzero((first <= last) & (owner[:-1] == owner[1:]))
         first, last, which = first[runs], last[runs], owner[runs]
         cuts = np.searchsorted(which, np.arange(1, n_inputs))
-        lower = np.sqrt(_enclosure(self.sys, self.states, self.inputs,
-                                   np.split(grid[first], cuts), np.split(grid[last], cuts)))
+        lower = np.sqrt(_enclosure(self.sys, self.table, np.split(grid[first], cuts),
+                                   np.split(grid[last], cuts)))
         # each pair's best node slack, the first node that holds it, and its first
         # node hit, over the nodes that are ULIM points
         slack, t_on, by = levels[owner[on]] - norms[:, on], times[on], owner[on]
@@ -354,15 +348,14 @@ class _Samples:
         first, size, which = first[refine], (last - first + 1)[refine], which[refine]
         points = (np.repeat(which * n + first - np.cumsum(size) + size, size)
                   + np.arange(size.sum()))
-        if points.size:   # swept before out is made, which would raise the peak
-            keep = np.unique(which)
-            refined = _flow_norms(self.sys, self.states, [self.inputs[j] for j in keep],
-                                  np.split(grid[points % n], np.searchsorted(points // n,
-                                                                             keep[1:])))
+        # swept, and the anchor table dropped, before out is made: held, they
+        # would raise the peak
+        refined = _flow_norms(self.sys, self.table, np.split(
+            grid[points % n], np.searchsorted(points // n, np.arange(1, n_inputs))))
+        del self.table
         out = np.full((n_states, n_inputs * n), np.inf)
         out[:, owner[on] * n + at[on]] = norms[:, on]
-        if points.size:
-            out[:, points] = refined
+        out[:, points] = refined
         return out.reshape(n_states, n_inputs, n)
 
     def memo(self, key: tuple, make):
@@ -379,15 +372,13 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 
 
 @contextmanager
-def _shared_samples(ulim=(), pair=None):
+def _shared_samples(pair=None):
     """Within the block, checks on the same system and budget share one draw
     and one pointwise sweep; ``run_scenario`` opens one around a scenario's
-    checks.  ``ulim`` holds the budgets of every ``check_ulim`` call the
-    block will make; on their sample sets the sweep also covers the ULIM
-    grid.  With ``pair = (x0, u)`` every sample set holds that one pair
+    checks.  With ``pair = (x0, u)`` every sample set holds that one pair
     instead of the budget's draw (``replay`` runs a check so).  Nothing
     outlives the block."""
-    token = _RUN.set((frozenset(ulim), {}, pair))
+    token = _RUN.set(({}, pair))
     try:
         yield
     finally:
@@ -400,10 +391,10 @@ def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
     run = _RUN.get()
     if run is None:
         return _Samples.draw(sys, budget)
-    ulim_budgets, memo, pair = run
+    memo, pair = run
     key = (sys, budget)
     if key not in memo:
-        memo[key] = (_Samples.draw(sys, budget, union=budget in ulim_budgets) if pair is None
+        memo[key] = (_Samples.draw(sys, budget) if pair is None
                      else _Samples(sys, [pair[0]], [pair[1]], budget))
     return memo[key]
 
@@ -460,8 +451,8 @@ def _norms(probe):
     def lhs(samples, j):
         u = samples.inputs[j]
         grid, times = probe(u)
-        norms = _flow_norms(samples.sys, samples.states, [u], [_check_grid(grid)])
-        return times, norms[:, _grid_indices(grid, times)]
+        table = _anchor_table(samples.sys, samples.states, [u], _check_grid(grid)[-1:])
+        return times, _flow_norms(samples.sys, table, [grid])[:, _grid_indices(grid, times)]
     return lhs
 
 
@@ -579,8 +570,9 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     the per-sample search; the empirical uniform hitting time tau is the
     maximum first-hit time over the samples and is reported in the notes.
     The norms on the grid come from ``_Samples.ulim``: every point that can
-    hold a pair's pick or first hit is swept, the others read +inf, so the
-    records, the witness and tau are those of the full sweep bit for bit.
+    hold a pair's pick or first hit is read off the shared sweep or swept,
+    the others read +inf, so the records, the witness and tau are those of
+    the full sweep bit for bit.
     """
     _require_positive(eps=eps)
     samples, level = _samples(sys, budget), _ulim_level(gamma_fn, eps)
@@ -712,7 +704,8 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
     def lhs(samples, j):
         u = samples.inputs[j]
         g = build_time_grid(horizon, u, extra=times)
-        vals = evaluate(alpha, _flow_norms(samples.sys, samples.states, [u], [g]))
+        table = _anchor_table(samples.sys, samples.states, [u], g[-1:])
+        vals = evaluate(alpha, _flow_norms(samples.sys, table, [g]))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
     return shared(lhs), _pair_tol(QUAD_TOL)

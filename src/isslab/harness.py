@@ -415,7 +415,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
     """
     resolved = _resolve(s)
     entries = []
-    with _shared_samples(ulim=[s.budget] if "ulim" in s.checks else []):
+    with _shared_samples():
         for name in s.checks:
             t0 = time.perf_counter()
             try:

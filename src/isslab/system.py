@@ -25,7 +25,8 @@ The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
 whatever the state.  The flow kernel (``_flow_norms``) sweeps every input of
 a sample set in one call, the rows of all inputs sorted by this live width,
-and works per state on the live modes only.
+and works per state on the live modes only; it reads the anchor states
+from a table stepped once per sample set (``_anchor_table``).
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -388,14 +389,15 @@ def _live_width(sys: SpectralSystem, dt: np.ndarray) -> np.ndarray:
         return np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
 
 
-def _row_anchors(sys: SpectralSystem, x0s, inputs, grids) -> tuple:
-    """The anchor states of the stack ``x0s`` for ``inputs``
-    (``_anchor_states``), and for each time of each input's grid (rows, one
-    grid after another) the index of its anchor state there, its input value
-    and its anchor's time: the last breakpoint below the time, or 0."""
+def _anchor_table(sys: SpectralSystem, x0s, inputs, ends) -> tuple:
+    """The anchor states of the stack ``x0s`` at the anchors of each input j
+    below ``ends[j]`` (``_anchor_states``), stepped once for every kernel
+    pass on times up to ``ends[j]``; with, per (input, anchor), its state's
+    index, its input value and its time."""
+    if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
+        raise ValidationError(f"state must have shape ({sys.n_modes},)")
     bps, vals = _input_table(inputs)
-    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs,
-                                               [grid[-1] if grid.size else 0.0 for grid in grids])
+    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs, ends)
     # checked here: a dead mode never reads its anchor state, so its overflow
     # would not reach the norms
     if not np.isfinite(anchor_states).all():
@@ -403,46 +405,52 @@ def _row_anchors(sys: SpectralSystem, x0s, inputs, grids) -> tuple:
     most = len(starts)   # each input's anchors: 0, then 1 + starts[a - 1] + its place in by
     slot = np.zeros((len(by), most), dtype=int)
     slot[by, 1:] = 1 + np.add.outer(np.arange(len(by)), starts[:-1])
-    # input j's breakpoints below t (none past its end is)
-    seg = np.concatenate([j * most + np.maximum(np.searchsorted(bps[j], grid) - 1, 0)
-                          for j, grid in enumerate(grids)])
-    return (anchor_states, slot.ravel()[seg], vals[:, :most].ravel()[seg],
-            bps[:, :most].ravel()[seg])
+    return anchor_states, slot, vals[:, :most], bps[:, :most]
 
 
-def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndarray:
-    """|phi(t, x0s[s], inputs[j])| for each state s (rows) and each time t
-    of each input's grid ``grids[j]`` (columns, one grid after another);
-    given ``states`` of shape (len(x0s), columns, n_modes), the flows
-    themselves are written there too.
-
-    Each grid must be one-dimensional, strictly increasing and nonnegative
-    (``_check_grid`` refuses any other grid of a caller's choosing), and
-    every state must have shape (n_modes,).  Each row runs from the last
-    anchor below its time (``_anchor_states``), as in ``mild_solution``.  A
-    row dt after its anchor has the live width
-    W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has decayed to
-    exactly 0.0 and holds its forced value g_k v, the same for every state.
-    The rows of all inputs are sorted by W together and cut into groups
-    (``_row_groups``); each group computes the decay and the forced term on
-    its first W columns and the tail squares (g_k v)**2 once for all states,
-    and each state's pass gathers, decays and squares only those columns.
-    Each norm is still ``np.add.reduce`` over the whole row of squares, so
-    it is ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and
-    a state, an input or a time gives the same bits alone as in a stack.
-    """
-    grids = [np.asarray(grid, dtype=float) for grid in grids]
-    if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
-        raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    anchor_states, at, v, anchor = _row_anchors(sys, x0s, inputs, grids)
-    dt = np.concatenate(grids) - anchor
-    width = _live_width(sys, dt)
+def _rows(sys: SpectralSystem, table, grids, firsts=None) -> tuple:
+    """The rows of a kernel pass, one per time t of each input's grid (one
+    grid after another), a the last anchor below t: their order by live
+    width at t - a (at f - a, f the time in ``firsts`` in t's place, if
+    given), and in that order the widths, the index of each row's anchor
+    state and its input value, and t - a (then f - a) clipped at ``_settle``."""
+    slot, vals, bps = table[1:]
+    seg = np.concatenate([j * bps.shape[1] + np.maximum(np.searchsorted(row, grid) - 1, 0)
+                          for j, (row, grid) in enumerate(zip(bps, grids))])
+    anchor = bps.ravel()[seg]
+    dts = [np.concatenate(g) - anchor for g in ([grids] if firsts is None else [firsts, grids])]
+    width = _live_width(sys, dts[0])
     # the rows in order of width; a group computes some rows past their width
-    order = np.argsort(width, kind="stable").astype(np.min_scalar_type(dt.size))
-    width = width[order].astype(np.min_scalar_type(sys.n_modes))
-    at, v, dt = at[order], v[order], dt[order]
-    np.minimum(dt, sys._settle, out=dt)
-    gain, norms = sys.input_gain_coeffs, np.empty((len(x0s), dt.size))
+    order = np.argsort(width, kind="stable").astype(np.min_scalar_type(width.size))
+    return (order, width[order].astype(np.min_scalar_type(sys.n_modes)),
+            slot.ravel()[seg][order], vals.ravel()[seg][order],
+            *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
+
+
+def _flow_norms(sys: SpectralSystem, table, grids, states=None) -> np.ndarray:
+    """|phi(t, x0s[s], inputs[j])| for each state s (rows) and each time t
+    of each input's grid ``grids[j]`` (columns, one grid after another),
+    ``table`` the anchor table of ``x0s`` and ``inputs``; given ``states``
+    of shape (len(x0s), columns, n_modes), the flows are written there too.
+
+    Each grid must be one-dimensional, strictly increasing, nonnegative and
+    within its input's end in the table (``_check_grid`` refuses any other
+    grid of a caller's choosing).  Each row runs from the last anchor below
+    its time, as in ``mild_solution``.  A row dt after its anchor has the
+    live width W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has
+    decayed to exactly 0.0 and holds its forced value g_k v, the same for
+    every state.  The rows of all inputs are sorted by W together and cut
+    into groups (``_rows``, ``_row_groups``); each group computes the decay
+    and the forced term on its first W columns and the tail squares
+    (g_k v)**2 once for all states, and each state's pass gathers, decays
+    and squares only those columns.  Each norm is still ``np.add.reduce``
+    over the whole row of squares, so it is ``np.linalg.norm`` of the
+    ``mild_solution`` rows bit for bit, and a state, an input or a time
+    gives the same bits alone as in a stack.
+    """
+    anchor_states = table[0]
+    order, width, at, v, dt = _rows(sys, table, grids)
+    gain, norms = sys.input_gain_coeffs, np.empty((anchor_states.shape[1], dt.size))
     edges = _row_groups(width)
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows, ag, w, vv = order[lo:hi], at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
@@ -450,8 +458,8 @@ def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndar
         tail = gain[w:] * vv   # the forced term g v (1 - 0.0), bit for bit
         squares = np.empty((hi - lo, sys.n_modes))
         np.multiply(tail, tail, out=squares[:, w:])
-        sums = np.empty((len(x0s), hi - lo))
-        for s in range(len(x0s)):
+        sums = np.empty((norms.shape[0], hi - lo))
+        for s in range(norms.shape[0]):
             live = anchor_states[ag, s, :w]   # a copy, updated in place
             live *= decay
             live += forced
@@ -467,10 +475,10 @@ def _flow_norms(sys: SpectralSystem, x0s, inputs, grids, states=None) -> np.ndar
     return norms
 
 
-def _enclosure(sys: SpectralSystem, x0s, inputs, los, his) -> np.ndarray:
+def _enclosure(sys: SpectralSystem, table, los, his) -> np.ndarray:
     """A lower bound of |phi|**2 on each run [lo, hi] of each input j,
     lo = los[j][i] <= hi = his[j][i] with no breakpoint of the input in
-    [lo, hi), for each state of the stack ``x0s`` (rows; columns, one input's
+    [lo, hi), for each state of the anchor table (rows; columns, one input's
     runs after another):
 
         L = sum_k [p_k(lo) p_k(hi) > 0] min(p_k(lo)**2, p_k(hi)**2),
@@ -479,19 +487,14 @@ def _enclosure(sys: SpectralSystem, x0s, inputs, los, his) -> np.ndarray:
     breakpoint below hi.  Every mode, d_k exp(-lambda_k (t - a)) + g_k v, is
     monotone in t on the run, so |phi(t)|**2 >= L there, up to the rounding
     that ``checkers`` bounds.  As in the kernel, the runs are sorted by their
-    live width at lo and cut into groups; the modes dead at lo hold g_k v on
-    the whole run, and their part is v**2 sum_{k >= W} g_k**2.
+    live width at lo and cut into groups (``_rows``); the modes dead at lo
+    hold g_k v on the whole run, and their part is v**2 sum_{k >= W} g_k**2.
     """
-    anchor_states, at, v, anchor = _row_anchors(sys, x0s, inputs, his)
-    dt_lo = np.concatenate(los) - anchor
-    dt_hi = np.concatenate(his) - anchor
-    width = _live_width(sys, dt_lo)
-    order = np.argsort(width, kind="stable")
-    width, at, v = width[order], at[order], v[order]
-    dt_lo, dt_hi = (np.minimum(dt[order], sys._settle) for dt in (dt_lo, dt_hi))
+    anchor_states = table[0]
+    order, width, at, v, dt_hi, dt_lo = _rows(sys, table, his, los)
     gain = sys.input_gain_coeffs
     dead = np.sqrt(np.append(np.cumsum(gain[::-1] ** 2)[::-1], 0.0))   # |g_{W..N}|
-    out = np.empty((len(x0s), order.size))
+    out = np.empty((anchor_states.shape[1], order.size))
     edges = _row_groups(width)
     # a square overflows only past 2**510 at a node, where checkers sweeps the
     # run anyway; a NaN reads as no bound
@@ -500,8 +503,8 @@ def _enclosure(sys: SpectralSystem, x0s, inputs, los, his) -> np.ndarray:
             ag, w, vv = at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
             decay_lo, forced_lo = _decay_forced(sys, dt_lo[lo:hi, None], vv, w)
             decay_hi, forced_hi = _decay_forced(sys, dt_hi[lo:hi, None], vv, w)
-            sums = np.empty((len(x0s), hi - lo))
-            for s in range(len(x0s)):
+            sums = np.empty((out.shape[0], hi - lo))
+            for s in range(out.shape[0]):
                 p, q = anchor_states[ag, s, :w], anchor_states[ag, s, :w]
                 p *= decay_lo
                 p += forced_lo
@@ -538,7 +541,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     """
     grid = _check_grid(grid)
     states = np.empty((1, grid.size, sys.n_modes))
-    _flow_norms(sys, [x0], [u], [grid], states)
+    _flow_norms(sys, _anchor_table(sys, [x0], [u], grid[-1:]), [grid], states)
     return Trajectory(times=grid, states=states[0], system=sys, input=u)
 
 

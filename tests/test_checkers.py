@@ -1,5 +1,6 @@
 """Tests for the falsification checkers: verdicts, witnesses, budgets, quadrature."""
 
+import contextlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +29,7 @@ from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, v_value
-from isslab.system import _square_integrals
+from isslab.system import _anchor_table, _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
 
@@ -117,6 +118,30 @@ def test_eval_times_match_the_scalar_van_der_corput_loop(n_times, horizon):
                                        for k in range(1, n_times + 1)])
     got = eval_times(replace(BUDGET, n_times=n_times, horizon=horizon))
     assert got.tobytes() == want.tobytes()
+
+
+def _nodes_on_the_probe(n_times, horizon):
+    budget = replace(BUDGET, n_times=n_times, horizon=horizon)
+    return bool(np.isin(ulim_grid(budget)[::16], eval_times(budget)).all())
+
+
+# the bounds are sharp: at n_times = 30 the evaluation times miss a 16th ULIM
+# point, and below horizon = 2**-1013 horizon / 512 is subnormal and rounds
+MIN_NODE_TIMES, MIN_NODE_HORIZON = 31, 2.0 ** -1013
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_times=st.integers(MIN_NODE_TIMES, 600),
+       horizon=st.floats(MIN_NODE_HORIZON, 1.7e308))
+def test_every_16th_ulim_point_is_an_evaluation_time(n_times, horizon):
+    # so ULIM's nodes, the probe's points, hold every 16th point of its grid
+    # on every budget with n_times >= 31, the default's 33 among them
+    assert _nodes_on_the_probe(n_times, horizon)
+
+
+def test_the_nodes_bounds_are_sharp():
+    assert not _nodes_on_the_probe(MIN_NODE_TIMES - 1, 2.0)
+    assert not _nodes_on_the_probe(33, np.nextafter(MIN_NODE_HORIZON, 0.0))
 
 
 def test_budget_validation():
@@ -329,12 +354,12 @@ def _brs_notes(sys, C, tau, budget):
     return f"empirical_sup={sup!r} bound={C * (1.0 + kappa_bounds(sys, tau).upper)!r}"
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["alone", "union_sweep"])
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "shared"])
 @pytest.mark.parametrize("horizon, eps", [(2.0, 0.1), (0.05, 0.1), (2.0, 0.3)])
 def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
     sys, gamma_fn = heat(16), linear(1.0 / SQRT3)
     budget = replace(BUDGET, horizon=horizon)
-    with _shared_samples(ulim=[budget] if shared else []):
+    with _shared_samples() if shared else contextlib.nullcontext():
         ulim = check_ulim(sys, gamma_fn, eps, budget)
         brs = check_brs(sys, 1.0, horizon, budget)
     assert ulim.notes == _ulim_notes(sys, gamma_fn, eps, budget)
@@ -345,9 +370,9 @@ def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
 def _ulim_reference(sys, gamma_fn, eps, samples):
     """check_ulim as stated: every pair's norms on all 513 points of the
     ULIM grid, from one full kernel sweep."""
-    grid = ulim_grid(samples.budget)
-    norms = checkers._flow_norms(sys, samples.states, samples.inputs,
-                                 [grid] * len(samples.inputs))
+    grid, n = ulim_grid(samples.budget), len(samples.inputs)
+    table = _anchor_table(sys, samples.states, samples.inputs, [samples.budget.horizon] * n)
+    norms = checkers._flow_norms(sys, table, [grid] * n)
     rows = norms.reshape(len(samples.states), len(samples.inputs), grid.size)
 
     def level(r, u, t):
@@ -413,8 +438,9 @@ def test_ulim_matches_the_full_sweep_bit_for_bit(case):
     sys, budget, pair, gamma_fn, level = case
     samples = _Samples.draw(sys, budget)
     one = _Samples(sys, [pair[0]], [pair[1]], budget)
-    norms = checkers._flow_norms(sys, samples.states, samples.inputs,
-                                 [ulim_grid(budget)] * len(samples.inputs))
+    table = _anchor_table(sys, samples.states, samples.inputs,
+                          [budget.horizon] * budget.n_inputs)
+    norms = checkers._flow_norms(sys, table, [ulim_grid(budget)] * budget.n_inputs)
     # the norm at a grid point of the last state with input 0, the zero input,
     # where gamma adds 0.0 (slack 0.0 there, a tie with every equal norm);
     # below every norm but 0; so far above every norm that level - |phi|
@@ -426,7 +452,7 @@ def test_ulim_matches_the_full_sweep_bit_for_bit(case):
     eps = eps or 0.5   # eps must be positive; the origin's norm is 0.0
     want, want_one = (_ulim_reference(sys, gamma_fn, eps, s) for s in (samples, one))
     _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want)
-    with _shared_samples(ulim=[budget]):
+    with _shared_samples():
         check_iss(sys, heat_cert(), budget)
         _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want)
     with _shared_samples(pair=pair):

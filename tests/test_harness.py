@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isslab import (SampleBudget, ScenarioError, ValidationError, Verdict, iss_margin,
                     build_system, main, parse_comparison, parse_scenario, run_scenario,
                     ISSCertificate, DecayEnvelope, linear)
-from isslab import checkers
+from isslab import checkers, system
 from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve,
                             _work, bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
@@ -742,7 +742,8 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
         assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
-def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1)])
+def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
     drawn = Counter()
 
     def counted(draw, kind):
@@ -750,38 +751,45 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch):
             drawn[kind, args[-2], args[-1]] += 1   # (kind, budget, index)
             return draw(*args)
         return wrapper
-    swept = []   # per kernel call: its inputs and their grids
+    swept, stepped = [], []   # per kernel call its table and grids; per stepping its inputs
 
-    def counted_sweep(sys, x0s, inputs, grids):
-        swept.append((inputs, grids))
-        return flow_norms(sys, x0s, inputs, grids)
-    flow_norms = checkers._flow_norms
+    def counted_sweep(sys_, table, grids):
+        swept.append((table, grids))
+        return flow_norms(sys_, table, grids)
+
+    def counted_steps(sys_, x0s, inputs, ends):
+        stepped.append(inputs)
+        return anchor_states(sys_, x0s, inputs, ends)
+    flow_norms, anchor_states = checkers._flow_norms, system._anchor_states
+    s = _tiny_workload(name)
+    b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
+    budgets = (b, cep) if "cep" in s.checks else (b,)
+    probes = [[np.union1d(checkers.eval_times(x), u.breakpoints[u.breakpoints < x.horizon])
+               for u in (checkers.draw_input(x, j) for j in range(x.n_inputs))] for x in budgets]
     monkeypatch.setattr(checkers, "draw_state", counted(checkers.draw_state, "state"))
     monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
-    s = _tiny_workload("pointwise_heat64")
-    ulim_grid = checkers.ulim_grid(s.budget)
+    monkeypatch.setattr(system, "_anchor_states", counted_steps)
     run_scenario(s, str(tmp_path))
-    # identity, cocycle, iss, uls, ulim and brs share s.budget; cep sweeps at cep_h
-    b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
-    assert drawn == {**{("state", x, i): 1 for x in (b, cep) for i in range(b.n_states)},
-                     **{("input", x, j): 1 for x in (b, cep) for j in range(b.n_inputs)}}
-    # on s.budget one node call over all inputs, each grid holding ULIM's nodes,
-    # which iss, uls, ulim and brs read, and at most one refinement call, on
-    # ULIM points between the nodes of some of those inputs; cep one call of its own
-    (inputs, nodes), *refined, (cep_inputs, _) = swept
-    assert len(inputs) == len(cep_inputs) == b.n_inputs and len(refined) <= 1
-    every = ulim_grid[::checkers.ULIM_STRIDE]
-    assert all(np.isin(every, g).all() for g in nodes)
-    ids = [id(u) for u in inputs]
-    for some, grids in refined:
-        assert len(some) == len(grids)
-        for u, g in zip(some, grids):
-            assert np.isin(g, ulim_grid).all() and not np.isin(g, nodes[ids.index(id(u))]).any()
-    assert len({id(u) for u in (*inputs, *cep_inputs)}) == 2 * b.n_inputs
-    # nothing is kept between runs: the next run draws every sample again
+    # every check but cep shares s.budget; cep sweeps at cep_h
+    assert drawn == {**{("state", x, i): 1 for x in budgets for i in range(b.n_states)},
+                     **{("input", x, j): 1 for x in budgets for j in range(b.n_inputs)}}
+    # per sample set its anchor states are stepped once, over all its inputs
+    assert len(stepped) == steppings and all(len(u) == b.n_inputs for u in stepped)
+    # on s.budget one node call on the probes, which iss, uls, ulim and brs read,
+    # and one refinement call over every input on ULIM points off them, both on
+    # one anchor table; cep one call of its own
+    (table, nodes), (again, refined), *cep_calls = swept
+    assert again is table and len(cep_calls) == len(budgets) - 1
+    assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes[0]))
+    ulim_grid = checkers.ulim_grid(b)
+    assert len(refined) == b.n_inputs and all(
+        np.isin(g, ulim_grid).all() and not np.isin(g, p).any() for g, p in zip(refined, nodes))
+    for (cep_table, cep_nodes), want in zip(cep_calls, probes[1:]):
+        assert cep_table is not table and all(map(np.array_equal, cep_nodes, want))
+    # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
-    assert set(drawn.values()) == {2}
+    assert set(drawn.values()) == {2} and len(stepped) == 2 * steppings
     assert checkers._RUN.get() is None
 
 
@@ -870,7 +878,7 @@ certificate.sigma = power(0.01, 2.0)
 checks.names = norm_to_integral, integral_to_integral
 """
 INLINE = {"refute_256": REFUTE_256, "simpson_nti": SIMPSON_NTI, "integral": INTEGRAL,
-          # ULIM runs on the budget too, so the sweep covers the union grid
+          # ULIM runs first on the budget, and its anchor table is dropped after it
           "simpson_nti_ulim": SIMPSON_NTI.replace("checks.names = norm_to_integral",
                                                   "checks.names = ulim, norm_to_integral")}
 REPLAYABLE = [name for name in CHECK_NAMES if name not in _UNREPLAYABLE]
@@ -893,7 +901,7 @@ def test_a_check_on_one_pair_gives_that_pairs_record(tmp_path, monkeypatch, scen
     drawn, samples = [], checkers._samples
     monkeypatch.setattr(checkers, "_samples",
                         lambda sys_, b: drawn.append(samples(sys_, b)) or drawn[-1])
-    with checkers._shared_samples(ulim=[s.budget] if "ulim" in s.checks else []):
+    with checkers._shared_samples():
         runs = {name: (_CHECKS[name](s, res), drawn[-1]) for name in REPLAYABLE}
     for name, (rep, sample_set) in runs.items():
         n_inputs = len(sample_set.inputs)

@@ -14,14 +14,19 @@ from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputS
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
 from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK,
-                           _flow_norms, _flow_rows, _input_table, _row_groups,
-                           _square_integrals)
+                           _anchor_table, _flow_norms, _flow_rows, _input_table,
+                           _row_groups, _square_integrals)
 
 PI2 = math.pi ** 2
 
 
 def heat(n, a=1.0):
     return heat_dirichlet(HeatDirichletParams(a=a, n_modes=n))
+
+
+def _kernel(sys, x0s, inputs, grids):
+    """The flow kernel's norms, from the anchor table up to each grid's end."""
+    return _flow_norms(sys, _anchor_table(sys, x0s, inputs, [g[-1] for g in grids]), grids)
 
 
 def profile_coefficient(k):
@@ -288,14 +293,14 @@ def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     # every state of sample_trajectory, signed zeros included, and every norm
     traj = sample_trajectory(sys, x0s[0], u, grid)
     assert np.array_equal(_bits(traj.states), _bits(rows[0]))
-    norms = _flow_norms(sys, x0s, [u], [grid])
+    norms = _kernel(sys, x0s, [u], [grid])
     for s in range(2):
         assert np.array_equal(_bits(norms[s]), _bits(np.linalg.norm(rows[s], axis=1)))
     # states and input scaled by 2**-m scale every norm exactly, on the rows
     # whose scaled squares all stay normal
     scale = 2.0 ** -m
-    scaled = _flow_norms(sys, x0s * scale, [InputSignal.piecewise(u.breakpoints,
-                                                                  u.values * scale)], [grid])
+    scaled = _kernel(sys, x0s * scale, [InputSignal.piecewise(u.breakpoints,
+                                                              u.values * scale)], [grid])
     for s in range(2):
         clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
         assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
@@ -441,15 +446,15 @@ def test_flow_kernel_stacks_of_inputs_match_each_input_and_state_alone(case):
     # one call over every input: each norm is that of the mild_solution row,
     # each input's columns are its own call's, and each state's row is its own
     sys, inputs, grids, x0s = case
-    norms = _flow_norms(sys, x0s, inputs, grids)
+    norms = _kernel(sys, x0s, inputs, grids)
     cols = np.cumsum([0] + [g.size for g in grids])
     for u, grid, lo, hi in zip(inputs, grids, cols[:-1], cols[1:]):
         for s, x0 in enumerate(x0s):
             rows = np.array([mild_solution(sys, x0, u, t) for t in grid])
             assert np.array_equal(_bits(norms[s, lo:hi]), _bits(np.linalg.norm(rows, axis=1)))
-        assert np.array_equal(_bits(norms[:, lo:hi]), _bits(_flow_norms(sys, x0s, [u], [grid])))
+        assert np.array_equal(_bits(norms[:, lo:hi]), _bits(_kernel(sys, x0s, [u], [grid])))
     for s, x0 in enumerate(x0s):
-        assert np.array_equal(_bits(norms[s]), _bits(_flow_norms(sys, [x0], inputs, grids)[0]))
+        assert np.array_equal(_bits(norms[s]), _bits(_kernel(sys, [x0], inputs, grids)[0]))
 
 
 def test_live_widths_need_no_warning_at_tiny_steps():
@@ -458,7 +463,7 @@ def test_live_widths_need_no_warning_at_tiny_steps():
     sys = heat(8)
     x0 = np.linspace(1.0, -1.0, 8)
     grid = np.array([0.0, 5e-324, 1e-310, 1e-300])
-    norms = _flow_norms(sys, [x0], [InputSignal.zero()], [grid])
+    norms = _kernel(sys, [x0], [InputSignal.zero()], [grid])
     assert np.array_equal(norms[0], np.full(4, np.linalg.norm(x0[None], axis=1)[0]))
 
 
