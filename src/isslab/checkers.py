@@ -54,15 +54,15 @@ comes from the flow kernel ``system._flow_norms``, which also fills
 
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
-(``system._square_integrals``): the anchor states of the one stepper, the
+(``system._square_integrals``): from the set's anchor table, each input's
 full segments summed cumulatively, plus the piece from the last anchor
-below t, for all states, times and modes in one pass, with no grid.  Any
-other alpha takes composite Simpson on a grid graded after 0 and after
+below t, for all states, inputs, times and modes in one pass, with no grid.
+Any other alpha takes composite Simpson on a grid graded after 0 and after
 each input breakpoint, restarted at every breakpoint so that no panel
-straddles a kink of the flow.  Either way each input's table is made once
-per sample set, and both integral checks read it.  The integral of
-sigma(|u|) in the integral-to-integral bound is exact: a cumulative sum
-over the input's pieces, once per input for all times.
+straddles a kink of the flow, one kernel call per input on the same table.
+Either way the table is made once per sample set, and both integral checks
+read it.  The integral of sigma(|u|) in the integral-to-integral bound is
+exact: cumulative sums over the inputs' pieces, once per sample set.
 
 Record order.  The kernel scans input by input, but hands each pair's pick
 to ``conclude`` in the order of the pairs (state-major: pair i * n_inputs + j
@@ -237,13 +237,14 @@ class _Samples:
     """A sample set: the states, their norms |x0| (a column) and the inputs.
 
     Pair ``i * len(inputs) + j`` is state i with input j.  ``table`` holds
-    the anchor states of every input up to the horizon, stepped once for
-    every kernel pass on the set (``system._anchor_table``).  ``sweep(j)``
+    the anchor states of every input up to the horizon (without a budget,
+    to its end), stepped once for every kernel pass and the closed-form
+    integrals on the set (``system._anchor_table``).  ``sweep(j)``
     gives input j's pointwise probe (the evaluation times plus its
     breakpoints below the horizon) and the flow norms of every state on it,
     from one kernel call over every input, whose points ``ulim(levels)``
-    takes as nodes.  ``memo`` keeps each input's int_0^t alpha(|phi|)
-    table, and ``pairs`` is the stepper's pair table.
+    takes as nodes.  ``memo`` keeps the int_0^t alpha(|phi|) and
+    int_0^t sigma(|u|) tables, and ``pairs`` is the stepper's pair table.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget=None):
@@ -266,8 +267,8 @@ class _Samples:
 
     @cached_property
     def table(self) -> tuple:
-        return _anchor_table(self.sys, self.states, self.inputs,
-                             [self.budget.horizon] * len(self.inputs))
+        horizon = self.budget.horizon if self.budget else math.inf
+        return _anchor_table(self.sys, self.states, self.inputs, [horizon] * len(self.inputs))
 
     @cached_property
     def _flows(self) -> tuple:
@@ -690,39 +691,46 @@ def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.nda
 
 def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
     """The lhs int_0^t alpha(|phi|) at each evaluation time and its witness
-    tolerance.  For alpha = c r**2 the integral is taken in closed form, else
-    by Simpson per input segment on a grid graded after 0 and each input
-    breakpoint.  Each input's table is made once per sample set."""
-    def shared(lhs):
-        key = (alpha, times.tobytes(), horizon)
-        return lambda samples, j: samples.memo((*key, j), lambda: lhs(samples, j))
+    tolerance.  For alpha = c r**2 the integral is taken in closed form for
+    every input at once, else by Simpson per input segment on a grid graded
+    after 0 and each input breakpoint, one kernel call per input.  Either way
+    each table is made once per sample set, from the set's anchor table."""
+    key = (alpha, times.tobytes(), horizon)
     if alpha.form == "power" and alpha.params[1] == 2.0:
-        c = alpha.params[0]
-        return (shared(lambda samples, j: (times, c * _square_integrals(
-            samples.sys, samples.states, samples.inputs[j], times))), _pair_tol(EXACT_TOL))
+        def squares(samples):
+            out = alpha.params[0] * _square_integrals(samples.sys, samples.table, times)
+            del samples.table   # held, it would raise the peak
+            return out
+        return (lambda samples, j: (times, samples.memo(key, lambda: squares(samples))[:, j]),
+                _pair_tol(EXACT_TOL))
 
-    def lhs(samples, j):
-        u = samples.inputs[j]
+    def simpson(samples, j):
+        u, none = samples.inputs[j], np.empty(0)
         g = build_time_grid(horizon, u, extra=times)
-        table = _anchor_table(samples.sys, samples.states, [u], g[-1:])
-        vals = evaluate(alpha, _flow_norms(samples.sys, table, [g]))
+        vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, [
+            g if i == j else none for i in range(len(samples.inputs))]))
         return times, _simpson_integrals(vals, g, _grid_indices(g, times),
                                          _segment_starts(g, u, float(times[-1])))
-    return shared(lhs), _pair_tol(QUAD_TOL)
+    return (lambda samples, j: samples.memo((*key, j), lambda: simpson(samples, j)),
+            _pair_tol(QUAD_TOL))
 
 
-def _input_integrals(u: InputSignal, sigma_fn: ComparisonFunction, times) -> np.ndarray:
-    """int_0^t sigma(|u(s)|) ds at each of ``times``: the integrals up to the
-    breakpoints, summed cumulatively, plus the piece after the last one
-    below t (the zero tail after the last breakpoint adds nothing)."""
+def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
+    """int_0^t sigma(|u(s)|) ds for each input u (rows) at each of ``times``
+    (columns): the integrals up to the breakpoints, summed cumulatively, plus
+    the piece after the last one below t (the zero tail after the last
+    breakpoint adds nothing)."""
     times = np.asarray(times, dtype=float)
     if (times < 0.0).any():
         raise DomainError("inputs are defined on t >= 0")
-    bp = u.breakpoints
-    levels = np.append(evaluate(sigma_fn, np.abs(u.values)), 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(bp) * levels[:-1])])
-    i = np.searchsorted(bp, times, side="right") - 1
-    return cum[i] + levels[i] * (times - bp[i])
+    bps, vals = _input_table(inputs)
+    own = np.isfinite(bps[:, 1:])   # each input's own segments, without the padding
+    levels, pieces = np.zeros(vals.shape), np.zeros(vals.shape)
+    levels[own] = evaluate(sigma_fn, np.abs(vals[own]))
+    pieces[own] = (bps[:, 1:][own] - bps[:, :-1][own]) * levels[own]
+    cum = np.concatenate([np.zeros((len(inputs), 1)), np.cumsum(pieces, axis=1)], axis=1)
+    j, i = np.arange(len(inputs))[:, None], np.sum(bps[:, None, :] <= times[:, None], axis=2) - 1
+    return cum[j, i] + levels[j, i] * (times - bps[j, i])
 
 
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
@@ -737,11 +745,14 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
                                budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
-    def bound(r, u, times):
-        return evaluate(cert.psi, r) + _input_integrals(u, cert.sigma, times)
-    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon)
-    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
-                  bound, tol=tol)
+    times, samples = eval_times(budget), _samples(sys, budget)
+    sigma = samples.memo((cert.sigma, times.tobytes()), lambda: dict(zip(
+        map(id, samples.inputs), _input_integrals(samples.inputs, cert.sigma, times))))
+
+    def bound(r, u, _):
+        return evaluate(cert.psi, r) + sigma[id(u)]
+    lhs, tol = _integrals(cert.alpha, times, budget.horizon)
+    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, samples, lhs, bound, tol=tol)
 
 
 # ---------------------------------------------------------------------------

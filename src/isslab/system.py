@@ -14,19 +14,20 @@ the choice of sample times.
 
 One stepper (``_anchor_states``) carries a stack of states to the anchors of
 a list of inputs, 0 and each input's breakpoints below its last time, and
-every flow value (``mild_solution``, ``_square_integrals``, the rows of
-``sample_trajectory`` and of the checkers' kernel) is the formula above from
-the last anchor below its time (``_flow_rows`` steps rows with their own
-input, time and start so).  A value never depends on a sampling grid or on
-the other inputs of a stack, so the axiom checks test every margin's
-arithmetic.
+every flow value (``mild_solution``, the rows of ``sample_trajectory`` and
+of the checkers' kernel) and closed-form integral (``_square_integrals``) is
+the formula above from the last anchor below its time (``_flow_rows`` steps
+rows with their own input, time and start so).  A value never depends on a
+sampling grid or on the other inputs of a stack, so the axiom checks test
+every margin's arithmetic.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
 whatever the state.  The flow kernel (``_flow_norms``) sweeps every input of
 a sample set in one call, the rows of all inputs sorted by this live width,
-and works per state on the live modes only; it reads the anchor states
-from a table stepped once per sample set (``_anchor_table``).
+and works per state on the live modes only.  It and ``_square_integrals``,
+which integrates every input of a sample set in one pass, read the anchor
+states from a table stepped once per sample set (``_anchor_table``).
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -545,9 +546,10 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     return Trajectory(times=grid, states=states[0], system=sys, input=u)
 
 
-def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.ndarray:
-    """int_0^t |phi(s, x0, u)|^2 ds in closed form, for each state of the
-    stack ``x0s`` (rows) and each time t >= 0 (columns).
+def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
+    """int_0^t |phi(s, x0, u)|^2 ds in closed form, for each state x0 (axis 0)
+    and input u (axis 1) of the anchor table ``table`` (``_anchor_table``)
+    and each time t >= 0 (axis 2) up to every input's end in the table.
 
     From an anchor a with input value v, phi_k(a + s) = d_k exp(-lambda_k s)
     + g_k v with g = b / lambda and d = phi(a) - g v, so over [a, a + h]
@@ -555,34 +557,41 @@ def _square_integrals(sys: SpectralSystem, x0s, u: InputSignal, times) -> np.nda
         int |phi|^2 = sum_k d_k^2 (1 - exp(-2 lambda_k h)) / (2 lambda_k)
                       + 2 d_k g_k v (1 - exp(-lambda_k h)) / lambda_k + g_k^2 v^2 h.
 
-    The anchor states are those of ``mild_solution``; the full segments are
-    summed cumulatively and each time adds the piece from the last anchor
-    below it.
+    The pieces of every input's full segments below the last time, and those
+    from each time's last anchor below it, are the rows of one pass in blocks
+    of ``_BLOCK_CELLS`` rows times states times modes.  The full segments are
+    summed cumulatively along each input's anchors, so every value is that of
+    the input alone bit for bit.
     """
-    x0s = np.asarray(x0s, dtype=float)
+    anchor_states, slot, vals, bps = table
     times = np.asarray(times, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != sys.n_modes:
-        raise ValidationError(f"state must have shape ({sys.n_modes},)")
     if times.ndim != 1 or times.size < 1 or (times < 0.0).any():
         raise DomainError("integrals are taken over [0, t] with t >= 0")
     lam, gain = sys.lambdas, sys.input_gain_coeffs
-    stepped = _anchor_states(sys, x0s, [u], [np.max(times)])[0]
-    anchors, vals = u.breakpoints[:len(stepped)], np.append(u.values, 0.0)[:len(stepped)]
-
-    def pieces(seg, h):   # int over [anchors[seg], anchors[seg] + h]: (len(seg), state)
-        v, h = vals[seg, None, None], h[:, None, None]
-        d, settled = stepped[seg] - gain * v, np.minimum(h, sys._settle)   # expm1 is -1.0 past it
-        return np.sum(d * d * (-np.expm1(-2.0 * lam * settled)) / (2.0 * lam)
-                      + 2.0 * d * gain * v * (-np.expm1(-lam * settled)) / lam
-                      + (gain * v) ** 2 * h, axis=-1)
-
-    full = np.cumsum(pieces(np.arange(anchors.size - 1), np.diff(anchors)), axis=0)
-    cum = np.concatenate([np.zeros((1, x0s.shape[0])), full])
-    seg = np.maximum(np.searchsorted(anchors, times) - 1, 0)
-    out = (cum[seg] + pieces(seg, times - anchors[seg])).T
+    # the rows (input, anchor, h): the full segments, then each (input, time)
+    full, n_inputs = bps[:, 1:] < times.max(), len(bps)
+    seg = np.maximum(np.sum(bps[:, None, :] < times[:, None], axis=2) - 1, 0)
+    fj, fa = np.nonzero(full)
+    which = np.concatenate([fj, np.repeat(np.arange(n_inputs), times.size)])
+    at = np.concatenate([fa, seg.ravel()])
+    h = np.concatenate([bps[fj, fa + 1], np.tile(times, n_inputs)]) - bps[which, at]
+    rows, v = slot[which, at], vals[which, at]
+    out = np.empty((at.size, anchor_states.shape[1]))
+    step = max(1, _BLOCK_CELLS // anchor_states[0].size)
+    for lo in range(0, at.size, step):
+        hh, vv = h[lo:lo + step, None, None], v[lo:lo + step, None, None]
+        d = anchor_states[rows[lo:lo + step]] - gain * vv
+        settled = np.minimum(hh, sys._settle)   # expm1 is -1.0 past it
+        np.add.reduce(d * d * (-np.expm1(-2.0 * lam * settled)) / (2.0 * lam)
+                      + 2.0 * d * gain * vv * (-np.expm1(-lam * settled)) / lam
+                      + (gain * vv) ** 2 * hh, axis=-1, out=out[lo:lo + step])
+    cum = np.zeros(bps.shape + out.shape[1:])   # each input's sums of its full segments
+    cum[:, 1:][full] = out[:fj.size]
+    np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+    out = (cum[which[fj.size:], at[fj.size:]] + out[fj.size:]).reshape(n_inputs, times.size, -1)
     if not np.isfinite(out).all():
         raise ValidationError("trajectory states must be finite")
-    return out
+    return out.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, v_value
-from isslab.system import _anchor_table, _square_integrals
+from isslab.system import _anchor_table
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
+from test_system import one_input_squares
 
 PI2 = math.pi ** 2
 SQRT3 = math.sqrt(3.0)
@@ -669,7 +670,7 @@ def test_integral_to_integral_constant_input_coincides():
 def test_integral_to_integral_zero_tail_shrinks_rhs():
     sigma = power(2.0 / 3.0, 2.0)
     u = InputSignal.piecewise([0.0, 1.0], [1.0])  # 1 on [0,1], 0 afterwards
-    tail = _input_integrals(u, sigma, [2.0])[0]
+    tail = _input_integrals([u], sigma, [2.0])[0, 0]
     assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
     # versus the sup-norm form t * sigma(1) = 4/3 at t = 2
     assert tail < 2.0 * (2.0 / 3.0)
@@ -835,14 +836,14 @@ def test_closed_form_integral_matches_gauss_reference(sys):
     # last one (zero tail of the last input, past the end of the others)
     times = np.array([0.0, 1e-6, 0.3, 0.4, 0.9, 1.3, 2.0, 2.6])
     for u in _KERNEL_INPUTS:
-        got = _square_integrals(sys, x0s, u, times)
+        got = one_input_squares(sys, x0s, u, times)
         cuts = [0.0, *u.breakpoints[u.breakpoints > 0.0]]
         for k, t in enumerate(times):
             ends = [c for c in cuts if c < t] + [t]
             want = sum(_gauss_square_integral(sys, x0s, a, b, u)
                        for a, b in zip(ends[:-1], ends[1:])) if t > 0.0 else np.zeros(3)
             np.testing.assert_allclose(got[:, k], want, rtol=1e-10, atol=1e-15)
-    assert np.all(_square_integrals(sys, x0s, InputSignal.zero(), [0.0]) == 0.0)
+    assert np.all(one_input_squares(sys, x0s, InputSignal.zero(), [0.0]) == 0.0)
 
 
 def test_closed_form_agrees_with_one_state_and_one_time():
@@ -850,10 +851,10 @@ def test_closed_form_agrees_with_one_state_and_one_time():
     sys = heat(16)
     x0s = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 16))
     times = eval_times(BUDGET)
-    full = _square_integrals(sys, x0s, _EIGHT_PIECES, times)
+    full = one_input_squares(sys, x0s, _EIGHT_PIECES, times)
     for s in (0, 3):
         for k in (0, 5, times.size - 1):
-            one = _square_integrals(sys, x0s[s:s + 1], _EIGHT_PIECES, times[k:k + 1])
+            one = one_input_squares(sys, x0s[s:s + 1], _EIGHT_PIECES, times[k:k + 1])
             assert one[0, 0] == full[s, k]
 
 
@@ -861,8 +862,9 @@ def test_closed_form_agrees_with_one_state_and_one_time():
                          ids=["closed_form", "simpson"])
 def test_integral_checks_share_one_table_per_sample_set(monkeypatch, alpha):
     # norm_to_integral builds the int alpha(|phi|) table that
-    # integral_to_integral reads: one kernel call per input in all, and both
-    # reports equal the checks run alone; the tiny psi and sigma refute both
+    # integral_to_integral reads: one closed-form call for every input, or one
+    # Simpson kernel call per input, in all, and both reports equal the checks
+    # run alone; the tiny psi and sigma refute both
     sys, budget = heat(16), SampleBudget(n_states=5, n_inputs=6, n_times=9, seed=41)
     cert = NormToIntegralCertificate(alpha=alpha, psi=power(1e-3, 2.0), sigma=power(1e-3, 2.0))
     checks = (check_norm_to_integral, check_integral_to_integral)
@@ -875,8 +877,8 @@ def test_integral_checks_share_one_table_per_sample_set(monkeypatch, alpha):
         monkeypatch.setattr(checkers, name, counted)
     with _shared_samples():
         shared = [check(sys, cert, budget) for check in checks]
-    kernel = "_square_integrals" if alpha.params[1] == 2.0 else "_flow_norms"
-    assert calls == [kernel] * budget.n_inputs
+    closed = alpha.params[1] == 2.0
+    assert calls == (["_square_integrals"] if closed else ["_flow_norms"] * budget.n_inputs)
     for got, want in zip(shared, alone):
         assert got.violated
         assert_same_report(got, want)
@@ -896,14 +898,14 @@ def _per_segment_input_integral(u, sigma_fn, t):
 def test_input_integrals_equal_the_per_segment_sum():
     sigma = power(2.0 / 3.0, 2.0)
     times = np.array([0.0, 0.1, 0.15, 0.4, 0.77, 0.9, 1.7, 2.0, 3.5])
-    for u in _KERNEL_INPUTS:
-        got = _input_integrals(u, sigma, times)
+    got = _input_integrals(_KERNEL_INPUTS, sigma, times)
+    for u, row in zip(_KERNEL_INPUTS, got):
         want = [_per_segment_input_integral(u, sigma, t) for t in times]
-        assert got.tolist() == want
-        assert (_input_integrals(u, sigma, [1.3])[0]
+        assert row.tolist() == want
+        assert (_input_integrals([u], sigma, [1.3])[0, 0]
                 == _per_segment_input_integral(u, sigma, 1.3))
     with pytest.raises(DomainError):
-        _input_integrals(_EIGHT_PIECES, sigma, [-1.0])
+        _input_integrals([_EIGHT_PIECES], sigma, [-1.0])
 
 
 def test_exact_path_resolves_violations_below_the_simpson_tolerance():

@@ -742,7 +742,8 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
         assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
-@pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1)])
+@pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1),
+                                              ("integral_heat64", 1)])
 def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
     drawn = Counter()
 
@@ -760,7 +761,13 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     def counted_steps(sys_, x0s, inputs, ends):
         stepped.append(inputs)
         return anchor_states(sys_, x0s, inputs, ends)
+    squared = []   # per closed-form integral call its table
+
+    def counted_squares(sys_, table, times):
+        squared.append(table)
+        return square_integrals(sys_, table, times)
     flow_norms, anchor_states = checkers._flow_norms, system._anchor_states
+    square_integrals = checkers._square_integrals
     s = _tiny_workload(name)
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
     budgets = (b, cep) if "cep" in s.checks else (b,)
@@ -770,23 +777,32 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     monkeypatch.setattr(system, "_anchor_states", counted_steps)
+    monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
     run_scenario(s, str(tmp_path))
     # every check but cep shares s.budget; cep sweeps at cep_h
     assert drawn == {**{("state", x, i): 1 for x in budgets for i in range(b.n_states)},
                      **{("input", x, j): 1 for x in budgets for j in range(b.n_inputs)}}
     # per sample set its anchor states are stepped once, over all its inputs
     assert len(stepped) == steppings and all(len(u) == b.n_inputs for u in stepped)
-    # on s.budget one node call on the probes, which iss, uls, ulim and brs read,
-    # and one refinement call over every input on ULIM points off them, both on
-    # one anchor table; cep one call of its own
-    (table, nodes), (again, refined), *cep_calls = swept
-    assert again is table and len(cep_calls) == len(budgets) - 1
-    assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes[0]))
-    ulim_grid = checkers.ulim_grid(b)
-    assert len(refined) == b.n_inputs and all(
-        np.isin(g, ulim_grid).all() and not np.isin(g, p).any() for g, p in zip(refined, nodes))
-    for (cep_table, cep_nodes), want in zip(cep_calls, probes[1:]):
-        assert cep_table is not table and all(map(np.array_equal, cep_nodes, want))
+    # the closed-form integrals of every input in one call, which both
+    # integral checks read; they sweep no flow
+    integral = "norm_to_integral" in s.checks
+    assert [len(table[1]) for table in squared] == [b.n_inputs] * integral
+    if integral:
+        assert swept == []
+    else:
+        # on s.budget one node call on the probes, which iss, uls, ulim and brs read,
+        # and one refinement call over every input on ULIM points off them, both on
+        # one anchor table; cep one call of its own
+        (table, nodes), (again, refined), *cep_calls = swept
+        assert again is table and len(cep_calls) == len(budgets) - 1
+        assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes[0]))
+        ulim_grid = checkers.ulim_grid(b)
+        assert len(refined) == b.n_inputs and all(
+            np.isin(g, ulim_grid).all() and not np.isin(g, p).any()
+            for g, p in zip(refined, nodes))
+        for (cep_table, cep_nodes), want in zip(cep_calls, probes[1:]):
+            assert cep_table is not table and all(map(np.array_equal, cep_nodes, want))
     # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
     assert set(drawn.values()) == {2} and len(stepped) == 2 * steppings

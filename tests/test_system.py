@@ -354,6 +354,35 @@ def test_decay_past_the_flush_is_exact_and_raises_no_warning(lam_dt):
         assert np.array_equal(_bits(row), _bits(want))
 
 
+def one_input_squares(sys, x0s, u, times):
+    """The closed-form square integrals of one input on its own anchor table:
+    (state, time)."""
+    return _square_integrals(sys, _anchor_table(sys, x0s, [u], [np.max(times)]), times)[:, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_kernel_cases(), data=st.data())
+def test_square_integrals_of_a_stack_are_each_inputs_own(case, data):
+    # the integrals of every input at once, from one anchor table, are each
+    # input's on its own table bit for bit: beside the zero input, inputs
+    # whose breakpoints pass the last time or that end before it, at times
+    # on a breakpoint, past an input's end, and at times = [0.0] alone
+    sys, u, _, x0s = case
+    inputs = [u, InputSignal.zero()]
+    for _ in range(data.draw(st.integers(0, 4))):
+        bps = np.unique(data.draw(st.lists(st.floats(1e-3, 2.5), max_size=8)))
+        vals = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=bps.size, max_size=bps.size))
+        inputs.append(InputSignal.piecewise(np.concatenate([[0.0], bps]), vals))
+    on = [b for v in inputs for b in v.breakpoints.tolist()]
+    times = data.draw(st.just([0.0]) | st.lists(st.sampled_from(on) | st.floats(0.0, 2.6),
+                                                min_size=1, max_size=12))
+    table = _anchor_table(sys, x0s, inputs, [max(times)] * len(inputs))
+    got = _square_integrals(sys, table, times)
+    assert got.shape == (len(x0s), len(inputs), len(times))
+    for j, v in enumerate(inputs):
+        assert np.array_equal(_bits(got[:, j]), _bits(one_input_squares(sys, x0s, v, times)))
+
+
 @pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
 def test_integrals_and_kappa_past_the_flush_are_exact_and_raise_no_warning(lam_dt):
     # kappa_bounds clips t, and the closed-form square integrals clip the h
@@ -366,10 +395,10 @@ def test_integrals_and_kappa_past_the_flush_are_exact_and_raise_no_warning(lam_d
     u = InputSignal.piecewise([0.0, 0.5, 0.5 + dt], [0.3, -0.7])
     x0s, times = np.stack([np.linspace(-1.0, 1.0, 64), np.zeros(64)]), [0.25, 0.5 + dt, 1.0 + dt]
     with np.errstate(over="ignore"):
-        want = [kappa_bounds(unclipped, dt).upper, _square_integrals(unclipped, x0s, u, times)]
+        want = [kappa_bounds(unclipped, dt).upper, one_input_squares(unclipped, x0s, u, times)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = [kappa_bounds(sys, dt).upper, _square_integrals(sys, x0s, u, times)]
+        got = [kappa_bounds(sys, dt).upper, one_input_squares(sys, x0s, u, times)]
     assert got[0] == want[0] and np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
@@ -388,6 +417,18 @@ def test_exp_flushes_to_zero_past_the_live_width_cutoff():
     for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1000):
         assert np.array_equal(_bits(np.exp(x[:n])), whole[:n])
         assert np.array_equal(_bits(np.exp(x[n:])), whole[n:])
+
+
+def test_expm1_bits_do_not_depend_on_the_arrays_length_or_offset():
+    # the closed-form integrals take expm1 over blocks of the rows of every
+    # input, and give each input's values as alone only if an element's bits
+    # do not depend on the array around it, as for np.exp above
+    x = -np.geomspace(1e-3, 1600.0, 1001)
+    whole = _bits(np.expm1(x))
+    assert np.all(np.expm1(x[x < -40.0]) == -1.0)
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1000):
+        assert np.array_equal(_bits(np.expm1(x[:n])), whole[:n])
+        assert np.array_equal(_bits(np.expm1(x[n:])), whole[n:])
 
 
 def test_row_groups_cover_the_sorted_rows():
