@@ -24,10 +24,9 @@ from .lyapunov import (DATKO, NEG_INVERSE, DiniEstimate, DissipationParameters,
                        LyapunovOperator, build_datko, build_neg_inverse,
                        dini_estimate, dissipation_constants)
 from .report import CheckProperty, MarginRecord, StabilityReport, Verdict, Witness
-from .system import (AdmissibilityBound, HeatDirichletParams, InputSignal,
-                     SpectralSystem, Trajectory, build_time_grid, heat_dirichlet,
-                     kappa_bounds, mild_solution, sample_trajectory, state_norm,
-                     write_trajectory_csv)
+from .system import (AdmissibilityBound, InputSignal, SpectralSystem, Trajectory,
+                     build_time_grid, heat_dirichlet, kappa_bounds, mild_solution,
+                     sample_trajectory, state_norm, write_trajectory_csv)
 from .checkers import (SampleBudget, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral,

@@ -35,14 +35,15 @@ t_mid of two inputs that agree before it (causality), and the cocycle's
 slack at a (t, h) drawn per pair.
 Inside ``_shared_samples(pair=(x0, u))`` every sample set holds that one
 pair, and a check run there gives the pair's record of its full run bit for
-bit: ``isslab replay`` re-runs a witness's check so.  The single-sample
-functions ``iss_margin``, ``uls_margin`` and ``ulim_slack`` run the kernel
-on one pair at a time or grid of the caller's choosing.  ULIM's hitting
-time is read off its norms after it, BRS's empirical sup off the memoized
-sweep, and CEP reads its table off one sweep (see ``check_cep``).  ``report.conclude``,
-the one place that picks a witness, is reached only from ``_sweep`` and
-CEP's table: the witness is the first pick whose margin is the smallest of
-those below their tolerance.
+bit: ``isslab replay`` re-runs a witness's check so.  The single-pair
+functions ``iss_margin``, ``uls_margin`` and ``ulim_slack`` take the bound
+less the norms of ``sample_trajectory`` at a time or on a grid of the
+caller's choosing.  ULIM's hitting time is read off its norms, BRS's
+empirical sup off the memoized sweep, and CEP reads its table off one sweep
+(see ``check_cep``).  ``report.conclude``, the one place that picks a
+witness and refuses a non-finite margin, is reached from ``_sweep``, those
+three and CEP's table: the witness is the first pick whose margin is the
+smallest of those below their tolerance.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
@@ -129,9 +130,9 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _anchor_table, _check_grid, _enclosure,
-                     _flow_norms, _flow_rows, _input_table, _square_integrals,
-                     build_time_grid, kappa_bounds, seeded_rng, state_norm)
+from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure, _flow_norms,
+                     _flow_rows, _input_table, _square_integrals, build_time_grid,
+                     kappa_bounds, sample_trajectory, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -237,17 +238,17 @@ class _Samples:
     """A sample set: the states, their norms |x0| (a column) and the inputs.
 
     Pair ``i * len(inputs) + j`` is state i with input j.  ``table`` holds
-    the anchor states of every input up to the horizon (without a budget,
-    to its end), stepped once for every kernel pass and the closed-form
-    integrals on the set (``system._anchor_table``).  ``sweep(j)``
-    gives input j's pointwise probe (the evaluation times plus its
-    breakpoints below the horizon) and the flow norms of every state on it,
-    from one kernel call over every input, whose points ``ulim(levels)``
-    takes as nodes.  ``memo`` keeps the int_0^t alpha(|phi|) and
-    int_0^t sigma(|u|) tables, and ``pairs`` is the stepper's pair table.
+    the anchor states of every input up to the budget's horizon, stepped
+    once for every kernel pass and the closed-form integrals on the set
+    (``system._anchor_table``).  ``sweep(j)`` gives input j's pointwise
+    probe (the evaluation times plus its breakpoints below the horizon) and
+    the flow norms of every state on it, from one kernel call over every
+    input, whose points ``ulim(levels)`` takes as nodes.  ``memo`` keeps the
+    int_0^t alpha(|phi|) and int_0^t sigma(|u|) tables, and ``pairs`` is the
+    stepper's pair table.
     """
 
-    def __init__(self, sys: SpectralSystem, states, inputs, budget=None):
+    def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
         self.r = np.array([[state_norm(x0)] for x0 in states])
         self._memo: dict[tuple, object] = {}
@@ -267,8 +268,8 @@ class _Samples:
 
     @cached_property
     def table(self) -> tuple:
-        horizon = self.budget.horizon if self.budget else math.inf
-        return _anchor_table(self.sys, self.states, self.inputs, [horizon] * len(self.inputs))
+        return _anchor_table(self.sys, self.states, self.inputs,
+                             [self.budget.horizon] * len(self.inputs))
 
     @cached_property
     def _flows(self) -> tuple:
@@ -443,29 +444,16 @@ def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound=None, best: bool =
     return conclude(prop, picks)
 
 
-def _one(sys: SpectralSystem, x0, u: InputSignal) -> _Samples:
-    return _Samples(sys, [x0], [u])
-
-
-def _norms(probe):
-    """lhs |phi| at the evaluation times of ``probe(u) = (grid, times)``."""
-    def lhs(samples, j):
-        u = samples.inputs[j]
-        grid, times = probe(u)
-        table = _anchor_table(samples.sys, samples.states, [u], _check_grid(grid)[-1:])
-        return times, _flow_norms(samples.sys, table, [grid])[:, _grid_indices(grid, times)]
-    return lhs
-
-
-def _at_time(t: float):
-    grid = np.unique([0.0, float(t)])
-    return lambda u: (grid, grid[-1:])
-
-
-def _grid_indices(grid: np.ndarray, times) -> np.ndarray:
-    if not np.all(np.isin(times, grid)):
-        raise ValidationError("the grid must contain every evaluation time")
-    return np.searchsorted(grid, times)
+def _pair_margin(prop: CheckProperty, sys: SpectralSystem, x0, u: InputSignal, grid, bound,
+                 best: bool = False) -> float:
+    """``bound(|x0|, u, times)`` - |phi| of the pair (x0, u) at the grid's last
+    time, or if ``best`` its first largest value on the grid, by ``conclude``."""
+    traj = sample_trajectory(sys, x0, u, grid)
+    times = traj.times if best else traj.times[-1:]
+    margins = np.ravel(bound(np.array([[state_norm(x0)]]), u, times)
+                       - traj.norms()[-times.size:])
+    i = int(np.argmax(margins))
+    return conclude(prop, [(0, times[i], margins[i], 0.0, x0, u)]).worst_margin
 
 
 def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
@@ -522,8 +510,8 @@ def _iss_bound(cert: ISSCertificate):
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ISS, _one(sys, x0, u), _norms(_at_time(t)),
-                  _iss_bound(cert)).worst_margin
+    return _pair_margin(CheckProperty.ISS, sys, x0, u, np.unique([0.0, float(t)]),
+                        _iss_bound(cert))
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
@@ -539,8 +527,8 @@ def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
                gamma_fn: ComparisonFunction, x0, u: InputSignal, t: float) -> float:
     """sigma(|x0|) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _sweep(CheckProperty.ULS, _one(sys, x0, u), _norms(_at_time(t)),
-                  _uls_bound(sigma_fn, gamma_fn)).worst_margin
+    return _pair_margin(CheckProperty.ULS, sys, x0, u, np.unique([0.0, float(t)]),
+                        _uls_bound(sigma_fn, gamma_fn))
 
 
 def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
@@ -557,9 +545,8 @@ def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
 def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
                x0, u: InputSignal, grid) -> float:
     """Best slack eps + gamma(|u|) - |phi(t)| over the grid; >= 0 iff a hit."""
-    grid = np.asarray(grid, dtype=float)
-    return _sweep(CheckProperty.ULIM, _one(sys, x0, u), _norms(lambda _: (grid, grid)),
-                  _ulim_level(gamma_fn, eps), best=True).worst_margin
+    return _pair_margin(CheckProperty.ULIM, sys, x0, u, grid, _ulim_level(gamma_fn, eps),
+                        best=True)
 
 
 def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
@@ -661,21 +648,11 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
 # integral checks
 
 
-def _segment_starts(grid: np.ndarray, u: InputSignal, end: float) -> np.ndarray:
-    """Grid indices of the input's breakpoints in (0, end), which the grid
-    must hold."""
-    bps = u.breakpoints[(u.breakpoints > 0.0) & (u.breakpoints < end)]
-    if not np.all(np.isin(bps, grid)):
-        raise ValidationError("quadrature grid must refine the input breakpoints")
-    return np.searchsorted(grid, bps)
-
-
 def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.ndarray:
     """Composite-Simpson integrals of the sampled values (last axis) from 0
     to each grid[at], with the rule of :func:`_prefix_integrals` restarted
     at every grid index in ``starts``, so that no panel straddles an input
     breakpoint, where the flow has a kink."""
-    at = np.asarray(at)
     top = int(at.max())
     edges = np.unique(np.concatenate([[0], starts[starts < top], [top]]))
     out = np.zeros(vals.shape[:-1] + at.shape)
@@ -709,8 +686,9 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
         g = build_time_grid(horizon, u, extra=times)
         vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, [
             g if i == j else none for i in range(len(samples.inputs))]))
-        return times, _simpson_integrals(vals, g, _grid_indices(g, times),
-                                         _segment_starts(g, u, float(times[-1])))
+        # g holds the times and the input's breakpoints below the horizon
+        return times, _simpson_integrals(vals, g, np.searchsorted(g, times),
+                                         np.searchsorted(g, u.breakpoints))
     return (lambda samples, j: samples.memo((*key, j), lambda: simpson(samples, j)),
             _pair_tol(QUAD_TOL))
 

@@ -57,9 +57,8 @@ from .errors import DomainError, ScenarioError, ValidationError
 from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
                        build_datko, build_neg_inverse, dissipation_constants)
 from .report import MarginRecord, StabilityReport, Witness
-from .system import (CSV_FMT, HeatDirichletParams, InputSignal, SpectralSystem,
-                     build_time_grid, heat_dirichlet, sample_trajectory,
-                     write_trajectory_csv)
+from .system import (CSV_FMT, InputSignal, SpectralSystem, build_time_grid, heat_dirichlet,
+                     sample_trajectory, write_trajectory_csv)
 
 SIMULATE_SLICE = 4  # ``simulate`` writes the first 4 states times the first 4 inputs
 #: Cap on a scenario's work, in flow entries (one state, one mode, one time):
@@ -111,7 +110,10 @@ class CheckRun:
     name: str
     report: StabilityReport
     seconds: float
-    witness_file: str | None = None
+
+    @property
+    def witness_file(self) -> str | None:
+        return f"witness_{self.name}.csv" if self.report.violated else None
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,7 @@ def build_system(s: Scenario) -> SpectralSystem:
     if s.preset == "diagonal":
         return SpectralSystem(np.asarray(s.lambdas), np.asarray(s.b),
                               label=s.label or "diagonal")
-    return heat_dirichlet(HeatDirichletParams(a=s.a, n_modes=s.n_modes))
+    return heat_dirichlet(s.a, s.n_modes)
 
 
 def _resolve(s: Scenario) -> _Resolved:
@@ -422,10 +424,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
                 rep = _CHECKS[name](s, resolved)
             except Exception as exc:
                 raise RuntimeError(f"check {name!r} aborted: {exc}") from exc
-            seconds = time.perf_counter() - t0
-            wfile = f"witness_{name}.csv" if rep.violated else None
-            entries.append(CheckRun(name=name, report=rep, seconds=seconds,
-                                    witness_file=wfile))
+            entries.append(CheckRun(name=name, report=rep, seconds=time.perf_counter() - t0))
     run = RunReport(scenario_digest=s.digest(), version=f"isslab {__version__}",
                     entries=tuple(entries))
     emit_csv(run, out_dir or s.out_dir, resolved.sys, s)
@@ -575,8 +574,11 @@ def bundled_scenario_path(name: str):
 def load_scenario(path: str) -> Scenario:
     """Read a scenario from a file path or from the bundled set by name."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return parse_scenario(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:   # a directory, or not UTF-8 text
+            raise ScenarioError(f"cannot read the scenario file {path}: {exc}") from None
     bundled = bundled_scenario_path(os.path.basename(path))
     if bundled.is_file():
         return parse_scenario(bundled.read_text(encoding="utf-8"))

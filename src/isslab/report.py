@@ -67,7 +67,6 @@ class StabilityReport:
     property: CheckProperty
     verdict: Verdict
     worst_margin: float
-    samples_checked: int
     witness: Witness | None = None
     margins: tuple[MarginRecord, ...] = ()
     notes: str = ""
@@ -79,6 +78,10 @@ class StabilityReport:
     @property
     def violated(self) -> bool:
         return self.verdict is Verdict.VIOLATED
+
+    @property
+    def samples_checked(self) -> int:
+        return len(self.margins)
 
     def to_line(self, witness_file: str | None = None) -> str:
         """Serialize to ``property,verdict,worst_margin,samples[,witness_file]``."""
@@ -108,5 +111,4 @@ def conclude(prop: CheckProperty, picks, notes: str = "") -> StabilityReport:
     worst = min((r.margin for r in records), default=0.0)
     verdict = Verdict.VIOLATED if witness is not None else Verdict.NO_VIOLATION_FOUND
     return StabilityReport(property=prop, verdict=verdict, worst_margin=float(worst),
-                           samples_checked=len(records), witness=witness,
-                           margins=tuple(records), notes=notes)
+                           witness=witness, margins=tuple(records), notes=notes)

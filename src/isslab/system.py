@@ -126,26 +126,16 @@ class SpectralSystem:
         return hash((self.lambdas.tobytes(), self.b_coeffs.tobytes(), self.label))
 
 
-@dataclass(frozen=True)
-class HeatDirichletParams:
-    """Diffusivity a (length^2/time) and truncation order for the heat preset."""
-
-    a: float
-    n_modes: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValidationError(f"diffusivity a must be positive, got {self.a!r}")
-        if self.n_modes < 1:
-            raise ValidationError("n_modes must be at least 1")
-
-
-def heat_dirichlet(params: HeatDirichletParams) -> SpectralSystem:
-    """Heat equation on [0,1] with Dirichlet boundary input at the right end."""
-    k = np.arange(1, params.n_modes + 1, dtype=float)
-    lam = params.a * math.pi ** 2 * k ** 2
-    b = params.a * math.sqrt(2.0) * k * math.pi * (-1.0) ** (k + 1.0)
-    return SpectralSystem(lam, b, label=f"heat_dirichlet(a={params.a!r}, N={params.n_modes})")
+def heat_dirichlet(a: float, n_modes: int) -> SpectralSystem:
+    """The heat preset of the module docstring: diffusivity a, n_modes modes."""
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValidationError(f"diffusivity a must be positive, got {a!r}")
+    if n_modes < 1:
+        raise ValidationError("n_modes must be at least 1")
+    k = np.arange(1, n_modes + 1, dtype=float)
+    lam = a * math.pi ** 2 * k ** 2
+    b = a * math.sqrt(2.0) * k * math.pi * (-1.0) ** (k + 1.0)
+    return SpectralSystem(lam, b, label=f"heat_dirichlet(a={a!r}, N={n_modes})")
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
@@ -435,8 +425,8 @@ def _flow_norms(sys: SpectralSystem, table, grids, states=None) -> np.ndarray:
     of shape (len(x0s), columns, n_modes), the flows are written there too.
 
     Each grid must be one-dimensional, strictly increasing, nonnegative and
-    within its input's end in the table (``_check_grid`` refuses any other
-    grid of a caller's choosing).  Each row runs from the last anchor below
+    within its input's end in the table (``sample_trajectory`` refuses any
+    other grid of a caller's choosing).  Each row runs from the last anchor below
     its time, as in ``mild_solution``.  A row dt after its anchor has the
     live width W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has
     decayed to exactly 0.0 and holds its forced value g_k v, the same for
@@ -524,23 +514,16 @@ def _enclosure(sys: SpectralSystem, table, los, his) -> np.ndarray:
     return out
 
 
-def _check_grid(grid) -> np.ndarray:
-    """A caller's sampling grid: one-dimensional, nonempty, starting at 0
-    and strictly increasing."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
-        raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
-    if (np.diff(grid) <= 0.0).any():
-        raise ValidationError("grid must be strictly increasing")
-    return grid
-
-
 def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit.
     """
-    grid = _check_grid(grid)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
+        raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
+    if (np.diff(grid) <= 0.0).any():
+        raise ValidationError("grid must be strictly increasing")
     states = np.empty((1, grid.size, sys.n_modes))
     _flow_norms(sys, _anchor_table(sys, [x0], [u], grid[-1:]), [grid], states)
     return Trajectory(times=grid, states=states[0], system=sys, input=u)
@@ -663,10 +646,7 @@ def build_time_grid(horizon: float, u: InputSignal | None = None,
     if extra is not None:
         pieces.append(np.asarray(extra, dtype=float))
     grid = np.unique(np.concatenate(pieces))
-    grid = grid[(grid >= 0.0) & (grid <= horizon)]
-    if grid[0] != 0.0:
-        grid = np.concatenate([[0.0], grid])
-    return grid
+    return grid[(grid >= 0.0) & (grid <= horizon)]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from isslab import (DecayEnvelope, HeatDirichletParams, ISSCertificate, InputSignal,
+from isslab import (DecayEnvelope, ISSCertificate, InputSignal,
                     NormToIntegralCertificate, SampleBudget, build_datko,
                     build_neg_inverse, check_cocycle, check_identity, check_iss,
                     check_norm_to_integral, dini_estimate, draw_input, draw_state,
@@ -38,7 +38,7 @@ KAPPA_MODES = (64, 256, 1024)
 
 
 def heat(n=64):
-    return heat_dirichlet(HeatDirichletParams(a=1.0, n_modes=n))
+    return heat_dirichlet(1.0, n)
 
 
 def record(num: str, label: str, ok: bool, detail: str = "") -> None:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletParams,
-                    ISSCertificate, InputSignal, MarginRecord,
-                    NormToIntegralCertificate, SampleBudget, SpectralSystem,
+from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, InputSignal,
+                    MarginRecord, NormToIntegralCertificate, SampleBudget, SpectralSystem,
                     ValidationError, build_neg_inverse, build_datko, build_time_grid,
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
@@ -22,9 +21,9 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, HeatDirichletPara
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     iss_margin, uls_margin, ulim_slack, Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
-                             _Samples, _grid_indices, _input_integrals, _integrals, _norms,
-                             _one, _prefix_integrals, _segment_starts, _shared_samples,
-                             _simpson_integrals, _sweep, eval_times, ulim_grid)
+                             _Samples, _input_integrals, _integrals, _prefix_integrals,
+                             _shared_samples, _simpson_integrals, _sweep, eval_times,
+                             ulim_grid)
 from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _resolve, load_scenario
@@ -39,7 +38,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def heat(n=64, a=1.0):
-    return heat_dirichlet(HeatDirichletParams(a=a, n_modes=n))
+    return heat_dirichlet(a, n)
 
 
 def heat_cert(gain=1.0 / SQRT3):
@@ -58,11 +57,11 @@ BUDGET = SampleBudget(n_states=12, n_inputs=8, n_times=17, horizon=2.0,
 
 def simpson_integral(traj, f, t):
     """The checkers' per-segment composite Simpson of f(|phi|) over [0, t]
-    on the trajectory's own grid."""
+    on the trajectory's own grid, which holds t and the input's breakpoints."""
     grid = traj.times
-    starts = _segment_starts(grid, traj.input, float(grid[-1]))
+    starts = np.searchsorted(grid, traj.input.breakpoints)
     vals = evaluate(f, traj.norms())
-    return float(_simpson_integrals(vals, grid, _grid_indices(grid, [t]), starts)[0])
+    return float(_simpson_integrals(vals, grid, np.searchsorted(grid, [t]), starts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,10 @@ def test_witness_replays_to_reported_margin(case):
     if case == "norm_to_integral_simpson":
         assert w.t < 3.7   # before the horizon, where the grid matters
     assert replay(w) < 0.0
-    assert replay(w) == pytest.approx(w.margin, rel=1e-12)
+    if case.startswith("norm_to_integral"):
+        assert replay(w) == pytest.approx(w.margin, rel=1e-12)
+    else:   # the single-pair functions give the check's margin bit for bit
+        assert replay(w) == w.margin
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +652,8 @@ def test_norm_to_integral_single_mode_closed_form():
 def test_norm_to_integral_zero_sample_trivial():
     sys, cert = heat(8), nti_cert()
     lhs, _ = _integrals(cert.alpha, np.array([2.0]), 2.0)
-    _, integral = lhs(_one(sys, np.zeros(8), InputSignal.zero()), 0)
+    samples = _Samples(sys, [np.zeros(8)], [InputSignal.zero()], SampleBudget(horizon=2.0))
+    _, integral = lhs(samples, 0)
     assert cert.rhs(0.0, 0.0, 2.0) - integral[0, 0] == 0.0
 
 
@@ -681,15 +684,6 @@ def test_integral_to_integral_heat_reported():
     rep = check_integral_to_integral(heat(), nti_cert(), BUDGET)
     assert rep.samples_checked == BUDGET.n_pairs
     assert rep.verdict in (Verdict.NO_VIOLATION_FOUND, Verdict.VIOLATED)
-
-
-def test_quadrature_grid_must_refine_breakpoints():
-    sys = heat(8)
-    u = InputSignal.piecewise([0.0, 0.37, 2.0], [1.0, -1.0])
-    coarse = np.linspace(0.0, 2.0, 11)  # misses the breakpoint at 0.37
-    traj = sample_trajectory(sys, np.zeros(8), u, coarse)
-    with pytest.raises(ValidationError):
-        simpson_integral(traj, power(1.0, 2.0), 2.0)
 
 
 def test_quadrature_halving_stability():
@@ -757,8 +751,11 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
               np.random.default_rng(n).uniform(-1.0, 1.0, n)]
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
-    samples = _Samples(sys, states, list(_KERNEL_INPUTS))
-    lhs = _norms(lambda u: (grid, grid))
+    samples = _Samples(sys, states, list(_KERNEL_INPUTS), BUDGET)   # horizon 2.0
+    norms = checkers._flow_norms(sys, samples.table, [grid] * len(_KERNEL_INPUTS))
+
+    def lhs(_, j):
+        return grid, norms[:, j * grid.size:(j + 1) * grid.size]
     got = [row for j in range(len(_KERNEL_INPUTS)) for row in lhs(samples, j)[1]]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
@@ -788,6 +785,21 @@ def test_kernel_keeps_the_flow_checks():
     nan_state[2] = math.nan
     with pytest.raises(ValidationError, match="states must be finite"):
         iss_margin(sys, heat_cert(), nan_state, u, 1.0)
+
+
+@pytest.mark.parametrize("prop", ["ISS", "ULS", "ULIM"])
+def test_single_pair_functions_refuse_an_overflowing_certificate(prop):
+    # each bound overflows to inf, which conclude refuses as a margin
+    sys, x0, u = heat(8), np.full(8, 10.0 / math.sqrt(8.0)), InputSignal.constant(10.0, 2.0)
+    huge = linear(1e308)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match=f"^{prop}: non-finite margin"):
+        if prop == "ISS":
+            iss_margin(sys, ISSCertificate(DecayEnvelope(1e308, 1.0), linear(1.0)), x0, u, 1.0)
+        elif prop == "ULS":
+            uls_margin(sys, huge, linear(1.0), x0, u, 1.0)
+        else:
+            ulim_slack(sys, huge, 0.1, x0, u, np.linspace(0.0, 2.0, 17))
 
 
 def test_an_overflowing_anchor_in_a_dead_mode_never_reads_clean():
@@ -948,7 +960,8 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         # grid (the same alpha in another form), or exact
         def margin(c):
             lhs, _ = _integrals(c.alpha, np.array([t]), t)
-            return c.rhs(0.0, 1.0, t) - lhs(_one(sys, np.zeros(1), u), 0)[1][0, 0]
+            samples = _Samples(sys, [np.zeros(1)], [u], SampleBudget(horizon=t))
+            return c.rhs(0.0, 1.0, t) - lhs(samples, 0)[1][0, 0]
         assert abs(margin(simpson_cert) - (t - exact)) < 1e-6
         assert abs(margin(cert) - (t - exact)) < 1e-14
 

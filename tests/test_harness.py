@@ -329,6 +329,17 @@ def test_cli_missing_scenario_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_cli_unreadable_scenario_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "unreadable.scn"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\n")
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read the scenario file" in capsys.readouterr().err
+
+
 def test_cli_bad_scenario_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("system.preset = perpetuum_mobile\nchecks.names = iss\n")

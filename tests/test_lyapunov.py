@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (DomainError, HeatDirichletParams, InputSignal, SpectralSystem,
+from isslab import (DomainError, InputSignal, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse, dini_estimate,
                     dissipation_constants, heat_dirichlet)
 from isslab import lyapunov
@@ -17,7 +17,7 @@ PI2 = math.pi ** 2
 
 
 def heat(n, a=1.0):
-    return heat_dirichlet(HeatDirichletParams(a=a, n_modes=n))
+    return heat_dirichlet(a, n)
 
 
 def random_states(n, count, seed):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from isslab import (AdmissibilityBound, DomainError, HeatDirichletParams, InputSignal,
+from isslab import (AdmissibilityBound, DomainError, InputSignal,
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
@@ -21,7 +21,7 @@ PI2 = math.pi ** 2
 
 
 def heat(n, a=1.0):
-    return heat_dirichlet(HeatDirichletParams(a=a, n_modes=n))
+    return heat_dirichlet(a, n)
 
 
 def _kernel(sys, x0s, inputs, grids):
