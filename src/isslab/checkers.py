@@ -6,13 +6,15 @@ is reported with a replayable witness; otherwise the verdict is
 ``no_violation_found``, which is evidence, not proof.
 
 One draw, one sweep.  A check draws its sample set from its budget: the
-states, their norms |x0| and the inputs.  Inside ``_shared_samples``, which
-``run_scenario`` opens around a scenario's checks, every check on the same
-system and budget shares one draw, and the pointwise checks (ISS, ULS, BRS,
-CEP and ULIM) share one flow sweep per sample set: one kernel call gives
+states, their norms |x0|, the inputs and their |u|_inf.  Inside
+``_shared_samples``, which ``run_scenario`` opens around a scenario's checks,
+every check on the same system and budget shares one draw, every budget (CEP's
+at cep_h and at its levels' radii, BRS's) derives its samples from each random
+stream's draws, made once (``_stream``), and the pointwise checks (ISS, ULS,
+BRS, CEP and ULIM) share one flow sweep per sample set: one kernel call gives
 the norms of all states on every input's pointwise probe (the evaluation
-times plus the input's breakpoints), and each check takes its own columns
-of that one array.  The probe's points are ULIM's nodes: ULIM sweeps the
+times plus the input's breakpoints), and each check reads that one array.
+The probes' points are ULIM's nodes: ULIM sweeps the
 points of its fixed grid between two nodes, in one more kernel call over
 all inputs, only where a lower enclosure of |phi| (``system._enclosure``)
 leaves room for a pair's pick or first hit, and the others read +inf
@@ -22,12 +24,14 @@ shared column is that of a sweep on the check's own grid bit for bit, and
 a check called alone gives the same report (so does the integral table
 below).  Nothing outlives the block.
 
-One kernel.  Every check with one pick per (state, input) runs ``_sweep``.
-The trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say
-that a comparison bound minus |phi(t, x0, u)| or the integral of
-alpha(|phi|) is nonnegative at every sampled (x0, u, t), and the
-dissipation inequality that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds
-Vdot_u(x0), which has a closed form (``lyapunov._vdot``) and steps no flow.
+One kernel.  Every check with one pick per (state, input) runs ``_sweep``,
+one array pass over its whole sample set: one evaluation of the bound, with
+each column's |u|_inf, and one argmin or argmax (``_pick``).  The
+trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say that
+a comparison bound minus |phi(t, x0, u)| or the integral of alpha(|phi|) is
+nonnegative at every sampled (x0, u, t), and the dissipation inequality
+that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds Vdot_u(x0), which has a
+closed form (``lyapunov._vdot``) and steps no flow.
 The axiom checks hand it tables computed once for all pairs by three calls
 each of one stepper (``system._flow_rows``, ``mild_solution`` bit for bit):
 minus the deviations of phi(0) from x0 (identity) and between the flows at
@@ -47,11 +51,9 @@ smallest of those below their tolerance.
 
 Superposition.  The systems are linear, so from an anchor a (0 or an input
 breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
-depends on the input alone.  The kernel therefore scans input by input and
-asks for the compared functional of all the input's states at once; the
-bound is evaluated once per input too, on the column of state norms.  |phi|
-comes from the flow kernel ``system._flow_norms``, which also fills
-``sample_trajectory``, bit for bit, and works per state on live modes only.
+depends on the input alone.  |phi| comes from the flow kernel
+``system._flow_norms``, which also fills ``sample_trajectory``, bit for bit,
+and works per state on live modes only.
 
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
@@ -65,11 +67,10 @@ Either way the table is made once per sample set, and both integral checks
 read it.  The integral of sigma(|u|) in the integral-to-integral bound is
 exact: cumulative sums over the inputs' pieces, once per sample set.
 
-Record order.  The kernel scans input by input, but hands each pair's pick
-to ``conclude`` in the order of the pairs (state-major: pair i * n_inputs + j
-is state i with input j), so the records, the witness choice and the rows
-of ``margins.csv`` keep their order; only order-free maxima (ULIM's tau_hat,
-BRS's empirical sup, CEP's sup) see the input-major order.
+Record order.  ``_sweep`` hands the picks to ``conclude`` as arrays in the
+order of the pairs (state-major: pair i * n_inputs + j is state i with input
+j), which the records, the witness choice and the rows of ``margins.csv``
+keep; the report makes its records on first access.
 
 Sampling design.  States are drawn from the uniform ball in the first
 min(N, 8) modes, plus isolated high modes e_k to exercise the non-coercive
@@ -81,7 +82,9 @@ so enlarging a budget extends the sample set without reshuffling it: reported
 minima can only decrease, and a ``violated`` verdict can never flip back.
 The radius enters every draw as a factor, and the breakpoints do not depend
 on it, so the draws at radius 2**-k r are 2**-k times those at radius r, bit
-for bit while they stay clear of the subnormal range.
+for bit while they stay clear of the subnormal range.  A uniform draw is
+formed from its stream's double as ``Generator.uniform`` forms it
+(``_uniform``), so a stream is read once for every radius and horizon.
 
 Tolerances scale with the magnitude of the compared quantities,
 tol = tol_rel * (1 + scale), mostly with scale = |x0| + |u|_inf.  Pointwise
@@ -173,6 +176,35 @@ class SampleBudget:
         return self.n_states * self.n_inputs
 
 
+def _stream(seed: int, kind: int, index: int, draw, *args):
+    """``draw(seeded_rng(seed, kind, index), *args)``, a stream's draws free of
+    radius and horizon, made once per ``_shared_samples`` block."""
+    run = _RUN.get()
+    memo, key = {} if run is None else run[0], (seed, kind, index, *args)
+    if key not in memo:
+        memo[key] = draw(seeded_rng(seed, kind, index), *args)
+    return memo[key]
+
+
+def _uniform(low, high, d):
+    """``Generator.uniform(low, high)`` of its doubles d: low + (high - low) d."""
+    return low + (high - low) * d
+
+
+def _state_draws(rng, n: int, high: bool) -> tuple:
+    """A state stream's direction and radial factor: a high mode's size and
+    sign and 1.0, or a unit vector in the first d modes and uniform**(1/d)."""
+    if high:
+        k, direction = int(rng.integers(n // 2, n)), np.zeros(n)
+        direction[k] = rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
+        return direction, 1.0
+    g = rng.standard_normal(min(n, 8))
+    nrm = float(np.linalg.norm(g))
+    if nrm == 0.0:
+        g[0], nrm = 1.0, 1.0
+    return g / nrm, rng.uniform() ** (1.0 / g.size)
+
+
 def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
     """State sample i: canonical corners first, then seeded random draws."""
     n = sys.n_modes
@@ -186,18 +218,15 @@ def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
     if i == 2:
         x[-1] = r
         return x
-    rng = seeded_rng(budget.seed, 11, i)
-    if i % 5 == 3 and n > 1:
-        k = int(rng.integers(n // 2, n))
-        x[k] = r * rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
-        return x
-    d = min(n, 8)
-    g = rng.standard_normal(d)
-    nrm = float(np.linalg.norm(g))
-    if nrm == 0.0:
-        g[0], nrm = 1.0, 1.0
-    x[:d] = g / nrm * r * rng.uniform() ** (1.0 / d)
+    direction, radial = _stream(budget.seed, 11, i, _state_draws, n, i % 5 == 3 and n > 1)
+    x[:direction.size] = direction * r * radial
     return x
+
+
+def _input_draws(rng) -> tuple:
+    """An input stream's piece count m and its 2 m - 1 doubles."""
+    m = int(rng.integers(1, 9))
+    return m, rng.random(2 * m - 1).tolist()
 
 
 def draw_input(budget: SampleBudget, j: int) -> InputSignal:
@@ -206,13 +235,11 @@ def draw_input(budget: SampleBudget, j: int) -> InputSignal:
         return InputSignal.zero()
     if j == 1:
         return InputSignal.constant(budget.radius, budget.horizon)
-    rng = seeded_rng(budget.seed, 22, j)
-    m = int(rng.integers(1, 9))
-    cuts = np.sort(rng.uniform(0.0, budget.horizon, m - 1))
-    cuts = np.unique(cuts[(cuts > 0.0) & (cuts < budget.horizon)])
-    values = rng.uniform(-budget.radius, budget.radius, cuts.size + 1)
-    breakpoints = np.concatenate([[0.0], cuts, [budget.horizon]])
-    return InputSignal(breakpoints, values)
+    # as Python floats: an input has at most 8 pieces
+    m, d, h, r = *_stream(budget.seed, 22, j, _input_draws), budget.horizon, budget.radius
+    cuts = sorted({c for c in (_uniform(0.0, h, x) for x in d[:m - 1]) if 0.0 < c < h})
+    values = [_uniform(-r, r, x) for x in d[m - 1:m + len(cuts)]]
+    return InputSignal(np.array([0.0, *cuts, h]), np.array(values))
 
 
 def ulim_grid(budget: SampleBudget) -> np.ndarray:
@@ -235,15 +262,17 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
 
 
 class _Samples:
-    """A sample set: the states, their norms |x0| (a column) and the inputs.
+    """A sample set: the states, their norms |x0| (a column ``r``), the
+    inputs and their sup norms |u|_inf (``u_sup``).
 
-    Pair ``i * len(inputs) + j`` is state i with input j.  ``table`` holds
-    the anchor states of every input up to the budget's horizon, stepped
-    once for every kernel pass and the closed-form integrals on the set
-    (``system._anchor_table``).  ``sweep(j)`` gives input j's pointwise
-    probe (the evaluation times plus its breakpoints below the horizon) and
-    the flow norms of every state on it, from one kernel call over every
-    input, whose points ``ulim(levels)`` takes as nodes.  ``memo`` keeps the
+    Pair ``i * len(inputs) + j`` is state i with input j.
+    ``table`` holds the anchor states of every input up to the budget's
+    horizon, stepped once for every kernel pass and the closed-form
+    integrals on the set (``system._anchor_table``).  ``probes`` gives every
+    input's pointwise probe (the evaluation times plus its breakpoints below
+    the horizon), one after another, the flow norms of every state on them,
+    from one kernel call over every input, and each input's offsets; its
+    points are the nodes of ``ulim(levels)``.  ``memo`` keeps the
     int_0^t alpha(|phi|) and int_0^t sigma(|u|) tables, and ``pairs`` is the
     stepper's pair table.
     """
@@ -251,6 +280,7 @@ class _Samples:
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
         self.r = np.array([[state_norm(x0)] for x0 in states])
+        self.u_sup = np.array([u.sup_norm for u in inputs])
         self._memo: dict[tuple, object] = {}
 
     @classmethod
@@ -272,22 +302,18 @@ class _Samples:
                              [self.budget.horizon] * len(self.inputs))
 
     @cached_property
-    def _flows(self) -> tuple:
-        """The one kernel call: each input's probe, the norms on all of them
-        and the offsets of each input's columns."""
-        times, horizon = eval_times(self.budget), self.budget.horizon
-        probes = [np.union1d(times, u.breakpoints[u.breakpoints < horizon]) for u in self.inputs]
-        return probes, _flow_norms(self.sys, self.table, probes), np.cumsum(
-            [0] + [g.size for g in probes])
-
-    def sweep(self, j: int) -> tuple:
-        """Input j's probe and the flow norms of every state on it."""
-        probes, norms, off = self._flows
-        return probes[j], norms[:, off[j]:off[j + 1]]
-
-    def sup(self) -> float:
-        """The largest flow norm on the probes."""
-        return float(np.max(self._flows[1]))
+    def probes(self) -> tuple:
+        """The one kernel call: every input's probe, each the union of the
+        evaluation times and its breakpoints below the horizon, one after
+        another; the norms of all states on them; each input's offsets."""
+        times, bps = eval_times(self.budget), _input_table(self.inputs)[0]
+        probes = np.concatenate([np.broadcast_to(times, (len(bps), times.size)),
+                                 np.where(bps < self.budget.horizon, bps, np.inf)], axis=1)
+        probes.sort(axis=1)
+        keep = np.isfinite(probes)
+        keep[:, 1:] &= probes[:, 1:] != probes[:, :-1]
+        times, off = probes[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return times, _flow_norms(self.sys, self.table, np.split(times, off[1:-1])), off
 
     def ulim(self, levels) -> np.ndarray:
         """The flow norms of each state (axis 0) and input (axis 1) on the
@@ -296,7 +322,7 @@ class _Samples:
         (its first best slack level - |phi|) or first hit (slack >= 0) can
         be, and +inf at every other point, which reads as slack -inf.
 
-        The nodes are the probe's points (``sweep``).  The other points lie
+        The nodes are the probes' points (``probes``).  The other points lie
         in runs between two adjacent nodes, where no breakpoint falls, so
         each mode is monotone over a run, and ``system._enclosure`` bounds
         |phi| on it from below by sqrt(L), less the rounding margin.  A run
@@ -308,11 +334,11 @@ class _Samples:
         hold a pick, a tie that comes first, or a first hit.
         """
         grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
-        nodes, norms, off = self._flows
+        times, norms, off = self.probes
         n_states, n_inputs, n = len(self.states), len(self.inputs), grid.size
         # each node's input and place on the ULIM grid, and whether it is a ULIM
         # point; every input's nodes start at 0 and end at the horizon, as the grid
-        times, owner = np.concatenate(nodes), np.repeat(np.arange(n_inputs), np.diff(off))
+        owner = np.repeat(np.arange(n_inputs), np.diff(off))
         at = np.searchsorted(grid, times)
         on = grid[at] == times
         # the runs of other points between two adjacent nodes: grid[first:last + 1]
@@ -333,8 +359,7 @@ class _Samples:
         # per state (rows) and run (columns), the largest slack the enclosure
         # allows, less the rounding margin of the module docstring
         n_modes = self.sys.n_modes
-        scale = self.r + 2.0 * self.sys.input_gain_norm * np.array(
-            [u.sup_norm for u in self.inputs])
+        scale = self.r + 2.0 * self.sys.input_gain_norm * self.u_sup
         bound = levels[which] - (lower * (1.0 - ENCLOSURE_REL - n_modes * 2.0 ** -53)
                                  - ENCLOSURE_ABS * scale[:, which]
                                  - math.sqrt(n_modes) * ENCLOSURE_FLOOR)
@@ -376,10 +401,11 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 @contextmanager
 def _shared_samples(pair=None):
     """Within the block, checks on the same system and budget share one draw
-    and one pointwise sweep; ``run_scenario`` opens one around a scenario's
-    checks.  With ``pair = (x0, u)`` every sample set holds that one pair
-    instead of the budget's draw (``replay`` runs a check so).  Nothing
-    outlives the block."""
+    and one pointwise sweep, and every budget reads each random stream's
+    draws, made once (``_stream``); ``run_scenario`` opens one around a
+    scenario's checks.  With ``pair = (x0, u)`` every sample set holds that
+    one pair instead of the budget's draw (``replay`` runs a check so).
+    Nothing outlives the block."""
     token = _RUN.set(({}, pair))
     try:
         yield
@@ -416,44 +442,59 @@ def _require_positive(**values: float) -> None:
 
 
 def _pair_tol(rel: float = POINT_TOL):
-    return lambda r, u: _tol(r + u.sup_norm, rel)
+    return lambda r, sup: _tol(r + sup, rel)
 
 
-def _sweep(prop: CheckProperty, samples: _Samples, lhs, bound=None, best: bool = False,
-           tol=_pair_tol()) -> StabilityReport:
-    """The sampling loop of every check with one pick per (state, input).
+def _pick(margins: np.ndarray, off=None, best: bool = False) -> tuple:
+    """Per (state, input) np.argmin's (np.argmax's if ``best``) index on the
+    pair's margins and the margin there.  ``margins`` is (state, input, k),
+    or (state, column) with input j's columns off[j]:off[j + 1], padded
+    after them with +inf (-inf if ``best``), which is never picked first."""
+    if off is not None:
+        size = np.diff(off)
+        own = np.arange(size.max()) < size[:, None]
+        padded = np.full((len(margins), *own.shape), -np.inf if best else np.inf)
+        padded[:, own] = margins
+        margins = padded
+    at = (np.argmax if best else np.argmin)(margins, axis=2)
+    return at, np.take_along_axis(margins, at[..., None], axis=2)[..., 0]
 
-    The sample set is scanned input by input.  ``lhs(samples, j)`` gives
-    the evaluation times (one row, or one row per state) and the compared
-    quantity for all states with input j at once, one row per state, and
-    ``bound(r, u, times)`` the bound for the column r of their norms |x0|.
-    Per pair the margins are bound - lhs, or lhs itself without a bound; the
-    smallest (the largest if ``best``) is the pair's pick, with witness
-    tolerance ``tol(|x0|, u)``, and the picks are concluded in pair order.
+
+def _sweep(prop: CheckProperty, samples: _Samples, times, lhs, off=None, bound=None,
+           best: bool = False, tol=_pair_tol()) -> StabilityReport:
+    """One pass over a sample set for every check with one pick per pair.
+
+    ``lhs`` is the compared quantity of each state (axis 0), input (axis 1)
+    and time (axis 2) at ``times`` (for all pairs, or per pair); or, given
+    offsets ``off``, of each state (rows) on columns at ``times``, input j's
+    off[j]:off[j + 1].  ``bound(r, sup, t)`` is evaluated once, at the
+    column r of the norms |x0|, the |u|_inf of each input (each column with
+    ``off``) and ``times``.  The margins are bound - lhs, or lhs without a
+    bound; each pair's smallest (largest if ``best``) is its pick, with
+    tolerance ``tol(r, sup)`` (states by inputs), concluded in pair order.
     """
-    n_inputs = len(samples.inputs)
-    rows, norms = np.arange(len(samples.states)), samples.r[:, 0].tolist()
-    picks = [None] * (rows.size * n_inputs)
-    for j, u in enumerate(samples.inputs):
-        times, lhs_rows = lhs(samples, j)
-        margin_rows = lhs_rows if bound is None else bound(samples.r, u, times) - lhs_rows
-        chosen = np.argmax(margin_rows, axis=1) if best else np.argmin(margin_rows, axis=1)
-        ts = (times[chosen] if times.ndim == 1 else times[rows, chosen]).tolist()
-        for i, (t, m, r) in enumerate(zip(ts, margin_rows[rows, chosen].tolist(), norms)):
-            picks[i * n_inputs + j] = (i * n_inputs + j, t, m, tol(r, u), samples.states[i], u)
-    return conclude(prop, picks)
+    r, sup, margins = samples.r, samples.u_sup, lhs
+    if bound is not None:
+        margins = (bound(r[:, :, None], sup[:, None], times) if off is None
+                   else bound(r, np.repeat(sup, np.diff(off)), times)) - lhs
+    at, picked = _pick(margins, off, best)
+    t = (times[off[:-1] + at] if off is not None else np.take_along_axis(
+        np.broadcast_to(times, margins.shape), at[..., None], axis=2)[..., 0])
+    return conclude(prop, t.ravel(), picked.ravel(), np.ravel(tol(r, sup)), lambda p: (
+        samples.states[p // sup.size], samples.inputs[p % sup.size]))
 
 
 def _pair_margin(prop: CheckProperty, sys: SpectralSystem, x0, u: InputSignal, grid, bound,
                  best: bool = False) -> float:
-    """``bound(|x0|, u, times)`` - |phi| of the pair (x0, u) at the grid's last
-    time, or if ``best`` its first largest value on the grid, by ``conclude``."""
+    """``bound(|x0|, |u|_inf, times)`` - |phi| of the pair (x0, u) at the grid's
+    last time, or if ``best`` its first largest value on the grid, by ``conclude``."""
     traj = sample_trajectory(sys, x0, u, grid)
     times = traj.times if best else traj.times[-1:]
-    margins = np.ravel(bound(np.array([[state_norm(x0)]]), u, times)
+    margins = np.ravel(bound(np.array([[state_norm(x0)]]), np.array([u.sup_norm]), times)
                        - traj.norms()[-times.size:])
     i = int(np.argmax(margins))
-    return conclude(prop, [(0, times[i], margins[i], 0.0, x0, u)]).worst_margin
+    return conclude(prop, times[i:i + 1], margins[i:i + 1], 0.0,
+                    lambda p: (x0, u)).worst_margin
 
 
 def _prefix_integrals(vals: np.ndarray, grid: np.ndarray, at) -> np.ndarray:
@@ -503,25 +544,20 @@ def __getattr__(name: str):
 # pointwise trajectory-norm checks
 
 
-def _iss_bound(cert: ISSCertificate):
-    return lambda r, u, t: cert.bound(r, u.sup_norm, t)
-
-
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _pair_margin(CheckProperty.ISS, sys, x0, u, np.unique([0.0, float(t)]),
-                        _iss_bound(cert))
+    return _pair_margin(CheckProperty.ISS, sys, x0, u, np.unique([0.0, float(t)]), cert.bound)
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
-    return _sweep(CheckProperty.ISS, _samples(sys, budget), _Samples.sweep,
-                  _iss_bound(cert))
+    samples = _samples(sys, budget)
+    return _sweep(CheckProperty.ISS, samples, *samples.probes, bound=cert.bound)
 
 
 def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
-    return lambda r, u, t: evaluate(sigma_fn, r) + evaluate(gamma_fn, u.sup_norm)
+    return lambda r, sup, t: evaluate(sigma_fn, r) + evaluate(gamma_fn, sup)
 
 
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
@@ -534,12 +570,13 @@ def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
 def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
               gamma_fn: ComparisonFunction, budget: SampleBudget) -> StabilityReport:
     """Static bound sigma(|x0|) + gamma(|u|) over the budget's ball."""
-    return _sweep(CheckProperty.ULS, _samples(sys, budget), _Samples.sweep,
-                  _uls_bound(sigma_fn, gamma_fn))
+    samples = _samples(sys, budget)
+    return _sweep(CheckProperty.ULS, samples, *samples.probes,
+                  bound=_uls_bound(sigma_fn, gamma_fn))
 
 
 def _ulim_level(gamma_fn: ComparisonFunction, eps: float):
-    return lambda r, u, t: eps + evaluate(gamma_fn, u.sup_norm)
+    return lambda r, sup, t: eps + evaluate(gamma_fn, sup)
 
 
 def ulim_slack(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
@@ -560,22 +597,20 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     The norms on the grid come from ``_Samples.ulim``: every point that can
     hold a pair's pick or first hit is read off the shared sweep or swept,
     the others read +inf, so the records, the witness and tau are those of
-    the full sweep bit for bit.
+    the full sweep bit for bit.  The slack is formed in place of the norms,
+    and tau is read off it.
     """
     _require_positive(eps=eps)
-    samples, level = _samples(sys, budget), _ulim_level(gamma_fn, eps)
-    grid = ulim_grid(budget)
-    levels = [level(samples.r, u, grid) for u in samples.inputs]
-    norms = samples.ulim(levels)
-    report = _sweep(CheckProperty.ULIM, samples, lambda _, j: (grid, norms[:, j]), level,
-                    best=True, tol=lambda r, u: 0.0)
-    tau_hat = 0.0
-    for j, at_level in enumerate(levels):
-        hits = at_level - norms[:, j] >= 0.0
-        if not hits.any(axis=1).all():
-            return replace(report, notes="horizon exhausted for some sample")
-        tau_hat = max(tau_hat, float(np.max(grid[np.argmax(hits, axis=1)])))
-    return replace(report, notes=f"tau_hat={tau_hat!r}")
+    samples, grid = _samples(sys, budget), ulim_grid(budget)
+    levels = _ulim_level(gamma_fn, eps)(samples.r, samples.u_sup, grid)
+    slack = samples.ulim(levels)
+    np.subtract(levels[:, None], slack, out=slack)
+    report = _sweep(CheckProperty.ULIM, samples, grid, slack, best=True,
+                    tol=lambda r, sup: 0.0)
+    hits = slack >= 0.0
+    if not hits.any(axis=2).all():
+        return replace(report, notes="horizon exhausted for some sample")
+    return replace(report, notes=f"tau_hat={float(np.max(grid[np.argmax(hits, axis=2)]))!r}")
 
 
 def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityReport:
@@ -606,7 +641,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     gain = sys.input_gain_norm
     scaled = (_CEP_SCALED_RANGE[0] <= budget.radius
               and budget.radius * (1.0 + gain) <= _CEP_SCALED_RANGE[1])
-    sup = _samples(sys, local).sup() if scaled else None
+    sup = float(np.max(_samples(sys, local).probes[1])) if scaled else None
     picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
@@ -615,20 +650,19 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
             delta = eps_j / 2.0 ** i
             margin = eps_j - sup * 2.0 ** -(j + i) if scaled else -math.inf
             if margin < 0.0 and (i == CEP_HALVINGS or not scaled):
-                level = _sweep(CheckProperty.CEP, _samples(sys, replace(local, radius=delta)),
-                               _Samples.sweep, lambda r, u, t: eps_j, tol=lambda r, u: 0.0)
+                samples = _samples(sys, replace(local, radius=delta))
+                level = _sweep(CheckProperty.CEP, samples, *samples.probes,
+                               bound=lambda r, sup, t: eps_j, tol=lambda r, sup: 0.0)
                 margin, witness = level.worst_margin, level.witness
             if margin >= 0.0:
                 chosen_delta = delta
                 break
-        if witness is None:
-            picks.append((j, h, margin, 0.0, np.zeros(sys.n_modes), InputSignal.zero()))
-        else:
-            picks.append((j, witness.t, witness.margin, 0.0, witness.x0, witness.input))
+        picks.append((h, margin, np.zeros(sys.n_modes), InputSignal.zero()) if witness is None
+                     else (witness.t, witness.margin, witness.x0, witness.input))
         table.append((eps_j, chosen_delta))
-    notes = "table " + "; ".join(
-        f"eps={e!r}->delta={d!r}" for e, d in table)
-    return conclude(CheckProperty.CEP, picks, notes=notes)
+    notes = "table " + "; ".join(f"eps={e!r}->delta={d!r}" for e, d in table)
+    t, margins, *_ = zip(*picks)
+    return conclude(CheckProperty.CEP, t, margins, 0.0, lambda j: picks[j][2:], notes=notes)
 
 
 def check_brs(sys: SpectralSystem, C: float, tau: float,
@@ -638,9 +672,9 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     _require_positive(C=C, tau=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
-    report = _sweep(CheckProperty.BRS, samples, _Samples.sweep, lambda r, u, t: bound,
-                    tol=lambda r, u: _tol(bound))
-    sup = samples.sup()
+    report = _sweep(CheckProperty.BRS, samples, *samples.probes,
+                    bound=lambda r, sup, t: bound, tol=lambda r, sup: _tol(bound))
+    sup = float(np.max(samples.probes[1]))
     return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 
@@ -667,19 +701,19 @@ def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.nda
 
 
 def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
-    """The lhs int_0^t alpha(|phi|) at each evaluation time and its witness
-    tolerance.  For alpha = c r**2 the integral is taken in closed form for
-    every input at once, else by Simpson per input segment on a grid graded
-    after 0 and each input breakpoint, one kernel call per input.  Either way
-    each table is made once per sample set, from the set's anchor table."""
+    """The lhs int_0^t alpha(|phi|) of a sample set (``lhs(samples)``), of
+    each state, input and evaluation time, and its witness tolerance.  For
+    alpha = c r**2 the integral is taken in closed form for every input at
+    once, else by Simpson per input segment on a grid graded after 0 and
+    each input breakpoint, one kernel call per input.  Either way the table
+    is made once per sample set, from the set's anchor table."""
     key = (alpha, times.tobytes(), horizon)
     if alpha.form == "power" and alpha.params[1] == 2.0:
         def squares(samples):
             out = alpha.params[0] * _square_integrals(samples.sys, samples.table, times)
             del samples.table   # held, it would raise the peak
             return out
-        return (lambda samples, j: (times, samples.memo(key, lambda: squares(samples))[:, j]),
-                _pair_tol(EXACT_TOL))
+        return lambda samples: samples.memo(key, lambda: squares(samples)), _pair_tol(EXACT_TOL)
 
     def simpson(samples, j):
         u, none = samples.inputs[j], np.empty(0)
@@ -687,10 +721,11 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
         vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, [
             g if i == j else none for i in range(len(samples.inputs))]))
         # g holds the times and the input's breakpoints below the horizon
-        return times, _simpson_integrals(vals, g, np.searchsorted(g, times),
-                                         np.searchsorted(g, u.breakpoints))
-    return (lambda samples, j: samples.memo((*key, j), lambda: simpson(samples, j)),
-            _pair_tol(QUAD_TOL))
+        return _simpson_integrals(vals, g, np.searchsorted(g, times),
+                                  np.searchsorted(g, u.breakpoints))
+    return (lambda samples: samples.memo(key, lambda: np.stack(
+        [simpson(samples, j) for j in range(len(samples.inputs))], axis=1)),
+        _pair_tol(QUAD_TOL))
 
 
 def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
@@ -714,9 +749,10 @@ def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
-    lhs, tol = _integrals(cert.alpha, eval_times(budget), budget.horizon)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, _samples(sys, budget), lhs,
-                  lambda r, u, t: cert.rhs(r, u.sup_norm, t), tol=tol)
+    times, samples = eval_times(budget), _samples(sys, budget)
+    lhs, tol = _integrals(cert.alpha, times, budget.horizon)
+    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, samples, times, lhs(samples),
+                  bound=cert.rhs, tol=tol)
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
@@ -724,13 +760,11 @@ def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertific
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
     times, samples = eval_times(budget), _samples(sys, budget)
-    sigma = samples.memo((cert.sigma, times.tobytes()), lambda: dict(zip(
-        map(id, samples.inputs), _input_integrals(samples.inputs, cert.sigma, times))))
-
-    def bound(r, u, _):
-        return evaluate(cert.psi, r) + sigma[id(u)]
+    sigma = samples.memo((cert.sigma, times.tobytes()),
+                         lambda: _input_integrals(samples.inputs, cert.sigma, times))
     lhs, tol = _integrals(cert.alpha, times, budget.horizon)
-    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, samples, lhs, bound, tol=tol)
+    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, samples, times, lhs(samples),
+                  bound=lambda r, sup, t: evaluate(cert.psi, r) + sigma, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -741,16 +775,17 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
                       params: DissipationParameters, budget: SampleBudget) -> StabilityReport:
     """The exact Vdot_u(x0) against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample.
 
-    Vdot is taken in closed form for all states with an input at t = 0
+    Vdot is taken in closed form for all states and inputs at t = 0
     (``dini_estimate``'s ``analytic``); the bound squares Python floats, since
     numpy's square is not pow in the last bit."""
-    def lhs(samples, j):
-        return np.zeros(1), _vdot(op, samples.sys, samples.states, samples.inputs[j])[:, None]
-
-    def bound(r, u, t):
-        return np.array([[params.rhs(ri ** 2, u.sup_norm)] for ri in r[:, 0].tolist()])
-    return _sweep(CheckProperty.DISSIPATION, _samples(sys, budget), lhs, bound,
-                  tol=lambda r, u: _tol(r ** 2 + u.sup_norm ** 2))
+    samples = _samples(sys, budget)
+    u0 = _input_table(samples.inputs)[1][:, :1]   # each input's u(0), its first value
+    vdot = _vdot(op, sys, np.asarray(samples.states)[:, None], u0)
+    r2, sups = [r ** 2 for r in samples.r[:, 0].tolist()], samples.u_sup.tolist()
+    margins = np.array([[params.rhs(a, s) for s in sups] for a in r2]) - vdot
+    scale = np.add.outer(r2, [s ** 2 for s in sups])
+    return _sweep(CheckProperty.DISSIPATION, samples, np.zeros(1), margins[:, :, None],
+                  tol=lambda r, sup: _tol(scale))
 
 
 def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
@@ -759,30 +794,34 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     samples = _samples(sys, budget)
     x0s, which, table = samples.pairs
     t_mid = 0.5 * budget.horizon
-    # the twin's tail lasts a horizon: from t_mid = 2**53 on, t_mid + 1.0 == t_mid
-    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), budget.horizon)
-    twins = _input_table([u.concatenated(tail, t_mid) for u in samples.inputs])
+    # each input's twin u.concatenated(tail, t_mid) in _input_table's form: u's
+    # breakpoints below t_mid (0.0 past u's end), then the tail's, which lasts a
+    # horizon: from t_mid = 2**53 on, t_mid + 1.0 == t_mid
+    bps, vals = (np.pad(a, ((0, 0), (0, 2)), constant_values=c)
+                 for a, c in zip(table, (np.inf, 0.0)))
+    k, cols = np.sum(bps < t_mid, axis=1, keepdims=True), np.arange(bps.shape[1])
+    twins = (np.select([cols < k, cols == k, cols == k + 1], [bps, t_mid, t_mid + budget.horizon],
+                       np.inf),
+             np.select([cols[:-1] < k, cols[:-1] == k], [vals, 0.37 * (1.0 + budget.radius)]))
     dev = np.abs(_flow_rows(sys, table, which, x0s, 0.0) - x0s).max(axis=1)
     dev_c = np.abs(_flow_rows(sys, table, which, x0s, t_mid)
                    - _flow_rows(sys, twins, which, x0s, t_mid)).max(axis=1)
     margins = -np.stack([dev, dev_c], axis=1).reshape(len(samples.states), -1, 2)
-    times = np.array([0.0, t_mid])
-    return _sweep(CheckProperty.IDENTITY, samples, lambda _, j: (times, margins[:, j]),
-                  tol=lambda r, u: 0.0)
+    return _sweep(CheckProperty.IDENTITY, samples, np.array([0.0, t_mid]), margins,
+                  tol=lambda r, sup: 0.0)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     samples = _samples(sys, budget)
     x0s, which, table = samples.pairs
-    # each pair's own stream draws its t, then its h
-    t, h = np.array([[rng.uniform(0.0, f * budget.horizon) for f in (0.6, 0.4)] for rng in
-                     (seeded_rng(budget.seed, 33, p) for p in range(which.size))]).T
+    # each pair's own stream draws its t in [0, 0.6 H), then its h in [0, 0.4 H)
+    t, h = _uniform(0.0, np.array([0.6, 0.4]) * budget.horizon, np.array(
+        [seeded_rng(budget.seed, 33, p).random(2) for p in range(which.size)])).T
     direct = _flow_rows(sys, table, which, x0s, t + h)
     gap = direct - _flow_rows(sys, table, which, _flow_rows(sys, table, which, x0s, t), h, t)
     def norm(a):   # state_norm's bits: np.vecdot sums as np.linalg.norm's dot does
         return np.sqrt(np.vecdot(a, a))
     margins = COCYCLE_TOL * (1.0 + norm(direct)) - norm(gap)
     times, margins = (np.reshape(a, (len(samples.states), -1, 1)) for a in (t + h, margins))
-    return _sweep(CheckProperty.COCYCLE, samples, lambda _, j: (times[:, j], margins[:, j]),
-                  tol=lambda r, u: 0.0)
+    return _sweep(CheckProperty.COCYCLE, samples, times, margins, tol=lambda r, sup: 0.0)

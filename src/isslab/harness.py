@@ -40,6 +40,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -433,6 +434,14 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
     return run
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """``format(v, CSV_FMT)`` of each value, made once per distinct bit
+    pattern, ``-0.0`` apart from ``0.0``."""
+    bits = values.view(np.int64).tolist()
+    strs = {b: format(v, CSV_FMT) for b, v in dict(zip(bits, values.tolist())).items()}
+    return [strs[b] for b in bits]
+
+
 def emit_csv(run: RunReport, out_dir: str, sys_: SpectralSystem, s: Scenario) -> None:
     """Write report.csv, margins.csv, the report lines and a witness record
     per violated check; with ``output.trajectories = true``, also each
@@ -447,9 +456,9 @@ def emit_csv(run: RunReport, out_dir: str, sys_: SpectralSystem, s: Scenario) ->
     with open(os.path.join(out_dir, "margins.csv"), "w", encoding="utf-8") as fh:
         fh.write("check,sample_index,t,margin\n")
         for e in run.entries:
-            for rec in e.report.margins:
-                fh.write(f"{e.name},{rec.sample_index},{format(rec.t, '.17g')},"
-                         f"{format(rec.margin, '.17g')}\n")
+            n = e.report.samples_checked   # "%.17g" is format(m, ".17g")
+            fh.write(f"{e.name},%d,%s,%.17g\n" * n % tuple(chain.from_iterable(zip(
+                range(n), _formatted(e.report.record_t), e.report.record_margin.tolist()))))
     with open(os.path.join(out_dir, "reports.txt"), "w", encoding="utf-8") as fh:
         for e in run.entries:
             fh.write(e.report.to_line(e.witness_file) + "\n")

@@ -102,11 +102,12 @@ class DiniEstimate:
     analytic: float
 
 
-def _vdot(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal):
-    """Vdot_u(x) = 2 <P x, -Lambda x + b u(0)> of one state or of rows of states;
-    np.vecdot sums as v_value's np.dot does."""
+def _vdot(op: LyapunovOperator, sys: SpectralSystem, x, v):
+    """Vdot_u(x) = 2 <P x, -Lambda x + b v> with v = u(0), of states x (the last
+    axis the modes) and values v that broadcast against them; np.vecdot sums
+    as v_value's np.dot does."""
     x = np.asarray(x, dtype=float)
-    return 2.0 * np.vecdot(op.p_coeffs * x, -sys.lambdas * x + sys.b_coeffs * u.value_at(0.0))
+    return 2.0 * np.vecdot(op.p_coeffs * x, -sys.lambdas * x + sys.b_coeffs * v)
 
 
 def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
@@ -126,7 +127,7 @@ def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
     quotients = tuple((v_value(op, mild_solution(sys, x, u, h)) - v0) / h for h in h_seq)
     value = max(quotients) if all(map(math.isfinite, quotients)) else math.nan
     return DiniEstimate(value=value, quotients=quotients, h_seq=h_seq,
-                        analytic=float(_vdot(op, sys, x, u)))
+                        analytic=float(_vdot(op, sys, x, u.value_at(0.0))))
 
 
 @dataclass(frozen=True)

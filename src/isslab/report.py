@@ -10,8 +10,8 @@ re-evaluated on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -64,11 +64,15 @@ class MarginRecord:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """A verdict with each sample's time and margin, in sample order: as
+    arrays, and as the records ``margins``, made on first access."""
+
     property: CheckProperty
     verdict: Verdict
     worst_margin: float
+    record_t: np.ndarray
+    record_margin: np.ndarray
     witness: Witness | None = None
-    margins: tuple[MarginRecord, ...] = ()
     notes: str = ""
 
     def __post_init__(self):
@@ -81,7 +85,12 @@ class StabilityReport:
 
     @property
     def samples_checked(self) -> int:
-        return len(self.margins)
+        return len(self.record_margin)
+
+    @cached_property
+    def margins(self) -> tuple[MarginRecord, ...]:
+        return tuple(map(MarginRecord, range(self.samples_checked), self.record_t.tolist(),
+                         self.record_margin.tolist()))
 
     def to_line(self, witness_file: str | None = None) -> str:
         """Serialize to ``property,verdict,worst_margin,samples[,witness_file]``."""
@@ -92,23 +101,26 @@ class StabilityReport:
         return ",".join(fields)
 
 
-def conclude(prop: CheckProperty, picks, notes: str = "") -> StabilityReport:
-    """Assemble a report from one pick ``(sample_index, t, margin, tol, x0, u)``
-    per sample, in sample order.
+def conclude(prop: CheckProperty, t, margin, tol, pair, notes: str = "") -> StabilityReport:
+    """Assemble a report from the arrays of one pick per sample, in sample
+    order: its time t, its margin and its witness tolerance ``tol`` (or one
+    for all); ``pair(p)`` is sample p's (x0, u).
 
     The margins become the records and the worst margin.  The witness is the
     first pick whose margin is the smallest of those below their ``-tol``.  A
     non-finite margin, which every tolerance test would pass, raises.
     """
-    records, witness = [], None
-    for idx, t, margin, tol, x0, u in picks:
-        if not math.isfinite(margin):
-            raise ValidationError(f"{prop.value}: non-finite margin {margin!r} "
-                                  f"at sample {idx}")
-        records.append(MarginRecord(idx, float(t), float(margin)))
-        if margin < -tol and (witness is None or margin < witness.margin):
-            witness = Witness(x0=x0, input=u, t=float(t), margin=float(margin))
-    worst = min((r.margin for r in records), default=0.0)
+    t, margin = np.asarray(t, dtype=float), np.asarray(margin, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(margin))
+    if bad.size:
+        raise ValidationError(f"{prop.value}: non-finite margin {float(margin[bad[0]])!r} "
+                              f"at sample {int(bad[0])}")
+    below, witness = np.flatnonzero(margin < -np.asarray(tol)), None
+    if below.size:
+        p = int(below[np.argmin(margin[below])])
+        witness = Witness(*pair(p), t=float(t[p]), margin=float(margin[p]))
+    # the first of the smallest, as min() takes it: 0.0 before a later -0.0
+    worst = float(margin[np.argmin(margin)]) if margin.size else 0.0
     verdict = Verdict.VIOLATED if witness is not None else Verdict.NO_VIOLATION_FOUND
-    return StabilityReport(property=prop, verdict=verdict, worst_margin=float(worst),
-                           witness=witness, margins=tuple(records), notes=notes)
+    return StabilityReport(property=prop, verdict=verdict, worst_margin=worst,
+                           witness=witness, record_t=t, record_margin=margin, notes=notes)

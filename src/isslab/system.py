@@ -42,7 +42,7 @@ coefficients are sqrt(2) (-1)**(k+1) / (k pi), and b_k = lambda_k times those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -348,17 +348,26 @@ class Trajectory:
     states: np.ndarray
     system: SpectralSystem
     input: InputSignal
+    #: ``states`` is a fresh float array that no one else holds: frozen, not copied
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         object.__setattr__(self, "times", _freeze(self.times))
-        object.__setattr__(self, "states", _freeze(self.states))
+        if _fresh:
+            self.states.setflags(write=False)
+        else:
+            object.__setattr__(self, "states", _freeze(self.states))
         if self.states.shape != (self.times.size, self.system.n_modes):
             raise ValidationError("states must have shape (len(times), n_modes)")
         if not np.all(np.isfinite(self.states)):
             raise ValidationError("trajectory states must be finite")
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        """``np.linalg.norm(states, axis=1)``, squaring a block of rows at a time."""
+        out = np.empty(len(self.states))
+        for lo in range(0, out.size, _CSV_ROWS):
+            out[lo:lo + _CSV_ROWS] = np.linalg.norm(self.states[lo:lo + _CSV_ROWS], axis=1)
+        return out
 
 
 def _row_groups(width: np.ndarray) -> list[int]:
@@ -442,7 +451,9 @@ def _flow_norms(sys: SpectralSystem, table, grids, states=None) -> np.ndarray:
     anchor_states = table[0]
     order, width, at, v, dt = _rows(sys, table, grids)
     gain, norms = sys.input_gain_coeffs, np.empty((anchor_states.shape[1], dt.size))
-    edges = _row_groups(width)
+    # rows written out in full are grouped as if every mode were live: a group's arrays
+    # of all modes then hold at most _BLOCK_CELLS entries
+    edges = _row_groups(width if states is None else np.full(width.size, sys.n_modes))
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows, ag, w, vv = order[lo:hi], at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
         decay, forced = _decay_forced(sys, dt[lo:hi, None], vv, w)
@@ -526,7 +537,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
         raise ValidationError("grid must be strictly increasing")
     states = np.empty((1, grid.size, sys.n_modes))
     _flow_norms(sys, _anchor_table(sys, [x0], [u], grid[-1:]), [grid], states)
-    return Trajectory(times=grid, states=states[0], system=sys, input=u)
+    return Trajectory(times=grid, states=states[0], system=sys, input=u, _fresh=True)
 
 
 def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:

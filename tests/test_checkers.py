@@ -169,12 +169,94 @@ def test_negative_seeds_draw_their_own_samples():
                                       0.5903798097151014]
 
 
+def _streams_input(budget, j):
+    """Input j's breakpoints and values as its stream's uniform calls draw them."""
+    rng = seeded_rng(budget.seed, 22, j)
+    m = int(rng.integers(1, 9))
+    cuts = np.sort(rng.uniform(0.0, budget.horizon, m - 1))
+    cuts = np.unique(cuts[(cuts > 0.0) & (cuts < budget.horizon)])
+    values = rng.uniform(-budget.radius, budget.radius, cuts.size + 1)
+    return np.concatenate([[0.0], cuts, [budget.horizon]]), values
+
+
+def _streams_state(n, budget, i):
+    """Random state i (i >= 3) as its stream's calls draw it."""
+    rng, x, r = seeded_rng(budget.seed, 11, i), np.zeros(n), budget.radius
+    if i % 5 == 3 and n > 1:
+        k = int(rng.integers(n // 2, n))
+        x[k] = r * rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
+        return x
+    d = min(n, 8)
+    g = rng.standard_normal(d)
+    x[:d] = g / float(np.linalg.norm(g)) * r * rng.uniform() ** (1.0 / d)
+    return x
+
+
+# seeds below 0, in [0, 2**63) and from 2**63 on map to streams differently
+_STREAM_SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.integers(0, 2 ** 63 - 1),
+                          st.integers(2 ** 63, 2 ** 70))
+# 1.5e-323 = 3 * 2**-1074: there cuts round onto 0 and onto the horizon
+_HORIZONS = st.sampled_from([2.0, 1.0, 1.7, 0.123, 3e-5, 1.5e-323])
+_RADII = st.sampled_from([1.0, 0.3, 7.77, 1e3, 2.0 ** -300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_STREAM_SEEDS, horizon=_HORIZONS, radius=_RADII, first=st.tuples(
+    _HORIZONS, _RADII), n=st.sampled_from([1, 2, 8, 64]))
+def test_stream_draws_are_the_uniform_calls(seed, horizon, radius, first, n):
+    # each stream's doubles, drawn once per block and read by every budget of
+    # it, give draw_input's and draw_state's samples bit for bit as the
+    # stream's own calls do, whichever budget of the block drew first
+    sys = heat(n)
+    budget = SampleBudget(n_states=9, n_inputs=9, horizon=horizon, radius=radius, seed=seed)
+    other = replace(budget, horizon=first[0], radius=first[1])
+    for block in (contextlib.nullcontext(), _shared_samples()):
+        with block:
+            _Samples.draw(sys, other)
+            inputs = [draw_input(budget, j) for j in range(2, budget.n_inputs)]
+            states = [draw_state(sys, budget, i) for i in range(3, budget.n_states)]
+        for j, u in enumerate(inputs, 2):
+            bps, values = _streams_input(budget, j)
+            assert bps.tobytes() == u.breakpoints.tobytes()
+            assert values.tobytes() == u.values.tobytes()
+        for i, x in enumerate(states, 3):
+            assert _streams_state(n, budget, i).tobytes() == x.tobytes()
+
+
+def test_stream_cuts_that_round_onto_the_ends_are_dropped():
+    # at a horizon of three subnormal steps, most cuts round onto 0 or onto
+    # the horizon; the derived inputs drop them as the stream's own draws do
+    budget = SampleBudget(n_inputs=40, horizon=1.5e-323)
+    dropped = 0
+    for j in range(2, budget.n_inputs):
+        rng = seeded_rng(budget.seed, 22, j)
+        m = int(rng.integers(1, 9))
+        dropped += int(np.any(rng.uniform(0.0, budget.horizon, m - 1) == budget.horizon))
+        bps, values = _streams_input(budget, j)
+        u = draw_input(budget, j)
+        assert (bps.tobytes(), values.tobytes()) == (u.breakpoints.tobytes(),
+                                                     u.values.tobytes())
+    assert dropped > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_STREAM_SEEDS, horizon=st.one_of(_HORIZONS, st.floats(1e-300, 1e300)),
+       p=st.integers(0, 10 ** 6))
+def test_stream_cocycle_times_are_the_uniform_calls(seed, horizon, p):
+    # check_cocycle's (t, h) of pair p: 0.0 + [0.6 H, 0.4 H] * rng.random(2)
+    rng = seeded_rng(seed, 33, p)
+    want = [rng.uniform(0.0, 0.6 * horizon), rng.uniform(0.0, 0.4 * horizon)]
+    got = checkers._uniform(0.0, np.array([0.6, 0.4]) * horizon,
+                            seeded_rng(seed, 33, p).random(2))
+    assert np.array(want).tobytes() == got.tobytes()
+
+
 def test_non_finite_margin_is_never_a_clean_verdict():
     x0, u = np.zeros(2), InputSignal.zero()
     for margin in (math.nan, -math.inf):
-        picks = [(2, 0.0, -1.0, 0.0, x0, u), (3, 0.0, margin, 0.0, x0, u)]
         with pytest.raises(ValidationError, match="ULIM.*sample 3"):
-            conclude(CheckProperty.ULIM, picks)
+            conclude(CheckProperty.ULIM, np.zeros(4), [0.5, 0.0, -1.0, margin], 0.0,
+                     lambda p: (x0, u))
 
 
 def _reference_conclusion(picks):
@@ -203,7 +285,8 @@ def test_conclude_follows_the_reference_witness_rule(rows):
     picks = [(idx, t, margin, tol, np.full(2, float(idx)), InputSignal.zero())
              for idx, (t, margin, tol) in enumerate(rows)]
     records, witness = _reference_conclusion(picks)
-    rep = conclude(CheckProperty.ISS, picks)
+    t, margins, tols = (np.array([row[k] for row in rows], dtype=float) for k in range(3))
+    rep = conclude(CheckProperty.ISS, t, margins, tols, lambda p: picks[p][4:])
     assert rep.margins == tuple(records)
     assert [math.copysign(1.0, r.margin) for r in rep.margins] == [
         math.copysign(1.0, m) for _, m, _ in rows]
@@ -213,6 +296,31 @@ def test_conclude_follows_the_reference_witness_rule(rows):
         # the same pick: its index is written into x0
         assert (rep.witness.t, rep.witness.margin) == (witness.t, witness.margin)
         assert np.array_equal(rep.witness.x0, witness.x0)
+
+
+# margins with ties between columns, -0.0 beside 0.0, infinities and NaNs
+_PICK_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), n_states=st.integers(1, 3),
+       best=st.booleans(), data=st.data())
+def test_segmented_pick_is_argmin_per_input(sizes, n_states, best, data):
+    # the pick over ragged columns is np.argmin's (np.argmax's) on each input's
+    # own columns: the first of the smallest (largest), or the first NaN
+    off, total = np.concatenate([[0], np.cumsum(sizes)]), sum(sizes)
+    margins = np.array(data.draw(st.lists(st.lists(_PICK_VALUES, min_size=total,
+                                                   max_size=total),
+                                          min_size=n_states, max_size=n_states)))
+    at, picked = checkers._pick(margins, off, best)
+    arg = np.argmax if best else np.argmin
+    for j, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
+        want = arg(margins[:, lo:hi], axis=1)
+        assert at[:, j].tolist() == want.tolist()
+        assert picked[:, j].tobytes() == margins[np.arange(n_states), lo + want].tobytes()
+    if len(set(sizes)) == 1:   # equal columns per input: the (state, input, k) form
+        at3, picked3 = checkers._pick(margins.reshape(n_states, len(sizes), -1), best=best)
+        assert (at3.tolist(), picked3.tobytes()) == (at.tolist(), picked.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +486,12 @@ def _ulim_reference(sys, gamma_fn, eps, samples):
     norms = checkers._flow_norms(sys, table, [grid] * n)
     rows = norms.reshape(len(samples.states), len(samples.inputs), grid.size)
 
-    def level(r, u, t):
-        return eps + evaluate(gamma_fn, u.sup_norm)
-    report = _sweep(CheckProperty.ULIM, samples, lambda _, j: (grid, rows[:, j]), level,
-                    best=True, tol=lambda r, u: 0.0)
+    report = _sweep(CheckProperty.ULIM, samples, grid, rows,
+                    bound=lambda r, sup, t: eps + evaluate(gamma_fn, sup), best=True,
+                    tol=lambda r, sup: 0.0)
     firsts = []
     for j, u in enumerate(samples.inputs):
-        hits = level(None, u, grid) - rows[:, j] >= 0.0
+        hits = eps + evaluate(gamma_fn, u.sup_norm) - rows[:, j] >= 0.0
         if not hits.any(axis=1).all():
             return replace(report, notes="horizon exhausted for some sample")
         firsts.append(float(np.max(grid[np.argmax(hits, axis=1)])))
@@ -552,16 +659,16 @@ def _cep_reference(sys, budget, h):
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
             samples = _Samples.draw(sys, replace(budget, radius=delta, horizon=h))
-            level = _sweep(CheckProperty.CEP, samples, _Samples.sweep,
-                           lambda r, u, t, e=eps_j: e, tol=lambda r, u: 0.0)
+            level = _sweep(CheckProperty.CEP, samples, *samples.probes,
+                           bound=lambda r, sup, t, e=eps_j: e, tol=lambda r, sup: 0.0)
             if level.witness is None:
                 chosen = delta
                 break
-        w = level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
-                                     level.worst_margin)
-        picks.append((j, w.t, w.margin, 0.0, w.x0, w.input))
+        picks.append(level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
+                                              level.worst_margin))
         table.append(f"eps={eps_j!r}->delta={chosen!r}")
-    return conclude(CheckProperty.CEP, picks, notes="table " + "; ".join(table))
+    return conclude(CheckProperty.CEP, [w.t for w in picks], [w.margin for w in picks], 0.0,
+                    lambda j: (picks[j].x0, picks[j].input), notes="table " + "; ".join(table))
 
 
 _CEP_CASES = {
@@ -653,8 +760,7 @@ def test_norm_to_integral_zero_sample_trivial():
     sys, cert = heat(8), nti_cert()
     lhs, _ = _integrals(cert.alpha, np.array([2.0]), 2.0)
     samples = _Samples(sys, [np.zeros(8)], [InputSignal.zero()], SampleBudget(horizon=2.0))
-    _, integral = lhs(samples, 0)
-    assert cert.rhs(0.0, 0.0, 2.0) - integral[0, 0] == 0.0
+    assert cert.rhs(0.0, 0.0, 2.0) - lhs(samples)[0, 0, 0] == 0.0
 
 
 def test_integral_to_integral_constant_input_coincides():
@@ -752,19 +858,18 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
     samples = _Samples(sys, states, list(_KERNEL_INPUTS), BUDGET)   # horizon 2.0
-    norms = checkers._flow_norms(sys, samples.table, [grid] * len(_KERNEL_INPUTS))
-
-    def lhs(_, j):
-        return grid, norms[:, j * grid.size:(j + 1) * grid.size]
-    got = [row for j in range(len(_KERNEL_INPUTS)) for row in lhs(samples, j)[1]]
+    norms = checkers._flow_norms(sys, samples.table, [grid] * len(_KERNEL_INPUTS)).reshape(
+        len(states), len(_KERNEL_INPUTS), grid.size)
+    got = [row for j in range(len(_KERNEL_INPUTS)) for row in norms[:, j]]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
             for u in _KERNEL_INPUTS for x0 in states]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
-    # conclude receives the picks in pair order, whatever the scan order
-    records = _sweep(CheckProperty.ISS, samples, lhs, lambda r, u, t: 0.0).margins
+    # conclude receives the picks in pair order
+    records = _sweep(CheckProperty.ISS, samples, grid, norms,
+                     bound=lambda r, sup, t: 0.0).margins
     assert [r.sample_index for r in records] == [idx for idx, _, _ in pairs]
     for r, (_, x0, u) in zip(records, pairs):
         norms = sample_trajectory(sys, x0, u, grid).norms()
@@ -961,7 +1066,7 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         def margin(c):
             lhs, _ = _integrals(c.alpha, np.array([t]), t)
             samples = _Samples(sys, [np.zeros(1)], [u], SampleBudget(horizon=t))
-            return c.rhs(0.0, 1.0, t) - lhs(samples, 0)[1][0, 0]
+            return c.rhs(0.0, 1.0, t) - lhs(samples)[0, 0, 0]
         assert abs(margin(simpson_cert) - (t - exact)) < 1e-6
         assert abs(margin(cert) - (t - exact)) < 1e-14
 
@@ -1075,6 +1180,14 @@ def test_batched_axiom_checks_equal_the_per_pair_flow(sys):
     assert _bits(check_cocycle(sys, budget).margins) == _bits(cocycle)
 
 
+def test_identity_runs_where_the_twins_tail_end_overflows():
+    # past a horizon of about 1.2e308, t_mid + horizon overflows to inf: the
+    # twin's tail then never ends, which the flows up to t_mid do not read
+    sys, budget = heat(8), SampleBudget(n_states=4, n_inputs=5, horizon=1.3e308, seed=3)
+    rep = check_identity(sys, budget)
+    assert rep.samples_checked == 20 and rep.worst_margin == 0.0 and not rep.violated
+
+
 @pytest.mark.parametrize("horizon", [1e-3, 2.0, 1e6])
 @pytest.mark.parametrize("n", [1, 8, 256])
 def test_axiom_checks_equal_the_per_pair_formula_across_scales(n, horizon):
@@ -1137,10 +1250,9 @@ def test_a_non_finite_vdot_raises(monkeypatch, k, bad):
     vdot, calls = checkers._vdot, []
     i, j = divmod(k, budget.n_inputs)
 
-    def spoiled(*args):   # called once per input, in input order
+    def spoiled(*args):   # called once, for every state (rows) and input (columns)
         rows = vdot(*args)
-        if len(calls) == j:
-            rows[i] = bad
+        rows[i, j] = bad
         calls.append(None)
         return rows
     monkeypatch.setattr(checkers, "_vdot", spoiled)

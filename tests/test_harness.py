@@ -756,13 +756,11 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
 @pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1),
                                               ("integral_heat64", 1)])
 def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
-    drawn = Counter()
+    opened = Counter()
 
-    def counted(draw, kind):
-        def wrapper(*args):
-            drawn[kind, args[-2], args[-1]] += 1   # (kind, budget, index)
-            return draw(*args)
-        return wrapper
+    def counted_rng(seed, *key):
+        opened[(seed, *key)] += 1
+        return seeded_rng(seed, *key)
     swept, stepped = [], []   # per kernel call its table and grids; per stepping its inputs
 
     def counted_sweep(sys_, table, grids):
@@ -778,21 +776,22 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
         squared.append(table)
         return square_integrals(sys_, table, times)
     flow_norms, anchor_states = checkers._flow_norms, system._anchor_states
-    square_integrals = checkers._square_integrals
+    square_integrals, seeded_rng = checkers._square_integrals, checkers.seeded_rng
     s = _tiny_workload(name)
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
     budgets = (b, cep) if "cep" in s.checks else (b,)
     probes = [[np.union1d(checkers.eval_times(x), u.breakpoints[u.breakpoints < x.horizon])
                for u in (checkers.draw_input(x, j) for j in range(x.n_inputs))] for x in budgets]
-    monkeypatch.setattr(checkers, "draw_state", counted(checkers.draw_state, "state"))
-    monkeypatch.setattr(checkers, "draw_input", counted(checkers.draw_input, "input"))
+    monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     monkeypatch.setattr(system, "_anchor_states", counted_steps)
     monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
     run_scenario(s, str(tmp_path))
-    # every check but cep shares s.budget; cep sweeps at cep_h
-    assert drawn == {**{("state", x, i): 1 for x in budgets for i in range(b.n_states)},
-                     **{("input", x, j): 1 for x in budgets for j in range(b.n_inputs)}}
+    # every check but cep shares s.budget, and cep sweeps at cep_h, but each
+    # random stream is opened once: the states' (seed, 11, i) past the three
+    # corners, the inputs' (seed, 22, j) past the zero and the constant input,
+    # and cocycle's per pair (seed, 33, p)
+    assert opened == _streams(s)
     # per sample set its anchor states are stepped once, over all its inputs
     assert len(stepped) == steppings and all(len(u) == b.n_inputs for u in stepped)
     # the closed-form integrals of every input in one call, which both
@@ -816,8 +815,49 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
             assert cep_table is not table and all(map(np.array_equal, cep_nodes, want))
     # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
-    assert set(drawn.values()) == {2} and len(stepped) == 2 * steppings
+    assert set(opened.values()) == {2} and len(stepped) == 2 * steppings
     assert checkers._RUN.get() is None
+
+
+def _streams(s):
+    """Each random stream a run of ``s`` reads, opened once."""
+    b = s.budget
+    return Counter([*((b.seed, 11, i) for i in range(3, b.n_states)),
+                    *((b.seed, 22, j) for j in range(2, b.n_inputs)),
+                    *((b.seed, 33, p) for p in range(b.n_pairs) if "cocycle" in s.checks)])
+
+
+@pytest.mark.parametrize("radius", [0.3, 1e-125])
+def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, radius):
+    # all seven pointwise checks: cep's set at cep_h, brs's at radius brs_c, and
+    # at 1e-125 cep's per-level sets, one at each delta it sweeps, read the
+    # streams that the first draw opened
+    s = parse_scenario(f"budget.radius = {radius!r}\nbudget.n_states = 9\n"
+                       "budget.n_inputs = 6\nchecks.cep_h = 0.7\nchecks.brs_c = 0.5\n"
+                       "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
+    opened, seeded_rng, budgets = Counter(), checkers.seeded_rng, set()
+
+    def counted_rng(seed, *key):
+        opened[(seed, *key)] += 1
+        return seeded_rng(seed, *key)
+
+    def counted_draw(sys_, budget):
+        budgets.add(budget)
+        return draw(sys_, budget)
+    draw = checkers._Samples.draw
+    monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
+    monkeypatch.setattr(checkers._Samples, "draw", counted_draw)
+    run = run_scenario(s, str(tmp_path))
+    assert opened == _streams(s)
+    # the budget, brs's and cep's at cep_h: one set at the radius, or below
+    # 2**-400 one at each delta that it sweeps level by level
+    cep = {x.radius for x in budgets if x.horizon == s.cep_h}
+    assert len(budgets) == 2 + len(cep)
+    assert cep == {radius} if radius == 0.3 else len(cep) > 1 and max(cep) < radius
+    # and the reports are those of each check run alone, which draws its own
+    resolved = _resolve(s)
+    for e in run.entries:
+        assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
 # ---------------------------------------------------------------------------

@@ -116,19 +116,22 @@ def test_v_upper_bound_tight_only_on_first_mode():
        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
 def test_batched_v_sums_as_v_value(n, rows, seed, scale):
     # np.vecdot sums each row as v_value's np.dot does, bit for bit and at
-    # any length; so the dissipation check, which takes Vdot of all the
-    # states of an input at once, and dini_estimate, which takes one state's,
-    # agree bit for bit
+    # any length; so the dissipation check, which takes Vdot of every state
+    # with every input's u(0) at once, and dini_estimate, which takes one
+    # state's, agree bit for bit
     sys = heat(n)
     op = build_datko(sys)
     x = random_states(n, rows, seed) * scale
     x[:, ::7] = -0.0
     batched = np.vecdot(op.p_coeffs * x, x)
     assert [v.hex() for v in batched.tolist()] == [v_value(op, row).hex() for row in x]
-    u = InputSignal.constant(0.3, 1.0)
     rates = -sys.lambdas * x + sys.b_coeffs * 0.3
-    batched = _vdot(op, sys, x, u).tolist()
-    assert [v.hex() for v in batched] == [float(_vdot(op, sys, row, u)).hex() for row in x]
+    batched = _vdot(op, sys, x, 0.3).tolist()
+    assert [v.hex() for v in batched] == [float(_vdot(op, sys, row, 0.3)).hex() for row in x]
+    values = np.array([0.3, -0.0, 1e-3, -7.5])
+    table = _vdot(op, sys, x[:, None], values[:, None])
+    assert [[v.hex() for v in row] for row in table.tolist()] == [
+        [float(_vdot(op, sys, row, v)).hex() for v in values.tolist()] for row in x]
     # np.dot's sum of -0.0 terms is -0.0, np.vecdot's 0.0; the values are equal
     assert batched == [2.0 * float(np.dot(op.p_coeffs * row, rate))
                        for row, rate in zip(x, rates)]

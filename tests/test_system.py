@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -728,6 +729,31 @@ def _per_float_csv(traj):
     for t, nrm, row in zip(traj.times, traj.norms(), traj.states):
         lines.append(",".join(format(v, ".17g") for v in (t, nrm, *row)))
     return "\n".join(lines) + "\n"
+
+
+def test_sample_trajectory_holds_its_states_once():
+    # the kernel's fresh states are taken over and frozen, not copied, and
+    # their rows are formed and their norms taken a block at a time: 513
+    # states of 256 modes (1.05 MB) peak below 1.5 MB
+    sys, u = heat(256), InputSignal.piecewise([0.0, 0.7, 2.0], [1.0, -0.5])
+    x0, grid = np.linspace(1.0, -1.0, 256), np.linspace(0.0, 2.0, 513)
+    sample_trajectory(sys, x0, u, grid).norms()   # numpy's first calls
+    tracemalloc.start()
+    try:
+        traj = sample_trajectory(sys, x0, u, grid)
+        norms = traj.norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert not traj.states.flags.writeable
+    assert norms.tobytes() == np.linalg.norm(traj.states, axis=1).tobytes()
+    # a caller's own arrays are copied and frozen
+    times, states = np.array([0.0, 1.0]), np.ones((2, 3))
+    traj = Trajectory(times=times, states=states, system=heat(3), input=u)
+    times[1], states[0, 0] = 5.0, 7.0
+    assert traj.times.tolist() == [0.0, 1.0] and traj.states[0, 0] == 1.0
+    assert not (traj.times.flags.writeable or traj.states.flags.writeable)
 
 
 def test_trajectory_csv_matches_per_float_formatting(tmp_path):
