@@ -5,24 +5,22 @@ times for a violation of one universally quantified inequality.  A violation
 is reported with a replayable witness; otherwise the verdict is
 ``no_violation_found``, which is evidence, not proof.
 
-One draw, one sweep.  A check draws its sample set from its budget: the
-states, their norms |x0|, the inputs and their |u|_inf.  Inside
-``_shared_samples``, which ``run_scenario`` opens around a scenario's checks,
-every check on the same system and budget shares one draw, every budget (CEP's
-at cep_h and at its levels' radii, BRS's) derives its samples from each random
-stream's draws, made once (``_stream``), and the pointwise checks (ISS, ULS,
-BRS, CEP and ULIM) share one flow sweep per sample set: one kernel call gives
-the norms of all states on every input's pointwise probe (the evaluation
-times plus the input's breakpoints), and each check reads that one array.
-The probes' points are ULIM's nodes: ULIM sweeps the
-points of its fixed grid between two nodes, in one more kernel call over
-all inputs, only where a lower enclosure of |phi| (``system._enclosure``)
-leaves room for a pair's pick or first hit, and the others read +inf
-(``_Samples.ulim``).  Every kernel pass reads the set's anchor states,
-stepped once (``_Samples.table``).  Every flow value is grid-free, so a
-shared column is that of a sweep on the check's own grid bit for bit, and
-a check called alone gives the same report (so does the integral table
-below).  Nothing outlives the block.
+One draw, one sweep.  A check draws its sample set from its budget as
+arrays (``_Samples``): the states, their norms |x0|, the inputs as one table
+and their |u|_inf; an ``InputSignal`` is made only for a witness and on the
+Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
+around a scenario's checks, every check on the same system and budget shares
+one draw, every budget (CEP's at cep_h and at its levels' radii, BRS's)
+derives its samples from each random stream's draws, made once
+(``_stream``), and the pointwise checks (ISS, ULS, BRS, CEP and ULIM) share
+one kernel call per sample set on every input's probe (the evaluation times
+plus its breakpoints).  The probes' points are ULIM's nodes: ULIM sweeps the
+points of its fixed grid between two nodes, in one more call, only where a
+lower enclosure of |phi| (``system._enclosure``) leaves room for a pair's
+pick or first hit (``_Samples.ulim``).  Every kernel pass takes its rows as
+(input, time) pairs and reads the set's anchor states, stepped once
+(``_Samples.table``).  A flow value is grid-free, so a check called alone
+gives the same report.  Nothing outlives the block.
 
 One kernel.  Every check with one pick per (state, input) runs ``_sweep``,
 one array pass over its whole sample set: one evaluation of the bound, with
@@ -31,29 +29,19 @@ trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say that
 a comparison bound minus |phi(t, x0, u)| or the integral of alpha(|phi|) is
 nonnegative at every sampled (x0, u, t), and the dissipation inequality
 that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds Vdot_u(x0), which has a
-closed form (``lyapunov._vdot``) and steps no flow.
-The axiom checks hand it tables computed once for all pairs by three calls
-each of one stepper (``system._flow_rows``, ``mild_solution`` bit for bit):
-minus the deviations of phi(0) from x0 (identity) and between the flows at
-t_mid of two inputs that agree before it (causality), and the cocycle's
-slack at a (t, h) drawn per pair.
-Inside ``_shared_samples(pair=(x0, u))`` every sample set holds that one
-pair, and a check run there gives the pair's record of its full run bit for
-bit: ``isslab replay`` re-runs a witness's check so.  The single-pair
-functions ``iss_margin``, ``uls_margin`` and ``ulim_slack`` take the bound
-less the norms of ``sample_trajectory`` at a time or on a grid of the
-caller's choosing.  ULIM's hitting time is read off its norms, BRS's
-empirical sup off the memoized sweep, and CEP reads its table off one sweep
-(see ``check_cep``).  ``report.conclude``, the one place that picks a
-witness and refuses a non-finite margin, is reached from ``_sweep``, those
-three and CEP's table: the witness is the first pick whose margin is the
-smallest of those below their tolerance.
-
-Superposition.  The systems are linear, so from an anchor a (0 or an input
-breakpoint) the flow is exp(-lambda (t - a)) phi(a) plus a forced term that
-depends on the input alone.  |phi| comes from the flow kernel
-``system._flow_norms``, which also fills ``sample_trajectory``, bit for bit,
-and works per state on live modes only.
+closed form (``lyapunov._vdot``).  The axiom checks step per-pair rows
+(``system._flow_rows``, of which ``mild_solution`` is row 0): minus the
+deviations of phi(0) from x0 (identity) and between the flows at t_mid of
+two inputs that agree before it (causality), and the cocycle's slack at a
+(t, h) drawn per pair.  Inside ``_shared_samples(pair=(x0, u))`` every
+sample set holds that one pair, and a check run there gives the pair's
+record of its full run bit for bit: ``isslab replay`` re-runs a witness's
+check so.  ``iss_margin``, ``uls_margin`` and ``ulim_slack`` take the bound
+less the norms of ``sample_trajectory`` of one pair.  ``report.conclude``,
+the one place that picks a witness and refuses a non-finite margin, is
+reached from ``_sweep``, those three and CEP's table (``check_cep``): the
+witness is the first pick whose margin is the smallest of those below their
+tolerance.
 
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
@@ -134,7 +122,7 @@ from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure, _flow_norms,
-                     _flow_rows, _input_table, _square_integrals, build_time_grid,
+                     _flow_rows, _input_table, _square_integrals, _unique, build_time_grid,
                      kappa_bounds, sample_trajectory, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
@@ -229,17 +217,20 @@ def _input_draws(rng) -> tuple:
     return m, rng.random(2 * m - 1).tolist()
 
 
+def _input_row(budget: SampleBudget, j: int) -> tuple[list, list]:
+    """Input sample j's breakpoints and values, as Python floats: an input
+    has at most 8 pieces."""
+    h, r = float(budget.horizon), float(budget.radius)
+    if j < 2:   # zero, then constant full amplitude
+        return [0.0, h][:j + 1], [r][:j]
+    m, d = _stream(budget.seed, 22, j, _input_draws)
+    cuts = sorted({c for c in (_uniform(0.0, h, x) for x in d[:m - 1]) if 0.0 < c < h})
+    return [0.0, *cuts, h], [_uniform(-r, r, x) for x in d[m - 1:m + len(cuts)]]
+
+
 def draw_input(budget: SampleBudget, j: int) -> InputSignal:
     """Input sample j: zero, constant full amplitude, then random segments."""
-    if j == 0:
-        return InputSignal.zero()
-    if j == 1:
-        return InputSignal.constant(budget.radius, budget.horizon)
-    # as Python floats: an input has at most 8 pieces
-    m, d, h, r = *_stream(budget.seed, 22, j, _input_draws), budget.horizon, budget.radius
-    cuts = sorted({c for c in (_uniform(0.0, h, x) for x in d[:m - 1]) if 0.0 < c < h})
-    values = [_uniform(-r, r, x) for x in d[m - 1:m + len(cuts)]]
-    return InputSignal(np.array([0.0, *cuts, h]), np.array(values))
+    return InputSignal(*map(np.array, _input_row(budget, j)))
 
 
 def ulim_grid(budget: SampleBudget) -> np.ndarray:
@@ -258,62 +249,73 @@ def eval_times(budget: SampleBudget) -> np.ndarray:
         vdc += (k & 1) * weight
         k >>= 1
         weight *= 0.5
-    return np.unique(np.concatenate([[0.0, budget.horizon], budget.horizon * vdc]))
+    return _unique(np.concatenate([[0.0, budget.horizon], budget.horizon * vdc]))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Each row's ``state_norm``: np.vecdot sums as np.linalg.norm's dot does."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 class _Samples:
-    """A sample set: the states, their norms |x0| (a column ``r``), the
-    inputs and their sup norms |u|_inf (``u_sup``).
+    """A sample set as arrays: the states (S, N), their norms |x0| (a column
+    ``r``), the inputs as one table (``system._input_table``) and their sup
+    norms |u|_inf (``u_sup``, each row's largest |value|: the padding is 0.0).
 
-    Pair ``i * len(inputs) + j`` is state i with input j.
-    ``table`` holds the anchor states of every input up to the budget's
-    horizon, stepped once for every kernel pass and the closed-form
-    integrals on the set (``system._anchor_table``).  ``probes`` gives every
-    input's pointwise probe (the evaluation times plus its breakpoints below
-    the horizon), one after another, the flow norms of every state on them,
-    from one kernel call over every input, and each input's offsets; its
-    points are the nodes of ``ulim(levels)``.  ``memo`` keeps the
-    int_0^t alpha(|phi|) and int_0^t sigma(|u|) tables, and ``pairs`` is the
-    stepper's pair table.
+    Pair ``i * n_inputs + j`` is state i with input j; ``signal(j)`` makes
+    input j's ``InputSignal``.  ``table`` holds the anchor states of every
+    input up to the budget's horizon (``system._anchor_table``).  ``probes``
+    gives every input's probe (the evaluation times plus its breakpoints
+    below the horizon), one after another, the flow norms of every state on
+    them and each input's offsets; its points are the nodes of
+    ``ulim(levels)``.  ``memo`` keeps the int_0^t alpha(|phi|) and int_0^t
+    sigma(|u|) tables, and ``pairs`` is the stepper's pair rows.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
-        self.r = np.array([[state_norm(x0)] for x0 in states])
-        self.u_sup = np.array([u.sup_norm for u in inputs])
+        self.r = _norms(states)[:, None]
+        self.u_sup = np.max(np.abs(inputs[1]), axis=1)
         self._memo: dict[tuple, object] = {}
 
     @classmethod
     def draw(cls, sys: SpectralSystem, budget: SampleBudget) -> "_Samples":
-        return cls(sys, [draw_state(sys, budget, i) for i in range(budget.n_states)],
-                   [draw_input(budget, j) for j in range(budget.n_inputs)], budget)
+        inputs = _input_table(*zip(*(_input_row(budget, j) for j in range(budget.n_inputs))))
+        if not np.isfinite(inputs[1]).all():   # past radius 2**1023, as InputSignal refuses
+            raise ValidationError("breakpoints and values must be finite")
+        return cls(sys, np.array([draw_state(sys, budget, i) for i in range(budget.n_states)]),
+                   inputs, budget)
+
+    def signal(self, j: int) -> InputSignal:
+        """Input j as an ``InputSignal``."""
+        bps = self.inputs[0][j][np.isfinite(self.inputs[0][j])]
+        return InputSignal(bps, self.inputs[1][j, :bps.size - 1])
 
     @property
     def pairs(self) -> tuple:
-        """Each pair's state and input index in pair order, and the inputs' table;
-        made on each use, so that it is not held through the flow sweep."""
-        n = len(self.inputs)
-        x0s, which = np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
-        return x0s, which, _input_table(self.inputs)
+        """Each pair's state and input index in pair order; made on each use,
+        so that it is not held through the flow sweep."""
+        n = self.u_sup.size
+        return np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
 
     @cached_property
     def table(self) -> tuple:
         return _anchor_table(self.sys, self.states, self.inputs,
-                             [self.budget.horizon] * len(self.inputs))
+                             np.full(self.u_sup.size, self.budget.horizon))
 
     @cached_property
     def probes(self) -> tuple:
         """The one kernel call: every input's probe, each the union of the
         evaluation times and its breakpoints below the horizon, one after
         another; the norms of all states on them; each input's offsets."""
-        times, bps = eval_times(self.budget), _input_table(self.inputs)[0]
+        times, bps = eval_times(self.budget), self.inputs[0]
         probes = np.concatenate([np.broadcast_to(times, (len(bps), times.size)),
                                  np.where(bps < self.budget.horizon, bps, np.inf)], axis=1)
         probes.sort(axis=1)
         keep = np.isfinite(probes)
         keep[:, 1:] &= probes[:, 1:] != probes[:, :-1]
         times, off = probes[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        return times, _flow_norms(self.sys, self.table, np.split(times, off[1:-1])), off
+        return times, _flow_norms(self.sys, self.table, np.nonzero(keep)[0], times), off
 
     def ulim(self, levels) -> np.ndarray:
         """The flow norms of each state (axis 0) and input (axis 1) on the
@@ -335,7 +337,7 @@ class _Samples:
         """
         grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
         times, norms, off = self.probes
-        n_states, n_inputs, n = len(self.states), len(self.inputs), grid.size
+        n_states, n_inputs, n = len(self.states), self.u_sup.size, grid.size
         # each node's input and place on the ULIM grid, and whether it is a ULIM
         # point; every input's nodes start at 0 and end at the horizon, as the grid
         owner = np.repeat(np.arange(n_inputs), np.diff(off))
@@ -345,9 +347,7 @@ class _Samples:
         first, last = at[:-1] + on[:-1], at[1:] - 1
         runs = np.flatnonzero((first <= last) & (owner[:-1] == owner[1:]))
         first, last, which = first[runs], last[runs], owner[runs]
-        cuts = np.searchsorted(which, np.arange(1, n_inputs))
-        lower = np.sqrt(_enclosure(self.sys, self.table, np.split(grid[first], cuts),
-                                   np.split(grid[last], cuts)))
+        lower = np.sqrt(_enclosure(self.sys, self.table, which, grid[first], grid[last]))
         # each pair's best node slack, the first node that holds it, and its first
         # node hit, over the nodes that are ULIM points
         slack, t_on, by = levels[owner[on]] - norms[:, on], times[on], owner[on]
@@ -377,8 +377,7 @@ class _Samples:
                   + np.arange(size.sum()))
         # swept, and the anchor table dropped, before out is made: held, they
         # would raise the peak
-        refined = _flow_norms(self.sys, self.table, np.split(
-            grid[points % n], np.searchsorted(points // n, np.arange(1, n_inputs))))
+        refined = _flow_norms(self.sys, self.table, points // n, grid[points % n])
         del self.table
         out = np.full((n_states, n_inputs * n), np.inf)
         out[:, owner[on] * n + at[on]] = norms[:, on]
@@ -422,8 +421,9 @@ def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
     memo, pair = run
     key = (sys, budget)
     if key not in memo:
-        memo[key] = (_Samples.draw(sys, budget) if pair is None
-                     else _Samples(sys, [pair[0]], [pair[1]], budget))
+        memo[key] = (_Samples.draw(sys, budget) if pair is None else _Samples(
+            sys, np.array([pair[0]], dtype=float),
+            _input_table([pair[1].breakpoints], [pair[1].values]), budget))
     return memo[key]
 
 
@@ -481,7 +481,7 @@ def _sweep(prop: CheckProperty, samples: _Samples, times, lhs, off=None, bound=N
     t = (times[off[:-1] + at] if off is not None else np.take_along_axis(
         np.broadcast_to(times, margins.shape), at[..., None], axis=2)[..., 0])
     return conclude(prop, t.ravel(), picked.ravel(), np.ravel(tol(r, sup)), lambda p: (
-        samples.states[p // sup.size], samples.inputs[p % sup.size]))
+        samples.states[p // sup.size], samples.signal(p % sup.size)))
 
 
 def _pair_margin(prop: CheckProperty, sys: SpectralSystem, x0, u: InputSignal, grid, bound,
@@ -547,7 +547,7 @@ def __getattr__(name: str):
 def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
                t: float) -> float:
     """beta(|x0|, t) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _pair_margin(CheckProperty.ISS, sys, x0, u, np.unique([0.0, float(t)]), cert.bound)
+    return _pair_margin(CheckProperty.ISS, sys, x0, u, _unique([0.0, float(t)]), cert.bound)
 
 
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
@@ -563,7 +563,7 @@ def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
 def uls_margin(sys: SpectralSystem, sigma_fn: ComparisonFunction,
                gamma_fn: ComparisonFunction, x0, u: InputSignal, t: float) -> float:
     """sigma(|x0|) + gamma(|u|_inf) - |phi(t, x0, u)|."""
-    return _pair_margin(CheckProperty.ULS, sys, x0, u, np.unique([0.0, float(t)]),
+    return _pair_margin(CheckProperty.ULS, sys, x0, u, _unique([0.0, float(t)]),
                         _uls_bound(sigma_fn, gamma_fn))
 
 
@@ -688,7 +688,7 @@ def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.nda
     at every grid index in ``starts``, so that no panel straddles an input
     breakpoint, where the flow has a kink."""
     top = int(at.max())
-    edges = np.unique(np.concatenate([[0], starts[starts < top], [top]]))
+    edges = _unique(np.concatenate([[0], starts[starts < top], [top]]))
     out = np.zeros(vals.shape[:-1] + at.shape)
     base = np.zeros(vals.shape[:-1] + (1,))
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -716,33 +716,32 @@ def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
         return lambda samples: samples.memo(key, lambda: squares(samples)), _pair_tol(EXACT_TOL)
 
     def simpson(samples, j):
-        u, none = samples.inputs[j], np.empty(0)
+        u = samples.signal(j)
         g = build_time_grid(horizon, u, extra=times)
-        vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, [
-            g if i == j else none for i in range(len(samples.inputs))]))
+        vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, np.full(g.size, j), g))
         # g holds the times and the input's breakpoints below the horizon
         return _simpson_integrals(vals, g, np.searchsorted(g, times),
                                   np.searchsorted(g, u.breakpoints))
     return (lambda samples: samples.memo(key, lambda: np.stack(
-        [simpson(samples, j) for j in range(len(samples.inputs))], axis=1)),
+        [simpson(samples, j) for j in range(samples.u_sup.size)], axis=1)),
         _pair_tol(QUAD_TOL))
 
 
 def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
-    """int_0^t sigma(|u(s)|) ds for each input u (rows) at each of ``times``
-    (columns): the integrals up to the breakpoints, summed cumulatively, plus
-    the piece after the last one below t (the zero tail after the last
-    breakpoint adds nothing)."""
+    """int_0^t sigma(|u(s)|) ds for each input u of the table ``inputs`` (rows)
+    at each of ``times`` (columns): the integrals up to the breakpoints,
+    summed cumulatively, plus the piece after the last one below t (the zero
+    tail after the last breakpoint adds nothing)."""
     times = np.asarray(times, dtype=float)
     if (times < 0.0).any():
         raise DomainError("inputs are defined on t >= 0")
-    bps, vals = _input_table(inputs)
+    bps, vals = inputs
     own = np.isfinite(bps[:, 1:])   # each input's own segments, without the padding
     levels, pieces = np.zeros(vals.shape), np.zeros(vals.shape)
     levels[own] = evaluate(sigma_fn, np.abs(vals[own]))
     pieces[own] = (bps[:, 1:][own] - bps[:, :-1][own]) * levels[own]
-    cum = np.concatenate([np.zeros((len(inputs), 1)), np.cumsum(pieces, axis=1)], axis=1)
-    j, i = np.arange(len(inputs))[:, None], np.sum(bps[:, None, :] <= times[:, None], axis=2) - 1
+    cum = np.concatenate([np.zeros((len(bps), 1)), np.cumsum(pieces, axis=1)], axis=1)
+    j, i = np.arange(len(bps))[:, None], np.sum(bps[:, None, :] <= times[:, None], axis=2) - 1
     return cum[j, i] + levels[j, i] * (times - bps[j, i])
 
 
@@ -779,8 +778,8 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
     (``dini_estimate``'s ``analytic``); the bound squares Python floats, since
     numpy's square is not pow in the last bit."""
     samples = _samples(sys, budget)
-    u0 = _input_table(samples.inputs)[1][:, :1]   # each input's u(0), its first value
-    vdot = _vdot(op, sys, np.asarray(samples.states)[:, None], u0)
+    u0 = samples.inputs[1][:, :1]   # each input's u(0), its first value
+    vdot = _vdot(op, sys, samples.states[:, None], u0)
     r2, sups = [r ** 2 for r in samples.r[:, 0].tolist()], samples.u_sup.tolist()
     margins = np.array([[params.rhs(a, s) for s in sups] for a in r2]) - vdot
     scale = np.add.outer(r2, [s ** 2 for s in sups])
@@ -792,7 +791,7 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     """Identity (phi(0) == x0 bit for bit) and causality (agreeing inputs
     give identical states); any deviation at all is a violation."""
     samples = _samples(sys, budget)
-    x0s, which, table = samples.pairs
+    (x0s, which), table = samples.pairs, samples.inputs
     t_mid = 0.5 * budget.horizon
     # each input's twin u.concatenated(tail, t_mid) in _input_table's form: u's
     # breakpoints below t_mid (0.0 past u's end), then the tail's, which lasts a
@@ -814,14 +813,12 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     samples = _samples(sys, budget)
-    x0s, which, table = samples.pairs
+    (x0s, which), table = samples.pairs, samples.inputs
     # each pair's own stream draws its t in [0, 0.6 H), then its h in [0, 0.4 H)
     t, h = _uniform(0.0, np.array([0.6, 0.4]) * budget.horizon, np.array(
         [seeded_rng(budget.seed, 33, p).random(2) for p in range(which.size)])).T
     direct = _flow_rows(sys, table, which, x0s, t + h)
     gap = direct - _flow_rows(sys, table, which, _flow_rows(sys, table, which, x0s, t), h, t)
-    def norm(a):   # state_norm's bits: np.vecdot sums as np.linalg.norm's dot does
-        return np.sqrt(np.vecdot(a, a))
-    margins = COCYCLE_TOL * (1.0 + norm(direct)) - norm(gap)
+    margins = COCYCLE_TOL * (1.0 + _norms(direct)) - _norms(gap)
     times, margins = (np.reshape(a, (len(samples.states), -1, 1)) for a in (t + h, margins))
     return _sweep(CheckProperty.COCYCLE, samples, times, margins, tol=lambda r, sup: 0.0)

@@ -12,22 +12,24 @@ is evaluated in closed form.  Piecewise-constant inputs therefore propagate
 with no time-stepping error at all; the only discretization in the package is
 the choice of sample times.
 
-One stepper (``_anchor_states``) carries a stack of states to the anchors of
-a list of inputs, 0 and each input's breakpoints below its last time, and
-every flow value (``mild_solution``, the rows of ``sample_trajectory`` and
-of the checkers' kernel) and closed-form integral (``_square_integrals``) is
-the formula above from the last anchor below its time (``_flow_rows`` steps
-rows with their own input, time and start so).  A value never depends on a
-sampling grid or on the other inputs of a stack, so the axiom checks test
-every margin's arithmetic.
+Inputs enter the flows as one table (``_input_table``): a row per input,
+its breakpoints padded with +inf, its values with 0.0.  ``_anchor_table``
+steps a stack of states once to the anchors of every input, 0 and its
+breakpoints below its last time; ``_flow_rows`` steps rows with their own
+state, input, time and start (``mild_solution`` is its row 0).  Every flow
+value (``mild_solution``, the rows of ``sample_trajectory`` and of the
+checkers' kernel) and closed-form integral (``_square_integrals``) is the
+formula above from the last anchor below its time.  A value never depends
+on a sampling grid or on the other inputs of a stack, so the axiom checks
+test every margin's arithmetic.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
-whatever the state.  The flow kernel (``_flow_norms``) sweeps every input of
-a sample set in one call, the rows of all inputs sorted by this live width,
-and works per state on the live modes only.  It and ``_square_integrals``,
-which integrates every input of a sample set in one pass, read the anchor
-states from a table stepped once per sample set (``_anchor_table``).
+whatever the state.  The flow kernel (``_flow_norms``) takes its rows as
+(input, time) pairs, sweeps every input of a sample set in one call, the rows
+sorted by this live width, and works per state on the live modes only.  It
+and ``_square_integrals``, which integrates every input of a sample set in
+one pass, read the anchor states from the set's anchor table.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -269,50 +271,22 @@ def _decay_forced(sys: SpectralSystem, dt, v, w=None):
     return decay, sys.input_gain_coeffs[:w] * v * (1.0 - decay)
 
 
-def _input_table(inputs) -> tuple[np.ndarray, np.ndarray]:
-    """One row per input: its breakpoints padded with +inf, its values with 0.0."""
-    m = max(u.values.size for u in inputs)
-    bps, vals = np.full((len(inputs), m + 2), np.inf), np.zeros((len(inputs), m + 1))
-    for j, u in enumerate(inputs):
-        bps[j, :u.breakpoints.size], vals[j, :u.values.size] = u.breakpoints, u.values
-    return bps, vals
-
-
-def _anchor_states(sys: SpectralSystem, x0s, inputs, ends):
-    """The states ``x0s`` (a stack) at the anchors of each input j, 0 and its
-    breakpoints below ``ends[j]``: shape (anchor, state, mode), with ``by``
-    and ``starts``.  The input is constant between anchors, so each step is
-    exact.  Anchor 0, the states themselves, is held once; the inputs go in
-    the order ``by``, the most anchors first, so that pass a steps a leading
-    run of them, and anchor a + 1 of input ``by[p]`` is ``1 + starts[a] + p``.
-    One input's anchors are in order.
-    """
-    bps = [u.breakpoints.tolist() for u in inputs]
-    counts = [max(1, sum(b < end for b in bp)) for bp, end in zip(bps, map(float, ends))]
-    by = sorted(range(len(inputs)), key=lambda j: -counts[j])
-    live = [sum(c > a for c in counts) for a in range(1, counts[by[0]])]
-    steps = [(j, a) for a, n in enumerate(live, 1) for j in by[:n]]
-    dt = np.minimum([bps[j][a] - bps[j][a - 1] for j, a in steps], sys._settle)
-    decay = np.exp(-sys.lambdas * dt[:, None, None])
-    forced = sys.input_gain_coeffs * (1.0 - decay) * np.array(
-        [inputs[j].values[a - 1] for j, a in steps])[:, None, None]
-    x = np.empty((1 + len(steps), len(x0s), sys.n_modes))
-    x[0] = x0s
-    starts = [0]
-    for a, n in enumerate(live):
-        lo = starts[a]
-        step = np.multiply(x[1 + starts[a - 1]:1 + starts[a - 1] + n] if a else x[:1],
-                           decay[lo:lo + n], out=x[1 + lo:1 + lo + n])
-        step += forced[lo:lo + n]
-        starts.append(lo + n)
-    return x, by, starts
+def _input_table(bps, vals) -> tuple[np.ndarray, np.ndarray]:
+    """One row per input from its breakpoints ``bps[j]`` and values ``vals[j]``:
+    the breakpoints padded with +inf, the values with 0.0."""
+    m = max(map(len, vals))
+    table = np.full((len(bps), m + 2), np.inf), np.zeros((len(bps), m + 1))
+    for j, (b, v) in enumerate(zip(bps, vals)):
+        table[0][j, :len(b)], table[1][j, :len(v)] = b, v
+    return table
 
 
 def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.ndarray:
-    """Row r is ``mild_solution(sys, x0s[r], u.shifted(starts[r]), times[r])``
-    bit for bit, u the input ``which[r]`` of ``table`` (``_input_table``).
-    A row's anchors are its breakpoints after its start less its start, as
-    ``shifted`` forms them; each pass steps the rows with one below their time."""
+    """Row r is phi(times[r], x0s[r], u.shifted(starts[r])), u the input
+    ``which[r]`` of ``table``.  A row's anchors are its breakpoints after its
+    start less its start, as ``shifted`` forms them; each pass steps the rows
+    with one below their time to it, x exp(-lambda dt) + g (1 - exp(-lambda
+    dt)) v with dt clipped at ``_settle``, and the last piece is ``_decay_forced``'s."""
     bps, vals, idx = table[0][which], table[1][which], np.arange(len(which))
     times, starts = np.broadcast_to(times, idx.shape), np.broadcast_to(starts, idx.shape)
     x, anchor = np.array(x0s, dtype=float), np.zeros(idx.size)
@@ -327,17 +301,15 @@ def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.
 
 
 def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarray:
-    """State phi(t, x0, u): the row at t of every sampled flow, bit for bit."""
+    """State phi(t, x0, u): row 0 of ``_flow_rows``, the row at t of every
+    sampled flow, bit for bit."""
     if t < 0.0:
         raise DomainError("mild solutions are defined for t >= 0")
     state = np.asarray(x0, dtype=float)
     if state.shape != (sys.n_modes,):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    states = _anchor_states(sys, state[None], [u], [t])[0]
-    a = len(states) - 1   # the last anchor below t; the input is 0.0 past its end
-    v = u.values[a] if a < u.values.size else 0.0
-    decay, forced = _decay_forced(sys, min(t - u.breakpoints[a], sys._settle), v)
-    return states[a, 0] * decay + forced
+    return _flow_rows(sys, _input_table([u.breakpoints], [u.values]), np.zeros(1, int),
+                      state[None], t)[0]
 
 
 @dataclass(frozen=True)
@@ -389,67 +361,86 @@ def _live_width(sys: SpectralSystem, dt: np.ndarray) -> np.ndarray:
         return np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
 
 
-def _anchor_table(sys: SpectralSystem, x0s, inputs, ends) -> tuple:
-    """The anchor states of the stack ``x0s`` at the anchors of each input j
-    below ``ends[j]`` (``_anchor_states``), stepped once for every kernel
-    pass on times up to ``ends[j]``; with, per (input, anchor), its state's
-    index, its input value and its time."""
-    if any(np.shape(x0) != (sys.n_modes,) for x0 in x0s):
+def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
+    """The states ``x0s`` (a stack) at the anchors of each input j of the
+    input table ``table``, 0 and its breakpoints below ``ends[j]``, stepped
+    once for every kernel pass on times up to ``ends[j]``; with, per (input,
+    anchor), its state's index, its input value and its time.  Each step is
+    exact.  Anchor 0, the states themselves, is held once; pass a steps the
+    inputs with more than a + 1 anchors, the most first, from a leading run
+    of the states of pass a - 1."""
+    bps, vals = table
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.shape[1:] != (sys.n_modes,):
         raise ValidationError(f"state must have shape ({sys.n_modes},)")
-    bps, vals = _input_table(inputs)
-    anchor_states, by, starts = _anchor_states(sys, np.array(x0s, dtype=float), inputs, ends)
+    counts = np.maximum(1, np.sum(bps < np.asarray(ends)[:, None], axis=1))
+    by, most = np.argsort(-counts, kind="stable"), counts.max()
+    # pass a steps the inputs by[:n], n the row sum of the mask: the steps
+    # (a, place p in by) in pass order, each to anchor a + 1 of input by[p]
+    mask = counts[by] > np.arange(1, most)[:, None]
+    passes, place = np.nonzero(mask)
+    j, a = by[place], passes + 1
+    dt = np.minimum(bps[j, a] - bps[j, a - 1], sys._settle)
+    decay = np.exp(-sys.lambdas * dt[:, None, None])
+    forced = sys.input_gain_coeffs * (1.0 - decay) * vals[j, a - 1][:, None, None]
+    x = np.empty((1 + j.size, len(x0s), sys.n_modes))
+    x[0] = x0s
+    starts = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        prev = x[1 + starts[i - 1]:1 + starts[i - 1] + hi - lo] if i else x[:1]
+        step = np.multiply(prev, decay[lo:hi], out=x[1 + lo:1 + hi])
+        step += forced[lo:hi]
     # checked here: a dead mode never reads its anchor state, so its overflow
     # would not reach the norms
-    if not np.isfinite(anchor_states).all():
+    if not np.isfinite(x).all():
         raise ValidationError("trajectory states must be finite")
-    most = len(starts)   # each input's anchors: 0, then 1 + starts[a - 1] + its place in by
-    slot = np.zeros((len(by), most), dtype=int)
-    slot[by, 1:] = 1 + np.add.outer(np.arange(len(by)), starts[:-1])
-    return anchor_states, slot, vals[:, :most], bps[:, :most]
+    slot = np.zeros((len(bps), most), dtype=int)
+    slot[j, a] = 1 + np.arange(j.size)
+    return x, slot, vals[:, :most], bps[:, :most]
 
 
-def _rows(sys: SpectralSystem, table, grids, firsts=None) -> tuple:
-    """The rows of a kernel pass, one per time t of each input's grid (one
-    grid after another), a the last anchor below t: their order by live
-    width at t - a (at f - a, f the time in ``firsts`` in t's place, if
-    given), and in that order the widths, the index of each row's anchor
-    state and its input value, and t - a (then f - a) clipped at ``_settle``."""
+def _rows(sys: SpectralSystem, table, which, times, firsts=None) -> tuple:
+    """The rows of a kernel pass, one per (input ``which[r]``, time
+    ``times[r]``) in any order, a the last anchor below the time t: their
+    order by live width at t - a (at f - a, f = ``firsts[r]``, if given),
+    and in that order the widths, the index of each row's anchor state and
+    its input value, and t - a (then f - a) clipped at ``_settle``."""
     slot, vals, bps = table[1:]
-    seg = np.concatenate([j * bps.shape[1] + np.maximum(np.searchsorted(row, grid) - 1, 0)
-                          for j, (row, grid) in enumerate(zip(bps, grids))])
-    anchor = bps.ravel()[seg]
-    dts = [np.concatenate(g) - anchor for g in ([grids] if firsts is None else [firsts, grids])]
+    seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
+    anchor = bps[which, seg]
+    dts = [t - anchor for t in ([times] if firsts is None else [firsts, times])]
     width = _live_width(sys, dts[0])
     # the rows in order of width; a group computes some rows past their width
     order = np.argsort(width, kind="stable").astype(np.min_scalar_type(width.size))
     return (order, width[order].astype(np.min_scalar_type(sys.n_modes)),
-            slot.ravel()[seg][order], vals.ravel()[seg][order],
+            slot[which, seg][order], vals[which, seg][order],
             *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
 
 
-def _flow_norms(sys: SpectralSystem, table, grids, states=None) -> np.ndarray:
-    """|phi(t, x0s[s], inputs[j])| for each state s (rows) and each time t
-    of each input's grid ``grids[j]`` (columns, one grid after another),
-    ``table`` the anchor table of ``x0s`` and ``inputs``; given ``states``
-    of shape (len(x0s), columns, n_modes), the flows are written there too.
+def _flow_norms(sys: SpectralSystem, table, which, times, states=None) -> np.ndarray:
+    """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
+    a pair (input, time): u the input ``which[r]`` and t = ``times[r]``,
+    ``table`` the anchor table of ``x0s`` (``_anchor_table``); given
+    ``states`` of shape (len(x0s), rows, n_modes), the flows are written
+    there too.
 
-    Each grid must be one-dimensional, strictly increasing, nonnegative and
-    within its input's end in the table (``sample_trajectory`` refuses any
-    other grid of a caller's choosing).  Each row runs from the last anchor below
-    its time, as in ``mild_solution``.  A row dt after its anchor has the
-    live width W = #{k : lambda_k dt <= _EXP_FLUSH}; every mode past W has
-    decayed to exactly 0.0 and holds its forced value g_k v, the same for
-    every state.  The rows of all inputs are sorted by W together and cut
-    into groups (``_rows``, ``_row_groups``); each group computes the decay
-    and the forced term on its first W columns and the tail squares
-    (g_k v)**2 once for all states, and each state's pass gathers, decays
-    and squares only those columns.  Each norm is still ``np.add.reduce``
-    over the whole row of squares, so it is ``np.linalg.norm`` of the
-    ``mild_solution`` rows bit for bit, and a state, an input or a time
-    gives the same bits alone as in a stack.
+    Each time must be nonnegative and within its input's end in the table
+    (``sample_trajectory`` refuses any other grid of a caller's choosing).
+    The rows need no order, within an input or across inputs.  Each row
+    runs from the last anchor below its time, as in ``_flow_rows``.  A row
+    dt after its anchor has the live width W = #{k : lambda_k dt <=
+    _EXP_FLUSH}; every mode past W has decayed to exactly 0.0 and holds its
+    forced value g_k v, the same for every state.  The rows are sorted by W
+    and cut into groups (``_rows``, ``_row_groups``); each group computes
+    the decay and the forced term on its first W columns and the tail
+    squares (g_k v)**2 once for all states, and each state's pass gathers,
+    decays and squares only those columns.  Each norm is still
+    ``np.add.reduce`` over the whole row of squares, so it is
+    ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
+    state or a row gives the same bits alone as in a stack.
     """
     anchor_states = table[0]
-    order, width, at, v, dt = _rows(sys, table, grids)
+    order, width, at, v, dt = _rows(sys, table, which, times)
     gain, norms = sys.input_gain_coeffs, np.empty((anchor_states.shape[1], dt.size))
     # rows written out in full are grouped as if every mode were live: a group's arrays
     # of all modes then hold at most _BLOCK_CELLS entries
@@ -477,11 +468,11 @@ def _flow_norms(sys: SpectralSystem, table, grids, states=None) -> np.ndarray:
     return norms
 
 
-def _enclosure(sys: SpectralSystem, table, los, his) -> np.ndarray:
-    """A lower bound of |phi|**2 on each run [lo, hi] of each input j,
-    lo = los[j][i] <= hi = his[j][i] with no breakpoint of the input in
-    [lo, hi), for each state of the anchor table (rows; columns, one input's
-    runs after another):
+def _enclosure(sys: SpectralSystem, table, which, los, his) -> np.ndarray:
+    """A lower bound of |phi|**2 on each run [lo, hi] of input ``which[r]``,
+    lo = los[r] <= hi = his[r] with no breakpoint of the input in [lo, hi),
+    for each state of the anchor table (rows) and each run r in any order
+    (columns):
 
         L = sum_k [p_k(lo) p_k(hi) > 0] min(p_k(lo)**2, p_k(hi)**2),
 
@@ -493,7 +484,7 @@ def _enclosure(sys: SpectralSystem, table, los, his) -> np.ndarray:
     hold g_k v on the whole run, and their part is v**2 sum_{k >= W} g_k**2.
     """
     anchor_states = table[0]
-    order, width, at, v, dt_hi, dt_lo = _rows(sys, table, his, los)
+    order, width, at, v, dt_hi, dt_lo = _rows(sys, table, which, his, los)
     gain = sys.input_gain_coeffs
     dead = np.sqrt(np.append(np.cumsum(gain[::-1] ** 2)[::-1], 0.0))   # |g_{W..N}|
     out = np.empty((anchor_states.shape[1], order.size))
@@ -536,7 +527,8 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     if (np.diff(grid) <= 0.0).any():
         raise ValidationError("grid must be strictly increasing")
     states = np.empty((1, grid.size, sys.n_modes))
-    _flow_norms(sys, _anchor_table(sys, [x0], [u], grid[-1:]), [grid], states)
+    table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
+    _flow_norms(sys, table, np.zeros(grid.size, int), grid, states)
     return Trajectory(times=grid, states=states[0], system=sys, input=u, _fresh=True)
 
 
@@ -633,6 +625,15 @@ def kappa_bounds(sys: SpectralSystem, t: float) -> AdmissibilityBound:
 # grids and export
 
 
+def _unique(a) -> np.ndarray:
+    """``np.unique(a)`` by its sort, without the ``numpy.ma`` import of its
+    first call: each value unlike the one before it, and a NaN (sorted last)."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]) & (a[:-1] == a[:-1])
+    return a[keep]
+
+
 def build_time_grid(horizon: float, u: InputSignal | None = None,
                     n_uniform: int = 1025, per_decade: int = 32,
                     extra=None) -> np.ndarray:
@@ -656,7 +657,7 @@ def build_time_grid(horizon: float, u: InputSignal | None = None,
         pieces.append(a + np.geomspace(_GRID_T_MIN, span, n))
     if extra is not None:
         pieces.append(np.asarray(extra, dtype=float))
-    grid = np.unique(np.concatenate(pieces))
+    grid = _unique(np.concatenate(pieces))
     return grid[(grid >= 0.0) & (grid <= horizon)]
 
 

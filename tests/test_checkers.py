@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, InputSignal,
@@ -31,10 +31,21 @@ from isslab.lyapunov import DEFAULT_DINI_H, v_value
 from isslab.system import _anchor_table
 from isslab.report import Witness, conclude
 from isslab.system import mild_solution, seeded_rng, state_norm
-from test_system import one_input_squares
+from test_system import _table, one_input_squares
 
 PI2 = math.pi ** 2
 SQRT3 = math.sqrt(3.0)
+
+
+def _samples_of(sys, states, inputs, budget):
+    """The sample set of the given states and signals."""
+    return _Samples(sys, np.array(states, dtype=float), _table(inputs), budget)
+
+
+def _on_every_input(grid, n):
+    """The kernel rows (input, time) of the grid on each of n inputs, one
+    input after another."""
+    return np.repeat(np.arange(n), grid.size), np.tile(grid, n)
 
 
 def heat(n=64, a=1.0):
@@ -155,6 +166,11 @@ def test_budget_validation():
         SampleBudget(horizon=math.nan)
     with pytest.raises(ValidationError):
         SampleBudget(radius=math.inf)
+    # a finite radius from 2**1023 on draws values that overflow, which the
+    # sample set refuses as draw_input's InputSignal does
+    for draw in (lambda b: _Samples.draw(heat(8), b), lambda b: draw_input(b, 2)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            draw(SampleBudget(radius=2.0 ** 1023))
 
 
 def test_negative_seeds_draw_their_own_samples():
@@ -237,6 +253,70 @@ def test_stream_cuts_that_round_onto_the_ends_are_dropped():
         assert (bps.tobytes(), values.tobytes()) == (u.breakpoints.tobytes(),
                                                      u.values.tobytes())
     assert dropped > 0
+
+
+def _f64(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _input_bits(u):
+    return _f64(u.breakpoints), _f64(u.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_STREAM_SEEDS, horizon=_HORIZONS, radius=_RADII, n=st.sampled_from([1, 2, 8, 64]),
+       n_inputs=st.integers(1, 12))
+@example(seed=0, horizon=1.5e-323, radius=0.3, n=8, n_inputs=40)   # cuts onto the horizon
+def test_sample_table_rows_are_the_drawn_signals(seed, horizon, radius, n, n_inputs):
+    # a sample set holds its inputs as one table and its states as one array:
+    # each table row, padded with +inf and 0.0, and signal(j) are draw_input's
+    # signal, u_sup its sup_norm, each state draw_state's and r its state_norm,
+    # bit for bit
+    sys = heat(n)
+    budget = SampleBudget(n_states=7, n_inputs=n_inputs, horizon=horizon, radius=radius,
+                          seed=seed)
+    samples = _Samples.draw(sys, budget)
+    bps, vals = samples.inputs
+    for j in range(n_inputs):
+        u = draw_input(budget, j)
+        k = u.breakpoints.size
+        assert _f64(bps[j]) == _f64([*u.breakpoints, *[np.inf] * (bps.shape[1] - k)])
+        assert _f64(vals[j]) == _f64([*u.values, *[0.0] * (vals.shape[1] - k + 1)])
+        assert _input_bits(samples.signal(j)) == _input_bits(u)
+        assert _f64(samples.u_sup[j]) == _f64(u.sup_norm)
+    for i in range(budget.n_states):
+        x = draw_state(sys, budget, i)
+        assert _f64(samples.states[i]) == _f64(x)
+        assert _f64(samples.r[i]) == _f64([state_norm(x)])
+
+
+def test_vecdot_row_norms_are_state_norms_bit_for_bit():
+    # a sample set's |x0| column and cocycle's norms take np.vecdot's rows,
+    # which sum as np.linalg.norm's dot does, for every N
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1000, 1024, 4095, 4096]:
+        states = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-150.0, 150.0, (8, 1))
+        states[0, :] = 0.0
+        states[1, rng.random(n) < 0.5] = 0.0
+        assert _f64(checkers._norms(states)) == _f64([state_norm(x) for x in states])
+
+
+def test_unique_is_np_uniques_array():
+    # the sort-and-drop-repeats helper of eval_times, the pair grids, the
+    # Simpson grids and edges gives np.unique's array bit for bit: repeats,
+    # -0.0 beside 0.0 (whichever the sort puts first), and NaNs kept once
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, -np.nan, np.inf, -np.inf, 5e-324])
+    cases = [eval_times(SampleBudget(horizon=5e-324)), eval_times(SampleBudget()),
+             np.array([]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([3, 1, 3, 0])]
+    for size in (1, 2, 3, 16, 17, 100, 1000):
+        cases += [rng.choice(pool, size), np.round(rng.normal(size=size), 1) * rng.choice(
+            [1.0, -1.0], size), rng.integers(0, 5, size)]
+    for a in cases:
+        want, got = np.unique(a), checkers._unique(a)
+        assert got.dtype == want.dtype and got.view(np.int64).tolist() == want.view(
+            np.int64).tolist()
+    assert eval_times(SampleBudget(horizon=5e-324)).tolist() == [0.0, 5e-324]
 
 
 @settings(max_examples=100, deadline=None)
@@ -481,17 +561,17 @@ def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
 def _ulim_reference(sys, gamma_fn, eps, samples):
     """check_ulim as stated: every pair's norms on all 513 points of the
     ULIM grid, from one full kernel sweep."""
-    grid, n = ulim_grid(samples.budget), len(samples.inputs)
+    grid, n = ulim_grid(samples.budget), samples.u_sup.size
     table = _anchor_table(sys, samples.states, samples.inputs, [samples.budget.horizon] * n)
-    norms = checkers._flow_norms(sys, table, [grid] * n)
-    rows = norms.reshape(len(samples.states), len(samples.inputs), grid.size)
+    norms = checkers._flow_norms(sys, table, *_on_every_input(grid, n))
+    rows = norms.reshape(len(samples.states), n, grid.size)
 
     report = _sweep(CheckProperty.ULIM, samples, grid, rows,
                     bound=lambda r, sup, t: eps + evaluate(gamma_fn, sup), best=True,
                     tol=lambda r, sup: 0.0)
     firsts = []
-    for j, u in enumerate(samples.inputs):
-        hits = eps + evaluate(gamma_fn, u.sup_norm) - rows[:, j] >= 0.0
+    for j in range(n):
+        hits = eps + evaluate(gamma_fn, samples.signal(j).sup_norm) - rows[:, j] >= 0.0
         if not hits.any(axis=1).all():
             return replace(report, notes="horizon exhausted for some sample")
         firsts.append(float(np.max(grid[np.argmax(hits, axis=1)])))
@@ -547,10 +627,11 @@ def _ulim_cases(draw):
 def test_ulim_matches_the_full_sweep_bit_for_bit(case):
     sys, budget, pair, gamma_fn, level = case
     samples = _Samples.draw(sys, budget)
-    one = _Samples(sys, [pair[0]], [pair[1]], budget)
+    one = _samples_of(sys, [pair[0]], [pair[1]], budget)
     table = _anchor_table(sys, samples.states, samples.inputs,
                           [budget.horizon] * budget.n_inputs)
-    norms = checkers._flow_norms(sys, table, [ulim_grid(budget)] * budget.n_inputs)
+    norms = checkers._flow_norms(sys, table, *_on_every_input(ulim_grid(budget),
+                                                              budget.n_inputs))
     # the norm at a grid point of the last state with input 0, the zero input,
     # where gamma adds 0.0 (slack 0.0 there, a tie with every equal norm);
     # below every norm but 0; so far above every norm that level - |phi|
@@ -759,7 +840,7 @@ def test_norm_to_integral_single_mode_closed_form():
 def test_norm_to_integral_zero_sample_trivial():
     sys, cert = heat(8), nti_cert()
     lhs, _ = _integrals(cert.alpha, np.array([2.0]), 2.0)
-    samples = _Samples(sys, [np.zeros(8)], [InputSignal.zero()], SampleBudget(horizon=2.0))
+    samples = _samples_of(sys, [np.zeros(8)], [InputSignal.zero()], SampleBudget(horizon=2.0))
     assert cert.rhs(0.0, 0.0, 2.0) - lhs(samples)[0, 0, 0] == 0.0
 
 
@@ -779,7 +860,7 @@ def test_integral_to_integral_constant_input_coincides():
 def test_integral_to_integral_zero_tail_shrinks_rhs():
     sigma = power(2.0 / 3.0, 2.0)
     u = InputSignal.piecewise([0.0, 1.0], [1.0])  # 1 on [0,1], 0 afterwards
-    tail = _input_integrals([u], sigma, [2.0])[0, 0]
+    tail = _input_integrals(_table([u]), sigma, [2.0])[0, 0]
     assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
     # versus the sup-norm form t * sigma(1) = 4/3 at t = 2
     assert tail < 2.0 * (2.0 / 3.0)
@@ -857,9 +938,9 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
               np.random.default_rng(n).uniform(-1.0, 1.0, n)]
     pairs = [(si * len(_KERNEL_INPUTS) + sj, x0, u)
              for si, x0 in enumerate(states) for sj, u in enumerate(_KERNEL_INPUTS)]
-    samples = _Samples(sys, states, list(_KERNEL_INPUTS), BUDGET)   # horizon 2.0
-    norms = checkers._flow_norms(sys, samples.table, [grid] * len(_KERNEL_INPUTS)).reshape(
-        len(states), len(_KERNEL_INPUTS), grid.size)
+    samples = _samples_of(sys, states, _KERNEL_INPUTS, BUDGET)   # horizon 2.0
+    norms = checkers._flow_norms(sys, samples.table, *_on_every_input(
+        grid, len(_KERNEL_INPUTS))).reshape(len(states), len(_KERNEL_INPUTS), grid.size)
     got = [row for j in range(len(_KERNEL_INPUTS)) for row in norms[:, j]]
     # the kernel runs input by input, each input's states in pair order
     want = [sample_trajectory(sys, x0, u, grid).norms()
@@ -1015,14 +1096,14 @@ def _per_segment_input_integral(u, sigma_fn, t):
 def test_input_integrals_equal_the_per_segment_sum():
     sigma = power(2.0 / 3.0, 2.0)
     times = np.array([0.0, 0.1, 0.15, 0.4, 0.77, 0.9, 1.7, 2.0, 3.5])
-    got = _input_integrals(_KERNEL_INPUTS, sigma, times)
+    got = _input_integrals(_table(_KERNEL_INPUTS), sigma, times)
     for u, row in zip(_KERNEL_INPUTS, got):
         want = [_per_segment_input_integral(u, sigma, t) for t in times]
         assert row.tolist() == want
-        assert (_input_integrals([u], sigma, [1.3])[0, 0]
+        assert (_input_integrals(_table([u]), sigma, [1.3])[0, 0]
                 == _per_segment_input_integral(u, sigma, 1.3))
     with pytest.raises(DomainError):
-        _input_integrals([_EIGHT_PIECES], sigma, [-1.0])
+        _input_integrals(_table([_EIGHT_PIECES]), sigma, [-1.0])
 
 
 def test_exact_path_resolves_violations_below_the_simpson_tolerance():
@@ -1065,7 +1146,7 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         # grid (the same alpha in another form), or exact
         def margin(c):
             lhs, _ = _integrals(c.alpha, np.array([t]), t)
-            samples = _Samples(sys, [np.zeros(1)], [u], SampleBudget(horizon=t))
+            samples = _samples_of(sys, [np.zeros(1)], [u], SampleBudget(horizon=t))
             return c.rhs(0.0, 1.0, t) - lhs(samples)[0, 0, 0]
         assert abs(margin(simpson_cert) - (t - exact)) < 1e-6
         assert abs(margin(cert) - (t - exact)) < 1e-14

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isslab import (SampleBudget, ScenarioError, ValidationError, Verdict, iss_margin,
                     build_system, main, parse_comparison, parse_scenario, run_scenario,
                     ISSCertificate, DecayEnvelope, linear)
-from isslab import checkers, system
+from isslab import checkers
 from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve,
                             _work, bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
@@ -429,6 +429,33 @@ def test_runs_leave_scipy_unimported(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+_NO_NUMPY_MA = """
+import sys
+from isslab.harness import main
+out, names = sys.argv[1], sys.argv[2:]
+codes = [main(["check", name, "--out", f"{out}/{i}"]) for i, name in enumerate(names)]
+bad_gain = names.index("heat_bad_gain.scn")
+codes.append(main(["replay", names[bad_gain], f"{out}/{bad_gain}/witness_iss.csv"]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_check_and_replay_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4); the check and
+    # replay paths drop repeats with their own sort, so no run pays for it
+    src = str(Path(checkers.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    simpson = tmp_path / "simpson.scn"
+    simpson.write_text("certificate.alpha = power(0.5, 1.0)\n"
+                       "checks.names = norm_to_integral, integral_to_integral\n")
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path / "out"), *BUNDLED,
+                           str(simpson)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # the last line, after the checks' own
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 0, 0, 1, 1] False", proc.stdout
+
+
 def test_checkers_simpson_is_scipys_on_lookup():
     from scipy.integrate import simpson
     assert checkers.simpson is simpson
@@ -763,19 +790,19 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
         return seeded_rng(seed, *key)
     swept, stepped = [], []   # per kernel call its table and grids; per stepping its inputs
 
-    def counted_sweep(sys_, table, grids):
-        swept.append((table, grids))
-        return flow_norms(sys_, table, grids)
+    def counted_sweep(sys_, table, which, times):
+        swept.append((table, [times[which == j] for j in range(len(table[1]))]))
+        return flow_norms(sys_, table, which, times)
 
     def counted_steps(sys_, x0s, inputs, ends):
-        stepped.append(inputs)
-        return anchor_states(sys_, x0s, inputs, ends)
+        stepped.append(inputs[0])   # a row of breakpoints per input
+        return anchor_table(sys_, x0s, inputs, ends)
     squared = []   # per closed-form integral call its table
 
     def counted_squares(sys_, table, times):
         squared.append(table)
         return square_integrals(sys_, table, times)
-    flow_norms, anchor_states = checkers._flow_norms, system._anchor_states
+    flow_norms, anchor_table = checkers._flow_norms, checkers._anchor_table
     square_integrals, seeded_rng = checkers._square_integrals, checkers.seeded_rng
     s = _tiny_workload(name)
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
@@ -784,7 +811,7 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
                for u in (checkers.draw_input(x, j) for j in range(x.n_inputs))] for x in budgets]
     monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
-    monkeypatch.setattr(system, "_anchor_states", counted_steps)
+    monkeypatch.setattr(checkers, "_anchor_table", counted_steps)
     monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
     run_scenario(s, str(tmp_path))
     # every check but cep shares s.budget, and cep sweeps at cep_h, but each
@@ -866,6 +893,10 @@ def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, rad
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _input_bits(u):
+    return _bits(u.breakpoints), _bits(u.values)
 
 
 def _assert_same_witness(a: Witness, b: Witness):
@@ -971,16 +1002,16 @@ def test_a_check_on_one_pair_gives_that_pairs_record(tmp_path, monkeypatch, scen
     with checkers._shared_samples():
         runs = {name: (_CHECKS[name](s, res), drawn[-1]) for name in REPLAYABLE}
     for name, (rep, sample_set) in runs.items():
-        n_inputs = len(sample_set.inputs)
+        n_inputs = sample_set.u_sup.size
         picked = [0, 1, 2, rep.samples_checked - 1]
         if rep.violated:
             w = rep.witness
             picked.append(next(
                 p for p, rec in enumerate(rep.margins) if (rec.t, rec.margin) == (w.t, w.margin)
-                and sample_set.inputs[p % n_inputs] is w.input
+                and _input_bits(sample_set.signal(p % n_inputs)) == _input_bits(w.input)
                 and _bits(sample_set.states[p // n_inputs]) == _bits(w.x0)))
         for p in picked:
-            pair = (sample_set.states[p // n_inputs], sample_set.inputs[p % n_inputs])
+            pair = (sample_set.states[p // n_inputs], sample_set.signal(p % n_inputs))
             with checkers._shared_samples(pair=pair):
                 (one,) = _CHECKS[name](s, res).margins
             full = rep.margins[p]

@@ -25,9 +25,17 @@ def heat(n, a=1.0):
     return heat_dirichlet(a, n)
 
 
+def _table(inputs):
+    """The input table of a list of signals."""
+    return _input_table([u.breakpoints for u in inputs], [u.values for u in inputs])
+
+
 def _kernel(sys, x0s, inputs, grids):
-    """The flow kernel's norms, from the anchor table up to each grid's end."""
-    return _flow_norms(sys, _anchor_table(sys, x0s, inputs, [g[-1] for g in grids]), grids)
+    """The flow kernel's norms on each input's grid, one grid after another,
+    from the anchor table up to each grid's end."""
+    table = _anchor_table(sys, x0s, _table(inputs), [g[-1] for g in grids])
+    return _flow_norms(sys, table, np.repeat(np.arange(len(grids)), [len(g) for g in grids]),
+                       np.concatenate(grids))
 
 
 def profile_coefficient(k):
@@ -166,16 +174,32 @@ def test_heat_steady_norm_approaches_gain():
     assert norm == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
 
 
+def _reference_flow(sys, x0, u, t):
+    """phi(t, x0, u) stepped segment by segment: x exp(-lambda dt) + g (1 -
+    exp(-lambda dt)) v to each breakpoint below t, dt clipped at _settle, then
+    the piece after the last one in _decay_forced's order."""
+    lam, gain, x = sys.lambdas, sys.input_gain_coeffs, np.asarray(x0, dtype=float)
+    bp, vals, a = u.breakpoints.tolist(), u.values.tolist() + [0.0], 0
+    while a + 1 < len(bp) and bp[a + 1] < t:
+        decay = np.exp(-lam * min(bp[a + 1] - bp[a], sys._settle))
+        x = x * decay + gain * (1.0 - decay) * vals[a]
+        a += 1
+    decay = np.exp(-min(t - bp[a], sys._settle) * lam)
+    return x * decay + gain * vals[a] * (1.0 - decay)
+
+
 def test_multi_segment_matches_manual_composition():
     sys = heat(6)
     u = InputSignal.piecewise([0.0, 0.4, 1.1, 2.0], [1.0, -0.5, 0.25])
-    # manual composition segment by segment
+    # manual composition segment by segment, bit for bit
     state = np.zeros(6)
-    for dur, val in ((0.4, 1.0), (0.7, -0.5), (0.9, 0.25), (0.5, 0.0)):
+    for dur, val in ((0.4, 1.0), (1.1 - 0.4, -0.5), (2.0 - 1.1, 0.25)):
         decay = np.exp(-sys.lambdas * dur)
         state = state * decay + sys.input_gain_coeffs * (1.0 - decay) * val
-    assert np.allclose(mild_solution(sys, np.zeros(6), u, 2.5), state,
-                       rtol=1e-14, atol=1e-16)
+    decay = np.exp(-(2.5 - 2.0) * sys.lambdas)
+    state = state * decay + sys.input_gain_coeffs * 0.0 * (1.0 - decay)
+    assert np.array_equal(mild_solution(sys, np.zeros(6), u, 2.5), state)
+    assert np.array_equal(_reference_flow(sys, np.zeros(6), u, 2.5), state)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +259,7 @@ def test_stacked_flow_matches_mild_solution_per_state():
         for times in ([0.0, 0.3, 0.5, 0.75, 1.1, 1.7], np.full(6, 0.75), np.zeros(6),
                       rng.uniform(0.0, 2.0, 6)):
             for u_ in (u, InputSignal.zero()):
-                got = _flow_rows(sys, _input_table([u_]), np.zeros(6, int), x0s, times)
+                got = _flow_rows(sys, _table([u_]), np.zeros(6, int), x0s, times)
                 want = np.array([mild_solution(sys, x0, u_, t) for x0, t in zip(x0s, times)])
                 assert np.array_equal(got, want)
 
@@ -324,10 +348,31 @@ def test_stepper_rows_are_shifted_mild_solutions_bit_for_bit(case, data):
                                min_size=n, max_size=n))
     which = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
     states = np.concatenate([x0s, -x0s])[np.arange(n) % 4]   # -x0s holds -0.0
-    rows = _flow_rows(sys, _input_table(inputs), which, states, np.array(times), np.array(starts))
+    rows = _flow_rows(sys, _table(inputs), which, states, np.array(times), np.array(starts))
     want = np.array([mild_solution(sys, x0, inputs[j].shifted(s), t)
                      for x0, j, s, t in zip(states, which, starts, times)])
     assert np.array_equal(_bits(rows), _bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_kernel_cases())
+def test_mild_solution_and_kernel_rows_are_the_reference_steppers(case):
+    # mild_solution is row 0 of _flow_rows and has no stepper of its own: it,
+    # the stepper's rows and the kernel's norms are the segment-by-segment
+    # reference bit for bit, at t = 0, 1e-300 and 1e300, on every breakpoint,
+    # one ulp past it and between breakpoints
+    sys, u, grid, x0s = case
+    bps = u.breakpoints
+    times = np.unique(np.concatenate([grid, bps, np.nextafter(bps, 3.0), [1e-300, 1e300]]))
+    want = np.array([[_reference_flow(sys, x0, u, t) for t in times] for x0 in x0s])
+    for s, x0 in enumerate(x0s):
+        got = np.array([mild_solution(sys, x0, u, t) for t in times])
+        assert np.array_equal(_bits(got), _bits(want[s]))
+        x = np.tile(x0, (times.size, 1))
+        rows = _flow_rows(sys, _table([u]), np.zeros(times.size, int), x, times)
+        assert np.array_equal(_bits(rows), _bits(want[s]))
+    norms = _kernel(sys, x0s, [u], [times])
+    assert np.array_equal(_bits(norms), _bits(np.linalg.norm(want, axis=2)))
 
 
 @pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
@@ -350,7 +395,7 @@ def test_decay_past_the_flush_is_exact_and_raises_no_warning(lam_dt):
         warnings.simplefilter("error", RuntimeWarning)
         got = [mild_solution(sys, x0, u, t),
                sample_trajectory(sys, x0, u, np.array([0.0, bp[1], bp[2], t])).states[-1],
-               _flow_rows(sys, _input_table([u]), np.zeros(1, int), [x0], t)[0]]
+               _flow_rows(sys, _table([u]), np.zeros(1, int), [x0], t)[0]]
     for row in got:
         assert np.array_equal(_bits(row), _bits(want))
 
@@ -358,7 +403,8 @@ def test_decay_past_the_flush_is_exact_and_raises_no_warning(lam_dt):
 def one_input_squares(sys, x0s, u, times):
     """The closed-form square integrals of one input on its own anchor table:
     (state, time)."""
-    return _square_integrals(sys, _anchor_table(sys, x0s, [u], [np.max(times)]), times)[:, 0]
+    table = _anchor_table(sys, x0s, _table([u]), [np.max(times)])
+    return _square_integrals(sys, table, times)[:, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,7 +423,7 @@ def test_square_integrals_of_a_stack_are_each_inputs_own(case, data):
     on = [b for v in inputs for b in v.breakpoints.tolist()]
     times = data.draw(st.just([0.0]) | st.lists(st.sampled_from(on) | st.floats(0.0, 2.6),
                                                 min_size=1, max_size=12))
-    table = _anchor_table(sys, x0s, inputs, [max(times)] * len(inputs))
+    table = _anchor_table(sys, x0s, _table(inputs), [max(times)] * len(inputs))
     got = _square_integrals(sys, table, times)
     assert got.shape == (len(x0s), len(inputs), len(times))
     for j, v in enumerate(inputs):
