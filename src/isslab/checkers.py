@@ -12,15 +12,15 @@ Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
 one draw, every budget (CEP's at cep_h and at its levels' radii, BRS's)
 derives its samples from each random stream's draws, made once
-(``_stream``), and the pointwise checks (ISS, ULS, BRS, CEP and ULIM) share
-one kernel call per sample set on every input's probe (the evaluation times
-plus its breakpoints).  The probes' points are ULIM's nodes: ULIM sweeps the
-points of its fixed grid between two nodes, in one more call, only where a
-lower enclosure of |phi| (``system._enclosure``) leaves room for a pair's
-pick or first hit (``_Samples.ulim``).  Every kernel pass takes its rows as
-(input, time) pairs and reads the set's anchor states, stepped once
-(``_Samples.table``).  A flow value is grid-free, so a check called alone
-gives the same report.  Nothing outlives the block.
+(``_stream``, ``_input_rows``), and the pointwise checks (ISS, ULS, BRS, CEP
+and ULIM) share one kernel call per sample set on every input's probe (the
+evaluation times plus its breakpoints).  The probes' points are ULIM's
+nodes: ULIM sweeps the points of its fixed grid between two nodes, in one
+more call, only where a lower enclosure of |phi| (``system._enclosure``)
+leaves room for a pair's pick or first hit (``_Samples.ulim``).  Every
+kernel pass takes its rows as (input, time) pairs and reads the set's anchor
+states, stepped once (``_Samples.table``).  A flow value is grid-free, so a
+check called alone gives the same report.  Nothing outlives the block.
 
 One kernel.  Every check with one pick per (state, input) runs ``_sweep``,
 one array pass over its whole sample set: one evaluation of the bound, with
@@ -72,7 +72,9 @@ The radius enters every draw as a factor, and the breakpoints do not depend
 on it, so the draws at radius 2**-k r are 2**-k times those at radius r, bit
 for bit while they stay clear of the subnormal range.  A uniform draw is
 formed from its stream's double as ``Generator.uniform`` forms it
-(``_uniform``), so a stream is read once for every radius and horizon.
+(``_uniform``), so a stream is read once for every radius and horizon.  The
+input and cocycle streams draw only ``integers(1, 9)`` and ``random``: their
+raw words come for all streams at once (``system._stream_words``).
 
 Tolerances scale with the magnitude of the compared quantities,
 tol = tol_rel * (1 + scale), mostly with scale = |x0| + |u|_inf.  Pointwise
@@ -122,8 +124,8 @@ from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure, _flow_norms,
-                     _flow_rows, _input_table, _square_integrals, _unique, build_time_grid,
-                     kappa_bounds, sample_trajectory, seeded_rng, state_norm)
+                     _flow_rows, _input_table, _square_integrals, _stream_words, _unique,
+                     build_time_grid, kappa_bounds, sample_trajectory, seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -165,8 +167,9 @@ class SampleBudget:
 
 
 def _stream(seed: int, kind: int, index: int, draw, *args):
-    """``draw(seeded_rng(seed, kind, index), *args)``, a stream's draws free of
-    radius and horizon, made once per ``_shared_samples`` block."""
+    """``draw(seeded_rng(seed, kind, index), *args)``, a state stream's draws
+    free of radius and horizon, made once per ``_shared_samples`` block: a
+    state keeps its ``Generator`` (a ziggurat; an ``integers`` that rejects)."""
     run = _RUN.get()
     memo, key = {} if run is None else run[0], (seed, kind, index, *args)
     if key not in memo:
@@ -211,26 +214,29 @@ def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
     return x
 
 
-def _input_draws(rng) -> tuple:
-    """An input stream's piece count m and its 2 m - 1 doubles."""
-    m = int(rng.integers(1, 9))
-    return m, rng.random(2 * m - 1).tolist()
-
-
-def _input_row(budget: SampleBudget, j: int) -> tuple[list, list]:
-    """Input sample j's breakpoints and values, as Python floats: an input
-    has at most 8 pieces."""
-    h, r = float(budget.horizon), float(budget.radius)
-    if j < 2:   # zero, then constant full amplitude
-        return [0.0, h][:j + 1], [r][:j]
-    m, d = _stream(budget.seed, 22, j, _input_draws)
-    cuts = sorted({c for c in (_uniform(0.0, h, x) for x in d[:m - 1]) if 0.0 < c < h})
-    return [0.0, *cuts, h], [_uniform(-r, r, x) for x in d[m - 1:m + len(cuts)]]
+def _input_rows(budget: SampleBudget, stop: int, start: int = 0) -> list[tuple[list, list]]:
+    """Inputs start..stop-1's breakpoints and values, as Python floats.  Input
+    j >= 2 reads its stream's words once per ``_shared_samples`` block: its
+    ``integers(1, 9)`` pieces m (Lemire's draw on word 0's low half, exact as
+    8 divides 2**32), then ``random(2 m - 1)``, the m - 1 cuts and the values."""
+    h, r, seed = float(budget.horizon), float(budget.radius), budget.seed
+    memo = (_RUN.get() or ({},))[0]   # the block's memo, else a throwaway one
+    words = memo.get(("inputs", seed), np.empty((0, 16), dtype=np.uint64))
+    if len(words) < stop - 2:   # only the streams not yet read
+        words = memo["inputs", seed] = np.concatenate(
+            [words, _stream_words(seed, 22, np.arange(2 + len(words), stop), 16)])
+    words = words[max(start - 2, 0):max(stop - 2, 0)]
+    rows = [([0.0, h][:j + 1], [r][:j]) for j in range(start, min(stop, 2))]  # zero, constant
+    for k, d in zip(((words[:, 0] & 0xFFFFFFFF) >> 29).tolist(),   # k = m - 1
+                    ((words[:, 1:] >> 11) * 2.0 ** -53).tolist()):
+        cuts = sorted({c for c in (_uniform(0.0, h, x) for x in d[:k]) if 0.0 < c < h})
+        rows.append(([0.0, *cuts, h], [_uniform(-r, r, x) for x in d[k:k + len(cuts) + 1]]))
+    return rows
 
 
 def draw_input(budget: SampleBudget, j: int) -> InputSignal:
     """Input sample j: zero, constant full amplitude, then random segments."""
-    return InputSignal(*map(np.array, _input_row(budget, j)))
+    return InputSignal(*map(np.array, _input_rows(budget, j + 1, j)[0]))
 
 
 def ulim_grid(budget: SampleBudget) -> np.ndarray:
@@ -280,7 +286,7 @@ class _Samples:
 
     @classmethod
     def draw(cls, sys: SpectralSystem, budget: SampleBudget) -> "_Samples":
-        inputs = _input_table(*zip(*(_input_row(budget, j) for j in range(budget.n_inputs))))
+        inputs = _input_table(*zip(*_input_rows(budget, budget.n_inputs)))
         if not np.isfinite(inputs[1]).all():   # past radius 2**1023, as InputSignal refuses
             raise ValidationError("breakpoints and values must be finite")
         return cls(sys, np.array([draw_state(sys, budget, i) for i in range(budget.n_states)]),
@@ -401,10 +407,10 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 def _shared_samples(pair=None):
     """Within the block, checks on the same system and budget share one draw
     and one pointwise sweep, and every budget reads each random stream's
-    draws, made once (``_stream``); ``run_scenario`` opens one around a
-    scenario's checks.  With ``pair = (x0, u)`` every sample set holds that
-    one pair instead of the budget's draw (``replay`` runs a check so).
-    Nothing outlives the block."""
+    draws, made once (``_stream``, ``_input_rows``); ``run_scenario`` opens one
+    around a scenario's checks.  With ``pair = (x0, u)`` every sample set
+    holds that one pair instead of the budget's draw (``replay`` runs a check
+    so).  Nothing outlives the block."""
     token = _RUN.set(({}, pair))
     try:
         yield
@@ -778,6 +784,8 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
     (``dini_estimate``'s ``analytic``); the bound squares Python floats, since
     numpy's square is not pow in the last bit."""
     samples = _samples(sys, budget)
+    if max(samples.r.max(), samples.u_sup.max()) >= 2.0 ** 512:   # x ** 2 would overflow
+        raise ValidationError(f"Dissipation: squares overflow at radius {budget.radius!r}")
     u0 = samples.inputs[1][:, :1]   # each input's u(0), its first value
     vdot = _vdot(op, sys, samples.states[:, None], u0)
     r2, sups = [r ** 2 for r in samples.r[:, 0].tolist()], samples.u_sup.tolist()
@@ -814,9 +822,9 @@ def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
     samples = _samples(sys, budget)
     (x0s, which), table = samples.pairs, samples.inputs
-    # each pair's own stream draws its t in [0, 0.6 H), then its h in [0, 0.4 H)
-    t, h = _uniform(0.0, np.array([0.6, 0.4]) * budget.horizon, np.array(
-        [seeded_rng(budget.seed, 33, p).random(2) for p in range(which.size)])).T
+    # pair p's stream (seed, 33, p) draws random(2): its t in [0, 0.6 H), then h in [0, 0.4 H)
+    t, h = _uniform(0.0, np.array([0.6, 0.4]) * budget.horizon,
+                    (_stream_words(budget.seed, 33, np.arange(which.size), 2) >> 11) * 2.0 ** -53).T
     direct = _flow_rows(sys, table, which, x0s, t + h)
     gap = direct - _flow_rows(sys, table, which, _flow_rows(sys, table, which, x0s, t), h, t)
     margins = COCYCLE_TOL * (1.0 + _norms(direct)) - _norms(gap)

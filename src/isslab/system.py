@@ -59,6 +59,7 @@ _BLOCK_CELLS = 2 ** 13  # rows times live width of a block: bounds its arrays
 _EXP_FLUSH = 746.0
 _CSV_ROWS = 32     # trajectory rows per formatted block of a CSV file
 _GRID_T_MIN = 1e-7  # first graded grid step after 0 and each breakpoint
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -140,13 +141,64 @@ def heat_dirichlet(a: float, n_modes: int) -> SpectralSystem:
     return SpectralSystem(lam, b, label=f"heat_dirichlet(a={a!r}, N={n_modes})")
 
 
-def seeded_rng(seed: int, *key: int) -> np.random.Generator:
-    """The random stream of (seed, *key).  Seeds in [0, 2**63) keep their value;
-    larger and negative ones map to even and odd offsets above 2**63."""
+def _entropy(seed: int, *key: int) -> np.ndarray:
+    """The stream (seed, *key)'s entropy as SeedSequence reads the list [s, *key]:
+    each int's little-endian uint32 words.  Seeds in [0, 2**63) keep their
+    value; larger and negative ones map to even and odd offsets above 2**63."""
     s = int(seed)
     if not 0 <= s < 2 ** 63:
         s = 2 * s - 2 ** 63 if s > 0 else 2 ** 63 - 2 * s - 1
-    return np.random.default_rng([s, *key])
+    return np.array([v >> k & 0xFFFFFFFF for v in (s, *map(int, key))
+                     for k in range(0, max(v.bit_length(), 1), 32)], dtype=np.uint32)
+
+
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of (seed, *key)."""
+    return np.random.default_rng(_entropy(seed, *key))
+
+
+def _stream_words(seed: int, kind: int, index, n: int) -> np.ndarray:
+    """The first n raw outputs of every stream ``seeded_rng(seed, kind, i)``, i in
+    ``index`` (each below 2**32), as a (len(index), n) uint64 array: bit for bit
+    ``bit_generator.random_raw(n)``, in one numpy pass.  SeedSequence hashes
+    the entropy into a pool of 4 words and draws PCG64's state s and sequence
+    from it; seeding steps the LCG x -> M x + inc twice, so output k is XSL-RR
+    of M**(k+2) s + (1 + M + ... + M**(k+2)) inc mod 2**128.  NEP 19 fixes both
+    across numpy versions.  Products wrap in uint32 and uint64 arrays, and the
+    high word of a 64-bit one is summed from 32-bit limbs."""
+    idx = np.asarray(index).astype(np.uint32)
+    words = np.vstack([np.repeat(_entropy(seed, kind)[:, None], idx.size, axis=1), idx])
+    # SeedSequence's running hash constants init * mult**i mod 2**32: the pool's, the state's
+    a = 0x43B0D7E5 * np.cumprod([1] + [0x931E8875] * (16 + 4 * len(words)), dtype=np.uint32)
+    b = 0x8B51F9DD * np.cumprod([1] + [0x58F38DED] * 8, dtype=np.uint32)
+
+    def hashmix(v, i, k):   # hash calls i..i+k-1, one per row
+        v = (v ^ a[i:i + k, None]) * a[i + 1:i + k + 1, None]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = x * 0xCA01F9DD - y * 0x4973F715
+        return v ^ v >> 16
+    pool = hashmix(np.vstack([words, 0 * words])[:4], 0, 4)   # at least 3 words, padded with 0
+    for src, dst in enumerate(~np.eye(4, dtype=bool)):   # into every other pool word
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for w in range(4, len(words)):   # words past the pool mix into every pool word
+        pool = mix(pool, hashmix(words[w], 4 * w, 4))
+    state = (np.tile(pool, (2, 1)) ^ b[:-1, None]) * b[1:, None]
+    state = (state ^ state >> 16).astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = (state[0::2] | state[1::2] << 32)[:, :, None]
+    hi, lo = np.stack([s_hi, q_hi << 1 | q_lo >> 63]), np.stack([s_lo, q_lo << 1 | 1])  # s, inc
+    pows = [pow(_PCG_MULT, k + 2, 2 ** 128) for k in range(n)]
+    c = np.array([pows, [1 + _PCG_MULT + sum(pows[:k + 1]) for k in range(n)]], dtype=object)
+    c_hi, c_lo = (((c[:, None] >> k) % 2 ** 64).astype(np.uint64) for k in (64, 0))
+    a1, a0, b1, b0 = lo >> 32, lo & 0xFFFFFFFF, c_lo >> 32, c_lo & 0xFFFFFFFF
+    p, q, r = a0 * b0, a1 * b0, a0 * b1
+    mid = (p >> 32) + (q & 0xFFFFFFFF) + (r & 0xFFFFFFFF)
+    hi = a1 * b1 + (q >> 32) + (r >> 32) + (mid >> 32) + hi * c_lo + lo * c_hi
+    lo = lo * c_lo
+    lo, hi = lo[0] + lo[1], hi[0] + hi[1] + (lo[0] + lo[1] < lo[0])
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (64 - rot & 63)
 
 
 def state_norm(x) -> float:

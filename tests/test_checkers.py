@@ -30,7 +30,7 @@ from isslab.harness import _resolve, load_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, v_value
 from isslab.system import _anchor_table
 from isslab.report import Witness, conclude
-from isslab.system import mild_solution, seeded_rng, state_norm
+from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
 from test_system import _table, one_input_squares
 
 PI2 = math.pi ** 2
@@ -237,6 +237,24 @@ def test_stream_draws_are_the_uniform_calls(seed, horizon, radius, first, n):
             assert values.tobytes() == u.values.tobytes()
         for i, x in enumerate(states, 3):
             assert _streams_state(n, budget, i).tobytes() == x.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_STREAM_SEEDS, kind=st.sampled_from([11, 22, 33]), index=st.lists(
+    st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1)), min_size=1,
+    max_size=6), n=st.sampled_from([1, 2, 16]))
+@example(seed=5, kind=22, index=[0, 1, 2 ** 32 - 1], n=16)        # 3 entropy words
+@example(seed=2 ** 63, kind=33, index=[0, 2 ** 32 - 1], n=2)       # 4
+@example(seed=-2 ** 70, kind=11, index=[1, 2 ** 32 - 1], n=1)      # 5: past the pool
+def test_stream_words_are_random_raw(seed, kind, index, n):
+    # every row of _stream_words is its stream's own raw PCG64 outputs bit for
+    # bit, for entropies of 3 to 5 uint32 words; word 0's low half >> 29 is
+    # integers(1, 9) - 1
+    words = _stream_words(seed, kind, index, n)
+    assert words.dtype == np.uint64 and words.shape == (len(index), n)
+    for row, i in zip(words, index):
+        assert row.tolist() == seeded_rng(seed, kind, i).bit_generator.random_raw(n).tolist()
+        assert int(row[0]) % 2 ** 32 >> 29 == int(seeded_rng(seed, kind, i).integers(1, 9)) - 1
 
 
 def test_stream_cuts_that_round_onto_the_ends_are_dropped():
@@ -1339,6 +1357,21 @@ def test_a_non_finite_vdot_raises(monkeypatch, k, bad):
     monkeypatch.setattr(checkers, "_vdot", spoiled)
     with pytest.raises(ValidationError, match="non-finite margin"):
         check_dissipation(sys, op, params, budget)
+
+
+@pytest.mark.parametrize("radius", [2.0 ** 1022, 1e200, 2.0 ** 512])
+def test_dissipation_refuses_squares_that_overflow(monkeypatch, radius):
+    # past |x0| or |u|_inf = 2**512 a Python float's square raises
+    # OverflowError: the check refuses the budget as the other checks do,
+    # before it evaluates Vdot (where numpy would warn of the overflow)
+    s = load_scenario("heat_iss.scn")
+    r, budget = _resolve(s), replace(s.budget, radius=radius)
+    monkeypatch.setattr(checkers, "_vdot", lambda *args: pytest.fail("Vdot was evaluated"))
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="squares overflow"):
+        check_dissipation(r.sys, r.op, r.params, budget)
+    with pytest.raises(ValidationError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            check_iss(r.sys, r.iss, budget)
 
 
 def _exact_dissipation_margins(op, sys, params, states, inputs):

@@ -783,11 +783,6 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
 @pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1),
                                               ("integral_heat64", 1)])
 def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
-    opened = Counter()
-
-    def counted_rng(seed, *key):
-        opened[(seed, *key)] += 1
-        return seeded_rng(seed, *key)
     swept, stepped = [], []   # per kernel call its table and grids; per stepping its inputs
 
     def counted_sweep(sys_, table, which, times):
@@ -803,19 +798,19 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
         squared.append(table)
         return square_integrals(sys_, table, times)
     flow_norms, anchor_table = checkers._flow_norms, checkers._anchor_table
-    square_integrals, seeded_rng = checkers._square_integrals, checkers.seeded_rng
+    square_integrals = checkers._square_integrals
     s = _tiny_workload(name)
     b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
     budgets = (b, cep) if "cep" in s.checks else (b,)
     probes = [[np.union1d(checkers.eval_times(x), u.breakpoints[u.breakpoints < x.horizon])
                for u in (checkers.draw_input(x, j) for j in range(x.n_inputs))] for x in budgets]
-    monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
+    opened = _count_streams(monkeypatch)
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     monkeypatch.setattr(checkers, "_anchor_table", counted_steps)
     monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
     run_scenario(s, str(tmp_path))
     # every check but cep shares s.budget, and cep sweeps at cep_h, but each
-    # random stream is opened once: the states' (seed, 11, i) past the three
+    # random stream is read once: the states' (seed, 11, i) past the three
     # corners, the inputs' (seed, 22, j) past the zero and the constant input,
     # and cocycle's per pair (seed, 33, p)
     assert opened == _streams(s)
@@ -846,6 +841,25 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     assert checkers._RUN.get() is None
 
 
+def _count_streams(monkeypatch):
+    """A counter of the random streams a run reads, by (seed, kind, index): the
+    states' opened at ``checkers.seeded_rng``, the inputs' and cocycle's read as
+    rows of ``checkers._stream_words``; no other kind opens a Generator."""
+    opened, seeded_rng, stream_words = Counter(), checkers.seeded_rng, checkers._stream_words
+
+    def counted_rng(seed, *key):
+        assert key[0] == 11
+        opened[(seed, *key)] += 1
+        return seeded_rng(seed, *key)
+
+    def counted_words(seed, kind, index, n):
+        opened.update((seed, kind, i) for i in np.asarray(index).tolist())
+        return stream_words(seed, kind, index, n)
+    monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
+    monkeypatch.setattr(checkers, "_stream_words", counted_words)
+    return opened
+
+
 def _streams(s):
     """Each random stream a run of ``s`` reads, opened once."""
     b = s.budget
@@ -862,17 +876,12 @@ def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, rad
     s = parse_scenario(f"budget.radius = {radius!r}\nbudget.n_states = 9\n"
                        "budget.n_inputs = 6\nchecks.cep_h = 0.7\nchecks.brs_c = 0.5\n"
                        "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
-    opened, seeded_rng, budgets = Counter(), checkers.seeded_rng, set()
-
-    def counted_rng(seed, *key):
-        opened[(seed, *key)] += 1
-        return seeded_rng(seed, *key)
+    opened, budgets = _count_streams(monkeypatch), set()
 
     def counted_draw(sys_, budget):
         budgets.add(budget)
         return draw(sys_, budget)
     draw = checkers._Samples.draw
-    monkeypatch.setattr(checkers, "seeded_rng", counted_rng)
     monkeypatch.setattr(checkers._Samples, "draw", counted_draw)
     run = run_scenario(s, str(tmp_path))
     assert opened == _streams(s)
