@@ -20,9 +20,8 @@ from .comparison import (ComparisonFunction, DecayEnvelope, ISSCertificate,
                          NormToIntegralCertificate, compose, derive_norm_to_integral,
                          evaluate, linear, parse_comparison, power, saturation)
 from .errors import DomainError, ScenarioError, ValidationError
-from .lyapunov import (DATKO, NEG_INVERSE, DiniEstimate, DissipationParameters,
-                       LyapunovOperator, build_datko, build_neg_inverse,
-                       dini_estimate, dissipation_constants)
+from .lyapunov import (DATKO, NEG_INVERSE, DissipationParameters, LyapunovOperator,
+                       build_datko, build_neg_inverse, dissipation_constants)
 from .report import CheckProperty, MarginRecord, StabilityReport, Verdict, Witness
 from .system import (AdmissibilityBound, InputSignal, SpectralSystem, Trajectory,
                      build_time_grid, heat_dirichlet, kappa_bounds, mild_solution,
@@ -30,7 +29,6 @@ from .system import (AdmissibilityBound, InputSignal, SpectralSystem, Trajectory
 from .checkers import (SampleBudget, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral,
-                       check_ulim, check_uls, draw_input, draw_state, iss_margin,
-                       uls_margin, ulim_slack)
+                       check_ulim, check_uls, draw_input, draw_state)
 from .harness import (RunReport, Scenario, build_system, main, parse_scenario,
                       run_scenario)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (_CEP_SCALED_RANGE, ULIM_GRID_POINTS, SampleBudget,
+from .checkers import (_REACH_CAP, ULIM_GRID_POINTS, SampleBudget,
                        _shared_samples, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
@@ -331,7 +331,7 @@ def _validate_scenario(s: Scenario) -> None:
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
     gain = 1.0 + res.sys.input_gain_norm
     for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
-        if r is not None and r * gain > _CEP_SCALED_RANGE[1]:
+        if r is not None and r * gain > _REACH_CAP:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
                                 f"{r * gain:.3g} exceeds 2**400", key=key)
     # each bound a certificate check compares with, and horizon * alpha(|phi|), where
@@ -541,7 +541,7 @@ def replay_witness(s: Scenario, path) -> tuple[str, MarginRecord, Witness]:
                             f"values, the system {res.sys.n_modes} modes")
     # the cap _validate_scenario puts on budget.radius; hypot does not overflow
     reach = max(math.hypot(*w.x0.tolist()), w.input.sup_norm) * (1.0 + res.sys.input_gain_norm)
-    if reach > _CEP_SCALED_RANGE[1]:
+    if reach > _REACH_CAP:
         raise ScenarioError(f"malformed witness record {path}: max(|x0|, |u|_inf) * "
                             f"(1 + |A^-1 B|) = {reach:.3g} exceeds 2**400")
     try:

@@ -25,11 +25,13 @@ test every margin's arithmetic.
 
 The flow smooths: h after an anchor every mode with lambda_k h > 746 has
 exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
-whatever the state.  The flow kernel (``_flow_norms``) takes its rows as
-(input, time) pairs, sweeps every input of a sample set in one call, the rows
-sorted by this live width, and works per state on the live modes only.  It
-and ``_square_integrals``, which integrates every input of a sample set in
-one pass, read the anchor states from the set's anchor table.
+whatever the state.  One loop (``_live_groups``) takes rows as (input, time)
+pairs of every input of a sample set, sorts them by this live width and
+gives each state's live modes per group of rows; the flow kernel
+(``_flow_norms``), ULIM's enclosure (``_enclosure``) and
+``sample_trajectory`` reduce or write them.  They and ``_square_integrals``,
+which integrates every input of a sample set in one pass, read the anchor
+states from the set's anchor table.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -469,52 +471,62 @@ def _rows(sys: SpectralSystem, table, which, times, firsts=None) -> tuple:
             *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
 
 
-def _flow_norms(sys: SpectralSystem, table, which, times, states=None) -> np.ndarray:
-    """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
-    a pair (input, time): u the input ``which[r]`` and t = ``times[r]``,
-    ``table`` the anchor table of ``x0s`` (``_anchor_table``); given
-    ``states`` of shape (len(x0s), rows, n_modes), the flows are written
-    there too.
-
-    Each time must be nonnegative and within its input's end in the table
-    (``sample_trajectory`` refuses any other grid of a caller's choosing).
-    The rows need no order, within an input or across inputs.  Each row
-    runs from the last anchor below its time, as in ``_flow_rows``.  A row
-    dt after its anchor has the live width W = #{k : lambda_k dt <=
-    _EXP_FLUSH}; every mode past W has decayed to exactly 0.0 and holds its
-    forced value g_k v, the same for every state.  The rows are sorted by W
-    and cut into groups (``_rows``, ``_row_groups``); each group computes
-    the decay and the forced term on its first W columns and the tail
-    squares (g_k v)**2 once for all states, and each state's pass gathers,
-    decays and squares only those columns.  Each norm is still
-    ``np.add.reduce`` over the whole row of squares, so it is
-    ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
-    state or a row gives the same bits alone as in a stack.
-    """
+def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False):
+    """The one loop of a kernel pass (``_flow_norms``, ``_enclosure``,
+    ``sample_trajectory``) over rows (input ``which[r]``, time ``times[r]``,
+    first time ``firsts[r]`` if given) of the anchor table ``table``, in any
+    order, each time within its input's end there.  A row runs from the last
+    anchor below its time, as in ``_flow_rows``; dt after it, every mode past
+    the live width W = #{k : lambda_k dt <= _EXP_FLUSH} is exactly g_k v,
+    whatever the state.  The rows are sorted by W (at the first time) and cut
+    into groups (``_rows``, ``_row_groups``; by all modes if ``full``).  Per
+    group this yields the rows' columns, their anchor indices, the width w,
+    the input values v (a column) and, per state, its first w modes at the
+    times (then the first times).  A consumer drops a group's arrays before
+    it asks for the next."""
     anchor_states = table[0]
-    order, width, at, v, dt = _rows(sys, table, which, times)
-    gain, norms = sys.input_gain_coeffs, np.empty((anchor_states.shape[1], dt.size))
-    # rows written out in full are grouped as if every mode were live: a group's arrays
-    # of all modes then hold at most _BLOCK_CELLS entries
-    edges = _row_groups(width if states is None else np.full(width.size, sys.n_modes))
+    order, width, at, v, *dts = _rows(sys, table, which, times, firsts)
+    edges = _row_groups(np.full(width.size, sys.n_modes) if full else width)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rows, ag, w, vv = order[lo:hi], at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
-        decay, forced = _decay_forced(sys, dt[lo:hi, None], vv, w)
-        tail = gain[w:] * vv   # the forced term g v (1 - 0.0), bit for bit
-        squares = np.empty((hi - lo, sys.n_modes))
-        np.multiply(tail, tail, out=squares[:, w:])
-        sums = np.empty((norms.shape[0], hi - lo))
-        for s in range(norms.shape[0]):
-            live = anchor_states[ag, s, :w]   # a copy, updated in place
+        ag, w, vv = at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
+        terms = [_decay_forced(sys, dt[lo:hi, None], vv, w) for dt in dts]
+        yield order[lo:hi], ag, w, vv, _stepped(anchor_states, ag, w, terms)
+        del terms   # before the next group's are made
+
+
+def _stepped(anchor_states, at, w, terms):
+    """Per state, the first w modes of the anchor states ``at`` times each
+    decay of ``terms`` plus its forced term."""
+    for s in range(anchor_states.shape[1]):
+        modes = []
+        for decay, forced in terms:
+            live = anchor_states[at, s, :w]   # a copy, updated in place
             live *= decay
             live += forced
-            if states is not None:
-                states[s, rows, :w] = live
-                states[s, rows, w:] = anchor_states[ag, s, w:] * 0.0 + tail
+            modes.append(live)
+        yield modes
+
+
+def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
+    """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
+    u the input ``which[r]`` and t = ``times[r]``, ``table`` the anchor
+    table of ``x0s``.  Each group of ``_live_groups`` squares the tail
+    (g_k v)**2 once for all states.  Each norm is still ``np.add.reduce``
+    over the whole row of squares, so it is ``np.linalg.norm`` of the
+    ``mild_solution`` rows bit for bit, and a state or a row gives the same
+    bits alone as in a stack.
+    """
+    gain, norms = sys.input_gain_coeffs, np.empty((table[0].shape[1], len(which)))
+    for rows, _, w, v, states in _live_groups(sys, table, which, times):
+        tail = gain[w:] * v   # the forced term g v (1 - 0.0), bit for bit
+        squares = np.empty((rows.size, sys.n_modes))
+        np.multiply(tail, tail, out=squares[:, w:])
+        sums = np.empty((norms.shape[0], rows.size))
+        for s, (live,) in enumerate(states):
             np.multiply(live, live, out=squares[:, :w])
             np.add.reduce(squares, axis=1, out=sums[s])
         norms[:, rows] = np.sqrt(sums, out=sums)
-        del decay, forced, tail, squares, live   # before the next group's are made
+        del tail, squares, sums, live, states   # before the next group's are made
     if not np.isfinite(norms).all():
         raise ValidationError("trajectory states must be finite")
     return norms
@@ -531,57 +543,52 @@ def _enclosure(sys: SpectralSystem, table, which, los, his) -> np.ndarray:
     p(t) the formula of a kernel row at t from the run's anchor a, the last
     breakpoint below hi.  Every mode, d_k exp(-lambda_k (t - a)) + g_k v, is
     monotone in t on the run, so |phi(t)|**2 >= L there, up to the rounding
-    that ``checkers`` bounds.  As in the kernel, the runs are sorted by their
-    live width at lo and cut into groups (``_rows``); the modes dead at lo
-    hold g_k v on the whole run, and their part is v**2 sum_{k >= W} g_k**2.
+    that ``checkers`` bounds.  The runs are the rows of ``_live_groups``,
+    at hi with their first time lo, grouped by their live width at lo; the
+    modes dead at lo hold g_k v on the whole run, and their part is v**2
+    sum_{k >= W} g_k**2.
     """
-    anchor_states = table[0]
-    order, width, at, v, dt_hi, dt_lo = _rows(sys, table, which, his, los)
     gain = sys.input_gain_coeffs
     dead = np.sqrt(np.append(np.cumsum(gain[::-1] ** 2)[::-1], 0.0))   # |g_{W..N}|
-    out = np.empty((anchor_states.shape[1], order.size))
-    edges = _row_groups(width)
-    # a square overflows only past 2**510 at a node, where checkers sweeps the
-    # run anyway; a NaN reads as no bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            ag, w, vv = at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
-            decay_lo, forced_lo = _decay_forced(sys, dt_lo[lo:hi, None], vv, w)
-            decay_hi, forced_hi = _decay_forced(sys, dt_hi[lo:hi, None], vv, w)
-            sums = np.empty((out.shape[0], hi - lo))
-            for s in range(out.shape[0]):
-                p, q = anchor_states[ag, s, :w], anchor_states[ag, s, :w]
-                p *= decay_lo
-                p += forced_lo
-                q *= decay_hi
-                q += forced_hi
-                # min(|p|, |q|) where p and q have one sign, else 0
-                low = np.minimum(p, q)
-                np.maximum(p, q, out=q)
-                np.negative(q, out=q)
-                np.maximum(low, q, out=low)
-                np.maximum(low, 0.0, out=low)
-                low *= low
-                np.add.reduce(low, axis=1, out=sums[s])
-            sums += np.square(np.abs(v[lo:hi]) * dead[w])
-            out[:, order[lo:hi]] = sums
+    out = np.empty((table[0].shape[1], len(which)))
+    for rows, _, w, v, states in _live_groups(sys, table, which, his, los):
+        sums = np.empty((out.shape[0], rows.size))
+        for s, (q, p) in enumerate(states):
+            # min(|p|, |q|) where p and q have one sign, else 0
+            low = np.minimum(p, q)
+            np.maximum(p, q, out=q)
+            np.negative(q, out=q)
+            np.maximum(low, q, out=low)
+            np.maximum(low, 0.0, out=low)
+            low *= low
+            np.add.reduce(low, axis=1, out=sums[s])
+        sums += np.square(np.abs(v[:, 0]) * dead[w])
+        out[:, rows] = sums
+        del sums, p, q, low, states   # before the next group's are made
     return out
 
 
 def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajectory:
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
-    ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit.
+    ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit: the
+    live modes of ``_live_groups`` and each dead mode k as the kernel rows
+    form it, x_k(a) * 0.0 + g_k v from the row's own anchor a, so that its
+    sign is the row's.  The rows are grouped as if every mode were live.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
         raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
     if (np.diff(grid) <= 0.0).any():
         raise ValidationError("grid must be strictly increasing")
-    states = np.empty((1, grid.size, sys.n_modes))
     table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
-    _flow_norms(sys, table, np.zeros(grid.size, int), grid, states)
-    return Trajectory(times=grid, states=states[0], system=sys, input=u, _fresh=True)
+    states, gain = np.empty((grid.size, sys.n_modes)), sys.input_gain_coeffs
+    for rows, at, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
+                                              full=True):
+        for live, in lives:   # the one state
+            states[rows, :w] = live
+            states[rows, w:] = table[0][at, 0, w:] * 0.0 + gain[w:] * v
+    return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
 
 
 def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:

@@ -23,9 +23,11 @@ import pytest
 from isslab import (DecayEnvelope, ISSCertificate, InputSignal,
                     NormToIntegralCertificate, SampleBudget, build_datko,
                     build_neg_inverse, check_cocycle, check_identity, check_iss,
-                    check_norm_to_integral, dini_estimate, draw_input, draw_state,
-                    heat_dirichlet, iss_margin, kappa_bounds, linear,
+                    check_norm_to_integral, draw_input, draw_state,
+                    heat_dirichlet, kappa_bounds, linear,
                     mild_solution, power, run_scenario, state_norm, evaluate)
+from isslab.checkers import iss_margin
+from isslab.lyapunov import dini_estimate
 from isslab.comparison import sontag_factor_exponential
 from isslab.harness import load_scenario, parse_scenario
 from isslab.lyapunov import v_value

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,18 +17,18 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, I
                     check_brs, check_cep, check_cocycle, check_dissipation,
                     check_identity, check_iss, check_integral_to_integral,
                     check_norm_to_integral, check_ulim, check_uls, compose,
-                    derive_norm_to_integral, dini_estimate,
+                    derive_norm_to_integral,
                     dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
-                    iss_margin, uls_margin, ulim_slack, Verdict)
+                    Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
                              _Samples, _input_integrals, _integrals, _prefix_integrals,
                              _shared_samples, _simpson_integrals, _sweep, eval_times,
-                             ulim_grid)
+                             iss_margin, ulim_grid, ulim_slack, uls_margin)
 from isslab import checkers
 from isslab.comparison import evaluate
-from isslab.harness import _resolve, load_scenario
-from isslab.lyapunov import DEFAULT_DINI_H, v_value
+from isslab.harness import _CHECKS, _resolve, load_scenario
+from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
 from isslab.system import _anchor_table
 from isslab.report import Witness, conclude
 from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
@@ -166,11 +167,13 @@ def test_budget_validation():
         SampleBudget(horizon=math.nan)
     with pytest.raises(ValidationError):
         SampleBudget(radius=math.inf)
-    # a finite radius from 2**1023 on draws values that overflow, which the
-    # sample set refuses as draw_input's InputSignal does
-    for draw in (lambda b: _Samples.draw(heat(8), b), lambda b: draw_input(b, 2)):
-        with pytest.raises(ValidationError, match="must be finite"):
-            draw(SampleBudget(radius=2.0 ** 1023))
+    # a finite radius from 2**1023 on draws values that overflow, which
+    # draw_input's InputSignal refuses; a sample set refuses the radius first,
+    # past the reach cap
+    with pytest.raises(ValidationError, match="must be finite"):
+        draw_input(SampleBudget(radius=2.0 ** 1023), 2)
+    with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
+        checkers._samples(heat(8), SampleBudget(radius=2.0 ** 1023))
 
 
 def test_negative_seeds_draw_their_own_samples():
@@ -400,25 +403,55 @@ def test_conclude_follows_the_reference_witness_rule(rows):
 _PICK_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
 
 
+def _padded(own, sizes, pad):
+    """The (state, input, k) table of each input's own columns ``own[j]``
+    (states by sizes[j]), padded after them with ``pad``."""
+    out = np.full((len(own[0]), len(sizes), max(sizes)), pad)
+    for j, rows in enumerate(own):
+        out[:, j, :sizes[j]] = rows
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), n_states=st.integers(1, 3),
        best=st.booleans(), data=st.data())
 def test_segmented_pick_is_argmin_per_input(sizes, n_states, best, data):
-    # the pick over ragged columns is np.argmin's (np.argmax's) on each input's
-    # own columns: the first of the smallest (largest), or the first NaN
-    off, total = np.concatenate([[0], np.cumsum(sizes)]), sum(sizes)
-    margins = np.array(data.draw(st.lists(st.lists(_PICK_VALUES, min_size=total,
-                                                   max_size=total),
-                                          min_size=n_states, max_size=n_states)))
-    at, picked = checkers._pick(margins, off, best)
+    # the pick over a padded (state, input, k) table is np.argmin's (np.argmax's)
+    # on each input's own columns: the first of the smallest (largest), or the
+    # first NaN; the padding after them, +inf (-inf if best), is never picked
+    own = [np.array(data.draw(st.lists(st.lists(_PICK_VALUES, min_size=k, max_size=k),
+                                       min_size=n_states, max_size=n_states)))
+           for k in sizes]
+    at, picked = checkers._pick(_padded(own, sizes, -math.inf if best else math.inf), best)
     arg = np.argmax if best else np.argmin
-    for j, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
-        want = arg(margins[:, lo:hi], axis=1)
+    for j, rows in enumerate(own):
+        want = arg(rows, axis=1)
         assert at[:, j].tolist() == want.tolist()
-        assert picked[:, j].tobytes() == margins[np.arange(n_states), lo + want].tobytes()
-    if len(set(sizes)) == 1:   # equal columns per input: the (state, input, k) form
-        at3, picked3 = checkers._pick(margins.reshape(n_states, len(sizes), -1), best=best)
-        assert (at3.tolist(), picked3.tobytes()) == (at.tolist(), picked.tobytes())
+        assert picked[:, j].tobytes() == rows[np.arange(n_states), want].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), best=st.booleans(),
+       at_inf=st.sampled_from([math.nan, math.inf]), data=st.data())
+def test_sweep_never_picks_a_padded_time(sizes, best, at_inf, data):
+    # a probe table's padding (time +inf, lhs -inf) reads margin +inf (-inf if
+    # best), whatever the bound gives at t = +inf: here NaN, which np.argmin
+    # would pick first, or +inf, which np.argmax would
+    own = [np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                                                min_size=k, max_size=k),
+                                       min_size=2, max_size=2)))
+           for k in sizes]
+    times = _padded([np.arange(k)[None] * 0.25 for k in sizes], sizes, math.inf)[0]
+    samples = _samples_of(heat(2), [np.zeros(2), [1.0, -0.5]],
+                          [InputSignal.constant(0.5 * j, 2.0) for j in range(len(sizes))],
+                          BUDGET)
+    report = _sweep(CheckProperty.ISS, samples, times, _padded(own, sizes, -math.inf),
+                    bound=lambda r, sup, t: np.where(np.isinf(t), at_inf, 0.0), best=best)
+    arg = np.argmax if best else np.argmin
+    for rec in report.margins:
+        i, j = divmod(rec.sample_index, len(sizes))
+        k = arg(-own[j][i])
+        assert (rec.t, rec.margin) == (times[j, k], -own[j][i, k])
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +618,7 @@ def _ulim_reference(sys, gamma_fn, eps, samples):
     rows = norms.reshape(len(samples.states), n, grid.size)
 
     report = _sweep(CheckProperty.ULIM, samples, grid, rows,
-                    bound=lambda r, sup, t: eps + evaluate(gamma_fn, sup), best=True,
-                    tol=lambda r, sup: 0.0)
+                    bound=lambda r, sup, t: eps + evaluate(gamma_fn, sup), best=True, tol=0.0)
     firsts = []
     for j in range(n):
         hits = eps + evaluate(gamma_fn, samples.signal(j).sup_norm) - rows[:, j] >= 0.0
@@ -672,10 +704,11 @@ def test_ulim_raises_where_the_full_sweep_overflows_between_nodes():
     # mode 1 decays slowly from the radius, mode 2 rises within 1e-4 to the
     # constant input's value: on that pair |phi| is about 1.2 r at the first
     # grid points, where its squares overflow, and about r at every node,
-    # and the enclosure alone would rule those points out
+    # and the enclosure alone would rule those points out; the radius is
+    # past the reach cap, so the sample set is refused before any sweep
     sys = SpectralSystem(np.array([100.0, 1e5]), np.array([0.0, 1e5]))
     budget = SampleBudget(n_states=2, n_inputs=2, n_times=1, radius=1.2e154)
-    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
+    with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
         check_ulim(sys, linear(1e-300), 0.1, budget)
 
 
@@ -759,7 +792,7 @@ def _cep_reference(sys, budget, h):
             delta = eps_j / 2.0 ** i
             samples = _Samples.draw(sys, replace(budget, radius=delta, horizon=h))
             level = _sweep(CheckProperty.CEP, samples, *samples.probes,
-                           bound=lambda r, sup, t, e=eps_j: e, tol=lambda r, sup: 0.0)
+                           bound=lambda r, sup, t, e=eps_j: e, tol=0.0)
             if level.witness is None:
                 chosen = delta
                 break
@@ -780,13 +813,9 @@ _CEP_CASES = {
     "diagonal_gain10": (SpectralSystem([1.0, 4.0], [10.0, 3.0]),
                         SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=8), 5.0),
     # radii swept level by level: read off one sweep, the table would differ
-    # here (squares near the subnormal range) ...
+    # here (squares near the subnormal range)
     "heat8_radius_1e-155": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
                                                   radius=1e-155, seed=2), 1.0),
-    # ... or overflow at the radius, while every level (radius / 2 and below) runs
-    "diagonal_radius_3e151": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
-                              SampleBudget(n_states=6, n_inputs=4, n_times=9,
-                                           radius=3e151, seed=2), 20.0),
 }
 
 
@@ -1362,16 +1391,42 @@ def test_a_non_finite_vdot_raises(monkeypatch, k, bad):
 @pytest.mark.parametrize("radius", [2.0 ** 1022, 1e200, 2.0 ** 512])
 def test_dissipation_refuses_squares_that_overflow(monkeypatch, radius):
     # past |x0| or |u|_inf = 2**512 a Python float's square raises
-    # OverflowError: the check refuses the budget as the other checks do,
-    # before it evaluates Vdot (where numpy would warn of the overflow)
+    # OverflowError: the budget is refused far below that, past the reach
+    # cap, as for every check, before Vdot is evaluated
     s = load_scenario("heat_iss.scn")
     r, budget = _resolve(s), replace(s.budget, radius=radius)
     monkeypatch.setattr(checkers, "_vdot", lambda *args: pytest.fail("Vdot was evaluated"))
-    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="squares overflow"):
+    with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
         check_dissipation(r.sys, r.op, r.params, budget)
-    with pytest.raises(ValidationError):
-        with np.errstate(over="ignore", invalid="ignore"):
-            check_iss(r.sys, r.iss, budget)
+
+
+@pytest.mark.parametrize("werror", [False, True], ids=["warn", "W_error"])
+@pytest.mark.parametrize("radius", [1.4e154, 1e200, 2.0 ** 1022])
+def test_every_check_refuses_a_radius_past_the_reach_cap(radius, werror):
+    # radius (1 + |A^-1 B|) past 2**400: each of the ten checks refuses its
+    # sample set before a norm or a square can overflow, with a
+    # ValidationError and no RuntimeWarning
+    s = load_scenario("heat_iss.scn")
+    s, r = replace(s, budget=replace(s.budget, radius=radius)), _resolve(s)
+    assert len(_CHECKS) == 10
+    for name, run in _CHECKS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if werror else "ignore", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
+                run(s, r)
+
+
+@pytest.mark.parametrize("b", [[600.0, -20.0, 3.0], [2e241, 0.0, 0.0]],
+                         ids=["gain600", "gain2e241"])
+def test_cep_refuses_the_reach_cap_before_its_levels(monkeypatch, b):
+    # at 1.5 times the cap every level's radius, half the budget's and less,
+    # is under it: CEP refuses the budget before it draws any level, also
+    # below radius 2**-400 (gain 2e241), where it sweeps level by level
+    sys = SpectralSystem([1.0, 2.0, 3.0], b)
+    radius = 1.5 * 2.0 ** 400 / (1.0 + sys.input_gain_norm)
+    monkeypatch.setattr(_Samples, "draw", lambda *args: pytest.fail("a level was drawn"))
+    with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
+        check_cep(sys, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=radius), 20.0)
 
 
 def _exact_dissipation_margins(op, sys, params, states, inputs):

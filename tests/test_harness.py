@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (SampleBudget, ScenarioError, ValidationError, Verdict, iss_margin,
+from isslab import (SampleBudget, ScenarioError, ValidationError, Verdict,
                     build_system, main, parse_comparison, parse_scenario, run_scenario,
                     ISSCertificate, DecayEnvelope, linear)
 from isslab import checkers
+from isslab.checkers import iss_margin
 from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_WORK, _resolve,
                             _work, bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)

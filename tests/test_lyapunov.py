@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isslab import (DomainError, InputSignal, SpectralSystem,
-                    ValidationError, build_datko, build_neg_inverse, dini_estimate,
+                    ValidationError, build_datko, build_neg_inverse,
                     dissipation_constants, heat_dirichlet)
 from isslab import lyapunov
-from isslab.lyapunov import _vdot, c_of_epsilon, v_value
+from isslab.lyapunov import _vdot, c_of_epsilon, dini_estimate, v_value
 
 PI2 = math.pi ** 2
 

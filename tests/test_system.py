@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from isslab import (AdmissibilityBound, DomainError, InputSignal,
@@ -312,6 +312,13 @@ def _kernel_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=_kernel_cases(), m=st.integers(1, 60))
+# the signed-zero tail: b = 0 and an input of -0.0 make every dead mode
+# x_k(a) * 0.0 + (-0.0), whose sign is that of its own anchor's x_k(a): the
+# fast mode is -1.0 at anchor 0 and +0.0 (decayed) at the later anchors
+@example(case=(SpectralSystem(10.0 ** np.arange(5.0), np.zeros(5)),
+               InputSignal.piecewise([0.0, 1.0, 1.5, 1.75], [0.0, -0.0, 0.0]),
+               np.linspace(0.0, 2.0, 513),
+               np.array([[0.5, -0.25, 1.0, 0.0, -1.0], [0.0, 0.0, 0.0, 2.0, -3.0]])), m=1)
 def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     sys, u, grid, x0s = case
     rows = [np.array([mild_solution(sys, x0, u, t) for t in grid]) for x0 in x0s]
