@@ -103,11 +103,15 @@ products and the sum 4 u.  Those terms have a norm of at most 1.001 times
 1.001 below 2.9e9 anchors.  The error enters twice, at a run's ends and at
 each point: 3.4e-13 of that scale.  The sums of N squares and the square
 roots lose at most (N + 11) u, and squares that underflow at most
-sqrt(N) 2**-537.5 of a norm, twice.  Measured: over 1.78 million
-(state, run) bounds of 3,000 random heat sample sets (N from 1 to 256, a
-from 1e-3 to 1e4, with states that pass the origin) sqrt(L) exceeded the
-smallest norm on its run by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the
-scale.
+sqrt(N) 2**-537.5 of a norm, twice.  A mode dead at lo (past its row's cap
+T, ``system``'s docstring) enters L as g_k v; on the run it differs from
+g_k v by at most |x_k(a)| e**-T <= 2**-54 |g_k v|, a relative term inside
+ENCLOSURE_REL, where the cap of 746 alone left an absolute one below
+2**-622; at v = 0 by at most e**-373, a square that underflows.
+Measured with the cap of 746 alone: over 1.78 million (state, run) bounds
+of 3,000 random heat sample sets (N from 1 to 256, a from 1e-3 to 1e4, with
+states that pass the origin) sqrt(L) exceeded the smallest norm on its run
+by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the scale.
 """
 
 from __future__ import annotations

@@ -23,15 +23,22 @@ formula above from the last anchor below its time.  A value never depends
 on a sampling grid or on the other inputs of a stack, so the axiom checks
 test every margin's arithmetic.
 
-The flow smooths: h after an anchor every mode with lambda_k h > 746 has
-exp(-lambda_k h) == 0.0 exactly and holds its forced value (b_k / lambda_k) v
-whatever the state.  One loop (``_live_groups``) takes rows as (input, time)
-pairs of every input of a sample set, sorts them by this live width and
-gives each state's live modes per group of rows; the flow kernel
-(``_flow_norms``), ULIM's enclosure (``_enclosure``) and
-``sample_trajectory`` reduce or write them.  They and ``_square_integrals``,
-which integrates every input of a sample set in one pass, read the anchor
-states from the set's anchor table.
+The flow smooths.  dt after an anchor a with input value v, mode k is
+x_k(a) d_k + g_k v (1 - d_k), d_k = exp(-lambda_k dt) and g = b / lambda.
+Past a row's cap, lambda_k dt > T = clip(38 + ln(M / (|v| G)), 38, 746) with
+M the anchor table's largest |x_k(a)| and G = min |g_k|, it is fl(g_k v):
+  absorption: |x_k(a) d_k| <= e**-38 |v| G < 2**-54 |g_k v|, below half an ulp;
+  1 - d_k rounds to 1.0, as d_k <= e**-38 < 2**-54;
+  +0 squares: at v = 0 the norms' cap is clip(ln M + 373, 38, 746), past
+  which the mode squares to +0 (M e**-T <= 2**-538), as (g_k v)**2 does.
+Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0, and of the
+zero-input rows of ``sample_trajectory`` (dead modes x_k(a) * 0.0 + g_k v).
+One loop (``_live_groups``) takes rows as (input, time) pairs of every
+input of a sample set, sorts them by this live width and gives each state's
+live modes per group of rows; the flow kernel (``_flow_norms``), ULIM's
+enclosure (``_enclosure``) and ``sample_trajectory`` reduce or write them.
+They and ``_square_integrals``, which integrates every input of a sample
+set in one pass, read the anchor states from the set's anchor table.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -314,13 +321,16 @@ class InputSignal:
 # flows
 
 
-def _decay_forced(sys: SpectralSystem, dt, v, w=None):
+def _decay_forced(sys: SpectralSystem, dt, v, w=None, cap=None):
     """The decay exp(-lambda dt) and the forced term (b / lambda) v (1 - decay)
     of the flow dt after an anchor with input value v, in the first ``w``
-    modes (all by default); ``dt`` and ``v`` broadcast against the modes."""
+    modes (all by default); ``dt``, ``v`` and ``cap`` broadcast against the
+    modes.  An argument below -cap is raised to it, off exp's slow paths."""
     # arg is held until the return: freed before the forced term was built,
     # it raised the peak RSS of refute_heat256 by about 2 MB (allocator reuse)
     arg = -dt * sys.lambdas[:w]
+    if cap is not None:
+        np.maximum(arg, -cap, out=arg)
     decay = np.exp(arg)
     return decay, sys.input_gain_coeffs[:w] * v * (1.0 - decay)
 
@@ -407,22 +417,23 @@ def _row_groups(width: np.ndarray) -> list[int]:
     return edges
 
 
-def _live_width(sys: SpectralSystem, dt: np.ndarray) -> np.ndarray:
-    """The live width #{k : lambda_k dt <= _EXP_FLUSH} of rows dt after their
+def _live_width(sys: SpectralSystem, dt: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """The live width W = #{k : lambda_k dt <= cap} of rows dt after their
     anchor: every mode at dt = 0, and at a dt so small that the quotient
-    overflows."""
+    overflows.  Past W a mode is fl(g_k v) (absorption below half an ulp,
+    1 - d = 1.0), or at v = 0 squares to +0, as the module docstring shows."""
     with np.errstate(divide="ignore", over="ignore"):
-        return np.searchsorted(sys.lambdas, _EXP_FLUSH / dt, side="right")
+        return np.searchsorted(sys.lambdas, cap / dt, side="right")
 
 
 def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
     """The states ``x0s`` (a stack) at the anchors of each input j of the
     input table ``table``, 0 and its breakpoints below ``ends[j]``, stepped
     once for every kernel pass on times up to ``ends[j]``; with, per (input,
-    anchor), its state's index, its input value and its time.  Each step is
-    exact.  Anchor 0, the states themselves, is held once; pass a steps the
-    inputs with more than a + 1 anchors, the most first, from a leading run
-    of the states of pass a - 1."""
+    anchor), its state's index, its input value and its time, and ln M (the
+    module docstring's).  Each step is exact.  Anchor 0, the states
+    themselves, is held once; pass a steps the inputs with more than a + 1
+    anchors, the most first, from a leading run of the states of pass a - 1."""
     bps, vals = table
     x0s = np.asarray(x0s, dtype=float)
     if x0s.shape[1:] != (sys.n_modes,):
@@ -450,24 +461,30 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
         raise ValidationError("trajectory states must be finite")
     slot = np.zeros((len(bps), most), dtype=int)
     slot[j, a] = 1 + np.arange(j.size)
-    return x, slot, vals[:, :most], bps[:, :most]
+    # M at least the smallest subnormal, so that ln M is finite
+    return x, slot, vals[:, :most], bps[:, :most], math.log(max(x.max(), -x.min(), 5e-324))
 
 
-def _rows(sys: SpectralSystem, table, which, times, firsts=None) -> tuple:
+def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False) -> tuple:
     """The rows of a kernel pass, one per (input ``which[r]``, time
     ``times[r]``) in any order, a the last anchor below the time t: their
     order by live width at t - a (at f - a, f = ``firsts[r]``, if given),
-    and in that order the widths, the index of each row's anchor state and
-    its input value, and t - a (then f - a) clipped at ``_settle``."""
-    slot, vals, bps = table[1:]
+    and in that order the widths, the index of each row's anchor state, its
+    input value and its cap T of the module docstring (746 at v = 0 if
+    ``full``: past the norms' cap a mode only squares to +0), and t - a
+    (then f - a) clipped at ``_settle``."""
+    slot, vals, bps, top = table[1:]
     seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
-    anchor = bps[which, seg]
+    anchor, v = bps[which, seg], vals[which, seg]
+    with np.errstate(divide="ignore"):   # ln 0: v = 0 is set apart, and G = 0 gives 746
+        cap = top + 38.0 - np.log(np.abs(v)) - np.log(np.abs(sys.input_gain_coeffs).min())
+    cap = np.clip(np.where(v == 0.0, _EXP_FLUSH if full else top + 373.0, cap), 38.0, _EXP_FLUSH)
     dts = [t - anchor for t in ([times] if firsts is None else [firsts, times])]
-    width = _live_width(sys, dts[0])
+    width = _live_width(sys, dts[0], cap)
     # the rows in order of width; a group computes some rows past their width
     order = np.argsort(width, kind="stable").astype(np.min_scalar_type(width.size))
     return (order, width[order].astype(np.min_scalar_type(sys.n_modes)),
-            slot[which, seg][order], vals[which, seg][order],
+            slot[which, seg][order], v[order], cap[order],
             *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
 
 
@@ -477,19 +494,21 @@ def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bo
     first time ``firsts[r]`` if given) of the anchor table ``table``, in any
     order, each time within its input's end there.  A row runs from the last
     anchor below its time, as in ``_flow_rows``; dt after it, every mode past
-    the live width W = #{k : lambda_k dt <= _EXP_FLUSH} is exactly g_k v,
-    whatever the state.  The rows are sorted by W (at the first time) and cut
-    into groups (``_rows``, ``_row_groups``; by all modes if ``full``).  Per
-    group this yields the rows' columns, their anchor indices, the width w,
-    the input values v (a column) and, per state, its first w modes at the
-    times (then the first times).  A consumer drops a group's arrays before
-    it asks for the next."""
+    the live width W = #{k : lambda_k dt <= T}, T the row's cap, is g_k v
+    bit for bit (absorption below half an ulp, 1 - d = 1.0), or at v = 0
+    squares to +0, whatever the state.  The rows are sorted by W (at the
+    first time) and cut into groups (``_rows``, ``_row_groups``; by all
+    modes if ``full``).  Per group this yields the rows' columns, their
+    anchor indices, the width w, the input values v (a column) and, per
+    state, its first w modes at the times (then the first times), each
+    row's past its W with exp's argument raised to -T.  A consumer drops a
+    group's arrays before it asks for the next."""
     anchor_states = table[0]
-    order, width, at, v, *dts = _rows(sys, table, which, times, firsts)
+    order, width, at, v, cap, *dts = _rows(sys, table, which, times, firsts, full)
     edges = _row_groups(np.full(width.size, sys.n_modes) if full else width)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        ag, w, vv = at[lo:hi], int(width[hi - 1]), v[lo:hi, None]
-        terms = [_decay_forced(sys, dt[lo:hi, None], vv, w) for dt in dts]
+        ag, w, vv, cc = at[lo:hi], int(width[hi - 1]), v[lo:hi, None], cap[lo:hi, None]
+        terms = [_decay_forced(sys, dt[lo:hi, None], vv, w, cc) for dt in dts]
         yield order[lo:hi], ag, w, vv, _stepped(anchor_states, ag, w, terms)
         del terms   # before the next group's are made
 
@@ -511,16 +530,17 @@ def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
     """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
     u the input ``which[r]`` and t = ``times[r]``, ``table`` the anchor
     table of ``x0s``.  Each group of ``_live_groups`` squares the tail
-    (g_k v)**2 once for all states.  Each norm is still ``np.add.reduce``
+    (g_k v)**2 once for all states (absorption below half an ulp, 1 - d =
+    1.0, and +0 squares at v = 0).  Each norm is still ``np.add.reduce``
     over the whole row of squares, so it is ``np.linalg.norm`` of the
     ``mild_solution`` rows bit for bit, and a state or a row gives the same
     bits alone as in a stack.
     """
     gain, norms = sys.input_gain_coeffs, np.empty((table[0].shape[1], len(which)))
     for rows, _, w, v, states in _live_groups(sys, table, which, times):
-        tail = gain[w:] * v   # the forced term g v (1 - 0.0), bit for bit
         squares = np.empty((rows.size, sys.n_modes))
-        np.multiply(tail, tail, out=squares[:, w:])
+        tail = np.multiply(gain[w:], v, out=squares[:, w:])   # g v (1 - d), with 1 - d = 1.0
+        tail *= tail
         sums = np.empty((norms.shape[0], rows.size))
         for s, (live,) in enumerate(states):
             np.multiply(live, live, out=squares[:, :w])
@@ -545,7 +565,8 @@ def _enclosure(sys: SpectralSystem, table, which, los, his) -> np.ndarray:
     monotone in t on the run, so |phi(t)|**2 >= L there, up to the rounding
     that ``checkers`` bounds.  The runs are the rows of ``_live_groups``,
     at hi with their first time lo, grouped by their live width at lo; the
-    modes dead at lo hold g_k v on the whole run, and their part is v**2
+    modes dead at lo are fl(g_k v) on the whole run (absorption below half
+    an ulp, 1 - d = 1.0; at v = 0 +0 squares), their part v**2
     sum_{k >= W} g_k**2.
     """
     gain = sys.input_gain_coeffs
@@ -572,9 +593,9 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit: the
-    live modes of ``_live_groups`` and each dead mode k as the kernel rows
-    form it, x_k(a) * 0.0 + g_k v from the row's own anchor a, so that its
-    sign is the row's.  The rows are grouped as if every mode were live.
+    live modes of ``_live_groups`` and each dead mode k as x_k(a) * 0.0 +
+    g_k v from the row's own anchor a, so that a zero takes x_k(a)'s sign as
+    x_k(a) d does.  The rows are grouped as if every mode were live.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -608,7 +629,7 @@ def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
     summed cumulatively along each input's anchors, so every value is that of
     the input alone bit for bit.
     """
-    anchor_states, slot, vals, bps = table
+    anchor_states, slot, vals, bps = table[:4]
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or (times < 0.0).any():
         raise DomainError("integrals are taken over [0, t] with t >= 0")

@@ -29,7 +29,7 @@ from isslab import checkers
 from isslab.comparison import evaluate
 from isslab.harness import _CHECKS, _resolve, load_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
-from isslab.system import _anchor_table
+from isslab.system import _anchor_table, _rows
 from isslab.report import Witness, conclude
 from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
 from test_system import _table, one_input_squares
@@ -643,6 +643,20 @@ def _assert_same_bits(got, want):
                      ([got.witness.t, got.witness.margin], [want.witness.t, want.witness.margin])]:
             assert np.array_equal(np.asarray(a, float).view(np.int64),
                                   np.asarray(b, float).view(np.int64))
+
+
+def test_probe_rows_keep_only_the_modes_that_have_not_rounded_to_g_v():
+    # on a heat(64) sample set of 4 states x 60 inputs the probe rows' mean
+    # live width stays below half their lambda dt <= 746 width (6.2 against
+    # 20.6 at seed 1), so a silent fallback to the cap 746 fails here
+    sys = heat(64)
+    samples = _Samples.draw(sys, SampleBudget(n_states=4, n_inputs=60, seed=1))
+    probes, _ = samples.probes
+    own, table = np.isfinite(probes), samples.table
+    rows = np.nonzero(own)[0], probes[own]
+    width = _rows(sys, table, *rows)[1].mean()
+    flush = _rows(sys, (*table[:4], math.inf), *rows)[1].mean()   # M = inf: every cap 746
+    assert width < flush / 2.0
 
 
 @st.composite

@@ -14,8 +14,9 @@ from isslab import (AdmissibilityBound, DomainError, InputSignal,
                     SpectralSystem, Trajectory, ValidationError, build_time_grid,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
+from isslab.checkers import ENCLOSURE_ABS, ENCLOSURE_FLOOR, ENCLOSURE_REL
 from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK,
-                           _anchor_table, _flow_norms, _flow_rows, _input_table,
+                           _anchor_table, _enclosure, _flow_norms, _flow_rows, _input_table,
                            _row_groups, _square_integrals)
 
 PI2 = math.pi ** 2
@@ -280,22 +281,31 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-_COEF = st.one_of(st.just(0.0), st.floats(1e-3, 1e3)).flatmap(
-    lambda m: st.sampled_from([m, -m]))
+def _signed(magnitudes):
+    return magnitudes.flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+_COEF = _signed(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+# every b_k nonzero, so that G = min |g_k| > 0 and rows take caps below 746
+_WIDE_COEF = _signed(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+_WIDE_VALUE = _signed(st.just(0.0) | st.floats(-300.0, 3.0).map(lambda e: 10.0 ** e))
 
 
 @st.composite
-def _kernel_cases(draw):
+def _kernel_cases(draw, wide=False):
     """A diagonal system with lambda spread to 1e6 and mixed-sign b, a
     piecewise input with a zero tail, a grid and two states.  Every nonzero
     coefficient is at least 1e-3 in size, so a forced value dwarfs any
-    subnormal decayed one."""
+    subnormal decayed one.  With ``wide`` every b_k is nonzero, the input
+    values run from 1e-300 to 1e3 in size (and +-0.0), and the states' modes
+    up to 2**400: rows whose caps spread over [38, 746]."""
     logs = draw(st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=40, unique=True))
     lam = np.unique(10.0 ** np.array(logs))
-    b = np.array(draw(st.lists(_COEF, min_size=lam.size, max_size=lam.size)))
+    b = np.array(draw(st.lists(_WIDE_COEF if wide else _COEF,
+                               min_size=lam.size, max_size=lam.size)))
     bps = np.unique(draw(st.lists(st.floats(1e-3, 1.9), max_size=6)))
-    vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)).flatmap(
-        lambda m: st.sampled_from([m, -m])), min_size=bps.size, max_size=bps.size))
+    value = _WIDE_VALUE if wide else _signed(st.just(0.0) | st.floats(1e-3, 2.0))
+    vals = draw(st.lists(value, min_size=bps.size, max_size=bps.size))
     u = InputSignal.piecewise(np.concatenate([[0.0], bps]), vals)
     rows = draw(st.sampled_from([2, 5, 40, 129, 513]))   # one group to several
     if draw(st.booleans()):   # rows dt = 0, 1e-300 (or one ulp) and 1e-7 after each anchor
@@ -305,7 +315,11 @@ def _kernel_cases(draw):
     else:                     # a uniform ULIM grid, which skips the anchors
         grid = np.linspace(0.0, 2.0, rows)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-    x0s = rng.choice([-1.0, 1.0], (2, lam.size)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, lam.size))
+    # wide: each state's modes within a factor 2 of its largest, so that M
+    # bounds the modes near a row's cap tightly
+    size = (2.0 ** rng.uniform(-60.0, 400.0, (2, 1)) * rng.uniform(0.5, 1.0, (2, lam.size))
+            if wide else 10.0 ** rng.uniform(-3.0, 3.0, (2, lam.size)))
+    x0s = rng.choice([-1.0, 1.0], (2, lam.size)) * size
     x0s[:, rng.random(lam.size) < 0.2] = 0.0
     return SpectralSystem(lam, b), u, grid, x0s
 
@@ -336,6 +350,42 @@ def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     for s in range(2):
         clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
         assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
+
+
+_TWO = SpectralSystem(np.array([1.0, 400.0]), np.array([400.0, 400.0]))   # G = g_2 = 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_kernel_cases(wide=True))
+# M = 2**400 on the fast mode: under v = 1 its cap is T = 38 + ln M, and just
+# past it x_2 d_2 is a little under half an ulp of g_2 v; under the zero input
+# the norms' cap is ln M + 373, and sample_trajectory's 746 (there the mode
+# is itself, not +0, past ln M + 373)
+@example(case=(_TWO, InputSignal.constant(1.0, 2.0), np.linspace(0.0, 2.0, 513),
+               np.array([[0.0, 2.0 ** 400], [0.0, -1.0]])))
+@example(case=(_TWO, InputSignal.zero(), np.linspace(0.0, 2.0, 513),
+               np.array([[0.0, 2.0 ** 400], [0.0, -1.0]])))
+def test_modes_past_a_rows_cap_are_their_forced_values_bit_for_bit(case):
+    # every b_k nonzero and wide input values and states send the rows to caps
+    # T below 746, where a mode that has not underflowed is taken as g_k v: the
+    # norms and the trajectory states are still the mild_solution rows bit for
+    # bit, signed zeros included, and the enclosure of each run (no breakpoint
+    # in [lo, hi)) stays below the norms on it by ULIM's documented margin
+    sys, u, grid, x0s = case
+    rows = np.array([[mild_solution(sys, x0, u, t) for t in grid] for x0 in x0s])
+    assert np.array_equal(_bits(sample_trajectory(sys, x0s[0], u, grid).states), _bits(rows[0]))
+    norms = _kernel(sys, x0s, [u], [grid])
+    assert np.array_equal(_bits(norms), _bits(np.linalg.norm(rows, axis=2)))
+    n, table = sys.n_modes, _anchor_table(sys, x0s, _table([u]), grid[-1:])
+    seg = np.searchsorted(u.breakpoints, grid)   # the breakpoints below each point
+    scale = np.linalg.norm(x0s, axis=1) + 2.0 * sys.input_gain_norm * u.sup_norm
+    for span in (s for s in (0, 1, 4, 16) if s < grid.size):
+        lo = np.flatnonzero(seg[:grid.size - span] == seg[span:])
+        low = np.sqrt(_enclosure(sys, table, np.zeros(lo.size, int), grid[lo], grid[lo + span]))
+        low = (low * (1.0 - ENCLOSURE_REL - n * 2.0 ** -53) - ENCLOSURE_ABS * scale[:, None]
+               - math.sqrt(n) * ENCLOSURE_FLOOR)
+        least = np.lib.stride_tricks.sliding_window_view(norms, span + 1, axis=1).min(axis=2)
+        assert np.all(low <= least[:, lo])
 
 
 @settings(max_examples=40, deadline=None)
