@@ -1,0 +1,151 @@
+"""The golden-output corpus: the SHA-256 of every output of a fixed set of
+``isslab`` runs, so that a change meant to keep outputs byte-identical can be
+checked by one test (``test_golden.py``).
+
+The runs, made in-process through ``harness.main`` under a scratch directory:
+
+* ``check`` of the bundled scenarios;
+* ``check`` of each benchmark workload's full battery at seeds 1-3, as
+  ``bench/workloads.py`` generates it;
+* ``check`` of two integral scenarios on the default system: a Simpson alpha
+  and ``certificate.derive = from_iss``;
+* ``replay`` of every witness record those runs write;
+* ``simulate`` of ``heat_iss.scn``.
+
+Each run's stdout, stderr and exit code are kept beside its output files
+(``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
+without its ``seconds`` column, and ``check``'s stdout without its timings.
+
+    python tests/golden_corpus.py
+
+rewrites ``tests/golden/digests.txt`` from the current code; a change that
+moves outputs on purpose runs it and lists the files that changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.txt"
+SEEDS = (1, 2, 3)
+BUNDLED = ("heat_iss", "heat_bad_gain", "datko_vs_neginverse", "diagonal_custom")
+INTEGRAL = {
+    "simpson": "certificate.alpha = power(0.5, 1.0)\n"
+               "checks.names = norm_to_integral, integral_to_integral\n",
+    "from_iss": "certificate.derive = from_iss\n"
+                "checks.names = norm_to_integral, integral_to_integral\n",
+}
+_TIMING = re.compile(r", [0-9.]+s\)$", re.MULTILINE)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("_golden_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def _scenarios() -> dict[str, str]:
+    """Name -> scenario text (or the bundled scenario's file name)."""
+    out = {f"bundled/{name}": f"{name}.scn" for name in BUNDLED}
+    for workload in _workloads().values():
+        for seed in SEEDS:
+            for i, text in enumerate(workload.scenario_texts(seed, "full")):
+                out[f"{workload.name}/seed{seed}_{i:02d}"] = text
+    out.update({f"integral/{name}": text for name, text in INTEGRAL.items()})
+    return out
+
+
+def _run(argv: list[str], name: str) -> None:
+    """``isslab <argv>`` in-process; its stdout, stderr and exit code go to
+    ``name.stdout``, ``name.stderr`` and ``name.exit``."""
+    from isslab.harness import main
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    for ext, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+                      ("exit", f"{code}\n")):
+        Path(f"{name}.{ext}").write_text(text, encoding="utf-8")
+
+
+def generate(root: Path) -> None:
+    """Make every run of the corpus under ``root``: the scenario files under
+    ``root/scenarios``, the outputs under ``root/out``."""
+    cwd = os.getcwd()
+    os.chdir(root)   # relative paths, so that no message names root
+    try:
+        for name, text in _scenarios().items():
+            path = text if text.endswith(".scn") else f"scenarios/{name}.scn"
+            if path != text:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                Path(path).write_text(text, encoding="utf-8")
+            out = f"out/{name}"
+            os.makedirs(out, exist_ok=True)
+            _run(["check", path, "--out", out], f"{out}/check")
+            for witness in sorted(Path(out).glob("witness_*.csv")):
+                if not witness.stem.endswith("_trajectory"):
+                    _run(["replay", path, str(witness)], f"{out}/replay_{witness.stem}")
+        _run(["simulate", "heat_iss.scn", "--out", "out/simulate"], "out/simulate/simulate")
+    finally:
+        os.chdir(cwd)
+
+
+def _normalized(path: Path) -> bytes:
+    """A file's bytes, less what a run's timing moves."""
+    data = path.read_bytes()
+    if path.name == "report.csv":
+        return b"".join(line.rpartition(b",")[0] + b"\n" for line in data.splitlines())
+    if path.name == "check.stdout":
+        return _TIMING.sub(")", data.decode("utf-8")).encode("utf-8")
+    return data
+
+
+def digests(root: Path) -> dict[str, str]:
+    """Relative path (under ``root/out``) -> SHA-256 of every output file."""
+    out = root / "out"
+    return {p.relative_to(out).as_posix(): hashlib.sha256(_normalized(p)).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def read_digests(path: Path = DIGESTS) -> dict[str, str]:
+    rows = (line.split("  ", 1) for line in path.read_text(encoding="utf-8").splitlines())
+    return {name: digest for digest, name in rows}
+
+
+def write_digests(table: dict[str, str], path: Path = DIGESTS) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{d}  {name}\n" for name, d in sorted(table.items())),
+                    encoding="utf-8")
+
+
+def main() -> int:
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(Path(tmp))
+        table = digests(Path(tmp))
+    old = read_digests() if DIGESTS.exists() else {}
+    changed = sorted(n for n in table.keys() | old.keys() if table.get(n) != old.get(n))
+    write_digests(table)
+    print(f"wrote {len(table)} digests to {DIGESTS.relative_to(ROOT)}; "
+          f"{len(changed)} changed")
+    for name in changed:
+        print(f"  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    raise SystemExit(main())
