@@ -10,9 +10,9 @@ arrays (``_Samples``): the states, their norms |x0|, the inputs as one table
 and their |u|_inf; an ``InputSignal`` is made only for a witness and on the
 Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
-one draw, every budget (CEP's at cep_h and at its levels' radii, BRS's)
-derives its samples from each random stream's draws, made once
-(``_stream``, ``_input_rows``), and the pointwise checks (ISS, ULS, BRS, CEP
+one sample set, every budget (CEP's at cep_h and at its levels' radii, BRS's)
+derives its samples from each random stream's draws, made once (the block's
+memo, ``_once``), and the pointwise checks (ISS, ULS, BRS, CEP
 and ULIM) share one kernel call per sample set on every input's probe (the
 evaluation times plus its breakpoints), a table of (input, point) padded
 with +inf.  The probes' points are ULIM's nodes: ULIM sweeps the points of
@@ -53,9 +53,9 @@ below t, for all states, inputs, times and modes in one pass, with no grid.
 Any other alpha takes composite Simpson on a grid graded after 0 and after
 each input breakpoint, restarted at every breakpoint so that no panel
 straddles a kink of the flow, one kernel call per input on the same table.
-Either way the table is made once per sample set, and both integral checks
-read it.  The integral of sigma(|u|) in the integral-to-integral bound is
-exact: cumulative sums over the inputs' pieces, once per sample set.
+Either way the table is made once per sample set (``_Samples.integrals``),
+and both integral checks read it.  The integral of sigma(|u|) in the
+integral-to-integral bound is exact: cumulative sums over the inputs' pieces.
 
 Record order.  ``_sweep`` hands the picks to ``conclude`` as arrays in the
 order of the pairs (state-major: pair i * n_inputs + j is state i with input
@@ -174,17 +174,6 @@ class SampleBudget:
         return self.n_states * self.n_inputs
 
 
-def _stream(seed: int, kind: int, index: int, draw, *args):
-    """``draw(seeded_rng(seed, kind, index), *args)``, a state stream's draws
-    free of radius and horizon, made once per ``_shared_samples`` block: a
-    state keeps its ``Generator`` (a ziggurat; an ``integers`` that rejects)."""
-    run = _RUN.get()
-    memo, key = {} if run is None else run[0], (seed, kind, index, *args)
-    if key not in memo:
-        memo[key] = draw(seeded_rng(seed, kind, index), *args)
-    return memo[key]
-
-
 def _uniform(low, high, d):
     """``Generator.uniform(low, high)`` of its doubles d: low + (high - low) d."""
     return low + (high - low) * d
@@ -217,23 +206,22 @@ def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
     if i == 2:
         x[-1] = r
         return x
-    direction, radial = _stream(budget.seed, 11, i, _state_draws, n, i % 5 == 3 and n > 1)
+    # a state keeps its Generator (a ziggurat; an integers that rejects)
+    direction, radial = _once(("state", budget.seed, i, n), lambda: _state_draws(
+        seeded_rng(budget.seed, 11, i), n, i % 5 == 3 and n > 1))
     x[:direction.size] = direction * r * radial
     return x
 
 
 def _input_rows(budget: SampleBudget, stop: int, start: int = 0) -> list[tuple[list, list]]:
     """Inputs start..stop-1's breakpoints and values, as Python floats.  Input
-    j >= 2 reads its stream's words once per ``_shared_samples`` block: its
-    ``integers(1, 9)`` pieces m (Lemire's draw on word 0's low half, exact as
-    8 divides 2**32), then ``random(2 m - 1)``, the m - 1 cuts and the values."""
+    j >= 2 reads its stream's words, once per ``_shared_samples`` block for
+    every budget of the seed: its ``integers(1, 9)`` pieces m (Lemire's draw
+    on word 0's low half, exact as 8 divides 2**32), then ``random(2 m - 1)``,
+    the m - 1 cuts and the values."""
     h, r, seed = float(budget.horizon), float(budget.radius), budget.seed
-    memo = (_RUN.get() or ({},))[0]   # the block's memo, else a throwaway one
-    words = memo.get(("inputs", seed), np.empty((0, 16), dtype=np.uint64))
-    if len(words) < stop - 2:   # only the streams not yet read
-        words = memo["inputs", seed] = np.concatenate(
-            [words, _stream_words(seed, 22, np.arange(2 + len(words), stop), 16)])
-    words = words[max(start - 2, 0):max(stop - 2, 0)]
+    words = _once(("inputs", seed, start, stop),
+                  lambda: _stream_words(seed, 22, np.arange(max(start, 2), stop), 16))
     rows = [([0.0, h][:j + 1], [r][:j]) for j in range(start, min(stop, 2))]  # zero, constant
     for k, d in zip(((words[:, 0] & 0xFFFFFFFF) >> 29).tolist(),   # k = m - 1
                     ((words[:, 1:] >> 11) * 2.0 ** -53).tolist()):
@@ -282,20 +270,15 @@ class _Samples:
     gives every input's probe (the evaluation times plus its breakpoints
     below the horizon) as a padded (input, point) table and the flow norms
     of every state on them as a (state, input, point) table; its points are
-    the nodes of ``ulim(levels)``.  ``memo`` keeps the int_0^t alpha(|phi|)
-    and int_0^t sigma(|u|) tables, and ``pairs`` is the stepper's pair rows.
+    the nodes of ``ulim(levels)``.  ``integrals(alpha)`` is the table of
+    int_0^t alpha(|phi|), and ``pairs`` is the stepper's pair rows.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
         self.r = _norms(states)[:, None]
         self.u_sup = np.max(np.abs(inputs[1]), axis=1)
-        self._memo: dict[tuple, object] = {}
-
-    @classmethod
-    def draw(cls, sys: SpectralSystem, budget: SampleBudget) -> "_Samples":
-        return cls(sys, np.array([draw_state(sys, budget, i) for i in range(budget.n_states)]),
-                   _input_table(*zip(*_input_rows(budget, budget.n_inputs))), budget)
+        self._integrals: dict[ComparisonFunction, tuple] = {}
 
     def signal(self, j: int) -> InputSignal:
         """Input j as an ``InputSignal``."""
@@ -396,11 +379,31 @@ class _Samples:
         out[:, j * n + k] = refined
         return out.reshape(len(self.states), len(times), n)
 
-    def memo(self, key: tuple, make):
-        """``make()``, made once per ``key`` on this sample set."""
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+    def integrals(self, alpha: ComparisonFunction) -> tuple:
+        """int_0^t alpha(|phi|) of each state, input and evaluation time (a
+        (state, input, time) table), and its relative tolerance; made once
+        per alpha, from the anchor table.  For alpha = c r**2 the integral is
+        taken in closed form for every input at once, else by Simpson per
+        input segment on a grid graded after 0 and each input breakpoint,
+        one kernel call per input."""
+        if alpha in self._integrals:
+            return self._integrals[alpha]
+        times = eval_times(self.budget)
+        if alpha.form == "power" and alpha.params[1] == 2.0:
+            out = alpha.params[0] * _square_integrals(self.sys, self.table, times), EXACT_TOL
+            del self.table   # held, it would raise the peak
+        else:
+            rows = []
+            for j in range(self.u_sup.size):
+                u = self.signal(j)
+                # g holds the times and the input's breakpoints below the horizon
+                g = build_time_grid(self.budget.horizon, u, extra=times)
+                vals = evaluate(alpha, _flow_norms(self.sys, self.table, np.full(g.size, j), g))
+                rows.append(_simpson_integrals(vals, g, np.searchsorted(g, times),
+                                               np.searchsorted(g, u.breakpoints)))
+            out = np.stack(rows, axis=1), QUAD_TOL
+        self._integrals[alpha] = out
+        return out
 
 
 # The checks keep their public signatures, which take a budget, so a run's
@@ -411,17 +414,26 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 
 @contextmanager
 def _shared_samples(pair=None):
-    """Within the block, checks on the same system and budget share one draw
-    and one pointwise sweep, and every budget reads each random stream's
-    draws, made once (``_stream``, ``_input_rows``); ``run_scenario`` opens one
-    around a scenario's checks.  With ``pair = (x0, u)`` every sample set
-    holds that one pair instead of the budget's draw (``replay`` runs a check
-    so).  Nothing outlives the block."""
+    """Within the block, checks on the same system and budget share one
+    sample set, and every budget reads each random stream's draws, made once
+    (``draw_state``, ``_input_rows``), all through the block's memo
+    (``_once``); ``run_scenario`` opens one around a scenario's checks.  With
+    ``pair = (x0, u)`` every sample set holds that one pair instead of the
+    budget's draw (``replay`` runs a check so).  Nothing outlives the block."""
     token = _RUN.set(({}, pair))
     try:
         yield
     finally:
         _RUN.reset(token)
+
+
+def _once(key: tuple, make):
+    """``make()``, made once per ``key`` in the ``_shared_samples`` block, or
+    on every call outside one."""
+    memo = (_RUN.get() or ({},))[0]   # the block's memo, else a throwaway one
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _refuse_reach(sys: SpectralSystem, radius: float) -> None:
@@ -431,16 +443,18 @@ def _refuse_reach(sys: SpectralSystem, radius: float) -> None:
 
 
 def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
-    """The budget's sample set: the shared one inside :func:`_shared_samples`,
-    else a fresh draw; refused past ``_REACH_CAP``."""
-    memo, pair = _RUN.get() or ({}, None)
-    key = (sys, budget)
-    if key not in memo:
+    """The budget's sample set: the shared one inside :func:`_shared_samples`
+    (its pair's, if it has one), else a fresh draw; refused past ``_REACH_CAP``."""
+    def draw():
         _refuse_reach(sys, budget.radius)
-        memo[key] = (_Samples.draw(sys, budget) if pair is None else _Samples(
-            sys, np.array([pair[0]], dtype=float),
-            _input_table([pair[1].breakpoints], [pair[1].values]), budget))
-    return memo[key]
+        pair = (_RUN.get() or (None, None))[1]
+        if pair is None:
+            states = [draw_state(sys, budget, i) for i in range(budget.n_states)]
+            rows = _input_rows(budget, budget.n_inputs)
+        else:
+            states, rows = [pair[0]], [(pair[1].breakpoints, pair[1].values)]
+        return _Samples(sys, np.array(states, dtype=float), _input_table(*zip(*rows)), budget)
+    return _once(("samples", sys, budget), draw)
 
 
 def _tol(scale: float, rel: float = POINT_TOL) -> float:
@@ -704,32 +718,6 @@ def _simpson_integrals(vals: np.ndarray, grid: np.ndarray, at, starts) -> np.nda
     return out
 
 
-def _integrals(alpha: ComparisonFunction, times: np.ndarray, horizon: float):
-    """The lhs int_0^t alpha(|phi|) of a sample set (``lhs(samples)``), of
-    each state, input and evaluation time, and its relative tolerance.  For
-    alpha = c r**2 the integral is taken in closed form for every input at
-    once, else by Simpson per input segment on a grid graded after 0 and
-    each input breakpoint, one kernel call per input.  Either way the table
-    is made once per sample set, from the set's anchor table."""
-    key = (alpha, times.tobytes(), horizon)
-    if alpha.form == "power" and alpha.params[1] == 2.0:
-        def squares(samples):
-            out = alpha.params[0] * _square_integrals(samples.sys, samples.table, times)
-            del samples.table   # held, it would raise the peak
-            return out
-        return lambda samples: samples.memo(key, lambda: squares(samples)), EXACT_TOL
-
-    def simpson(samples, j):
-        u = samples.signal(j)
-        g = build_time_grid(horizon, u, extra=times)
-        vals = evaluate(alpha, _flow_norms(samples.sys, samples.table, np.full(g.size, j), g))
-        # g holds the times and the input's breakpoints below the horizon
-        return _simpson_integrals(vals, g, np.searchsorted(g, times),
-                                  np.searchsorted(g, u.breakpoints))
-    return (lambda samples: samples.memo(key, lambda: np.stack(
-        [simpson(samples, j) for j in range(samples.u_sup.size)], axis=1)), QUAD_TOL)
-
-
 def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
     """int_0^t sigma(|u(s)|) ds for each input u of the table ``inputs`` (rows)
     at each of ``times`` (columns): the integrals up to the breakpoints,
@@ -748,26 +736,29 @@ def _input_integrals(inputs, sigma_fn: ComparisonFunction, times) -> np.ndarray:
     return cum[j, i] + levels[j, i] * (times - bps[j, i])
 
 
+def _integral_check(prop: CheckProperty, sys: SpectralSystem,
+                    cert: NormToIntegralCertificate, budget: SampleBudget) -> StabilityReport:
+    """int alpha(|phi|) against cert.rhs, or psi(|x0|) + int sigma(|u(s)|) ds."""
+    times, samples = eval_times(budget), _samples(sys, budget)
+    lhs, rel = samples.integrals(cert.alpha)
+    bound = cert.rhs
+    if prop is CheckProperty.INTEGRAL_TO_INTEGRAL_ISS:
+        sigma = _input_integrals(samples.inputs, cert.sigma, times)
+        bound = lambda r, sup, t: evaluate(cert.psi, r) + sigma
+    return _sweep(prop, samples, times, lhs, bound=bound, tol=_tol(samples.r + samples.u_sup, rel))
+
+
 def check_norm_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                            budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + t sigma(|u|_inf) on the sample set."""
-    times, samples = eval_times(budget), _samples(sys, budget)
-    lhs, rel = _integrals(cert.alpha, times, budget.horizon)
-    return _sweep(CheckProperty.NORM_TO_INTEGRAL_ISS, samples, times, lhs(samples),
-                  bound=cert.rhs, tol=_tol(samples.r + samples.u_sup, rel))
+    return _integral_check(CheckProperty.NORM_TO_INTEGRAL_ISS, sys, cert, budget)
 
 
 def check_integral_to_integral(sys: SpectralSystem, cert: NormToIntegralCertificate,
                                budget: SampleBudget) -> StabilityReport:
     """int alpha(|phi|) <= psi(|x0|) + int sigma(|u(s)|) ds; outcome is
     reported, not asserted, since the stronger estimate may genuinely fail."""
-    times, samples = eval_times(budget), _samples(sys, budget)
-    sigma = samples.memo((cert.sigma, times.tobytes()),
-                         lambda: _input_integrals(samples.inputs, cert.sigma, times))
-    lhs, rel = _integrals(cert.alpha, times, budget.horizon)
-    return _sweep(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, samples, times, lhs(samples),
-                  bound=lambda r, sup, t: evaluate(cert.psi, r) + sigma,
-                  tol=_tol(samples.r + samples.u_sup, rel))
+    return _integral_check(CheckProperty.INTEGRAL_TO_INTEGRAL_ISS, sys, cert, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(states: np.ndarray) -> np.ndarray:
+    """``states``, refused unless every value is finite."""
+    if not np.isfinite(states).all():
+        raise ValidationError("trajectory states must be finite")
+    return states
+
+
 # ---------------------------------------------------------------------------
 # systems
 
@@ -350,18 +357,20 @@ def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.
     ``which[r]`` of ``table``.  A row's anchors are its breakpoints after its
     start less its start, as ``shifted`` forms them; each pass steps the rows
     with one below their time to it, x exp(-lambda dt) + g (1 - exp(-lambda
-    dt)) v with dt clipped at ``_settle``, and the last piece is ``_decay_forced``'s."""
+    dt)) v with dt clipped at ``_settle``, and the last piece is ``_decay_forced``'s.
+    A row that is not finite, also from a stepped state that was not, is refused."""
     bps, vals, idx = table[0][which], table[1][which], np.arange(len(which))
     times, starts = np.broadcast_to(times, idx.shape), np.broadcast_to(starts, idx.shape)
     x, anchor = np.array(x0s, dtype=float), np.zeros(idx.size)
     seg, lam, gain = np.sum(bps <= starts[:, None], axis=1) - 1, sys.lambdas, sys.input_gain_coeffs
-    while (live := np.flatnonzero((end := bps[idx, seg + 1] - starts) < times)).size:
-        decay = np.exp(-lam * np.minimum(end[live] - anchor[live], sys._settle)[:, None])
-        x[live] = x[live] * decay + gain * (1.0 - decay) * vals[live, seg[live], None]
-        anchor[live], seg[live] = end[live], seg[live] + 1
-    dt = np.minimum(times - anchor, sys._settle)[:, None]
-    decay, forced = _decay_forced(sys, dt, vals[idx, seg, None])
-    return x * decay + forced
+    with np.errstate(invalid="ignore"):   # as in _anchor_table; refused at the end, unwarned
+        while (live := np.flatnonzero((end := bps[idx, seg + 1] - starts) < times)).size:
+            decay = np.exp(-lam * np.minimum(end[live] - anchor[live], sys._settle)[:, None])
+            x[live] = x[live] * decay + gain * (1.0 - decay) * vals[live, seg[live], None]
+            anchor[live], seg[live] = end[live], seg[live] + 1
+        dt = np.minimum(times - anchor, sys._settle)[:, None]
+        decay, forced = _decay_forced(sys, dt, vals[idx, seg, None])
+        return _finite(x * decay + forced)
 
 
 def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarray:
@@ -395,8 +404,7 @@ class Trajectory:
             object.__setattr__(self, "states", _freeze(self.states))
         if self.states.shape != (self.times.size, self.system.n_modes):
             raise ValidationError("states must have shape (len(times), n_modes)")
-        if not np.all(np.isfinite(self.states)):
-            raise ValidationError("trajectory states must be finite")
+        _finite(self.states)
 
     def norms(self) -> np.ndarray:
         """``np.linalg.norm(states, axis=1)``, squaring a block of rows at a time."""
@@ -451,14 +459,14 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
     x = np.empty((1 + j.size, len(x0s), sys.n_modes))
     x[0] = x0s
     starts = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
-    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        prev = x[1 + starts[i - 1]:1 + starts[i - 1] + hi - lo] if i else x[:1]
-        step = np.multiply(prev, decay[lo:hi], out=x[1 + lo:1 + hi])
-        step += forced[lo:hi]
-    # checked here: a dead mode never reads its anchor state, so its overflow
-    # would not reach the norms
-    if not np.isfinite(x).all():
-        raise ValidationError("trajectory states must be finite")
+    with np.errstate(invalid="ignore"):   # an overflowed state times a decay of 0.0 is nan
+        for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            prev = x[1 + starts[i - 1]:1 + starts[i - 1] + hi - lo] if i else x[:1]
+            step = np.multiply(prev, decay[lo:hi], out=x[1 + lo:1 + hi])
+            step += forced[lo:hi]
+    # checked here, unwarned: a dead mode never reads its anchor state, so its
+    # overflow would not reach the norms
+    _finite(x)
     slot = np.zeros((len(bps), most), dtype=int)
     slot[j, a] = 1 + np.arange(j.size)
     # M at least the smallest subnormal, so that ln M is finite
@@ -547,9 +555,7 @@ def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
             np.add.reduce(squares, axis=1, out=sums[s])
         norms[:, rows] = np.sqrt(sums, out=sums)
         del tail, squares, sums, live, states   # before the next group's are made
-    if not np.isfinite(norms).all():
-        raise ValidationError("trajectory states must be finite")
-    return norms
+    return _finite(norms)
 
 
 def _enclosure(sys: SpectralSystem, table, which, los, his) -> np.ndarray:
@@ -604,11 +610,13 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
         raise ValidationError("grid must be strictly increasing")
     table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
     states, gain = np.empty((grid.size, sys.n_modes)), sys.input_gain_coeffs
-    for rows, at, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
-                                              full=True):
-        for live, in lives:   # the one state
-            states[rows, :w] = live
-            states[rows, w:] = table[0][at, 0, w:] * 0.0 + gain[w:] * v
+    # at t = 0 an inf g v times 1 - exp(0) is nan, refused by Trajectory, unwarned
+    with np.errstate(invalid="ignore"):
+        for rows, at, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
+                                                  full=True):
+            for live, in lives:   # the one state
+                states[rows, :w] = live
+                states[rows, w:] = table[0][at, 0, w:] * 0.0 + gain[w:] * v
     return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
 
 
@@ -655,9 +663,7 @@ def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
     cum[:, 1:][full] = out[:fj.size]
     np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
     out = (cum[which[fj.size:], at[fj.size:]] + out[fj.size:]).reshape(n_inputs, times.size, -1)
-    if not np.isfinite(out).all():
-        raise ValidationError("trajectory states must be finite")
-    return out.transpose(2, 0, 1)
+    return _finite(out).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, I
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
-                             _Samples, _input_integrals, _integrals, _prefix_integrals,
+                             _Samples, _input_integrals, _prefix_integrals, _samples,
                              _shared_samples, _simpson_integrals, _sweep, eval_times,
                              iss_margin, ulim_grid, ulim_slack, uls_margin)
 from isslab import checkers
@@ -231,7 +231,7 @@ def test_stream_draws_are_the_uniform_calls(seed, horizon, radius, first, n):
     other = replace(budget, horizon=first[0], radius=first[1])
     for block in (contextlib.nullcontext(), _shared_samples()):
         with block:
-            _Samples.draw(sys, other)
+            _samples(sys, other)
             inputs = [draw_input(budget, j) for j in range(2, budget.n_inputs)]
             states = [draw_state(sys, budget, i) for i in range(3, budget.n_states)]
         for j, u in enumerate(inputs, 2):
@@ -296,7 +296,7 @@ def test_sample_table_rows_are_the_drawn_signals(seed, horizon, radius, n, n_inp
     sys = heat(n)
     budget = SampleBudget(n_states=7, n_inputs=n_inputs, horizon=horizon, radius=radius,
                           seed=seed)
-    samples = _Samples.draw(sys, budget)
+    samples = _samples(sys, budget)
     bps, vals = samples.inputs
     for j in range(n_inputs):
         u = draw_input(budget, j)
@@ -650,7 +650,7 @@ def test_probe_rows_keep_only_the_modes_that_have_not_rounded_to_g_v():
     # live width stays below half their lambda dt <= 746 width (6.2 against
     # 20.6 at seed 1), so a silent fallback to the cap 746 fails here
     sys = heat(64)
-    samples = _Samples.draw(sys, SampleBudget(n_states=4, n_inputs=60, seed=1))
+    samples = _samples(sys, SampleBudget(n_states=4, n_inputs=60, seed=1))
     probes, _ = samples.probes
     own, table = np.isfinite(probes), samples.table
     rows = np.nonzero(own)[0], probes[own]
@@ -690,7 +690,7 @@ def _ulim_cases(draw):
 @given(case=_ulim_cases())
 def test_ulim_matches_the_full_sweep_bit_for_bit(case):
     sys, budget, pair, gamma_fn, level = case
-    samples = _Samples.draw(sys, budget)
+    samples = _samples(sys, budget)
     one = _samples_of(sys, [pair[0]], [pair[1]], budget)
     table = _anchor_table(sys, samples.states, samples.inputs,
                           [budget.horizon] * budget.n_inputs)
@@ -804,7 +804,7 @@ def _cep_reference(sys, budget, h):
         chosen = None
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
-            samples = _Samples.draw(sys, replace(budget, radius=delta, horizon=h))
+            samples = _samples(sys, replace(budget, radius=delta, horizon=h))
             level = _sweep(CheckProperty.CEP, samples, *samples.probes,
                            bound=lambda r, sup, t, e=eps_j: e, tol=0.0)
             if level.witness is None:
@@ -900,9 +900,9 @@ def test_norm_to_integral_single_mode_closed_form():
 
 def test_norm_to_integral_zero_sample_trivial():
     sys, cert = heat(8), nti_cert()
-    lhs, _ = _integrals(cert.alpha, np.array([2.0]), 2.0)
     samples = _samples_of(sys, [np.zeros(8)], [InputSignal.zero()], SampleBudget(horizon=2.0))
-    assert cert.rhs(0.0, 0.0, 2.0) - lhs(samples)[0, 0, 0] == 0.0
+    lhs, _ = samples.integrals(cert.alpha)   # t = 2.0, the horizon, is the last column
+    assert cert.rhs(0.0, 0.0, 2.0) - lhs[0, 0, -1] == 0.0
 
 
 def test_integral_to_integral_constant_input_coincides():
@@ -1049,20 +1049,46 @@ def test_single_pair_functions_refuse_an_overflowing_certificate(prop):
             ulim_slack(sys, huge, 0.1, x0, u, np.linspace(0.0, 2.0, 17))
 
 
-def test_an_overflowing_anchor_in_a_dead_mode_never_reads_clean():
+def _overflowing_anchor():
     # an input of 1e308 on [t1, t2), strictly between two rows of the ULIM
     # grid, overflows mode 2's anchor state at t2; after t2 the input is 0
     # and lambda_2 = 1e6 makes mode 2 dead on every later row, so only the
     # anchor holds the inf
-    sys = SpectralSystem(np.array([1.0, 1e6]), np.array([0.0, 4e6]))
     grid = ulim_grid(BUDGET)
     t1 = grid[100] + 0.001
-    u = InputSignal.piecewise([0.0, t1, t1 + 0.001], [0.0, 1e308])
     assert 1e6 * (grid[101] - (t1 + 0.001)) > 746.0
+    return (SpectralSystem(np.array([1.0, 1e6]), np.array([0.0, 4e6])),
+            InputSignal.piecewise([0.0, t1, t1 + 0.001], [0.0, 1e308]), [1.0])
+
+
+def _overflowing_anchor_then_a_piece():
+    # as _overflowing_anchor, with one more piece after it: mild_solution steps
+    # the inf through a decay of 0.0 before its last piece
+    sys, u, _ = _overflowing_anchor()
+    return sys, InputSignal.piecewise([*u.breakpoints, 1.5], [*u.values, 0.0]), [2.0]
+
+
+def _overflowing_forced_term():
+    # g_1 v = 1e300 * 1e10 overflows in the last piece of every row, no anchor,
+    # also at t = 0, where 1 - exp(-lambda_1 t) is 0.0
+    return (SpectralSystem(np.array([1e-10, 1.0]), np.array([1e290, 1.0])),
+            InputSignal.constant(1e10, 2.0), [0.5, 0.0])
+
+
+@pytest.mark.parametrize("case", [_overflowing_anchor, _overflowing_anchor_then_a_piece,
+                                  _overflowing_forced_term],
+                         ids=["anchor", "anchor_then_a_piece", "forced_term"])
+def test_an_overflowing_anchor_in_a_dead_mode_never_reads_clean(case):
+    sys, u, times = case()
+    grid = ulim_grid(BUDGET)
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
         ulim_slack(sys, linear(1.0), 0.1, np.zeros(2), u, grid)
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match="states must be finite"):
         sample_trajectory(sys, np.zeros(2), u, grid)
+    for t in times:
+        with np.errstate(over="ignore"), pytest.raises(ValidationError,
+                                                       match="states must be finite"):
+            mild_solution(sys, np.zeros(2), u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,22 +1148,28 @@ def test_closed_form_agrees_with_one_state_and_one_time():
 def test_integral_checks_share_one_table_per_sample_set(monkeypatch, alpha):
     # norm_to_integral builds the int alpha(|phi|) table that
     # integral_to_integral reads: one closed-form call for every input, or one
-    # Simpson kernel call per input, in all, and both reports equal the checks
-    # run alone; the tiny psi and sigma refute both
+    # Simpson kernel call per input, in all; only integral_to_integral makes
+    # the int sigma(|u|) table, once; and both reports equal the checks run
+    # alone; the tiny psi and sigma refute both
     sys, budget = heat(16), SampleBudget(n_states=5, n_inputs=6, n_times=9, seed=41)
     cert = NormToIntegralCertificate(alpha=alpha, psi=power(1e-3, 2.0), sigma=power(1e-3, 2.0))
     checks = (check_norm_to_integral, check_integral_to_integral)
     alone = [check(sys, cert, budget) for check in checks]
     calls = []
-    for name in ("_square_integrals", "_flow_norms"):
+    for name in ("_square_integrals", "_flow_norms", "_input_integrals"):
         def counted(*args, _name=name, _real=getattr(checkers, name)):
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(checkers, name, counted)
     with _shared_samples():
-        shared = [check(sys, cert, budget) for check in checks]
+        shared = []
+        for check in checks:
+            calls.append(check.__name__)
+            shared.append(check(sys, cert, budget))
     closed = alpha.params[1] == 2.0
-    assert calls == (["_square_integrals"] if closed else ["_flow_norms"] * budget.n_inputs)
+    table = ["_square_integrals"] if closed else ["_flow_norms"] * budget.n_inputs
+    assert calls == ["check_norm_to_integral", *table,
+                     "check_integral_to_integral", "_input_integrals"]
     for got, want in zip(shared, alone):
         assert got.violated
         assert_same_report(got, want)
@@ -1206,9 +1238,9 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         # margins psi(0) + t sigma(1) - int on [0, t]: Simpson on the graded
         # grid (the same alpha in another form), or exact
         def margin(c):
-            lhs, _ = _integrals(c.alpha, np.array([t]), t)
             samples = _samples_of(sys, [np.zeros(1)], [u], SampleBudget(horizon=t))
-            return c.rhs(0.0, 1.0, t) - lhs(samples)[0, 0, 0]
+            lhs, _ = samples.integrals(c.alpha)   # t, the horizon, is the last column
+            return c.rhs(0.0, 1.0, t) - lhs[0, 0, -1]
         assert abs(margin(simpson_cert) - (t - exact)) < 1e-6
         assert abs(margin(cert) - (t - exact)) < 1e-14
 
@@ -1438,7 +1470,7 @@ def test_cep_refuses_the_reach_cap_before_its_levels(monkeypatch, b):
     # below radius 2**-400 (gain 2e241), where it sweeps level by level
     sys = SpectralSystem([1.0, 2.0, 3.0], b)
     radius = 1.5 * 2.0 ** 400 / (1.0 + sys.input_gain_norm)
-    monkeypatch.setattr(_Samples, "draw", lambda *args: pytest.fail("a level was drawn"))
+    monkeypatch.setattr(checkers, "_samples", lambda *args: pytest.fail("a level was drawn"))
     with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
         check_cep(sys, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=radius), 20.0)
 

@@ -879,11 +879,11 @@ def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, rad
                        "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
     opened, budgets = _count_streams(monkeypatch), set()
 
-    def counted_draw(sys_, budget):
+    def counted_samples(sys_, states, inputs, budget):
         budgets.add(budget)
-        return draw(sys_, budget)
-    draw = checkers._Samples.draw
-    monkeypatch.setattr(checkers._Samples, "draw", counted_draw)
+        return samples(sys_, states, inputs, budget)
+    samples = checkers._Samples
+    monkeypatch.setattr(checkers, "_Samples", counted_samples)
     run = run_scenario(s, str(tmp_path))
     assert opened == _streams(s)
     # the budget, brs's and cep's at cep_h: one set at the radius, or below
