@@ -48,8 +48,8 @@ tolerance.
 Integrals.  For alpha = c r**2, the form of every bundled certificate and
 of the default, int_0^t alpha(|phi|) has a closed form per input segment
 (``system._square_integrals``): from the set's anchor table, each input's
-full segments summed cumulatively, plus the piece from the last anchor
-below t, for all states, inputs, times and modes in one pass, with no grid.
+full segments summed cumulatively plus the piece from the last anchor below
+t, live modes by the formula and settled ones from a part per (input, anchor).
 Any other alpha takes composite Simpson on a grid graded after 0 and after
 each input breakpoint, restarted at every breakpoint so that no panel
 straddles a kink of the flow, one kernel call per input on the same table.

@@ -37,8 +37,9 @@ One loop (``_live_groups``) takes rows as (input, time) pairs of every
 input of a sample set, sorts them by this live width and gives each state's
 live modes per group of rows; the flow kernel (``_flow_norms``), ULIM's
 enclosure (``_enclosure``) and ``sample_trajectory`` reduce or write them.
-They and ``_square_integrals``, which integrates every input of a sample
-set in one pass, read the anchor states from the set's anchor table.
+They and ``_square_integrals`` read the set's anchor table.  Past lambda_k
+min(h, _settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0):
+its term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -66,6 +68,7 @@ _BLOCK_CELLS = 2 ** 13  # rows times live width of a block: bounds its arrays
 # exp(-x) is exactly 0.0 for x >= 746: exp(-745.14) is already below half the
 # smallest subnormal 2**-1074, so it rounds to zero
 _EXP_FLUSH = 746.0
+_SETTLED = 40.0    # -expm1(-x) is exactly 1.0 for x >= 40: e**-40 < 2**-54, half an ulp
 _CSV_ROWS = 32     # trajectory rows per formatted block of a CSV file
 _GRID_T_MIN = 1e-7  # first graded grid step after 0 and each breakpoint
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
@@ -428,8 +431,8 @@ def _row_groups(width: np.ndarray) -> list[int]:
 def _live_width(sys: SpectralSystem, dt: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """The live width W = #{k : lambda_k dt <= cap} of rows dt after their
     anchor: every mode at dt = 0, and at a dt so small that the quotient
-    overflows.  Past W a mode is fl(g_k v) (absorption below half an ulp,
-    1 - d = 1.0), or at v = 0 squares to +0, as the module docstring shows."""
+    overflows.  Past W a flow's mode is fl(g_k v) (absorption below half an
+    ulp, 1 - d = 1.0), or at v = 0 squares to +0 (the module docstring)."""
     with np.errstate(divide="ignore", over="ignore"):
         return np.searchsorted(sys.lambdas, cap / dt, side="right")
 
@@ -632,10 +635,14 @@ def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
                       + 2 d_k g_k v (1 - exp(-lambda_k h)) / lambda_k + g_k^2 v^2 h.
 
     The pieces of every input's full segments below the last time, and those
-    from each time's last anchor below it, are the rows of one pass in blocks
-    of ``_BLOCK_CELLS`` rows times states times modes.  The full segments are
-    summed cumulatively along each input's anchors, so every value is that of
-    the input alone bit for bit.
+    from each time's last anchor below it, are the rows of one pass.  Past a
+    row's ``_live_width`` at cap ``_SETTLED`` both expm1 are -1.0, so mode k
+    is settled: its term is P_k + g_k^2 v^2 h, P_k = d_k^2 / (2 lambda_k) +
+    2 d_k g_k v / lambda_k made once per (input, anchor), and rows of like
+    width (``_row_groups``) run the formula on their live modes.  Each row is
+    ``np.add.reduce`` over all its modes in blocks of ``_BLOCK_CELLS`` rows
+    times states times modes, and the full segments are summed along each
+    input's anchors, so every value is that of the input alone bit for bit.
     """
     anchor_states, slot, vals, bps = table[:4]
     times = np.asarray(times, dtype=float)
@@ -649,16 +656,28 @@ def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
     which = np.concatenate([fj, np.repeat(np.arange(n_inputs), times.size)])
     at = np.concatenate([fa, seg.ravel()])
     h = np.concatenate([bps[fj, fa + 1], np.tile(times, n_inputs)]) - bps[which, at]
-    rows, v = slot[which, at], vals[which, at]
+    rows, v, dts = slot[which, at], vals[which, at], np.minimum(h, sys._settle)
     out = np.empty((at.size, anchor_states.shape[1]))
     step = max(1, _BLOCK_CELLS // anchor_states[0].size)
-    for lo in range(0, at.size, step):
-        hh, vv = h[lo:lo + step, None, None], v[lo:lo + step, None, None]
-        d = anchor_states[rows[lo:lo + step]] - gain * vv
-        settled = np.minimum(hh, sys._settle)   # expm1 is -1.0 past it
-        np.add.reduce(d * d * (-np.expm1(-2.0 * lam * settled)) / (2.0 * lam)
-                      + 2.0 * d * gain * vv * (-np.expm1(-lam * settled)) / lam
-                      + (gain * vv) ** 2 * hh, axis=-1, out=out[lo:lo + step])
+    keys = np.flatnonzero(np.bincount(key := which * bps.shape[1] + at))   # in slot.flat
+    chunk, pair = np.divmod(np.searchsorted(keys, key), step)   # of step (input, anchor) pairs
+    order = np.lexsort((width := _live_width(sys, dts, _SETTLED), chunk))
+    for c, (lo, hi) in enumerate(pairwise(np.searchsorted(chunk[order], range(chunk.max() + 2)))):
+        k = keys[c * step:(c + 1) * step]
+        d = anchor_states[slot.flat[k]] - gain * (vk := vals.flat[k][:, None, None])
+        with np.errstate(over="ignore", invalid="ignore"):   # if read, _finite refuses it
+            settled, forced = d * d / (2.0 * lam) + 2.0 * d * gain * vk / lam, (gain * vk) ** 2
+        for a, b in pairwise(_row_groups(out.shape[1] * width[order[lo:hi]])):
+            r, w = order[lo + a:lo + b], width[order[lo + b - 1]]
+            vv, dt, p = v[r, None, None], dts[r, None, None], pair[r]
+            d = anchor_states[rows[r], :, :w] - gain[:w] * vv
+            live = (d * d * (-np.expm1(-2.0 * lam[:w] * dt)) / (2.0 * lam[:w])
+                    + 2.0 * d * gain[:w] * vv * (-np.expm1(-lam[:w] * dt)) / lam[:w])
+            for i in range(0, r.size, step):
+                terms = np.take(settled, p[i:i + step], axis=0)
+                terms[..., :w] = live[i:i + step]
+                terms += forced[p[i:i + step]] * h[r[i:i + step], None, None]   # on every mode
+                out[r[i:i + step]] = np.add.reduce(terms, axis=-1)
     cum = np.zeros(bps.shape + out.shape[1:])   # each input's sums of its full segments
     cum[:, 1:][full] = out[:fj.size]
     np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])

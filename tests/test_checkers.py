@@ -25,11 +25,11 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
                              _Samples, _input_integrals, _prefix_integrals, _samples,
                              _shared_samples, _simpson_integrals, _sweep, eval_times,
                              iss_margin, ulim_grid, ulim_slack, uls_margin)
-from isslab import checkers
+from isslab import checkers, system
 from isslab.comparison import evaluate
 from isslab.harness import _CHECKS, _resolve, load_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
-from isslab.system import _anchor_table, _rows
+from isslab.system import _anchor_table, _rows, _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
 from test_system import _table, one_input_squares
@@ -657,6 +657,29 @@ def test_probe_rows_keep_only_the_modes_that_have_not_rounded_to_g_v():
     width = _rows(sys, table, *rows)[1].mean()
     flush = _rows(sys, (*table[:4], math.inf), *rows)[1].mean()   # M = inf: every cap 746
     assert width < flush / 2.0
+
+
+@pytest.mark.parametrize("seed", [1, 26408])
+def test_square_integrals_run_the_formula_on_under_a_quarter_of_their_cells(monkeypatch,
+                                                                           seed):
+    # on an integral_heat64-shaped set (heat(64), 3 states, 32 inputs, horizon
+    # 2) the groups of rows that run the closed form, each at its widest live
+    # width, cover 18% and 21% of the (row, state, mode) cells (seed 26408 is
+    # the benchmark's first at its seed 3301); every other cell is a settled
+    # mode, one add, so a silent fallback to the dense formula fails here
+    sys, budget = heat(64), SampleBudget(n_states=3, n_inputs=32, horizon=2.0, seed=seed)
+    table, times, groups = _samples(sys, budget).table, eval_times(budget), []
+
+    def recorded(width):   # the kernel's groups: their rows and states times width
+        edges = row_groups(width)
+        groups.extend((b - a, width[b - 1]) for a, b in zip(edges[:-1], edges[1:]))
+        return edges
+    row_groups = system._row_groups
+    monkeypatch.setattr(system, "_row_groups", recorded)
+    _square_integrals(sys, table, times)
+    rows = sum(n for n, _ in groups)
+    assert rows >= budget.n_inputs * times.size   # every (input, time) row, and the full segments
+    assert sum(n * w for n, w in groups) < rows * table[0].shape[1] * sys.n_modes / 4
 
 
 @st.composite

@@ -4,6 +4,7 @@ import csv
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from isslab import (AdmissibilityBound, DomainError, InputSignal,
                     heat_dirichlet, kappa_bounds, mild_solution, sample_trajectory,
                     state_norm, write_trajectory_csv)
 from isslab.checkers import ENCLOSURE_ABS, ENCLOSURE_FLOOR, ENCLOSURE_REL
-from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK,
-                           _anchor_table, _enclosure, _flow_norms, _flow_rows, _input_table,
-                           _row_groups, _square_integrals)
+from isslab import system
+from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK, _SETTLED,
+                           _anchor_table, _enclosure, _finite, _flow_norms, _flow_rows,
+                           _input_table, _row_groups, _square_integrals)
 
 PI2 = math.pi ** 2
 
@@ -487,6 +489,82 @@ def test_square_integrals_of_a_stack_are_each_inputs_own(case, data):
         assert np.array_equal(_bits(got[:, j]), _bits(one_input_squares(sys, x0s, v, times)))
 
 
+def _dense_square_integrals(sys, table, times):
+    """The reference semantics of ``_square_integrals``: the closed form on
+    every mode of every row, in blocks of rows, each row reduced over all
+    its modes."""
+    anchor_states, slot, vals, bps = table[:4]
+    times = np.asarray(times, dtype=float)
+    lam, gain = sys.lambdas, sys.input_gain_coeffs
+    full, n_inputs = bps[:, 1:] < times.max(), len(bps)
+    seg = np.maximum(np.sum(bps[:, None, :] < times[:, None], axis=2) - 1, 0)
+    fj, fa = np.nonzero(full)
+    which = np.concatenate([fj, np.repeat(np.arange(n_inputs), times.size)])
+    at = np.concatenate([fa, seg.ravel()])
+    h = np.concatenate([bps[fj, fa + 1], np.tile(times, n_inputs)]) - bps[which, at]
+    rows, v = slot[which, at], vals[which, at]
+    out = np.empty((at.size, anchor_states.shape[1]))
+    step = max(1, _BLOCK_CELLS // anchor_states[0].size)
+    for lo in range(0, at.size, step):
+        hh, vv = h[lo:lo + step, None, None], v[lo:lo + step, None, None]
+        d = anchor_states[rows[lo:lo + step]] - gain * vv
+        settled = np.minimum(hh, sys._settle)   # expm1 is -1.0 past it
+        np.add.reduce(d * d * (-np.expm1(-2.0 * lam * settled)) / (2.0 * lam)
+                      + 2.0 * d * gain * vv * (-np.expm1(-lam * settled)) / lam
+                      + (gain * vv) ** 2 * hh, axis=-1, out=out[lo:lo + step])
+    cum = np.zeros(bps.shape + out.shape[1:])
+    cum[:, 1:][full] = out[:fj.size]
+    np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+    out = (cum[which[fj.size:], at[fj.size:]] + out[fj.size:]).reshape(n_inputs, times.size, -1)
+    return _finite(out).transpose(2, 0, 1)
+
+
+def _outcome(f, *args):
+    """f(*args), or ValidationError if it refuses them."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.booleans().flatmap(lambda wide: _kernel_cases(wide=wide)),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=12),
+       pairs=st.sampled_from([0, 1, 3]))
+# a mode 2**400 over a one-ulp piece and the input's -0.0 after it, one pair a chunk
+@example(case=(_TWO, InputSignal.piecewise([0.0, 0.5, 1.0], [1.0, -0.0]),
+               np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]),
+               np.array([[0.0, 2.0 ** 400], [-1.0, 0.0]])), picks=[1, 2, 3], pairs=1)
+# one mode at lambda h = 30.5, 33 and 39.5 under v = 1: its 2 d g v (1 - e**-(lambda h))
+# / lambda dominates the row, so a cut below ln 2**54 = 37.43 moves its last bits
+@example(case=(SpectralSystem(np.array([1.0]), np.array([1.0])),
+               InputSignal.constant(1.0, 50.0), np.array([0.0, 30.5, 33.0, 39.5]),
+               np.array([[0.0], [0.5]])), picks=[1, 2, 3], pairs=1)
+def test_square_integrals_match_the_dense_formula_bit_for_bit(case, picks, pairs):
+    # the settled modes (lambda_k min(h, _settle) past _SETTLED) and the
+    # chunks and groups of rows change no bit: every value is the dense
+    # formula's, signed zeros included, and the kernel refuses with
+    # ValidationError exactly where it does; at t = 0 (zero-length rows), on
+    # and one ulp past every breakpoint, past _settle, beside the input's
+    # negation (values -0.0) and the zero input, at the default block and at
+    # blocks of one and three pairs
+    sys, u, grid, x0s = case
+    bps = u.breakpoints
+    some = np.concatenate([grid, bps, np.nextafter(bps, 3.0),
+                           [1e-300, sys._settle, 2.5 * sys._settle + bps[-1]]])
+    times = np.concatenate([[0.0], some[np.array(picks) % some.size]])
+    inputs = [u, InputSignal.piecewise(bps, -u.values), InputSignal.zero()]
+    table = _anchor_table(sys, x0s, _table(inputs), [times.max()] * len(inputs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(_dense_square_integrals, sys, table, times)
+        with mock.patch.object(system, "_BLOCK_CELLS", pairs * x0s.size or _BLOCK_CELLS):
+            got = _outcome(_square_integrals, sys, table, times)
+    if isinstance(want, ValidationError):
+        assert isinstance(got, ValidationError)
+    else:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
 def test_integrals_and_kappa_past_the_flush_are_exact_and_raise_no_warning(lam_dt):
     # kappa_bounds clips t, and the closed-form square integrals clip the h
@@ -533,6 +611,24 @@ def test_expm1_bits_do_not_depend_on_the_arrays_length_or_offset():
     for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1000):
         assert np.array_equal(_bits(np.expm1(x[:n])), whole[:n])
         assert np.array_equal(_bits(np.expm1(x[n:])), whole[n:])
+    # and past _SETTLED it is exactly -1.0, so a settled mode's term is its
+    # part P_k + g_k^2 v^2 h: at _SETTLED and the doubles above it, and at
+    # both arguments (-lambda) h and (-2 lambda) h of every lambda from the
+    # kernel's cut _SETTLED / h on, on arrays of every SIMD tail length
+    above = [_SETTLED]
+    for _ in range(32):
+        above.append(np.nextafter(above[-1], np.inf))
+    h = np.geomspace(1e-300, 1e300, 601)
+    cut = (_SETTLED / h)[:, None] * np.ones(17)
+    for j in range(1, 17):
+        cut[:, j] = np.nextafter(cut[:, j - 1], np.inf)
+    args = [-np.concatenate([above, np.geomspace(_SETTLED, 1e308, 257), [np.inf]]),
+            (-cut * h[:, None]).ravel(), ((-2.0 * cut) * h[:, None]).ravel()]
+    assert np.isfinite(cut).all()
+    for x in args:
+        for n in (*range(1, 18), 1000):
+            assert np.all(-np.expm1(np.resize(x, n)) == 1.0)
+        assert np.all(-np.expm1(x) == 1.0)
 
 
 def test_row_groups_cover_the_sorted_rows():
