@@ -9,8 +9,12 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   ``bench/workloads.py`` generates it;
 * ``check`` of two integral scenarios on the default system: a Simpson alpha
   and ``certificate.derive = from_iss``;
+* ``check`` of the CI smoke scenarios (``.github/workflows/tests.yml``) that
+  exit 0 or 1, past the bundled ones and the two above: trajectories of a
+  b_k = 0 system and at N = 256, CEP's levels at radius 1e-125, the
+  radii 1e100 and 1e-300, the horizons 1e17 and 1e304, and others;
 * ``replay`` of every witness record those runs write;
-* ``simulate`` of ``heat_iss.scn``.
+* ``simulate`` of ``heat_iss.scn`` and of the smoke scenario ``gain_zero``.
 
 Each run's stdout, stderr and exit code are kept beside its output files
 (``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
@@ -43,6 +47,30 @@ INTEGRAL = {
     "from_iss": "certificate.derive = from_iss\n"
                 "checks.names = norm_to_integral, integral_to_integral\n",
 }
+SMOKE = {
+    "battery": "certificate.gamma = linear(0.1)\nchecks.names = iss, uls, ulim, brs\n",
+    "integral_mutant": "certificate.sigma = power(0.01, 2.0)\n"
+                       "checks.names = norm_to_integral, integral_to_integral\n",
+    "datko": "lyapunov.construction = datko\n"
+             "checks.names = dissipation, norm_to_integral, integral_to_integral\n",
+    "diffusivity": "system.a = 100\nchecks.names = dissipation\n",
+    "long": "budget.horizon = 1e17\nchecks.names = identity\n",
+    "huge": "budget.horizon = 1e304\nchecks.names = identity, cocycle\n",
+    "huge_integral": "budget.horizon = 1e304\n"
+                     "checks.names = brs, norm_to_integral, integral_to_integral\n",
+    "ulim256": "system.n_modes = 256\ncertificate.gamma = linear(0.1)\nchecks.names = iss, ulim\n",
+    "trajectories256": "system.n_modes = 256\ncertificate.gamma = linear(0.1)\n"
+                       "checks.names = iss, ulim\noutput.trajectories = true\n",
+    "sparse_ulim": "system.n_modes = 256\ncertificate.gamma = linear(0.1)\nbudget.n_times = 3\n"
+                   "checks.names = ulim, iss\n",
+    "huge_ulim": "budget.horizon = 1e304\nchecks.names = ulim\n",
+    "cep_radius": "budget.radius = 0.3\nchecks.cep_h = 0.7\n"
+                  "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n",
+    "cep_levels": "budget.radius = 1e-125\nchecks.cep_h = 0.7\nchecks.names = cep, iss\n",
+    "gain_zero": "system.preset = diagonal\nsystem.lambdas = 1, 4, 9, 16, 25\n"
+                 "system.b = 1, 0.0, -2, 3, 0.5\nchecks.names = iss, uls, ulim, brs, cep\n"
+                 "output.trajectories = true\n",
+}
 _TIMING = re.compile(r", [0-9.]+s\)$", re.MULTILINE)
 
 
@@ -66,6 +94,12 @@ def _scenarios() -> dict[str, str]:
             for i, text in enumerate(workload.scenario_texts(seed, "full")):
                 out[f"{workload.name}/seed{seed}_{i:02d}"] = text
     out.update({f"integral/{name}": text for name, text in INTEGRAL.items()})
+    out.update({f"smoke/{name}": text for name, text in SMOKE.items()})
+    heat = (ROOT / "src" / "isslab" / "scenarios" / "heat_iss.scn").read_text(encoding="utf-8")
+    for radius in ("1e100", "1e-300"):   # heat_iss.scn at another radius, as CI seds it
+        text = re.sub(r"(?m)^budget\.radius = .*$", f"budget.radius = {radius}", heat)
+        out[f"smoke/radius_{radius}"] = re.sub(
+            r"(?m)^checks\.names = .*$", "checks.names = iss, uls, ulim, brs, cep", text)
     return out
 
 
@@ -99,6 +133,8 @@ def generate(root: Path) -> None:
                 if not witness.stem.endswith("_trajectory"):
                     _run(["replay", path, str(witness)], f"{out}/replay_{witness.stem}")
         _run(["simulate", "heat_iss.scn", "--out", "out/simulate"], "out/simulate/simulate")
+        _run(["simulate", "scenarios/smoke/gain_zero.scn", "--out", "out/smoke/simulate_gain_zero"],
+             "out/smoke/simulate_gain_zero/simulate")
     finally:
         os.chdir(cwd)
 
