@@ -788,9 +788,10 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
     samples = _samples(sys, budget)
     (x0s, which), table = samples.pairs, samples.inputs
     t_mid = 0.5 * budget.horizon
-    # each input's twin u.concatenated(tail, t_mid) in _input_table's form: u's
-    # breakpoints below t_mid (0.0 past u's end), then the tail's, which lasts a
-    # horizon: from t_mid = 2**53 on, t_mid + 1.0 == t_mid
+    # each input's twin, u on [0, t_mid) and the tail after (``concatenated``
+    # in tests/oracles.py), in _input_table's form: u's breakpoints below t_mid
+    # (0.0 past u's end), then the tail's, which lasts a horizon: from
+    # t_mid = 2**53 on, t_mid + 1.0 == t_mid
     bps, vals = (np.pad(a, ((0, 0), (0, 2)), constant_values=c)
                  for a, c in zip(table, (np.inf, 0.0)))
     k, cols = np.sum(bps < t_mid, axis=1, keepdims=True), np.arange(bps.shape[1])

@@ -126,8 +126,9 @@ def dini_estimate(op: LyapunovOperator, sys: SpectralSystem, x, u: InputSignal,
     v0 = v_value(op, x)
     quotients = tuple((v_value(op, mild_solution(sys, x, u, h)) - v0) / h for h in h_seq)
     value = max(quotients) if all(map(math.isfinite, quotients)) else math.nan
+    u0 = u.values[0] if u.values.size else 0.0   # u(0), as check_dissipation reads it
     return DiniEstimate(value=value, quotients=quotients, h_seq=h_seq,
-                        analytic=float(_vdot(op, sys, x, u.value_at(0.0))))
+                        analytic=float(_vdot(op, sys, x, u0)))
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,8 @@ class InputSignal:
     ``breakpoints`` is the increasing grid 0 = t_0 < ... < t_m and
     ``values[i]`` holds on [t_i, t_{i+1}).  The signal is right continuous
     and extends by zero beyond t_m, so the sup norm over all of [0, inf) is
-    max(|values|, 0).  Instances are immutable; shifting and concatenation
-    return new signals.
+    max(|values|, 0).  Instances are immutable; inputs are shifted and
+    concatenated as tables, and ``tests/oracles.py`` keeps the object forms.
     """
 
     breakpoints: np.ndarray
@@ -257,74 +257,19 @@ class InputSignal:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    # -- constructors
-
     @classmethod
     def zero(cls) -> "InputSignal":
         return cls(np.array([0.0]), np.empty(0))
 
     @classmethod
-    def constant(cls, value: float, duration: float) -> "InputSignal":
-        if duration <= 0.0:
-            raise ValidationError("duration must be positive")
-        return cls(np.array([0.0, float(duration)]), np.array([float(value)]))
-
-    @classmethod
     def piecewise(cls, breakpoints, values) -> "InputSignal":
         return cls(np.asarray(breakpoints, dtype=float), np.asarray(values, dtype=float))
-
-    # -- queries
-
-    @property
-    def duration(self) -> float:
-        return float(self.breakpoints[-1])
 
     @cached_property
     def sup_norm(self) -> float:
         if self.values.size == 0:
             return 0.0
         return float(np.max(np.abs(self.values)))
-
-    def value_at(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError("inputs are defined on t >= 0")
-        if t >= self.duration:
-            return 0.0
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return float(self.values[idx])
-
-    # -- the two input-space axioms
-
-    def shifted(self, tau: float) -> "InputSignal":
-        """Time shift u(tau + .); drops history, never increases the sup norm."""
-        if tau < 0.0:
-            raise DomainError("shift offset must be nonnegative")
-        if tau == 0.0:
-            return self
-        if tau >= self.duration:
-            return InputSignal.zero()
-        idx = int(np.searchsorted(self.breakpoints, tau, side="right")) - 1
-        bp = np.concatenate([[0.0], self.breakpoints[idx + 1:] - tau])
-        return InputSignal(bp, self.values[idx:])
-
-    def concatenated(self, other: "InputSignal", t: float) -> "InputSignal":
-        """Signal equal to self on [0, t) and to other(. - t) afterwards.
-
-        The head keeps this signal's breakpoints verbatim (no re-accumulated
-        arithmetic), so flows driven by the two signals agree bit for bit on
-        [0, t).
-        """
-        if t <= 0.0:
-            raise DomainError("concatenation time must be positive")
-        keep = self.breakpoints < t
-        head_bp = list(self.breakpoints[keep])
-        head_vals = [float(self.values[i]) if i < self.values.size else 0.0
-                     for i in range(len(head_bp))]
-        if other.values.size == 0:
-            return InputSignal(np.array(head_bp + [t]), np.array(head_vals))
-        bp = np.concatenate([head_bp, t + other.breakpoints])
-        vals = np.concatenate([head_vals, other.values])
-        return InputSignal(bp, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +301,13 @@ def _input_table(bps, vals) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.ndarray:
-    """Row r is phi(times[r], x0s[r], u.shifted(starts[r])), u the input
+    """Row r is phi(times[r], x0s[r], u(starts[r] + .)), u the input
     ``which[r]`` of ``table``.  A row's anchors are its breakpoints after its
-    start less its start, as ``shifted`` forms them; each pass steps the rows
-    with one below their time to it, x exp(-lambda dt) + g (1 - exp(-lambda
-    dt)) v with dt clipped at ``_settle``, and the last piece is ``_decay_forced``'s.
-    A row that is not finite, also from a stepped state that was not, is refused."""
+    start less its start, as ``tests/oracles.py``'s ``shifted`` forms them;
+    each pass steps the rows with one below their time to it, x exp(-lambda
+    dt) + g (1 - exp(-lambda dt)) v with dt clipped at ``_settle``, and the last
+    piece is ``_decay_forced``'s.  A row that is not finite, also from a stepped
+    state that was not, is refused."""
     bps, vals, idx = table[0][which], table[1][which], np.arange(len(which))
     times, starts = np.broadcast_to(times, idx.shape), np.broadcast_to(starts, idx.shape)
     x, anchor = np.array(x0s, dtype=float), np.zeros(idx.size)
@@ -379,7 +325,7 @@ def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.
 def mild_solution(sys: SpectralSystem, x0, u: InputSignal, t: float) -> np.ndarray:
     """State phi(t, x0, u): row 0 of ``_flow_rows``, the row at t of every
     sampled flow, bit for bit."""
-    if t < 0.0:
+    if not t >= 0.0:   # a NaN fails it
         raise DomainError("mild solutions are defined for t >= 0")
     state = np.asarray(x0, dtype=float)
     if state.shape != (sys.n_modes,):
@@ -609,7 +555,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
         raise ValidationError("grid must be one-dimensional, nonempty and start at 0")
-    if (np.diff(grid) <= 0.0).any():
+    if not (np.diff(grid) > 0.0).all():   # a NaN fails it
         raise ValidationError("grid must be strictly increasing")
     table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
     states, gain = np.empty((grid.size, sys.n_modes)), sys.input_gain_coeffs
@@ -719,7 +665,7 @@ def kappa_bounds(sys: SpectralSystem, t: float) -> AdmissibilityBound:
     the response to u = 1, bit for bit; it is nondecreasing in t with
     supremum ``sys.input_gain_norm``.
     """
-    if t <= 0.0:
+    if not t > 0.0:   # a NaN fails it
         raise DomainError("kappa bounds require t > 0")
     decay = np.exp(-sys.lambdas * min(t, sys._settle))
     kappa = float(np.linalg.norm(sys.input_gain_coeffs * (1.0 - decay)))
@@ -747,8 +693,8 @@ def build_time_grid(horizon: float, u: InputSignal | None = None,
     transients and input jumps are resolved.  Always contains 0, the horizon
     and every breakpoint below the horizon.
     """
-    if horizon <= 0.0:
-        raise ValidationError("horizon must be positive")
+    if not (0.0 < horizon < math.inf):
+        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
     pieces = [np.linspace(0.0, horizon, n_uniform)]
     anchors = [0.0]
     if u is not None:

@@ -31,6 +31,7 @@ from isslab.lyapunov import dini_estimate
 from isslab.comparison import sontag_factor_exponential
 from isslab.harness import load_scenario, parse_scenario
 from isslab.lyapunov import v_value
+from oracles import constant
 
 PI2 = math.pi ** 2
 SQRT3 = math.sqrt(3.0)
@@ -51,7 +52,7 @@ def record(num: str, label: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_steady_state_gain():
     t0 = time.perf_counter()
     sys = heat(128)
-    u = InputSignal.constant(1.0, 3.0)
+    u = constant(1.0, 3.0)
     norm = state_norm(mild_solution(sys, np.zeros(128), u, 3.0))
     elapsed = time.perf_counter() - t0
     gap = abs(norm - 1.0 / SQRT3)

@@ -32,6 +32,7 @@ from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
 from isslab.system import _anchor_table, _rows, _square_integrals
 from isslab.report import Witness, conclude
 from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
+from oracles import concatenated, constant, shifted, value_at
 from test_system import _table, one_input_squares
 
 PI2 = math.pi ** 2
@@ -443,7 +444,7 @@ def test_sweep_never_picks_a_padded_time(sizes, best, at_inf, data):
            for k in sizes]
     times = _padded([np.arange(k)[None] * 0.25 for k in sizes], sizes, math.inf)[0]
     samples = _samples_of(heat(2), [np.zeros(2), [1.0, -0.5]],
-                          [InputSignal.constant(0.5 * j, 2.0) for j in range(len(sizes))],
+                          [constant(0.5 * j, 2.0) for j in range(len(sizes))],
                           BUDGET)
     report = _sweep(CheckProperty.ISS, samples, times, _padded(own, sizes, -math.inf),
                     bound=lambda r, sup, t: np.where(np.isinf(t), at_inf, 0.0), best=best)
@@ -1003,7 +1004,7 @@ def test_prefix_integrals_single_node():
 
 _EIGHT_PIECES = InputSignal.piecewise([0.0, 0.15, 0.4, 0.55, 0.9, 1.2, 1.45, 1.7, 2.0],
                                       [0.9, -0.3, 0.55, -1.0, 0.2, 0.75, -0.6, 0.35])
-_KERNEL_INPUTS = (InputSignal.zero(), InputSignal.constant(0.8, 2.0), _EIGHT_PIECES,
+_KERNEL_INPUTS = (InputSignal.zero(), constant(0.8, 2.0), _EIGHT_PIECES,
                   InputSignal.piecewise([0.0, 0.3, 0.9], [1.0, -0.5]))  # zero tail
 _KERNEL_GRIDS = {
     "uniform": np.linspace(0.0, 2.0, 41),
@@ -1044,7 +1045,7 @@ def test_kernel_norms_match_sample_trajectory(sys, grid):
 
 def test_kernel_keeps_the_flow_checks():
     sys = heat(8)
-    u = InputSignal.constant(1.0, 2.0)
+    u = constant(1.0, 2.0)
     with pytest.raises(ValidationError, match="start at 0"):
         ulim_slack(sys, linear(1.0), 0.1, np.zeros(8), u, np.linspace(0.01, 2.0, 200))
     with pytest.raises(ValidationError, match="strictly increasing"):
@@ -1060,7 +1061,7 @@ def test_kernel_keeps_the_flow_checks():
 @pytest.mark.parametrize("prop", ["ISS", "ULS", "ULIM"])
 def test_single_pair_functions_refuse_an_overflowing_certificate(prop):
     # each bound overflows to inf, which conclude refuses as a margin
-    sys, x0, u = heat(8), np.full(8, 10.0 / math.sqrt(8.0)), InputSignal.constant(10.0, 2.0)
+    sys, x0, u = heat(8), np.full(8, 10.0 / math.sqrt(8.0)), constant(10.0, 2.0)
     huge = linear(1e308)
     with np.errstate(over="ignore"), pytest.raises(
             ValidationError, match=f"^{prop}: non-finite margin"):
@@ -1095,7 +1096,7 @@ def _overflowing_forced_term():
     # g_1 v = 1e300 * 1e10 overflows in the last piece of every row, no anchor,
     # also at t = 0, where 1 - exp(-lambda_1 t) is 0.0
     return (SpectralSystem(np.array([1e-10, 1.0]), np.array([1e290, 1.0])),
-            InputSignal.constant(1e10, 2.0), [0.5, 0.0])
+            constant(1e10, 2.0), [0.5, 0.0])
 
 
 @pytest.mark.parametrize("case", [_overflowing_anchor, _overflowing_anchor_then_a_piece,
@@ -1304,7 +1305,7 @@ def test_dissipation_zero_state_unit_input():
     sys = heat()
     op = build_neg_inverse(sys)
     params = dissipation_constants(op, sys, 0.5)
-    with _shared_samples(pair=(np.zeros(64), InputSignal.constant(1.0, 2.0))):
+    with _shared_samples(pair=(np.zeros(64), constant(1.0, 2.0))):
         m = check_dissipation(sys, op, params, BUDGET).worst_margin
     assert m == pytest.approx(params.c_eps, abs=2e-4)
 
@@ -1338,21 +1339,21 @@ def _axioms_per_pair(sys, budget):
     identity, cocycle = [], []
     inputs = [draw_input(budget, j) for j in range(budget.n_inputs)]
     t_mid = 0.5 * budget.horizon
-    tail = InputSignal.constant(0.37 * (1.0 + budget.radius), budget.horizon)
+    tail = constant(0.37 * (1.0 + budget.radius), budget.horizon)
     for i in range(budget.n_states):
         x0 = draw_state(sys, budget, i)
         for j, u in enumerate(inputs):
             idx = i * budget.n_inputs + j
             dev = float(np.max(np.abs(mild_solution(sys, x0, u, 0.0) - x0)))
             dev_c = float(np.max(np.abs(mild_solution(sys, x0, u, t_mid) - mild_solution(
-                sys, x0, u.concatenated(tail, t_mid), t_mid))))
+                sys, x0, concatenated(u, tail, t_mid), t_mid))))
             identity.append(MarginRecord(idx, 0.0 if dev >= dev_c else t_mid,
                                          -max(dev, dev_c)))
             rng = seeded_rng(budget.seed, 33, idx)
             t = float(rng.uniform(0.0, 0.6 * budget.horizon))
             h = float(rng.uniform(0.0, 0.4 * budget.horizon))
             direct = mild_solution(sys, x0, u, t + h)
-            restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
+            restart = mild_solution(sys, mild_solution(sys, x0, u, t), shifted(u, t), h)
             cocycle.append(MarginRecord(idx, t + h, COCYCLE_TOL * (1.0 + state_norm(direct))
                                         - state_norm(direct - restart)))
     return tuple(identity), tuple(cocycle)
@@ -1389,7 +1390,7 @@ def test_identity_runs_where_the_twins_tail_end_overflows():
 @pytest.mark.parametrize("n", [1, 8, 256])
 def test_axiom_checks_equal_the_per_pair_formula_across_scales(n, horizon):
     # every pair's t and margin, bit for bit, against mild_solution pair by
-    # pair and, for the cocycle, the restart from phi(t) under u.shifted(t):
+    # pair and, for the cocycle, the restart from phi(t) under shifted(u, t):
     # at horizon 1e-3 every mode is live, at 1e6 nearly all have decayed
     sys, budget = heat(n), SampleBudget(n_states=6, n_inputs=9, horizon=horizon, seed=29)
     identity, cocycle = _axioms_per_pair(sys, budget)
@@ -1512,7 +1513,7 @@ def _exact_dissipation_margins(op, sys, params, states, inputs):
         decay = sum(p * lam * xk * xk for (p, lam, _), xk in zip(coeffs, x))
         push = sum(p * b * xk for (p, _, b), xk in zip(coeffs, x))
         for u in inputs:
-            vdot = 2 * (Fraction(u.value_at(0.0)) * push - decay)
+            vdot = 2 * (Fraction(value_at(u, 0.0)) * push - decay)
             out.append((eps - 1) * sq + c * Fraction(u.sup_norm) ** 2 - vdot)
     return out
 
@@ -1571,7 +1572,7 @@ def test_the_dissipation_inequality_holds_with_the_papers_constant(sys, datko, e
     params = dissipation_constants(op, sys, eps)
     budget = SampleBudget(n_states=8, n_inputs=6, n_times=1, seed=seed)
     assert not check_dissipation(sys, op, params, budget).violated
-    u = InputSignal.constant(1.0, 1.0)
+    u = constant(1.0, 1.0)
     p = op.p_coeffs
     x_star = p * sys.b_coeffs / (2.0 * p * sys.lambdas + eps - 1.0)
     with _shared_samples(pair=(x_star, u)):
@@ -1593,7 +1594,7 @@ def test_dissipation_refutes_a_constant_below_the_sharp_one_at_x_star(build):
     params = dissipation_constants(op, sys, eps)
     gain = params.norm_AinvB * math.sqrt(0.97 * sharp / params.c_eps)
     weak = replace(params, norm_AinvB=gain)
-    with _shared_samples(pair=(x_star, InputSignal.constant(1.0, BUDGET.horizon))):
+    with _shared_samples(pair=(x_star, constant(1.0, BUDGET.horizon))):
         refuted = check_dissipation(sys, op, weak, BUDGET)
         held = check_dissipation(sys, op, params, BUDGET)
     assert refuted.violated and np.array_equal(refuted.witness.x0, x_star)

@@ -24,6 +24,7 @@ from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_W
                             serialize_scenario, simulate_scenario, write_witness)
 from isslab.report import Witness
 from isslab.system import InputSignal, SpectralSystem
+from oracles import constant
 from test_checkers import assert_same_report
 
 MINIMAL = """
@@ -1092,9 +1093,9 @@ def test_replay_of_an_overflowing_record_exits_2(tmp_path, capsys, check, where)
     # a record beyond the cap on budget.radius, max(|x0|, |u|_inf) (1 + |A^-1 B|)
     # <= 2**400, is refused before its check squares a norm out of range
     s = load_scenario("heat_iss.scn")
-    x0, u = np.zeros(64), InputSignal.constant(1.0, 2.0)
+    x0, u = np.zeros(64), constant(1.0, 2.0)
     if where == "input":
-        u = InputSignal.constant(1e300, 2.0)
+        u = constant(1e300, 2.0)
     else:
         x0[5] = 1e300
     write_witness(tmp_path / "w.csv", check, s.digest(),

@@ -12,6 +12,7 @@ from isslab import (DomainError, InputSignal, SpectralSystem,
                     dissipation_constants, heat_dirichlet)
 from isslab import lyapunov
 from isslab.lyapunov import _vdot, c_of_epsilon, dini_estimate, v_value
+from oracles import constant
 
 PI2 = math.pi ** 2
 
@@ -173,7 +174,7 @@ def test_dini_value_is_nan_if_one_quotient_is_not_finite(monkeypatch, k, bad):
     # and the other quotients stay as they were
     sys = heat(8)
     op = build_datko(sys)
-    x, u = random_states(8, 1, seed=4)[0], InputSignal.constant(0.7, 1.0)
+    x, u = random_states(8, 1, seed=4)[0], constant(0.7, 1.0)
     clean = dini_estimate(op, sys, x, u)
     flow, h_bad = lyapunov.mild_solution, clean.h_seq[k]
     monkeypatch.setattr(lyapunov, "mild_solution",
@@ -193,7 +194,7 @@ def test_dini_quotient_converges_at_origin_with_input():
     # example is instantiated at N = 32 where it is 6.2e-4.
     sys = heat(32)
     op = build_neg_inverse(sys)
-    u = InputSignal.constant(1.0, 1.0)
+    u = constant(1.0, 1.0)
     est = dini_estimate(op, sys, np.zeros(32), u, h_seq=(1e-3, 1e-4, 1e-5))
     assert est.analytic == 0.0
     assert abs(est.quotients[-1] - est.analytic) <= 1e-3 * (1.0 + abs(est.analytic))
@@ -205,7 +206,7 @@ def test_dini_finite_difference_tracks_analytic():
     sys = heat(64)
     op = build_neg_inverse(sys)
     rng = np.random.default_rng(6)
-    u = InputSignal.constant(0.7, 2.0)
+    u = constant(0.7, 2.0)
     for _ in range(25):
         x = np.zeros(64)
         x[:8] = rng.standard_normal(8) * 0.3
@@ -219,7 +220,7 @@ def test_dini_quotients_approach_analytic_at_first_order(build):
     # is first order in h: it falls tenfold per decade of h
     sys = heat(16)
     op = build(sys)
-    u = InputSignal.constant(0.7, 1.0)
+    u = constant(0.7, 1.0)
     for x in random_states(16, 3, seed=9) / np.arange(1.0, 17.0):
         est = dini_estimate(op, sys, x, u, h_seq=(1e-5, 1e-6, 1e-7, 1e-8))
         err = [q - est.analytic for q in est.quotients]
@@ -253,7 +254,7 @@ def test_dissipation_inequality_finite_difference():
     for _ in range(100):
         x = np.zeros(64)
         x[:8] = rng.standard_normal(8) * 0.5
-        u = InputSignal.constant(float(rng.uniform(-1, 1)), 2.0)
+        u = constant(float(rng.uniform(-1, 1)), 2.0)
         est = dini_estimate(op, sys, x, u, h_seq=(1e-6, 1e-7, 1e-8))
         n2 = float(np.dot(x, x))
         rhs = params.rhs(n2, u.sup_norm)

@@ -20,6 +20,7 @@ from isslab import system
 from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK, _SETTLED,
                            _anchor_table, _enclosure, _finite, _flow_norms, _flow_rows,
                            _input_table, _row_groups, _square_integrals)
+from oracles import concatenated, constant, duration, shifted, value_at
 
 PI2 = math.pi ** 2
 
@@ -80,7 +81,7 @@ def test_steady_profile_reached_by_simulation():
     # simulate u = 1 from rest and compare the long-time coefficients with
     # the lifting prediction sqrt(2) (-1)^(k+1) / (k pi)
     sys = heat(16)
-    u = InputSignal.constant(1.0, 12.0)
+    u = constant(1.0, 12.0)
     x = mild_solution(sys, np.zeros(16), u, 12.0)
     for k in range(1, 17):
         expected = math.sqrt(2.0) * (-1.0) ** (k + 1) / (k * math.pi)
@@ -164,14 +165,14 @@ def test_zero_input_reduces_to_semigroup():
 def test_single_mode_step_response():
     # oracle: closed-form scalar ODE solution x(t) = 1 - exp(-t)
     sys = SpectralSystem(np.array([1.0]), np.array([1.0]))
-    u = InputSignal.constant(1.0, 5.0)
+    u = constant(1.0, 5.0)
     x = mild_solution(sys, np.zeros(1), u, 1.0)
     assert x[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 
 
 def test_heat_steady_norm_approaches_gain():
     sys = heat(256)
-    u = InputSignal.constant(1.0, 10.0)
+    u = constant(1.0, 10.0)
     norm = state_norm(mild_solution(sys, np.zeros(256), u, 10.0))
     # truncation tail of the squared norm below 256 modes is ~8e-4
     assert norm == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
@@ -212,7 +213,7 @@ def test_multi_segment_matches_manual_composition():
 def test_trajectory_identity_bit_exact():
     sys = heat(8)
     x0 = np.linspace(-0.3, 0.9, 8)
-    traj = sample_trajectory(sys, x0, InputSignal.constant(1.0, 2.0), np.array([0.0]))
+    traj = sample_trajectory(sys, x0, constant(1.0, 2.0), np.array([0.0]))
     assert np.array_equal(traj.states[0], x0)
 
 
@@ -363,7 +364,7 @@ _TWO = SpectralSystem(np.array([1.0, 400.0]), np.array([400.0, 400.0]))   # G = 
 # past it x_2 d_2 is a little under half an ulp of g_2 v; under the zero input
 # the norms' cap is ln M + 373, and sample_trajectory's 746 (there the mode
 # is itself, not +0, past ln M + 373)
-@example(case=(_TWO, InputSignal.constant(1.0, 2.0), np.linspace(0.0, 2.0, 513),
+@example(case=(_TWO, constant(1.0, 2.0), np.linspace(0.0, 2.0, 513),
                np.array([[0.0, 2.0 ** 400], [0.0, -1.0]])))
 @example(case=(_TWO, InputSignal.zero(), np.linspace(0.0, 2.0, 513),
                np.array([[0.0, 2.0 ** 400], [0.0, -1.0]])))
@@ -401,14 +402,14 @@ def test_stepper_rows_are_shifted_mild_solutions_bit_for_bit(case, data):
     inputs = [u, InputSignal.zero()]
     bps = u.breakpoints.tolist()
     starts = data.draw(st.lists(st.sampled_from(
-        [0.0, *bps, u.duration + 0.5, 1e-300]) | st.floats(0.0, 2.5), min_size=1, max_size=64))
+        [0.0, *bps, duration(u) + 0.5, 1e-300]) | st.floats(0.0, 2.5), min_size=1, max_size=64))
     n = len(starts)
     times = data.draw(st.lists(st.sampled_from([0.0, *bps, *grid.tolist()]) | st.floats(0.0, 2.5),
                                min_size=n, max_size=n))
     which = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
     states = np.concatenate([x0s, -x0s])[np.arange(n) % 4]   # -x0s holds -0.0
     rows = _flow_rows(sys, _table(inputs), which, states, np.array(times), np.array(starts))
-    want = np.array([mild_solution(sys, x0, inputs[j].shifted(s), t)
+    want = np.array([mild_solution(sys, x0, shifted(inputs[j], s), t)
                      for x0, j, s, t in zip(states, which, starts, times)])
     assert np.array_equal(_bits(rows), _bits(want))
 
@@ -527,8 +528,27 @@ def _outcome(f, *args):
         return exc
 
 
+@st.composite
+def _settling_cases(draw):
+    """One or two modes, an input with nonzero values and a grid of times
+    lambda_k h in [30, 40] after an anchor, as are its pieces: there the term
+    2 d_k g_k v (1 - e**-(lambda_k h)) / lambda_k carries a row's last bits,
+    which a settled cut below ln 2**54 = 37.43 moves."""
+    lam = np.unique(draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=2)))
+    b = draw(st.lists(_signed(st.floats(0.1, 10.0)), min_size=lam.size, max_size=lam.size))
+    settling = st.tuples(st.floats(30.0, 40.0), st.sampled_from(lam)).map(lambda p: p[0] / p[1])
+    pieces = draw(st.lists(settling, min_size=1, max_size=3))
+    bps = np.cumsum([0.0, *pieces, 40.0 / lam[0]])   # the last piece outlasts every time
+    vals = draw(st.lists(_signed(st.floats(0.1, 2.0)), min_size=bps.size - 1,
+                         max_size=bps.size - 1))
+    times = draw(st.lists(st.tuples(st.sampled_from(bps[:-1]), settling), min_size=1, max_size=8))
+    x0s = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * lam.size, max_size=2 * lam.size))
+    return (SpectralSystem(lam, np.array(b)), InputSignal.piecewise(bps, vals),
+            np.unique([0.0] + [a + h for a, h in times]), np.reshape(x0s, (2, lam.size)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=st.booleans().flatmap(lambda wide: _kernel_cases(wide=wide)),
+@given(case=st.booleans().flatmap(lambda wide: _kernel_cases(wide=wide)) | _settling_cases(),
        picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=12),
        pairs=st.sampled_from([0, 1, 3]))
 # a mode 2**400 over a one-ulp piece and the input's -0.0 after it, one pair a chunk
@@ -538,7 +558,7 @@ def _outcome(f, *args):
 # one mode at lambda h = 30.5, 33 and 39.5 under v = 1: its 2 d g v (1 - e**-(lambda h))
 # / lambda dominates the row, so a cut below ln 2**54 = 37.43 moves its last bits
 @example(case=(SpectralSystem(np.array([1.0]), np.array([1.0])),
-               InputSignal.constant(1.0, 50.0), np.array([0.0, 30.5, 33.0, 39.5]),
+               constant(1.0, 50.0), np.array([0.0, 30.5, 33.0, 39.5]),
                np.array([[0.0], [0.5]])), picks=[1, 2, 3], pairs=1)
 def test_square_integrals_match_the_dense_formula_bit_for_bit(case, picks, pairs):
     # the settled modes (lambda_k min(h, _settle) past _SETTLED) and the
@@ -662,7 +682,7 @@ def _input_stacks(draw):
         if kind == "zero":
             u = InputSignal.zero()
         elif kind == "constant":
-            u = InputSignal.constant(draw(value), draw(st.sampled_from([0.3, 1.0, 3.0])))
+            u = constant(draw(value), draw(st.sampled_from([0.3, 1.0, 3.0])))
         else:
             bps = np.unique(draw(st.lists(st.floats(1e-3, 2.9), min_size=1, max_size=8)))
             u = InputSignal.piecewise(np.concatenate([[0.0], bps]), draw(
@@ -718,11 +738,11 @@ def test_cocycle_against_resimulation():
         cuts = np.sort(rng.uniform(0.0, 2.0, m - 1))
         u = InputSignal.piecewise(np.concatenate([[0.0], cuts, [2.0]]),
                                   rng.uniform(-1.0, 1.0, m)) if m > 1 else \
-            InputSignal.constant(float(rng.uniform(-1, 1)), 2.0)
+            constant(float(rng.uniform(-1, 1)), 2.0)
         t = float(rng.uniform(0.0, 1.2))
         h = float(rng.uniform(0.0, 0.8))
         direct = mild_solution(sys, x0, u, t + h)
-        restart = mild_solution(sys, mild_solution(sys, x0, u, t), u.shifted(t), h)
+        restart = mild_solution(sys, mild_solution(sys, x0, u, t), shifted(u, t), h)
         assert state_norm(direct - restart) <= 1e-10 * (1.0 + state_norm(direct))
 
 
@@ -731,7 +751,7 @@ def test_causality_exact():
     sys = heat(16)
     x0 = np.linspace(0.0, 1.0, 16)
     u1 = InputSignal.piecewise([0.0, 0.3, 0.7, 2.0], [1.0, -1.0, 0.5])
-    u2 = u1.concatenated(InputSignal.constant(7.0, 3.0), 0.7)
+    u2 = concatenated(u1, constant(7.0, 3.0), 0.7)
     assert np.array_equal(mild_solution(sys, x0, u1, 0.7),
                           mild_solution(sys, x0, u2, 0.7))
 
@@ -740,7 +760,7 @@ def test_continuity_proxy():
     sys = heat(32)
     x0 = np.zeros(32)
     x0[:4] = 0.5
-    u = InputSignal.constant(1.0, 2.0)
+    u = constant(1.0, 2.0)
     for t in (0.0, 0.5, 1.0):
         gaps = [state_norm(mild_solution(sys, x0, u, t + d) - mild_solution(sys, x0, u, t))
                 for d in (1e-2, 1e-3, 1e-4)]
@@ -761,7 +781,7 @@ def test_heat_decay_envelope():
 def test_truncation_consistency_64_to_128():
     # steady-state scenario: modes 65..128 add 1.56e-3 in squared norm, so the
     # norm moves by 1.36e-3; assert the oracle-derived bound 2e-3
-    u = InputSignal.constant(1.0, 2.0)
+    u = constant(1.0, 2.0)
     norms = {}
     for n in (64, 128):
         sys = heat(n)
@@ -772,47 +792,47 @@ def test_truncation_consistency_64_to_128():
 
 
 # ---------------------------------------------------------------------------
-# input-signal axioms
+# input-signal axioms: the reference forms of tests/oracles.py
 
 
 def test_sup_norm_and_zero_extension():
     u = InputSignal.piecewise([0.0, 1.0, 2.0], [-3.0, 1.0])
     assert u.sup_norm == 3.0
-    assert u.value_at(5.0) == 0.0
-    assert u.value_at(0.0) == -3.0
-    assert u.value_at(1.0) == 1.0  # right continuous
+    assert value_at(u, 5.0) == 0.0
+    assert value_at(u, 0.0) == -3.0
+    assert value_at(u, 1.0) == 1.0  # right continuous
     assert InputSignal.zero().sup_norm == 0.0
 
 
 def test_shift_never_increases_sup_norm():
     u = InputSignal.piecewise([0.0, 0.5, 1.0, 2.0], [2.0, -1.0, 0.5])
     for tau in (0.0, 0.25, 0.5, 1.5, 2.0, 3.0):
-        assert u.shifted(tau).sup_norm <= u.sup_norm
+        assert shifted(u, tau).sup_norm <= u.sup_norm
 
 
 @settings(max_examples=100, deadline=None)
 @given(tau=st.floats(0.0, 3.0), probe=st.floats(0.0, 3.0))
 def test_shift_pointwise_identity(tau, probe):
     u = InputSignal.piecewise([0.0, 0.5, 1.0, 2.0], [2.0, -1.0, 0.5])
-    assert u.shifted(tau).value_at(probe) == u.value_at(tau + probe)
+    assert value_at(shifted(u, tau), probe) == value_at(u, tau + probe)
 
 
 def test_concatenation_pointwise():
     u1 = InputSignal.piecewise([0.0, 1.0], [1.0])
     u2 = InputSignal.piecewise([0.0, 0.5, 1.5], [-2.0, 3.0])
     t = 0.6
-    cat = u1.concatenated(u2, t)
+    cat = concatenated(u1, u2, t)
     for probe in (0.0, 0.3, 0.59):
-        assert cat.value_at(probe) == u1.value_at(probe)
+        assert value_at(cat, probe) == value_at(u1, probe)
     for probe in (0.6, 0.7, 1.0, 1.6, 2.0, 3.0):
-        assert cat.value_at(probe) == u2.value_at(probe - t)
+        assert value_at(cat, probe) == value_at(u2, probe - t)
 
 
 def test_concatenation_beyond_duration_fills_zero():
-    u1 = InputSignal.constant(1.0, 1.0)
-    cat = u1.concatenated(InputSignal.constant(5.0, 1.0), 2.0)
-    assert cat.value_at(1.5) == 0.0
-    assert cat.value_at(2.5) == 5.0
+    u1 = constant(1.0, 1.0)
+    cat = concatenated(u1, constant(5.0, 1.0), 2.0)
+    assert value_at(cat, 1.5) == 0.0
+    assert value_at(cat, 2.5) == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +856,7 @@ def test_kappa_is_the_unit_step_response(sys):
     # the constant input u = 1 attains every mode's bound at once
     for t in KAPPA_TIMES:
         step = state_norm(mild_solution(sys, np.zeros(sys.n_modes),
-                                        InputSignal.constant(1.0, t), t))
+                                        constant(1.0, t), t))
         ab = kappa_bounds(sys, t)
         assert ab.lower == ab.upper == step
 
@@ -892,6 +912,25 @@ def test_admissibility_bound_refuses_nan_and_inf(lower, upper):
         AdmissibilityBound(t=1.0, lower=lower, upper=upper)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: build_time_grid(math.nan), ValidationError, "horizon must be positive and finite"),
+    (lambda: build_time_grid(math.inf), ValidationError, "horizon must be positive and finite"),
+    (lambda: mild_solution(heat(2), np.zeros(2), constant(1.0, 1.0), math.nan), DomainError,
+     "t >= 0"),
+    (lambda: sample_trajectory(heat(2), np.zeros(2), constant(1.0, 1.0), [0.0, math.nan]),
+     ValidationError, "strictly increasing"),
+    (lambda: kappa_bounds(heat(2), math.nan), DomainError, "t > 0"),
+], ids=["grid_nan", "grid_inf", "mild_solution", "sample_trajectory", "kappa_bounds"])
+def test_time_arguments_refuse_nan_and_inf_at_their_own_check(call, error, match):
+    # each check is written so that a NaN fails it: a NaN time used to pass
+    # and be refused later, as a non-finite state or a NaN conversion, and an
+    # infinite horizon warned in np.linspace before an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # grids and CSV export
 
@@ -906,7 +945,7 @@ def test_build_time_grid_contains_breakpoints():
 
 def test_trajectory_csv_round_trip(tmp_path):
     sys = heat(3)
-    u = InputSignal.constant(1.0, 1.0)
+    u = constant(1.0, 1.0)
     traj = sample_trajectory(sys, np.array([0.1, 0.2, 0.3]), u,
                              np.array([0.0, 0.5, 1.0]))
     path = tmp_path / "traj.csv"
