@@ -31,11 +31,11 @@ trajectory estimates (ISS, ULS, ULIM, BRS, the two integral forms) say that
 a comparison bound minus |phi(t, x0, u)| or the integral of alpha(|phi|) is
 nonnegative at every sampled (x0, u, t), and the dissipation inequality
 that (eps - 1) |x0|**2 + c(eps) |u|_inf**2 bounds Vdot_u(x0), which has a
-closed form (``lyapunov._vdot``).  The axiom checks step per-pair rows
-(``system._flow_rows``, of which ``mild_solution`` is row 0): minus the
-deviations of phi(0) from x0 (identity) and between the flows at t_mid of
-two inputs that agree before it (causality), and the cocycle's slack at a
-(t, h) drawn per pair.  Inside ``_shared_samples(pair=(x0, u))`` every
+closed form (``lyapunov._vdot``).  The axiom checks read per-pair rows off
+the anchor table (``system._table_rows``) or step them (``_flow_rows``):
+minus the deviations of phi(0) from x0 (identity) and between the flows at
+t_mid of two inputs that agree before it (causality), and the cocycle's
+slack at a (t, h) drawn per pair.  Inside ``_shared_samples(pair=(x0, u))`` every
 sample set holds that one pair, and a check run there gives the pair's
 record of its full run bit for bit: ``isslab replay`` re-runs a witness's
 check so.  ``iss_margin``, ``uls_margin`` and ``ulim_slack`` take the bound
@@ -130,8 +130,9 @@ from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
 from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure, _flow_norms,
-                     _flow_rows, _input_table, _square_integrals, _stream_words, _unique,
-                     build_time_grid, kappa_bounds, sample_trajectory, seeded_rng, state_norm)
+                     _flow_rows, _input_table, _square_integrals, _stream_words, _table_rows,
+                     _unique, build_time_grid, kappa_bounds, sample_trajectory, seeded_rng,
+                     state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -271,7 +272,7 @@ class _Samples:
     below the horizon) as a padded (input, point) table and the flow norms
     of every state on them as a (state, input, point) table; its points are
     the nodes of ``ulim(levels)``.  ``integrals(alpha)`` is the table of
-    int_0^t alpha(|phi|), and ``pairs`` is the stepper's pair rows.
+    int_0^t alpha(|phi|), and ``pairs`` each pair's state and input index.
     """
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
@@ -287,10 +288,8 @@ class _Samples:
 
     @property
     def pairs(self) -> tuple:
-        """Each pair's state and input index in pair order; made on each use,
-        so that it is not held through the flow sweep."""
-        n = self.u_sup.size
-        return np.repeat(self.states, n, axis=0), np.tile(range(n), len(self.states))
+        """Each pair's state index and input index, in pair order."""
+        return np.divmod(np.arange(self.r.size * self.u_sup.size), self.u_sup.size)
 
     @cached_property
     def table(self) -> tuple:
@@ -320,8 +319,8 @@ class _Samples:
         """The flow norms of each state (axis 0) and input (axis 1) on the
         ULIM grid (axis 2) for ``check_ulim`` at level ``levels[j]`` with
         input j: those of the full sweep bit for bit wherever a pair's pick
-        (its first best slack level - |phi|) or first hit (slack >= 0) can
-        be, and +inf at every other point, which reads as slack -inf.
+        (its first best slack level - |phi|) or a first hit (slack >= 0) that
+        can set tau_hat can be, and +inf elsewhere, read as slack -inf.
 
         The nodes are the probes' points (``probes``).  The other points lie
         in runs between two adjacent nodes, where no breakpoint falls, so
@@ -330,9 +329,15 @@ class _Samples:
         is swept, in one more kernel call over all inputs, only when for
         some state the slack of that bound reaches the state's best node
         slack (or equals it before the node that holds it), or, before the
-        state's first node hit, reaches 0.  Refinement can only raise the
-        best slack, so one round is enough: no point of a pruned run can
-        hold a pick, a tie that comes first, or a first hit.
+        state's first node hit, reaches 0 while that node hit lies after
+        tau_lb: the latest over the pairs of the earliest time each can hit,
+        its first node hit or the start of its first run whose bound reaches
+        0.  tau_hat is at least tau_lb, and a pair's first hit reads no later
+        than its node hit, so first hits are exact only where they can set
+        tau_hat; at tau_lb = +inf some pair never hits ("horizon exhausted").
+        Refinement can only raise the best slack, so one round is enough: no
+        point of a pruned run can hold a pick, a tie that comes first, or a
+        first hit that sets tau_hat.
         """
         grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
         times, norms = self.probes
@@ -360,8 +365,12 @@ class _Samples:
         bound = levels[which] - (lower * (1.0 - ENCLOSURE_REL - n_modes * 2.0 ** -53)
                                  - ENCLOSURE_ABS * scale[:, which]
                                  - math.sqrt(n_modes) * ENCLOSURE_FLOOR)
-        best, first_best, first_hit = best[:, which], first_best[:, which], first_hit[:, which]
         start = grid[first]
+        # each pair's earliest possible hit, and -inf for a node hit at or before tau_lb
+        earliest = first_hit.copy()
+        np.minimum.at(earliest.T, which, np.where(bound >= 0.0, start, np.inf).T)
+        first_hit = np.where(first_hit > earliest.max(), first_hit, -np.inf)
+        best, first_best, first_hit = best[:, which], first_best[:, which], first_hit[:, which]
         pruned = (((bound < best) | ((bound <= best) & (start > first_best)))
                   & ((bound < 0.0) | (start > first_hit)))
         refine = ~pruned.all(axis=0)
@@ -784,10 +793,12 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
 
 def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
     """Identity (phi(0) == x0 bit for bit) and causality (agreeing inputs
-    give identical states); any deviation at all is a violation."""
+    give identical states); any deviation at all is a violation.  phi(0)
+    and the twin's flow are stepped (``system._flow_rows``) and u's flow at
+    t_mid read off the anchor table, so causality holds the two paths equal."""
     samples = _samples(sys, budget)
-    (x0s, which), table = samples.pairs, samples.inputs
-    t_mid = 0.5 * budget.horizon
+    (at, which), table = samples.pairs, samples.inputs
+    x0s, t_mid = samples.states[at], 0.5 * budget.horizon
     # each input's twin, u on [0, t_mid) and the tail after (``concatenated``
     # in tests/oracles.py), in _input_table's form: u's breakpoints below t_mid
     # (0.0 past u's end), then the tail's, which lasts a horizon: from
@@ -799,21 +810,24 @@ def check_identity(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport
                        np.inf),
              np.select([cols[:-1] < k, cols[:-1] == k], [vals, 0.37 * (1.0 + budget.radius)]))
     dev = np.abs(_flow_rows(sys, table, which, x0s, 0.0) - x0s).max(axis=1)
-    dev_c = np.abs(_flow_rows(sys, table, which, x0s, t_mid)
+    dev_c = np.abs(_table_rows(sys, samples.table, which, at, t_mid)
                    - _flow_rows(sys, twins, which, x0s, t_mid)).max(axis=1)
     margins = -np.stack([dev, dev_c], axis=1).reshape(len(samples.states), -1, 2)
     return _sweep(CheckProperty.IDENTITY, samples, np.array([0.0, t_mid]), margins, tol=0.0)
 
 
 def check_cocycle(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
-    """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|."""
+    """phi(t+h, x0, u) against the flow restarted at t, relative to |phi(t+h)|:
+    the flows at t + h and at t are read off the anchor table, the restart
+    from phi(t) is stepped (``system._flow_rows``)."""
     samples = _samples(sys, budget)
-    (x0s, which), table = samples.pairs, samples.inputs
+    at, which = samples.pairs
     # pair p's stream (seed, 33, p) draws random(2): its t in [0, 0.6 H), then h in [0, 0.4 H)
     t, h = _uniform(0.0, np.array([0.6, 0.4]) * budget.horizon,
                     (_stream_words(budget.seed, 33, np.arange(which.size), 2) >> 11) * 2.0 ** -53).T
-    direct = _flow_rows(sys, table, which, x0s, t + h)
-    gap = direct - _flow_rows(sys, table, which, _flow_rows(sys, table, which, x0s, t), h, t)
+    # t + h stays within the horizon, where the anchor table ends
+    direct, at_t = (_table_rows(sys, samples.table, which, at, s) for s in (t + h, t))
+    gap = direct - _flow_rows(sys, samples.inputs, which, at_t, h, t)
     margins = COCYCLE_TOL * (1.0 + _norms(direct)) - _norms(gap)
     times, margins = (np.reshape(a, (len(samples.states), -1, 1)) for a in (t + h, margins))
     return _sweep(CheckProperty.COCYCLE, samples, times, margins, tol=0.0)

@@ -412,9 +412,10 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> RunReport:
     The checks on one budget share its draw, flow sweep and integral table,
     which the first check to ask for them makes.  So a check's ``seconds``
     include the work it does for the checks after it (on the bundled
-    pointwise scenarios identity draws the sample set and ISS sweeps the flow
-    for ULS, ULIM and BRS; norm_to_integral builds integral_to_integral's
-    table), and a flow that fails in shared work aborts the first check.
+    pointwise scenarios identity draws the sample set and its anchor table,
+    and ISS sweeps the flow for ULS, ULIM and BRS; norm_to_integral builds
+    integral_to_integral's table), and a flow that fails in shared work
+    aborts the first check.
     """
     resolved = _resolve(s)
     entries = []

@@ -15,13 +15,13 @@ the choice of sample times.
 Inputs enter the flows as one table (``_input_table``): a row per input,
 its breakpoints padded with +inf, its values with 0.0.  ``_anchor_table``
 steps a stack of states once to the anchors of every input, 0 and its
-breakpoints below its last time; ``_flow_rows`` steps rows with their own
-state, input, time and start (``mild_solution`` is its row 0).  Every flow
-value (``mild_solution``, the rows of ``sample_trajectory`` and of the
-checkers' kernel) and closed-form integral (``_square_integrals``) is the
-formula above from the last anchor below its time.  A value never depends
-on a sampling grid or on the other inputs of a stack, so the axiom checks
-test every margin's arithmetic.
+breakpoints below its last time, and ``_table_rows`` reads rows off it;
+``_flow_rows`` steps rows with their own state, input, time and start
+(``mild_solution`` is its row 0).  Every flow value (``mild_solution``, the
+rows of ``sample_trajectory`` and of the checkers' kernel) and closed-form
+integral (``_square_integrals``) is the formula above from the last anchor
+below its time.  A value never depends on a sampling grid or on the other
+inputs of a stack, so the axiom checks test every margin's arithmetic.
 
 The flow smooths.  dt after an anchor a with input value v, mode k is
 x_k(a) d_k + g_k v (1 - d_k), d_k = exp(-lambda_k dt) and g = b / lambda.
@@ -35,8 +35,9 @@ Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0, and of the
 zero-input rows of ``sample_trajectory`` (dead modes x_k(a) * 0.0 + g_k v).
 One loop (``_live_groups``) takes rows as (input, time) pairs of every
 input of a sample set, sorts them by this live width and gives each state's
-live modes per group of rows; the flow kernel (``_flow_norms``), ULIM's
-enclosure (``_enclosure``) and ``sample_trajectory`` reduce or write them.
+live modes per group of rows; the flow kernel (``_flow_norms``, its dead
+modes' squares from one table per (input, anchor)), ULIM's enclosure
+(``_enclosure``) and ``sample_trajectory`` reduce or write them.
 They and ``_square_integrals`` read the set's anchor table.  Past lambda_k
 min(h, _settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0):
 its term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
@@ -121,10 +122,10 @@ class SpectralSystem:
     def n_modes(self) -> int:
         return int(self.lambdas.size)
 
-    @property
+    @cached_property
     def input_gain_coeffs(self) -> np.ndarray:
         """Steady-state response b_k / lambda_k to a unit constant input."""
-        return self.b_coeffs / self.lambdas
+        return _freeze(self.b_coeffs / self.lambdas)
 
     @property
     def input_gain_norm(self) -> float:
@@ -422,15 +423,29 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
     return x, slot, vals[:, :most], bps[:, :most], math.log(max(x.max(), -x.min(), 5e-324))
 
 
+def _table_rows(sys: SpectralSystem, table, which, states, times) -> np.ndarray:
+    """Row r is phi(times[r], x0s[states[r]], u), u the input ``which[r]``,
+    off the anchor table ``table`` of the stack x0s, each time within its
+    input's end there: ``_flow_rows``' last piece (``_decay_forced``) from
+    the last anchor below the time, so each row is the stepper's bit for bit."""
+    anchor_states, slot, vals, bps = table[:4]
+    times = np.broadcast_to(times, np.shape(which))
+    seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
+    dt = np.minimum(times - bps[which, seg], sys._settle)[:, None]
+    with np.errstate(invalid="ignore"):   # as in _flow_rows; refused at the end, unwarned
+        decay, forced = _decay_forced(sys, dt, vals[which, seg, None])
+        return _finite(anchor_states[slot[which, seg], states] * decay + forced)
+
+
 def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False) -> tuple:
     """The rows of a kernel pass, one per (input ``which[r]``, time
     ``times[r]``) in any order, a the last anchor below the time t: their
     order by live width at t - a (at f - a, f = ``firsts[r]``, if given),
-    and in that order the widths, the index of each row's anchor state, its
-    input value and its cap T of the module docstring (746 at v = 0 if
-    ``full``: past the norms' cap a mode only squares to +0), and t - a
-    (then f - a) clipped at ``_settle``."""
-    slot, vals, bps, top = table[1:]
+    and in that order the widths, each row's (input, anchor) as a flat
+    index of the table's values, its input value and its cap T of the
+    module docstring (746 at v = 0 if ``full``: past the norms' cap a mode
+    only squares to +0), and t - a (then f - a) clipped at ``_settle``."""
+    vals, bps, top = table[2:]
     seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
     anchor, v = bps[which, seg], vals[which, seg]
     with np.errstate(divide="ignore"):   # ln 0: v = 0 is set apart, and G = 0 gives 746
@@ -441,7 +456,7 @@ def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = Fa
     # the rows in order of width; a group computes some rows past their width
     order = np.argsort(width, kind="stable").astype(np.min_scalar_type(width.size))
     return (order, width[order].astype(np.min_scalar_type(sys.n_modes)),
-            slot[which, seg][order], v[order], cap[order],
+            (which * bps.shape[1] + seg)[order], v[order], cap[order],
             *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
 
 
@@ -456,17 +471,17 @@ def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bo
     squares to +0, whatever the state.  The rows are sorted by W (at the
     first time) and cut into groups (``_rows``, ``_row_groups``; by all
     modes if ``full``).  Per group this yields the rows' columns, their
-    anchor indices, the width w, the input values v (a column) and, per
-    state, its first w modes at the times (then the first times), each
-    row's past its W with exp's argument raised to -T.  A consumer drops a
+    (input, anchor) indices (``_rows``), the width w, the input values v (a
+    column) and, per state, its first w modes at the times (then the first
+    times), each row's past its W with exp's argument raised to -T.  A consumer drops a
     group's arrays before it asks for the next."""
-    anchor_states = table[0]
-    order, width, at, v, cap, *dts = _rows(sys, table, which, times, firsts, full)
+    anchor_states, slot = table[:2]
+    order, width, key, v, cap, *dts = _rows(sys, table, which, times, firsts, full)
     edges = _row_groups(np.full(width.size, sys.n_modes) if full else width)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        ag, w, vv, cc = at[lo:hi], int(width[hi - 1]), v[lo:hi, None], cap[lo:hi, None]
+        kg, w, vv, cc = key[lo:hi], int(width[hi - 1]), v[lo:hi, None], cap[lo:hi, None]
         terms = [_decay_forced(sys, dt[lo:hi, None], vv, w, cc) for dt in dts]
-        yield order[lo:hi], ag, w, vv, _stepped(anchor_states, ag, w, terms)
+        yield order[lo:hi], kg, w, vv, _stepped(anchor_states, slot.flat[kg], w, terms)
         del terms   # before the next group's are made
 
 
@@ -486,24 +501,24 @@ def _stepped(anchor_states, at, w, terms):
 def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
     """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
     u the input ``which[r]`` and t = ``times[r]``, ``table`` the anchor
-    table of ``x0s``.  Each group of ``_live_groups`` squares the tail
-    (g_k v)**2 once for all states (absorption below half an ulp, 1 - d =
-    1.0, and +0 squares at v = 0).  Each norm is still ``np.add.reduce``
-    over the whole row of squares, so it is ``np.linalg.norm`` of the
-    ``mild_solution`` rows bit for bit, and a state or a row gives the same
-    bits alone as in a stack.
+    table of ``x0s``.  A row's tail past its live width is fl(g_k v)**2
+    (absorption below half an ulp, 1 - d = 1.0, and +0 squares at v = 0),
+    read off one table of them per (input, anchor).  Each norm is still
+    ``np.add.reduce`` over the whole row of squares, so it is
+    ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
+    state or a row gives the same bits alone as in a stack.
     """
-    gain, norms = sys.input_gain_coeffs, np.empty((table[0].shape[1], len(which)))
-    for rows, _, w, v, states in _live_groups(sys, table, which, times):
-        squares = np.empty((rows.size, sys.n_modes))
-        tail = np.multiply(gain[w:], v, out=squares[:, w:])   # g v (1 - d), with 1 - d = 1.0
-        tail *= tail
+    norms = np.empty((table[0].shape[1], len(which)))
+    tails = sys.input_gain_coeffs * table[2].reshape(-1, 1)   # g v (1 - d), with 1 - d = 1.0
+    tails *= tails
+    for rows, key, w, v, states in _live_groups(sys, table, which, times):
+        squares = np.take(tails, key, axis=0)
         sums = np.empty((norms.shape[0], rows.size))
         for s, (live,) in enumerate(states):
             np.multiply(live, live, out=squares[:, :w])
             np.add.reduce(squares, axis=1, out=sums[s])
         norms[:, rows] = np.sqrt(sums, out=sums)
-        del tail, squares, sums, live, states   # before the next group's are made
+        del squares, sums, live, states   # before the next group's are made
     return _finite(norms)
 
 
@@ -561,11 +576,11 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     states, gain = np.empty((grid.size, sys.n_modes)), sys.input_gain_coeffs
     # at t = 0 an inf g v times 1 - exp(0) is nan, refused by Trajectory, unwarned
     with np.errstate(invalid="ignore"):
-        for rows, at, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
-                                                  full=True):
+        for rows, key, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
+                                                   full=True):
             for live, in lives:   # the one state
                 states[rows, :w] = live
-                states[rows, w:] = table[0][at, 0, w:] * 0.0 + gain[w:] * v
+                states[rows, w:] = table[0][table[1].flat[key], 0, w:] * 0.0 + gain[w:] * v
     return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
 
 

@@ -27,7 +27,7 @@ from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
                              iss_margin, ulim_grid, ulim_slack, uls_margin)
 from isslab import checkers, system
 from isslab.comparison import evaluate
-from isslab.harness import _CHECKS, _resolve, load_scenario
+from isslab.harness import _CHECKS, _resolve, load_scenario, parse_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
 from isslab.system import _anchor_table, _rows, _square_integrals
 from isslab.report import Witness, conclude
@@ -736,6 +736,63 @@ def test_ulim_matches_the_full_sweep_bit_for_bit(case):
         _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want)
     with _shared_samples(pair=pair):
         _assert_same_bits(check_ulim(sys, gamma_fn, eps, budget), want_one)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["pointwise_heat64", "refute_heat256"])
+def test_ulim_tau_lb_keeps_the_full_sweeps_records_on_the_benchmark_batteries(workload, seed):
+    # a pair's first-hit runs are swept only where its node hit lies after
+    # tau_lb; on every scenario of both batteries the records, the witness
+    # and the notes (tau_hat, or "horizon exhausted" on refute_heat256) are
+    # still those of the full 513-point sweep
+    from test_harness import _bench_workloads   # it imports this module
+    for text in _bench_workloads()[workload].scenario_texts(seed, "full"):
+        s = parse_scenario(text)
+        res = _resolve(s)
+        want = _ulim_reference(res.sys, res.iss.gamma, s.ulim_eps, _samples(res.sys, s.budget))
+        _assert_same_bits(check_ulim(res.sys, res.iss.gamma, s.ulim_eps, s.budget), want)
+
+
+def _refined_rows(monkeypatch):
+    """The row count of each ``_flow_norms`` call, as ``checkers`` makes them."""
+    rows, flow_norms = [], checkers._flow_norms
+    monkeypatch.setattr(checkers, "_flow_norms",
+                        lambda *args: rows.append(len(args[2])) or flow_norms(*args))
+    return rows
+
+
+@pytest.mark.parametrize("late, notes", [(1.0, "tau_hat=1.0"),
+                                         (1e6, "horizon exhausted for some sample")])
+def test_ulim_tau_lb_leaves_first_hits_unswept_that_cannot_set_tau_hat(monkeypatch, late,
+                                                                       notes):
+    # under the zero input (nodes 0, 1 and 2), the first state first hits
+    # eps inside the run between the nodes 0 and 1, and at node 1.  The
+    # second, e_1 times late, at 1.0 first hits at node 1 itself, its run
+    # ruled out by its enclosure: tau_lb is 1.0, the first pair's node hit,
+    # so its run is not swept and tau_hat = 1.0 stands; at 1e6 it never
+    # hits, and tau_lb = +inf.  The best slacks lie at the horizon, so no run
+    # is swept at all, where the rule without tau_lb swept the first pair's
+    sys, zero = heat(8), InputSignal.zero()
+    budget = SampleBudget(n_states=2, n_inputs=1, n_times=1, horizon=2.0)
+    eps = state_norm(mild_solution(sys, np.eye(8)[0], zero, 1.0))
+    states = np.eye(8)[[0, 0]] * [[eps * math.exp(PI2 / 2.0)], [late]]
+    rows = _refined_rows(monkeypatch)
+    monkeypatch.setattr(checkers, "_samples",
+                        lambda sys_, b: _samples_of(sys, states, [zero], budget))
+    got = check_ulim(sys, linear(1.0), eps, budget)
+    assert got.notes == notes and rows == [3, 0]   # the nodes 0, 1 and 2, then no run
+    _assert_same_bits(got, _ulim_reference(sys, linear(1.0), eps,
+                                           _samples_of(sys, states, [zero], budget)))
+
+
+def test_ulim_tau_lb_cuts_the_refine_sweep_on_a_pointwise_scenario(monkeypatch):
+    # pointwise_heat64's scenario at budget.seed 0: the refinement sweeps
+    # 1,932 rows, where the rule without tau_lb swept 2,668
+    from test_harness import _bench_workloads   # it imports this module
+    s = parse_scenario(_bench_workloads()["pointwise_heat64"].scenario_texts(0, "full")[0])
+    res, rows = _resolve(s), _refined_rows(monkeypatch)
+    check_ulim(res.sys, res.iss.gamma, s.ulim_eps, s.budget)
+    assert rows[1] <= 1932
 
 
 def test_ulim_raises_where_the_full_sweep_overflows_between_nodes():

@@ -182,6 +182,24 @@ def test_rerun_is_deterministic_modulo_timing(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_identity_and_cocycle_after_ulim_give_the_rows_of_the_default_order(tmp_path):
+    # identity and cocycle read their direct flows off the sample set's anchor
+    # table, which ULIM drops after its sweep: run after ULIM they rebuild it,
+    # and their rows in report.csv (but seconds) and margins.csv are those of
+    # heat_iss.scn's order, where they run first
+    text = bundled_scenario_path("heat_iss.scn").read_text(encoding="utf-8")
+    names = next(line for line in text.splitlines() if line.startswith("checks.names"))
+    late, rows = text.replace(names, "checks.names = ulim, cocycle, identity"), {}
+    for order, scenario in (("default", text), ("late", late)):
+        run_scenario(parse_scenario(scenario), str(tmp_path / order))
+        rows[order] = [sorted(line.rsplit(",", 1)[0] if name == "report.csv" else line
+                              for line in (tmp_path / order / name).read_text().splitlines()
+                              if line.startswith(("identity,", "cocycle,")))
+                       for name in ("report.csv", "margins.csv")]
+    assert len(rows["default"][1]) == 2 * 24 * 10
+    assert rows["late"] == rows["default"]
+
+
 def test_bad_gain_scenario_writes_replayable_witness(tmp_path):
     s = load_scenario("heat_bad_gain.scn")
     run = run_scenario(s, out_dir=str(tmp_path))

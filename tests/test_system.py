@@ -19,7 +19,7 @@ from isslab.checkers import ENCLOSURE_ABS, ENCLOSURE_FLOOR, ENCLOSURE_REL
 from isslab import system
 from isslab.system import (_BLOCK_CELLS, _CSV_ROWS, _EXP_FLUSH, _ROW_BLOCK, _SETTLED,
                            _anchor_table, _enclosure, _finite, _flow_norms, _flow_rows,
-                           _input_table, _row_groups, _square_integrals)
+                           _input_table, _row_groups, _square_integrals, _table_rows)
 from oracles import concatenated, constant, duration, shifted, value_at
 
 PI2 = math.pi ** 2
@@ -412,6 +412,33 @@ def test_stepper_rows_are_shifted_mild_solutions_bit_for_bit(case, data):
     want = np.array([mild_solution(sys, x0, shifted(inputs[j], s), t)
                      for x0, j, s, t in zip(states, which, starts, times)])
     assert np.array_equal(_bits(rows), _bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.booleans().flatmap(lambda wide: _kernel_cases(wide=wide)))
+# b = 0 and input values of -0.0: every mode is x_k(a) d_k + (-0.0), a zero
+# signed as its own anchor's x_k(a)
+@example(case=(SpectralSystem(10.0 ** np.arange(5.0), np.zeros(5)),
+               InputSignal.piecewise([0.0, 1.0, 1.5, 1.75], [0.0, -0.0, 0.0]),
+               np.linspace(0.0, 2.0, 17),
+               np.array([[0.5, -0.25, 1.0, 0.0, -1.0], [0.0, 0.0, 0.0, 2.0, -3.0]])))
+def test_flow_kernel_table_rows_are_the_steppers_and_mild_solutions_bit_for_bit(case):
+    # the rows read off the anchor table (identity's and cocycle's direct
+    # flows) are the stepper's rows and mild_solution bit for bit, signed
+    # zeros included, for each state of a stack with each of two inputs: at
+    # t = 0, on every breakpoint, one ulp past it, between breakpoints and at
+    # the table's end, the horizon
+    sys, u, grid, x0s = case
+    x0s, inputs, bps = np.concatenate([x0s, -x0s]), [u, InputSignal.zero()], u.breakpoints
+    times = np.unique(np.concatenate([grid[::16], grid[-1:], bps, np.nextafter(bps, 3.0),
+                                      (bps[1:] + bps[:-1]) / 2.0]))
+    states, which, t = (a.ravel() for a in np.meshgrid(range(4), range(2), times, indexing="ij"))
+    table = _anchor_table(sys, x0s, _table(inputs), [grid[-1]] * 2)
+    rows = _table_rows(sys, table, which, states, t)
+    assert np.array_equal(_bits(rows),
+                          _bits(_flow_rows(sys, _table(inputs), which, x0s[states], t)))
+    want = [mild_solution(sys, x0s[s], inputs[j], tt) for s, j, tt in zip(states, which, t)]
+    assert np.array_equal(_bits(rows), _bits(np.array(want)))
 
 
 @settings(max_examples=40, deadline=None)
