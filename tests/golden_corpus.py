@@ -9,12 +9,17 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   ``bench/workloads.py`` generates it;
 * ``check`` of two integral scenarios on the default system: a Simpson alpha
   and ``certificate.derive = from_iss``;
-* ``check`` of the CI smoke scenarios (``.github/workflows/tests.yml``) that
-  exit 0 or 1, past the bundled ones and the two above: trajectories of a
-  b_k = 0 system and at N = 256, CEP's levels at radius 1e-125, the
-  radii 1e100 and 1e-300, the horizons 1e17 and 1e304, and others;
+* ``check`` of the CI smoke scenarios (``.github/workflows/tests.yml``),
+  past the bundled ones and the two above: trajectories of a b_k = 0 system
+  and at N = 256, CEP's levels at radius 1e-125, the radii 1e100 and
+  1e-300, the horizons 1e17 and 1e304, and others; and those that exit 2 on
+  an overflow, a subnormal radius, an alpha too large or a horizon too long;
 * ``replay`` of every witness record those runs write;
-* ``simulate`` of ``heat_iss.scn`` and of the smoke scenario ``gain_zero``.
+* ``simulate`` of ``heat_iss.scn`` and of the smoke scenario ``gain_zero``;
+* the CI smoke runs that exit 2 on an argument, a record or a file
+  (``_refused``): ``--modes 0``, a record replayed on another scenario, a
+  cocycle record, a record whose input overflows, a file that is not UTF-8
+  and a directory.
 
 Each run's stdout, stderr and exit code are kept beside its output files
 (``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
@@ -35,6 +40,7 @@ import io
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +76,12 @@ SMOKE = {
     "gain_zero": "system.preset = diagonal\nsystem.lambdas = 1, 4, 9, 16, 25\n"
                  "system.b = 1, 0.0, -2, 3, 0.5\nchecks.names = iss, uls, ulim, brs, cep\n"
                  "output.trajectories = true\n",
+    "overflow": "lyapunov.epsilon = 1e-320\nchecks.names = iss\n",
+    "overflow_a": "system.a = 1e305\nchecks.names = iss\n",
+    "subnormal": "budget.radius = 5e-324\n",
+    "alpha": "certificate.alpha = power(1e300, 2.0)\nbudget.radius = 1e100\n"
+             "checks.names = norm_to_integral\n",
+    "horizon": "budget.horizon = 1.7e308\n",
 }
 _TIMING = re.compile(r", [0-9.]+s\)$", re.MULTILINE)
 
@@ -105,10 +117,14 @@ def _scenarios() -> dict[str, str]:
 
 def _run(argv: list[str], name: str) -> None:
     """``isslab <argv>`` in-process; its stdout, stderr and exit code go to
-    ``name.stdout``, ``name.stderr`` and ``name.exit``."""
+    ``name.stdout``, ``name.stderr`` and ``name.exit``.  A RuntimeWarning is
+    an error, as in CI's smoke runs, so that no output depends on the
+    caller's warning filters."""
     from isslab.harness import main
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
     for ext, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
                       ("exit", f"{code}\n")):
@@ -135,8 +151,41 @@ def generate(root: Path) -> None:
         _run(["simulate", "heat_iss.scn", "--out", "out/simulate"], "out/simulate/simulate")
         _run(["simulate", "scenarios/smoke/gain_zero.scn", "--out", "out/smoke/simulate_gain_zero"],
              "out/smoke/simulate_gain_zero/simulate")
+        _refused()
     finally:
         os.chdir(cwd)
+
+
+def _refused() -> None:
+    """The CI smoke runs that exit 2 on an argument, a record or a file, each
+    under ``out/refused/<name>``; their files are made under
+    ``scenarios/refused``, the records from those of the runs before, as CI's
+    ``sed`` lines make them."""
+    src = Path("scenarios/refused")
+    os.makedirs(src / "scenario_dir", exist_ok=True)
+    (src / "not_utf8.scn").write_bytes(b"\xff\n")
+    mutant = Path("out/smoke/integral_mutant/witness_integral_to_integral.csv")
+    (src / "cocycle.csv").write_text(
+        re.sub(r"\A.*", "check,cocycle", mutant.read_text(encoding="utf-8")), encoding="utf-8")
+    bad = Path("out/bundled/heat_bad_gain/witness_iss.csv")
+    record = bad.read_text(encoding="utf-8")
+    for pattern, line in ((r"\A.*", "check,dissipation"),
+                          (r"(?m)^breakpoints,.*$", "breakpoints,0,2"),
+                          (r"(?m)^values,.*$", "values,1e300")):
+        record = re.sub(pattern, line, record)
+    (src / "overflow_record.csv").write_text(record, encoding="utf-8")
+    runs = {
+        "modes_0": ["check", "heat_iss.scn", "--modes", "0"],
+        "other_scenario": ["replay", "heat_iss.scn", str(bad)],
+        "cocycle_record": ["replay", "scenarios/smoke/integral_mutant.scn", f"{src}/cocycle.csv"],
+        "overflow_record": ["replay", "heat_bad_gain.scn", f"{src}/overflow_record.csv"],
+        "not_utf8": ["check", f"{src}/not_utf8.scn"],
+        "scenario_dir": ["check", f"{src}/scenario_dir"],
+    }
+    for name, argv in runs.items():
+        out = f"out/refused/{name}"
+        os.makedirs(out, exist_ok=True)
+        _run(argv + (["--out", out] if argv[0] == "check" else []), f"{out}/{argv[0]}")
 
 
 def _normalized(path: Path) -> bytes:
