@@ -779,8 +779,8 @@ def check_dissipation(sys: SpectralSystem, op: LyapunovOperator,
     """The exact Vdot_u(x0) against (eps-1)|x0|^2 + c(eps)|u|_inf^2 per sample.
 
     Vdot is taken in closed form for all states and inputs at t = 0
-    (``dini_estimate``'s ``analytic``); the bound squares Python floats, since
-    numpy's square is not pow in the last bit."""
+    (``lyapunov._vdot``); the bound squares Python floats, since numpy's
+    square is not pow in the last bit."""
     samples = _samples(sys, budget)
     u0 = samples.inputs[1][:, :1]   # each input's u(0), its first value
     vdot = _vdot(op, sys, samples.states[:, None], u0)

@@ -17,30 +17,34 @@ its breakpoints padded with +inf, its values with 0.0.  ``_anchor_table``
 steps a stack of states once to the anchors of every input, 0 and its
 breakpoints below its last time, and ``_table_rows`` reads rows off it;
 ``_flow_rows`` steps rows with their own state, input, time and start
-(``mild_solution`` is its row 0).  Every flow value (``mild_solution``, the
-rows of ``sample_trajectory`` and of the checkers' kernel) and closed-form
-integral (``_square_integrals``) is the formula above from the last anchor
-below its time.  A value never depends on a sampling grid or on the other
-inputs of a stack, so the axiom checks test every margin's arithmetic.
+(``mild_solution`` is its row 0).  Every flow value and closed-form integral
+(``_square_integrals``) is the formula above from the last anchor below its
+time, so it never depends on a sampling grid or on the other inputs of a
+stack, and the axiom checks test every margin's arithmetic.
 
-The flow smooths.  dt after an anchor a with input value v, mode k is
-x_k(a) d_k + g_k v (1 - d_k), d_k = exp(-lambda_k dt) and g = b / lambda.
-Past a row's cap, lambda_k dt > T = clip(38 + ln(M / (|v| G)), 38, 746) with
-M the anchor table's largest |x_k(a)| and G = min |g_k|, it is fl(g_k v):
+One modal layer, ``_decay_forced``, forms every decay and forced term of the
+flows: dt after an anchor a with input value v, mode k is x_k(a) d_k + g_k v
+(1 - d_k), d_k = exp(-lambda_k dt) and g = b / lambda, dt clipped at
+``_settle`` (past it d_k is 0.0 and lambda_N dt cannot overflow).  A step
+and the settled value fl(g_k v) (dt = inf) form g_k (1 - d_k) v, a last piece
+g_k v (1 - d_k); the golden corpus (``tests/golden_corpus.py``) pins the bits.
+The flow smooths: past a row's cap T = clip(38 + ln(M / (|v| G)), 38, 746),
+M the anchor table's largest |x_k(a)| and G = min |g_k|, a mode with
+lambda_k dt > T is fl(g_k v):
   absorption: |x_k(a) d_k| <= e**-38 |v| G < 2**-54 |g_k v|, below half an ulp;
   1 - d_k rounds to 1.0, as d_k <= e**-38 < 2**-54;
   +0 squares: at v = 0 the norms' cap is clip(ln M + 373, 38, 746), past
   which the mode squares to +0 (M e**-T <= 2**-538), as (g_k v)**2 does.
 Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0, and of the
-zero-input rows of ``sample_trajectory`` (dead modes x_k(a) * 0.0 + g_k v).
-One loop (``_live_groups``) takes rows as (input, time) pairs of every
-input of a sample set, sorts them by this live width and gives each state's
-live modes per group of rows; the flow kernel (``_flow_norms``, its dead
-modes' squares from one table per (input, anchor)), ULIM's enclosure
-(``_enclosure``) and ``sample_trajectory`` reduce or write them.
-They and ``_square_integrals`` read the set's anchor table.  Past lambda_k
-min(h, _settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0):
-its term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
+zero-input rows of ``sample_trajectory`` (dead modes x_k(a) d_k + g_k v at
+dt = inf).  One loop (``_live_groups``) takes rows as (input, time) pairs of
+every input of a sample set, sorts them by this live width and gives each
+state's live modes per group of rows; the flow kernel (``_flow_norms``, its
+dead modes' squares from one table per (input, anchor)), ULIM's enclosure
+(``_enclosure``) and ``sample_trajectory`` reduce or write them.  They and
+``_square_integrals`` read the set's anchor table.  Past lambda_k min(h,
+_settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0): its
+term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
@@ -115,7 +119,7 @@ class SpectralSystem:
             raise ValidationError("lambdas must be strictly increasing with lambda_1 > 0")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "b_coeffs", b)
-        # dt clipped to _settle keeps every exp(-lambda_k dt) (0.0 past it) and cannot overflow
+        # _decay_forced clips dt to _settle: exp(-lambda_k dt) is 0.0 past it, and cannot overflow
         object.__setattr__(self, "_settle", _EXP_FLUSH / float(lam[0]))
 
     @property
@@ -278,16 +282,19 @@ class InputSignal:
 
 
 def _decay_forced(sys: SpectralSystem, dt, v, w=None, cap=None):
-    """The decay exp(-lambda dt) and the forced term (b / lambda) v (1 - decay)
-    of the flow dt after an anchor with input value v, in the first ``w``
-    modes (all by default); ``dt``, ``v`` and ``cap`` broadcast against the
-    modes.  An argument below -cap is raised to it, off exp's slow paths."""
-    # arg is held until the return: freed before the forced term was built,
-    # it raised the peak RSS of refute_heat256 by about 2 MB (allocator reuse)
-    arg = -dt * sys.lambdas[:w]
+    """The modal layer: the decay d = exp(-lambda dt), dt clipped at
+    ``_settle``, and the forced term g v (1 - d) of the flow dt after an
+    anchor with input value v, in the first ``w`` modes (all by default),
+    ``dt``, ``v`` and ``cap`` broadcast against them; exp's argument is
+    raised to -cap, off its slow paths.  A last piece passes its v; a step
+    passes 1.0 and scales the term by v, g (1 - d) v, and so does the settled
+    g v at dt = inf (d = 0.0).  The golden corpus pins both products' bits."""
+    # exp writes over its argument: a second array made the anchor table about
+    # 12% slower at N = 256, and freeing it early moved peak RSS by 2 MB
+    arg = -np.minimum(dt, sys._settle) * sys.lambdas[:w]
     if cap is not None:
         np.maximum(arg, -cap, out=arg)
-    decay = np.exp(arg)
+    decay = np.exp(arg, out=arg)
     return decay, sys.input_gain_coeffs[:w] * v * (1.0 - decay)
 
 
@@ -305,21 +312,19 @@ def _flow_rows(sys: SpectralSystem, table, which, x0s, times, starts=0.0) -> np.
     """Row r is phi(times[r], x0s[r], u(starts[r] + .)), u the input
     ``which[r]`` of ``table``.  A row's anchors are its breakpoints after its
     start less its start, as ``tests/oracles.py``'s ``shifted`` forms them;
-    each pass steps the rows with one below their time to it, x exp(-lambda
-    dt) + g (1 - exp(-lambda dt)) v with dt clipped at ``_settle``, and the last
-    piece is ``_decay_forced``'s.  A row that is not finite, also from a stepped
-    state that was not, is refused."""
+    each pass steps the rows with one below their time to it, x d + g (1 - d) v,
+    and the last piece is x d + g v (1 - d), both ``_decay_forced``'s.  A row
+    that is not finite, also from a stepped state that was not, is refused."""
     bps, vals, idx = table[0][which], table[1][which], np.arange(len(which))
     times, starts = np.broadcast_to(times, idx.shape), np.broadcast_to(starts, idx.shape)
     x, anchor = np.array(x0s, dtype=float), np.zeros(idx.size)
-    seg, lam, gain = np.sum(bps <= starts[:, None], axis=1) - 1, sys.lambdas, sys.input_gain_coeffs
+    seg = np.sum(bps <= starts[:, None], axis=1) - 1
     with np.errstate(invalid="ignore"):   # as in _anchor_table; refused at the end, unwarned
         while (live := np.flatnonzero((end := bps[idx, seg + 1] - starts) < times)).size:
-            decay = np.exp(-lam * np.minimum(end[live] - anchor[live], sys._settle)[:, None])
-            x[live] = x[live] * decay + gain * (1.0 - decay) * vals[live, seg[live], None]
+            decay, forced = _decay_forced(sys, (end[live] - anchor[live])[:, None], 1.0)
+            x[live] = x[live] * decay + forced * vals[live, seg[live], None]
             anchor[live], seg[live] = end[live], seg[live] + 1
-        dt = np.minimum(times - anchor, sys._settle)[:, None]
-        decay, forced = _decay_forced(sys, dt, vals[idx, seg, None])
+        decay, forced = _decay_forced(sys, (times - anchor)[:, None], vals[idx, seg, None])
         return _finite(x * decay + forced)
 
 
@@ -378,8 +383,7 @@ def _row_groups(width: np.ndarray) -> list[int]:
 def _live_width(sys: SpectralSystem, dt: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """The live width W = #{k : lambda_k dt <= cap} of rows dt after their
     anchor: every mode at dt = 0, and at a dt so small that the quotient
-    overflows.  Past W a flow's mode is fl(g_k v) (absorption below half an
-    ulp, 1 - d = 1.0), or at v = 0 squares to +0 (the module docstring)."""
+    overflows.  Past W a flow's mode is settled (the module docstring)."""
     with np.errstate(divide="ignore", over="ignore"):
         return np.searchsorted(sys.lambdas, cap / dt, side="right")
 
@@ -389,9 +393,10 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
     input table ``table``, 0 and its breakpoints below ``ends[j]``, stepped
     once for every kernel pass on times up to ``ends[j]``; with, per (input,
     anchor), its state's index, its input value and its time, and ln M (the
-    module docstring's).  Each step is exact.  Anchor 0, the states
-    themselves, is held once; pass a steps the inputs with more than a + 1
-    anchors, the most first, from a leading run of the states of pass a - 1."""
+    module docstring's).  Each step is ``_flow_rows``' x d + g (1 - d) v
+    (``_decay_forced``).  Anchor 0, the states themselves, is held once; pass
+    a steps the inputs with more than a + 1 anchors, the most first, from a
+    leading run of the states of pass a - 1."""
     bps, vals = table
     x0s = np.asarray(x0s, dtype=float)
     if x0s.shape[1:] != (sys.n_modes,):
@@ -403,9 +408,8 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
     mask = counts[by] > np.arange(1, most)[:, None]
     passes, place = np.nonzero(mask)
     j, a = by[place], passes + 1
-    dt = np.minimum(bps[j, a] - bps[j, a - 1], sys._settle)
-    decay = np.exp(-sys.lambdas * dt[:, None, None])
-    forced = sys.input_gain_coeffs * (1.0 - decay) * vals[j, a - 1][:, None, None]
+    decay, forced = _decay_forced(sys, (bps[j, a] - bps[j, a - 1])[:, None, None], 1.0)
+    forced *= vals[j, a - 1][:, None, None]
     x = np.empty((1 + j.size, len(x0s), sys.n_modes))
     x[0] = x0s
     starts = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
@@ -426,15 +430,14 @@ def _anchor_table(sys: SpectralSystem, x0s, table, ends) -> tuple:
 def _table_rows(sys: SpectralSystem, table, which, states, times) -> np.ndarray:
     """Row r is phi(times[r], x0s[states[r]], u), u the input ``which[r]``,
     off the anchor table ``table`` of the stack x0s, each time within its
-    input's end there: ``_flow_rows``' last piece (``_decay_forced``) from
-    the last anchor below the time, so each row is the stepper's bit for bit."""
+    input's end there: ``_decay_forced``'s last piece x d + g v (1 - d) from
+    the last anchor below the time, the stepper's bit for bit."""
     anchor_states, slot, vals, bps = table[:4]
     times = np.broadcast_to(times, np.shape(which))
-    seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
-    dt = np.minimum(times - bps[which, seg], sys._settle)[:, None]
+    at = which, np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
     with np.errstate(invalid="ignore"):   # as in _flow_rows; refused at the end, unwarned
-        decay, forced = _decay_forced(sys, dt, vals[which, seg, None])
-        return _finite(anchor_states[slot[which, seg], states] * decay + forced)
+        decay, forced = _decay_forced(sys, (times - bps[at])[:, None], vals[at][:, None])
+        return _finite(anchor_states[slot[at], states] * decay + forced)
 
 
 def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False) -> tuple:
@@ -444,7 +447,7 @@ def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = Fa
     and in that order the widths, each row's (input, anchor) as a flat
     index of the table's values, its input value and its cap T of the
     module docstring (746 at v = 0 if ``full``: past the norms' cap a mode
-    only squares to +0), and t - a (then f - a) clipped at ``_settle``."""
+    only squares to +0), and t - a (then f - a), which ``_decay_forced`` clips."""
     vals, bps, top = table[2:]
     seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
     anchor, v = bps[which, seg], vals[which, seg]
@@ -457,7 +460,7 @@ def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = Fa
     order = np.argsort(width, kind="stable").astype(np.min_scalar_type(width.size))
     return (order, width[order].astype(np.min_scalar_type(sys.n_modes)),
             (which * bps.shape[1] + seg)[order], v[order], cap[order],
-            *(np.minimum(dt[order], sys._settle) for dt in dts[::-1]))
+            *(dt[order] for dt in dts[::-1]))
 
 
 def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False):
@@ -466,15 +469,14 @@ def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bo
     first time ``firsts[r]`` if given) of the anchor table ``table``, in any
     order, each time within its input's end there.  A row runs from the last
     anchor below its time, as in ``_flow_rows``; dt after it, every mode past
-    the live width W = #{k : lambda_k dt <= T}, T the row's cap, is g_k v
-    bit for bit (absorption below half an ulp, 1 - d = 1.0), or at v = 0
-    squares to +0, whatever the state.  The rows are sorted by W (at the
-    first time) and cut into groups (``_rows``, ``_row_groups``; by all
+    the live width W = #{k : lambda_k dt <= T}, T the row's cap, is settled
+    whatever the state (the module docstring).  The rows are sorted by W (at
+    the first time) and cut into groups (``_rows``, ``_row_groups``; by all
     modes if ``full``).  Per group this yields the rows' columns, their
     (input, anchor) indices (``_rows``), the width w, the input values v (a
     column) and, per state, its first w modes at the times (then the first
-    times), each row's past its W with exp's argument raised to -T.  A consumer drops a
-    group's arrays before it asks for the next."""
+    times) by ``_decay_forced``, past each row's W with exp's argument raised
+    to -T.  A consumer drops a group's arrays before it asks for the next."""
     anchor_states, slot = table[:2]
     order, width, key, v, cap, *dts = _rows(sys, table, which, times, firsts, full)
     edges = _row_groups(np.full(width.size, sys.n_modes) if full else width)
@@ -501,15 +503,14 @@ def _stepped(anchor_states, at, w, terms):
 def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
     """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
     u the input ``which[r]`` and t = ``times[r]``, ``table`` the anchor
-    table of ``x0s``.  A row's tail past its live width is fl(g_k v)**2
-    (absorption below half an ulp, 1 - d = 1.0, and +0 squares at v = 0),
-    read off one table of them per (input, anchor).  Each norm is still
-    ``np.add.reduce`` over the whole row of squares, so it is
+    table of ``x0s``.  A row's tail past its live width is the settled
+    fl(g_k v)**2, read off one table of them per (input, anchor).  Each norm
+    is still ``np.add.reduce`` over the whole row of squares, so it is
     ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
     state or a row gives the same bits alone as in a stack.
     """
     norms = np.empty((table[0].shape[1], len(which)))
-    tails = sys.input_gain_coeffs * table[2].reshape(-1, 1)   # g v (1 - d), with 1 - d = 1.0
+    tails = _decay_forced(sys, np.inf, 1.0)[1] * table[2].reshape(-1, 1)   # g (1 - 0.0) v
     tails *= tails
     for rows, key, w, v, states in _live_groups(sys, table, which, times):
         squares = np.take(tails, key, axis=0)
@@ -535,9 +536,7 @@ def _enclosure(sys: SpectralSystem, table, which, los, his) -> np.ndarray:
     monotone in t on the run, so |phi(t)|**2 >= L there, up to the rounding
     that ``checkers`` bounds.  The runs are the rows of ``_live_groups``,
     at hi with their first time lo, grouped by their live width at lo; the
-    modes dead at lo are fl(g_k v) on the whole run (absorption below half
-    an ulp, 1 - d = 1.0; at v = 0 +0 squares), their part v**2
-    sum_{k >= W} g_k**2.
+    modes dead at lo are settled (fl(g_k v)) on the run: v**2 sum_{k >= W} g_k**2.
     """
     gain = sys.input_gain_coeffs
     dead = np.sqrt(np.append(np.cumsum(gain[::-1] ** 2)[::-1], 0.0))   # |g_{W..N}|
@@ -563,9 +562,9 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit: the
-    live modes of ``_live_groups`` and each dead mode k as x_k(a) * 0.0 +
-    g_k v from the row's own anchor a, so that a zero takes x_k(a)'s sign as
-    x_k(a) d does.  The rows are grouped as if every mode were live.
+    live modes of ``_live_groups`` and each dead mode x_k(a) d_k + g_k v at
+    dt = inf from the row's own anchor a, so that a zero takes x_k(a)'s sign
+    as x_k(a) d does.  The rows are grouped as if every mode were live.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -573,14 +572,15 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     if not (np.diff(grid) > 0.0).all():   # a NaN fails it
         raise ValidationError("grid must be strictly increasing")
     table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
-    states, gain = np.empty((grid.size, sys.n_modes)), sys.input_gain_coeffs
+    states = np.empty((grid.size, sys.n_modes))
     # at t = 0 an inf g v times 1 - exp(0) is nan, refused by Trajectory, unwarned
     with np.errstate(invalid="ignore"):
+        dead, settled = _decay_forced(sys, np.inf, 1.0)   # 0.0 and g, at v = 1.0
         for rows, key, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
                                                    full=True):
             for live, in lives:   # the one state
                 states[rows, :w] = live
-                states[rows, w:] = table[0][table[1].flat[key], 0, w:] * 0.0 + gain[w:] * v
+                states[rows, w:] = table[0][table[1].flat[key], 0, w:] * dead[w:] + settled[w:] * v
     return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
 
 
@@ -677,13 +677,12 @@ def kappa_bounds(sys: SpectralSystem, t: float) -> AdmissibilityBound:
     Each mode obeys |phi_k(t)| <= |b_k / lambda_k| (1 - exp(-lambda_k t)) |u|_inf,
     and the unit constant input attains every mode's bound at once, whatever
     the signs of b_k.  So kappa(t) = |A^{-1}B (1 - exp(-Lambda t))|, the norm of
-    the response to u = 1, bit for bit; it is nondecreasing in t with
-    supremum ``sys.input_gain_norm``.
+    the response to u = 1 (``_decay_forced``'s forced term at v = 1.0) bit for
+    bit; it is nondecreasing in t with supremum ``sys.input_gain_norm``.
     """
     if not t > 0.0:   # a NaN fails it
         raise DomainError("kappa bounds require t > 0")
-    decay = np.exp(-sys.lambdas * min(t, sys._settle))
-    kappa = float(np.linalg.norm(sys.input_gain_coeffs * (1.0 - decay)))
+    kappa = float(np.linalg.norm(_decay_forced(sys, t, 1.0)[1]))
     return AdmissibilityBound(t=float(t), lower=kappa, upper=kappa)
 
 

@@ -614,21 +614,36 @@ def test_square_integrals_match_the_dense_formula_bit_for_bit(case, picks, pairs
 
 @pytest.mark.parametrize("lam_dt", [300.0, 745.0, 745.2, 746.0, 1e4, 1e306])
 def test_integrals_and_kappa_past_the_flush_are_exact_and_raise_no_warning(lam_dt):
-    # kappa_bounds clips t, and the closed-form square integrals clip the h
-    # of their decaying terms (not of the linear term), at _EXP_FLUSH /
-    # lambda_1: past it exp is 0.0 and expm1 is -1.0, so both equal the
-    # unclipped formulas, which overflow in the multiply, bit for bit
+    # _decay_forced clips every flow's dt, and kappa_bounds' t, and the
+    # closed-form square integrals clip the h of their decaying terms (not
+    # of the linear term), at _EXP_FLUSH / lambda_1: past it exp is 0.0 and
+    # expm1 is -1.0, so all equal the unclipped formulas, which overflow in
+    # the multiply, bit for bit.  The flows are mild_solution's stepper,
+    # the anchor table and its rows, the kernel's norms with their settled
+    # tails and sample_trajectory's dead modes, on a step and a last piece
+    # both dt long
     sys, unclipped = heat(64), heat(64)
     object.__setattr__(unclipped, "_settle", math.inf)
     dt = lam_dt / sys.lambdas[0]
     u = InputSignal.piecewise([0.0, 0.5, 0.5 + dt], [0.3, -0.7])
-    x0s, times = np.stack([np.linspace(-1.0, 1.0, 64), np.zeros(64)]), [0.25, 0.5 + dt, 1.0 + dt]
+    x0s = np.stack([np.linspace(-1.0, 1.0, 64), np.zeros(64)])
+    times = np.array([0.25, 0.5 + dt, 1.0 + dt, 0.5 + 2.0 * dt])
+    which, states = np.zeros(2 * times.size, int), np.repeat([0, 1], times.size)
+
+    def outcomes(s):
+        table = _anchor_table(s, x0s, _table([u]), times[-1:])
+        return [kappa_bounds(s, dt).upper, one_input_squares(s, x0s, u, times),
+                [[mild_solution(s, x0, u, t) for t in times] for x0 in x0s],
+                _table_rows(s, table, which, states, np.tile(times, 2)),
+                _flow_norms(s, table, which[:times.size], times),
+                [sample_trajectory(s, x0, u, np.unique([0.0, *times])).states for x0 in x0s]]
     with np.errstate(over="ignore"):
-        want = [kappa_bounds(unclipped, dt).upper, one_input_squares(unclipped, x0s, u, times)]
+        want = outcomes(unclipped)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = [kappa_bounds(sys, dt).upper, one_input_squares(sys, x0s, u, times)]
-    assert got[0] == want[0] and np.array_equal(_bits(got[1]), _bits(want[1]))
+        got = outcomes(sys)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 def test_exp_flushes_to_zero_past_the_live_width_cutoff():
