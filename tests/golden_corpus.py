@@ -9,6 +9,9 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   ``bench/workloads.py`` generates it;
 * ``check`` of two integral scenarios on the default system: a Simpson alpha
   and ``certificate.derive = from_iss``;
+* ``check`` past 128 modes, where numpy's pairwise sum splits a row:
+  ``heat_iss.scn --modes 1024`` (split three times) and a battery at N =
+  300 (split once, at 144);
 * ``check`` of the CI smoke scenarios (``.github/workflows/tests.yml``),
   past the bundled ones and the two above: trajectories of a b_k = 0 system
   and at N = 256, CEP's levels at radius 1e-125, the radii 1e100 and
@@ -83,6 +86,13 @@ SMOKE = {
              "checks.names = norm_to_integral\n",
     "horizon": "budget.horizon = 1.7e308\n",
 }
+#: past 128 modes: a battery with witnesses at N = 300 and the bundled heat_iss.scn at N = 1024
+WIDE = {
+    "battery_300": "system.n_modes = 300\ncertificate.gamma = linear(0.1)\n"
+                   "certificate.alpha = power(0.5, 1.0)\n"
+                   "checks.names = iss, uls, ulim, brs, cep, norm_to_integral\n",
+}
+WIDE_MODES = {"heat_iss_1024": ("heat_iss.scn", 1024)}
 _TIMING = re.compile(r", [0-9.]+s\)$", re.MULTILINE)
 
 
@@ -107,6 +117,7 @@ def _scenarios() -> dict[str, str]:
                 out[f"{workload.name}/seed{seed}_{i:02d}"] = text
     out.update({f"integral/{name}": text for name, text in INTEGRAL.items()})
     out.update({f"smoke/{name}": text for name, text in SMOKE.items()})
+    out.update({f"wide/{name}": text for name, text in WIDE.items()})
     heat = (ROOT / "src" / "isslab" / "scenarios" / "heat_iss.scn").read_text(encoding="utf-8")
     for radius in ("1e100", "1e-300"):   # heat_iss.scn at another radius, as CI seds it
         text = re.sub(r"(?m)^budget\.radius = .*$", f"budget.radius = {radius}", heat)
@@ -148,6 +159,10 @@ def generate(root: Path) -> None:
             for witness in sorted(Path(out).glob("witness_*.csv")):
                 if not witness.stem.endswith("_trajectory"):
                     _run(["replay", path, str(witness)], f"{out}/replay_{witness.stem}")
+        for name, (path, modes) in WIDE_MODES.items():
+            out = f"out/wide/{name}"
+            os.makedirs(out, exist_ok=True)
+            _run(["check", path, "--modes", str(modes), "--out", out], f"{out}/check")
         _run(["simulate", "heat_iss.scn", "--out", "out/simulate"], "out/simulate/simulate")
         _run(["simulate", "scenarios/smoke/gain_zero.scn", "--out", "out/smoke/simulate_gain_zero"],
              "out/smoke/simulate_gain_zero/simulate")
