@@ -12,13 +12,15 @@ Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
 one sample set, every budget (CEP's at cep_h and at its levels' radii, BRS's)
 derives its samples from each random stream's draws, made once (the block's
-memo, ``_once``), and the pointwise checks (ISS, ULS, BRS, CEP
-and ULIM) share one kernel call per sample set on every input's probe (the
+memo, ``_once``), and the pointwise checks (ISS, ULS, BRS, ULIM and CEP's
+levels) share one kernel call per sample set on every input's probe (the
 evaluation times plus its breakpoints), a table of (input, point) padded
-with +inf.  The probes' points are ULIM's nodes: ULIM sweeps the points of
-its fixed grid between two adjacent nodes, in one more call, only where a
-lower enclosure of |phi| (``system._enclosure``) leaves room for a pair's
-pick or first hit (``_Samples.ulim``).  Every kernel pass takes its rows as
+with +inf; CEP's largest |phi| sweeps only the probe rows that can hold it,
+on a table of its own (``_Samples.sup``).  The probes' points are ULIM's
+nodes: ULIM sweeps the points of its fixed grid between two adjacent nodes,
+in one more call, only where a lower enclosure of |phi|
+(``system._enclosure``) leaves room for a pair's pick or first hit
+(``_Samples.ulim``).  Every kernel pass takes its rows as
 (input, time) pairs and reads the set's anchor states, stepped once
 (``_Samples.table``).  A flow value is grid-free, so a check called alone
 gives the same report.  Nothing outlives the block.  A sample set is
@@ -112,6 +114,13 @@ Measured with the cap of 746 alone: over 1.78 million (state, run) bounds
 of 3,000 random heat sample sets (N from 1 to 256, a from 1e-3 to 1e4, with
 states that pass the origin) sqrt(L) exceeded the smallest norm on its run
 by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the scale.
+
+CEP's largest |phi| (``_Samples.sup``) keeps a probe row whose bound U after
+m anchors has U (1 + (m + 1) (3.4e-13 + (N + 11) u) + 2 (N + 11) u) + sqrt(N)
+ENCLOSURE_FLOOR >= T (1 - 2 (N + 11) u): per piece the kernel's 1510 u, the
+bound's own decay's (1492 u and np.exp's few ulp), 3.4e-13 in all, and |A^-1
+B|'s (N + 11) u; (N + 11) u for the row's and T's sums, T's twice; the floor
+for squares that underflow.  A flat 1e-11 for the N terms fails near N = 1e5.
 """
 
 from __future__ import annotations
@@ -129,10 +138,10 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure, _flow_norms,
-                     _flow_rows, _input_table, _square_integrals, _stream_words, _table_rows,
-                     _unique, build_time_grid, kappa_bounds, sample_trajectory, seeded_rng,
-                     state_norm)
+from .system import (InputSignal, SpectralSystem, _anchor_table, _decay_forced, _enclosure,
+                     _flow_norms, _flow_rows, _input_table, _square_integrals, _stream_words,
+                     _table_rows, _unique, build_time_grid, kappa_bounds, sample_trajectory,
+                     seeded_rng, state_norm)
 
 POINT_TOL = 1e-9      # pointwise comparisons
 QUAD_TOL = 1e-6       # Simpson-backed integral comparisons
@@ -267,13 +276,12 @@ class _Samples:
 
     Pair ``i * n_inputs + j`` is state i with input j; ``signal(j)`` makes
     input j's ``InputSignal``.  ``table`` holds the anchor states of every
-    input up to the budget's horizon (``system._anchor_table``).  ``probes``
-    gives every input's probe (the evaluation times plus its breakpoints
-    below the horizon) as a padded (input, point) table and the flow norms
-    of every state on them as a (state, input, point) table; its points are
-    the nodes of ``ulim(levels)``.  ``integrals(alpha)`` is the table of
-    int_0^t alpha(|phi|), and ``pairs`` each pair's state and input index.
-    """
+    input up to the budget's horizon (``system._anchor_table``).  ``points``
+    is every input's probe (the evaluation times and its breakpoints below
+    the horizon), the nodes of ``ulim(levels)``, ``probes`` every state's
+    norms there, and ``sup()`` their largest.  ``integrals(alpha)`` is the
+    table of int_0^t alpha(|phi|), and ``pairs`` each pair's state and input
+    index."""
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
@@ -297,23 +305,46 @@ class _Samples:
                              np.full(self.u_sup.size, self.budget.horizon))
 
     @cached_property
-    def probes(self) -> tuple:
-        """The one kernel call: every input's probe, the union of the
-        evaluation times and its breakpoints below the horizon, as an (input,
-        point) table of times, each row its input's sorted points padded
-        with +inf; and the norms of every state on them, a (state, input,
-        point) table padded with -inf."""
+    def points(self) -> np.ndarray:
+        """Every input's probe, the union of the evaluation times and its
+        breakpoints below the horizon, sorted and padded with +inf (rows)."""
         times, bps = eval_times(self.budget), self.inputs[0]
-        probes = np.concatenate([np.broadcast_to(times, (len(bps), times.size)),
+        points = np.concatenate([np.broadcast_to(times, (len(bps), times.size)),
                                  np.where(bps < self.budget.horizon, bps, np.inf)], axis=1)
-        probes.sort(axis=1)
-        probes[:, 1:][probes[:, 1:] == probes[:, :-1]] = np.inf   # each point once
-        probes.sort(axis=1)
-        probes = probes[:, :np.isfinite(probes).sum(axis=1).max()]
-        own = np.isfinite(probes)
-        norms = np.full((len(self.states), *probes.shape), -np.inf)
-        norms[:, own] = _flow_norms(self.sys, self.table, np.nonzero(own)[0], probes[own])
-        return probes, norms
+        points.sort(axis=1)
+        points[:, 1:][points[:, 1:] == points[:, :-1]] = np.inf   # each point once
+        points.sort(axis=1)
+        return points[:, :np.isfinite(points).sum(axis=1).max()]
+
+    @cached_property
+    def probes(self) -> np.ndarray:
+        """The one kernel call: every state's norms on ``points``, padded with -inf."""
+        own = np.isfinite(self.points)
+        norms = np.full((len(self.states), *own.shape), -np.inf)
+        norms[:, own] = _flow_norms(self.sys, self.table, np.nonzero(own)[0], self.points[own])
+        return norms
+
+    def sup(self) -> float:
+        """``np.max(self.probes)`` bit for bit, from the probe rows that can
+        hold it.  Row (input j, time t, last anchor a below t, value v) bounds
+        each |phi| by U = exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0)
+        = T = max |x0| and B_j(b) the U at the next anchor b.  One kernel call
+        sweeps the rows whose U reaches T past the rounding margin (module
+        docstring), the t = 0 rows among them, on a table stepped to their ends."""
+        sys, points, (bps, vals) = self.sys, self.points, self.inputs
+        ulp, top = (sys.n_modes + 11) * 2.0 ** -53, float(self.r.max())
+        decay = lambda dt: _decay_forced(sys, dt[..., None], 1.0, 1)[0][..., 0]  # of lambda_1
+        forced, bound = sys.input_gain_norm * np.abs(vals), np.full(vals.shape, top)
+        for a, gap in enumerate(np.diff(np.minimum(bps, self.budget.horizon)).T[:-1], 1):
+            bound[:, a] = decay(gap) * bound[:, a - 1] + forced[:, a - 1]   # gap 0.0 past the end
+        seg = np.maximum(np.sum(bps[:, None] < points[..., None], axis=2) - 1, 0)
+        at = np.arange(len(bps))[:, None], seg
+        upper = decay(points - bps[at]) * bound[at] + forced[at]   # decay 0.0 on the padding
+        keep = np.isfinite(points) & (upper * (1.0 + (seg + 1) * (3.4e-13 + ulp) + 2.0 * ulp)
+                                      + math.sqrt(sys.n_modes) * ENCLOSURE_FLOOR
+                                      >= top * (1.0 - 2.0 * ulp))
+        table = _anchor_table(sys, self.states, self.inputs, np.where(keep, points, 0.0).max(1))
+        return float(np.max(_flow_norms(sys, table, np.nonzero(keep)[0], points[keep])))
 
     def ulim(self, levels) -> np.ndarray:
         """The flow norms of each state (axis 0) and input (axis 1) on the
@@ -340,7 +371,7 @@ class _Samples:
         first hit that sets tau_hat.
         """
         grid, levels = ulim_grid(self.budget), np.asarray(levels, dtype=float)
-        times, norms = self.probes
+        times, norms = self.points, self.probes
         n = grid.size
         # each node's place on the ULIM grid (n for the padding), and whether it
         # is a ULIM point; every input's nodes start at 0 and end at the horizon,
@@ -582,7 +613,7 @@ def iss_margin(sys: SpectralSystem, cert: ISSCertificate, x0, u: InputSignal,
 def check_iss(sys: SpectralSystem, cert: ISSCertificate,
               budget: SampleBudget) -> StabilityReport:
     samples = _samples(sys, budget)
-    return _sweep(CheckProperty.ISS, samples, *samples.probes, bound=cert.bound)
+    return _sweep(CheckProperty.ISS, samples, samples.points, samples.probes, bound=cert.bound)
 
 
 def _uls_bound(sigma_fn: ComparisonFunction, gamma_fn: ComparisonFunction):
@@ -600,7 +631,7 @@ def check_uls(sys: SpectralSystem, sigma_fn: ComparisonFunction,
               gamma_fn: ComparisonFunction, budget: SampleBudget) -> StabilityReport:
     """Static bound sigma(|x0|) + gamma(|u|) over the budget's ball."""
     samples = _samples(sys, budget)
-    return _sweep(CheckProperty.ULS, samples, *samples.probes,
+    return _sweep(CheckProperty.ULS, samples, samples.points, samples.probes,
                   bound=_uls_bound(sigma_fn, gamma_fn))
 
 
@@ -653,22 +684,23 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     radius are 2**-m times the draws at the budget's radius, the flow is
     linear, and scaling by a power of two is exact in floating point, so
     every flow value, and every norm, at delta is 2**-m times its value at
-    the radius.  With S the largest |phi| of the sweep at the radius on
-    [0, h], level j and halving i have worst margin eps_j - S * 2**-(j + i),
-    the margin of their own sweep bit for bit.  The caveat is the subnormal
-    range, where scaling rounds: a component that falls there is far below
-    the largest norm and vanishes in its rounding, unless the radius itself
-    is tiny (at radius 1e-155 on heat(8) the squares of the smallest levels
-    round differently).  Radii below ``_CEP_SCALED_MIN`` sweep every level
-    as stated above.  A level that no delta satisfies sweeps its last
-    halving for the exact witness.  A radius past ``_REACH_CAP`` is refused
-    before any level, whose smaller radii could pass under it.
+    the radius.  With S the largest |phi| at the radius on [0, h] (``sup``,
+    off the probe rows that can hold it), level j and halving i have worst
+    margin eps_j - S * 2**-(j + i), that of their own sweep bit for bit.  The
+    caveat is the subnormal range, where scaling rounds: a component that
+    falls there is far below the largest norm and vanishes in its rounding,
+    unless the radius itself is tiny (at radius 1e-155 on heat(8) the
+    squares of the smallest levels round differently).  Radii below
+    ``_CEP_SCALED_MIN`` sweep every level as stated above.  A level that no
+    delta satisfies sweeps its last halving for the exact witness.  A radius
+    past ``_REACH_CAP`` is refused before any level, whose smaller radii
+    could pass under it.
     """
     _require_positive(h=h)
     _refuse_reach(sys, budget.radius)
     local = replace(budget, horizon=h)
     scaled = budget.radius >= _CEP_SCALED_MIN
-    sup = float(np.max(_samples(sys, local).probes[1])) if scaled else None
+    sup = _samples(sys, local).sup() if scaled else None
     picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
@@ -678,7 +710,7 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
             margin = eps_j - sup * 2.0 ** -(j + i) if scaled else -math.inf
             if margin < 0.0 and (i == CEP_HALVINGS or not scaled):
                 samples = _samples(sys, replace(local, radius=delta))
-                level = _sweep(CheckProperty.CEP, samples, *samples.probes,
+                level = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
                                bound=lambda r, sup, t: eps_j, tol=0.0)
                 margin, witness = level.worst_margin, level.witness
             if margin >= 0.0:
@@ -699,9 +731,9 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     _require_positive(C=C, tau=tau)
     bound = C * (1.0 + kappa_bounds(sys, tau).upper)
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
-    report = _sweep(CheckProperty.BRS, samples, *samples.probes,
+    report = _sweep(CheckProperty.BRS, samples, samples.points, samples.probes,
                     bound=lambda r, sup, t: bound, tol=_tol(bound))
-    sup = float(np.max(samples.probes[1]))
+    sup = float(np.max(samples.probes))
     return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 

@@ -39,8 +39,9 @@ Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0, and of the
 zero-input rows of ``sample_trajectory`` (dead modes x_k(a) d_k + g_k v at
 dt = inf).  One loop (``_live_groups``) takes rows as (input, time) pairs of
 every input of a sample set, sorts them by this live width and gives each
-state's live modes per group of rows; the flow kernel (``_flow_norms``, its
-dead modes' squares from one table per (input, anchor)), ULIM's enclosure
+state's live modes per group of rows; the flow kernel (``_flow_norms``, the
+squares of dead modes and the settled right parts of each row's pairwise sum,
+``_spine``, from tables per (input, anchor)), ULIM's enclosure
 (``_enclosure``) and ``sample_trajectory`` reduce or write them.  They and
 ``_square_integrals`` read the set's anchor table.  Past lambda_k min(h,
 _settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0): its
@@ -160,8 +161,9 @@ def heat_dirichlet(a: float, n_modes: int) -> SpectralSystem:
     if n_modes < 1:
         raise ValidationError("n_modes must be at least 1")
     k = np.arange(1, n_modes + 1, dtype=float)
-    lam = a * math.pi ** 2 * k ** 2
-    b = a * math.sqrt(2.0) * k * math.pi * (-1.0) ** (k + 1.0)
+    with np.errstate(over="ignore"):   # an inf is refused by SpectralSystem, unwarned
+        lam = a * math.pi ** 2 * k ** 2
+        b = a * math.sqrt(2.0) * k * math.pi * (-1.0) ** (k + 1.0)
     return SpectralSystem(lam, b, label=f"heat_dirichlet(a={a!r}, N={n_modes})")
 
 
@@ -500,24 +502,40 @@ def _stepped(anchor_states, at, w, terms):
         yield modes
 
 
+def _spine(n: int) -> list[int]:
+    """The lengths of the left spine of numpy's pairwise float64 sum of n terms,
+    n first: past 128 terms P(a[:h]) + P(a[h:]), h = n // 2 - (n // 2) % 8."""
+    spine = [n]
+    while spine[-1] > 128:
+        spine.append(spine[-1] // 2 - spine[-1] // 2 % 8)
+    return spine
+
+
 def _flow_norms(sys: SpectralSystem, table, which, times) -> np.ndarray:
     """|phi(t, x0s[s], u)| for each state s (rows) and each row r (columns),
     u the input ``which[r]`` and t = ``times[r]``, ``table`` the anchor
     table of ``x0s``.  A row's tail past its live width is the settled
     fl(g_k v)**2, read off one table of them per (input, anchor).  Each norm
-    is still ``np.add.reduce`` over the whole row of squares, so it is
-    ``np.linalg.norm`` of the ``mild_solution`` rows bit for bit, and a
-    state or a row gives the same bits alone as in a stack.
-    """
+    is ``np.add.reduce`` of the row's squares as its pairwise sum (``_spine``)
+    forms it: the first cut, the innermost spine length >= the group's live
+    width, then each settled right part past it, summed once per (input,
+    anchor), innermost first.  So it is ``np.linalg.norm`` of the
+    ``mild_solution`` rows bit for bit, and a state or a row gives the same
+    bits alone as in a stack."""
     norms = np.empty((table[0].shape[1], len(which)))
     tails = _decay_forced(sys, np.inf, 1.0)[1] * table[2].reshape(-1, 1)   # g (1 - 0.0) v
     tails *= tails
+    spine = _spine(sys.n_modes)
+    rights = [np.add.reduce(tails[:, lo:hi], axis=1) for hi, lo in pairwise(spine)]
     for rows, key, w, v, states in _live_groups(sys, table, which, times):
-        squares = np.take(tails, key, axis=0)
+        level = sum(cut >= w for cut in spine) - 1
+        squares = np.take(tails[:, :spine[level]], key, axis=0)
         sums = np.empty((norms.shape[0], rows.size))
         for s, (live,) in enumerate(states):
             np.multiply(live, live, out=squares[:, :w])
             np.add.reduce(squares, axis=1, out=sums[s])
+        for right in reversed(rights[:level]):
+            sums += right[key]
         norms[:, rows] = np.sqrt(sums, out=sums)
         del squares, sums, live, states   # before the next group's are made
     return _finite(norms)

@@ -652,9 +652,9 @@ def test_probe_rows_keep_only_the_modes_that_have_not_rounded_to_g_v():
     # 20.6 at seed 1), so a silent fallback to the cap 746 fails here
     sys = heat(64)
     samples = _samples(sys, SampleBudget(n_states=4, n_inputs=60, seed=1))
-    probes, _ = samples.probes
-    own, table = np.isfinite(probes), samples.table
-    rows = np.nonzero(own)[0], probes[own]
+    points = samples.points
+    own, table = np.isfinite(points), samples.table
+    rows = np.nonzero(own)[0], points[own]
     width = _rows(sys, table, *rows)[1].mean()
     flush = _rows(sys, (*table[:4], math.inf), *rows)[1].mean()   # M = inf: every cap 746
     assert width < flush / 2.0
@@ -886,7 +886,7 @@ def _cep_reference(sys, budget, h):
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
             samples = _samples(sys, replace(budget, radius=delta, horizon=h))
-            level = _sweep(CheckProperty.CEP, samples, *samples.probes,
+            level = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
                            bound=lambda r, sup, t, e=eps_j: e, tol=0.0)
             if level.witness is None:
                 chosen = delta
@@ -920,6 +920,45 @@ def test_cep_table_equals_the_per_level_sweeps(case):
     got = check_cep(sys, budget, h)
     assert_same_report(got, _cep_reference(sys, budget, h))
     assert got.violated == (case[0].n_modes == 3)
+
+
+@st.composite
+def _sup_cases(draw):
+    """A heat system (a from 1e-2 to 1e3) or a diagonal one with mixed-sign
+    b, a budget of radius 1e-5 to 1e5 and horizon 1e-3 to 10, and CEP's h:
+    the horizon itself or another in that range."""
+    if draw(st.booleans()):
+        sys = heat(draw(st.sampled_from([1, 2, 8, 64, 300])), 10.0 ** draw(st.floats(-2.0, 3.0)))
+    else:
+        lam = np.unique(10.0 ** np.array(draw(st.lists(st.floats(-2.0, 6.0), min_size=1,
+                                                       max_size=20, unique=True))))
+        b = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]).flatmap(
+            lambda s: st.floats(-3.0, 3.0).map(lambda e: s * 10.0 ** e)),
+            min_size=lam.size, max_size=lam.size))
+        sys = SpectralSystem(lam, b)
+    horizon = 10.0 ** draw(st.floats(-3.0, 1.0))
+    budget = SampleBudget(n_states=draw(st.integers(1, 12)), n_inputs=draw(st.integers(1, 12)),
+                          n_times=draw(st.integers(1, 33)), horizon=horizon,
+                          radius=10.0 ** draw(st.floats(-5.0, 5.0)),
+                          seed=draw(st.integers(0, 2 ** 16)))
+    h = draw(st.just(horizon) | st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    return sys, budget, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_sup_cases())
+# one state, the origin: T = 0 and every probe row is kept
+@example(case=(heat(8), SampleBudget(n_states=1, n_inputs=5, n_times=9, seed=4), 1.0))
+# cep_h == horizon: the sample set that ISS, ULS, ULIM and BRS share
+@example(case=(heat(64), BUDGET, BUDGET.horizon))
+def test_cep_sup_is_the_largest_probe_norm_bit_for_bit(case):
+    # _Samples.sup sweeps only the probe rows whose bound, inflated by the
+    # rounding margin, reaches max |x0| deflated, on a table stepped to their
+    # latest time per input; it reads the largest norm of the full sweep
+    sys, budget, h = case
+    samples = _samples(sys, replace(budget, horizon=h))
+    got = samples.sup()
+    assert np.float64(got).view(np.int64) == np.max(samples.probes).view(np.int64)
 
 
 def test_cep_rejects_bad_horizon():

@@ -507,18 +507,21 @@ def test_huge_gain_is_finite_and_its_overflow_is_named(tmp_path, capsys):
     assert "c(eps) overflows" in err and "finite" not in err and "c_eps" not in err
 
 
-@pytest.mark.parametrize("text, warning", [(HEAT_A_1E305, "overflow encountered in multiply"),
+@pytest.mark.parametrize("text, warning", [(HEAT_A_1E305, "lambdas and b_coeffs must be finite"),
                                            (DIAGONAL_TINY_LAMBDA, r"c\(eps\) overflows")],
                          ids=["heat_a_1e305", "diagonal_lambda_1e-308"])
 def test_overflow_while_building_is_config_error(tmp_path, capsys, text, warning):
+    # one message under every warning filter: heat_dirichlet forms lambda_k =
+    # a pi**2 k**2 = inf unwarned, and the system refuses it
     path = tmp_path / "overflow.scn"
     path.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ScenarioError, match=warning):
-            parse_scenario(text)
-        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ScenarioError, match=warning):
+                parse_scenario(text)
+            assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_heat_a_1e300_builds_and_runs(tmp_path):
@@ -803,15 +806,17 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
 @pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1),
                                               ("integral_heat64", 1)])
 def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
-    swept, stepped = [], []   # per kernel call its table and grids; per stepping its inputs
+    # per kernel call its table and grids; per stepping its inputs, ends and table
+    swept, stepped = [], []
 
     def counted_sweep(sys_, table, which, times):
         swept.append((table, [times[which == j] for j in range(len(table[1]))]))
         return flow_norms(sys_, table, which, times)
 
     def counted_steps(sys_, x0s, inputs, ends):
-        stepped.append(inputs[0])   # a row of breakpoints per input
-        return anchor_table(sys_, x0s, inputs, ends)
+        table = anchor_table(sys_, x0s, inputs, ends)
+        stepped.append((inputs[0], np.asarray(ends), table))   # a row of breakpoints per input
+        return table
     squared = []   # per closed-form integral call its table
 
     def counted_squares(sys_, table, times):
@@ -835,7 +840,7 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     # and cocycle's per pair (seed, 33, p)
     assert opened == _streams(s)
     # per sample set its anchor states are stepped once, over all its inputs
-    assert len(stepped) == steppings and all(len(u) == b.n_inputs for u in stepped)
+    assert len(stepped) == steppings and all(len(u) == b.n_inputs for u, _, _ in stepped)
     # the closed-form integrals of every input in one call, which both
     # integral checks read; they sweep no flow
     integral = "norm_to_integral" in s.checks
@@ -845,7 +850,9 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     else:
         # on s.budget one node call on the probes, which iss, uls, ulim and brs read,
         # and one refinement call over every input on ULIM points off them, both on
-        # one anchor table; cep one call of its own
+        # one anchor table; cep one call of its own, on the probe rows that can
+        # hold its largest |phi| (_Samples.sup): every input's t = 0 row among
+        # them, from a table stepped to each input's latest row of the call
         (table, nodes), (again, refined), *cep_calls = swept
         assert again is table and len(cep_calls) == len(budgets) - 1
         assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes[0]))
@@ -854,7 +861,11 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
             np.isin(g, ulim_grid).all() and not np.isin(g, p).any()
             for g, p in zip(refined, nodes))
         for (cep_table, cep_nodes), want in zip(cep_calls, probes[1:]):
-            assert cep_table is not table and all(map(np.array_equal, cep_nodes, want))
+            assert cep_table is not table and len(cep_nodes) == b.n_inputs
+            assert all(g[0] == 0.0 and np.isin(g, p).all() for g, p in zip(cep_nodes, want))
+            assert sum(map(len, cep_nodes)) < sum(map(len, want))
+            ends = [e for _, e, t in stepped if t is cep_table]
+            assert len(ends) == 1 and np.array_equal(ends[0], [g.max() for g in cep_nodes])
     # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
     assert set(opened.values()) == {2} and len(stepped) == 2 * steppings

@@ -294,18 +294,33 @@ _WIDE_COEF = _signed(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
 _WIDE_VALUE = _signed(st.just(0.0) | st.floats(-300.0, 3.0).map(lambda e: 10.0 ** e))
 
 
+#: past 128 modes, where numpy's pairwise sum splits each row (system._spine)
+_MANY_MODES = (129, 136, 200, 256, 300, 513, 1031)
+
+
 @st.composite
-def _kernel_cases(draw, wide=False):
+def _kernel_cases(draw, wide=False, many=False):
     """A diagonal system with lambda spread to 1e6 and mixed-sign b, a
     piecewise input with a zero tail, a grid and two states.  Every nonzero
     coefficient is at least 1e-3 in size, so a forced value dwarfs any
     subnormal decayed one.  With ``wide`` every b_k is nonzero, the input
     values run from 1e-300 to 1e3 in size (and +-0.0), and the states' modes
-    up to 2**400: rows whose caps spread over [38, 746]."""
-    logs = draw(st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=40, unique=True))
-    lam = np.unique(10.0 ** np.array(logs))
-    b = np.array(draw(st.lists(_WIDE_COEF if wide else _COEF,
-                               min_size=lam.size, max_size=lam.size)))
+    up to 2**400: rows whose caps spread over [38, 746].  With ``many`` the
+    system has one of ``_MANY_MODES`` modes, drawn from a seeded stream
+    over 8 decades from 10**e, e in [-2, 3] (rows live in a few of them to
+    all), and gains g_k = b_k / lambda_k from 0.03 to 30 in size, so that
+    the settled right parts of a row's sum are not small beside its live
+    leaf."""
+    if many:
+        rng, low = np.random.default_rng(draw(st.integers(0, 2 ** 32))), draw(st.floats(-2.0, 3.0))
+        lam = np.unique(10.0 ** rng.uniform(low, low + 8.0, draw(st.sampled_from(_MANY_MODES))))
+        b = lam * rng.choice([-1.0, 0.0, 1.0], lam.size, p=[0.45, 0.1, 0.45]) * 10.0 ** (
+            rng.uniform(-1.5, 1.5, lam.size))
+    else:
+        logs = draw(st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=40, unique=True))
+        lam = np.unique(10.0 ** np.array(logs))
+        b = np.array(draw(st.lists(_WIDE_COEF if wide else _COEF,
+                                   min_size=lam.size, max_size=lam.size)))
     bps = np.unique(draw(st.lists(st.floats(1e-3, 1.9), max_size=6)))
     value = _WIDE_VALUE if wide else _signed(st.just(0.0) | st.floats(1e-3, 2.0))
     vals = draw(st.lists(value, min_size=bps.size, max_size=bps.size))
@@ -353,6 +368,45 @@ def test_flow_kernel_rows_are_mild_solutions_bit_for_bit(case, m):
     for s in range(2):
         clear = np.all((rows[s] == 0.0) | (np.abs(rows[s]) >= 2.0 ** -450), axis=1)
         assert np.array_equal(_bits(scaled[s, clear]), _bits(norms[s, clear] * scale))
+
+
+_K = np.arange(1.0, 1032.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.booleans().flatmap(lambda wide: _kernel_cases(wide=wide, many=True)))
+# lambda_k = k**2 and |g_k| near 1: rows live in at most 36 of 1031 modes, and
+# each norm adds three settled right parts of like size, innermost first
+@example(case=(SpectralSystem(_K ** 2, _K ** 2 * (-1.0) ** _K * (1.0 + 0.5 * np.sin(_K))),
+               InputSignal.piecewise([0.0, 0.5, 1.25, 1.75], [1.0, -0.75, 0.3]),
+               np.linspace(0.0, 2.0, 65), np.random.default_rng(3).uniform(-1.0, 1.0, (2, 1031))))
+def test_kernel_norms_past_128_modes_are_mild_solutions_bit_for_bit(case):
+    # past 128 modes each group reduces only the leaf of numpy's pairwise sum
+    # that holds its live modes and adds the settled right parts: the norms
+    # are still np.linalg.norm of the mild_solution rows bit for bit
+    sys, u, grid, x0s = case
+    rows = np.array([[mild_solution(sys, x0, u, t) for t in grid] for x0 in x0s])
+    norms = _kernel(sys, x0s, [u], [grid])
+    assert np.array_equal(_bits(norms), _bits(np.linalg.norm(rows, axis=2)))
+
+
+def test_add_reduce_splits_rows_pairwise_at_the_spine():
+    # numpy's float64 add.reduce of n > 128 terms is P(a[:h]) + P(a[h:]), h =
+    # n // 2 - (n // 2) % 8, for a 1-d array and for each row of a 2-d one
+    # (axis=1), which _flow_norms reads a leaf at a time; the terms are of
+    # one size, so that another split gives other bits
+    terms = np.random.default_rng(7).uniform(0.0, 1.0, (3, 4096))
+    for n in range(129, 4097):
+        half = system._spine(n)[1]
+        assert half == n // 2 - n // 2 % 8
+        a = terms[:, :n].copy()
+        left, right = (np.ascontiguousarray(p) for p in (a[:, :half], a[:, half:]))
+        want = np.add.reduce(left, axis=1) + np.add.reduce(right, axis=1)
+        assert np.array_equal(np.add.reduce(a, axis=1), want)
+        assert [np.add.reduce(row) for row in a] == want.tolist()
+    # and the terms tell splits apart: a block of 8 more on the left gives other bits
+    moved = np.add.reduce(terms[:, :2056], axis=1) + np.add.reduce(terms[:, 2056:], axis=1)
+    assert not np.array_equal(np.add.reduce(terms, axis=1), moved)
 
 
 _TWO = SpectralSystem(np.array([1.0, 400.0]), np.array([400.0, 400.0]))   # G = g_2 = 1
