@@ -396,6 +396,10 @@ def _resolve(s: Scenario) -> _Resolved:
     gamma = s.gamma or linear(max(gain, 1e-6))
     iss_cert = ISSCertificate(beta=beta, gamma=gamma)
     if s.derive == "from_iss":
+        for key in ("alpha", "psi", "sigma"):
+            if getattr(s, key) is not None:
+                raise ValidationError(f"certificate.{key} is not read with certificate.derive "
+                                      "= from_iss, which derives it; set one or the other")
         nti_cert = derive_norm_to_integral(iss_cert)
     else:
         alpha = s.alpha or power(1.0 - s.epsilon, 2.0)

@@ -1,28 +1,30 @@
-"""The golden-output corpus: the SHA-256 of every output of a fixed set of
-``isslab`` runs, so that a change meant to keep outputs byte-identical can be
-checked by one test (``test_golden.py``).
+"""The golden-output corpus: the one list of end-to-end ``isslab`` runs.  It
+keeps the SHA-256 of every output of each run, so that one test
+(``test_golden.py``) checks that a change keeps outputs byte-identical and
+that no run imports scipy or ``numpy.ma``.
 
 The runs, made in-process through ``harness.main`` under a scratch directory:
 
 * ``check`` of the bundled scenarios;
 * ``check`` of each benchmark workload's full battery at seeds 1-3, as
   ``bench/workloads.py`` generates it;
-* ``check`` of two integral scenarios on the default system: a Simpson alpha
-  and ``certificate.derive = from_iss``;
+* ``check`` of three integral scenarios on the default system: a Simpson
+  alpha, ``certificate.derive = from_iss``, and that derive beside an alpha
+  of its own, which exits 2;
 * ``check`` past 128 modes, where numpy's pairwise sum splits a row:
   ``heat_iss.scn --modes 1024`` (split three times) and a battery at N =
   300 (split once, at 144);
-* ``check`` of the CI smoke scenarios (``.github/workflows/tests.yml``),
-  past the bundled ones and the two above: trajectories of a b_k = 0 system
-  and at N = 256, CEP's levels at radius 1e-125, the radii 1e100 and
-  1e-300, the horizons 1e17 and 1e304, and others; and those that exit 2 on
-  an overflow, a subnormal radius, an alpha too large or a horizon too long;
+* ``check`` of single-purpose scenarios (under ``smoke/``): trajectories
+  of a b_k = 0 system and at N = 256, CEP's levels at radius 1e-125, a CEP
+  violation on the scaled path and on the per-level one, the radii 1e100
+  and 1e-300, the horizons 1e17 and 1e304, and others; and those that exit
+  2 on an overflow, a subnormal radius, an alpha too large or a horizon too
+  long;
 * ``replay`` of every witness record those runs write;
-* ``simulate`` of ``heat_iss.scn`` and of the smoke scenario ``gain_zero``;
-* the CI smoke runs that exit 2 on an argument, a record or a file
-  (``_refused``): ``--modes 0``, a record replayed on another scenario, a
-  cocycle record, a record whose input overflows, a file that is not UTF-8
-  and a directory.
+* ``simulate`` of ``heat_iss.scn`` and of the scenario ``gain_zero``;
+* the runs that exit 2 on an argument, a record or a file (``_refused``):
+  ``--modes 0``, a record replayed on another scenario, a cocycle record, a
+  record whose input overflows, a file that is not UTF-8 and a directory.
 
 Each run's stdout, stderr and exit code are kept beside its output files
 (``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
@@ -31,7 +33,8 @@ without its ``seconds`` column, and ``check``'s stdout without its timings.
     python tests/golden_corpus.py
 
 rewrites ``tests/golden/digests.txt`` from the current code; a change that
-moves outputs on purpose runs it and lists the files that changed.
+moves outputs on purpose runs it and lists the files that changed.  A new
+end-to-end run goes here and nowhere else.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ INTEGRAL = {
                "checks.names = norm_to_integral, integral_to_integral\n",
     "from_iss": "certificate.derive = from_iss\n"
                 "checks.names = norm_to_integral, integral_to_integral\n",
+    "from_iss_alpha": "certificate.derive = from_iss\ncertificate.alpha = power(1e6, 2.0)\n"
+                      "checks.names = norm_to_integral\n",
 }
 SMOKE = {
     "battery": "certificate.gamma = linear(0.1)\nchecks.names = iss, uls, ulim, brs\n",
@@ -76,6 +81,10 @@ SMOKE = {
     "cep_radius": "budget.radius = 0.3\nchecks.cep_h = 0.7\n"
                   "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n",
     "cep_levels": "budget.radius = 1e-125\nchecks.cep_h = 0.7\nchecks.names = cep, iss\n",
+    "cep_violated": "system.preset = diagonal\nsystem.lambdas = 1, 2, 3\n"
+                    "system.b = 600, -20, 3\nchecks.names = cep\n",
+    "cep_violated_levels": "system.preset = diagonal\nsystem.lambdas = 1, 2, 3\n"
+                           "system.b = 600, -20, 3\nbudget.radius = 1e-125\nchecks.names = cep\n",
     "gain_zero": "system.preset = diagonal\nsystem.lambdas = 1, 4, 9, 16, 25\n"
                  "system.b = 1, 0.0, -2, 3, 0.5\nchecks.names = iss, uls, ulim, brs, cep\n"
                  "output.trajectories = true\n",
@@ -119,7 +128,7 @@ def _scenarios() -> dict[str, str]:
     out.update({f"smoke/{name}": text for name, text in SMOKE.items()})
     out.update({f"wide/{name}": text for name, text in WIDE.items()})
     heat = (ROOT / "src" / "isslab" / "scenarios" / "heat_iss.scn").read_text(encoding="utf-8")
-    for radius in ("1e100", "1e-300"):   # heat_iss.scn at another radius, as CI seds it
+    for radius in ("1e100", "1e-300"):   # heat_iss.scn at another radius
         text = re.sub(r"(?m)^budget\.radius = .*$", f"budget.radius = {radius}", heat)
         out[f"smoke/radius_{radius}"] = re.sub(
             r"(?m)^checks\.names = .*$", "checks.names = iss, uls, ulim, brs, cep", text)
@@ -129,8 +138,7 @@ def _scenarios() -> dict[str, str]:
 def _run(argv: list[str], name: str) -> None:
     """``isslab <argv>`` in-process; its stdout, stderr and exit code go to
     ``name.stdout``, ``name.stderr`` and ``name.exit``.  A RuntimeWarning is
-    an error, as in CI's smoke runs, so that no output depends on the
-    caller's warning filters."""
+    an error, so that no output depends on the caller's warning filters."""
     from isslab.harness import main
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -172,10 +180,9 @@ def generate(root: Path) -> None:
 
 
 def _refused() -> None:
-    """The CI smoke runs that exit 2 on an argument, a record or a file, each
-    under ``out/refused/<name>``; their files are made under
-    ``scenarios/refused``, the records from those of the runs before, as CI's
-    ``sed`` lines make them."""
+    """The runs that exit 2 on an argument, a record or a file, each under
+    ``out/refused/<name>``; their files are made under ``scenarios/refused``,
+    the records by editing those of the runs before."""
     src = Path("scenarios/refused")
     os.makedirs(src / "scenario_dir", exist_ok=True)
     (src / "not_utf8.scn").write_bytes(b"\xff\n")

@@ -2,7 +2,6 @@
 
 import csv
 import importlib.util
-import os
 import subprocess
 import sys
 import warnings
@@ -427,55 +426,6 @@ def test_cli_entry_point_runs(tmp_path):
     assert "violated" in proc.stdout
 
 
-_NO_SCIPY = """
-import sys
-from isslab.harness import load_scenario, run_scenario, simulate_scenario
-out = sys.argv[1]
-for name in sys.argv[2:]:
-    run_scenario(load_scenario(name), f"{out}/{name}")
-simulate_scenario(load_scenario("heat_iss.scn"), f"{out}/simulate")
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-"""
-
-
-def test_runs_leave_scipy_unimported(tmp_path):
-    # numpy is isslab's only runtime dependency; scipy serves the tests only
-    src = str(Path(checkers.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_SCIPY,
-                           str(tmp_path), *BUNDLED], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-_NO_NUMPY_MA = """
-import sys
-from isslab.harness import main
-out, names = sys.argv[1], sys.argv[2:]
-codes = [main(["check", name, "--out", f"{out}/{i}"]) for i, name in enumerate(names)]
-bad_gain = names.index("heat_bad_gain.scn")
-codes.append(main(["replay", names[bad_gain], f"{out}/{bad_gain}/witness_iss.csv"]))
-print(codes, "numpy.ma" in sys.modules)
-"""
-
-
-def test_check_and_replay_leave_numpy_ma_unimported(tmp_path):
-    # np.unique imports numpy.ma on its first call (numpy 2.4); the check and
-    # replay paths drop repeats with their own sort, so no run pays for it
-    src = str(Path(checkers.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    simpson = tmp_path / "simpson.scn"
-    simpson.write_text("certificate.alpha = power(0.5, 1.0)\n"
-                       "checks.names = norm_to_integral, integral_to_integral\n")
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path / "out"), *BUNDLED,
-                           str(simpson)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    # the last line, after the checks' own
-    assert proc.stdout.splitlines()[-1] == "[0, 1, 0, 0, 1, 1] False", proc.stdout
-
-
 def test_checkers_simpson_is_scipys_on_lookup():
     from scipy.integrate import simpson
     assert checkers.simpson is simpson
@@ -632,6 +582,20 @@ def test_constructor_rules_are_config_errors(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, token", [("alpha", "power(1e6, 2.0)"), ("psi", "power(2.0, 2.0)"),
+                                        ("sigma", "power(0.01, 2.0)")])
+def test_derive_from_iss_refuses_a_piece_it_derives(tmp_path, capsys, key, token):
+    # derive = from_iss makes alpha, psi and sigma; one set beside it would go unread
+    text = MINIMAL.replace("checks.names = iss", "checks.names = norm_to_integral")
+    derived = parse_scenario(text + "certificate.derive = from_iss\n")
+    with pytest.raises(ValidationError, match=f"certificate.{key} "):
+        run_scenario(replace(derived, **{key: parse_comparison(token)}), str(tmp_path / "hand"))
+    path = tmp_path / "both.scn"
+    path.write_text(serialize_scenario(derived) + f"certificate.{key} = {token}\n")
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"certificate.{key} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("derive", ["none", "from_iss"])
