@@ -44,7 +44,8 @@ def _positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class ComparisonFunction:
-    """A class-K function in one of the closed parametric forms.
+    """A class-K function in one of the closed parametric forms; its form
+    sets whether it is K-infinity (``unbounded``).
 
     Use the factory functions :func:`linear`, :func:`power`,
     :func:`saturation` and :func:`compose` instead of the raw constructor.
@@ -55,11 +56,14 @@ class ComparisonFunction:
     form: str
     params: tuple[float, ...] = ()
     parts: tuple["ComparisonFunction", ...] = ()
-    unbounded: bool = False   # class K-infinity, not only K
 
     def __post_init__(self):
         if self.form not in ("linear", "power", "saturation", "compose"):
             raise ValidationError(f"unknown comparison-function form {self.form!r}")
+
+    @property
+    def unbounded(self) -> bool:
+        return self.form != "saturation" and all(p.unbounded for p in self.parts)
 
     def __call__(self, r):
         return evaluate(self, r)
@@ -76,12 +80,12 @@ class ComparisonFunction:
 
 def linear(c: float) -> ComparisonFunction:
     """r -> c*r, class K-infinity."""
-    return ComparisonFunction("linear", (_positive("c", c),), (), True)
+    return ComparisonFunction("linear", (_positive("c", c),))
 
 
 def power(c: float, p: float) -> ComparisonFunction:
     """r -> c*r**p with p > 0, class K-infinity."""
-    return ComparisonFunction("power", (_positive("c", c), _positive("p", p)), (), True)
+    return ComparisonFunction("power", (_positive("c", c), _positive("p", p)))
 
 
 def saturation(c: float, s: float) -> ComparisonFunction:
@@ -96,7 +100,7 @@ def compose(*fs: ComparisonFunction) -> ComparisonFunction:
     """
     if len(fs) < 2:
         raise ValidationError("compose needs at least two components")
-    return ComparisonFunction("compose", (), tuple(fs), all(f.unbounded for f in fs))
+    return ComparisonFunction("compose", (), tuple(fs))
 
 
 def evaluate(f: ComparisonFunction, r):

@@ -83,7 +83,6 @@ class Scenario:
     n_modes: int = 64
     lambdas: tuple[float, ...] | None = None
     b: tuple[float, ...] | None = None
-    label: str = ""
     construction: str = NEG_INVERSE
     epsilon: float = 0.5
     beta: DecayEnvelope | None = None
@@ -138,6 +137,9 @@ class _Resolved(NamedTuple):
     nti: NormToIntegralCertificate
     uls_sigma: ComparisonFunction
 
+
+#: The Lyapunov constructions by their ``lyapunov.construction`` name.
+_CONSTRUCTIONS = {NEG_INVERSE: build_neg_inverse, DATKO: build_datko}
 
 #: Every check in canonical order: name -> run(scenario, resolved).
 _CHECKS = {
@@ -232,8 +234,7 @@ _KEYS = (
     ("system.b", "b", _numbers, _reprs),
     ("system.a", "a", _number, repr),
     ("system.n_modes", "n_modes", int, str),
-    ("system.label", "label", str, str),
-    ("lyapunov.construction", "construction", _one_of(NEG_INVERSE, DATKO), str),
+    ("lyapunov.construction", "construction", _one_of(*_CONSTRUCTIONS), str),
     ("lyapunov.epsilon", "epsilon", _number, repr),
     ("certificate.beta", "beta", _decay, DecayEnvelope.describe),
     *((f"certificate.{name}", name, parse, ComparisonFunction.describe)
@@ -261,7 +262,7 @@ _PARSERS = {key: (field, parse) for key, field, parse, _ in _KEYS}
 _PRESET_KEYS = {"system.lambdas": "diagonal", "system.b": "diagonal",
                 "system.a": "heat_dirichlet", "system.n_modes": "heat_dirichlet"}
 #: Fields the text omits while they hold their default.
-_OPTIONAL = {"label", "beta", "gamma", "alpha", "psi", "sigma", "uls_sigma",
+_OPTIONAL = {"beta", "gamma", "alpha", "psi", "sigma", "uls_sigma",
              "derive", "brs_c", "brs_tau"}
 _DEFAULTS = Scenario()
 
@@ -381,15 +382,14 @@ def serialize_scenario(s: Scenario) -> str:
 
 def build_system(s: Scenario) -> SpectralSystem:
     if s.preset == "diagonal":
-        return SpectralSystem(np.asarray(s.lambdas), np.asarray(s.b),
-                              label=s.label or "diagonal")
+        return SpectralSystem(np.asarray(s.lambdas), np.asarray(s.b))
     return heat_dirichlet(s.a, s.n_modes)
 
 
 def _resolve(s: Scenario) -> _Resolved:
     """Build the system and fill missing certificate pieces with sound defaults."""
     sys = build_system(s)
-    op = build_datko(sys) if s.construction == DATKO else build_neg_inverse(sys)
+    op = _CONSTRUCTIONS[s.construction](sys)
     params = dissipation_constants(op, sys, s.epsilon)
     beta = s.beta or DecayEnvelope(1.0, float(sys.lambdas[0]))
     gain = sys.input_gain_norm
@@ -492,7 +492,7 @@ _RECORD_FIELDS = ("check", "scenario_digest", "t", "margin", "x0", "breakpoints"
 def write_witness(path, check: str, digest: str, w: Witness) -> None:
     """Write the record from which ``replay`` re-evaluates the witness."""
     def numbers(values) -> str:
-        return "".join("," + format(v, CSV_FMT) for v in np.asarray(values).tolist())
+        return "".join("," + v for v in _formatted(np.asarray(values, dtype=float)))
     lines = [f"check,{check}", f"scenario_digest,{digest}",
              f"t{numbers([w.t])}", f"margin{numbers([w.margin])}", f"x0{numbers(w.x0)}",
              f"breakpoints{numbers(w.input.breakpoints)}", f"values{numbers(w.input.values)}"]
@@ -586,15 +586,14 @@ def bundled_scenario_path(name: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario from a file path or from the bundled set by name."""
+    """Read a scenario from a file path or, by bare name, from the bundled set."""
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return parse_scenario(fh.read())
         except (OSError, UnicodeDecodeError) as exc:   # a directory, or not UTF-8 text
             raise ScenarioError(f"cannot read the scenario file {path}: {exc}") from None
-    bundled = bundled_scenario_path(os.path.basename(path))
-    if bundled.is_file():
+    if os.path.basename(path) == path and (bundled := bundled_scenario_path(path)).is_file():
         return parse_scenario(bundled.read_text(encoding="utf-8"))
     raise ScenarioError(f"scenario file not found: {path}")
 

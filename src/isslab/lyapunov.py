@@ -48,10 +48,10 @@ DEFAULT_DINI_H = (1e-6, 1e-7, 1e-8)
 
 @dataclass(frozen=True)
 class LyapunovOperator:
-    """Diagonal positive operator P with V(x) = sum p_k x_k^2."""
+    """Diagonal positive operator P with V(x) = sum p_k x_k^2 on ``system``,
+    as :func:`build_neg_inverse` or :func:`build_datko` makes it."""
 
     p_coeffs: np.ndarray
-    construction: str
     system: SpectralSystem
 
     def __post_init__(self):
@@ -61,8 +61,6 @@ class LyapunovOperator:
             raise ValidationError("p_coeffs must have one entry per mode")
         if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
             raise ValidationError("p_coeffs must be positive and finite")
-        if self.construction not in (NEG_INVERSE, DATKO):
-            raise ValidationError(f"unknown construction {self.construction!r}")
         object.__setattr__(self, "p_coeffs", p)
 
     @property
@@ -74,13 +72,13 @@ class LyapunovOperator:
 def build_neg_inverse(sys: SpectralSystem) -> LyapunovOperator:
     """P with p_k = 1/lambda_k, realizing V(x) = -<A^{-1}x, x>."""
     with np.errstate(over="ignore"):   # an infinite p_1 fails LyapunovOperator's check
-        return LyapunovOperator(1.0 / sys.lambdas, NEG_INVERSE, sys)
+        return LyapunovOperator(1.0 / sys.lambdas, sys)
 
 
 def build_datko(sys: SpectralSystem) -> LyapunovOperator:
     """P with p_k = 1/(2 lambda_k); solves <Px,Ax> + <Ax,Px> = -|x|^2."""
     with np.errstate(over="ignore"):   # an infinite p_1 fails LyapunovOperator's check
-        return LyapunovOperator(0.5 / sys.lambdas, DATKO, sys)
+        return LyapunovOperator(0.5 / sys.lambdas, sys)
 
 
 def v_value(op: LyapunovOperator, x) -> float:

@@ -64,24 +64,29 @@ class MarginRecord:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """A verdict with each sample's time and margin, in sample order: as
-    arrays, and as the records ``margins``, made on first access."""
+    """A check's witness, if any, and each sample's time and margin, in sample
+    order: as arrays, and as the records ``margins``.  The verdict (violated
+    iff a witness is set) and the worst margin follow from them."""
 
     property: CheckProperty
-    verdict: Verdict
-    worst_margin: float
     record_t: np.ndarray
     record_margin: np.ndarray
     witness: Witness | None = None
     notes: str = ""
 
-    def __post_init__(self):
-        if self.verdict is Verdict.VIOLATED and self.witness is None:
-            raise ValueError("a violated report must carry a witness")
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.NO_VIOLATION_FOUND if self.witness is None else Verdict.VIOLATED
 
     @property
     def violated(self) -> bool:
-        return self.verdict is Verdict.VIOLATED
+        return self.witness is not None
+
+    @cached_property
+    def worst_margin(self) -> float:
+        # the first of the smallest, as min() takes it: 0.0 before a later -0.0
+        margin = self.record_margin
+        return float(margin[np.argmin(margin)]) if margin.size else 0.0
 
     @property
     def samples_checked(self) -> int:
@@ -106,9 +111,9 @@ def conclude(prop: CheckProperty, t, margin, tol, pair, notes: str = "") -> Stab
     order: its time t, its margin and its witness tolerance ``tol`` (or one
     for all); ``pair(p)`` is sample p's (x0, u).
 
-    The margins become the records and the worst margin.  The witness is the
-    first pick whose margin is the smallest of those below their ``-tol``.  A
-    non-finite margin, which every tolerance test would pass, raises.
+    The margins become the records.  The witness, which sets the verdict, is
+    the first pick whose margin is the smallest of those below their
+    ``-tol``.  A non-finite margin, which every tolerance test would pass, raises.
     """
     t, margin = np.asarray(t, dtype=float), np.asarray(margin, dtype=float)
     bad = np.flatnonzero(~np.isfinite(margin))
@@ -119,8 +124,4 @@ def conclude(prop: CheckProperty, t, margin, tol, pair, notes: str = "") -> Stab
     if below.size:
         p = int(below[np.argmin(margin[below])])
         witness = Witness(*pair(p), t=float(t[p]), margin=float(margin[p]))
-    # the first of the smallest, as min() takes it: 0.0 before a later -0.0
-    worst = float(margin[np.argmin(margin)]) if margin.size else 0.0
-    verdict = Verdict.VIOLATED if witness is not None else Verdict.NO_VIOLATION_FOUND
-    return StabilityReport(property=prop, verdict=verdict, worst_margin=worst,
-                           witness=witness, record_t=t, record_margin=margin, notes=notes)
+    return StabilityReport(prop, t, margin, witness, notes)

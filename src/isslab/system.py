@@ -103,7 +103,6 @@ class SpectralSystem:
 
     lambdas: np.ndarray
     b_coeffs: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         lam = _freeze(np.atleast_1d(self.lambdas))
@@ -147,11 +146,10 @@ class SpectralSystem:
         if not isinstance(other, SpectralSystem):
             return NotImplemented
         return (np.array_equal(self.lambdas, other.lambdas)
-                and np.array_equal(self.b_coeffs, other.b_coeffs)
-                and self.label == other.label)
+                and np.array_equal(self.b_coeffs, other.b_coeffs))
 
     def __hash__(self):
-        return hash((self.lambdas.tobytes(), self.b_coeffs.tobytes(), self.label))
+        return hash((self.lambdas.tobytes(), self.b_coeffs.tobytes()))
 
 
 def heat_dirichlet(a: float, n_modes: int) -> SpectralSystem:
@@ -164,7 +162,7 @@ def heat_dirichlet(a: float, n_modes: int) -> SpectralSystem:
     with np.errstate(over="ignore"):   # an inf is refused by SpectralSystem, unwarned
         lam = a * math.pi ** 2 * k ** 2
         b = a * math.sqrt(2.0) * k * math.pi * (-1.0) ** (k + 1.0)
-    return SpectralSystem(lam, b, label=f"heat_dirichlet(a={a!r}, N={n_modes})")
+    return SpectralSystem(lam, b)
 
 
 def _entropy(seed: int, *key: int) -> np.ndarray:

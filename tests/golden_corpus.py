@@ -24,7 +24,8 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
 * ``simulate`` of ``heat_iss.scn`` and of the scenario ``gain_zero``;
 * the runs that exit 2 on an argument, a record or a file (``_refused``):
   ``--modes 0``, a record replayed on another scenario, a cocycle record, a
-  record whose input overflows, a file that is not UTF-8 and a directory.
+  record whose input overflows, a file that is not UTF-8, a directory, and
+  a missing path whose last part names a bundled scenario.
 
 Each run's stdout, stderr and exit code are kept beside its output files
 (``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
@@ -203,6 +204,7 @@ def _refused() -> None:
         "overflow_record": ["replay", "heat_bad_gain.scn", f"{src}/overflow_record.csv"],
         "not_utf8": ["check", f"{src}/not_utf8.scn"],
         "scenario_dir": ["check", f"{src}/scenario_dir"],
+        "missing_dir": ["check", "no/such/dir/heat_bad_gain.scn"],
     }
     for name, argv in runs.items():
         out = f"out/refused/{name}"

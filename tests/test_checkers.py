@@ -30,7 +30,7 @@ from isslab.comparison import evaluate
 from isslab.harness import _CHECKS, _resolve, load_scenario, parse_scenario
 from isslab.lyapunov import DEFAULT_DINI_H, dini_estimate, v_value
 from isslab.system import _anchor_table, _rows, _square_integrals
-from isslab.report import Witness, conclude
+from isslab.report import StabilityReport, Witness, conclude
 from isslab.system import _stream_words, mild_solution, seeded_rng, state_norm
 from oracles import concatenated, constant, shifted, value_at
 from test_system import _table, one_input_squares
@@ -394,10 +394,27 @@ def test_conclude_follows_the_reference_witness_rule(rows):
         math.copysign(1.0, m) for _, m, _ in rows]
     assert rep.worst_margin == min((m for _, m, _ in rows), default=0.0)
     assert rep.violated == (witness is not None)
+    assert rep.verdict is (Verdict.NO_VIOLATION_FOUND if witness is None else Verdict.VIOLATED)
     if witness is not None:
         # the same pick: its index is written into x0
         assert (rep.witness.t, rep.witness.margin) == (witness.t, witness.margin)
         assert np.array_equal(rep.witness.x0, witness.x0)
+
+
+def test_report_derives_verdict_and_worst_margin():
+    fields = dict(property=CheckProperty.ISS, record_t=np.zeros(2),
+                  record_margin=np.array([0.5, -1.0]))
+    for derived in ("verdict", "worst_margin"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
+            StabilityReport(**fields, **{derived: None})
+    rep = conclude(CheckProperty.ISS, [0.0, 1.0], [0.5, -1.0], 0.0,
+                   lambda p: (np.zeros(1), InputSignal.zero()))
+    # replaced as ULIM and BRS replace their notes, or with other fields
+    noted = replace(rep, notes="tau_hat=1.0")
+    assert (noted.verdict, noted.worst_margin) == (Verdict.VIOLATED, -1.0)
+    cleared = replace(noted, witness=None, record_margin=np.array([0.5, 0.25]))
+    assert (cleared.verdict, cleared.violated, cleared.worst_margin) == (
+        Verdict.NO_VIOLATION_FOUND, False, 0.25)
 
 
 # margins with ties between columns, -0.0 beside 0.0, infinities and NaNs

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (DecayEnvelope, DomainError, ISSCertificate, ValidationError,
-                    compose, derive_norm_to_integral, evaluate, linear,
-                    parse_comparison, power, saturation)
+from isslab import (ComparisonFunction, DecayEnvelope, DomainError, ISSCertificate,
+                    NormToIntegralCertificate, ValidationError, compose,
+                    derive_norm_to_integral, evaluate, linear, parse_comparison, power,
+                    saturation)
 from isslab.comparison import sontag_factor_exponential
 
 
@@ -69,6 +70,20 @@ def test_kind_bookkeeping():
     assert not saturation(1.0, 1.0).unbounded
     assert compose(linear(1.0), power(1.0, 2.0)).unbounded
     assert not compose(linear(1.0), saturation(1.0, 1.0)).unbounded
+
+
+def test_kind_follows_the_form_of_a_raw_function():
+    # the class is not a constructor argument: a raw saturation stays class K
+    with pytest.raises(TypeError, match="positional"):
+        ComparisonFunction("saturation", (1.0, 1.0), (), True)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'unbounded'"):
+        ComparisonFunction("linear", (1.0,), unbounded=True)
+    raw = ComparisonFunction("saturation", (1.0, 1.0))
+    assert not raw.unbounded
+    assert not ComparisonFunction("compose", (), (linear(1.0), raw)).unbounded
+    assert ComparisonFunction("power", (1.0, 2.0)).unbounded
+    with pytest.raises(ValidationError, match="psi"):
+        NormToIntegralCertificate(alpha=linear(1.0), psi=raw, sigma=linear(1.0))
 
 
 @pytest.mark.parametrize("f", [linear(0.7), power(2.0, 1.3), power(5.0, 0.25)])
@@ -189,7 +204,6 @@ def test_derive_requires_unbounded_gain():
 
 
 def test_certificate_kind_constraints():
-    from isslab import NormToIntegralCertificate
     with pytest.raises(ValidationError):
         NormToIntegralCertificate(alpha=linear(1.0), psi=saturation(1.0, 1.0),
                                   sigma=linear(1.0))

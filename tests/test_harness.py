@@ -134,6 +134,24 @@ def test_missing_scenario_file():
         load_scenario("no_such_scenario.scn")
 
 
+@pytest.mark.parametrize("verb", ["check", "simulate", "replay"])
+def test_missing_path_does_not_run_the_bundled_namesake(tmp_path, capsys, verb):
+    # only a bare name falls back to the bundled set
+    path = str(tmp_path / "no" / "such" / "heat_bad_gain.scn")
+    argv = [verb, path] + ([str(tmp_path / "witness_iss.csv")] if verb == "replay" else
+                           ["--out", str(tmp_path / "out")])
+    assert main(argv) == 2
+    assert f"scenario file not found: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "labelled.scn"
+    path.write_text(MINIMAL + "system.label = x\n", encoding="utf-8")
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'system.label'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # running
 

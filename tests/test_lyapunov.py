@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isslab import (DomainError, InputSignal, SpectralSystem,
+from isslab import (DomainError, InputSignal, LyapunovOperator, SpectralSystem,
                     ValidationError, build_datko, build_neg_inverse,
                     dissipation_constants, heat_dirichlet)
 from isslab import lyapunov
@@ -28,6 +28,16 @@ def random_states(n, count, seed):
 
 # ---------------------------------------------------------------------------
 # constructions
+
+
+def test_operator_holds_its_coefficients_and_system_only():
+    sys = heat(4)
+    p = build_datko(sys).p_coeffs
+    with pytest.raises(TypeError, match="positional"):
+        LyapunovOperator(p, "datko", sys)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'construction'"):
+        LyapunovOperator(p, sys, construction="datko")
+    assert np.array_equal(LyapunovOperator(p, sys).p_coeffs, p)
 
 
 def test_neg_inverse_first_coefficient():

@@ -97,6 +97,15 @@ def test_system_invariants_rejected():
         SpectralSystem(np.array([1.0]), np.array([1.0, 2.0]))
 
 
+def test_system_is_its_arrays():
+    # no label: the heat preset equals, and hashes as, the system of its arrays
+    heat = heat_dirichlet(1.0, 4)
+    same = SpectralSystem(heat.lambdas.copy(), heat.b_coeffs.copy())
+    assert heat == same and hash(heat) == hash(same)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'label'"):
+        SpectralSystem(heat.lambdas, heat.b_coeffs, label="heat")
+
+
 # ---------------------------------------------------------------------------
 # state norm
 
@@ -248,7 +257,7 @@ def test_trajectory_matches_mild_solution_across_row_blocks():
         traj = sample_trajectory(sys, x0, u_, grid)
         rows = np.array([mild_solution(sys, x0, u_, t) for t in grid])
         differ = np.nonzero(np.any(traj.states != rows, axis=1))[0]
-        assert differ.size == 0, f"{sys.label}: rows {differ[:5]} of {grid.size} differ"
+        assert differ.size == 0, f"N = {sys.n_modes}: rows {differ[:5]} of {grid.size} differ"
 
 
 def test_stacked_flow_matches_mild_solution_per_state():
