@@ -16,8 +16,10 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   300 (split once, at 144);
 * ``check`` of single-purpose scenarios (under ``smoke/``): trajectories
   of a b_k = 0 system and at N = 256, CEP's levels at radius 1e-125, a CEP
-  violation on the scaled path and on the per-level one, the radii 1e100
-  and 1e-300, the horizons 1e17 and 1e304, and others; and those that exit
+  violation on the scaled path and on the per-level one, CEP on the set
+  the other pointwise checks share (``checks.cep_h`` at the horizon), a
+  saturation gain, the radii 1e100 and 1e-300, the horizons 1e17 and
+  1e304, and others; and those that exit
   2 on an overflow, a subnormal radius, an alpha too large or a horizon too
   long;
 * ``replay`` of every witness record those runs write;
@@ -86,6 +88,8 @@ SMOKE = {
                     "system.b = 600, -20, 3\nchecks.names = cep\n",
     "cep_violated_levels": "system.preset = diagonal\nsystem.lambdas = 1, 2, 3\n"
                            "system.b = 600, -20, 3\nbudget.radius = 1e-125\nchecks.names = cep\n",
+    "cep_at_horizon": "checks.cep_h = 2.0\nchecks.names = iss, brs, cep\n",
+    "saturation_gain": "certificate.gamma = saturation(0.5, 1.0)\nchecks.names = iss, uls, ulim\n",
     "gain_zero": "system.preset = diagonal\nsystem.lambdas = 1, 4, 9, 16, 25\n"
                  "system.b = 1, 0.0, -2, 3, 0.5\nchecks.names = iss, uls, ulim, brs, cep\n"
                  "output.trajectories = true\n",
