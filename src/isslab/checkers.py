@@ -15,14 +15,14 @@ derives its samples from each random stream's draws, made once (the block's
 memo, ``_once``), and the pointwise checks (ISS, ULS, BRS, ULIM and CEP's
 levels) share one kernel call per sample set on every input's probe (the
 evaluation times plus its breakpoints), a table of (input, point) padded
-with +inf; CEP's largest |phi| sweeps only the probe rows that can hold it,
-on a table of its own (``_Samples.sup``).  The probes' points are ULIM's
-nodes: ULIM sweeps the points of its fixed grid between two adjacent nodes,
-in one more call, only where a lower enclosure of |phi|
-(``system._enclosure``) leaves room for a pair's pick or first hit
-(``_Samples.ulim``).  Every kernel pass takes its rows as
-(input, time) pairs and reads the set's anchor states, stepped once
-(``_Samples.table``).  A flow value is grid-free, so a check called alone
+with +inf.  A set's largest |phi| (``_Samples.sup``, read by CEP and BRS)
+is its probes' largest, else swept off the probe rows that can hold it, on
+a table of its own.  The probes' points are ULIM's nodes: ULIM sweeps the
+points of its fixed grid between two adjacent nodes, in one more call,
+only where a lower enclosure of |phi| (``system._enclosure``) leaves room
+for a pair's pick or first hit (``_Samples.ulim``).  Every kernel pass
+takes its rows as (input, time) pairs and reads the set's anchor states,
+stepped once (``_Samples.table``).  A flow value is grid-free, so a check called alone
 gives the same report.  Nothing outlives the block.  A sample set is
 refused past ``_REACH_CAP``, where the squares of its norms could overflow.
 
@@ -115,7 +115,7 @@ of 3,000 random heat sample sets (N from 1 to 256, a from 1e-3 to 1e4, with
 states that pass the origin) sqrt(L) exceeded the smallest norm on its run
 by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the scale.
 
-CEP's largest |phi| (``_Samples.sup``) keeps a probe row whose bound U after
+A set's largest |phi| (``_Samples.sup``) keeps a probe row whose bound U after
 m anchors has U (1 + (m + 1) (3.4e-13 + (N + 11) u) + 2 (N + 11) u) + sqrt(N)
 ENCLOSURE_FLOOR >= T (1 - 2 (N + 11) u): per piece the kernel's 1510 u, the
 bound's own decay's (1492 u and np.exp's few ulp), 3.4e-13 in all, and |A^-1
@@ -279,7 +279,7 @@ class _Samples:
     input up to the budget's horizon (``system._anchor_table``).  ``points``
     is every input's probe (the evaluation times and its breakpoints below
     the horizon), the nodes of ``ulim(levels)``, ``probes`` every state's
-    norms there, and ``sup()`` their largest.  ``integrals(alpha)`` is the
+    norms there, and ``sup`` their largest.  ``integrals(alpha)`` is the
     table of int_0^t alpha(|phi|), and ``pairs`` each pair's state and input
     index."""
 
@@ -324,13 +324,17 @@ class _Samples:
         norms[:, own] = _flow_norms(self.sys, self.table, np.nonzero(own)[0], self.points[own])
         return norms
 
+    @cached_property
     def sup(self) -> float:
-        """``np.max(self.probes)`` bit for bit, from the probe rows that can
-        hold it.  Row (input j, time t, last anchor a below t, value v) bounds
-        each |phi| by U = exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0)
-        = T = max |x0| and B_j(b) the U at the next anchor b.  One kernel call
-        sweeps the rows whose U reaches T past the rounding margin (module
-        docstring), the t = 0 rows among them, on a table stepped to their ends."""
+        """``np.max(self.probes)`` bit for bit: that, once the set holds its
+        probes, else from the probe rows that can hold it.  Row (input j,
+        time t, last anchor a below t, value v) bounds each |phi| by U =
+        exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0) = T = max |x0|
+        and B_j(b) the U at the next anchor b.  One kernel call sweeps the rows
+        whose U reaches T past the rounding margin (module docstring), the
+        t = 0 rows among them, on a table stepped to their ends."""
+        if "probes" in self.__dict__:
+            return float(np.max(self.probes))
         sys, points, (bps, vals) = self.sys, self.points, self.inputs
         ulp, top = (sys.n_modes + 11) * 2.0 ** -53, float(self.r.max())
         decay = lambda dt: _decay_forced(sys, dt[..., None], 1.0, 1)[0][..., 0]  # of lambda_1
@@ -680,48 +684,44 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     stays within eps_j on [0, h].  The (eps_j, delta_j) table is reported in
     the notes; failure to find any workable delta is a violation.
 
-    One sweep gives the whole table.  The draws at radius delta = 2**-m
-    radius are 2**-m times the draws at the budget's radius, the flow is
+    One largest |phi| gives the whole table.  The draws at radius delta =
+    2**-m radius are 2**-m times those at the budget's radius, the flow is
     linear, and scaling by a power of two is exact in floating point, so
-    every flow value, and every norm, at delta is 2**-m times its value at
-    the radius.  With S the largest |phi| at the radius on [0, h] (``sup``,
-    off the probe rows that can hold it), level j and halving i have worst
-    margin eps_j - S * 2**-(j + i), that of their own sweep bit for bit.  The
-    caveat is the subnormal range, where scaling rounds: a component that
-    falls there is far below the largest norm and vanishes in its rounding,
-    unless the radius itself is tiny (at radius 1e-155 on heat(8) the
-    squares of the smallest levels round differently).  Radii below
-    ``_CEP_SCALED_MIN`` sweep every level as stated above.  A level that no
-    delta satisfies sweeps its last halving for the exact witness.  A radius
-    past ``_REACH_CAP`` is refused before any level, whose smaller radii
-    could pass under it.
+    every norm at delta is 2**-m times its value at the radius.  With S the
+    largest |phi| at the radius on [0, h] (``_Samples.sup``), level j and
+    halving i have worst margin eps_j - S * 2**-(j + i), that of their own
+    sweep bit for bit, since rounding is monotone.  The caveat is the
+    subnormal range, where scaling rounds: a component that falls there is
+    far below the largest norm and vanishes in its rounding, unless the
+    radius itself is tiny (at radius 1e-155 on heat(8) the squares of the
+    smallest levels round differently), so below ``_CEP_SCALED_MIN`` each
+    halving reads S of its own set.  A level that no delta satisfies sweeps
+    its last halving for the exact witness.  A radius past ``_REACH_CAP`` is
+    refused before any level, whose smaller radii could pass under it.
     """
     _require_positive(h=h)
     _refuse_reach(sys, budget.radius)
     local = replace(budget, horizon=h)
-    scaled = budget.radius >= _CEP_SCALED_MIN
-    sup = _samples(sys, local).sup() if scaled else None
+    top = _samples(sys, local).sup if budget.radius >= _CEP_SCALED_MIN else None
     picks, table = [], []
     for j in range(CEP_LEVELS):
         eps_j = budget.radius * 2.0 ** (-j)
-        chosen_delta, witness = None, None
         for i in range(1, CEP_HALVINGS + 1):
             delta = eps_j / 2.0 ** i
-            margin = eps_j - sup * 2.0 ** -(j + i) if scaled else -math.inf
-            if margin < 0.0 and (i == CEP_HALVINGS or not scaled):
-                samples = _samples(sys, replace(local, radius=delta))
-                level = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
-                               bound=lambda r, sup, t: eps_j, tol=0.0)
-                margin, witness = level.worst_margin, level.witness
+            margin = eps_j - (top * 2.0 ** -(j + i) if top is not None
+                              else _samples(sys, replace(local, radius=delta)).sup)
             if margin >= 0.0:
-                chosen_delta = delta
+                picks.append((h, margin, np.zeros(sys.n_modes), InputSignal.zero()))
                 break
-        picks.append((h, margin, np.zeros(sys.n_modes), InputSignal.zero()) if witness is None
-                     else (witness.t, witness.margin, witness.x0, witness.input))
-        table.append((eps_j, chosen_delta))
-    notes = "table " + "; ".join(f"eps={e!r}->delta={d!r}" for e, d in table)
+        else:
+            samples = _samples(sys, replace(local, radius=delta))
+            w = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
+                       bound=lambda r, sup, t: eps_j, tol=0.0).witness
+            picks.append((w.t, w.margin, w.x0, w.input))
+        table.append(f"eps={eps_j!r}->delta={delta if margin >= 0.0 else None!r}")
     t, margins, *_ = zip(*picks)
-    return conclude(CheckProperty.CEP, t, margins, 0.0, lambda j: picks[j][2:], notes=notes)
+    return conclude(CheckProperty.CEP, t, margins, 0.0, lambda j: picks[j][2:],
+                    notes="table " + "; ".join(table))
 
 
 def check_brs(sys: SpectralSystem, C: float, tau: float,
@@ -733,8 +733,7 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
     report = _sweep(CheckProperty.BRS, samples, samples.points, samples.probes,
                     bound=lambda r, sup, t: bound, tol=_tol(bound))
-    sup = float(np.max(samples.probes))
-    return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
+    return replace(report, notes=f"empirical_sup={samples.sup!r} bound={bound!r}")
 
 
 # ---------------------------------------------------------------------------

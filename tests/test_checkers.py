@@ -22,7 +22,7 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, I
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     Verdict)
 from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
-                             _Samples, _input_integrals, _prefix_integrals, _samples,
+                             _CEP_SCALED_MIN, _Samples, _input_integrals, _prefix_integrals, _samples,
                              _shared_samples, _simpson_integrals, _sweep, eval_times,
                              iss_margin, ulim_grid, ulim_slack, uls_margin)
 from isslab import checkers, system
@@ -942,8 +942,9 @@ def test_cep_table_equals_the_per_level_sweeps(case):
 @st.composite
 def _sup_cases(draw):
     """A heat system (a from 1e-2 to 1e3) or a diagonal one with mixed-sign
-    b, a budget of radius 1e-5 to 1e5 and horizon 1e-3 to 10, and CEP's h:
-    the horizon itself or another in that range."""
+    b, a budget of radius 1e-5 to 1e5, or 1e-300 to ``_CEP_SCALED_MIN``,
+    where each CEP level reads its own set's sup, and horizon 1e-3 to 10,
+    and CEP's h: the horizon itself or another in that range."""
     if draw(st.booleans()):
         sys = heat(draw(st.sampled_from([1, 2, 8, 64, 300])), 10.0 ** draw(st.floats(-2.0, 3.0)))
     else:
@@ -956,7 +957,8 @@ def _sup_cases(draw):
     horizon = 10.0 ** draw(st.floats(-3.0, 1.0))
     budget = SampleBudget(n_states=draw(st.integers(1, 12)), n_inputs=draw(st.integers(1, 12)),
                           n_times=draw(st.integers(1, 33)), horizon=horizon,
-                          radius=10.0 ** draw(st.floats(-5.0, 5.0)),
+                          radius=10.0 ** draw(st.floats(-5.0, 5.0) | st.floats(
+                              -300.0, math.log10(_CEP_SCALED_MIN))),
                           seed=draw(st.integers(0, 2 ** 16)))
     h = draw(st.just(horizon) | st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
     return sys, budget, h
@@ -968,14 +970,57 @@ def _sup_cases(draw):
 @example(case=(heat(8), SampleBudget(n_states=1, n_inputs=5, n_times=9, seed=4), 1.0))
 # cep_h == horizon: the sample set that ISS, ULS, ULIM and BRS share
 @example(case=(heat(64), BUDGET, BUDGET.horizon))
+# the smallest radius a scenario may set near, on the per-level path
+@example(case=(heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-300), 1.0))
 def test_cep_sup_is_the_largest_probe_norm_bit_for_bit(case):
     # _Samples.sup sweeps only the probe rows whose bound, inflated by the
     # rounding margin, reaches max |x0| deflated, on a table stepped to their
     # latest time per input; it reads the largest norm of the full sweep
     sys, budget, h = case
     samples = _samples(sys, replace(budget, horizon=h))
-    got = samples.sup()
+    got = samples.sup
     assert np.float64(got).view(np.int64) == np.max(samples.probes).view(np.int64)
+    assert samples.sup is got   # made once per sample set
+
+
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of ``checkers.<name>``, which still runs."""
+    calls, real = [], getattr(checkers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(checkers, name, counted)
+    return calls
+
+
+def test_cep_at_the_horizon_reads_the_probes_iss_made(monkeypatch):
+    # cep_h == horizon: CEP's sample set is the one ISS swept, and its largest
+    # |phi| is the probes' own, with no anchor table of its own
+    sys = heat(64)
+    alone = check_cep(sys, BUDGET, BUDGET.horizon)   # a fresh set, off the rows kept
+    tables = _counted(monkeypatch, "_anchor_table")
+    with _shared_samples():
+        check_iss(sys, heat_cert(), BUDGET)
+        got = check_cep(sys, BUDGET, BUDGET.horizon)
+    assert len(tables) == 1
+    assert_same_report(got, alone)
+
+
+@pytest.mark.parametrize("case, failing", [
+    ((heat(8), 1.0), 0),
+    # gain 600: |phi| reaches about 600 delta, beyond every halving (2**8)
+    ((SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]), 20.0), CEP_LEVELS)],
+    ids=["heat8", "diagonal_violated"])
+def test_cep_below_the_scaled_min_sweeps_only_a_failing_level(monkeypatch, case, failing):
+    # below _CEP_SCALED_MIN each halving reads the sup of its own set; only a
+    # level that no delta satisfies sweeps, its last halving, for the witness
+    (sys, h), budget = case, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-125)
+    sweeps = _counted(monkeypatch, "_sweep")
+    with _shared_samples():
+        got = check_cep(sys, budget, h)
+    assert len(sweeps) == failing == got.notes.count("delta=None")
+    assert_same_report(got, _cep_reference(sys, budget, h))
 
 
 def test_cep_rejects_bad_horizon():
