@@ -42,15 +42,17 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+#: Each form's parameter names; compose has none and composes its parts.
+_PARAMS = {"linear": ("c",), "power": ("c", "p"), "saturation": ("c", "s"), "compose": None}
+
+
 @dataclass(frozen=True)
 class ComparisonFunction:
     """A class-K function in one of the closed parametric forms; its form
-    sets whether it is K-infinity (``unbounded``).
-
-    Use the factory functions :func:`linear`, :func:`power`,
-    :func:`saturation` and :func:`compose` instead of the raw constructor.
-    Instances are immutable and evaluation is pure, so they may be shared
-    freely across threads.
+    sets whether it is K-infinity (``unbounded``).  A leaf form holds
+    exactly its parameters (``_PARAMS``), as positive finite floats; compose
+    holds two or more parts.  Instances are immutable and evaluation is
+    pure, so they may be shared freely across threads.
     """
 
     form: str
@@ -58,8 +60,18 @@ class ComparisonFunction:
     parts: tuple["ComparisonFunction", ...] = ()
 
     def __post_init__(self):
-        if self.form not in ("linear", "power", "saturation", "compose"):
+        if self.form not in _PARAMS:
             raise ValidationError(f"unknown comparison-function form {self.form!r}")
+        names = _PARAMS[self.form]
+        if names is None:
+            if self.params or not all(isinstance(p, ComparisonFunction) for p in self.parts):
+                raise ValidationError("compose takes comparison functions only")
+            if len(self.parts) < 2:
+                raise ValidationError("compose needs at least two components")
+        elif self.parts or len(self.params) != len(names):
+            raise ValidationError(f"{self.form} takes the parameters {', '.join(names)} only")
+        else:
+            object.__setattr__(self, "params", tuple(map(_positive, names, self.params)))
 
     @property
     def unbounded(self) -> bool:
@@ -80,17 +92,17 @@ class ComparisonFunction:
 
 def linear(c: float) -> ComparisonFunction:
     """r -> c*r, class K-infinity."""
-    return ComparisonFunction("linear", (_positive("c", c),))
+    return ComparisonFunction("linear", (c,))
 
 
 def power(c: float, p: float) -> ComparisonFunction:
     """r -> c*r**p with p > 0, class K-infinity."""
-    return ComparisonFunction("power", (_positive("c", c), _positive("p", p)))
+    return ComparisonFunction("power", (c, p))
 
 
 def saturation(c: float, s: float) -> ComparisonFunction:
     """r -> c*r/(s+r): strictly increasing onto [0, c), class K but not K-infinity."""
-    return ComparisonFunction("saturation", (_positive("c", c), _positive("s", s)))
+    return ComparisonFunction("saturation", (c, s))
 
 
 def compose(*fs: ComparisonFunction) -> ComparisonFunction:
@@ -98,9 +110,7 @@ def compose(*fs: ComparisonFunction) -> ComparisonFunction:
 
     The composite is K-infinity exactly when every component is.
     """
-    if len(fs) < 2:
-        raise ValidationError("compose needs at least two components")
-    return ComparisonFunction("compose", (), tuple(fs))
+    return ComparisonFunction("compose", (), fs)
 
 
 def evaluate(f: ComparisonFunction, r):
@@ -242,9 +252,8 @@ def parse_comparison(text: str) -> ComparisonFunction:
 
 
 #: The forms a comparison-function token may call: each name's factory and
-#: its number of arguments, or None for compose, whose arguments are tokens.
-_FORMS = {"linear": (linear, 1), "power": (power, 2), "saturation": (saturation, 2),
-          "compose": (compose, None)}
+#: its parameter names, or None for compose, whose arguments are tokens.
+_FORMS = {f.__name__: (f, _PARAMS[f.__name__]) for f in (linear, power, saturation, compose)}
 
 
 def _read_token(text: str, forms: dict):
@@ -272,11 +281,11 @@ def _build(node: ast.expr, text: str, forms: dict):
         raise ValidationError(f"expected a call of {', '.join(forms)} without keywords, "
                               f"got {ast.get_source_segment(text, node)!r}")
     name = node.func.id
-    factory, arity = forms[name]
-    if arity is None:
+    factory, names = forms[name]
+    if names is None:
         return factory(*(_build(arg, text, forms) for arg in node.args))
-    if len(node.args) != arity:
-        raise ValidationError(f"{name}(...) takes {arity} argument(s), got {len(node.args)}")
+    if len(node.args) != len(names):
+        raise ValidationError(f"{name}(...) takes {len(names)} argument(s), got {len(node.args)}")
     try:
         args = [float(ast.get_source_segment(text, arg)) for arg in node.args]
     except ValueError as exc:

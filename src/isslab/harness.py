@@ -196,7 +196,7 @@ def _boolean(raw: str) -> bool:
 
 
 def _decay(raw: str) -> DecayEnvelope:
-    return _read_token(raw, {"decay": (DecayEnvelope, 2)})
+    return _read_token(raw, {"decay": (DecayEnvelope, ("M", "omega"))})
 
 
 def _one_of(*options: str):
@@ -209,9 +209,11 @@ def _one_of(*options: str):
 
 def _check_names(raw: str) -> tuple[str, ...]:
     names = _items(raw)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate check {name!r}")
     return names
 
 

@@ -131,7 +131,7 @@ class SpectralSystem:
         """Steady-state response b_k / lambda_k to a unit constant input."""
         return _freeze(self.b_coeffs / self.lambdas)
 
-    @property
+    @cached_property
     def input_gain_norm(self) -> float:
         """|A^{-1}B| = sup_t kappa(t), the steady gain of a unit input; scaled by
         the largest |g_k| when the plain norm's squares overflow."""

@@ -20,8 +20,8 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   the other pointwise checks share (``checks.cep_h`` at the horizon), a
   saturation gain, the radii 1e100 and 1e-300, the horizons 1e17 and
   1e304, and others; and those that exit
-  2 on an overflow, a subnormal radius, an alpha too large or a horizon too
-  long;
+  2 on an overflow, a subnormal radius, an alpha too large, a horizon too
+  long or a check listed twice;
 * ``replay`` of every witness record those runs write;
 * ``simulate`` of ``heat_iss.scn`` and of the scenario ``gain_zero``;
 * the runs that exit 2 on an argument, a record or a file (``_refused``):
@@ -99,6 +99,7 @@ SMOKE = {
     "alpha": "certificate.alpha = power(1e300, 2.0)\nbudget.radius = 1e100\n"
              "checks.names = norm_to_integral\n",
     "horizon": "budget.horizon = 1.7e308\n",
+    "duplicate_check": "checks.names = iss, iss\n",
 }
 #: past 128 modes: a battery with witnesses at N = 300 and the bundled heat_iss.scn at N = 1024
 WIDE = {

@@ -64,6 +64,26 @@ def test_nonpositive_parameters_rejected():
         saturation(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("args", [
+    ("power", (-1.0, 2.0)), ("linear", (math.nan,)), ("power", (1.0,)),
+    ("linear", (1.0,), (linear(1.0),)), ("compose", (), (linear(1.0),)),
+    ("compose", (1.0,), (linear(1.0), linear(2.0))), ("compose", (), (linear(1.0), "x")),
+    ("exp", (1.0,))], ids=["negative", "nan", "arity", "leaf_parts", "one_part",
+                            "compose_params", "not_a_function", "unknown"])
+def test_raw_constructor_refuses_what_the_factories_refuse(args):
+    with pytest.raises(ValidationError):
+        ComparisonFunction(*args)
+
+
+def test_raw_constructor_stores_floats():
+    assert ComparisonFunction("linear", (2,)) == linear(2.0)
+    assert type(ComparisonFunction("power", (np.float64(1.5), 2)).params[1]) is float
+    with pytest.raises(ValidationError, match="c must be a positive finite real, got -1.0"):
+        ComparisonFunction("power", (-1, 2.0))
+    with pytest.raises(ValidationError, match="compose needs at least two components"):
+        compose(linear(1.0))
+
+
 def test_kind_bookkeeping():
     assert linear(1.0).unbounded
     assert power(2.0, 0.5).unbounded

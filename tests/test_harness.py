@@ -92,6 +92,16 @@ def test_unknown_check_name_rejected():
     assert "levitation" in str(err.value)
 
 
+def test_a_check_listed_twice_is_refused(tmp_path, capsys):
+    # as a duplicate key: exit 2, naming checks.names and its line, nothing run
+    path = tmp_path / "twice.scn"
+    path.write_text("system.a = 1.0\nchecks.names = iss, uls, iss\n", encoding="utf-8")
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ("key 'checks.names': duplicate check 'iss' (line 2)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_round_trip(name):
     s = load_scenario(name)

@@ -106,6 +106,14 @@ def test_system_is_its_arrays():
         SpectralSystem(heat.lambdas, heat.b_coeffs, label="heat")
 
 
+def test_input_gain_norm_is_taken_once_per_system(monkeypatch):
+    # the sample sets, sup, ULIM, the harness and the dissipation constants read it
+    sys = heat_dirichlet(1.0, 8)
+    first = sys.input_gain_norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kw: pytest.fail("taken again"))
+    assert sys.input_gain_norm is first
+
+
 # ---------------------------------------------------------------------------
 # state norm
 
