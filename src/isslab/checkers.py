@@ -22,9 +22,9 @@ points of its fixed grid between two adjacent nodes, in one more call,
 only where a lower enclosure of |phi| (``system._enclosure``) leaves room
 for a pair's pick or first hit (``_Samples.ulim``).  Every kernel pass
 takes its rows as (input, time) pairs and reads the set's anchor states,
-stepped once (``_Samples.table``).  A flow value is grid-free, so a check called alone
-gives the same report.  Nothing outlives the block.  A sample set is
-refused past ``_REACH_CAP``, where the squares of its norms could overflow.
+stepped once (``_Samples.table``).  A flow value is grid-free, so a check
+called alone gives the same report.  Nothing outlives the block.  A set
+past ``_REACH_CAP``, where its norms' squares could overflow, is refused.
 
 One kernel.  Every check with one pick per (state, input) hands ``_sweep``
 one (state, input, k) array: one evaluation of the bound, with each input's
@@ -326,13 +326,13 @@ class _Samples:
 
     @cached_property
     def sup(self) -> float:
-        """``np.max(self.probes)`` bit for bit: that, once the set holds its
-        probes, else from the probe rows that can hold it.  Row (input j,
-        time t, last anchor a below t, value v) bounds each |phi| by U =
-        exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0) = T = max |x0|
-        and B_j(b) the U at the next anchor b.  One kernel call sweeps the rows
-        whose U reaches T past the rounding margin (module docstring), the
-        t = 0 rows among them, on a table stepped to their ends."""
+        """``np.max(self.probes)`` bit for bit, made once: read off the
+        probes if the set holds them, else off the probe rows that can hold
+        it.  Row (input j, time t, last anchor a below t, value v) bounds each
+        |phi| by U = exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0) = T
+        = max |x0| and B_j(b) the U at the next anchor b.  One kernel call
+        sweeps the rows whose U reaches T past the rounding margin (module
+        docstring), the t = 0 rows among them, on a table stepped to their ends."""
         if "probes" in self.__dict__:
             return float(np.max(self.probes))
         sys, points, (bps, vals) = self.sys, self.points, self.inputs
