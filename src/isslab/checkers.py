@@ -10,21 +10,20 @@ arrays (``_Samples``): the states, their norms |x0|, the inputs as one table
 and their |u|_inf; an ``InputSignal`` is made only for a witness and on the
 Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
-one sample set, every budget (CEP's at cep_h and at its levels' radii, BRS's)
-derives its samples from each random stream's draws, made once (the block's
-memo, ``_once``), and the pointwise checks (ISS, ULS, BRS, ULIM and CEP's
-levels) share one kernel call per sample set on every input's probe (the
-evaluation times plus its breakpoints), a table of (input, point) padded
-with +inf.  A set's largest |phi| (``_Samples.sup``, read by CEP and BRS)
-is its probes' largest, else swept off the probe rows that can hold it, on
-a table of its own.  The probes' points are ULIM's nodes: ULIM sweeps the
-points of its fixed grid between two adjacent nodes, in one more call,
-only where a lower enclosure of |phi| (``system._enclosure``) leaves room
-for a pair's pick or first hit (``_Samples.ulim``).  Every kernel pass
-takes its rows as (input, time) pairs and reads the set's anchor states,
-stepped once (``_Samples.table``).  A flow value is grid-free, so a check
-called alone gives the same report.  Nothing outlives the block.  A set
-past ``_REACH_CAP``, where its norms' squares could overflow, is refused.
+one sample set, every budget (BRS's too) derives its samples from each
+random stream's draws, made once (the block's memo, ``_once``), and the
+pointwise checks (ISS, ULS, BRS and ULIM) share one kernel call per sample
+set on every input's probe (the evaluation times plus its breakpoints), a
+table of (input, point) padded with +inf.  The probes' points are ULIM's
+nodes: ULIM sweeps the points of its fixed grid between two adjacent nodes,
+in one more call, only where a lower enclosure of |phi|
+(``system._enclosure``) leaves room for a pair's pick or first hit
+(``_Samples.ulim``).  Every kernel pass takes its rows as (input, time)
+pairs and reads the set's anchor states, stepped once (``_Samples.table``).
+A flow value is grid-free, so a check called alone gives the same report.
+Nothing outlives the block.  A set past ``_REACH_CAP``, where its norms'
+squares could overflow, is refused.  CEP is decided in closed form
+(``check_cep``) and draws nothing.
 
 One kernel.  Every check with one pick per (state, input) hands ``_sweep``
 one (state, input, k) array: one evaluation of the bound, with each input's
@@ -114,13 +113,6 @@ Measured with the cap of 746 alone: over 1.78 million (state, run) bounds
 of 3,000 random heat sample sets (N from 1 to 256, a from 1e-3 to 1e4, with
 states that pass the origin) sqrt(L) exceeded the smallest norm on its run
 by at most 6.0e-16 of sqrt(L) and 2.1e-16 of the scale.
-
-A set's largest |phi| (``_Samples.sup``) keeps a probe row whose bound U after
-m anchors has U (1 + (m + 1) (3.4e-13 + (N + 11) u) + 2 (N + 11) u) + sqrt(N)
-ENCLOSURE_FLOOR >= T (1 - 2 (N + 11) u): per piece the kernel's 1510 u, the
-bound's own decay's (1492 u and np.exp's few ulp), 3.4e-13 in all, and |A^-1
-B|'s (N + 11) u; (N + 11) u for the row's and T's sums, T's twice; the floor
-for squares that underflow.  A flat 1e-11 for the N terms fails near N = 1e5.
 """
 
 from __future__ import annotations
@@ -138,7 +130,7 @@ from .comparison import (ComparisonFunction, ISSCertificate, NormToIntegralCerti
 from .errors import DomainError, ValidationError
 from .lyapunov import DissipationParameters, LyapunovOperator, _vdot
 from .report import CheckProperty, StabilityReport, conclude
-from .system import (InputSignal, SpectralSystem, _anchor_table, _decay_forced, _enclosure,
+from .system import (InputSignal, SpectralSystem, _anchor_table, _enclosure,
                      _flow_norms, _flow_rows, _input_table, _square_integrals, _stream_words,
                      _table_rows, _unique, build_time_grid, kappa_bounds, sample_trajectory,
                      seeded_rng, state_norm)
@@ -153,13 +145,9 @@ ENCLOSURE_REL = 1e-12
 ENCLOSURE_ABS = 1e-12
 ENCLOSURE_FLOOR = 2.0 ** -530
 CEP_LEVELS = 4       # rows eps_j of the continuity table
-CEP_HALVINGS = 8     # candidate deltas eps_j / 2**i per row
 #: |phi| <= r (1 + |A^-1 B|) on a budget's ball of radius r; a sample set
 #: whose bound passes this cap is refused, so that no norm's square overflows
 _REACH_CAP = 2.0 ** 400
-#: CEP reads its table off one sweep from this radius on: every level's norms
-#: and their squares then stay far from the subnormal range
-_CEP_SCALED_MIN = 2.0 ** -400
 
 
 @dataclass(frozen=True)
@@ -278,10 +266,9 @@ class _Samples:
     input j's ``InputSignal``.  ``table`` holds the anchor states of every
     input up to the budget's horizon (``system._anchor_table``).  ``points``
     is every input's probe (the evaluation times and its breakpoints below
-    the horizon), the nodes of ``ulim(levels)``, ``probes`` every state's
-    norms there, and ``sup`` their largest.  ``integrals(alpha)`` is the
-    table of int_0^t alpha(|phi|), and ``pairs`` each pair's state and input
-    index."""
+    the horizon), the nodes of ``ulim(levels)``, and ``probes`` every
+    state's norms there.  ``integrals(alpha)`` is the table of int_0^t
+    alpha(|phi|), and ``pairs`` each pair's state and input index."""
 
     def __init__(self, sys: SpectralSystem, states, inputs, budget: SampleBudget):
         self.sys, self.states, self.inputs, self.budget = sys, states, inputs, budget
@@ -323,32 +310,6 @@ class _Samples:
         norms = np.full((len(self.states), *own.shape), -np.inf)
         norms[:, own] = _flow_norms(self.sys, self.table, np.nonzero(own)[0], self.points[own])
         return norms
-
-    @cached_property
-    def sup(self) -> float:
-        """``np.max(self.probes)`` bit for bit, made once: read off the
-        probes if the set holds them, else off the probe rows that can hold
-        it.  Row (input j, time t, last anchor a below t, value v) bounds each
-        |phi| by U = exp(-lambda_1 (t - a)) B_j(a) + |A^-1 B| |v|, B_j(0) = T
-        = max |x0| and B_j(b) the U at the next anchor b.  One kernel call
-        sweeps the rows whose U reaches T past the rounding margin (module
-        docstring), the t = 0 rows among them, on a table stepped to their ends."""
-        if "probes" in self.__dict__:
-            return float(np.max(self.probes))
-        sys, points, (bps, vals) = self.sys, self.points, self.inputs
-        ulp, top = (sys.n_modes + 11) * 2.0 ** -53, float(self.r.max())
-        decay = lambda dt: _decay_forced(sys, dt[..., None], 1.0, 1)[0][..., 0]  # of lambda_1
-        forced, bound = sys.input_gain_norm * np.abs(vals), np.full(vals.shape, top)
-        for a, gap in enumerate(np.diff(np.minimum(bps, self.budget.horizon)).T[:-1], 1):
-            bound[:, a] = decay(gap) * bound[:, a - 1] + forced[:, a - 1]   # gap 0.0 past the end
-        seg = np.maximum(np.sum(bps[:, None] < points[..., None], axis=2) - 1, 0)
-        at = np.arange(len(bps))[:, None], seg
-        upper = decay(points - bps[at]) * bound[at] + forced[at]   # decay 0.0 on the padding
-        keep = np.isfinite(points) & (upper * (1.0 + (seg + 1) * (3.4e-13 + ulp) + 2.0 * ulp)
-                                      + math.sqrt(sys.n_modes) * ENCLOSURE_FLOOR
-                                      >= top * (1.0 - 2.0 * ulp))
-        table = _anchor_table(sys, self.states, self.inputs, np.where(keep, points, 0.0).max(1))
-        return float(np.max(_flow_norms(sys, table, np.nonzero(keep)[0], points[keep])))
 
     def ulim(self, levels) -> np.ndarray:
         """The flow norms of each state (axis 0) and input (axis 1) on the
@@ -677,50 +638,31 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
 
 
 def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityReport:
-    """Empirical continuity table at the equilibrium.
+    """Continuity at the equilibrium, decided: the table of eps_j = radius *
+    2**-j and delta_j = eps_j / (1 + kappa(h)).
 
-    For each tolerance eps_j = radius * 2**-j the probe finds the largest
-    delta in {eps_j / 2**i} such that every sample with |x0|, |u|_inf <= delta
-    stays within eps_j on [0, h].  The (eps_j, delta_j) table is reported in
-    the notes; failure to find any workable delta is a violation.
-
-    One largest |phi| gives the whole table.  The draws at radius delta =
-    2**-m radius are 2**-m times those at the budget's radius, the flow is
-    linear, and scaling by a power of two is exact in floating point, so
-    every norm at delta is 2**-m times its value at the radius.  With S the
-    largest |phi| at the radius on [0, h] (``_Samples.sup``), level j and
-    halving i have worst margin eps_j - S * 2**-(j + i), that of their own
-    sweep bit for bit, since rounding is monotone.  The caveat is the
-    subnormal range, where scaling rounds: a component that falls there is
-    far below the largest norm and vanishes in its rounding, unless the
-    radius itself is tiny (at radius 1e-155 on heat(8) the squares of the
-    smallest levels round differently), so below ``_CEP_SCALED_MIN`` each
-    halving reads S of its own set.  A level that no delta satisfies sweeps
-    its last halving for the exact witness.  A radius past ``_REACH_CAP`` is
-    refused before any level, whose smaller radii could pass under it.
+    The semigroup is a contraction (M = 1, as in ``dissipation_constants``)
+    and kappa is nondecreasing, so |phi(t, x0, u)| <= |x0| + kappa(h) |u|_inf
+    <= delta_j (1 + kappa(h)) on [0, h] whenever |x0|, |u|_inf <= delta_j;
+    kappa(h) is exact (``kappa_bounds``).  delta_j is rounded down until its
+    product with 1 + kappa(h) rounds to at most eps_j, and level j's record
+    at t = h holds the margin eps_j - delta_j (1 + kappa(h)) >= 0, so the
+    verdict is ``no_violation_found``.  Nothing is drawn or swept.  A radius
+    past ``_REACH_CAP`` is refused, as every check that draws refuses it.
     """
     _require_positive(h=h)
     _refuse_reach(sys, budget.radius)
-    local = replace(budget, horizon=h)
-    top = _samples(sys, local).sup if budget.radius >= _CEP_SCALED_MIN else None
-    picks, table = [], []
+    gain = 1.0 + kappa_bounds(sys, h).upper
+    margins, table = [], []
     for j in range(CEP_LEVELS):
-        eps_j = budget.radius * 2.0 ** (-j)
-        for i in range(1, CEP_HALVINGS + 1):
-            delta = eps_j / 2.0 ** i
-            margin = eps_j - (top * 2.0 ** -(j + i) if top is not None
-                              else _samples(sys, replace(local, radius=delta)).sup)
-            if margin >= 0.0:
-                picks.append((h, margin, np.zeros(sys.n_modes), InputSignal.zero()))
-                break
-        else:
-            samples = _samples(sys, replace(local, radius=delta))
-            w = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
-                       bound=lambda r, sup, t: eps_j, tol=0.0).witness
-            picks.append((w.t, w.margin, w.x0, w.input))
-        table.append(f"eps={eps_j!r}->delta={delta if margin >= 0.0 else None!r}")
-    t, margins, *_ = zip(*picks)
-    return conclude(CheckProperty.CEP, t, margins, 0.0, lambda j: picks[j][2:],
+        eps_j = budget.radius * 2.0 ** -j
+        delta = eps_j / gain
+        while delta * gain > eps_j:
+            delta = math.nextafter(delta, 0.0)
+        margins.append(eps_j - delta * gain)
+        table.append(f"eps={eps_j!r}->delta={delta!r}")
+    # every margin is >= 0 at tolerance 0: no witness, so no pair is asked for
+    return conclude(CheckProperty.CEP, [h] * CEP_LEVELS, margins, 0.0, None,
                     notes="table " + "; ".join(table))
 
 
@@ -733,7 +675,8 @@ def check_brs(sys: SpectralSystem, C: float, tau: float,
     samples = _samples(sys, replace(budget, radius=C, horizon=tau))
     report = _sweep(CheckProperty.BRS, samples, samples.points, samples.probes,
                     bound=lambda r, sup, t: bound, tol=_tol(bound))
-    return replace(report, notes=f"empirical_sup={samples.sup!r} bound={bound!r}")
+    sup = float(np.max(samples.probes))
+    return replace(report, notes=f"empirical_sup={sup!r} bound={bound!r}")
 
 
 # ---------------------------------------------------------------------------

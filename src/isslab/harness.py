@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (_REACH_CAP, ULIM_GRID_POINTS, SampleBudget,
+from .checkers import (_REACH_CAP, CEP_LEVELS, ULIM_GRID_POINTS, SampleBudget,
                        _shared_samples, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
@@ -159,7 +159,7 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 #: The checks whose margin rests on more than a record holds, so that their
 #: witnesses are not replayed: cocycle draws (t, h) per pair index, and CEP
-#: computes one margin per level.
+#: is decided, one margin per level, and writes no witness.
 _UNREPLAYABLE = ("cocycle", "cep")
 
 
@@ -326,7 +326,7 @@ def _validate_scenario(s: Scenario) -> None:
         raise ScenarioError(str(exc)) from None
     except RuntimeWarning as exc:   # raised under -W error::RuntimeWarning
         raise ScenarioError(f"building the scenario failed: {exc}") from None
-    # below 2**-1022 the halved horizon and CEP's deltas r 2**-(j + i) can round to 0
+    # below 2**-1022 the halved horizon and the states drawn at the radius can round to 0
     for key, v in (("budget.horizon", s.budget.horizon), ("budget.radius", s.budget.radius)):
         if v < _sys.float_info.min:
             raise ScenarioError(f"{key} = {v!r} is too small: it is below 2**-1022, "
@@ -337,6 +337,13 @@ def _validate_scenario(s: Scenario) -> None:
         if r is not None and r * gain > _REACH_CAP:
             raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
                                 f"{r * gain:.3g} exceeds 2**400", key=key)
+    # CEP's smallest delta, eps_j / (1 + kappa(h)) at the last level, is at least this
+    delta = s.budget.radius * 2.0 ** (1 - CEP_LEVELS) / gain
+    if "cep" in s.checks and delta < _sys.float_info.min:
+        raise ScenarioError(f"budget.radius = {s.budget.radius!r} is too small for cep: "
+                            f"budget.radius * 2**-{CEP_LEVELS - 1} / (1 + |A^-1 B|) = "
+                            f"{delta:.3g} is below 2**-1022, the smallest normal double",
+                            key="budget.radius")
     # each bound a certificate check compares with, and horizon * alpha(|phi|), where
     # largest on the budget ball, from which those checks draw: an overflow is an
     # infinite margin

@@ -15,13 +15,12 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   ``heat_iss.scn --modes 1024`` (split three times) and a battery at N =
   300 (split once, at 144);
 * ``check`` of single-purpose scenarios (under ``smoke/``): trajectories
-  of a b_k = 0 system and at N = 256, CEP's levels at radius 1e-125, a CEP
-  violation on the scaled path and on the per-level one, CEP on the set
-  the other pointwise checks share (``checks.cep_h`` at the horizon), a
-  saturation gain, the radii 1e100 and 1e-300, the horizons 1e17 and
-  1e304, and others; and those that exit
-  2 on an overflow, a subnormal radius, an alpha too large, a horizon too
-  long or a check listed twice;
+  of a b_k = 0 system and at N = 256, CEP's table at radius 1e-125 and on
+  a gain of about 600 (at radius 1 and 1e-125), CEP at ``checks.cep_h`` =
+  the horizon, a saturation gain, the radii 1e100 and 1e-300, the horizons
+  1e17 and 1e304, and others; and those that exit 2 on an overflow, a
+  subnormal radius, a CEP delta below 2**-1022, an alpha too large, a
+  horizon too long or a check listed twice;
 * ``replay`` of every witness record those runs write;
 * ``simulate`` of ``heat_iss.scn`` and of the scenario ``gain_zero``;
 * the runs that exit 2 on an argument, a record or a file (``_refused``):
@@ -96,6 +95,8 @@ SMOKE = {
     "overflow": "lyapunov.epsilon = 1e-320\nchecks.names = iss\n",
     "overflow_a": "system.a = 1e305\nchecks.names = iss\n",
     "subnormal": "budget.radius = 5e-324\n",
+    "cep_underflow": "system.preset = diagonal\nsystem.lambdas = 1, 2\nsystem.b = 1e30, 1\n"
+                     "budget.radius = 1e-300\nchecks.names = cep, iss\n",
     "alpha": "certificate.alpha = power(1e300, 2.0)\nbudget.radius = 1e100\n"
              "checks.names = norm_to_integral\n",
     "horizon": "budget.horizon = 1.7e308\n",

@@ -21,10 +21,9 @@ from isslab import (CheckProperty, DecayEnvelope, DomainError, ISSCertificate, I
                     dissipation_constants, draw_input, draw_state,
                     heat_dirichlet, kappa_bounds, linear, power, sample_trajectory,
                     Verdict)
-from isslab.checkers import (CEP_HALVINGS, CEP_LEVELS, COCYCLE_TOL, POINT_TOL,
-                             _CEP_SCALED_MIN, _Samples, _input_integrals, _prefix_integrals, _samples,
-                             _shared_samples, _simpson_integrals, _sweep, eval_times,
-                             iss_margin, ulim_grid, ulim_slack, uls_margin)
+from isslab.checkers import (COCYCLE_TOL, POINT_TOL, _Samples, _input_integrals,
+                             _prefix_integrals, _samples, _shared_samples, _simpson_integrals,
+                             _sweep, eval_times, iss_margin, ulim_grid, ulim_slack, uls_margin)
 from isslab import checkers, system
 from isslab.comparison import evaluate
 from isslab.harness import _CHECKS, _resolve, load_scenario, parse_scenario
@@ -863,13 +862,22 @@ def test_zero_input_system_passes_with_tiny_gain():
 # CEP
 
 
+def _cep_table(rep):
+    """The (eps_j, delta_j) rows of a CEP report's notes."""
+    return [tuple(float(v) for v in row.removeprefix("eps=").split("->delta="))
+            for row in rep.notes.removeprefix("table ").split("; ")]
+
+
 def test_cep_heat_table():
-    rep = check_cep(heat(), BUDGET, h=1.0)
-    assert not rep.violated
-    # delta = eps/2 works since |phi| <= |x0| + 0.577 |u| <= 1.577 delta
-    deltas = [float(part.rsplit("=", 1)[1]) for part in rep.notes.split("; ")]
-    assert all(d == e / 2.0 for d, e in zip(deltas, (1.0, 0.5, 0.25, 0.125)))
-    assert all(d1 >= d2 for d1, d2 in zip(deltas, deltas[1:]))  # monotone table
+    sys = heat()
+    rep = check_cep(sys, BUDGET, h=1.0)
+    assert rep.verdict is Verdict.NO_VIOLATION_FOUND and rep.witness is None
+    # delta_j = eps_j / (1 + kappa(1)), kappa(1) = 0.577 = |A^-1 B| to 4e-5
+    gain = 1.0 + kappa_bounds(sys, 1.0).upper
+    table = _cep_table(rep)
+    assert [e for e, _ in table] == [1.0, 0.5, 0.25, 0.125]
+    assert all(d * gain <= e and math.isclose(d, e / gain, rel_tol=1e-15) for e, d in table)
+    assert [(m.t, m.margin) for m in rep.margins] == [(1.0, e - d * gain) for e, d in table]
 
 
 def test_cep_origin_stays_at_zero():
@@ -877,6 +885,31 @@ def test_cep_origin_stays_at_zero():
     traj = sample_trajectory(sys, np.zeros(8), InputSignal.zero(),
                              np.linspace(0.0, 1.0, 65))
     assert np.all(traj.norms() == 0.0)
+
+
+@pytest.mark.parametrize("sys, h", [
+    (heat(64), 1.0),
+    # gain 600: |phi| reaches about 600 delta
+    (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]), 20.0)], ids=["heat64", "gain600"])
+def test_cep_deltas_in_exact_arithmetic(sys, h):
+    # float(x) rounds a rational x correctly, as every float operation does:
+    # delta_j is fl(eps_j / g), g = fl(1 + kappa(h)), stepped down until
+    # fl(delta_j g) <= eps_j, and its margin eps_j - fl(delta_j g) is exact
+    kappa = Fraction(kappa_bounds(sys, h).upper)
+    g = Fraction(float(1 + kappa))
+    rep = check_cep(sys, BUDGET, h)
+    assert not rep.violated
+    for j, ((eps, delta), record) in enumerate(zip(_cep_table(rep), rep.margins)):
+        assert eps == BUDGET.radius * 2.0 ** -j
+        want = float(Fraction(eps) / g)
+        while float(Fraction(want) * g) > eps:
+            want = math.nextafter(want, 0.0)
+        product = float(Fraction(delta) * g)
+        assert delta == want and product <= eps
+        # a few ulps below the exact eps_j / (1 + kappa(h))
+        exact = Fraction(eps) / (1 + kappa)
+        assert exact * (1 - Fraction(2) ** -50) <= Fraction(delta) <= exact
+        assert (record.t, record.margin) == (h, float(Fraction(eps) - Fraction(product)))
 
 
 def assert_same_report(got, want):
@@ -893,58 +926,11 @@ def assert_same_report(got, want):
         assert np.array_equal(g.input.values, w.input.values)
 
 
-def _cep_reference(sys, budget, h):
-    """The continuity table as stated: each level swept at every halving
-    until one stays within eps_j, the last halving's witness otherwise."""
-    picks, table = [], []
-    for j in range(CEP_LEVELS):
-        eps_j = budget.radius * 2.0 ** (-j)
-        chosen = None
-        for i in range(1, CEP_HALVINGS + 1):
-            delta = eps_j / 2.0 ** i
-            samples = _samples(sys, replace(budget, radius=delta, horizon=h))
-            level = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
-                           bound=lambda r, sup, t, e=eps_j: e, tol=0.0)
-            if level.witness is None:
-                chosen = delta
-                break
-        picks.append(level.witness or Witness(np.zeros(sys.n_modes), InputSignal.zero(), h,
-                                              level.worst_margin))
-        table.append(f"eps={eps_j!r}->delta={chosen!r}")
-    return conclude(CheckProperty.CEP, [w.t for w in picks], [w.margin for w in picks], 0.0,
-                    lambda j: (picks[j].x0, picks[j].input), notes="table " + "; ".join(table))
-
-
-_CEP_CASES = {
-    "heat16": (heat(16), SampleBudget(n_states=9, n_inputs=6, n_times=9, seed=5), 1.0),
-    "heat64": (heat(64), BUDGET, 0.5),
-    # gain 600: |phi| reaches about 600 delta, beyond every halving (2**8)
-    "diagonal_violated": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
-                          SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0),
-    # gain 10: delta = eps / 16 at every level
-    "diagonal_gain10": (SpectralSystem([1.0, 4.0], [10.0, 3.0]),
-                        SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=8), 5.0),
-    # radii swept level by level: read off one sweep, the table would differ
-    # here (squares near the subnormal range)
-    "heat8_radius_1e-155": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
-                                                  radius=1e-155, seed=2), 1.0),
-}
-
-
-@pytest.mark.parametrize("case", _CEP_CASES.values(), ids=_CEP_CASES.keys())
-def test_cep_table_equals_the_per_level_sweeps(case):
-    sys, budget, h = case
-    got = check_cep(sys, budget, h)
-    assert_same_report(got, _cep_reference(sys, budget, h))
-    assert got.violated == (case[0].n_modes == 3)
-
-
 @st.composite
 def _sup_cases(draw):
     """A heat system (a from 1e-2 to 1e3) or a diagonal one with mixed-sign
-    b, a budget of radius 1e-5 to 1e5, or 1e-300 to ``_CEP_SCALED_MIN``,
-    where each CEP level reads its own set's sup, and horizon 1e-3 to 10,
-    and CEP's h: the horizon itself or another in that range."""
+    b, a budget of radius 1e-5 to 1e5, or 1e-150 to 1e-100, where the
+    norms' squares stay normal, and CEP's h, 1e-3 to 10."""
     if draw(st.booleans()):
         sys = heat(draw(st.sampled_from([1, 2, 8, 64, 300])), 10.0 ** draw(st.floats(-2.0, 3.0)))
     else:
@@ -954,33 +940,26 @@ def _sup_cases(draw):
             lambda s: st.floats(-3.0, 3.0).map(lambda e: s * 10.0 ** e)),
             min_size=lam.size, max_size=lam.size))
         sys = SpectralSystem(lam, b)
-    horizon = 10.0 ** draw(st.floats(-3.0, 1.0))
     budget = SampleBudget(n_states=draw(st.integers(1, 12)), n_inputs=draw(st.integers(1, 12)),
-                          n_times=draw(st.integers(1, 33)), horizon=horizon,
-                          radius=10.0 ** draw(st.floats(-5.0, 5.0) | st.floats(
-                              -300.0, math.log10(_CEP_SCALED_MIN))),
+                          n_times=draw(st.integers(1, 33)),
+                          radius=10.0 ** draw(st.floats(-5.0, 5.0) | st.floats(-150.0, -100.0)),
                           seed=draw(st.integers(0, 2 ** 16)))
-    h = draw(st.just(horizon) | st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
-    return sys, budget, h
+    return sys, budget, 10.0 ** draw(st.floats(-3.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_sup_cases())
-# one state, the origin: T = 0 and every probe row is kept
-@example(case=(heat(8), SampleBudget(n_states=1, n_inputs=5, n_times=9, seed=4), 1.0))
-# cep_h == horizon: the sample set that ISS, ULS, ULIM and BRS share
 @example(case=(heat(64), BUDGET, BUDGET.horizon))
-# the smallest radius a scenario may set near, on the per-level path
-@example(case=(heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-300), 1.0))
-def test_cep_sup_is_the_largest_probe_norm_bit_for_bit(case):
-    # _Samples.sup sweeps only the probe rows whose bound, inflated by the
-    # rounding margin, reaches max |x0| deflated, on a table stepped to their
-    # latest time per input; it reads the largest norm of the full sweep
+# gain 600 at a horizon where kappa(h) is 600 to 1e-6
+@example(case=(SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+               SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0))
+def test_cep_table_holds_on_the_sampled_flow(case):
+    # every sampled |phi| on the ball of radius delta_j over [0, h], the set that
+    # a check at that radius and horizon sweeps, stays within eps_j
     sys, budget, h = case
-    samples = _samples(sys, replace(budget, horizon=h))
-    got = samples.sup
-    assert np.float64(got).view(np.int64) == np.max(samples.probes).view(np.int64)
-    assert samples.sup is got   # made once per sample set
+    for eps, delta in _cep_table(check_cep(sys, budget, h)):
+        samples = _samples(sys, replace(budget, radius=delta, horizon=h))
+        assert np.max(samples.probes) <= eps
 
 
 def _counted(monkeypatch, name):
@@ -994,33 +973,18 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def test_cep_at_the_horizon_reads_the_probes_iss_made(monkeypatch):
-    # cep_h == horizon: CEP's sample set is the one ISS swept, and its largest
-    # |phi| is the probes' own, with no anchor table of its own
+def test_cep_draws_steps_and_sweeps_nothing(monkeypatch):
+    # the table is decided: no sample set, anchor table, kernel call or sweep;
+    # run after ISS on the set ISS swept (cep_h == horizon), it is the same
     sys = heat(64)
-    alone = check_cep(sys, BUDGET, BUDGET.horizon)   # a fresh set, off the rows kept
-    tables = _counted(monkeypatch, "_anchor_table")
+    calls = [_counted(monkeypatch, name) for name in (
+        "_samples", "draw_state", "_input_rows", "_anchor_table", "_flow_norms", "_sweep")]
+    alone = check_cep(sys, BUDGET, BUDGET.horizon)
+    assert calls == [[]] * len(calls)
     with _shared_samples():
         check_iss(sys, heat_cert(), BUDGET)
         got = check_cep(sys, BUDGET, BUDGET.horizon)
-    assert len(tables) == 1
     assert_same_report(got, alone)
-
-
-@pytest.mark.parametrize("case, failing", [
-    ((heat(8), 1.0), 0),
-    # gain 600: |phi| reaches about 600 delta, beyond every halving (2**8)
-    ((SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]), 20.0), CEP_LEVELS)],
-    ids=["heat8", "diagonal_violated"])
-def test_cep_below_the_scaled_min_sweeps_only_a_failing_level(monkeypatch, case, failing):
-    # below _CEP_SCALED_MIN each halving reads the sup of its own set; only a
-    # level that no delta satisfies sweeps, its last halving, for the witness
-    (sys, h), budget = case, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-125)
-    sweeps = _counted(monkeypatch, "_sweep")
-    with _shared_samples():
-        got = check_cep(sys, budget, h)
-    assert len(sweeps) == failing == got.notes.count("delta=None")
-    assert_same_report(got, _cep_reference(sys, budget, h))
 
 
 def test_cep_rejects_bad_horizon():
@@ -1646,13 +1610,12 @@ def test_every_check_refuses_a_radius_past_the_reach_cap(radius, werror):
 
 @pytest.mark.parametrize("b", [[600.0, -20.0, 3.0], [2e241, 0.0, 0.0]],
                          ids=["gain600", "gain2e241"])
-def test_cep_refuses_the_reach_cap_before_its_levels(monkeypatch, b):
-    # at 1.5 times the cap every level's radius, half the budget's and less,
-    # is under it: CEP refuses the budget before it draws any level, also
-    # below radius 2**-400 (gain 2e241), where it sweeps level by level
+def test_cep_refuses_the_reach_cap_before_its_levels(b):
+    # at 1.5 times the cap every level's eps_j, half the budget's radius and
+    # less, is under it: CEP, which draws nothing, refuses the budget as every
+    # check does, also below radius 2**-400 (gain 2e241)
     sys = SpectralSystem([1.0, 2.0, 3.0], b)
     radius = 1.5 * 2.0 ** 400 / (1.0 + sys.input_gain_norm)
-    monkeypatch.setattr(checkers, "_samples", lambda *args: pytest.fail("a level was drawn"))
     with pytest.raises(ValidationError, match=r"exceeds 2\*\*400"):
         check_cep(sys, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=radius), 20.0)
 

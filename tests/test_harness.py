@@ -723,7 +723,7 @@ def test_radius_bound_is_checked_after_modes(tmp_path):
 @pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
 def test_subnormal_budget_is_config_error(tmp_path, capsys, key):
     # a horizon of 5e-324 halves to identity's t_mid = 0, and at a radius of
-    # 5e-324 CEP's deltas r 2**-(j + i) round to 0: both once exited 3
+    # 5e-324 the states drawn round to 0: both once exited 3
     path = tmp_path / "subnormal.scn"
     path.write_text(f"checks.names = identity, cep\n{key} = 5e-324\n")
     with pytest.raises(ScenarioError) as err:
@@ -735,11 +735,32 @@ def test_subnormal_budget_is_config_error(tmp_path, capsys, key):
     assert f"configuration error: {key} = 5e-324 is too small" in capsys.readouterr().err
 
 
+def test_cep_delta_below_the_smallest_normal_is_config_error(tmp_path, capsys):
+    # gain 1e30 at radius 1e-300: every delta_j = eps_j / (1 + kappa(h)) would be
+    # subnormal or 0, and u = delta_0 still drives |phi| to about 3e-271
+    text = ("system.preset = diagonal\nsystem.lambdas = 1, 2\nsystem.b = 1e30, 1\n"
+            "budget.radius = 1e-300\nchecks.names = {}\n")
+    parse_scenario(text.format("iss"))   # without cep the radius is valid
+    path = tmp_path / "cep.scn"
+    path.write_text(text.format("cep, iss"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert err.value.key == "budget.radius"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ("configuration error: budget.radius = 1e-300 is too small for cep"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
 def test_every_check_runs_at_the_budget_floor(tmp_path, key):
+    text = f"checks.names = {', '.join(CHECK_NAMES)}\nbudget.n_states = 6\nbudget.n_inputs = 4\n"
+    floor = 2.0 ** -1022
+    if key == "budget.radius":   # cep's smallest delta, r 2**-3 / (1 + |A^-1 B|), is 2**-1022
+        floor = 2.0 ** -1019 * (1.0 + _resolve(parse_scenario(text)).sys.input_gain_norm)
     path = tmp_path / "floor.scn"
-    path.write_text(f"checks.names = {', '.join(CHECK_NAMES)}\nbudget.n_states = 6\n"
-                    f"budget.n_inputs = 4\n{key} = {2.0 ** -1022!r}\n")
+    path.write_text(f"{text}{key} = {floor!r}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         # at the tiny horizon the trajectories cannot decay, which refutes ULIM
@@ -795,9 +816,8 @@ def test_shared_samples_give_the_standalone_reports(tmp_path, case):
         assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
-@pytest.mark.parametrize("name, steppings", [("pointwise_heat64", 2), ("refute_heat256", 1),
-                                              ("integral_heat64", 1)])
-def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, steppings):
+@pytest.mark.parametrize("name", ["pointwise_heat64", "refute_heat256", "integral_heat64"])
+def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name):
     # per kernel call its table and grids; per stepping its inputs, ends and table
     swept, stepped = [], []
 
@@ -817,22 +837,21 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     flow_norms, anchor_table = checkers._flow_norms, checkers._anchor_table
     square_integrals = checkers._square_integrals
     s = _tiny_workload(name)
-    b, cep = s.budget, replace(s.budget, horizon=s.cep_h)
-    budgets = (b, cep) if "cep" in s.checks else (b,)
-    probes = [[np.union1d(checkers.eval_times(x), u.breakpoints[u.breakpoints < x.horizon])
-               for u in (checkers.draw_input(x, j) for j in range(x.n_inputs))] for x in budgets]
+    b = s.budget
+    probes = [np.union1d(checkers.eval_times(b), u.breakpoints[u.breakpoints < b.horizon])
+              for u in (checkers.draw_input(b, j) for j in range(b.n_inputs))]
     opened = _count_streams(monkeypatch)
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     monkeypatch.setattr(checkers, "_anchor_table", counted_steps)
     monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
     run_scenario(s, str(tmp_path))
-    # every check but cep shares s.budget, and cep sweeps at cep_h, but each
-    # random stream is read once: the states' (seed, 11, i) past the three
-    # corners, the inputs' (seed, 22, j) past the zero and the constant input,
-    # and cocycle's per pair (seed, 33, p)
+    # every check shares s.budget, and cep draws nothing: each random stream
+    # is read once, the states' (seed, 11, i) past the three corners, the
+    # inputs' (seed, 22, j) past the zero and the constant input, and
+    # cocycle's per pair (seed, 33, p)
     assert opened == _streams(s)
-    # per sample set its anchor states are stepped once, over all its inputs
-    assert len(stepped) == steppings and all(len(u) == b.n_inputs for u, _, _ in stepped)
+    # the one sample set's anchor states are stepped once, over all its inputs
+    assert len(stepped) == 1 and len(stepped[0][0]) == b.n_inputs
     # the closed-form integrals of every input in one call, which both
     # integral checks read; they sweep no flow
     integral = "norm_to_integral" in s.checks
@@ -840,27 +859,19 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name, stepping
     if integral:
         assert swept == []
     else:
-        # on s.budget one node call on the probes, which iss, uls, ulim and brs read,
-        # and one refinement call over every input on ULIM points off them, both on
-        # one anchor table; cep one call of its own, on the probe rows that can
-        # hold its largest |phi| (_Samples.sup): every input's t = 0 row among
-        # them, from a table stepped to each input's latest row of the call
-        (table, nodes), (again, refined), *cep_calls = swept
-        assert again is table and len(cep_calls) == len(budgets) - 1
-        assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes[0]))
+        # one node call on the probes, which iss, uls, ulim and brs read, and one
+        # refinement call over every input on ULIM points off them, both on the
+        # one anchor table
+        (table, nodes), (again, refined) = swept
+        assert again is table
+        assert len(nodes) == b.n_inputs and all(map(np.array_equal, nodes, probes))
         ulim_grid = checkers.ulim_grid(b)
         assert len(refined) == b.n_inputs and all(
             np.isin(g, ulim_grid).all() and not np.isin(g, p).any()
             for g, p in zip(refined, nodes))
-        for (cep_table, cep_nodes), want in zip(cep_calls, probes[1:]):
-            assert cep_table is not table and len(cep_nodes) == b.n_inputs
-            assert all(g[0] == 0.0 and np.isin(g, p).all() for g, p in zip(cep_nodes, want))
-            assert sum(map(len, cep_nodes)) < sum(map(len, want))
-            ends = [e for _, e, t in stepped if t is cep_table]
-            assert len(ends) == 1 and np.array_equal(ends[0], [g.max() for g in cep_nodes])
     # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
-    assert set(opened.values()) == {2} and len(stepped) == 2 * steppings
+    assert set(opened.values()) == {2} and len(stepped) == 2
     assert checkers._RUN.get() is None
 
 
@@ -893,9 +904,8 @@ def _streams(s):
 
 @pytest.mark.parametrize("radius", [0.3, 1e-125])
 def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, radius):
-    # all seven pointwise checks: cep's set at cep_h, brs's at radius brs_c, and
-    # at 1e-125 cep's per-level sets, one at each delta it sweeps, read the
-    # streams that the first draw opened
+    # all seven pointwise checks: brs's set at radius brs_c reads the streams
+    # that the first draw opened, and cep draws no set, at 0.3 as at 1e-125
     s = parse_scenario(f"budget.radius = {radius!r}\nbudget.n_states = 9\n"
                        "budget.n_inputs = 6\nchecks.cep_h = 0.7\nchecks.brs_c = 0.5\n"
                        "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
@@ -908,11 +918,8 @@ def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, rad
     monkeypatch.setattr(checkers, "_Samples", counted_samples)
     run = run_scenario(s, str(tmp_path))
     assert opened == _streams(s)
-    # the budget, brs's and cep's at cep_h: one set at the radius, or below
-    # 2**-400 one at each delta that it sweeps level by level
-    cep = {x.radius for x in budgets if x.horizon == s.cep_h}
-    assert len(budgets) == 2 + len(cep)
-    assert cep == {radius} if radius == 0.3 else len(cep) > 1 and max(cep) < radius
+    # the budget and brs's
+    assert budgets == {s.budget, replace(s.budget, radius=s.brs_c)}
     # and the reports are those of each check run alone, which draws its own
     resolved = _resolve(s)
     for e in run.entries:
@@ -1098,8 +1105,8 @@ def test_replay_refuses_another_scenarios_record(tmp_path, capsys):
 
 @pytest.mark.parametrize("check", ["cocycle", "cep"])
 def test_replay_of_a_check_not_replayed_exits_2(tmp_path, capsys, check):
-    # cocycle draws (t, h) per pair index and CEP has one margin per level:
-    # neither is in a record
+    # cocycle draws (t, h) per pair index, and CEP is decided, one margin per
+    # level, and writes no witness: neither is in a record
     assert sorted(_UNREPLAYABLE) == ["cep", "cocycle"]
     s = load_scenario("heat_iss.scn")
     w = Witness(x0=np.zeros(64), input=InputSignal.zero(), t=1.0, margin=-1.0)
