@@ -926,6 +926,47 @@ def assert_same_report(got, want):
         assert np.array_equal(g.input.values, w.input.values)
 
 
+def _cep_swept(sys, budget, h):
+    """The table as the per-level sweeps find it: each level's set drawn at
+    radius delta_j over [0, h] and swept against eps_j at tolerance 0, its
+    delta kept when the sweep finds no violation; and each level's sweep."""
+    table, sweeps = [], []
+    for j, (eps_j, delta) in enumerate(_cep_table(check_cep(sys, budget, h))):
+        assert eps_j == budget.radius * 2.0 ** -j
+        samples = _samples(sys, replace(budget, radius=delta, horizon=h))
+        level = _sweep(CheckProperty.CEP, samples, samples.points, samples.probes,
+                       bound=lambda r, sup, t, e=eps_j: e, tol=0.0)
+        table.append(f"eps={eps_j!r}->delta={None if level.violated else delta!r}")
+        sweeps.append(level)
+    return "table " + "; ".join(table), sweeps
+
+
+_CEP_CASES = {
+    "heat16": (heat(16), SampleBudget(n_states=9, n_inputs=6, n_times=9, seed=5), 1.0),
+    "heat64": (heat(64), BUDGET, 0.5),
+    # gain 600: |phi| reaches about 600 delta, which no halving of eps covers
+    "diagonal_violated": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+                          SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0),
+    # gain 10: delta is about eps / 11 at every level
+    "diagonal_gain10": (SpectralSystem([1.0, 4.0], [10.0, 3.0]),
+                        SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=8), 5.0),
+    # squares of the sampled norms near the subnormal range
+    "heat8_radius_1e-155": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
+                                                  radius=1e-155, seed=2), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", _CEP_CASES.values(), ids=_CEP_CASES.keys())
+def test_cep_table_equals_the_per_level_sweeps(case):
+    # the decided table is the one the sweeps keep, every level, and each
+    # decided margin eps_j - delta_j (1 + kappa(h)) is at most the sweep's
+    sys, budget, h = case
+    got = check_cep(sys, budget, h)
+    table, sweeps = _cep_swept(sys, budget, h)
+    assert not got.violated and got.notes == table
+    assert all(m.margin <= s.worst_margin for m, s in zip(got.margins, sweeps, strict=True))
+
+
 @st.composite
 def _sup_cases(draw):
     """A heat system (a from 1e-2 to 1e3) or a diagonal one with mixed-sign
@@ -985,6 +1026,21 @@ def test_cep_draws_steps_and_sweeps_nothing(monkeypatch):
         check_iss(sys, heat_cert(), BUDGET)
         got = check_cep(sys, BUDGET, BUDGET.horizon)
     assert_same_report(got, alone)
+
+
+@pytest.mark.parametrize("case", [
+    (heat(8), 1.0),
+    # gain 600: |phi| reaches about 600 delta
+    (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]), 20.0)],
+    ids=["heat8", "diagonal_violated"])
+def test_cep_below_the_scaled_min_sweeps_only_a_failing_level(monkeypatch, case):
+    # at radius 1e-125, below the 2**-400 under which CEP once swept level by
+    # level, no level fails and none is swept; the sweeps keep every delta
+    (sys, h), budget = case, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-125)
+    sweeps = _counted(monkeypatch, "_sweep")
+    got = check_cep(sys, budget, h)
+    assert sweeps == [] and "delta=None" not in got.notes
+    assert got.notes == _cep_swept(sys, budget, h)[0]
 
 
 def test_cep_rejects_bad_horizon():
