@@ -642,13 +642,13 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     2**-j and delta_j = eps_j / (1 + kappa(h)).
 
     The semigroup is a contraction (M = 1, as in ``dissipation_constants``)
-    and kappa is nondecreasing, so |phi(t, x0, u)| <= |x0| + kappa(h) |u|_inf
-    <= delta_j (1 + kappa(h)) on [0, h] whenever |x0|, |u|_inf <= delta_j;
-    kappa(h) is exact (``kappa_bounds``).  delta_j is rounded down until its
-    product with 1 + kappa(h) rounds to at most eps_j, and level j's record
-    at t = h holds the margin eps_j - delta_j (1 + kappa(h)) >= 0, so the
-    verdict is ``no_violation_found``.  Nothing is drawn or swept.  A radius
-    past ``_REACH_CAP`` is refused, as every check that draws refuses it.
+    and kappa is nondecreasing, so |phi| <= |x0| + kappa(h) |u|_inf <= delta_j
+    (1 + kappa(h)) on [0, h] when |x0|, |u|_inf <= delta_j.  delta_j is rounded
+    down until fl(delta_j (1 + kappa(h))) <= eps_j: level j's record at t = h
+    has margin eps_j - delta_j (1 + kappa(h)) >= 0, and the verdict is
+    ``no_violation_found``, to within kappa(h)'s rounding (``kappa_bounds``;
+    its 1 - exp(-lambda_k h) loses about 2**-53 / (lambda_k h) of itself).
+    Nothing is drawn or swept; a radius past ``_REACH_CAP`` is refused.
     """
     _require_positive(h=h)
     _refuse_reach(sys, budget.radius)

@@ -944,15 +944,20 @@ def _cep_swept(sys, budget, h):
 _CEP_CASES = {
     "heat16": (heat(16), SampleBudget(n_states=9, n_inputs=6, n_times=9, seed=5), 1.0),
     "heat64": (heat(64), BUDGET, 0.5),
-    # gain 600: |phi| reaches about 600 delta, which no halving of eps covers
-    "diagonal_violated": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
-                          SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0),
+    # gain 600: |phi| reaches about 600 delta
+    "diagonal_gain600": (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+                         SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0),
     # gain 10: delta is about eps / 11 at every level
     "diagonal_gain10": (SpectralSystem([1.0, 4.0], [10.0, 3.0]),
                         SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=8), 5.0),
     # squares of the sampled norms near the subnormal range
     "heat8_radius_1e-155": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
                                                   radius=1e-155, seed=2), 1.0),
+    "heat8_radius_1e-125": (heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9,
+                                                  radius=1e-125), 1.0),
+    "diagonal_gain600_radius_1e-125": (
+        SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
+        SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-125), 20.0),
 }
 
 
@@ -970,8 +975,9 @@ def test_cep_table_equals_the_per_level_sweeps(case):
 @st.composite
 def _sup_cases(draw):
     """A heat system (a from 1e-2 to 1e3) or a diagonal one with mixed-sign
-    b, a budget of radius 1e-5 to 1e5, or 1e-150 to 1e-100, where the
-    norms' squares stay normal, and CEP's h, 1e-3 to 10."""
+    b, a budget of radius 1e-5 to 1e5, or 1e-300 to 1e-5, where the norms'
+    squares go subnormal below about 1e-154, and horizon 1e-3 to 10, and
+    CEP's h: the horizon itself or another in that range."""
     if draw(st.booleans()):
         sys = heat(draw(st.sampled_from([1, 2, 8, 64, 300])), 10.0 ** draw(st.floats(-2.0, 3.0)))
     else:
@@ -981,26 +987,37 @@ def _sup_cases(draw):
             lambda s: st.floats(-3.0, 3.0).map(lambda e: s * 10.0 ** e)),
             min_size=lam.size, max_size=lam.size))
         sys = SpectralSystem(lam, b)
+    horizon = 10.0 ** draw(st.floats(-3.0, 1.0))
     budget = SampleBudget(n_states=draw(st.integers(1, 12)), n_inputs=draw(st.integers(1, 12)),
-                          n_times=draw(st.integers(1, 33)),
-                          radius=10.0 ** draw(st.floats(-5.0, 5.0) | st.floats(-150.0, -100.0)),
+                          n_times=draw(st.integers(1, 33)), horizon=horizon,
+                          radius=10.0 ** draw(st.floats(-5.0, 5.0) | st.floats(-300.0, -5.0)),
                           seed=draw(st.integers(0, 2 ** 16)))
-    return sys, budget, 10.0 ** draw(st.floats(-3.0, 1.0))
+    h = draw(st.just(horizon) | st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    return sys, budget, h
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_sup_cases())
+# one state, the origin: only the input moves phi
+@example(case=(heat(8), SampleBudget(n_states=1, n_inputs=5, n_times=9, seed=4), 1.0))
+# cep_h == horizon: the sample set that ISS, ULS, ULIM and BRS share
 @example(case=(heat(64), BUDGET, BUDGET.horizon))
+# near the smallest radius a scenario may set with cep listed
+@example(case=(heat(8), SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-300), 1.0))
 # gain 600 at a horizon where kappa(h) is 600 to 1e-6
 @example(case=(SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]),
                SampleBudget(n_states=7, n_inputs=5, n_times=9, seed=3), 20.0))
 def test_cep_table_holds_on_the_sampled_flow(case):
-    # every sampled |phi| on the ball of radius delta_j over [0, h], the set that
-    # a check at that radius and horizon sweeps, stays within eps_j
+    # every sampled |phi| on the ball of radius delta_j over [0, h] stays within
+    # eps_j.  phi is linear and a power of two scales every float operation
+    # exactly, so the set is drawn at delta_j 2**-e in [0.5, 1) and compared
+    # with eps_j 2**-e: below |phi| of about 1.5e-154 the norms' squares would
+    # go subnormal and read |phi| low, which would hide a false table
     sys, budget, h = case
     for eps, delta in _cep_table(check_cep(sys, budget, h)):
-        samples = _samples(sys, replace(budget, radius=delta, horizon=h))
-        assert np.max(samples.probes) <= eps
+        frac, e = math.frexp(delta)
+        samples = _samples(sys, replace(budget, radius=frac, horizon=h))
+        assert np.max(samples.probes) <= math.ldexp(eps, -e)
 
 
 def _counted(monkeypatch, name):
@@ -1026,21 +1043,6 @@ def test_cep_draws_steps_and_sweeps_nothing(monkeypatch):
         check_iss(sys, heat_cert(), BUDGET)
         got = check_cep(sys, BUDGET, BUDGET.horizon)
     assert_same_report(got, alone)
-
-
-@pytest.mark.parametrize("case", [
-    (heat(8), 1.0),
-    # gain 600: |phi| reaches about 600 delta
-    (SpectralSystem([1.0, 2.0, 3.0], [600.0, -20.0, 3.0]), 20.0)],
-    ids=["heat8", "diagonal_violated"])
-def test_cep_below_the_scaled_min_sweeps_only_a_failing_level(monkeypatch, case):
-    # at radius 1e-125, below the 2**-400 under which CEP once swept level by
-    # level, no level fails and none is swept; the sweeps keep every delta
-    (sys, h), budget = case, SampleBudget(n_states=6, n_inputs=4, n_times=9, radius=1e-125)
-    sweeps = _counted(monkeypatch, "_sweep")
-    got = check_cep(sys, budget, h)
-    assert sweeps == [] and "delta=None" not in got.notes
-    assert got.notes == _cep_swept(sys, budget, h)[0]
 
 
 def test_cep_rejects_bad_horizon():

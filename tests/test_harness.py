@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import math
 import subprocess
 import sys
 import warnings
@@ -755,17 +756,31 @@ def test_cep_delta_below_the_smallest_normal_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
 def test_every_check_runs_at_the_budget_floor(tmp_path, key):
-    text = f"checks.names = {', '.join(CHECK_NAMES)}\nbudget.n_states = 6\nbudget.n_inputs = 4\n"
-    floor = 2.0 ** -1022
-    if key == "budget.radius":   # cep's smallest delta, r 2**-3 / (1 + |A^-1 B|), is 2**-1022
-        floor = 2.0 ** -1019 * (1.0 + _resolve(parse_scenario(text)).sys.input_gain_norm)
+    # cep refuses a radius of 2**-1022; it runs at its own floor below
+    names = [n for n in CHECK_NAMES if key == "budget.horizon" or n != "cep"]
     path = tmp_path / "floor.scn"
-    path.write_text(f"{text}{key} = {floor!r}\n")
+    path.write_text(f"checks.names = {', '.join(names)}\nbudget.n_states = 6\n"
+                    f"budget.n_inputs = 4\n{key} = {2.0 ** -1022!r}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         # at the tiny horizon the trajectories cannot decay, which refutes ULIM
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == (
             1 if key == "budget.horizon" else 0)
+
+
+def test_cep_runs_at_its_radius_floor(tmp_path):
+    # cep's smallest delta bound, r 2**-3 / (1 + |A^-1 B|), is 2**-1022 here
+    text = "checks.names = cep\nbudget.n_states = 6\nbudget.n_inputs = 4\n"
+    floor = 2.0 ** -1019 * (1.0 + _resolve(parse_scenario(text)).sys.input_gain_norm)
+    path = tmp_path / "floor.scn"
+    path.write_text(f"{text}budget.radius = {floor!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+    path.write_text(f"{text}budget.radius = {math.nextafter(floor, 0.0)!r}\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert err.value.key == "budget.radius"
 
 
 def test_identity_runs_at_a_horizon_beyond_2_to_the_54(tmp_path):
