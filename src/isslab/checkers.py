@@ -10,10 +10,9 @@ arrays (``_Samples``): the states, their norms |x0|, the inputs as one table
 and their |u|_inf; an ``InputSignal`` is made only for a witness and on the
 Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
-one sample set, every budget (BRS's too) derives its samples from each
-random stream's draws, made once (the block's memo, ``_once``), and the
-pointwise checks (ISS, ULS, BRS and ULIM) share one kernel call per sample
-set on every input's probe (the evaluation times plus its breakpoints), a
+one sample set, so each random stream is read once per run (BRS's ball is
+the budget's own), and the pointwise checks (ISS, ULS, BRS and ULIM) share
+one kernel call per sample set on every input's probe (the evaluation times plus its breakpoints), a
 table of (input, point) padded with +inf.  The probes' points are ULIM's
 nodes: ULIM sweeps the points of its fixed grid between two adjacent nodes,
 in one more call, only where a lower enclosure of |phi|
@@ -205,21 +204,18 @@ def draw_state(sys: SpectralSystem, budget: SampleBudget, i: int) -> np.ndarray:
         x[-1] = r
         return x
     # a state keeps its Generator (a ziggurat; an integers that rejects)
-    direction, radial = _once(("state", budget.seed, i, n), lambda: _state_draws(
-        seeded_rng(budget.seed, 11, i), n, i % 5 == 3 and n > 1))
+    direction, radial = _state_draws(seeded_rng(budget.seed, 11, i), n, i % 5 == 3 and n > 1)
     x[:direction.size] = direction * r * radial
     return x
 
 
 def _input_rows(budget: SampleBudget, stop: int, start: int = 0) -> list[tuple[list, list]]:
     """Inputs start..stop-1's breakpoints and values, as Python floats.  Input
-    j >= 2 reads its stream's words, once per ``_shared_samples`` block for
-    every budget of the seed: its ``integers(1, 9)`` pieces m (Lemire's draw
-    on word 0's low half, exact as 8 divides 2**32), then ``random(2 m - 1)``,
-    the m - 1 cuts and the values."""
-    h, r, seed = float(budget.horizon), float(budget.radius), budget.seed
-    words = _once(("inputs", seed, start, stop),
-                  lambda: _stream_words(seed, 22, np.arange(max(start, 2), stop), 16))
+    j >= 2 reads its stream's words: its ``integers(1, 9)`` pieces m (Lemire's
+    draw on word 0's low half, exact as 8 divides 2**32), then
+    ``random(2 m - 1)``, the m - 1 cuts and the values."""
+    h, r = float(budget.horizon), float(budget.radius)
+    words = _stream_words(budget.seed, 22, np.arange(max(start, 2), stop), 16)
     rows = [([0.0, h][:j + 1], [r][:j]) for j in range(start, min(stop, 2))]  # zero, constant
     for k, d in zip(((words[:, 0] & 0xFFFFFFFF) >> 29).tolist(),   # k = m - 1
                     ((words[:, 1:] >> 11) * 2.0 ** -53).tolist()):
@@ -420,25 +416,15 @@ _RUN: ContextVar = ContextVar("isslab_shared_samples", default=None)
 @contextmanager
 def _shared_samples(pair=None):
     """Within the block, checks on the same system and budget share one
-    sample set, and every budget reads each random stream's draws, made once
-    (``draw_state``, ``_input_rows``), all through the block's memo
-    (``_once``); ``run_scenario`` opens one around a scenario's checks.  With
-    ``pair = (x0, u)`` every sample set holds that one pair instead of the
-    budget's draw (``replay`` runs a check so).  Nothing outlives the block."""
+    sample set (``_samples``); ``run_scenario`` opens one around a scenario's
+    checks.  With ``pair = (x0, u)`` every sample set holds that one pair
+    instead of the budget's draw (``replay`` runs a check so).  Nothing
+    outlives the block."""
     token = _RUN.set(({}, pair))
     try:
         yield
     finally:
         _RUN.reset(token)
-
-
-def _once(key: tuple, make):
-    """``make()``, made once per ``key`` in the ``_shared_samples`` block, or
-    on every call outside one."""
-    memo = (_RUN.get() or ({},))[0]   # the block's memo, else a throwaway one
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
 
 
 def _refuse_reach(sys: SpectralSystem, radius: float) -> None:
@@ -450,16 +436,17 @@ def _refuse_reach(sys: SpectralSystem, radius: float) -> None:
 def _samples(sys: SpectralSystem, budget: SampleBudget) -> _Samples:
     """The budget's sample set: the shared one inside :func:`_shared_samples`
     (its pair's, if it has one), else a fresh draw; refused past ``_REACH_CAP``."""
-    def draw():
+    memo, pair = _RUN.get() or ({}, None)   # outside a block, a throwaway memo
+    if (sys, budget) not in memo:
         _refuse_reach(sys, budget.radius)
-        pair = (_RUN.get() or (None, None))[1]
         if pair is None:
             states = [draw_state(sys, budget, i) for i in range(budget.n_states)]
             rows = _input_rows(budget, budget.n_inputs)
         else:
             states, rows = [pair[0]], [(pair[1].breakpoints, pair[1].values)]
-        return _Samples(sys, np.array(states, dtype=float), _input_table(*zip(*rows)), budget)
-    return _once(("samples", sys, budget), draw)
+        memo[sys, budget] = _Samples(sys, np.array(states, dtype=float),
+                                     _input_table(*zip(*rows)), budget)
+    return memo[sys, budget]
 
 
 def _tol(scale: float, rel: float = POINT_TOL) -> float:
@@ -666,13 +653,12 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
                     notes="table " + "; ".join(table))
 
 
-def check_brs(sys: SpectralSystem, C: float, tau: float,
-              budget: SampleBudget) -> StabilityReport:
-    """A-priori reachability bound C (1 + kappa(tau)) on [0, tau]; its input
-    half is exact, since kappa(tau) is the smallest admissibility constant."""
-    _require_positive(C=C, tau=tau)
-    bound = C * (1.0 + kappa_bounds(sys, tau).upper)
-    samples = _samples(sys, replace(budget, radius=C, horizon=tau))
+def check_brs(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:
+    """A-priori reachability bound C (1 + kappa(tau)) on [0, tau], on the
+    budget's ball: C its radius and tau its horizon.  The input half is
+    exact, since kappa(tau) is the smallest admissibility constant."""
+    bound = budget.radius * (1.0 + kappa_bounds(sys, budget.horizon).upper)
+    samples = _samples(sys, budget)
     report = _sweep(CheckProperty.BRS, samples, samples.points, samples.probes,
                     bound=lambda r, sup, t: bound, tol=_tol(bound))
     sup = float(np.max(samples.probes))

@@ -95,8 +95,6 @@ class Scenario:
     checks: tuple[str, ...] = ()
     ulim_eps: float = 0.1
     cep_h: float = 1.0
-    brs_c: float | None = None
-    brs_tau: float | None = None
     budget: SampleBudget = field(default_factory=SampleBudget)
     out_dir: str = "out"
     write_trajectories: bool = False
@@ -148,9 +146,7 @@ _CHECKS = {
     "iss": lambda s, r: check_iss(r.sys, r.iss, s.budget),
     "uls": lambda s, r: check_uls(r.sys, r.uls_sigma, r.iss.gamma, s.budget),
     "ulim": lambda s, r: check_ulim(r.sys, r.iss.gamma, s.ulim_eps, s.budget),
-    "brs": lambda s, r: check_brs(r.sys, s.budget.radius if s.brs_c is None else s.brs_c,
-                                  s.budget.horizon if s.brs_tau is None else s.brs_tau,
-                                  s.budget),
+    "brs": lambda s, r: check_brs(r.sys, s.budget),
     "cep": lambda s, r: check_cep(r.sys, s.budget, s.cep_h),
     "dissipation": lambda s, r: check_dissipation(r.sys, r.op, r.params, s.budget),
     "norm_to_integral": lambda s, r: check_norm_to_integral(r.sys, r.nti, s.budget),
@@ -247,8 +243,6 @@ _KEYS = (
     ("checks.names", "checks", _check_names, ", ".join),
     ("checks.ulim_eps", "ulim_eps", _positive, repr),
     ("checks.cep_h", "cep_h", _positive, repr),
-    ("checks.brs_c", "brs_c", _positive, repr),
-    ("checks.brs_tau", "brs_tau", _positive, repr),
     ("budget.n_states", "n_states", int, str),
     ("budget.n_inputs", "n_inputs", int, str),
     ("budget.n_times", "n_times", int, str),
@@ -264,8 +258,7 @@ _PARSERS = {key: (field, parse) for key, field, parse, _ in _KEYS}
 _PRESET_KEYS = {"system.lambdas": "diagonal", "system.b": "diagonal",
                 "system.a": "heat_dirichlet", "system.n_modes": "heat_dirichlet"}
 #: Fields the text omits while they hold their default.
-_OPTIONAL = {"beta", "gamma", "alpha", "psi", "sigma", "uls_sigma",
-             "derive", "brs_c", "brs_tau"}
+_OPTIONAL = {"beta", "gamma", "alpha", "psi", "sigma", "uls_sigma", "derive"}
 _DEFAULTS = Scenario()
 
 
@@ -333,10 +326,10 @@ def _validate_scenario(s: Scenario) -> None:
                                 "the smallest normal double", key=key)
     # |phi| <= r (1 + |A^-1 B|); far above 2**400 the squares of the norms overflow
     gain = 1.0 + res.sys.input_gain_norm
-    for key, r in (("budget.radius", s.budget.radius), ("checks.brs_c", s.brs_c)):
-        if r is not None and r * gain > _REACH_CAP:
-            raise ScenarioError(f"{key} = {r!r} is too large: {key} * (1 + |A^-1 B|) = "
-                                f"{r * gain:.3g} exceeds 2**400", key=key)
+    if s.budget.radius * gain > _REACH_CAP:
+        raise ScenarioError(f"budget.radius = {s.budget.radius!r} is too large: budget.radius "
+                            f"* (1 + |A^-1 B|) = {s.budget.radius * gain:.3g} exceeds 2**400",
+                            key="budget.radius")
     # CEP's smallest delta, eps_j / (1 + kappa(h)) at the last level, is at least this
     delta = s.budget.radius * 2.0 ** (1 - CEP_LEVELS) / gain
     if "cep" in s.checks and delta < _sys.float_info.min:

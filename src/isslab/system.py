@@ -35,15 +35,14 @@ lambda_k dt > T is fl(g_k v):
   1 - d_k rounds to 1.0, as d_k <= e**-38 < 2**-54;
   +0 squares: at v = 0 the norms' cap is clip(ln M + 373, 38, 746), past
   which the mode squares to +0 (M e**-T <= 2**-538), as (g_k v)**2 does.
-Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0, and of the
-zero-input rows of ``sample_trajectory`` (dead modes x_k(a) d_k + g_k v at
-dt = inf).  One loop (``_live_groups``) takes rows as (input, time) pairs of
-every input of a sample set, sorts them by this live width and gives each
-state's live modes per group of rows; the flow kernel (``_flow_norms``, the
-squares of dead modes and the settled right parts of each row's pairwise sum,
-``_spine``, from tables per (input, anchor)), ULIM's enclosure
-(``_enclosure``) and ``sample_trajectory`` reduce or write them.  They and
-``_square_integrals`` read the set's anchor table.  Past lambda_k min(h,
+Past 746, d_k is 0.0: the cap of rows with v != 0 and G = 0.  One loop
+(``_live_groups``) takes rows as (input, time) pairs of every input of a
+sample set, sorts them by this live width and gives each state's live modes
+per group of rows; the flow kernel (``_flow_norms``, the squares of dead
+modes and the settled right parts of each row's pairwise sum, ``_spine``,
+from tables per (input, anchor)) and ULIM's enclosure (``_enclosure``)
+reduce them.  They, ``_square_integrals`` and ``sample_trajectory`` (through
+``_table_rows``) read an anchor table.  Past lambda_k min(h,
 _settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0): its
 term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
 
@@ -440,20 +439,19 @@ def _table_rows(sys: SpectralSystem, table, which, states, times) -> np.ndarray:
         return _finite(anchor_states[slot[at], states] * decay + forced)
 
 
-def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False) -> tuple:
+def _rows(sys: SpectralSystem, table, which, times, firsts=None) -> tuple:
     """The rows of a kernel pass, one per (input ``which[r]``, time
     ``times[r]``) in any order, a the last anchor below the time t: their
     order by live width at t - a (at f - a, f = ``firsts[r]``, if given),
     and in that order the widths, each row's (input, anchor) as a flat
     index of the table's values, its input value and its cap T of the
-    module docstring (746 at v = 0 if ``full``: past the norms' cap a mode
-    only squares to +0), and t - a (then f - a), which ``_decay_forced`` clips."""
+    module docstring, and t - a (then f - a), which ``_decay_forced`` clips."""
     vals, bps, top = table[2:]
     seg = np.maximum(np.sum(bps[which] < times[:, None], axis=1) - 1, 0)
     anchor, v = bps[which, seg], vals[which, seg]
     with np.errstate(divide="ignore"):   # ln 0: v = 0 is set apart, and G = 0 gives 746
         cap = top + 38.0 - np.log(np.abs(v)) - np.log(np.abs(sys.input_gain_coeffs).min())
-    cap = np.clip(np.where(v == 0.0, _EXP_FLUSH if full else top + 373.0, cap), 38.0, _EXP_FLUSH)
+    cap = np.clip(np.where(v == 0.0, top + 373.0, cap), 38.0, _EXP_FLUSH)
     dts = [t - anchor for t in ([times] if firsts is None else [firsts, times])]
     width = _live_width(sys, dts[0], cap)
     # the rows in order of width; a group computes some rows past their width
@@ -463,23 +461,23 @@ def _rows(sys: SpectralSystem, table, which, times, firsts=None, full: bool = Fa
             *(dt[order] for dt in dts[::-1]))
 
 
-def _live_groups(sys: SpectralSystem, table, which, times, firsts=None, full: bool = False):
-    """The one loop of a kernel pass (``_flow_norms``, ``_enclosure``,
-    ``sample_trajectory``) over rows (input ``which[r]``, time ``times[r]``,
-    first time ``firsts[r]`` if given) of the anchor table ``table``, in any
-    order, each time within its input's end there.  A row runs from the last
-    anchor below its time, as in ``_flow_rows``; dt after it, every mode past
-    the live width W = #{k : lambda_k dt <= T}, T the row's cap, is settled
-    whatever the state (the module docstring).  The rows are sorted by W (at
-    the first time) and cut into groups (``_rows``, ``_row_groups``; by all
-    modes if ``full``).  Per group this yields the rows' columns, their
-    (input, anchor) indices (``_rows``), the width w, the input values v (a
-    column) and, per state, its first w modes at the times (then the first
-    times) by ``_decay_forced``, past each row's W with exp's argument raised
-    to -T.  A consumer drops a group's arrays before it asks for the next."""
+def _live_groups(sys: SpectralSystem, table, which, times, firsts=None):
+    """The one loop of a kernel pass (``_flow_norms``, ``_enclosure``) over
+    rows (input ``which[r]``, time ``times[r]``, first time ``firsts[r]`` if
+    given) of the anchor table ``table``, in any order, each time within its
+    input's end there.  A row runs from the last anchor below its time, as in
+    ``_flow_rows``; dt after it, every mode past the live width
+    W = #{k : lambda_k dt <= T}, T the row's cap, is settled whatever the
+    state (the module docstring).  The rows are sorted by W (at the first
+    time) and cut into groups (``_rows``, ``_row_groups``).  Per group this
+    yields the rows' columns, their (input, anchor) indices (``_rows``), the
+    width w, the input values v (a column) and, per state, its first w modes
+    at the times (then the first times) by ``_decay_forced``, past each row's
+    W with exp's argument raised to -T.  A consumer drops a group's arrays
+    before it asks for the next."""
     anchor_states, slot = table[:2]
-    order, width, key, v, cap, *dts = _rows(sys, table, which, times, firsts, full)
-    edges = _row_groups(np.full(width.size, sys.n_modes) if full else width)
+    order, width, key, v, cap, *dts = _rows(sys, table, which, times, firsts)
+    edges = _row_groups(width)
     for lo, hi in zip(edges[:-1], edges[1:]):
         kg, w, vv, cc = key[lo:hi], int(width[hi - 1]), v[lo:hi, None], cap[lo:hi, None]
         terms = [_decay_forced(sys, dt[lo:hi, None], vv, w, cc) for dt in dts]
@@ -578,9 +576,8 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     """Sample phi(., x0, u) on a grid that starts at 0 and strictly increases.
 
     ``states[i]`` is ``mild_solution(sys, x0, u, grid[i])`` bit for bit: the
-    live modes of ``_live_groups`` and each dead mode x_k(a) d_k + g_k v at
-    dt = inf from the row's own anchor a, so that a zero takes x_k(a)'s sign
-    as x_k(a) d does.  The rows are grouped as if every mode were live.
+    rows are read off the pair's anchor table (``_table_rows``) ``_CSV_ROWS``
+    at a time, so that no more than a block of them is held twice.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -589,14 +586,9 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
         raise ValidationError("grid must be strictly increasing")
     table = _anchor_table(sys, [x0], _input_table([u.breakpoints], [u.values]), grid[-1:])
     states = np.empty((grid.size, sys.n_modes))
-    # at t = 0 an inf g v times 1 - exp(0) is nan, refused by Trajectory, unwarned
-    with np.errstate(invalid="ignore"):
-        dead, settled = _decay_forced(sys, np.inf, 1.0)   # 0.0 and g, at v = 1.0
-        for rows, key, w, v, lives in _live_groups(sys, table, np.zeros(grid.size, int), grid,
-                                                   full=True):
-            for live, in lives:   # the one state
-                states[rows, :w] = live
-                states[rows, w:] = table[0][table[1].flat[key], 0, w:] * dead[w:] + settled[w:] * v
+    for lo in range(0, grid.size, _CSV_ROWS):
+        times = grid[lo:lo + _CSV_ROWS]
+        states[lo:lo + times.size] = _table_rows(sys, table, np.zeros(times.size, int), 0, times)
     return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
 
 

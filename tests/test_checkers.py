@@ -604,12 +604,12 @@ def _ulim_notes(sys, gamma_fn, eps, budget):
     return f"tau_hat={max(firsts)!r}"
 
 
-def _brs_notes(sys, C, tau, budget):
+def _brs_notes(sys, budget):
     """BRS's notes pair by pair: the largest norm on each pair's probe."""
-    b = replace(budget, radius=C, horizon=tau)
+    C, tau = budget.radius, budget.horizon
     sup = max(float(np.max(sample_trajectory(sys, x0, u, np.union1d(
-        eval_times(b), u.breakpoints[u.breakpoints < tau])).norms()))
-              for x0, u in _pairs_of(sys, b))
+        eval_times(budget), u.breakpoints[u.breakpoints < tau])).norms()))
+              for x0, u in _pairs_of(sys, budget))
     return f"empirical_sup={sup!r} bound={C * (1.0 + kappa_bounds(sys, tau).upper)!r}"
 
 
@@ -620,10 +620,10 @@ def test_ulim_and_brs_notes_match_the_pairwise_flow(shared, horizon, eps):
     budget = replace(BUDGET, horizon=horizon)
     with _shared_samples() if shared else contextlib.nullcontext():
         ulim = check_ulim(sys, gamma_fn, eps, budget)
-        brs = check_brs(sys, 1.0, horizon, budget)
+        brs = check_brs(sys, budget)
     assert ulim.notes == _ulim_notes(sys, gamma_fn, eps, budget)
     assert ("exhausted" in ulim.notes) == (horizon == 0.05)
-    assert brs.notes == _brs_notes(sys, 1.0, horizon, budget)
+    assert brs.notes == _brs_notes(sys, budget)
 
 
 def _ulim_reference(sys, gamma_fn, eps, samples):
@@ -854,7 +854,7 @@ def test_zero_input_system_passes_with_tiny_gain():
     for rep in (check_iss(sys, cert, budget),
                 check_uls(sys, linear(cert.beta.M), cert.gamma, budget),
                 check_ulim(sys, cert.gamma, 0.1, budget),
-                check_brs(sys, budget.radius, budget.horizon, budget)):
+                check_brs(sys, budget)):
         assert not rep.violated
 
 
@@ -1057,7 +1057,7 @@ def test_cep_rejects_bad_horizon():
 
 
 def test_brs_heat_bounded():
-    rep = check_brs(heat(), 1.0, 1.0, BUDGET)
+    rep = check_brs(heat(), replace(BUDGET, horizon=1.0))
     assert not rep.violated
     sup = float(rep.notes.split(" ")[0].split("=", 1)[1])
     bound = float(rep.notes.split(" ")[1].split("=", 1)[1])
@@ -1066,10 +1066,11 @@ def test_brs_heat_bounded():
 
 
 def test_brs_rejects_bad_parameters():
-    with pytest.raises(DomainError):
-        check_brs(heat(4), 0.0, 1.0, BUDGET)
-    with pytest.raises(DomainError):
-        check_brs(heat(4), 1.0, math.nan, BUDGET)
+    # C and tau are the budget's radius and horizon, which SampleBudget refuses
+    with pytest.raises(ValidationError):
+        check_brs(heat(4), replace(BUDGET, radius=0.0))
+    with pytest.raises(ValidationError):
+        check_brs(heat(4), replace(BUDGET, horizon=math.nan))
 
 
 # ---------------------------------------------------------------------------

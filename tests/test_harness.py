@@ -267,7 +267,7 @@ def test_output_trajectories_flag(tmp_path):
 NUMERIC_KEYS = {
     "system.a": "1.0", "system.n_modes": "4", "system.lambdas": "1.0, 2.0",
     "system.b": "1.0, -1.0", "lyapunov.epsilon": "0.5", "checks.ulim_eps": "0.1",
-    "checks.cep_h": "1.0", "checks.brs_c": "1.0", "checks.brs_tau": "1.0",
+    "checks.cep_h": "1.0",
     "budget.n_states": "2", "budget.n_inputs": "2", "budget.n_times": "5",
     "budget.horizon": "6.0", "budget.radius": "1.0", "budget.seed": "3",
 }
@@ -299,7 +299,6 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, key, bad):
 FLOAT_RANGES = {
     "system.a": (0.1, 10.0), "lyapunov.epsilon": (0.05, 0.95),
     "checks.ulim_eps": (1e-3, 10.0), "checks.cep_h": (0.01, 5.0),
-    "checks.brs_c": (0.01, 10.0), "checks.brs_tau": (0.01, 5.0),
     "budget.horizon": (0.01, 5.0), "budget.radius": (0.01, 10.0),
 }
 
@@ -333,10 +332,16 @@ def test_finite_numbers_run_and_non_finite_exit_2(tmp_path_factory, case):
     assert code == 2 if bad else code in (0, 1)
 
 
-def test_brs_parameters_validated():
+@pytest.mark.parametrize("key", ["checks.brs_c", "checks.brs_tau"])
+def test_brs_ball_keys_are_unknown(tmp_path, capsys, key):
+    # brs runs on the budget's ball, (budget.radius, budget.horizon); no key restates it
+    path = tmp_path / "brs.scn"
+    path.write_text(MINIMAL + f"{key} = 1.0\n")
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(MINIMAL + "checks.brs_c = -1.0\n")
-    assert "brs_c" in str(err.value)
+        load_scenario(str(path))
+    assert err.value.key == key
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_diagonal_scenario_clean(tmp_path):
@@ -685,10 +690,10 @@ def _heat_iss_with(key, value):
     return text.replace("budget.radius = 1.0\n", "") + f"{key} = {value}\n"
 
 
-@pytest.mark.parametrize("key", ["budget.radius", "checks.brs_c"])
+@pytest.mark.parametrize("key", ["budget.radius"])
 def test_huge_radius_is_config_error(tmp_path, capsys, key):
     # at 1e200 the squares of the flow norms overflow; unchecked, the run
-    # exits 3 with a nan margin (radius) or non-finite states (brs_c)
+    # exits 3 with a nan margin
     path = tmp_path / "huge.scn"
     path.write_text(_heat_iss_with(key, "1e200"))
     with pytest.raises(ScenarioError) as err:
@@ -698,8 +703,7 @@ def test_huge_radius_is_config_error(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, code, violated", [("budget.radius", 1, ["ULIM"]),
-                                                 ("checks.brs_c", 0, [])])
+@pytest.mark.parametrize("key, code, violated", [("budget.radius", 1, ["ULIM"])])
 def test_large_finite_radius_still_runs(tmp_path, key, code, violated):
     # below the bound: the run goes ahead, and at this radius the finite
     # horizon refutes ULIM
@@ -849,8 +853,13 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name):
     def counted_squares(sys_, table, times):
         squared.append(table)
         return square_integrals(sys_, table, times)
+    built = []   # per sample set its budget
+
+    def counted_samples(sys_, states, inputs, budget):
+        built.append(budget)
+        return samples(sys_, states, inputs, budget)
     flow_norms, anchor_table = checkers._flow_norms, checkers._anchor_table
-    square_integrals = checkers._square_integrals
+    square_integrals, samples = checkers._square_integrals, checkers._Samples
     s = _tiny_workload(name)
     b = s.budget
     probes = [np.union1d(checkers.eval_times(b), u.breakpoints[u.breakpoints < b.horizon])
@@ -859,7 +868,10 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name):
     monkeypatch.setattr(checkers, "_flow_norms", counted_sweep)
     monkeypatch.setattr(checkers, "_anchor_table", counted_steps)
     monkeypatch.setattr(checkers, "_square_integrals", counted_squares)
+    monkeypatch.setattr(checkers, "_Samples", counted_samples)
     run_scenario(s, str(tmp_path))
+    # one sample set, s.budget's, which brs shares with iss where both run
+    assert built == [b]
     # every check shares s.budget, and cep draws nothing: each random stream
     # is read once, the states' (seed, 11, i) past the three corners, the
     # inputs' (seed, 22, j) past the zero and the constant input, and
@@ -886,7 +898,7 @@ def test_each_sample_is_drawn_once_per_run(tmp_path, monkeypatch, name):
             for g, p in zip(refined, nodes))
     # nothing is kept between runs: the next run draws and steps every sample again
     run_scenario(s, str(tmp_path))
-    assert set(opened.values()) == {2} and len(stepped) == 2
+    assert set(opened.values()) == {2} and len(stepped) == 2 and built == [b, b]
     assert checkers._RUN.get() is None
 
 
@@ -915,30 +927,6 @@ def _streams(s):
     return Counter([*((b.seed, 11, i) for i in range(3, b.n_states)),
                     *((b.seed, 22, j) for j in range(2, b.n_inputs)),
                     *((b.seed, 33, p) for p in range(b.n_pairs) if "cocycle" in s.checks)])
-
-
-@pytest.mark.parametrize("radius", [0.3, 1e-125])
-def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, radius):
-    # all seven pointwise checks: brs's set at radius brs_c reads the streams
-    # that the first draw opened, and cep draws no set, at 0.3 as at 1e-125
-    s = parse_scenario(f"budget.radius = {radius!r}\nbudget.n_states = 9\n"
-                       "budget.n_inputs = 6\nchecks.cep_h = 0.7\nchecks.brs_c = 0.5\n"
-                       "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
-    opened, budgets = _count_streams(monkeypatch), set()
-
-    def counted_samples(sys_, states, inputs, budget):
-        budgets.add(budget)
-        return samples(sys_, states, inputs, budget)
-    samples = checkers._Samples
-    monkeypatch.setattr(checkers, "_Samples", counted_samples)
-    run = run_scenario(s, str(tmp_path))
-    assert opened == _streams(s)
-    # the budget and brs's
-    assert budgets == {s.budget, replace(s.budget, radius=s.brs_c)}
-    # and the reports are those of each check run alone, which draws its own
-    resolved = _resolve(s)
-    for e in run.entries:
-        assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -1300,17 +1288,6 @@ def test_horizon_overflowing_a_finite_certificate_is_named(tmp_path, capsys, tex
     horizon = float(text.split("budget.horizon = ")[1])
     assert (f"configuration error: budget.horizon = {horizon!r} times certificate.{term} "
             "overflows on the ball") in capsys.readouterr().err
-
-
-def test_certificates_are_not_read_on_the_brs_ball(tmp_path):
-    # check_brs reads no certificate, so its ball bounds none of them:
-    # beta(1e10, 0) = 1e310 overflows, while on the budget ball all is finite
-    path = tmp_path / "brs.scn"
-    path.write_text("checks.names = iss\ncertificate.beta = decay(1e300, 1.0)\n"
-                    "checks.brs_c = 1e10\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------
