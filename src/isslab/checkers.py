@@ -624,9 +624,23 @@ def check_ulim(sys: SpectralSystem, gamma_fn: ComparisonFunction, eps: float,
     return replace(report, notes=f"tau_hat={float(np.max(grid[np.argmax(hits, axis=2)]))!r}")
 
 
+def _cep_table(sys: SpectralSystem, radius: float, h: float) -> tuple[float, list]:
+    """1 + kappa(h) and CEP's rows (eps_j, delta_j): eps_j = radius 2**-j, and
+    delta_j = eps_j / (1 + kappa(h)), rounded down until
+    fl(delta_j (1 + kappa(h))) <= eps_j."""
+    gain, rows = 1.0 + kappa_bounds(sys, h).upper, []
+    for j in range(CEP_LEVELS):
+        eps_j = radius * 2.0 ** -j
+        delta = eps_j / gain
+        while delta * gain > eps_j:
+            delta = math.nextafter(delta, 0.0)
+        rows.append((eps_j, delta))
+    return gain, rows
+
+
 def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityReport:
     """Continuity at the equilibrium, decided: the table of eps_j = radius *
-    2**-j and delta_j = eps_j / (1 + kappa(h)).
+    2**-j and delta_j = eps_j / (1 + kappa(h)) (``_cep_table``).
 
     The semigroup is a contraction (M = 1, as in ``dissipation_constants``)
     and kappa is nondecreasing, so |phi| <= |x0| + kappa(h) |u|_inf <= delta_j
@@ -639,18 +653,10 @@ def check_cep(sys: SpectralSystem, budget: SampleBudget, h: float) -> StabilityR
     """
     _require_positive(h=h)
     _refuse_reach(sys, budget.radius)
-    gain = 1.0 + kappa_bounds(sys, h).upper
-    margins, table = [], []
-    for j in range(CEP_LEVELS):
-        eps_j = budget.radius * 2.0 ** -j
-        delta = eps_j / gain
-        while delta * gain > eps_j:
-            delta = math.nextafter(delta, 0.0)
-        margins.append(eps_j - delta * gain)
-        table.append(f"eps={eps_j!r}->delta={delta!r}")
+    gain, rows = _cep_table(sys, budget.radius, h)
     # every margin is >= 0 at tolerance 0: no witness, so no pair is asked for
-    return conclude(CheckProperty.CEP, [h] * CEP_LEVELS, margins, 0.0, None,
-                    notes="table " + "; ".join(table))
+    return conclude(CheckProperty.CEP, [h] * CEP_LEVELS, [e - d * gain for e, d in rows], 0.0,
+                    None, notes="table " + "; ".join(f"eps={e!r}->delta={d!r}" for e, d in rows))
 
 
 def check_brs(sys: SpectralSystem, budget: SampleBudget) -> StabilityReport:

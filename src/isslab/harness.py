@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .checkers import (_REACH_CAP, CEP_LEVELS, ULIM_GRID_POINTS, SampleBudget,
+from .checkers import (_REACH_CAP, CEP_LEVELS, ULIM_GRID_POINTS, SampleBudget, _cep_table,
                        _shared_samples, check_brs, check_cep, check_cocycle,
                        check_dissipation, check_identity, check_iss,
                        check_integral_to_integral, check_norm_to_integral, check_ulim,
@@ -330,13 +330,11 @@ def _validate_scenario(s: Scenario) -> None:
         raise ScenarioError(f"budget.radius = {s.budget.radius!r} is too large: budget.radius "
                             f"* (1 + |A^-1 B|) = {s.budget.radius * gain:.3g} exceeds 2**400",
                             key="budget.radius")
-    # CEP's smallest delta, eps_j / (1 + kappa(h)) at the last level, is at least this
-    delta = s.budget.radius * 2.0 ** (1 - CEP_LEVELS) / gain
-    if "cep" in s.checks and delta < _sys.float_info.min:
+    # CEP's smallest delta, at its last level, must not round to 0
+    if "cep" in s.checks and _cep_table(res.sys, s.budget.radius, s.cep_h)[1][-1][1] == 0.0:
         raise ScenarioError(f"budget.radius = {s.budget.radius!r} is too small for cep: "
-                            f"budget.radius * 2**-{CEP_LEVELS - 1} / (1 + |A^-1 B|) = "
-                            f"{delta:.3g} is below 2**-1022, the smallest normal double",
-                            key="budget.radius")
+                            f"its smallest delta, budget.radius * 2**-{CEP_LEVELS - 1} / "
+                            "(1 + kappa(checks.cep_h)), rounds to 0", key="budget.radius")
     # each bound a certificate check compares with, and horizon * alpha(|phi|), where
     # largest on the budget ball, from which those checks draw: an overflow is an
     # infinite margin

@@ -345,8 +345,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    system: SpectralSystem
-    input: InputSignal
     #: ``states`` is a fresh float array that no one else holds: frozen, not copied
     _fresh: InitVar[bool] = False
 
@@ -356,8 +354,8 @@ class Trajectory:
             self.states.setflags(write=False)
         else:
             object.__setattr__(self, "states", _freeze(self.states))
-        if self.states.shape != (self.times.size, self.system.n_modes):
-            raise ValidationError("states must have shape (len(times), n_modes)")
+        if self.states.ndim != 2 or len(self.states) != self.times.size:
+            raise ValidationError("states must be 2-D, one row per time")
         _finite(self.states)
 
     def norms(self) -> np.ndarray:
@@ -589,7 +587,7 @@ def sample_trajectory(sys: SpectralSystem, x0, u: InputSignal, grid) -> Trajecto
     for lo in range(0, grid.size, _CSV_ROWS):
         times = grid[lo:lo + _CSV_ROWS]
         states[lo:lo + times.size] = _table_rows(sys, table, np.zeros(times.size, int), 0, times)
-    return Trajectory(times=grid, states=states, system=sys, input=u, _fresh=True)
+    return Trajectory(times=grid, states=states, _fresh=True)
 
 
 def _square_integrals(sys: SpectralSystem, table, times) -> np.ndarray:
@@ -742,7 +740,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     every distinct bit pattern once, ``-0.0`` apart from ``0.0``, and joins
     the rows from those strings; no more than a block is ever held as text.
     """
-    n = traj.system.n_modes
+    n = traj.states.shape[1]
     header = "t,norm," + ",".join(f"c{k}" for k in range(1, n + 1))
     norms = traj.norms()
     with open(path, "w", encoding="utf-8") as fh:

@@ -18,15 +18,16 @@ The runs, made in-process through ``harness.main`` under a scratch directory:
   of a b_k = 0 system and at N = 256, CEP's table at radius 1e-125 and on
   a gain of about 600 (at radius 1 and 1e-125), CEP at ``checks.cep_h`` =
   the horizon, a saturation gain, the radii 1e100 and 1e-300, the horizons
-  1e17 and 1e304, and others; and those that exit 2 on an overflow, a
-  subnormal radius, a CEP delta below 2**-1022, an alpha too large, a
-  horizon too long or a check listed twice;
+  1e17 and 1e304, CEP at the radius 2**-1022, and others; and those that
+  exit 2 on an overflow, a subnormal radius, a CEP delta that rounds to 0,
+  an alpha too large, a horizon too long or a check listed twice;
 * ``replay`` of every witness record those runs write;
 * ``simulate`` of ``heat_iss.scn`` and of the scenario ``gain_zero``;
 * the runs that exit 2 on an argument, a record or a file (``_refused``):
   ``--modes 0``, a record replayed on another scenario, a cocycle record, a
-  record whose input overflows, a file that is not UTF-8, a directory, and
-  a missing path whose last part names a bundled scenario.
+  record whose input overflows, a file that is not UTF-8, a directory, a
+  missing path whose last part names a bundled scenario, and the unknown
+  keys ``checks.brs_c`` and ``checks.brs_tau`` (BRS runs on the budget's ball).
 
 Each run's stdout, stderr and exit code are kept beside its output files
 (``<name>.stdout``, ``.stderr``, ``.exit``).  ``report.csv`` is hashed
@@ -88,6 +89,7 @@ SMOKE = {
     "cep_violated_levels": "system.preset = diagonal\nsystem.lambdas = 1, 2, 3\n"
                            "system.b = 600, -20, 3\nbudget.radius = 1e-125\nchecks.names = cep\n",
     "cep_at_horizon": "checks.cep_h = 2.0\nchecks.names = iss, brs, cep\n",
+    "cep_radius_floor": f"budget.radius = {2.0 ** -1022!r}\nchecks.names = cep\n",
     "saturation_gain": "certificate.gamma = saturation(0.5, 1.0)\nchecks.names = iss, uls, ulim\n",
     "gain_zero": "system.preset = diagonal\nsystem.lambdas = 1, 4, 9, 16, 25\n"
                  "system.b = 1, 0.0, -2, 3, 0.5\nchecks.names = iss, uls, ulim, brs, cep\n"
@@ -203,6 +205,9 @@ def _refused() -> None:
                           (r"(?m)^values,.*$", "values,1e300")):
         record = re.sub(pattern, line, record)
     (src / "overflow_record.csv").write_text(record, encoding="utf-8")
+    for key in ("brs_c", "brs_tau"):
+        (src / f"{key}_key.scn").write_text(f"checks.names = brs\nchecks.{key} = 1.0\n",
+                                            encoding="utf-8")
     runs = {
         "modes_0": ["check", "heat_iss.scn", "--modes", "0"],
         "other_scenario": ["replay", "heat_iss.scn", str(bad)],
@@ -211,6 +216,8 @@ def _refused() -> None:
         "not_utf8": ["check", f"{src}/not_utf8.scn"],
         "scenario_dir": ["check", f"{src}/scenario_dir"],
         "missing_dir": ["check", "no/such/dir/heat_bad_gain.scn"],
+        "brs_c_key": ["check", f"{src}/brs_c_key.scn"],
+        "brs_tau_key": ["check", f"{src}/brs_tau_key.scn"],
     }
     for name, argv in runs.items():
         out = f"out/refused/{name}"

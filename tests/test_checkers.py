@@ -67,11 +67,12 @@ BUDGET = SampleBudget(n_states=12, n_inputs=8, n_times=17, horizon=2.0,
                       radius=1.0, seed=42)
 
 
-def simpson_integral(traj, f, t):
+def simpson_integral(traj, u, f, t):
     """The checkers' per-segment composite Simpson of f(|phi|) over [0, t]
-    on the trajectory's own grid, which holds t and the input's breakpoints."""
+    on the trajectory's own grid, which holds t and the breakpoints of its
+    input u."""
     grid = traj.times
-    starts = np.searchsorted(grid, traj.input.breakpoints)
+    starts = np.searchsorted(grid, u.breakpoints)
     vals = evaluate(f, traj.norms())
     return float(_simpson_integrals(vals, grid, np.searchsorted(grid, [t]), starts)[0])
 
@@ -1096,7 +1097,7 @@ def test_norm_to_integral_single_mode_closed_form():
     grid = build_time_grid(2.0, u, extra=[0.5, 1.0, 2.0])
     traj = sample_trajectory(sys, x0, u, grid)
     for t in (0.5, 1.0, 2.0):
-        left = simpson_integral(traj, cert.alpha, t)
+        left = simpson_integral(traj, u, cert.alpha, t)
         exact = (1.0 - math.exp(-2.0 * PI2 * t)) / (2.0 * PI2)
         assert left == pytest.approx(exact, rel=2e-7)
     # the infinite-horizon value stays below psi(1) = 1/pi^2
@@ -1150,8 +1151,8 @@ def test_quadrature_halving_stability():
     mid = 0.5 * (grid[:-1] + grid[1:])
     fine = np.unique(np.concatenate([grid, mid]))
     alpha = power(0.5, 2.0)
-    v1 = simpson_integral(sample_trajectory(sys, x0, u, grid), alpha, 2.0)
-    v2 = simpson_integral(sample_trajectory(sys, x0, u, fine), alpha, 2.0)
+    v1 = simpson_integral(sample_trajectory(sys, x0, u, grid), u, alpha, 2.0)
+    v2 = simpson_integral(sample_trajectory(sys, x0, u, fine), u, alpha, 2.0)
     assert abs(v1 - v2) <= 1e-6 * (1.0 + abs(v1))
 
 
@@ -1439,7 +1440,7 @@ def test_simpson_fallback_restarts_at_kinked_breakpoints():
         exact = (0.25 - 2.0 * p + 0.5 * (1.0 - math.exp(-0.5))
                  + (p + 1.0) ** 2 * 0.5 * (1.0 - math.exp(-2.0 * h))
                  - 2.0 * (p + 1.0) * (1.0 - math.exp(-h)) + h)
-        assert abs(simpson_integral(traj, cert.alpha, t) - exact) < 1e-6
+        assert abs(simpson_integral(traj, u, cert.alpha, t) - exact) < 1e-6
         # margins psi(0) + t sigma(1) - int on [0, t]: Simpson on the graded
         # grid (the same alpha in another form), or exact
         def margin(c):

@@ -23,7 +23,7 @@ from isslab.harness import (_CHECKS, _PARSERS, _UNREPLAYABLE, CHECK_NAMES, MAX_W
                             _work, bundled_scenario_path, load_scenario, read_witness,
                             serialize_scenario, simulate_scenario, write_witness)
 from isslab.report import Witness
-from isslab.system import InputSignal, SpectralSystem
+from isslab.system import InputSignal, SpectralSystem, kappa_bounds
 from oracles import constant
 from test_checkers import assert_same_report
 
@@ -740,9 +740,9 @@ def test_subnormal_budget_is_config_error(tmp_path, capsys, key):
     assert f"configuration error: {key} = 5e-324 is too small" in capsys.readouterr().err
 
 
-def test_cep_delta_below_the_smallest_normal_is_config_error(tmp_path, capsys):
-    # gain 1e30 at radius 1e-300: every delta_j = eps_j / (1 + kappa(h)) would be
-    # subnormal or 0, and u = delta_0 still drives |phi| to about 3e-271
+def test_cep_delta_that_rounds_to_zero_is_config_error(tmp_path, capsys):
+    # gain 1e30 at radius 1e-300: delta_3 = eps_3 / (1 + kappa(h)), about 2e-331,
+    # rounds to 0, and u = delta_0 still drives |phi| to about 3e-271
     text = ("system.preset = diagonal\nsystem.lambdas = 1, 2\nsystem.b = 1e30, 1\n"
             "budget.radius = 1e-300\nchecks.names = {}\n")
     parse_scenario(text.format("iss"))   # without cep the radius is valid
@@ -760,10 +760,8 @@ def test_cep_delta_below_the_smallest_normal_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["budget.horizon", "budget.radius"])
 def test_every_check_runs_at_the_budget_floor(tmp_path, key):
-    # cep refuses a radius of 2**-1022; it runs at its own floor below
-    names = [n for n in CHECK_NAMES if key == "budget.horizon" or n != "cep"]
     path = tmp_path / "floor.scn"
-    path.write_text(f"checks.names = {', '.join(names)}\nbudget.n_states = 6\n"
+    path.write_text(f"checks.names = {', '.join(CHECK_NAMES)}\nbudget.n_states = 6\n"
                     f"budget.n_inputs = 4\n{key} = {2.0 ** -1022!r}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -773,14 +771,19 @@ def test_every_check_runs_at_the_budget_floor(tmp_path, key):
 
 
 def test_cep_runs_at_its_radius_floor(tmp_path):
-    # cep's smallest delta bound, r 2**-3 / (1 + |A^-1 B|), is 2**-1022 here
-    text = "checks.names = cep\nbudget.n_states = 6\nbudget.n_inputs = 4\n"
-    floor = 2.0 ** -1019 * (1.0 + _resolve(parse_scenario(text)).sys.input_gain_norm)
+    # with gain 1 + kappa(1) of about 6e29, cep's smallest delta, r 2**-3 / (1 +
+    # kappa(1)), is the smallest subnormal 2**-1074 at r = (1 + kappa(1)) 2**-1071,
+    # far above 2**-1022, and rounds to 0 below it
+    text = ("system.preset = diagonal\nsystem.lambdas = 1, 2\nsystem.b = 1e30, 1\n"
+            "checks.names = cep\n")
+    floor = (1.0 + kappa_bounds(_resolve(parse_scenario(text)).sys, 1.0).upper) * 2.0 ** -1071
     path = tmp_path / "floor.scn"
     path.write_text(f"{text}budget.radius = {floor!r}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert run_scenario(load_scenario(str(path)), str(tmp_path / "out")).entries[
+        0].report.notes.endswith(f"->delta={2.0 ** -1074!r}")
     path.write_text(f"{text}budget.radius = {math.nextafter(floor, 0.0)!r}\n")
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))

@@ -1075,7 +1075,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def _per_float_csv(traj):
     """The CSV text written one ``format(value, '.17g')`` call per value."""
-    n = traj.system.n_modes
+    n = traj.states.shape[1]
     lines = ["t,norm," + ",".join(f"c{k}" for k in range(1, n + 1))]
     for t, nrm, row in zip(traj.times, traj.norms(), traj.states):
         lines.append(",".join(format(v, ".17g") for v in (t, nrm, *row)))
@@ -1101,10 +1101,17 @@ def test_sample_trajectory_holds_its_states_once():
     assert norms.tobytes() == np.linalg.norm(traj.states, axis=1).tobytes()
     # a caller's own arrays are copied and frozen
     times, states = np.array([0.0, 1.0]), np.ones((2, 3))
-    traj = Trajectory(times=times, states=states, system=heat(3), input=u)
+    traj = Trajectory(times=times, states=states)
     times[1], states[0, 0] = 5.0, 7.0
     assert traj.times.tolist() == [0.0, 1.0] and traj.states[0, 0] == 1.0
     assert not (traj.times.flags.writeable or traj.states.flags.writeable)
+
+
+@pytest.mark.parametrize("states", [np.ones(2), np.ones((3, 2)), np.ones((2, 2, 1))],
+                         ids=["1-d", "rows", "3-d"])
+def test_trajectory_refuses_states_that_are_not_one_row_per_time(states):
+    with pytest.raises(ValidationError, match="one row per time"):
+        Trajectory(times=np.array([0.0, 1.0]), states=states)
 
 
 def test_trajectory_csv_matches_per_float_formatting(tmp_path):
@@ -1116,7 +1123,7 @@ def test_trajectory_csv_matches_per_float_formatting(tmp_path):
     states = rng.standard_normal((70, 4)) * 10.0 ** rng.integers(-300, 150, (70, 4))
     states[0] = [-0.0, 0.0, -5e-324, 1e-310]
     states[1] = [-1.5e150, 1.2345678901234567e149, -0.0, 2.2250738585072014e-308]
-    traj = Trajectory(times=times, states=states, system=sys, input=InputSignal.zero())
+    traj = Trajectory(times=times, states=states)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     assert path.read_text(encoding="utf-8") == _per_float_csv(traj)
@@ -1131,7 +1138,7 @@ def test_trajectory_csv_matches_per_float_formatting(tmp_path):
     states[_CSV_ROWS:, 0] = 2.5
     states[_CSV_ROWS:, 1] = np.where(np.arange(n - _CSV_ROWS) % 2 == 0, 0.0, -0.0)
     states[_CSV_ROWS:, 2] = rng.choice([-0.1, 0.1, 2.5, 1e-300], n - _CSV_ROWS)
-    traj = Trajectory(times=times, states=states, system=heat(3), input=InputSignal.zero())
+    traj = Trajectory(times=times, states=states)
     path = tmp_path / "repeats.csv"
     write_trajectory_csv(traj, path)
     text = path.read_text(encoding="utf-8")
