@@ -12,11 +12,11 @@ Simpson path.  Inside ``_shared_samples``, which ``run_scenario`` opens
 around a scenario's checks, every check on the same system and budget shares
 one sample set, so each random stream is read once per run (BRS's ball is
 the budget's own), and the pointwise checks (ISS, ULS, BRS and ULIM) share
-one kernel call per sample set on every input's probe (the evaluation times plus its breakpoints), a
-table of (input, point) padded with +inf.  The probes' points are ULIM's
-nodes: ULIM sweeps the points of its fixed grid between two adjacent nodes,
-in one more call, only where a lower enclosure of |phi|
-(``system._enclosure``) leaves room for a pair's pick or first hit
+one kernel call per sample set on every input's probe (the evaluation times
+plus its breakpoints), a table of (input, point) padded with +inf.  The
+probes' points are ULIM's nodes: ULIM sweeps the points of its fixed grid
+between two adjacent nodes, in one more call, only where a lower enclosure
+of |phi| (``system._enclosure``) leaves room for a pair's pick or first hit
 (``_Samples.ulim``).  Every kernel pass takes its rows as (input, time)
 pairs and reads the set's anchor states, stepped once (``_Samples.table``).
 A flow value is grid-free, so a check called alone gives the same report.

@@ -42,9 +42,9 @@ per group of rows; the flow kernel (``_flow_norms``, the squares of dead
 modes and the settled right parts of each row's pairwise sum, ``_spine``,
 from tables per (input, anchor)) and ULIM's enclosure (``_enclosure``)
 reduce them.  They, ``_square_integrals`` and ``sample_trajectory`` (through
-``_table_rows``) read an anchor table.  Past lambda_k min(h,
-_settle) > _SETTLED = 40 an integral's mode is settled (expm1 = -1.0): its
-term is its (input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
+``_table_rows``) read an anchor table.  Past lambda_k min(h, _settle) >
+_SETTLED = 40 an integral's mode is settled (expm1 = -1.0): its term is its
+(input, anchor)'s settled part, made once, plus g_k^2 v^2 h.
 
 The bundled preset is the 1-d heat equation on [0, 1] with diffusivity a,
 homogeneous Dirichlet condition at 0 and Dirichlet boundary input at 1:
