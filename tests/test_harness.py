@@ -332,6 +332,30 @@ def test_finite_numbers_run_and_non_finite_exit_2(tmp_path_factory, case):
     assert code == 2 if bad else code in (0, 1)
 
 
+@pytest.mark.parametrize("key", ["budget.radius", "budget.horizon"])
+def test_brs_parameters_validated(tmp_path, capsys, key):
+    # brs's C and tau are the budget's radius and horizon, which SampleBudget refuses
+    # where they are not positive
+    path = tmp_path / "brs.scn"
+    path.write_text(MINIMAL.replace("checks.names = iss", "checks.names = brs")
+                    + f"{key} = 0.0\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert "horizon and radius must be positive and finite" in str(err.value)
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("radius, horizon", [(1.0, 2.0), (0.25, 0.5)])
+def test_brs_runs_on_the_budget_ball(tmp_path, radius, horizon):
+    # the bound is C (1 + kappa(tau)) at C = budget.radius and tau = budget.horizon
+    s = parse_scenario(MINIMAL.replace("checks.names = iss", "checks.names = iss, brs")
+                       + f"budget.radius = {radius!r}\nbudget.horizon = {horizon!r}\n")
+    brs = run_scenario(s, str(tmp_path)).entries[1].report
+    bound = radius * (1.0 + kappa_bounds(_resolve(s).sys, horizon).upper)
+    assert brs.notes.endswith(f" bound={bound!r}")
+    assert brs.verdict is Verdict.NO_VIOLATION_FOUND
+
+
 @pytest.mark.parametrize("key", ["checks.brs_c", "checks.brs_tau"])
 def test_brs_ball_keys_are_unknown(tmp_path, capsys, key):
     # brs runs on the budget's ball, (budget.radius, budget.horizon); no key restates it
@@ -685,17 +709,22 @@ def test_budget_work_cap_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "modes")]) == 2
 
 
-def _heat_iss_with(key, value):
+def _heat_iss_with(key, value, checks=None):
     text = bundled_scenario_path("heat_iss.scn").read_text()
+    if checks is not None:
+        text = "".join(f"checks.names = {checks}\n" if line.startswith("checks.names =")
+                       else line for line in text.splitlines(keepends=True))
     return text.replace("budget.radius = 1.0\n", "") + f"{key} = {value}\n"
 
 
-@pytest.mark.parametrize("key", ["budget.radius"])
-def test_huge_radius_is_config_error(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, checks", [pytest.param("budget.radius", None, id="budget.radius"),
+                                         pytest.param("budget.radius", "brs",
+                                                      id="budget.radius-brs")])
+def test_huge_radius_is_config_error(tmp_path, capsys, key, checks):
     # at 1e200 the squares of the flow norms overflow; unchecked, the run
-    # exits 3 with a nan margin
+    # exits 3 with a nan margin; brs alone, on the budget's ball, is refused too
     path = tmp_path / "huge.scn"
-    path.write_text(_heat_iss_with(key, "1e200"))
+    path.write_text(_heat_iss_with(key, "1e200", checks))
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     assert err.value.key == key
@@ -703,15 +732,17 @@ def test_huge_radius_is_config_error(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, code, violated", [("budget.radius", 1, ["ULIM"])])
-def test_large_finite_radius_still_runs(tmp_path, key, code, violated):
+@pytest.mark.parametrize("key, code, violated, checks", [
+    pytest.param("budget.radius", 1, ["ULIM"], None, id="budget.radius-1-violated0"),
+    pytest.param("budget.radius", 0, [], "brs", id="budget.radius-0-brs")])
+def test_large_finite_radius_still_runs(tmp_path, key, code, violated, checks):
     # below the bound: the run goes ahead, and at this radius the finite
-    # horizon refutes ULIM
+    # horizon refutes ULIM; brs alone holds on that ball
     path = tmp_path / "large.scn"
-    path.write_text(_heat_iss_with(key, "1e100"))
+    path.write_text(_heat_iss_with(key, "1e100", checks))
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == code
     lines = (tmp_path / "out" / "reports.txt").read_text().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == len(load_scenario(str(path)).checks)
     assert [line.split(",")[0] for line in lines if ",violated," in line] == violated
 
 
@@ -930,6 +961,30 @@ def _streams(s):
     return Counter([*((b.seed, 11, i) for i in range(3, b.n_states)),
                     *((b.seed, 22, j) for j in range(2, b.n_inputs)),
                     *((b.seed, 33, p) for p in range(b.n_pairs) if "cocycle" in s.checks)])
+
+
+@pytest.mark.parametrize("radius", [0.3, 1e-125])
+def test_every_budget_of_a_run_reads_each_stream_once(tmp_path, monkeypatch, radius):
+    # all seven pointwise checks: brs reads the budget's set, which the first
+    # draw made, and cep draws no set, at 0.3 as at 1e-125
+    s = parse_scenario(f"budget.radius = {radius!r}\nbudget.n_states = 9\n"
+                       "budget.n_inputs = 6\nchecks.cep_h = 0.7\n"
+                       "checks.names = identity, cocycle, iss, uls, ulim, brs, cep\n")
+    opened, budgets = _count_streams(monkeypatch), []
+
+    def counted_samples(sys_, states, inputs, budget):
+        budgets.append(budget)
+        return samples(sys_, states, inputs, budget)
+    samples = checkers._Samples
+    monkeypatch.setattr(checkers, "_Samples", counted_samples)
+    run = run_scenario(s, str(tmp_path))
+    assert opened == _streams(s)
+    # one sample set, the budget's
+    assert budgets == [s.budget]
+    # and the reports are those of each check run alone, which draws its own
+    resolved = _resolve(s)
+    for e in run.entries:
+        assert_same_report(e.report, _CHECKS[e.name](s, resolved))
 
 
 # ---------------------------------------------------------------------------
